@@ -121,6 +121,27 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 }
 
+// Regression inputs the monotone property once found: a bin midpoint
+// outside [min, max], both for a magnitude in the clamped edge bin and
+// for an in-range value sitting above its bin's midpoint.
+func TestQuantileMonotoneRegressions(t *testing.T) {
+	for _, xs := range [][]float64{{7.98e307}, {5.1}, {-5.1}, {-7.98e307, 5.1}} {
+		s := NewStream()
+		for _, x := range xs {
+			s.Add(x)
+		}
+		prev := s.Quantile(0)
+		for i := 1; i <= 100; i++ {
+			q := s.Quantile(float64(i) / 100)
+			if q < prev {
+				t.Fatalf("%v: Quantile(%.2f) = %v < Quantile(%.2f) = %v",
+					xs, float64(i)/100, q, float64(i-1)/100, prev)
+			}
+			prev = q
+		}
+	}
+}
+
 func TestQuantileMatchesSorted(t *testing.T) {
 	s := NewStream()
 	data := []float64{9, 1, 8, 2, 7, 3, 6, 4, 5}

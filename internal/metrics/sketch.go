@@ -175,9 +175,11 @@ func (s *Sketch) Merge(other *Sketch) {
 }
 
 // Quantile returns the bin-snapped q-quantile (0 ≤ q ≤ 1): the midpoint
-// of the bin containing the order statistic of rank ⌊q·(n−1)⌋. q ≤ 0
-// returns the exact minimum and q ≥ 1 the exact maximum. Empty sketches
-// return NaN.
+// of the bin containing the order statistic of rank ⌊q·(n−1)⌋, clamped
+// into [min, max] so the answer is monotone in q — a midpoint can lie
+// outside the observed range (a lone value sits anywhere in its bin,
+// and magnitudes ≥ 2^64 share the clamped edge bin). q ≤ 0 returns the
+// exact minimum and q ≥ 1 the exact maximum. Empty sketches return NaN.
 func (s *Sketch) Quantile(q float64) float64 {
 	if s.n == 0 {
 		return math.NaN()
@@ -200,7 +202,7 @@ func (s *Sketch) Quantile(q float64) float64 {
 			}
 			seen += c
 			if rank < seen {
-				return -sketchMid(bin)
+				return s.clamp(-sketchMid(bin))
 			}
 		}
 	}
@@ -216,11 +218,16 @@ func (s *Sketch) Quantile(q float64) float64 {
 			}
 			seen += c
 			if rank < seen {
-				return sketchMid(bin)
+				return s.clamp(sketchMid(bin))
 			}
 		}
 	}
 	return s.max
+}
+
+// clamp bounds a bin midpoint to the observed [min, max] range.
+func (s *Sketch) clamp(x float64) float64 {
+	return math.Min(math.Max(x, s.min), s.max)
 }
 
 // BinWidth returns the width of the bin that the value x falls into —

@@ -1,7 +1,11 @@
 package trace
 
 import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
+	"unsafe"
 
 	"repro/internal/logical"
 )
@@ -28,6 +32,64 @@ func TestTraceRecordZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("TraceEvent allocates %.1f objects/op after wrap, want 0", allocs)
+	}
+}
+
+// mergeFixture builds k time-ordered recorders sharing n records
+// between them, with same-time runs inside each stream.
+func mergeFixture(k, n int) []*Recorder {
+	recs := make([]*Recorder, k)
+	for i := range recs {
+		recs[i] = NewRecorder(n/k + 1)
+	}
+	for j := 0; j < n; j++ {
+		comp := fmt.Sprintf("plat%02d.client", j%7)
+		recs[j%k].TraceEvent(logical.Time(j/3), comp, KindCall, []byte{byte(j)})
+	}
+	return recs
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the average heap
+// bytes allocated by one call of f.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f() // warm up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// Merge's allocation budget: a constant number of allocations however
+// many records it merges — one pointer list per stream, one exact-size
+// output slice, no growth and no per-record work on the heap — and at
+// most n·(sizeof(Record)+8) bytes plus page rounding of those k+1
+// large slices and a small constant. The collector is off while it
+// measures: a GC cycle makes runtime allocations of its own, and a
+// larger merge triggers more cycles.
+func TestMergeAllocBudget(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const k = 3
+	var counts []float64
+	for _, n := range []int{2000, 20000} {
+		recs := mergeFixture(k, n)
+		merge := func() { Merge(recs...) }
+		counts = append(counts, testing.AllocsPerRun(10, merge))
+		budget := uint64(n)*(uint64(unsafe.Sizeof(Record{}))+8) + (k+1)*8192 + 1024
+		got := bytesPerRun(10, merge)
+		t.Logf("n=%d: %.0f allocs/op, %d B/op (budget %d)", n, counts[len(counts)-1], got, budget)
+		if got > budget {
+			t.Errorf("Merge of %d records allocates %d B/op, budget %d", n, got, budget)
+		}
+	}
+	if counts[0] != counts[1] {
+		t.Errorf("Merge allocations grow with the record count: %v objects/op for 2000 vs 20000 records", counts)
+	}
+	if counts[1] > k+6 {
+		t.Errorf("Merge of %d recorders makes %.0f allocations, budget %d", k, counts[1], k+6)
 	}
 }
 

@@ -1,7 +1,10 @@
 package trace
 
 import (
+	"cmp"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/logical"
 )
@@ -41,6 +44,7 @@ func Digest(payload []byte) uint64 {
 // (outputs). Under deterministic simulation only the owning kernel's
 // goroutine writes, and the uncontended mutex stays cheap.
 type Recorder struct {
+	id      uint64 // creation order: the lock order of Merge
 	mu      sync.Mutex
 	ring    []Record
 	head    int // index of the oldest record
@@ -71,6 +75,9 @@ func (r *Recorder) SetTap(t Tap) {
 	r.mu.Unlock()
 }
 
+// recorderIDs numbers recorders in creation order.
+var recorderIDs atomic.Uint64
+
 // NewRecorder creates a recorder whose ring holds up to capacity
 // records (minimum 16). The full ring is allocated up front so the
 // recording hot path never grows it.
@@ -79,6 +86,7 @@ func NewRecorder(capacity int) *Recorder {
 		capacity = 16
 	}
 	return &Recorder{
+		id:   recorderIDs.Add(1),
 		ring: make([]Record, capacity),
 		seqs: make(map[string]uint64),
 	}
@@ -158,17 +166,27 @@ func (r *Recorder) Dropped() uint64 {
 	return r.dropped
 }
 
-// snapshot copies the buffered records out in insertion order.
-func (r *Recorder) snapshot() ([]Record, uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Record, 0, r.count)
-	for i := 0; i < r.count; i++ {
-		out = append(out, r.ring[(r.head+i)%len(r.ring)])
+// lockAll locks every distinct recorder in creation order — one global
+// order, so concurrent merges over overlapping recorder sets cannot
+// deadlock — and returns the matching unlock.
+func lockAll(recorders []*Recorder) (unlock func()) {
+	distinct := make([]*Recorder, 0, len(recorders))
+	for _, r := range recorders {
+		if !slices.Contains(distinct, r) {
+			distinct = append(distinct, r)
+		}
 	}
-	return out, r.dropped
+	slices.SortFunc(distinct, func(a, b *Recorder) int { return cmp.Compare(a.id, b.id) })
+	for _, r := range distinct {
+		r.mu.Lock()
+	}
+	return func() {
+		for _, r := range distinct {
+			r.mu.Unlock()
+		}
+	}
 }
 
-// Trace snapshots the recorder into a canonical trace (see Merge for
+// Trace copies the recorder into a canonical trace (see Merge for
 // combining several partition recorders).
 func (r *Recorder) Trace() *Trace { return Merge(r) }

@@ -37,8 +37,10 @@ package trace
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/logical"
 )
@@ -142,39 +144,91 @@ type Trace struct {
 	// Records are the events in canonical order.
 	Records []Record `json:"records"`
 	// Truncated counts records evicted from ring buffers before the
-	// snapshot was taken (0 = complete). A truncated trace is still
-	// canonical but mode-independence only holds for complete traces.
+	// merge (0 = complete). A truncated trace is still canonical but
+	// mode-independence only holds for complete traces.
 	Truncated uint64 `json:"truncated,omitempty"`
 }
 
-// sortCanonical establishes the canonical (time, component, seq)
-// order in place.
-func sortCanonical(recs []Record) {
-	sort.Slice(recs, func(i, j int) bool {
-		a, b := &recs[i], &recs[j]
-		if a.Time != b.Time {
-			return a.Time < b.Time
-		}
-		if a.Component != b.Component {
-			return a.Component < b.Component
-		}
-		return a.Seq < b.Seq
-	})
+// compareCanonical orders two records by the canonical (time,
+// component, seq) key — the one comparator every merge path uses.
+func compareCanonical(a, b *Record) int {
+	if a.Time != b.Time {
+		return cmp.Compare(a.Time, b.Time)
+	}
+	if c := strings.Compare(a.Component, b.Component); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Seq, b.Seq)
 }
 
-// Merge combines the snapshots of several recorders — typically one
-// per partition kernel of a federation — into one canonical trace.
-// Because each component lives on exactly one kernel and records only
-// component-local state, the merged trace is byte-identical to the
-// trace of the same scenario run on a single kernel.
-func Merge(recorders ...*Recorder) *Trace {
-	t := &Trace{}
-	for _, r := range recorders {
-		recs, dropped := r.snapshot()
-		t.Records = append(t.Records, recs...)
-		t.Truncated += dropped
+// sortStream puts one recorder's stream into canonical order. A
+// kernel-driven stream is already time-ordered (kernel time never goes
+// backwards), so only its equal-time runs need sorting by (component,
+// seq); a stream whose times decrease — live recording, where two
+// goroutines stamp wall-clock times — falls back to a full sort.
+func sortStream(recs []*Record, timeOrdered bool) {
+	if !timeOrdered {
+		slices.SortFunc(recs, compareCanonical)
+		return
 	}
-	sortCanonical(t.Records)
+	for i := 0; i < len(recs); {
+		j := i + 1
+		for j < len(recs) && recs[j].Time == recs[i].Time {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(recs[i:j], compareCanonical)
+		}
+		i = j
+	}
+}
+
+// Merge combines the recorders' rings — typically one per partition
+// kernel of a federation — into one canonical trace. Because each
+// component lives on exactly one kernel and records only component-
+// local state, the merged trace is byte-identical to the trace of the
+// same scenario run on a single kernel.
+//
+// Each ring is read in place under its recorder's lock (held for the
+// whole merge), put into canonical order as a list of record pointers
+// (see sortStream), and the k sorted streams are merged head by head
+// straight into one exact-size record slice: one copy, no re-sort of
+// the union. Equal keys — a contract violation: one component on two
+// recorders — resolve to the earlier argument, so the output stays
+// deterministic.
+func Merge(recorders ...*Recorder) *Trace {
+	defer lockAll(recorders)()
+	t := &Trace{}
+	streams := make([][]*Record, len(recorders))
+	total := 0
+	for i, r := range recorders {
+		recs := make([]*Record, r.count)
+		timeOrdered := true
+		for j := range recs {
+			recs[j] = &r.ring[(r.head+j)%len(r.ring)]
+			if j > 0 && recs[j].Time < recs[j-1].Time {
+				timeOrdered = false
+			}
+		}
+		sortStream(recs, timeOrdered)
+		streams[i] = recs
+		total += len(recs)
+		t.Truncated += r.dropped
+	}
+	if total == 0 {
+		return t // Records stays nil: the empty trace's encoding
+	}
+	t.Records = make([]Record, total)
+	for n := range t.Records {
+		best := -1
+		for i, s := range streams {
+			if len(s) > 0 && (best < 0 || compareCanonical(s[0], streams[best][0]) < 0) {
+				best = i
+			}
+		}
+		t.Records[n] = *streams[best][0]
+		streams[best] = streams[best][1:]
+	}
 	return t
 }
 

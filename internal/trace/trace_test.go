@@ -2,7 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"path/filepath"
+	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/des"
@@ -59,6 +63,166 @@ func TestMergeCanonicalOrder(t *testing.T) {
 	}
 	if one.Records[2].Seq >= one.Records[3].Seq {
 		t.Fatal("same-component same-time records out of seq order")
+	}
+
+	// An empty recorder contributes nothing, and merging nothing keeps
+	// Records nil so the empty trace encodes as it always has.
+	if d := FirstDivergence(one, Merge(NewRecorder(16), p0, NewRecorder(16), p1)); d != nil {
+		t.Fatalf("empty recorders changed the merge: %s", d)
+	}
+	for _, empty := range []*Trace{Merge(), Merge(NewRecorder(16))} {
+		if empty.Records != nil {
+			t.Fatal("empty merge allocated Records")
+		}
+		js, err := empty.EncodeJSON()
+		if err != nil || string(js) != "{\n  \"records\": null\n}" {
+			t.Fatalf("empty trace JSON = %q, %v", js, err)
+		}
+	}
+}
+
+// Merge holds every recorder's lock for the whole merge, taken in one
+// global order: merges over overlapping recorder sets in opposite
+// argument orders, or naming one recorder twice, must not deadlock
+// while writers keep appending, and each result must be canonical.
+func TestMergeConcurrentWriters(t *testing.T) {
+	a, b := NewRecorder(1<<10), NewRecorder(1<<10)
+	var wg sync.WaitGroup
+	for i, r := range []*Recorder{a, b} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			comp := fmt.Sprintf("p%d", i)
+			for j := 0; j < 4000; j++ {
+				r.TraceEvent(logical.Time(j/4), comp, KindCall, []byte{byte(j)})
+			}
+		}()
+	}
+	for _, order := range [][]*Recorder{{a, b}, {b, a}, {a, a, b}} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				tr := Merge(order...)
+				for k := 1; k < tr.Len(); k++ {
+					if compareCanonical(&tr.Records[k-1], &tr.Records[k]) > 0 {
+						t.Errorf("merge of %d recorders out of order at %d", len(order), k)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// genStream is one recorder's worth of generated events: what the
+// recorder is fed and, independently, the records it must hold.
+type genStream struct {
+	rec  *Recorder
+	want []Record // surviving records in insertion order
+}
+
+// genRecorders builds 1–5 recorders from a seed. Times come from a
+// narrow range so same-time ties are heavy within and across streams;
+// each component lives on one recorder unless dup names one shared
+// across the first two (a contract violation). Stream 0 is time-
+// disordered when disorder is set (the live-recording shape); the
+// others are time-ordered like a kernel's. Some recorders stay empty
+// and some rings wrap.
+func genRecorders(rng *rand.Rand, disorder bool, dup string) []genStream {
+	streams := make([]genStream, 1+rng.Intn(5))
+	for i := range streams {
+		capacity := 16 + rng.Intn(24)
+		n := 0
+		if rng.Intn(5) != 0 {
+			n = rng.Intn(2 * capacity) // past capacity the ring wraps
+		}
+		r := NewRecorder(capacity)
+		seqs := map[string]uint64{}
+		var all []Record
+		now := logical.Time(rng.Intn(4))
+		for j := 0; j < n; j++ {
+			if disorder && i == 0 {
+				now = logical.Time(rng.Intn(8))
+			} else if rng.Intn(3) == 0 {
+				now += logical.Time(rng.Intn(3))
+			}
+			comp := fmt.Sprintf("p%d.c%d", i, rng.Intn(3))
+			if dup != "" && i < 2 && rng.Intn(4) == 0 {
+				comp = dup
+			}
+			seqs[comp]++
+			payload := []byte{byte(rng.Intn(256)), byte(j)}
+			rec := Record{Time: now, Seq: seqs[comp], Component: comp, Digest: Digest(payload)}
+			if rng.Intn(6) == 0 {
+				rec.Kind, rec.Src, rec.Data = KindRecv, "peer", payload
+				r.RecordInput(now, comp, rec.Kind, rec.Src, payload)
+			} else {
+				rec.Kind = []string{KindCall, KindServe, KindNoise}[rng.Intn(3)]
+				r.TraceEvent(now, comp, rec.Kind, payload)
+			}
+			all = append(all, rec)
+		}
+		if len(all) > capacity {
+			all = all[len(all)-capacity:]
+		}
+		streams[i] = genStream{rec: r, want: all}
+	}
+	return streams
+}
+
+// referenceMerge is the specification Merge must meet: the union of
+// every stream in argument order, stably sorted by (time, component,
+// seq) in one pass.
+func referenceMerge(streams []genStream) *Trace {
+	t := &Trace{}
+	for _, s := range streams {
+		t.Records = append(t.Records, s.want...)
+		t.Truncated += s.rec.Dropped()
+	}
+	sort.SliceStable(t.Records, func(i, j int) bool {
+		a, b := t.Records[i], t.Records[j]
+		if a.Time != b.Time {
+			return a.Time < b.Time
+		}
+		if a.Component != b.Component {
+			return a.Component < b.Component
+		}
+		return a.Seq < b.Seq
+	})
+	return t
+}
+
+// Property: over seeded random recorder sets, Merge equals a full
+// canonical sort of the union — record for record and byte for byte —
+// across tie-heavy, wrapped, empty and time-disordered streams, and
+// stays deterministic when a key is duplicated across streams.
+func TestMergeMatchesReferenceSort(t *testing.T) {
+	for seed := int64(1); seed <= 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dup := ""
+		if seed%4 == 0 {
+			dup = "dup"
+		}
+		streams := genRecorders(rng, seed%3 == 0, dup)
+		recs := make([]*Recorder, len(streams))
+		for i, s := range streams {
+			recs[i] = s.rec
+		}
+		got, want := Merge(recs...), referenceMerge(streams)
+		if d := FirstDivergence(want, got); d != nil {
+			t.Fatalf("seed %d: Merge diverged from the reference sort: %s", seed, d)
+		}
+		if !bytes.Equal(got.Encode(), want.Encode()) {
+			t.Fatalf("seed %d: encodings differ", seed)
+		}
+		if got.Truncated != want.Truncated {
+			t.Fatalf("seed %d: Truncated = %d, want %d", seed, got.Truncated, want.Truncated)
+		}
+		if !bytes.Equal(Merge(recs...).Encode(), got.Encode()) {
+			t.Fatalf("seed %d: repeated Merge differs", seed)
+		}
 	}
 }
 
