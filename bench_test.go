@@ -397,8 +397,8 @@ func BenchmarkFaults(b *testing.B) {
 // BenchmarkTopologySweep measures E12: one iteration = the full
 // topology sweep — every shape (star, ring, tree, random-regular)
 // compiled by the scenario engine and executed single-kernel and
-// federated — with the per-shape byte-equality determinism gate riding
-// along inside RunTopologySweep.
+// federated. The sweep only measures; the E12 byte-equality gate is
+// exp.CheckDeterminism over exp.TopologyGateSpecs.
 func BenchmarkTopologySweep(b *testing.B) {
 	cfg := exp.TopologySweepConfig{
 		Platforms:       8,

@@ -38,8 +38,7 @@
 // CI gates coordination cost and allocation budgets against),
 // "monitor" (the online-verification hot path and the monitored mesh
 // with its checks/op diagnostic, BENCH_monitor.json), or "all"
-// (the default). -bench-fed-json <file> is a deprecated alias for
-// -bench-json <file> -bench-suite federation. -fuzz runs a seeded
+// (the default). -fuzz runs a seeded
 // offline fuzzing campaign of n generated scenario specs through the
 // determinism property (single-kernel vs federated byte-equality);
 // -seed keys the campaign (default 1) and -fuzz-out selects where the
@@ -61,7 +60,6 @@ import (
 
 	"repro/internal/apd"
 	"repro/internal/exp"
-	"repro/internal/logical"
 	"repro/internal/scenario"
 	"repro/internal/trace"
 )
@@ -82,7 +80,6 @@ func main() {
 	replayFile := flag.String("replay", "", "replay a recorded trace file in the simulator and verify outputs")
 	benchJSON := flag.String("bench-json", "", "run the benchmark suites and write machine-readable results to this file")
 	benchSuite := flag.String("bench-suite", "all", "suite for -bench-json: kernel, city, federation or all")
-	benchFedJSON := flag.String("bench-fed-json", "", "deprecated alias for -bench-json <file> -bench-suite federation")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	fuzzN := flag.Int("fuzz", 0, "run a seeded fuzzing campaign of this many generated specs through the determinism property")
@@ -180,17 +177,7 @@ func main() {
 		}},
 
 		{"split", "E4 extension: CV+EBA split onto a drifting third platform", func() {
-			cfg := apd.DefaultDeterministicConfig(detFrames)
-			cfg.SplitPlatforms = true
-			cfg.DriftPPB = 30_000
-			cfg.SyncBound = logical.Millisecond
-			cfg.ClockError = 2500 * logical.Microsecond
-			// Deadlines must additionally cover clock-resync jumps (2×bound).
-			cfg.VADeadline += 3 * logical.Millisecond
-			cfg.PreDeadline += 3 * logical.Millisecond
-			cfg.CVDeadline += 3 * logical.Millisecond
-			cfg.EBADeadline += 3 * logical.Millisecond
-			d, err := apd.NewDeterministic(1, cfg)
+			d, err := apd.NewDeterministic(1, apd.SplitDeterministicConfig(detFrames))
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -249,23 +236,21 @@ func main() {
 			cfg := exp.DefaultMeshConfig(meshN)
 			cfg.Rounds = meshRounds
 			cfg.NoiseEvents = meshNoise
-			single, err := exp.RunMesh(1, cfg, 1)
-			if err != nil {
-				log.Fatal(err)
-			}
+			cfg.Seed = 1
 			parts := 4
+			refs, err := exp.CheckDeterminism(exp.MeshGateSpecs(cfg), []int{2, parts}, nil, exp.RequireTraffic)
+			if err != nil {
+				log.Fatalf("E10 determinism gate FAILED: %v", err)
+			}
 			fed, err := exp.RunMesh(1, cfg, parts)
 			if err != nil {
 				log.Fatal(err)
 			}
 			fmt.Print(fed.Table())
-			identical := fed.Report() == single.Report()
 			fmt.Printf("%d platforms: single kernel fired %d events; %d federated kernels fired %d events over %d coordination rounds\n",
-				meshN, single.EventsFired, fed.Partitions, fed.EventsFired, fed.CoordRounds)
-			fmt.Printf("federated report byte-identical to single-kernel report: %v\n", identical)
-			if !identical {
-				log.Fatal("E10 determinism gate FAILED")
-			}
+				meshN, refs[0].EventsFired, fed.Partitions, fed.EventsFired, fed.CoordRounds)
+			fmt.Printf("E10 determinism gate: reports and traces byte-identical to single kernel across ring degrees %d..1 × partitions [2 %d]\n",
+				cfg.Degree, parts)
 			fmt.Println("conservative synchronization shards the simulation without changing a single byte (E10)")
 		}},
 
@@ -284,7 +269,7 @@ func main() {
 			}
 			fmt.Printf("\nfaulted federated mesh (%d platforms, drop rate %.0f%%, partition window, crash+restart of platform %d): %d observable call failures\n",
 				meshN, 100*meshCfg.Faults.DropRate, meshCfg.Crash.Platform, errsTotal)
-			if _, err := exp.RunFaultsDeterminismCheck(1, 3, meshCfg, []int{2, 3, 4}); err != nil {
+			if _, err := exp.CheckDeterminism(exp.FaultGateSpecs(meshCfg, 1, 3), []int{2, 3, 4}, nil, exp.RequireFaultErrors); err != nil {
 				log.Fatalf("E11 determinism gate FAILED: %v", err)
 			}
 			fmt.Println("E11 determinism gate: byte-identical reports across 3 seeds × {1,2,3,4} partitions under the full fault schedule")
@@ -321,28 +306,27 @@ func main() {
 			if *quick {
 				parts = []int{1, 4}
 			}
-			if _, err := exp.RunCityDeterminismCheck(1, 2, cfg, parts); err != nil {
+			if _, err := exp.CheckDeterminism(exp.CityGateSpecs(cfg), parts, nil, exp.RequireTraffic); err != nil {
 				log.Fatalf("E14 determinism gate FAILED: %v", err)
 			}
-			fmt.Printf("E14 determinism gate: byte-identical reports across 2 seeds × partitions %v at %d platforms\n",
-				parts, cityN)
+			fmt.Printf("E14 determinism gate: byte-identical reports and traces across partitions %v at %d and %d platforms\n",
+				parts, cityN, cityN-1)
 			fmt.Println("interest-based SD keeps the control plane sub-quadratic; the report is one fixed-size row per platform")
 		}},
 
 		{"monitors", "E16: online runtime verification — deterministic verdicts, violation repro", func() {
-			seeds := 3
+			specs := 3
 			parts := []int{1, 2, 4}
 			if *quick {
-				seeds = 2
+				specs = 2
 			}
-			cfg := exp.MonitorConfig{}
-			reports, err := exp.RunMonitorDeterminismCheck(1, seeds, cfg, parts)
+			refs, err := exp.CheckDeterminism(exp.MonitorGateSpecs(exp.MonitorConfig{Seed: 1}, specs), parts, nil, exp.RequireMonitorChecks)
 			if err != nil {
 				log.Fatalf("E16 determinism gate FAILED: %v", err)
 			}
-			fmt.Printf("E16 determinism gate: monitor verdicts byte-identical across %d seeds × partitions %v\n",
-				seeds, parts)
-			fmt.Printf("reference verdicts (seed 1):\n%s", tailLines(reports[0], 4))
+			fmt.Printf("E16 determinism gate: monitor verdicts byte-identical across %d mesh sizes from %d platforms down × partitions %v\n",
+				specs, exp.DefaultMonitorPlatforms, parts)
+			fmt.Printf("reference verdicts (seed 1):\n%s", tailLines(refs[0].Report()+refs[0].VerdictReport(), 4))
 
 			// The violation-repro round trip: a deliberately broken spec
 			// trips the responded-within monitor, the violated run dumps
@@ -382,13 +366,11 @@ func main() {
 				log.Fatalf("E12 sweep FAILED: %v", err)
 			}
 			fmt.Print(res.Table())
-			fmt.Printf("every shape byte-identical across partition counts %v at seed %d\n",
-				topoCfg.PartitionCounts, res.Seed)
 			gateSeeds := 3
-			if _, err := exp.RunTopologyDeterminismCheck(1, gateSeeds, topoCfg); err != nil {
+			if _, err := exp.CheckDeterminism(exp.TopologyGateSpecs(topoCfg, 1, gateSeeds), topoCfg.PartitionCounts, nil, exp.RequireTraffic); err != nil {
 				log.Fatalf("E12 determinism gate FAILED: %v", err)
 			}
-			fmt.Printf("E12 determinism gate: byte-identical federated vs single-kernel reports for every shape × partitions %v across %d seeds\n",
+			fmt.Printf("E12 determinism gate: byte-identical federated vs single-kernel reports and traces for every shape × partitions %v, random-regular across %d seeds\n",
 				topoCfg.PartitionCounts, gateSeeds)
 		}},
 	}
@@ -409,42 +391,29 @@ func main() {
 		os.Exit(2)
 	}
 	if *fuzzN > 0 {
-		if *only != "" || *scenarioFile != "" || *traceFile != "" || *replayFile != "" || *benchJSON != "" || *benchFedJSON != "" {
+		if *only != "" || *scenarioFile != "" || *traceFile != "" || *replayFile != "" || *benchJSON != "" {
 			fmt.Fprintln(os.Stderr, "experiments: -fuzz replaces the registry and is mutually exclusive with -only, -scenario, -trace, -replay and the bench suites")
 			os.Exit(2)
 		}
 		runFuzz(*fuzzN, *fuzzSeed, *fuzzOut)
 		return
 	}
-	if *benchJSON != "" && *benchFedJSON != "" {
-		fmt.Fprintln(os.Stderr, "experiments: -bench-json and its deprecated alias -bench-fed-json are mutually exclusive (use -bench-json with -bench-suite)")
-		os.Exit(2)
-	}
-	if *benchFedJSON != "" && *benchSuite != "all" {
-		fmt.Fprintln(os.Stderr, "experiments: -bench-suite only applies to -bench-json (the -bench-fed-json alias is pinned to the federation suite)")
-		os.Exit(2)
-	}
 	if *benchSuite != "all" && *benchJSON == "" {
 		fmt.Fprintln(os.Stderr, "experiments: -bench-suite requires -bench-json")
 		os.Exit(2)
 	}
-	if *benchJSON != "" || *benchFedJSON != "" {
+	if *benchJSON != "" {
 		if *only != "" || *scenarioFile != "" || *traceFile != "" || *replayFile != "" {
-			fmt.Fprintln(os.Stderr, "experiments: -bench-json/-bench-fed-json replace the registry and are mutually exclusive with -only, -scenario, -trace and -replay")
+			fmt.Fprintln(os.Stderr, "experiments: -bench-json replaces the registry and is mutually exclusive with -only, -scenario, -trace and -replay")
 			os.Exit(2)
 		}
-		path, suite := *benchJSON, *benchSuite
-		if *benchFedJSON != "" {
-			fmt.Fprintln(os.Stderr, "experiments: -bench-fed-json is deprecated; use -bench-json <file> -bench-suite federation")
-			path, suite = *benchFedJSON, "federation"
-		}
-		switch suite {
+		switch *benchSuite {
 		case "all", "kernel", "city", "federation", "monitor":
 		default:
-			fmt.Fprintf(os.Stderr, "experiments: unknown -bench-suite %q; valid choices: kernel, city, federation, monitor, all\n", suite)
+			fmt.Fprintf(os.Stderr, "experiments: unknown -bench-suite %q; valid choices: kernel, city, federation, monitor, all\n", *benchSuite)
 			os.Exit(2)
 		}
-		runBench(path, *quick, suite)
+		runBench(*benchJSON, *quick, *benchSuite)
 		return
 	}
 	if *traceFile != "" {
@@ -594,7 +563,7 @@ func runScenarioFile(path string, monitors bool) {
 		fmt.Printf("monitor gate: %d obligations checked, 0 violations\n", res.MonitorChecks)
 	}
 	if res.Partitions > 1 {
-		div, err := exp.CompareSpecModes(spec, []int{res.Partitions}, nil)
+		_, div, err := exp.CompareSpecModes(spec, []int{res.Partitions}, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

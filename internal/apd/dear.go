@@ -79,6 +79,24 @@ func DefaultDeterministicConfig(frames int) DeterministicConfig {
 	}
 }
 
+// SplitDeterministicConfig returns the split deployment of the DEAR
+// brake assistant: Computer Vision and EBA on a third platform with
+// ±30 ppm drift and a ±1 ms synchronization bound, hence a clock error
+// E of 2.5 ms. Every deadline grows by 3 ms so it also covers
+// clock-resync jumps (2×bound).
+func SplitDeterministicConfig(frames int) DeterministicConfig {
+	cfg := DefaultDeterministicConfig(frames)
+	cfg.SplitPlatforms = true
+	cfg.DriftPPB = 30_000
+	cfg.SyncBound = logical.Millisecond
+	cfg.ClockError = 2500 * logical.Microsecond
+	cfg.VADeadline += 3 * logical.Millisecond
+	cfg.PreDeadline += 3 * logical.Millisecond
+	cfg.CVDeadline += 3 * logical.Millisecond
+	cfg.EBADeadline += 3 * logical.Millisecond
+	return cfg
+}
+
 func (c *DeterministicConfig) scaled(d logical.Duration) logical.Duration {
 	if c.DeadlineScale <= 0 {
 		return d

@@ -18,8 +18,9 @@ import (
 // it. Three properties are gated:
 //
 //   - byte-equality: the 5000-platform scenario produces byte-identical
-//     canonical reports on a single kernel and federated at every
-//     partition count (and under varying GOMAXPROCS);
+//     canonical reports and traces on a single kernel and federated at
+//     every partition count (and under varying GOMAXPROCS) —
+//     CheckDeterminism over CityGateSpecs;
 //   - sub-quadratic control plane: interest-based SD routing keeps the
 //     discovery fan-out growing with declared interest, not platforms²
 //     (someip's control-plane test pins the ratio; the city run reports
@@ -126,22 +127,13 @@ func RunCityScale(cfg CityConfig) (*CityScaleResult, error) {
 	}, nil
 }
 
-// RunCityDeterminismCheck applies the generic byte-equality sweep to
-// the city scenario: for each seed it runs the city world on a single
-// kernel and federated at every requested partition count, requiring
-// byte-identical canonical reports per seed and differing reports
-// across seeds. It returns the per-seed reference reports.
-func RunCityDeterminismCheck(seedBase uint64, seeds int, cfg CityConfig, partitionCounts []int) ([]string, error) {
-	_, reports, err := determinismSweep(seedBase, seeds, partitionCounts,
-		func(seed uint64, partitions int) (*MeshResult, string, error) {
-			c := cfg
-			c.Seed = seed
-			c.Partitions = partitions
-			res, err := RunScenario(CitySpec(c))
-			if err != nil {
-				return nil, "", err
-			}
-			return res, res.Report(), nil
-		})
-	return reports, err
+// CityGateSpecs is the E14 gate list: the city at cfg.Platforms and at
+// one platform fewer. The city ring consumes no seed, so a seed list
+// would re-run one behaviour; the platform count changes the ring and
+// shifts the round-robin partition assignment (one of N and N−1 is odd,
+// so at least one spec shards unevenly).
+func CityGateSpecs(cfg CityConfig) []scenario.Spec {
+	smaller := cfg
+	smaller.Platforms = CitySpec(cfg).Platforms - 1
+	return []scenario.Spec{CitySpec(cfg), CitySpec(smaller)}
 }

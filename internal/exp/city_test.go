@@ -1,9 +1,10 @@
 package exp
 
 import (
-	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 // cityGateConfig sizes the E14 gates: trace capacity (and thus
@@ -26,18 +27,20 @@ func cityGateConfig() CityConfig {
 }
 
 // The E14 flagship gate: the 5000-platform city scenario produces
-// byte-identical canonical reports on a single kernel and federated at
-// 4 and 16 partitions, for two different seeds (whose reports must
-// differ — the anti-vacuity check inside the sweep).
+// byte-identical canonical reports and traces on a single kernel and
+// federated at 4 and 16 partitions, for the city and the city one
+// platform smaller (whose behaviour must differ — the gate's
+// non-vacuity check).
 func TestCityScaleDeterminism(t *testing.T) {
 	cfg := cityGateConfig()
-	reports, err := RunCityDeterminismCheck(0xC17, 2, cfg, []int{1, 4, 16})
+	cfg.Seed = 0xC17
+	refs, err := CheckDeterminism(CityGateSpecs(cfg), []int{4, 16}, nil, RequireTraffic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range reports {
-		if !strings.HasPrefix(r, "scenario city topology=ring") {
-			t.Errorf("seed %d report header = %q", i, r[:min(len(r), 60)])
+	for i, ref := range refs {
+		if r := ref.Report(); !strings.HasPrefix(r, "scenario city topology=ring") {
+			t.Errorf("spec %d report header = %q", i, r[:min(len(r), 60)])
 		}
 	}
 }
@@ -50,28 +53,12 @@ func TestCityScaleGOMAXPROCSIndependence(t *testing.T) {
 	cfg := cityGateConfig()
 	cfg.Rounds = 2
 	cfg.Seed = 0xC17
-	ref, err := RunScenario(CitySpec(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(old)
 	procs := []int{1, 4}
 	if testing.Short() {
 		procs = []int{4}
 	}
-	for _, p := range procs {
-		runtime.GOMAXPROCS(p)
-		c := cfg
-		c.Partitions = 16
-		res, err := RunScenario(CitySpec(c))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Report() != ref.Report() {
-			runtime.GOMAXPROCS(old)
-			t.Fatal(divergenceError(cfg.Seed, 16, ref, ref.Report(), res, res.Report()))
-		}
+	if _, err := CheckDeterminism([]scenario.Spec{CitySpec(cfg)}, []int{16}, procs, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"repro/internal/apd"
 	"repro/internal/logical"
 	"repro/internal/metrics"
+	"repro/internal/scenario"
 	"repro/internal/simnet"
 )
 
@@ -32,9 +33,10 @@ import (
 //     scenario under nonzero drop rates, a partition window and a
 //     crash/restart, with per-call timeouts making every loss
 //     observable. The determinism gate is unchanged: byte-identical
-//     canonical reports for every seed, partition count and GOMAXPROCS
-//     value — faults do not cost the "same seed, same bytes" property,
-//     because every packet fate is a counter-based pure function.
+//     canonical reports and traces for every seed, partition count and
+//     GOMAXPROCS value (CheckDeterminism over FaultGateSpecs) — faults
+//     do not cost the "same seed, same bytes" property, because every
+//     packet fate is a counter-based pure function.
 
 // FaultPipelineResult contrasts the two pipeline variants under the
 // same fault schedule.
@@ -108,16 +110,8 @@ func RunFaultPipeline(seed uint64, frames int) (*FaultPipelineResult, error) {
 	res.Baseline = *b.Run()
 	res.BaselineDecisions = len(b.BrakeSeq)
 
-	dcfg := apd.DefaultDeterministicConfig(frames)
+	dcfg := apd.SplitDeterministicConfig(frames)
 	dcfg.Faults = plan
-	dcfg.SplitPlatforms = true
-	dcfg.DriftPPB = 30_000
-	dcfg.SyncBound = logical.Millisecond
-	dcfg.ClockError = 2500 * logical.Microsecond
-	dcfg.VADeadline += 3 * logical.Millisecond
-	dcfg.PreDeadline += 3 * logical.Millisecond
-	dcfg.CVDeadline += 3 * logical.Millisecond
-	dcfg.EBADeadline += 3 * logical.Millisecond
 	d, err := apd.NewDeterministic(seed, dcfg)
 	if err != nil {
 		return nil, err
@@ -206,34 +200,16 @@ func RunFaults(seed uint64, frames int, meshCfg MeshConfig, partitions int) (*Fa
 	return &FaultsResult{Pipeline: pipe, Mesh: mesh}, nil
 }
 
-// RunFaultsDeterminismCheck is the E11 determinism gate: the E10 gate's
-// methodology (byte-identical canonical reports for every seed across
-// single-kernel and all federated partition counts) applied to the
-// faulted scenario — nonzero drop rate, partition window, crash and
-// restart included. It also asserts the fault plan has teeth: every
-// per-seed report must record observable errors.
-func RunFaultsDeterminismCheck(seedBase uint64, seeds int, cfg MeshConfig, partitionCounts []int) ([]string, error) {
-	if cfg.Faults == nil || cfg.Faults.DropRate == 0 {
-		return nil, fmt.Errorf("exp: E11 gate requires a fault plan with nonzero drop rate")
+// FaultGateSpecs is the E11 gate list: base at seeds seedBase ..
+// seedBase+seeds-1. The fault plan consumes the seed — every drop and
+// jitter verdict is a counter-based draw salted with the world seed —
+// so each seed is a different fault pattern. Gate it with
+// RequireFaultErrors.
+func FaultGateSpecs(base MeshConfig, seedBase uint64, seeds int) []scenario.Spec {
+	specs := make([]scenario.Spec, seeds)
+	for i := range specs {
+		specs[i] = base
+		specs[i].Seed = seedBase + uint64(i)
 	}
-	refs, reports, err := runMeshDeterminism(seedBase, seeds, cfg, partitionCounts)
-	if err != nil {
-		return reports, err
-	}
-	for s, ref := range refs {
-		calls, errs := 0, 0
-		for _, row := range ref.Rows {
-			calls += row.Calls
-			errs += row.Errors
-		}
-		if errs == 0 {
-			return reports, fmt.Errorf("exp: seed %d recorded no observable errors — E11 gate is vacuous:\n%s",
-				seedBase+uint64(s), reports[s])
-		}
-		if calls == 0 {
-			return reports, fmt.Errorf("exp: seed %d made no successful calls under faults:\n%s",
-				seedBase+uint64(s), reports[s])
-		}
-	}
-	return reports, nil
+	return specs
 }

@@ -1,11 +1,11 @@
 package exp
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/logical"
+	"repro/internal/scenario"
 )
 
 // quickFaultMeshConfig shrinks the E11 mesh for test time while keeping
@@ -26,17 +26,17 @@ func quickFaultMeshConfig(n int) MeshConfig {
 }
 
 // The E11 acceptance gate, part 1: byte-identical canonical reports
-// across ≥3 seeds × ≥3 partition counts with a nonzero-drop fault plan,
-// a partition window and a crash/restart on a federated Cluster; and
-// the plan must be demonstrably active (observable errors in every
-// report).
+// and traces across ≥3 seeds (the fault plan consumes the seed) × ≥3
+// partition counts with a nonzero-drop fault plan, a partition window
+// and a crash/restart on a federated Cluster; and the plan must be
+// demonstrably active (observable errors in every reference run).
 func TestFaultMeshCrossModeDeterminismProperty(t *testing.T) {
-	reports, err := RunFaultsDeterminismCheck(21, 3, quickFaultMeshConfig(8), []int{2, 3, 4, 8})
+	refs, err := CheckDeterminism(FaultGateSpecs(quickFaultMeshConfig(8), 21, 3), []int{2, 3, 4, 8}, nil, RequireFaultErrors)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != 3 {
-		t.Fatalf("got %d reports", len(reports))
+	if len(refs) != 3 {
+		t.Fatalf("got %d reference runs", len(refs))
 	}
 }
 
@@ -45,21 +45,9 @@ func TestFaultMeshCrossModeDeterminismProperty(t *testing.T) {
 // GOMAXPROCS values.
 func TestFaultMeshDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	cfg := quickFaultMeshConfig(6)
-	ref, err := RunFaultMesh(9, cfg, 3)
-	if err != nil {
+	cfg.Seed = 9
+	if _, err := CheckDeterminism([]scenario.Spec{cfg}, []int{3}, []int{1, 8}, nil); err != nil {
 		t.Fatal(err)
-	}
-	old := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(old)
-	for _, procs := range []int{1, 8} {
-		runtime.GOMAXPROCS(procs)
-		got, err := RunFaultMesh(9, cfg, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Report() != ref.Report() {
-			t.Fatalf("GOMAXPROCS=%d: faulted federated report diverged", procs)
-		}
 	}
 }
 

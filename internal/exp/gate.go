@@ -9,70 +9,95 @@ import (
 	"repro/internal/trace"
 )
 
-// determinismSweep is the generic engine behind the E10, E11 and E12
-// byte-equality gates: the seed × partition-count sweep every gate
-// shares. For each of `seeds` consecutive seeds it obtains the
-// single-kernel reference report, re-runs at every requested partition
-// count and requires byte-identical reports; across seeds it requires
-// the reports to *differ* (a gate whose reports never change with the
-// seed is vacuous). run returns the structured result alongside its
-// canonical report; the per-seed single-kernel references are returned
-// for structured assertions.
+// CheckDeterminism is the one determinism gate: E10, E11, E12, E14
+// and E16 are spec lists run through it, and the scheduler-independence
+// tests pass their GOMAXPROCS values as procs. It works in three steps:
 //
-// On a report mismatch the gate consults the runs' logical event
-// traces and names the first divergent event — (time, component,
-// kind) — instead of dumping two unequal reports; the full dump
-// remains the fallback when traces are unavailable or agree (a report
-// divergence outside the traced event set).
-func determinismSweep(seedBase uint64, seeds int, partitionCounts []int,
-	run func(seed uint64, partitions int) (*MeshResult, string, error)) ([]*MeshResult, []string, error) {
-	var refs []*MeshResult
-	var reports []string
-	for s := 0; s < seeds; s++ {
-		seed := seedBase + uint64(s)
-		ref, refReport, err := run(seed, 1)
+//  1. every spec runs through CompareSpecModes — the single-kernel
+//     reference against every partition count × GOMAXPROCS value,
+//     comparing canonical reports, canonical traces and verdicts; a
+//     violation fails the gate, rendered by ModeDivergence;
+//  2. check (nil = none) is applied to every reference run — the gate's
+//     own requirements, such as RequireFaultErrors;
+//  3. the specs' behaviour must be pairwise distinct. A list whose specs
+//     behave identically re-runs one world N times, so its cross-spec
+//     claim proves nothing. Behaviour is the canonical report without
+//     its header line (which names the seed even when nothing consumes
+//     it) plus the verdict report.
+//
+// It returns the single-kernel reference results in spec order.
+func CheckDeterminism(specs []scenario.Spec, partitionCounts, procs []int, check func(*MeshResult) error) ([]*MeshResult, error) {
+	if len(specs) == 0 {
+		return nil, fmt.Errorf("exp: determinism gate has no specs")
+	}
+	refs := make([]*MeshResult, len(specs))
+	seen := make(map[string]int, len(specs))
+	for i, spec := range specs {
+		ref, div, err := CompareSpecModes(spec, partitionCounts, procs)
+		if err == nil && div != nil {
+			err = fmt.Errorf("determinism gate failed:\n%s", div)
+		}
+		if err == nil && check != nil {
+			err = check(ref)
+		}
 		if err != nil {
-			return nil, nil, err
+			return nil, fmt.Errorf("exp: gate spec %d (seed %d): %w", i, spec.Seed, err)
 		}
-		for _, p := range partitionCounts {
-			if p <= 1 {
-				// The single-kernel run already is the reference;
-				// re-running it would compare a deterministic run to
-				// itself (vacuous) at full simulation cost.
-				continue
-			}
-			res, r, err := run(seed, p)
-			if err != nil {
-				return nil, nil, err
-			}
-			if r != refReport {
-				return nil, nil, divergenceError(seed, p, ref, refReport, res, r)
-			}
+		rep := ref.Report()
+		behaviour := rep[strings.IndexByte(rep, '\n')+1:] + ref.VerdictReport()
+		if j, dup := seen[behaviour]; dup {
+			return nil, fmt.Errorf("exp: gate specs %d and %d behave identically — the gate is vacuous", j, i)
 		}
-		refs = append(refs, ref)
-		reports = append(reports, refReport)
+		seen[behaviour] = i
+		refs[i] = ref
 	}
-	for i := 1; i < len(reports); i++ {
-		if reports[i] == reports[0] {
-			return refs, reports, fmt.Errorf("exp: reports identical across different seeds — gate is vacuous")
-		}
-	}
-	return refs, reports, nil
+	return refs, nil
 }
 
-// divergenceError builds the gate-failure error: trace-localized when
-// the traces disagree, the full report dump otherwise.
-func divergenceError(seed uint64, partitions int, ref *MeshResult, refReport string, res *MeshResult, report string) error {
-	if ref != nil && res != nil && ref.Trace != nil && res.Trace != nil {
-		if d := trace.FirstDivergence(ref.Trace, res.Trace); d != nil {
-			return fmt.Errorf(
-				"exp: diverged at seed %d, %d partitions: first divergent event at t=%v component=%s kind=%s (%s)",
-				seed, partitions, d.Time(), d.Component(), d.Kind(), d)
+// RequireTraffic is the gate check for fault-free workloads (E10, E12,
+// E14): the reference run must have made calls and served them.
+func RequireTraffic(r *MeshResult) error {
+	calls, served := 0, 0
+	for _, row := range r.Rows {
+		calls += row.Calls
+		served += row.Served
+	}
+	if calls == 0 || served == 0 {
+		return fmt.Errorf("idle workload (calls=%d served=%d)", calls, served)
+	}
+	return nil
+}
+
+// RequireFaultErrors is the E11 gate check: the spec carries a fault
+// plan with a nonzero drop rate, and the plan has teeth — the run
+// records observable errors and still completes calls.
+func RequireFaultErrors(r *MeshResult) error {
+	if f := r.Config.Faults; f == nil || f.DropRate == 0 {
+		return fmt.Errorf("E11 gate requires a fault plan with nonzero drop rate")
+	}
+	errs := 0
+	for _, row := range r.Rows {
+		errs += row.Errors
+	}
+	if errs == 0 {
+		return fmt.Errorf("no observable errors under faults — the fault plan is vacuous:\n%s", r.Report())
+	}
+	return RequireTraffic(r)
+}
+
+// RequireMonitorChecks is the E16 gate check: every monitor of the run
+// examined at least one obligation. A monitor that checks nothing would
+// pass every verdict comparison.
+func RequireMonitorChecks(r *MeshResult) error {
+	if r.MonitorChecks == 0 {
+		return fmt.Errorf("E16 run checked no obligations — the gate is vacuous")
+	}
+	for i := range r.Verdicts {
+		if r.Verdicts[i].Checked == 0 {
+			return fmt.Errorf("E16 monitor %s checked nothing — the gate is vacuous", r.Verdicts[i].Monitor)
 		}
 	}
-	return fmt.Errorf(
-		"exp: diverged at seed %d, %d partitions (traces agree — divergence is outside the traced event set):\n--- single kernel ---\n%s--- federated ---\n%s",
-		seed, partitions, refReport, report)
+	return nil
 }
 
 // ModeDivergence describes one determinism-contract violation found by
@@ -117,24 +142,25 @@ func (m *ModeDivergence) String() string {
 	return b.String()
 }
 
-// CompareSpecModes is the reusable run-one-spec-both-modes primitive
-// behind the determinism fuzzer, the regression-spec replay test and
-// the -scenario CLI gate: it runs the spec once on a single kernel
+// CompareSpecModes is the run-one-spec-both-modes primitive behind
+// CheckDeterminism, the determinism fuzzer and the -scenario CLI gate:
+// it runs the spec once on a single kernel
 // (the reference) and then federated at every requested partition
 // count × GOMAXPROCS value, requiring byte-identical canonical reports
 // AND byte-identical canonical traces — and, for specs with a monitors
 // block, byte-identical monitor verdict reports (the merged verdicts
 // must match the single-kernel engine's exactly, which is how fuzzed
 // monitor-bearing specs keep monitor determinism fuzz-checked). It
-// returns the first violation (nil when every mode agrees); the error
-// return is reserved for specs that fail to compile or run.
+// returns the single-kernel reference result and the first violation
+// (nil when every mode agrees); the error return is reserved for specs
+// that fail to compile or run.
 //
 // partitionCounts defaults to {2, 4}; entries ≤ 1 and counts that
 // collapse to an already-run effective partition count (the compiler
 // caps partitions at the platform count) are skipped. procs defaults
 // to {0}, meaning GOMAXPROCS is left untouched; positive entries pin
 // it for the federated run and restore the previous value afterwards.
-func CompareSpecModes(spec scenario.Spec, partitionCounts, procs []int) (*ModeDivergence, error) {
+func CompareSpecModes(spec scenario.Spec, partitionCounts, procs []int) (*MeshResult, *ModeDivergence, error) {
 	if len(partitionCounts) == 0 {
 		partitionCounts = []int{2, 4}
 	}
@@ -143,12 +169,12 @@ func CompareSpecModes(spec scenario.Spec, partitionCounts, procs []int) (*ModeDi
 	}
 	norm, err := spec.Normalized()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	norm.Partitions = 1
 	ref, err := RunScenario(norm)
 	if err != nil {
-		return nil, fmt.Errorf("exp: single-kernel reference: %w", err)
+		return nil, nil, fmt.Errorf("exp: single-kernel reference: %w", err)
 	}
 	// The compared string is the canonical report plus the verdict
 	// report (empty for monitor-free specs) — one byte-equality check
@@ -171,7 +197,7 @@ func CompareSpecModes(spec scenario.Spec, partitionCounts, procs []int) (*ModeDi
 			res, err := RunScenario(fed)
 			restore()
 			if err != nil {
-				return nil, fmt.Errorf("exp: federated run (%d partitions): %w", eff, err)
+				return nil, nil, fmt.Errorf("exp: federated run (%d partitions): %w", eff, err)
 			}
 			md := &ModeDivergence{
 				Partitions: res.Partitions,
@@ -183,11 +209,11 @@ func CompareSpecModes(spec scenario.Spec, partitionCounts, procs []int) (*ModeDi
 				md.Div = trace.FirstDivergence(ref.Trace, res.Trace)
 			}
 			if md.Report != md.RefReport || md.Div != nil {
-				return md, nil
+				return ref, md, nil
 			}
 		}
 	}
-	return nil, nil
+	return ref, nil, nil
 }
 
 // pinProcs sets GOMAXPROCS for one run and returns the restore func;

@@ -19,13 +19,14 @@ import (
 // scenario in two modes: on one sequential kernel (the classic
 // substrate) and sharded across a des.Federation with one kernel per
 // partition under conservative time synchronization. The determinism
-// gate requires the two modes to produce byte-identical reports for
-// every seed and partition count — the defining property of the repo
-// ("same seed, same bytes") survives sharding.
+// gate (CheckDeterminism over MeshGateSpecs) requires the two modes to
+// produce byte-identical reports and traces for every spec and
+// partition count — the defining property of the repo ("same seed,
+// same bytes") survives sharding.
 //
 // Since the scenario-engine refactor the world-building lives in
 // internal/scenario: E10 is the Ring preset of the declarative Spec,
-// and this file is measurement code plus the byte-equality gates.
+// and this file is measurement code plus the E10 gate list.
 
 // MeshConfig parameterizes the E10 scenario — it *is* the declarative
 // scenario spec (E10 is the scenario engine's Ring preset). Degree
@@ -126,8 +127,8 @@ func (r *MeshResult) Report() string {
 }
 
 // VerdictReport renders the merged monitor verdicts canonically (empty
-// without a monitors block). Mode-independent like Report — the E16
-// sweep and CompareSpecModes compare both — but kept separate so
+// without a monitors block). Mode-independent like Report —
+// CompareSpecModes compares both — but kept separate so
 // monitor-free gates' golden report bytes never change.
 func (r *MeshResult) VerdictReport() string {
 	return monitor.Report(r.Verdicts)
@@ -194,28 +195,17 @@ func RunMesh(seed uint64, cfg MeshConfig, partitions int) (*MeshResult, error) {
 	return RunScenario(cfg)
 }
 
-// RunMeshDeterminismCheck applies E4's determinism-check methodology to
-// the sharded substrate: for each of `seeds` seeds it runs the scenario
-// on a single kernel and federated at every requested partition count,
-// and verifies that all reports are byte-identical per seed (and that
-// different seeds do produce different reports — the gate is not
-// vacuous). It returns the per-seed reference reports.
-func RunMeshDeterminismCheck(seedBase uint64, seeds int, cfg MeshConfig, partitionCounts []int) ([]string, error) {
-	_, reports, err := runMeshDeterminism(seedBase, seeds, cfg, partitionCounts)
-	return reports, err
-}
-
-// runMeshDeterminism is the E10/E11 instantiation of the generic
-// determinism sweep, returning the per-seed single-kernel reference
-// results (for structured assertions) alongside their canonical
-// reports.
-func runMeshDeterminism(seedBase uint64, seeds int, cfg MeshConfig, partitionCounts []int) ([]*MeshResult, []string, error) {
-	return determinismSweep(seedBase, seeds, partitionCounts,
-		func(seed uint64, partitions int) (*MeshResult, string, error) {
-			res, err := RunMesh(seed, cfg, partitions)
-			if err != nil {
-				return nil, "", err
-			}
-			return res, res.Report(), nil
-		})
+// MeshGateSpecs is the E10 gate list: base at every ring degree from
+// its own down to 1. The mesh preset consumes no seed (fixed link
+// latency, no dispatch jitter, unseeded noise timing), so a seed list
+// would re-run one behaviour; the degree — each client's neighbour
+// count — changes every call pattern.
+func MeshGateSpecs(base MeshConfig) []scenario.Spec {
+	var specs []scenario.Spec
+	for d := base.Degree; d >= 1; d-- {
+		s := base
+		s.Degree = d
+		specs = append(specs, s)
+	}
+	return specs
 }

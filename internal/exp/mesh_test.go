@@ -1,9 +1,10 @@
 package exp
 
 import (
-	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 func quickMeshConfig(n int) MeshConfig {
@@ -14,29 +15,33 @@ func quickMeshConfig(n int) MeshConfig {
 }
 
 // The E10 determinism gate: federated runs must be byte-identical to the
-// single-kernel run for every seed and partition count.
+// single-kernel run for every spec of the gate list and partition count.
 func TestMeshFederatedMatchesSingleKernel(t *testing.T) {
-	reports, err := RunMeshDeterminismCheck(1, 2, quickMeshConfig(6), []int{2, 3, 6})
+	cfg := quickMeshConfig(6)
+	cfg.Seed = 1
+	refs, err := CheckDeterminism(MeshGateSpecs(cfg), []int{2, 3, 6}, nil, RequireTraffic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != 2 {
-		t.Fatalf("got %d reports", len(reports))
+	if len(refs) != 3 {
+		t.Fatalf("got %d reference runs, want one per ring degree 3..1", len(refs))
 	}
-	if !strings.Contains(reports[0], "total calls=90 served=90") {
-		t.Fatalf("unexpected workload shape:\n%s", reports[0])
+	if rep := refs[0].Report(); !strings.Contains(rep, "total calls=90 served=90") {
+		t.Fatalf("unexpected workload shape:\n%s", rep)
 	}
 }
 
 // Cross-mode determinism property test (the satellite tied to E4): the
 // methodology of E4's determinism check — same behaviour for every
 // execution of the same seed — applied across execution modes. For ≥3
-// seeds and ≥3 partition counts, federated and single-kernel runs must
-// produce byte-identical reports; and E4's own determinism check must
-// still hold for the same seeds, pinning the two gates together.
+// behaviourally distinct specs (ring degrees 3..1) and ≥3 partition
+// counts, federated and single-kernel runs must produce byte-identical
+// reports and traces; and E4's own determinism check must still hold,
+// pinning the two gates together.
 func TestMeshCrossModeDeterminismProperty(t *testing.T) {
 	cfg := quickMeshConfig(8)
-	if _, err := RunMeshDeterminismCheck(11, 3, cfg, []int{2, 3, 4, 8}); err != nil {
+	cfg.Seed = 11
+	if _, err := CheckDeterminism(MeshGateSpecs(cfg), []int{2, 3, 4, 8}, nil, RequireTraffic); err != nil {
 		t.Fatal(err)
 	}
 	// E4's determinism check, same seed base: the deterministic brake
@@ -50,21 +55,9 @@ func TestMeshCrossModeDeterminismProperty(t *testing.T) {
 // under different GOMAXPROCS values.
 func TestMeshDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	cfg := quickMeshConfig(6)
-	ref, err := RunMesh(5, cfg, 3)
-	if err != nil {
+	cfg.Seed = 5
+	if _, err := CheckDeterminism([]scenario.Spec{cfg}, []int{3}, []int{1, 2, 8}, nil); err != nil {
 		t.Fatal(err)
-	}
-	old := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(old)
-	for _, procs := range []int{1, 2, 8} {
-		runtime.GOMAXPROCS(procs)
-		got, err := RunMesh(5, cfg, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Report() != ref.Report() {
-			t.Fatalf("GOMAXPROCS=%d: federated report diverged", procs)
-		}
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 //   - verdict determinism: the merged monitor verdicts (violation
 //     counts, commutative violation hash, canonically-first violation)
 //     are byte-identical across single-kernel and federated execution
-//     at every partition count and GOMAXPROCS setting, riding the
-//     shared determinismSweep;
+//     at every partition count and GOMAXPROCS setting
+//     (CheckDeterminism over MonitorGateSpecs);
 //   - violation reproducibility: a run that trips a monitor dumps the
 //     canonical trace prefix up to the violation's anchoring record,
 //     and re-evaluating the dumped prefix offline (monitor.Evaluate)
@@ -96,36 +96,22 @@ func BrokenMonitoredSpec(seed uint64) scenario.Spec {
 	return spec
 }
 
-// RunMonitorDeterminismCheck applies the generic byte-equality sweep
-// to the monitored scenario, with the compared string extended to the
-// verdict report: for each seed the merged monitor verdicts — counts,
-// hashes, sampled violations — must be byte-identical between the
-// single-kernel reference and every federated partition count, and the
-// combined reports must differ across seeds. Non-vacuity is enforced
-// inside the runner: every run must have checked at least one
-// obligation per standard monitor. It returns the per-seed reference
-// reports (canonical report + verdict report).
-func RunMonitorDeterminismCheck(seedBase uint64, seeds int, cfg MonitorConfig, partitionCounts []int) ([]string, error) {
-	_, reports, err := determinismSweep(seedBase, seeds, partitionCounts,
-		func(seed uint64, partitions int) (*MeshResult, string, error) {
-			c := cfg
-			c.Seed = seed
-			c.Partitions = partitions
-			res, err := RunScenario(MonitoredSpec(c))
-			if err != nil {
-				return nil, "", err
-			}
-			if res.MonitorChecks == 0 {
-				return nil, "", fmt.Errorf("exp: E16 run checked no obligations — the gate is vacuous")
-			}
-			for i := range res.Verdicts {
-				if res.Verdicts[i].Checked == 0 {
-					return nil, "", fmt.Errorf("exp: E16 monitor %s checked nothing — the gate is vacuous", res.Verdicts[i].Monitor)
-				}
-			}
-			return res, res.Report() + res.VerdictReport(), nil
-		})
-	return reports, err
+// MonitorGateSpecs is the E16 gate list: n monitored specs at
+// cfg.Platforms, one platform fewer, and so on. MonitoredSpec consumes
+// no seed, so a seed list would re-run one behaviour; the platform
+// count changes the ring and with it every verdict count. Gate it with
+// RequireMonitorChecks.
+func MonitorGateSpecs(cfg MonitorConfig, n int) []scenario.Spec {
+	if cfg.Platforms <= 0 {
+		cfg.Platforms = DefaultMonitorPlatforms
+	}
+	specs := make([]scenario.Spec, n)
+	for i := range specs {
+		c := cfg
+		c.Platforms -= i
+		specs[i] = MonitoredSpec(c)
+	}
+	return specs
 }
 
 // DumpViolationPrefix writes the canonical trace prefix of a violated

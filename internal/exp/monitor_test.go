@@ -37,47 +37,41 @@ func TestMonitoredSpecHealthyAndNonVacuous(t *testing.T) {
 
 // E16's headline gate: merged monitor verdicts are byte-identical
 // across single-kernel and federated execution at every partition
-// count × GOMAXPROCS setting, for several seeds — and differ across
-// seeds (enforced inside determinismSweep).
+// count, for several mesh sizes — whose verdicts must differ (the
+// gate's non-vacuity check) — with every monitor checking something.
 func TestMonitorVerdictDeterminism(t *testing.T) {
-	seeds, parts := 3, []int{1, 2, 4}
+	specs, parts := 3, []int{1, 2, 4}
 	if testing.Short() {
-		seeds, parts = 2, []int{1, 2}
+		specs, parts = 2, []int{1, 2}
 	}
-	cfg := MonitorConfig{}
+	cfg := MonitorConfig{Seed: 1}
 	if testing.Short() {
 		cfg.Rounds = 6
 	}
-	reports, err := RunMonitorDeterminismCheck(1, seeds, cfg, parts)
+	refs, err := CheckDeterminism(MonitorGateSpecs(cfg, specs), parts, nil, RequireMonitorChecks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != seeds {
-		t.Fatalf("got %d reports for %d seeds", len(reports), seeds)
+	if len(refs) != specs {
+		t.Fatalf("got %d reference runs for %d specs", len(refs), specs)
 	}
-	for i, rep := range reports {
-		if !strings.Contains(rep, "monitor no-silent-corruption") {
-			t.Fatalf("seed %d report carries no verdicts:\n%s", i, rep)
+	for i, ref := range refs {
+		if rep := ref.VerdictReport(); !strings.Contains(rep, "monitor no-silent-corruption") {
+			t.Fatalf("spec %d carries no verdicts:\n%s", i, rep)
 		}
 	}
 }
 
-// The sweep above leaves GOMAXPROCS to the ambient test setting; this
-// test pins it explicitly across {1, 2, 8} and re-checks the verdict
-// bytes through CompareSpecModes, which also diffs the canonical
-// traces.
+// The gate above leaves GOMAXPROCS to the ambient test setting; this
+// test pins it explicitly across {1, 2, 8}.
 func TestMonitorVerdictsAcrossProcs(t *testing.T) {
 	procs := []int{1, 2, 8}
 	if testing.Short() {
 		procs = []int{1, 8}
 	}
 	spec := MonitoredSpec(MonitorConfig{Seed: 3, Rounds: 6})
-	div, err := CompareSpecModes(spec, []int{2, 4}, procs)
-	if err != nil {
+	if _, err := CheckDeterminism([]scenario.Spec{spec}, []int{2, 4}, procs, nil); err != nil {
 		t.Fatal(err)
-	}
-	if div != nil {
-		t.Fatalf("verdicts diverge at partitions=%d procs=%d:\n%s", div.Partitions, div.Procs, div.String())
 	}
 }
 
@@ -85,12 +79,8 @@ func TestMonitorVerdictsAcrossProcs(t *testing.T) {
 // violation counts, hash, samples — are as mode-independent as a
 // clean run's.
 func TestBrokenSpecVerdictsDeterministic(t *testing.T) {
-	div, err := CompareSpecModes(BrokenMonitoredSpec(2), []int{2, 4}, nil)
-	if err != nil {
+	if _, err := CheckDeterminism([]scenario.Spec{BrokenMonitoredSpec(2)}, []int{2, 4}, nil, nil); err != nil {
 		t.Fatal(err)
-	}
-	if div != nil {
-		t.Fatalf("broken-spec verdicts diverge at partitions=%d:\n%s", div.Partitions, div.String())
 	}
 }
 

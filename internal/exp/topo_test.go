@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 
@@ -22,59 +21,36 @@ func quickTopoConfig() TopologySweepConfig {
 // The E12 acceptance gate, part 1: for every topology shape in
 // {star, ring, tree, random-regular} × partition counts {1, 2, 4},
 // federated and single-kernel runs produce byte-identical canonical
-// reports across ≥3 seeds (and the reports differ across seeds, so
-// the gate is not vacuous).
+// reports and traces, with random-regular (the one shape whose call
+// graph the seed draws) across 3 seeds. Every spec must behave
+// differently — shapes that compiled to the same world would collapse
+// the sweep to E10, and the gate's non-vacuity check rejects that.
 func TestTopologySweepCrossModeDeterminism(t *testing.T) {
-	reports, err := RunTopologyDeterminismCheck(31, 3, quickTopoConfig())
+	cfg := quickTopoConfig()
+	refs, err := CheckDeterminism(TopologyGateSpecs(cfg, 31, 3), cfg.PartitionCounts, nil, RequireTraffic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != len(scenario.Shapes) {
-		t.Fatalf("got reports for %d shapes, want %d", len(reports), len(scenario.Shapes))
+	if want := len(scenario.Shapes) + 2; len(refs) != want {
+		t.Fatalf("got %d reference runs, want %d", len(refs), want)
 	}
-	for shape, rs := range reports {
-		if len(rs) != 3 {
-			t.Fatalf("%s: %d per-seed reports", shape, len(rs))
+	for i, shape := range scenario.Shapes {
+		if rep := refs[i].Report(); !strings.Contains(rep, "topology="+string(shape)) {
+			t.Fatalf("%s report does not name its shape:\n%s", shape, rep)
 		}
-	}
-	// Different shapes must compile to behaviourally different worlds —
-	// otherwise the sweep collapses to E10.
-	seen := map[string]scenario.Shape{}
-	for shape, rs := range reports {
-		if prev, dup := seen[rs[0]]; dup {
-			t.Fatalf("shapes %s and %s produced identical reports", prev, shape)
-		}
-		seen[rs[0]] = shape
 	}
 }
 
 // The E12 acceptance gate, part 2: the sweep must not depend on the Go
 // scheduler — identical reports under different GOMAXPROCS values.
 func TestTopologySweepDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	cfg := quickTopoConfig()
-	cfg.PartitionCounts = []int{4}
-	ref, err := RunTopologySweep(5, cfg)
-	if err != nil {
+	if _, err := CheckDeterminism(TopologyGateSpecs(quickTopoConfig(), 5, 1), []int{4}, []int{1, 8}, nil); err != nil {
 		t.Fatal(err)
-	}
-	old := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(old)
-	for _, procs := range []int{1, 8} {
-		runtime.GOMAXPROCS(procs)
-		got, err := RunTopologySweep(5, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, shape := range scenario.Shapes {
-			if got.Reports[shape] != ref.Reports[shape] {
-				t.Fatalf("GOMAXPROCS=%d: %s report diverged", procs, shape)
-			}
-		}
 	}
 }
 
-// The sweep's own in-run gate and workload sanity: every cell carries
-// traffic, reports identify their shapes, and the table renders.
+// The sweep's workload sanity: every cell carries traffic and the
+// table renders.
 func TestTopologySweepShape(t *testing.T) {
 	res, err := RunTopologySweep(1, quickTopoConfig())
 	if err != nil {
@@ -94,12 +70,6 @@ func TestTopologySweepShape(t *testing.T) {
 			t.Fatalf("federated cell reported zero coordination rounds: %+v", e)
 		}
 	}
-	for _, shape := range scenario.Shapes {
-		rep := res.Reports[shape]
-		if !strings.Contains(rep, "topology="+string(shape)) {
-			t.Fatalf("%s report does not name its shape:\n%s", shape, rep)
-		}
-	}
 	if res.Table().String() == "" {
 		t.Fatal("empty table")
 	}
@@ -113,20 +83,15 @@ func TestRunScenarioFederatedMatchesSingle(t *testing.T) {
 	spec.Seed = 13
 	spec.Rounds = 4
 	spec.NoiseEvents = 30
-	spec.Partitions = 1
-	single, err := RunScenario(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	spec.Partitions = 3
 	fed, err := RunScenario(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if single.Report() != fed.Report() {
-		t.Fatalf("reports diverged:\n%s\nvs\n%s", single.Report(), fed.Report())
-	}
 	if fed.Partitions != 3 {
 		t.Fatalf("partitions = %d", fed.Partitions)
+	}
+	if _, err := CheckDeterminism([]scenario.Spec{spec}, []int{fed.Partitions}, nil, nil); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,8 +1,7 @@
 package exp
 
 import (
-	"runtime"
-	"strings"
+	"fmt"
 	"testing"
 
 	"repro/internal/scenario"
@@ -19,47 +18,28 @@ func quickTraceConfig() MeshConfig {
 }
 
 // The tentpole property the recorder is built around: the merged
-// federated trace is byte-identical (in the deterministic binary
-// encoding) to the single-kernel trace, across ≥3 seeds × partition
-// counts {1,2,4} × GOMAXPROCS values. The check rides the shared
-// determinismSweep engine by folding the encoded trace into the
-// compared report string.
+// federated trace is byte-identical to the single-kernel trace across
+// partition counts {2, 4} × GOMAXPROCS {1, 2, 8}, for the ring mesh and
+// the random-regular mesh at two seeds (three distinct behaviours) —
+// and no trace may be empty or truncated.
 func TestTraceModeIndependenceProperty(t *testing.T) {
-	cfg := quickTraceConfig()
-	run := func(seed uint64, partitions int) (*MeshResult, string, error) {
-		res, err := RunMesh(seed, cfg, partitions)
-		if err != nil {
-			return nil, "", err
-		}
+	ring := quickTraceConfig()
+	ring.Seed = 7
+	rr := ring
+	rr.Topology = scenario.RandomRegular
+	rr8 := rr
+	rr8.Seed = 8
+	check := func(res *MeshResult) error {
 		if res.Trace == nil || res.Trace.Len() == 0 {
-			t.Fatalf("seed %d × %d partitions: empty trace", seed, partitions)
+			return fmt.Errorf("empty trace")
 		}
 		if res.Trace.Truncated != 0 {
-			t.Fatalf("seed %d × %d partitions: trace truncated (%d dropped) — capacity estimate too small",
-				seed, partitions, res.Trace.Truncated)
+			return fmt.Errorf("trace truncated (%d dropped) — capacity estimate too small", res.Trace.Truncated)
 		}
-		return res, res.Report() + "\n" + string(res.Trace.Encode()), nil
+		return nil
 	}
-
-	old := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(old)
-	sweep := []int{1, 2, 8}
-	var ref []string
-	for _, procs := range sweep {
-		runtime.GOMAXPROCS(procs)
-		_, reports, err := determinismSweep(7, 3, []int{1, 2, 4}, run)
-		if err != nil {
-			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
-		}
-		if ref == nil {
-			ref = reports
-			continue
-		}
-		for i := range reports {
-			if reports[i] != ref[i] {
-				t.Fatalf("GOMAXPROCS=%d: trace+report diverged from GOMAXPROCS=%d reference at seed index %d", procs, sweep[0], i)
-			}
-		}
+	if _, err := CheckDeterminism([]scenario.Spec{ring, rr, rr8}, []int{2, 4}, []int{1, 2, 8}, check); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -101,30 +81,4 @@ func TestTraceFirstDivergenceOnMeshRuns(t *testing.T) {
 		t.Fatalf("divergence lacks a concrete (time, component, kind) triple: %s", d)
 	}
 	t.Logf("perturbed-seed divergence: t=%v component=%s kind=%s", d.Time(), d.Component(), d.Kind())
-}
-
-// A failing gate must localize the divergence instead of dumping two
-// reports: divergenceError consults the traces.
-func TestGateDivergenceErrorNamesFirstEvent(t *testing.T) {
-	cfg := quickTraceConfig()
-	cfg.Topology = scenario.RandomRegular
-	a, err := RunMesh(21, cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunMesh(22, cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gateErr := divergenceError(21, 2, a, a.Report(), b, b.Report())
-	msg := gateErr.Error()
-	if d := trace.FirstDivergence(a.Trace, b.Trace); d != nil {
-		for _, want := range []string{"first divergent event", d.Component(), d.Kind()} {
-			if !strings.Contains(msg, want) {
-				t.Fatalf("gate error %q does not name %q", msg, want)
-			}
-		}
-	} else {
-		t.Fatal("different seeds produced identical traces")
-	}
 }

@@ -72,15 +72,6 @@ func (f *Failure) Error() string {
 		f.Index, f.Minimal.Name, strings.Split(f.Div.String(), "\n")[1])
 }
 
-// CheckSpec runs one spec through the determinism property: byte-equal
-// canonical reports and traces between the single-kernel reference and
-// every federated mode. It returns the first violation (nil = the spec
-// upholds the contract); the error return is reserved for specs that
-// fail to compile.
-func CheckSpec(spec scenario.Spec, partitionCounts, procs []int) (*exp.ModeDivergence, error) {
-	return exp.CompareSpecModes(spec, partitionCounts, procs)
-}
-
 // Run executes a seeded campaign: Iterations generated specs, each
 // checked single-kernel vs federated across PartitionCounts × Procs.
 // The first violation is shrunk to a minimal repro, emitted under
@@ -99,7 +90,7 @@ func Run(o Options) (*Failure, error) {
 	}
 	for i := uint64(0); i < uint64(o.Iterations); i++ {
 		spec := Gen(o.Seed, i)
-		div, err := CheckSpec(spec, o.PartitionCounts, o.Procs)
+		_, div, err := exp.CompareSpecModes(spec, o.PartitionCounts, o.Procs)
 		if err != nil {
 			return nil, fmt.Errorf("fuzzer: generated spec %d failed to run: %w", i, err)
 		}
@@ -125,11 +116,11 @@ func minimize(o Options, index uint64, spec scenario.Spec, div *exp.ModeDivergen
 	spec.Partitions = div.Partitions
 	procs := []int{div.Procs}
 	reproduces := func(cand scenario.Spec) (bool, error) {
-		d, err := CheckSpec(cand, []int{cand.Partitions}, procs)
+		_, d, err := exp.CompareSpecModes(cand, []int{cand.Partitions}, procs)
 		return d != nil, err
 	}
 	minimal := Shrink(spec, reproduces, o.ShrinkBudget)
-	minDiv, err := CheckSpec(minimal, []int{minimal.Partitions}, procs)
+	_, minDiv, err := exp.CompareSpecModes(minimal, []int{minimal.Partitions}, procs)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/exp"
 	"repro/internal/logical"
 	"repro/internal/scenario"
 )
@@ -168,7 +169,7 @@ func FuzzSpecDeterminism(f *testing.F) {
 		if spec.Validate() != nil {
 			t.Skip("invalid spec")
 		}
-		div, err := CheckSpec(spec, []int{2, 3}, nil)
+		_, div, err := exp.CompareSpecModes(spec, []int{2, 3}, nil)
 		if err != nil {
 			t.Skipf("spec failed to run: %v", err)
 		}

@@ -1,6 +1,10 @@
 package fuzzer
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/exp"
+)
 
 // regressionsDir is the committed home of fuzzer-found minimal repro
 // specs. It starts empty; every divergence the fuzzer finds (and a
@@ -27,7 +31,7 @@ func TestRegressionSpecs(t *testing.T) {
 			// replay exactly that mode.
 			parts = []int{p}
 		}
-		div, err := CheckSpec(ns.Spec, parts, nil)
+		_, div, err := exp.CompareSpecModes(ns.Spec, parts, nil)
 		if err != nil {
 			t.Errorf("%s: failed to run: %v", ns.Path, err)
 			continue

@@ -404,8 +404,9 @@ func (w *World) buildServer(i int, name string) (*ara.Runtime, error) {
 		h = fnvMix(h, uint64(k.Now()))
 		h = fnvMix(h, uint64(binary.BigEndian.Uint32(dg.Payload)))
 		rows[i].NoiseHash = h
-		// Noise deliveries carry the seeded local-load timing; tracing
-		// them makes the trace as seed-sensitive as the report.
+		// Noise deliveries are traced so the trace covers the local load
+		// the report hashes. Its timing is a fixed NoiseInterval period,
+		// not a seeded draw: noise does not vary with the seed.
 		k.Trace(noiseLabel, trace.KindNoise, dg.Payload)
 	})
 	return rt, nil
