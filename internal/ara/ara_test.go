@@ -649,28 +649,6 @@ func TestMutexMutualExclusion(t *testing.T) {
 	}
 }
 
-func TestSemaphoreLimitsConcurrency(t *testing.T) {
-	k := des.NewKernel(1)
-	s := NewSemaphore(2)
-	inside, peak := 0, 0
-	for i := 0; i < 5; i++ {
-		k.Spawn("w", func(p *des.Process) {
-			s.Acquire(p)
-			inside++
-			if inside > peak {
-				peak = inside
-			}
-			p.Sleep(10)
-			inside--
-			s.Release()
-		})
-	}
-	k.RunAll()
-	if peak != 2 {
-		t.Errorf("peak concurrency = %d, want 2", peak)
-	}
-}
-
 func TestFutureThenAndResolvedFuture(t *testing.T) {
 	k := des.NewKernel(1)
 	fut := NewFuture(k)

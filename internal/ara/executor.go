@@ -1,8 +1,6 @@
 package ara
 
 import (
-	"fmt"
-
 	"repro/internal/des"
 	"repro/internal/logical"
 	"repro/internal/someip"
@@ -34,17 +32,21 @@ func (c *Ctx) Exec(d logical.Duration) { c.p.Sleep(d) }
 // Runtime returns the owning runtime.
 func (c *Ctx) Runtime() *Runtime { return c.rt }
 
-// Process returns the simulated worker thread running the handler.
+// Process returns the simulated worker thread running the handler. An
+// executor thread is reused by later tasks once the handler returns.
 func (c *Ctx) Process() *des.Process { return c.p }
 
-// task is one unit of work for the executor.
+// task is one unit of work for the executor: the handler and the runtime
+// its Ctx reports (nil for Submit).
 type task struct {
 	fn func(*Ctx)
+	rt *Runtime
 }
 
 // ExecConfig configures the executor of a runtime.
 type ExecConfig struct {
-	// Workers is the number of simulated worker threads (default 4).
+	// Workers is the number of simulated worker threads (default 4): at
+	// most Workers handlers run at once, each on its own thread.
 	Workers int
 	// DispatchJitter draws the latency between a task becoming runnable
 	// and a worker thread actually starting it — the OS scheduling delay.
@@ -62,19 +64,63 @@ func defaultJitter(r *des.Rand) logical.Duration {
 	return logical.Duration(r.Exp(float64(50 * logical.Microsecond)))
 }
 
-// Executor dispatches tasks onto a pool of simulated worker threads.
+// dispatchState records what schedules the executor's next dispatch
+// event.
+type dispatchState uint8
+
+const (
+	// waitTask: the queue is empty; the next submit schedules a dispatch.
+	waitTask dispatchState = iota
+	// waitWorker: tasks are queued but all Workers threads are taken;
+	// the next task to finish schedules a dispatch.
+	waitWorker
+	// scheduled: a dispatch event is pending; submits and finishing
+	// tasks only update the queue and the busy count.
+	scheduled
+)
+
+// Executor dispatches tasks onto a pool of simulated worker threads, in
+// FIFO order, each after a DispatchJitter draw. Concurrent invocations
+// run on different threads — per the AP communication-management
+// default, "the runtime maps each invocation to a different thread".
+//
+// Dispatch runs in kernel context, as transient events scheduled exactly
+// where a dispatcher process would have been started or woken: by a
+// submit while the queue is empty, and by a finishing task while every
+// thread is taken. Worker threads are long-lived processes, at most
+// Workers of them: a dispatched task goes to an idle parked worker,
+// woken at the dispatch time plus jitter (UnparkAt), or else to a worker
+// spawned for that time (SpawnAt). Either start is one kernel event, as
+// is every dispatch, so the kernel's event sequence — times, order and
+// sequence numbers — equals that of a dispatcher process that spawns a
+// fresh thread per task.
 type Executor struct {
-	k        *des.Kernel
-	rng      *des.Rand
-	cfg      ExecConfig
-	queue    *des.Mailbox[task]
-	mutex    *Mutex
-	started  bool
+	k     *des.Kernel
+	rng   *des.Rand
+	cfg   ExecConfig
+	queue *des.Mailbox[task]
+	mutex *Mutex
+	state dispatchState
+	// busy counts tasks dispatched and not yet finished (≤ Workers).
+	busy int
+	// idle holds the parked workers waiting for a task.
+	idle     []*worker
 	inFlight int
 	executed uint64
 }
 
-// NewExecutor creates an executor. Workers spawn on first Submit.
+// worker is one pooled simulated worker thread.
+type worker struct {
+	e *Executor
+	p *des.Process
+	// next is the task handed over by dispatch (fn nil while idle), and
+	// at the time it may start.
+	next task
+	at   logical.Time
+}
+
+// NewExecutor creates an executor. Worker threads spawn on demand and
+// are reused once idle.
 func NewExecutor(k *des.Kernel, rng *des.Rand, cfg ExecConfig) *Executor {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
@@ -97,50 +143,86 @@ func (e *Executor) Executed() uint64 { return e.executed }
 // InFlight reports tasks submitted but not yet completed.
 func (e *Executor) InFlight() int { return e.inFlight }
 
-func (e *Executor) start() {
-	if e.started {
-		return
-	}
-	e.started = true
-	// A dispatcher hands each queued task to a fresh logical thread
-	// context: per the AP communication-management default, "the runtime
-	// maps each invocation to a different thread". Concurrency is capped
-	// by Workers via a counting semaphore.
-	sem := NewSemaphore(e.cfg.Workers)
-	e.k.Spawn("executor.dispatch", func(p *des.Process) {
-		seq := 0
-		for {
-			t := e.queue.Recv(p)
-			sem.Acquire(p)
-			seq++
-			jitter := e.cfg.DispatchJitter(e.rng)
-			e.k.SpawnAt(p.Now().Add(jitter), fmt.Sprintf("worker.%d", seq), func(wp *des.Process) {
-				defer sem.Release()
-				if e.cfg.Serialized {
-					e.mutex.Lock(wp)
-					defer e.mutex.Unlock()
-				}
-				t.fn(&Ctx{p: wp})
-				e.executed++
-				e.inFlight--
-			})
-		}
-	})
-}
-
 // Submit schedules fn to run on a worker thread after the dispatch jitter.
-// The ctx passed to fn carries a nil runtime unless SubmitRT is used.
+// The ctx passed to fn carries a nil runtime (runtimes submit their
+// handlers with themselves attached).
 func (e *Executor) Submit(fn func(*Ctx)) {
 	e.submit(nil, fn)
 }
 
 func (e *Executor) submit(rt *Runtime, fn func(*Ctx)) {
-	e.start()
 	e.inFlight++
-	e.queue.Put(task{fn: func(c *Ctx) {
-		c.rt = rt
-		fn(c)
-	}})
+	e.queue.Put(task{fn: fn, rt: rt})
+	if e.state == waitTask {
+		e.state = scheduled
+		e.k.AtTransientFn(e.k.Now(), dispatchFn, e)
+	}
+}
+
+// dispatchFn is the dispatch event: it starts queued tasks in FIFO order
+// while threads are free, drawing each task's dispatch jitter from the
+// executor's stream, and records what schedules the next dispatch.
+func dispatchFn(a any) {
+	e := a.(*Executor)
+	for {
+		if e.queue.Len() == 0 {
+			e.state = waitTask
+			return
+		}
+		if e.busy == e.cfg.Workers {
+			e.state = waitWorker
+			return
+		}
+		t, _ := e.queue.TryRecv()
+		e.busy++
+		at := e.k.Now().Add(e.cfg.DispatchJitter(e.rng))
+		if n := len(e.idle); n > 0 {
+			w := e.idle[n-1]
+			e.idle = e.idle[:n-1]
+			w.next, w.at = t, at
+			w.p.UnparkAt(at)
+		} else {
+			w := &worker{e: e, next: t, at: at}
+			w.p = e.k.SpawnAt(at, "ara.worker", w.run)
+		}
+	}
+}
+
+// run is the worker thread's body: run the handed-over task, free the
+// thread (which may schedule a dispatch), go idle and park until the
+// next task's start time.
+func (w *worker) run(p *des.Process) {
+	e := w.e
+	for {
+		t := w.next
+		w.next = task{}
+		e.runTask(p, t)
+		e.busy--
+		if e.state == waitWorker {
+			e.state = scheduled
+			e.k.AtTransientFn(e.k.Now(), dispatchFn, e)
+		}
+		e.idle = append(e.idle, w)
+		// An Unpark left pending by an earlier task on this thread (a
+		// FindServiceSync callback after its timeout, say) may arrive
+		// first; it finds no task, or a start time still ahead, and the
+		// worker parks again until its own UnparkAt.
+		for w.next.fn == nil || p.Now() < w.at {
+			p.Park()
+		}
+	}
+}
+
+// runTask runs one task on p. The deferred Unlock also runs when a kernel
+// shutdown kills the task mid-Exec.
+func (e *Executor) runTask(p *des.Process, t task) {
+	if e.cfg.Serialized {
+		e.mutex.Lock(p)
+		defer e.mutex.Unlock()
+	}
+	t.fn(&Ctx{p: p, rt: t.rt})
+	e.executed++
+	e.inFlight--
 }
 
 // Mutex is a mutual-exclusion lock for simulated processes with FIFO
@@ -169,42 +251,15 @@ func (m *Mutex) Unlock() {
 	}
 	m.locked = false
 	if len(m.waiters) > 0 {
+		// Shift rather than reslice, so the backing array is reused and
+		// a contended Lock allocates nothing in steady state.
 		w := m.waiters[0]
-		m.waiters = m.waiters[1:]
+		n := copy(m.waiters, m.waiters[1:])
+		m.waiters[n] = nil
+		m.waiters = m.waiters[:n]
 		w.Unpark()
 	}
 }
 
 // Locked reports whether the mutex is currently held.
 func (m *Mutex) Locked() bool { return m.locked }
-
-// Semaphore is a counting semaphore for simulated processes.
-type Semaphore struct {
-	avail   int
-	waiters []*des.Process
-}
-
-// NewSemaphore returns a semaphore with n permits.
-func NewSemaphore(n int) *Semaphore { return &Semaphore{avail: n} }
-
-// Acquire takes a permit, blocking while none is available.
-func (s *Semaphore) Acquire(p *des.Process) {
-	for s.avail == 0 {
-		s.waiters = append(s.waiters, p)
-		p.Park()
-	}
-	s.avail--
-}
-
-// Release returns a permit and wakes the first waiter.
-func (s *Semaphore) Release() {
-	s.avail++
-	if len(s.waiters) > 0 {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		w.Unpark()
-	}
-}
-
-// Available reports the number of free permits.
-func (s *Semaphore) Available() int { return s.avail }

@@ -1,7 +1,9 @@
 package des
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/logical"
 )
@@ -80,6 +82,33 @@ func TestShutdownIdempotent(t *testing.T) {
 	k.RunAll()
 	k.Shutdown()
 	k.Shutdown() // second call must be harmless
+}
+
+// TestShutdownLeavesNoGoroutine checks that a process holds a goroutine
+// only from its start time on: one whose start lies beyond the run never
+// gets one, a parked one is unwound by Shutdown, and the goroutine count
+// returns to its baseline.
+func TestShutdownLeavesNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := NewKernel(1)
+	ran := false
+	k.SpawnAt(100, "late", func(p *Process) { ran = true })
+	k.Spawn("parked", func(p *Process) { p.Park() })
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines before any process started, baseline %d", n, base)
+	}
+	k.Run(10)
+	k.Shutdown()
+	if ran {
+		t.Error("process scheduled beyond the run started")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Shutdown, baseline %d", runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
+	}
 }
 
 func TestEventTimeAccessor(t *testing.T) {

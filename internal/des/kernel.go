@@ -701,7 +701,8 @@ func (k *Kernel) RunLive(until logical.Time) logical.Time {
 // Shutdown unblocks every parked or sleeping process with a termination
 // signal so that their goroutines unwind and exit. It must be called after
 // Run returns if processes may still be blocked; otherwise their goroutines
-// leak. User process code must not swallow panics of type Killed.
+// leak. A process that never started has no goroutine and needs none of
+// this. User process code must not swallow panics of type Killed.
 func (k *Kernel) Shutdown() {
 	k.shutdown = true
 	for _, p := range k.procs {

@@ -54,6 +54,8 @@ type Process struct {
 	// Interrupt may legitimately wake (WaitUntilInterruptible, Park).
 	interruptible bool
 	killed        bool
+	// body is the process's code until its first dispatch starts it.
+	body func(p *Process)
 }
 
 type resumeSignal struct {
@@ -92,28 +94,35 @@ func (k *Kernel) SpawnAt(t logical.Time, name string, body func(p *Process)) *Pr
 }
 
 func (k *Kernel) spawnAt(t logical.Time, name string, body func(p *Process), local bool) *Process {
-	// The baton channels have capacity 1: strict alternation guarantees
-	// at most one signal is ever in flight per direction, so a buffered
-	// send completes without parking the sender — one goroutine handoff
-	// per switch instead of two. Mutual exclusion is unchanged because
-	// each side still blocks on its own receive before proceeding.
-	p := &Process{
-		k:      k,
-		name:   name,
-		state:  procNew,
-		resume: make(chan resumeSignal, 1),
-		yield:  make(chan struct{}, 1),
-	}
+	p := &Process{k: k, name: name, state: procNew, body: body}
 	p.wakeFn = func() { p.dispatch(resumeSignal{}) }
 	k.procs = append(k.procs, p)
+	e := k.scheduleReuse(t, false, p.wakeFn, true)
+	if local {
+		e.local = true
+	}
+	return p
+}
+
+// start gives the process its goroutine and baton channels and runs its
+// body, on the process's first dispatch: a process costs a goroutine
+// only from its start time on, and one that never starts (its start lies
+// beyond the run, or the kernel shuts down first) never has one to leak.
+// The first dispatch is always the spawn event — Unpark, Interrupt and
+// Shutdown all pass over a process that has not started.
+//
+// The baton channels have capacity 1: strict alternation guarantees at
+// most one signal is ever in flight per direction, so a buffered send
+// completes without parking the sender — one goroutine handoff per
+// switch instead of two. Mutual exclusion is unchanged because each side
+// still blocks on its own receive before proceeding.
+func (p *Process) start() {
+	p.resume = make(chan resumeSignal, 1)
+	p.yield = make(chan struct{}, 1)
+	body := p.body
+	p.body = nil
+	p.state = procRunning
 	go func() {
-		sig := <-p.resume
-		if sig.killed {
-			p.state = procDone
-			p.yield <- struct{}{}
-			return
-		}
-		p.state = procRunning
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(Killed); ok {
@@ -132,20 +141,20 @@ func (k *Kernel) spawnAt(t logical.Time, name string, body func(p *Process), loc
 		}()
 		body(p)
 	}()
-	e := k.scheduleReuse(t, false, p.wakeFn, true)
-	if local {
-		e.local = true
-	}
-	return p
 }
 
-// dispatch hands the baton to the process and waits for it to block or
-// finish. Called only from kernel context (inside a firing event).
+// dispatch hands the baton to the process — starting it on the first
+// call — and waits for it to block or finish. Called only from kernel
+// context (inside a firing event).
 func (p *Process) dispatch(sig resumeSignal) {
-	if p.state == procDone {
+	switch p.state {
+	case procDone:
 		return
+	case procNew:
+		p.start()
+	default:
+		p.resume <- sig
 	}
-	p.resume <- sig
 	<-p.yield
 }
 
@@ -256,8 +265,15 @@ func (p *Process) Park() (interrupted bool) {
 
 // Unpark wakes a parked process at the current simulated time. No-op if
 // the process is not parked when the wake event fires.
-func (p *Process) Unpark() {
-	p.k.AtTransientFn(p.k.now, unparkFn, p)
+func (p *Process) Unpark() { p.UnparkAt(p.k.now) }
+
+// UnparkAt wakes a parked process at simulated time t (the current time
+// if t lies in the past) with one transient kernel event — the same
+// single event a SpawnAt(t) costs, which lets a pool of parked processes
+// stand in for freshly spawned ones without changing the event
+// sequence. No-op if the process is not parked when the event fires.
+func (p *Process) UnparkAt(t logical.Time) {
+	p.k.AtTransientFn(t, unparkFn, p)
 }
 
 // unparkFn is the package-level delivery body of Unpark: scheduled

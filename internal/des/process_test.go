@@ -88,6 +88,48 @@ func TestProcessParkUnpark(t *testing.T) {
 	}
 }
 
+func TestProcessUnparkAt(t *testing.T) {
+	k := NewKernel(1)
+	var got logical.Time
+	var firedAtWake uint64
+	p := k.Spawn("parked", func(p *Process) {
+		p.Park()
+		got, firedAtWake = p.Now(), k.EventsFired()
+	})
+	k.At(10, func() { p.UnparkAt(100) })
+	k.RunAll()
+	// Spawn, the scheduling event, then the single wake event.
+	if got != 100 || firedAtWake != 3 || k.EventsFired() != 3 {
+		t.Errorf("woke at %v after %d events (%d total), want 100 after 3 (3 total)", got, firedAtWake, k.EventsFired())
+	}
+
+	// A time in the past wakes at the current time.
+	k = NewKernel(1)
+	p = k.Spawn("parked", func(p *Process) {
+		p.Park()
+		got = p.Now()
+	})
+	k.At(10, func() { p.UnparkAt(5) })
+	k.RunAll()
+	if got != 10 {
+		t.Errorf("past UnparkAt woke at %v, want 10", got)
+	}
+
+	// The event is a no-op for a process that is not parked when it
+	// fires: sleeping, or already done.
+	k = NewKernel(1)
+	p = k.Spawn("sleeper", func(p *Process) {
+		p.Sleep(50)
+		got = p.Now()
+	})
+	k.At(10, func() { p.UnparkAt(20) })
+	k.At(60, func() { p.UnparkAt(70) })
+	k.RunAll()
+	if got != 50 || !p.Done() || k.EventsFired() != 6 {
+		t.Errorf("sleeper woke at %v (done=%v, %d events), want 50 (done, 6 events)", got, p.Done(), k.EventsFired())
+	}
+}
+
 func TestProcessInterruptibleWaitInterrupted(t *testing.T) {
 	k := NewKernel(1)
 	var interrupted bool
