@@ -104,12 +104,12 @@ func kernelSuite() []benchResult {
 		chain = func(any) {
 			count++
 			if count < b.N {
-				k.AfterTransientFn(logical.Microsecond, chain, nil)
+				k.Post(k.Now().Add(logical.Microsecond), chain, nil)
 			}
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
-		k.AtTransientFn(0, chain, nil)
+		k.Post(0, chain, nil)
 		k.RunAll()
 	})))
 

@@ -155,7 +155,7 @@ func (e *Executor) submit(rt *Runtime, fn func(*Ctx)) {
 	e.queue.Put(task{fn: fn, rt: rt})
 	if e.state == waitTask {
 		e.state = scheduled
-		e.k.AtTransientFn(e.k.Now(), dispatchFn, e)
+		e.k.Post(e.k.Now(), dispatchFn, e)
 	}
 }
 
@@ -200,7 +200,7 @@ func (w *worker) run(p *des.Process) {
 		e.busy--
 		if e.state == waitWorker {
 			e.state = scheduled
-			e.k.AtTransientFn(e.k.Now(), dispatchFn, e)
+			e.k.Post(e.k.Now(), dispatchFn, e)
 		}
 		e.idle = append(e.idle, w)
 		// An Unpark left pending by an earlier task on this thread (a

@@ -72,7 +72,7 @@ func (f *Future) Resolve(r Result) {
 	f.done = true
 	f.result = r
 	if len(f.cbs) > 0 {
-		f.k.AfterTransientFn(0, fireCallbacks, f)
+		f.k.Post(f.k.Now(), fireCallbacks, f)
 	}
 	for _, w := range f.waiters {
 		w.Unpark()
@@ -97,7 +97,7 @@ func fireCallbacks(a any) {
 func (f *Future) Then(cb func(Result)) {
 	if f.done {
 		r := f.result
-		f.k.AfterTransient(0, func() { cb(r) })
+		f.k.Post(f.k.Now(), des.Call, func() { cb(r) })
 		return
 	}
 	f.cbs = append(f.cbs, cb)

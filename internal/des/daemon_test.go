@@ -16,7 +16,7 @@ func TestDaemonEventsDoNotKeepRunAlive(t *testing.T) {
 		fired++
 		k.AfterDaemon(10, tick)
 	}
-	k.AtDaemon(0, tick)
+	k.AfterDaemon(0, tick)
 	// No non-daemon work: RunAll must terminate immediately.
 	k.RunAll()
 	if fired != 0 {
@@ -32,7 +32,7 @@ func TestDaemonEventsInterleaveWithPendingWork(t *testing.T) {
 		daemonFires++
 		k.AfterDaemon(10, tick)
 	}
-	k.AtDaemon(0, tick)
+	k.AfterDaemon(0, tick)
 	k.At(55, func() {}) // pending work at t=55
 	k.RunAll()
 	// Daemons at 0,10,20,30,40,50 fire before the work at 55 drains.
@@ -44,7 +44,7 @@ func TestDaemonEventsInterleaveWithPendingWork(t *testing.T) {
 func TestDaemonCancelation(t *testing.T) {
 	k := NewKernel(1)
 	fired := false
-	ev := k.AtDaemon(5, func() { fired = true })
+	ev := k.AfterDaemon(5, func() { fired = true })
 	ev.Cancel()
 	k.At(10, func() {})
 	k.RunAll()
@@ -57,7 +57,7 @@ func TestCancelNonDaemonReleasesPending(t *testing.T) {
 	k := NewKernel(1)
 	ev := k.At(100, func() { t.Error("canceled event fired") })
 	daemonRan := false
-	k.AtDaemon(5, func() { daemonRan = true })
+	k.AfterDaemon(5, func() { daemonRan = true })
 	ev.Cancel()
 	// With the only pending event canceled, Run must terminate without
 	// firing the daemon.
@@ -69,7 +69,7 @@ func TestCancelNonDaemonReleasesPending(t *testing.T) {
 
 func TestRunHorizonWithOnlyDaemonsAdvancesClock(t *testing.T) {
 	k := NewKernel(1)
-	k.AtDaemon(10, func() {})
+	k.AfterDaemon(10, func() {})
 	got := k.Run(logical.Time(500))
 	if got != 500 {
 		t.Errorf("Run returned %v, want horizon 500", got)

@@ -113,20 +113,13 @@ type Channel struct {
 }
 
 // fedMsg is one queued cross-partition message: delivery time plus the
-// closure-free (fn, arg) pair injected into the target kernel's pooled
-// events (see Kernel.AtTransientFn). Closure senders (Channel.Send) ride
-// the same shape through callClosure.
+// (fn, arg) pair the coordinator posts on the target kernel (see
+// Kernel.Post).
 type fedMsg struct {
 	at  logical.Time
 	fn  func(arg any)
 	arg any
 }
-
-// callClosure adapts a plain deliver closure to the (fn, arg) message
-// shape: the closure itself is the argument (a func value is a single
-// word, so storing it in the arg slot allocates nothing beyond the
-// closure the caller already built).
-func callClosure(a any) { a.(func())() }
 
 // NewFederation creates a federation of the given number of partition
 // kernels. Every kernel derives from the same seed so that labeled
@@ -143,7 +136,7 @@ func NewFederation(seed uint64, partitions int) *Federation {
 	}
 	for i := range f.kernels {
 		f.kernels[i] = NewKernel(seed)
-		f.kernels[i].TrackEmit()
+		f.kernels[i].emitTracked = true
 	}
 	return f
 }
@@ -230,24 +223,16 @@ func (c *Channel) Sent() uint64 { return c.sent }
 // is a diagnostic snapshot, not a live bound).
 func (c *Channel) FlushedTo() logical.Time { return c.flush }
 
-// Send enqueues a message for delivery at time `at` on the target kernel.
-// It must be called from the sending kernel's execution context (inside a
-// firing event or process), and `at` must respect the lookahead contract.
-// The deliver closure runs as an event on the target kernel. Hot paths
-// that would otherwise build a fresh capture closure per message should
-// use SendFn instead.
-func (c *Channel) Send(at logical.Time, deliver func()) {
-	c.SendFn(at, callClosure, deliver)
-}
-
-// SendFn is the closure-free form of Send: at time `at` the target
-// kernel calls fn(arg). fn is typically a package-level function and arg
-// a pooled carrier, so enqueuing, draining and injecting the message
-// allocates nothing beyond the queue slot. The same execution-context
-// and lookahead contracts as Send apply. Carriers released by fn run on
-// the target kernel's goroutine — pool them on the target side (see
-// simnet's delivery carriers for the pattern).
-func (c *Channel) SendFn(at logical.Time, fn func(arg any), arg any) {
+// Send enqueues a message for delivery at time `at` on the target
+// kernel, which then calls fn(arg) as an event. It must be called from
+// the sending kernel's execution context (inside a firing event or
+// process), and `at` must respect the lookahead contract. fn is
+// typically a package-level function and arg a pooled carrier, so
+// enqueuing, draining and injecting the message allocates nothing
+// beyond the queue slot. Carriers released by fn run on the target
+// kernel's goroutine — pool them on the target side (see simnet's
+// delivery carriers for the pattern).
+func (c *Channel) Send(at logical.Time, fn func(arg any), arg any) {
 	sender := c.fed.kernels[c.from]
 	if sender.firingLocal {
 		panic(fmt.Sprintf(
@@ -727,7 +712,7 @@ func (co *coordinator) inject(c *Channel, msgs *[]fedMsg) {
 			panic(fmt.Sprintf("des: federation channel %d->%d: injecting message at %v behind target clock %v (grant soundness bug)",
 				c.from, c.to, batch[i].at, target.now))
 		}
-		target.AtTransientFn(batch[i].at, batch[i].fn, batch[i].arg)
+		target.Post(batch[i].at, batch[i].fn, batch[i].arg)
 	}
 	clearMsgs(batch)
 	*msgs = batch[:0]

@@ -22,7 +22,7 @@ func TestFederationNoInboundFreeRuns(t *testing.T) {
 		at := logical.Time(i) * logical.Time(10*logical.Millisecond)
 		k0.At(at, func() {
 			fired++
-			ch.Send(k0.Now().Add(logical.Millisecond), func() {})
+			ch.Send(k0.Now().Add(logical.Millisecond), Call, func() {})
 		})
 	}
 	f.Run(logical.Time(200 * logical.Millisecond))
@@ -87,7 +87,7 @@ func makeGraphSpec(seed uint64) graphSpec {
 // every firing forwards to up to two outbound neighbours (choices and
 // delays are pure functions of the event identity) down to a fixed
 // depth. send abstracts the mode: federation Channel.Send or a plain
-// same-kernel AtTransient. Traces are recorded per partition; entries
+// same-kernel Post. Traces are recorded per partition; entries
 // are sorted afterwards, so only the behaviour set matters, not
 // same-timestamp interleaving.
 func (g graphSpec) run(now func(part int) logical.Time,
@@ -155,7 +155,7 @@ func TestFederationRandomGraphMatchesSingleKernel(t *testing.T) {
 		k := NewKernel(1)
 		single := g.run(
 			func(int) logical.Time { return k.Now() },
-			func(_, _ int, at logical.Time, fn func()) { k.AtTransient(at, fn) },
+			func(_, _ int, at logical.Time, fn func()) { k.Post(at, Call, fn) },
 			func(_ int, at logical.Time, fn func()) { k.At(at, fn) },
 		)
 		k.RunAll()
@@ -172,7 +172,7 @@ func TestFederationRandomGraphMatchesSingleKernel(t *testing.T) {
 		}
 		fed := g.run(
 			func(part int) logical.Time { return f.Kernel(part).Now() },
-			func(from, to int, at logical.Time, fn func()) { chans[from][to].Send(at, fn) },
+			func(from, to int, at logical.Time, fn func()) { chans[from][to].Send(at, Call, fn) },
 			func(part int, at logical.Time, fn func()) { f.Kernel(part).At(at, fn) },
 		)
 		f.RunAll()
@@ -215,7 +215,7 @@ func TestFederationChannelQueueCapacityRetention(t *testing.T) {
 			return
 		}
 		for m := 0; m < burst; m++ {
-			ch.Send(k.Now().Add(logical.Millisecond+logical.Duration(m)), func() {})
+			ch.Send(k.Now().Add(logical.Millisecond+logical.Duration(m)), Call, func() {})
 		}
 		k.After(2*logical.Millisecond, func() { cycle(c + 1) })
 	}
@@ -254,8 +254,8 @@ func TestFederationDrainInjectAllocs(t *testing.T) {
 				return
 			}
 			for m := 0; m < burst; m++ {
-				fwd.Send(k0.Now().Add(logical.Millisecond+logical.Duration(m)), func() {
-					back.Send(k1.Now().Add(logical.Millisecond), func() {})
+				fwd.Send(k0.Now().Add(logical.Millisecond+logical.Duration(m)), Call, func() {
+					back.Send(k1.Now().Add(logical.Millisecond), Call, func() {})
 				})
 			}
 			k0.After(2*logical.Millisecond, func() { cycle(c + 1) })

@@ -29,7 +29,7 @@ func runRingSingle(nodes, hops int, latency logical.Duration) []fedTraceEntry {
 			return
 		}
 		next := (node + 1) % nodes
-		k.AtTransient(k.Now().Add(latency), func() { hop(next, value+1) })
+		k.Post(k.Now().Add(latency), Call, func() { hop(next, value+1) })
 	}
 	k.At(0, func() { hop(0, 0) })
 	k.RunAll()
@@ -53,7 +53,7 @@ func runRingFederated(nodes, hops int, latency logical.Duration) ([]fedTraceEntr
 			return
 		}
 		next := (node + 1) % nodes
-		chans[node].Send(k.Now().Add(latency), func() { hop(next, value+1) })
+		chans[node].Send(k.Now().Add(latency), Call, func() { hop(next, value+1) })
 	}
 	f.Kernel(0).At(0, func() { hop(0, 0) })
 	f.RunAll()
@@ -107,21 +107,21 @@ func TestFederationProcessesAndMailboxes(t *testing.T) {
 	const rounds = 25
 	var gotA, gotB []int
 	ka.Spawn("ping", func(p *Process) {
-		ab.Send(p.Now().Add(la), func() { mbB.Put(0) })
+		ab.Send(p.Now().Add(la), Call, func() { mbB.Put(0) })
 		for {
 			v := mbA.Recv(p)
 			gotA = append(gotA, v)
 			if v >= rounds {
 				return
 			}
-			ab.Send(p.Now().Add(la), func() { mbB.Put(v + 1) })
+			ab.Send(p.Now().Add(la), Call, func() { mbB.Put(v + 1) })
 		}
 	})
 	kb.Spawn("pong", func(p *Process) {
 		for {
 			v := mbB.Recv(p)
 			gotB = append(gotB, v)
-			ba.Send(p.Now().Add(la), func() { mbA.Put(v + 1) })
+			ba.Send(p.Now().Add(la), Call, func() { mbA.Put(v + 1) })
 			if v+1 >= rounds {
 				return
 			}
@@ -143,7 +143,7 @@ func TestFederationLookaheadViolationPanics(t *testing.T) {
 				t.Error("send below lookahead should panic")
 			}
 		}()
-		ch.Send(f.Kernel(0).Now().Add(logical.Microsecond), func() {})
+		ch.Send(f.Kernel(0).Now().Add(logical.Microsecond), Call, func() {})
 	})
 	f.RunAll()
 }

@@ -23,7 +23,7 @@ func benchChainFn(a any) {
 	c := a.(*benchChain)
 	c.count++
 	if c.count < c.n {
-		c.k.AfterTransientFn(1, benchChainFn, c)
+		c.k.Post(c.k.Now().Add(1), benchChainFn, c)
 	}
 }
 
@@ -35,7 +35,7 @@ func BenchmarkKernelFire(b *testing.B) {
 	c := &benchChain{k: k, n: b.N}
 	b.ReportAllocs()
 	b.ResetTimer()
-	k.AtTransientFn(0, benchChainFn, c)
+	k.Post(0, benchChainFn, c)
 	k.RunAll()
 }
 

@@ -23,28 +23,22 @@ import (
 )
 
 // Event is a scheduled unit of work. It can be canceled before it fires.
-// The work is either a plain closure (fire) or a closure-free (fn, arg)
-// pair — see AtTransientFn — so hot paths can schedule without allocating
-// a capture closure per event.
+// The work is a closure-free (fn, arg) pair: fn is a long-lived
+// (typically package-level) function and arg its per-event argument,
+// usually a pooled carrier or an already-live pointer. A plain closure
+// rides the same pair as (Call, closure).
 type Event struct {
-	k   *Kernel
-	at  logical.Time
-	seq uint64
-	// fire is the scheduled closure (handle-returning API and plain
-	// transients). nil when the event carries a (fn, arg) pair instead.
-	fire func()
-	// fn/arg are the closure-free form: fn is a long-lived (typically
-	// package-level) function and arg its per-event argument, usually a
-	// pooled carrier. Storing the pair in the pooled Event removes the
-	// per-schedule closure allocation on hot paths.
+	k        *Kernel
+	at       logical.Time
+	seq      uint64
 	fn       func(arg any)
 	arg      any
 	daemon   bool
 	canceled bool
-	// transient marks events scheduled through AtTransient/AfterTransient:
-	// no reference escapes to the caller, so the kernel recycles the Event
-	// through its free list after firing. Cancel can never reach a
-	// transient event, which is what makes recycling safe.
+	// transient marks events no caller holds a handle to (Post and
+	// process start events), so the kernel recycles the Event through
+	// its free list after firing. Cancel can never reach a transient
+	// event, which is what makes recycling safe.
 	transient bool
 	// local marks events that are guaranteed never to emit onto a
 	// federation channel, directly or transitively: while a local event
@@ -310,9 +304,9 @@ type Kernel struct {
 	// firingLocal is set while a local-marked event fires: newly scheduled
 	// events inherit the mark and Channel.Send panics (see Event.local).
 	firingLocal bool
-	// emitTracked enables the emit shadow heap (set once when the kernel
-	// joins a federation; see TrackEmit). Single-kernel mode leaves it
-	// off, keeping enqueue/dequeue free of shadow maintenance.
+	// emitTracked enables the emit shadow heap (set by NewFederation on
+	// its fresh kernels). Single-kernel mode leaves it off, keeping
+	// enqueue/dequeue free of shadow maintenance.
 	emitTracked bool
 	// emit shadows the queue's live non-local events (see emitHeap).
 	emit emitHeap
@@ -360,7 +354,7 @@ func (k *Kernel) Trace(component, kind string, payload []byte) {
 // present) fires the event at the current time but never before events
 // already queued for that time. The returned Event may be canceled.
 func (k *Kernel) At(t logical.Time, fn func()) *Event {
-	return k.schedule(t, false, fn)
+	return k.post(nil, t, Call, fn, false, false, false)
 }
 
 // After schedules fn to run d from now.
@@ -368,21 +362,61 @@ func (k *Kernel) After(d logical.Duration, fn func()) *Event {
 	return k.At(k.now.Add(d), fn)
 }
 
-// AtDaemon schedules a housekeeping event. Daemon events fire in normal
-// time order but do not keep the simulation alive: Run stops once only
-// daemon events remain. Self-rescheduling services (clock sync, periodic
-// maintenance) use daemon events so that RunAll terminates.
-func (k *Kernel) AtDaemon(t logical.Time, fn func()) *Event {
-	return k.schedule(t, true, fn)
-}
-
-// AfterDaemon schedules a daemon event d from now.
+// AfterDaemon schedules a housekeeping event d from now. Daemon events
+// fire in normal time order but do not keep the simulation alive: Run
+// stops once only daemon events remain. Self-rescheduling services
+// (clock sync, SD re-offers, TTL expiry) use daemon events so that
+// RunAll terminates.
 func (k *Kernel) AfterDaemon(d logical.Duration, fn func()) *Event {
-	return k.AtDaemon(k.now.Add(d), fn)
+	return k.post(nil, k.now.Add(d), Call, fn, true, false, false)
 }
 
-func (k *Kernel) schedule(t logical.Time, daemon bool, fn func()) *Event {
-	e := k.scheduleReuse(t, daemon, fn, false)
+// Post schedules fn(arg) at simulated time t (the current time if t lies
+// in the past) without returning a handle. The event cannot be canceled;
+// in exchange the kernel recycles its Event after firing. Because fn is
+// typically a package-level function and arg a pooled carrier or an
+// already-live pointer, the schedule+fire round trip allocates nothing —
+// the scheduling form of every hot path: datagram delivery, mailbox
+// timed puts, future resolution, process wakeups and federation batch
+// injection. A plain closure posts as Post(t, Call, fn).
+func (k *Kernel) Post(t logical.Time, fn func(arg any), arg any) {
+	k.post(nil, t, fn, arg, false, true, false)
+}
+
+// Call is the (fn, arg) body of a plain closure: Post(t, Call, fn) runs
+// fn() at t. A func value is one word, so it rides the arg slot without
+// boxing and the event costs nothing beyond the closure itself.
+func Call(a any) { a.(func())() }
+
+// post is the kernel's one scheduling path: every event takes its
+// sequence number here, at the moment it is scheduled. e is optional
+// caller-owned storage (process wake events): it is reused in place
+// unless its previous incarnation is still queued — canceled but not
+// yet popped — in which case a fresh Event is allocated; either way the
+// returned handle is the one to cancel. Transient events come from the
+// free list and return to it after firing. local forces the
+// never-emits mark (SpawnLocal); events scheduled while a local event
+// fires inherit it regardless. The mark is set before enqueue, which
+// decides emit shadow heap membership.
+func (k *Kernel) post(e *Event, t logical.Time, fn func(any), arg any, daemon, transient, local bool) *Event {
+	if t < k.now {
+		t = k.now
+	}
+	k.seq++
+	if e == nil || e.k != nil && e.index >= 0 {
+		if n := len(k.free); transient && n > 0 {
+			e = k.free[n-1]
+			k.free[n-1] = nil
+			k.free = k.free[:n-1]
+		} else {
+			e = new(Event)
+		}
+	}
+	*e = Event{k: k, at: t, seq: k.seq, fn: fn, arg: arg, daemon: daemon, transient: transient, local: local || k.firingLocal}
+	k.enqueue(e)
+	if !daemon {
+		k.pending++
+	}
 	return e
 }
 
@@ -406,122 +440,9 @@ func (k *Kernel) dequeue() *Event {
 	return e
 }
 
-// TrackEmit switches the kernel to federated mode: from now on the
-// emit shadow heap mirrors the queue's live non-local events so that
-// NextEmitTime is O(1). Events already queued are folded in, so the
-// call is correct at any point; NewFederation makes it on creation.
-func (k *Kernel) TrackEmit() {
-	if k.emitTracked {
-		return
-	}
-	k.emitTracked = true
-	for _, e := range k.queue {
-		if !e.local && !e.canceled {
-			k.emit.push(e)
-		}
-	}
-}
-
-// AtTransient schedules fn at simulated time t without returning a handle.
-// The event cannot be canceled; in exchange the kernel recycles its Event
-// structure after firing, eliminating the per-event allocation on hot
-// scheduling paths (network delivery, mailbox puts, future resolution).
-// When fn would have to be a fresh capture closure, prefer AtTransientFn,
-// which also removes the closure allocation.
-func (k *Kernel) AtTransient(t logical.Time, fn func()) {
-	k.scheduleReuse(t, false, fn, true)
-}
-
-// AfterTransient schedules fn to run d from now as a transient event (see
-// AtTransient).
-func (k *Kernel) AfterTransient(d logical.Duration, fn func()) {
-	k.scheduleReuse(k.now.Add(d), false, fn, true)
-}
-
-// AtTransientFn schedules the closure-free form of a transient event: at
-// time t the kernel calls fn(arg). Because fn is typically a package-level
-// function and arg a pooled carrier (or an already-live pointer), the
-// schedule+fire round trip allocates nothing — the (fn, arg) pair lives in
-// the pooled Event itself, where AtTransient's fn closure would otherwise
-// be a fresh heap allocation per event. This is the scheduling form of
-// every converted hot path: datagram delivery, mailbox timed puts, future
-// resolution, process wakeups and federation batch injection.
-func (k *Kernel) AtTransientFn(t logical.Time, fn func(arg any), arg any) {
-	k.scheduleFn(t, fn, arg)
-}
-
-// AfterTransientFn schedules fn(arg) to run d from now as a transient
-// event (see AtTransientFn).
-func (k *Kernel) AfterTransientFn(d logical.Duration, fn func(arg any), arg any) {
-	k.scheduleFn(k.now.Add(d), fn, arg)
-}
-
-// scheduleFn is the closure-free scheduling hot path: like scheduleReuse
-// with transient=true but carrying a (fn, arg) pair instead of a closure.
-func (k *Kernel) scheduleFn(t logical.Time, fn func(arg any), arg any) {
-	if t < k.now {
-		t = k.now
-	}
-	k.seq++
-	var e *Event
-	if n := len(k.free); n > 0 {
-		e = k.free[n-1]
-		k.free[n-1] = nil
-		k.free = k.free[:n-1]
-		*e = Event{k: k, at: t, seq: k.seq, fn: fn, arg: arg, transient: true, local: k.firingLocal}
-	} else {
-		e = &Event{k: k, at: t, seq: k.seq, fn: fn, arg: arg, transient: true, local: k.firingLocal}
-	}
-	k.enqueue(e)
-	k.pending++
-}
-
-// scheduleWake queues a caller-owned Event structure in place: the
-// non-transient, cancelable analogue of the free-list reuse that
-// AtTransient gets. The caller guarantees single ownership (at most one
-// live incarnation; process wake events qualify — a process sleeps at
-// most once at a time). When the previous incarnation is still queued —
-// canceled but not yet popped — the structure cannot be reused and a
-// fresh Event is allocated instead; either way the returned handle is
-// the one to cancel.
-func (k *Kernel) scheduleWake(e *Event, t logical.Time, fn func()) *Event {
-	if e.k != nil && e.index >= 0 {
-		return k.schedule(t, false, fn)
-	}
-	if t < k.now {
-		t = k.now
-	}
-	k.seq++
-	*e = Event{k: k, at: t, seq: k.seq, fire: fn, local: k.firingLocal}
-	k.enqueue(e)
-	k.pending++
-	return e
-}
-
-func (k *Kernel) scheduleReuse(t logical.Time, daemon bool, fn func(), transient bool) *Event {
-	if t < k.now {
-		t = k.now
-	}
-	k.seq++
-	var e *Event
-	if n := len(k.free); transient && n > 0 {
-		e = k.free[n-1]
-		k.free[n-1] = nil
-		k.free = k.free[:n-1]
-		*e = Event{k: k, at: t, seq: k.seq, fire: fn, daemon: daemon, transient: true, local: k.firingLocal}
-	} else {
-		e = &Event{k: k, at: t, seq: k.seq, fire: fn, daemon: daemon, transient: transient, local: k.firingLocal}
-	}
-	k.enqueue(e)
-	if !daemon {
-		k.pending++
-	}
-	return e
-}
-
 // ReserveEvents grows the transient-event free list so that the next n
-// AtTransient calls allocate nothing. The federation coordinator uses it
-// to inject drained cross-partition message batches without per-message
+// Post calls allocate nothing. The federation coordinator uses it to
+// inject drained cross-partition message batches without per-message
 // allocations; it is also safe (and cheap) to call speculatively.
 func (k *Kernel) ReserveEvents(n int) {
 	short := n - len(k.free)
@@ -534,15 +455,32 @@ func (k *Kernel) ReserveEvents(n int) {
 	}
 }
 
-// recycle returns a fired transient event to the free list. Only transient
-// events are pooled: handles returned by At/After may be held (and
-// canceled) long after firing, and reusing them would let a stale Cancel
-// hit an unrelated future event.
-func (k *Kernel) recycle(e *Event) {
-	e.fire = nil
-	e.fn = nil
-	e.arg = nil
-	k.free = append(k.free, e)
+// fire dequeues the head event and runs it — the one firing body shared
+// by Run and RunLive. A canceled event is discarded unrun. A fired
+// transient event returns to the free list; handles returned by At,
+// After and AfterDaemon are never pooled, because they may be held (and
+// canceled) long after firing, and reusing them would let a stale
+// Cancel hit an unrelated future event.
+func (k *Kernel) fire() {
+	e := k.dequeue()
+	if e.canceled {
+		return
+	}
+	if !e.daemon {
+		k.pending--
+	}
+	if e.at > k.now {
+		k.now = e.at
+	}
+	k.fired++
+	k.firingLocal = e.local
+	e.fn(e.arg)
+	k.firingLocal = false
+	if e.transient {
+		e.fn = nil
+		e.arg = nil
+		k.free = append(k.free, e)
+	}
 }
 
 // Stop makes Run return after the currently firing event completes.
@@ -560,32 +498,8 @@ func (k *Kernel) Run(until logical.Time) logical.Time {
 	k.running = true
 	k.stopped = false
 	defer func() { k.running = false }()
-	for len(k.queue) > 0 && k.pending > 0 && !k.stopped {
-		next := k.queue[0]
-		if next.at > until {
-			break
-		}
-		k.dequeue()
-		if next.canceled {
-			continue
-		}
-		if !next.daemon {
-			k.pending--
-		}
-		if next.at > k.now {
-			k.now = next.at
-		}
-		k.fired++
-		k.firingLocal = next.local
-		if next.fn != nil {
-			next.fn(next.arg)
-		} else {
-			next.fire()
-		}
-		k.firingLocal = false
-		if next.transient {
-			k.recycle(next)
-		}
+	for len(k.queue) > 0 && k.pending > 0 && !k.stopped && k.queue[0].at <= until {
+		k.fire()
 	}
 	if !k.stopped && k.now < until && until < logical.Forever {
 		// The simulation went quiescent before the horizon; advance the
@@ -619,38 +533,19 @@ func (k *Kernel) NextEventTime() (logical.Time, bool) {
 // mark (see Event.local). The federation coordinator uses it as the
 // partition's earliest-output-time bound: events below the result are
 // provably incapable of sending cross-partition, so downstream grants
-// may reach past them. On federated kernels (TrackEmit) the answer is
-// the head of the emit shadow heap — O(1) after lazily discarding
-// canceled heads — where it used to be a full O(queued) scan, the
-// dominant cost of dense-local workloads like the city scenario. The
-// scan remains as the untracked fallback.
+// may reach past them. The answer is the head of the emit shadow heap,
+// O(1) after lazily discarding canceled heads. Precondition: the kernel
+// belongs to a Federation — NewFederation turns the shadow heap on, and
+// on any other kernel it stays empty.
 func (k *Kernel) NextEmitTime() (logical.Time, bool) {
-	if k.emitTracked {
-		for len(k.emit) > 0 && k.emit[0].canceled {
-			k.emit.removeAt(0)
-		}
-		if len(k.emit) == 0 {
-			return 0, false
-		}
-		return k.emit[0].at, true
+	for len(k.emit) > 0 && k.emit[0].canceled {
+		k.emit.removeAt(0)
 	}
-	var best logical.Time
-	found := false
-	for _, e := range k.queue {
-		if e.local || e.canceled {
-			continue
-		}
-		if !found || e.at < best {
-			best = e.at
-			found = true
-		}
+	if len(k.emit) == 0 {
+		return 0, false
 	}
-	return best, found
+	return k.emit[0].at, true
 }
-
-// LocalFiring reports whether the currently firing event carries the
-// local (never-emits) mark — the flag Channel.Send enforces against.
-func (k *Kernel) LocalFiring() bool { return k.firingLocal }
 
 // RunLive executes every queued event — daemon events included — whose
 // time is at or before until, then advances the clock to until. Unlike
@@ -665,32 +560,8 @@ func (k *Kernel) RunLive(until logical.Time) logical.Time {
 	k.running = true
 	k.stopped = false
 	defer func() { k.running = false }()
-	for len(k.queue) > 0 && !k.stopped {
-		next := k.queue[0]
-		if next.at > until {
-			break
-		}
-		k.dequeue()
-		if next.canceled {
-			continue
-		}
-		if !next.daemon {
-			k.pending--
-		}
-		if next.at > k.now {
-			k.now = next.at
-		}
-		k.fired++
-		k.firingLocal = next.local
-		if next.fn != nil {
-			next.fn(next.arg)
-		} else {
-			next.fire()
-		}
-		k.firingLocal = false
-		if next.transient {
-			k.recycle(next)
-		}
+	for len(k.queue) > 0 && !k.stopped && k.queue[0].at <= until {
+		k.fire()
 	}
 	if k.now < until {
 		k.now = until
@@ -711,9 +582,6 @@ func (k *Kernel) Shutdown() {
 		}
 	}
 }
-
-// QueueLen reports the number of pending (possibly canceled) events.
-func (k *Kernel) QueueLen() int { return len(k.queue) }
 
 // Pending reports the number of queued non-daemon, non-canceled events —
 // the count that keeps Run alive. The federation coordinator uses it for

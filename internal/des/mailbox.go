@@ -16,9 +16,9 @@ type Mailbox[T any] struct {
 	head   int
 	waiter *Process
 	// argFree recycles the timed-put carriers (see putArg): a PutAt's
-	// (mailbox, value) pair rides the pooled kernel Event closure-free,
-	// and the carrier returns here when the put fires, so the timed-put
-	// hot path allocates nothing in steady state.
+	// (mailbox, value) pair rides the arg slot of a Post event, and the
+	// carrier returns here when the put fires, so the timed-put hot path
+	// allocates nothing in steady state.
 	argFree []*putArg[T]
 	// putF is putFn[T] materialized once: inside generic code a
 	// reference to a generic function builds a dictionary-bound func
@@ -101,12 +101,12 @@ func (m *Mailbox[T]) Put(v T) {
 // schedule+fire round trip is allocation-free in steady state: the value
 // rides a pooled carrier in a pooled kernel event (see putArg).
 func (m *Mailbox[T]) PutAt(t logical.Time, v T) {
-	m.k.AtTransientFn(t, m.putF, m.borrowPut(v))
+	m.k.Post(t, m.putF, m.borrowPut(v))
 }
 
 // PutAfter schedules the item to be enqueued d from now.
 func (m *Mailbox[T]) PutAfter(d logical.Duration, v T) {
-	m.k.AfterTransientFn(d, m.putF, m.borrowPut(v))
+	m.PutAt(m.k.now.Add(d), v)
 }
 
 // TryRecv dequeues an item without blocking. ok is false when empty.

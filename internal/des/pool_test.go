@@ -12,9 +12,9 @@ import (
 func TestTransientEventOrderingAndCancelSafety(t *testing.T) {
 	k := NewKernel(1)
 	var order []int
-	k.AtTransient(10, func() { order = append(order, 0) })
+	k.Post(10, Call, func() { order = append(order, 0) })
 	e1 := k.At(10, func() { order = append(order, 1) })
-	k.AtTransient(10, func() { order = append(order, 2) })
+	k.Post(10, Call, func() { order = append(order, 2) })
 	e3 := k.At(5, func() { order = append(order, 3) })
 	e3.Cancel()
 	k.RunAll()
@@ -29,7 +29,7 @@ func TestTransientEventOrderingAndCancelSafety(t *testing.T) {
 	// though the kernel is now reusing pooled Event structures.
 	fired := 0
 	for i := 0; i < 8; i++ {
-		k.AtTransient(k.Now().Add(logical.Microsecond), func() { fired++ })
+		k.Post(k.Now().Add(logical.Microsecond), Call, func() { fired++ })
 	}
 	k.RunAll()
 	if fired != 8 {
@@ -41,14 +41,14 @@ func TestTransientEventsAreRecycled(t *testing.T) {
 	k := NewKernel(1)
 	// Prime the pool.
 	for i := 0; i < 4; i++ {
-		k.AfterTransient(1, func() {})
+		k.Post(k.Now().Add(1), Call, func() {})
 	}
 	k.RunAll()
 	if len(k.free) == 0 {
 		t.Fatal("no events recycled")
 	}
 	before := len(k.free)
-	k.AfterTransient(1, func() {})
+	k.Post(k.Now().Add(1), Call, func() {})
 	if len(k.free) != before-1 {
 		t.Fatalf("schedule did not reuse the free list: %d -> %d", before, len(k.free))
 	}
@@ -68,12 +68,12 @@ func BenchmarkKernelScheduleTransient(b *testing.B) {
 	next = func() {
 		count++
 		if count < b.N {
-			k.AfterTransient(1, next)
+			k.Post(k.Now().Add(1), Call, next)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	k.AtTransient(0, next)
+	k.Post(0, Call, next)
 	k.RunAll()
 }
 

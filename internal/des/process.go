@@ -44,12 +44,9 @@ type Process struct {
 	wake   *Event // pending wake event while sleeping
 	// wakeEv is the process's reusable wake-event storage: a process
 	// sleeps at most once at a time, so its wake events (one per
-	// Sleep/WaitUntil) recycle a single caller-owned Event through
-	// Kernel.scheduleWake instead of allocating one per block.
+	// Sleep/WaitUntil) reuse a single caller-owned Event (see Kernel.post)
+	// instead of allocating one per block.
 	wakeEv Event
-	// wakeFn is the cached dispatch closure shared by every wake event
-	// (and the spawn event), allocated once per process.
-	wakeFn func()
 	// interruptible is set while the process blocks in an operation that
 	// Interrupt may legitimately wake (WaitUntilInterruptible, Park).
 	interruptible bool
@@ -95,14 +92,14 @@ func (k *Kernel) SpawnAt(t logical.Time, name string, body func(p *Process)) *Pr
 
 func (k *Kernel) spawnAt(t logical.Time, name string, body func(p *Process), local bool) *Process {
 	p := &Process{k: k, name: name, state: procNew, body: body}
-	p.wakeFn = func() { p.dispatch(resumeSignal{}) }
 	k.procs = append(k.procs, p)
-	e := k.scheduleReuse(t, false, p.wakeFn, true)
-	if local {
-		e.local = true
-	}
+	k.post(nil, t, wakeFn, p, false, true, local)
 	return p
 }
+
+// wakeFn is the package-level body of a process's start and wake events:
+// scheduled closure-free with the process as the event argument.
+func wakeFn(a any) { a.(*Process).dispatch(resumeSignal{}) }
 
 // start gives the process its goroutine and baton channels and runs its
 // body, on the process's first dispatch: a process costs a goroutine
@@ -207,7 +204,7 @@ func (p *Process) Sleep(d logical.Duration) {
 // Interrupt: only its own scheduled wake event (or kernel shutdown) can
 // resume a plain wait.
 func (p *Process) WaitUntil(t logical.Time) {
-	p.wake = p.k.scheduleWake(&p.wakeEv, t, p.wakeFn)
+	p.wake = p.k.post(&p.wakeEv, t, wakeFn, p, false, false, false)
 	p.block(procSleeping)
 	p.wake = nil
 }
@@ -216,7 +213,7 @@ func (p *Process) WaitUntil(t logical.Time) {
 // process calls Interrupt, whichever comes first. It reports whether the
 // wait was interrupted.
 func (p *Process) WaitUntilInterruptible(t logical.Time) (interrupted bool) {
-	p.wake = p.k.scheduleWake(&p.wakeEv, t, p.wakeFn)
+	p.wake = p.k.post(&p.wakeEv, t, wakeFn, p, false, false, false)
 	p.interruptible = true
 	sig := p.block(procSleeping)
 	p.interruptible = false
@@ -233,7 +230,7 @@ func (p *Process) WaitUntilInterruptible(t logical.Time) (interrupted bool) {
 // no-op if the process is not blocked in an interruptible operation at
 // delivery time.
 func (p *Process) Interrupt() {
-	p.k.AtTransientFn(p.k.now, interruptFn, p)
+	p.k.Post(p.k.now, interruptFn, p)
 }
 
 // interruptFn is the package-level delivery body of Interrupt: scheduled
@@ -273,7 +270,7 @@ func (p *Process) Unpark() { p.UnparkAt(p.k.now) }
 // stand in for freshly spawned ones without changing the event
 // sequence. No-op if the process is not parked when the event fires.
 func (p *Process) UnparkAt(t logical.Time) {
-	p.k.AtTransientFn(t, unparkFn, p)
+	p.k.Post(t, unparkFn, p)
 }
 
 // unparkFn is the package-level delivery body of Unpark: scheduled

@@ -332,3 +332,36 @@ func TestMailboxPutAfter(t *testing.T) {
 		t.Errorf("received at %v, want 25", at)
 	}
 }
+
+// A SpawnLocal start event carries the local mark from the moment it is
+// queued, so it never counts toward the partition's earliest-output
+// bound; a plain Spawn start event does.
+func TestSpawnLocalStartIsNotEmitCapable(t *testing.T) {
+	k := NewFederation(1, 2).Kernel(0)
+	k.SpawnLocal("local", func(p *Process) {})
+	if at, ok := k.NextEmitTime(); ok {
+		t.Fatalf("SpawnLocal start counts toward NextEmitTime: (%v, true)", at)
+	}
+	k.SpawnAt(5, "plain", func(p *Process) {})
+	if at, ok := k.NextEmitTime(); !ok || at != 5 {
+		t.Fatalf("NextEmitTime = (%v, %v), want (5, true)", at, ok)
+	}
+	k.RunAll()
+}
+
+// TestSpawnAllocs pins the allocations of a short process life on a warm
+// kernel: Spawn of a body that sleeps once, then RunAll. The four are
+// the Process, its two baton channels and its goroutine's closure; the
+// start and wake events reuse pooled and process-owned Event storage.
+func TestSpawnAllocs(t *testing.T) {
+	k := NewKernel(1)
+	body := func(p *Process) { p.Sleep(logical.Microsecond) }
+	cycle := func() {
+		k.Spawn("p", body)
+		k.RunAll()
+	}
+	cycle()
+	if got := testing.AllocsPerRun(100, cycle); got != 4 {
+		t.Errorf("Spawn+Sleep+RunAll allocates %v times, want 4", got)
+	}
+}

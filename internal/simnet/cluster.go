@@ -264,6 +264,6 @@ func (c *Cluster) route(from int, src *Endpoint, dg Datagram) bool {
 	// partition's pool (this goroutine) and released into the target's
 	// when the delivery fires (the target kernel's goroutine) — see
 	// deliverArg for why the hand-off is race-free.
-	ch.SendFn(at, deliverFn, c.parts[from].borrowDeliver(target, dg))
+	ch.Send(at, deliverFn, c.parts[from].borrowDeliver(target, dg))
 	return true
 }

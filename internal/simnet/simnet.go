@@ -485,7 +485,7 @@ func (h *Host) Down() bool { return h.down }
 // against all other events by the usual (time, sequence) rule, which is
 // identical in single-kernel and federated execution.
 func (h *Host) Crash(at logical.Time) {
-	h.net.k.AtTransientFn(at, crashFn, h)
+	h.net.k.Post(at, crashFn, h)
 }
 
 // crashFn is the package-level body of the scheduled crash event.
@@ -497,7 +497,7 @@ func crashFn(a any) { a.(*Host).crashNow() }
 // fresh ara runtime and re-running its offer phase, which re-announces
 // services through SOME/IP SD so that remote proxies re-bind.
 func (h *Host) Restart(at logical.Time, rebuild func()) {
-	h.net.k.AtTransient(at, func() {
+	h.net.k.Post(at, des.Call, func() {
 		h.down = false
 		if rebuild != nil {
 			rebuild()
@@ -716,7 +716,7 @@ func (n *Network) route(e *Endpoint, dg Datagram, faulted bool) {
 		}
 		lat = model.Latency(len(payload)) + n.switchDelay + extra
 	}
-	n.k.AfterTransientFn(lat, deliverFn, n.borrowDeliver(n, dg))
+	n.k.Post(n.k.Now().Add(lat), deliverFn, n.borrowDeliver(n, dg))
 }
 
 func (n *Network) deliver(dg Datagram) {

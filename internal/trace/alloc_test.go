@@ -12,7 +12,7 @@ import (
 
 // The recorder rides the hot path of every traced kernel, so the
 // digest-only record path must not allocate: ring slots are
-// preallocated and recycled (the AtTransient free-list discipline),
+// preallocated and recycled (the kernel's Post free-list discipline),
 // the digest is computed in place, and the per-component sequence map
 // only allocates on first sight of a component.
 func TestTraceRecordZeroAllocs(t *testing.T) {

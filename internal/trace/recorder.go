@@ -30,7 +30,7 @@ func Digest(payload []byte) uint64 {
 // implements des.Tracer, so a kernel forwards its Trace calls here;
 // the endpoint wrappers call it directly with wall-derived times.
 //
-// The ring mirrors the kernel's AtTransient free-list discipline:
+// The ring mirrors the kernel's Post free-list discipline:
 // record slots are allocated once at construction and recycled in
 // place — appending a record on the hot path performs zero
 // allocations (asserted by TestTraceRecordZeroAllocs). When the ring
