@@ -123,6 +123,8 @@ func kernelSuite() []benchResult {
 		b.ReportAllocs()
 		b.ResetTimer()
 		k.RunAll()
+		b.StopTimer()
+		k.Shutdown()
 	})))
 
 	results = append(results, summarize("MailboxTimedPut", testing.Benchmark(func(b *testing.B) {

@@ -85,10 +85,21 @@ func TestShutdownIdempotent(t *testing.T) {
 }
 
 // TestShutdownLeavesNoGoroutine checks that a process holds a goroutine
-// only from its start time on: one whose start lies beyond the run never
-// gets one, a parked one is unwound by Shutdown, and the goroutine count
-// returns to its baseline.
+// (its carrier) only from its start time on: one whose start lies beyond
+// the run never gets one, a parked one is unwound by Shutdown, sequential
+// lives share one carrier, and Shutdown returns the goroutine count to
+// its baseline, idle carriers included.
 func TestShutdownLeavesNoGoroutine(t *testing.T) {
+	waitBaseline := func(base int) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines after Shutdown, baseline %d", runtime.NumGoroutine(), base)
+			}
+			runtime.Gosched()
+		}
+	}
 	base := runtime.NumGoroutine()
 	k := NewKernel(1)
 	ran := false
@@ -102,13 +113,20 @@ func TestShutdownLeavesNoGoroutine(t *testing.T) {
 	if ran {
 		t.Error("process scheduled beyond the run started")
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after Shutdown, baseline %d", runtime.NumGoroutine(), base)
+	waitBaseline(base)
+
+	// 50 spawn→finish lives, one after another, reuse one carrier, which
+	// stays behind idle until Shutdown.
+	k = NewKernel(1)
+	for i := 0; i < 50; i++ {
+		k.Spawn("life", func(p *Process) { p.Sleep(logical.Microsecond) })
+		k.RunAll()
+		if n := runtime.NumGoroutine(); n > base+1 {
+			t.Fatalf("life %d: %d goroutines, want at most baseline %d + 1 idle carrier", i, n, base)
 		}
-		runtime.Gosched()
 	}
+	k.Shutdown()
+	waitBaseline(base)
 }
 
 func TestEventTimeAccessor(t *testing.T) {

@@ -41,7 +41,7 @@ func BenchmarkKernelFire(b *testing.B) {
 
 // BenchmarkProcessSwitch measures one sleep/wake cycle of a process:
 // schedule the wake (reusing the process's own Event structure), hand
-// the baton to the kernel, fire, hand it back.
+// the baton to the kernel, fire, hand it back — two coroutine switches.
 func BenchmarkProcessSwitch(b *testing.B) {
 	k := NewKernel(1)
 	k.Spawn("switcher", func(p *Process) {
@@ -52,6 +52,8 @@ func BenchmarkProcessSwitch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	k.RunAll()
+	b.StopTimer()
+	k.Shutdown()
 }
 
 // BenchmarkMailboxTimedPut measures a timed put delivered and drained:

@@ -2,7 +2,7 @@
 //
 // The kernel owns a virtual clock and an event queue ordered by
 // (time, sequence number). Simulated threads of control are Processes:
-// goroutines that run strictly one at a time, handing a baton back to the
+// coroutines that run strictly one at a time, switching back to the
 // kernel whenever they block on a simulated operation (Sleep, WaitUntil,
 // mailbox receive, ...). Because exactly one entity runs at any instant and
 // all ties are broken by the deterministic sequence counter, a simulation
@@ -295,12 +295,14 @@ type Kernel struct {
 	procs    []*Process
 	running  bool
 	stopped  bool
-	shutdown bool
 	fired    uint64
 	rootRand *Rand
 	// free recycles transient Events: scheduling is the hot path shared by
 	// every federated kernel, and pooling removes the per-event allocation.
 	free []*Event
+	// idle holds the carriers of finished processes, each waiting to run
+	// the next process to start (see Process.start).
+	idle []*carrier
 	// firingLocal is set while a local-marked event fires: newly scheduled
 	// events inherit the mark and Channel.Send panics (see Event.local).
 	firingLocal bool
@@ -570,17 +572,23 @@ func (k *Kernel) RunLive(until logical.Time) logical.Time {
 }
 
 // Shutdown unblocks every parked or sleeping process with a termination
-// signal so that their goroutines unwind and exit. It must be called after
-// Run returns if processes may still be blocked; otherwise their goroutines
-// leak. A process that never started has no goroutine and needs none of
-// this. User process code must not swallow panics of type Killed.
+// signal so that its body unwinds, then ends the kernel's idle carriers
+// (see Process), so the kernel leaves no goroutine behind. It must
+// be called once the kernel's runs are over: a kernel dropped without
+// Shutdown keeps a goroutine per blocked process and per idle carrier —
+// one, after a run whose processes all finished one at a time. A process
+// that never started holds no carrier and needs none of this. User
+// process code must not swallow panics of type Killed.
 func (k *Kernel) Shutdown() {
-	k.shutdown = true
 	for _, p := range k.procs {
 		if p.state == procBlocked || p.state == procSleeping {
 			p.kill()
 		}
 	}
+	for _, c := range k.idle {
+		c.stop()
+	}
+	k.idle = nil
 }
 
 // Pending reports the number of queued non-daemon, non-canceled events —

@@ -2,6 +2,7 @@ package des
 
 import (
 	"fmt"
+	"iter"
 
 	"repro/internal/logical"
 )
@@ -17,9 +18,12 @@ const (
 	procDone
 )
 
-// Killed is the panic value used to unwind a process goroutine during
-// Kernel.Shutdown. Process bodies must let it propagate (a deferred
-// recover must re-panic on it).
+// Killed is the panic value Kernel.Shutdown uses to unwind a blocked
+// process. Process bodies must let it propagate (a deferred recover must
+// re-panic on it); it is the only panic the kernel absorbs. Any other
+// panic in a body, and a body's runtime.Goexit, propagate out of the
+// Kernel.Run or Kernel.RunLive call that resumed the process (see
+// Process).
 type Killed struct {
 	// Name is the killed process's name.
 	Name string
@@ -29,19 +33,33 @@ type Killed struct {
 // harnesses can match it).
 func (k Killed) Error() string { return "des: process killed: " + k.Name }
 
-// Process is a simulated thread of control. Its body runs on a dedicated
-// goroutine but only while the kernel has handed it the baton, so at most
-// one process (or the kernel itself) executes at any moment.
+// Process is a simulated thread of control. Its body runs on a carrier,
+// a coroutine the kernel resumes with a direct goroutine switch
+// (iter.Pull) and that switches straight back when the body blocks or
+// returns, so at most one process (or the kernel itself) executes at any
+// moment and the Go scheduler never picks who runs next. A carrier whose
+// process has finished is kept by the kernel and runs the next process
+// to start.
+//
+// A body that panics with anything but Killed makes the Kernel.Run (or
+// RunLive) call that resumed it panic with the same value, on the
+// caller's goroutine, where it can be recovered; the process counts as
+// Done. A body that calls runtime.Goexit — t.FailNow in a test, say —
+// ends the goroutine that called Run, as if it had been called there.
+// Either way the carrier goes down with its body and is never reused.
 //
 // All Process methods that block (Sleep, WaitUntil, Park, ...) must be
 // called only from within the process's own body.
 type Process struct {
-	k      *Kernel
-	name   string
-	state  procState
-	resume chan resumeSignal
-	yield  chan struct{}
-	wake   *Event // pending wake event while sleeping
+	k     *Kernel
+	name  string
+	state procState
+	// c is the carrier running the body, from the first dispatch until
+	// the body returns.
+	c *carrier
+	// sig is the signal of the dispatch that resumes a blocked body.
+	sig  resumeSignal
+	wake *Event // pending wake event while sleeping
 	// wakeEv is the process's reusable wake-event storage: a process
 	// sleeps at most once at a time, so its wake events (one per
 	// Sleep/WaitUntil) reuse a single caller-owned Event (see Kernel.post)
@@ -50,7 +68,6 @@ type Process struct {
 	// interruptible is set while the process blocks in an operation that
 	// Interrupt may legitimately wake (WaitUntilInterruptible, Park).
 	interruptible bool
-	killed        bool
 	// body is the process's code until its first dispatch starts it.
 	body func(p *Process)
 }
@@ -58,6 +75,30 @@ type Process struct {
 type resumeSignal struct {
 	interrupted bool
 	killed      bool
+}
+
+// carrier is a coroutine that runs process bodies, one after another.
+// next hands it the baton and returns when the current body blocks
+// (yield) or returns; between bodies the carrier waits in yield on the
+// kernel's idle list, and stop ends it there.
+type carrier struct {
+	p     *Process // the process whose body runs next or is running
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+}
+
+// loop is the carrier's coroutine body: run the current process's body,
+// hand the baton back, and run the next one when resumed — until stop.
+func (c *carrier) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		c.p.run()
+		c.p = nil
+		if !yield(struct{}{}) {
+			return
+		}
+	}
 }
 
 // Spawn creates a process and schedules its body to start at the current
@@ -101,86 +142,82 @@ func (k *Kernel) spawnAt(t logical.Time, name string, body func(p *Process), loc
 // scheduled closure-free with the process as the event argument.
 func wakeFn(a any) { a.(*Process).dispatch(resumeSignal{}) }
 
-// start gives the process its goroutine and baton channels and runs its
-// body, on the process's first dispatch: a process costs a goroutine
-// only from its start time on, and one that never starts (its start lies
-// beyond the run, or the kernel shuts down first) never has one to leak.
-// The first dispatch is always the spawn event — Unpark, Interrupt and
-// Shutdown all pass over a process that has not started.
-//
-// The baton channels have capacity 1: strict alternation guarantees at
-// most one signal is ever in flight per direction, so a buffered send
-// completes without parking the sender — one goroutine handoff per
-// switch instead of two. Mutual exclusion is unchanged because each side
-// still blocks on its own receive before proceeding.
+// start gives the process a carrier — an idle one if the kernel has
+// one — on its first dispatch: a process holds a carrier only from its
+// start time on, and one that never starts (its start lies beyond the
+// run, or the kernel shuts down first) never takes one. The first
+// dispatch is always the spawn event — Unpark, Interrupt and Shutdown
+// all pass over a process that has not started.
 func (p *Process) start() {
-	p.resume = make(chan resumeSignal, 1)
-	p.yield = make(chan struct{}, 1)
-	body := p.body
-	p.body = nil
+	k := p.k
+	var c *carrier
+	if n := len(k.idle); n > 0 {
+		c = k.idle[n-1]
+		k.idle = k.idle[:n-1]
+	} else {
+		c = new(carrier)
+		c.next, c.stop = iter.Pull(c.loop)
+	}
+	c.p = p
+	p.c = c
 	p.state = procRunning
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(Killed); ok {
-					p.state = procDone
-					p.yield <- struct{}{}
-					return
-				}
-				p.state = procDone
-				// Hand the baton back before re-panicking so the kernel
-				// does not deadlock; then crash loudly on this goroutine.
-				p.yield <- struct{}{}
+}
+
+// run executes the body on the carrier, absorbing only Killed.
+func (p *Process) run() {
+	defer func() {
+		p.state = procDone
+		if r := recover(); r != nil {
+			if _, ok := r.(Killed); !ok {
 				panic(r)
 			}
-			p.state = procDone
-			p.yield <- struct{}{}
-		}()
-		body(p)
+		}
 	}()
+	body := p.body
+	p.body = nil
+	body(p)
 }
 
 // dispatch hands the baton to the process — starting it on the first
-// call — and waits for it to block or finish. Called only from kernel
-// context (inside a firing event).
+// call — and waits for it to block or finish; a finished process's
+// carrier goes back to the kernel's idle list. Called only from kernel
+// context (inside a firing event, or Shutdown).
 func (p *Process) dispatch(sig resumeSignal) {
 	switch p.state {
 	case procDone:
 		return
 	case procNew:
 		p.start()
-	default:
-		p.resume <- sig
 	}
-	<-p.yield
+	p.sig = sig
+	c := p.c
+	c.next()
+	if p.state == procDone {
+		p.c = nil
+		p.k.idle = append(p.k.idle, c)
+	}
 }
 
 // block yields the baton to the kernel and waits to be resumed. Returns
 // the resume signal. Panics with Killed during kernel shutdown.
 func (p *Process) block(st procState) resumeSignal {
 	p.state = st
-	p.yield <- struct{}{}
-	sig := <-p.resume
-	if sig.killed {
+	p.c.yield(struct{}{})
+	if p.sig.killed {
 		panic(Killed{Name: p.name})
 	}
 	p.state = procRunning
-	return sig
+	return p.sig
 }
 
-// kill unblocks the process goroutine with a termination signal. Called
-// from kernel context during Shutdown.
+// kill resumes the blocked process with a termination signal, which
+// unwinds its body. Called from kernel context during Shutdown.
 func (p *Process) kill() {
-	if p.state == procDone || p.killed {
-		return
-	}
-	p.killed = true
 	if p.wake != nil {
 		p.wake.Cancel()
 		p.wake = nil
 	}
-	p.resume <- resumeSignal{killed: true}
-	<-p.yield
+	p.dispatch(resumeSignal{killed: true})
 }
 
 // Name returns the process name given at spawn time.

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/logical"
@@ -350,18 +351,105 @@ func TestSpawnLocalStartIsNotEmitCapable(t *testing.T) {
 }
 
 // TestSpawnAllocs pins the allocations of a short process life on a warm
-// kernel: Spawn of a body that sleeps once, then RunAll. The four are
-// the Process, its two baton channels and its goroutine's closure; the
-// start and wake events reuse pooled and process-owned Event storage.
+// kernel: Spawn of a body that sleeps once, then RunAll. The one is the
+// Process: the body runs on the carrier the previous life left on the
+// idle list, and the start and wake events reuse pooled and
+// process-owned Event storage.
 func TestSpawnAllocs(t *testing.T) {
 	k := NewKernel(1)
+	defer k.Shutdown()
 	body := func(p *Process) { p.Sleep(logical.Microsecond) }
 	cycle := func() {
 		k.Spawn("p", body)
 		k.RunAll()
 	}
 	cycle()
-	if got := testing.AllocsPerRun(100, cycle); got != 4 {
-		t.Errorf("Spawn+Sleep+RunAll allocates %v times, want 4", got)
+	if got := testing.AllocsPerRun(100, cycle); got != 1 {
+		t.Errorf("Spawn+Sleep+RunAll allocates %v times, want 1", got)
+	}
+}
+
+// A body's panic surfaces from the Run call that resumed it, on the
+// caller's goroutine, and its carrier is not reused.
+func TestProcessPanicSurfacesFromRun(t *testing.T) {
+	k := NewKernel(1)
+	p := k.Spawn("panicker", func(p *Process) {
+		p.Sleep(5)
+		panic("boom")
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Errorf("Run panicked with %v, want boom", r)
+			}
+		}()
+		k.RunAll()
+		t.Error("Run returned normally")
+	}()
+	if !p.Done() || len(k.idle) != 0 {
+		t.Errorf("after the panic: done=%v, %d idle carriers; want done, none", p.Done(), len(k.idle))
+	}
+	k.Shutdown()
+}
+
+// A body's runtime.Goexit ends the goroutine that called Run, as t.FailNow
+// in a body ends the test, and its carrier is not reused.
+func TestProcessGoexitEndsRunCaller(t *testing.T) {
+	k := NewKernel(1)
+	p := k.Spawn("exiter", func(p *Process) {
+		p.Sleep(5)
+		runtime.Goexit()
+	})
+	returned := false
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		k.RunAll()
+		returned = true
+	}()
+	<-done
+	if returned {
+		t.Error("Run returned after the body's Goexit")
+	}
+	if !p.Done() || len(k.idle) != 0 {
+		t.Errorf("after the Goexit: done=%v, %d idle carriers; want done, none", p.Done(), len(k.idle))
+	}
+	k.Shutdown()
+}
+
+// A process started by Run on one goroutine is resumed by Run on others,
+// one after another, and killed by Shutdown on yet another — the pattern
+// of federation workers and RealTime drivers.
+func TestProcessResumedAcrossGoroutines(t *testing.T) {
+	k := NewKernel(1)
+	var woke []logical.Time
+	unwound := false
+	k.Spawn("p", func(p *Process) {
+		defer func() { unwound = true }()
+		for i := 0; i < 3; i++ {
+			p.Sleep(10)
+			woke = append(woke, p.Now())
+		}
+		p.Park()
+	})
+	for _, until := range []logical.Time{5, 15, 25, 35} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			k.Run(until)
+		}()
+		<-done
+	}
+	if len(woke) != 3 || woke[0] != 10 || woke[1] != 20 || woke[2] != 30 {
+		t.Errorf("woke at %v, want [10 20 30]", woke)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		k.Shutdown()
+	}()
+	<-done
+	if !unwound {
+		t.Error("Shutdown on another goroutine did not unwind the parked body")
 	}
 }
