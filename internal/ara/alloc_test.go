@@ -1,0 +1,67 @@
+package ara
+
+import (
+	"testing"
+
+	"repro/internal/des"
+	"repro/internal/logical"
+	"repro/internal/simnet"
+)
+
+// TestCallAllocs pins the heap cost of a warm Proxy.Call→Get round trip
+// with a synchronous handler over the simulated network. The budget
+// covers the caller's Future, the request and reply datagram buffers
+// (simnet copies a payload into a buffer the receiver owns), the
+// server's one serve object and the two sender addresses boxed into
+// someip.Addr on receipt; everything else — the outgoing Message,
+// the decoded Message and payload, the Ctx, the reply event, the
+// waiter slot — is reused or inline.
+func TestCallAllocs(t *testing.T) {
+	const n = 200
+	k := des.NewKernel(1)
+	net := simnet.NewNetwork(k, simnet.Config{})
+	noJitter := func(*des.Rand) logical.Duration { return 0 }
+	exec := ExecConfig{Workers: 2, Serialized: true, DispatchJitter: noJitter}
+	server, err := NewRuntime(net.AddHost("server", nil), Config{Name: "server", Port: 30509, Exec: exec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := NewRuntime(net.AddHost("client", nil), Config{Name: "client", Port: 30509, Exec: exec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := server.NewSkeleton(calcIface, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sk.Handle("add", func(_ *Ctx, args []byte) ([]byte, error) { return args, nil }); err != nil {
+		t.Fatal(err)
+	}
+	sk.Offer()
+	px := client.StaticProxy(calcIface, 1, server.Addr())
+	args := u32(7)
+	var callErr error
+	// round runs one caller process making calls round trips; the
+	// per-call cost is the difference between two round sizes, so the
+	// caller's spawn is not counted.
+	round := func(calls int) func() {
+		return func() {
+			client.Spawn("caller", func(c *Ctx) {
+				for i := 0; i < calls && callErr == nil; i++ {
+					_, callErr = px.Call("add", args).Get(c.Process())
+				}
+			})
+			k.RunAll()
+		}
+	}
+	round(n)() // warm-up: worker pools, free lists, the pending map
+	perCall := (testing.AllocsPerRun(10, round(2*n)) - testing.AllocsPerRun(10, round(n))) / n
+	if callErr != nil {
+		t.Fatal(callErr)
+	}
+	t.Logf("%.3f allocs per round trip", perCall)
+	if perCall > 6 {
+		t.Errorf("%.3f allocs per Call→Get round trip, budget 6", perCall)
+	}
+	k.Shutdown()
+}

@@ -8,7 +8,10 @@ import (
 
 // Ctx is handed to method/event handlers. It exposes simulated time and
 // lets handlers consume execution time, which is how worst-case execution
-// times are modelled.
+// times are modelled. A Ctx is valid only while the handler it was passed
+// to runs: each executor worker thread reuses one Ctx for every task it
+// runs, so a handler must not keep it, or the Message it returns, past
+// its return.
 type Ctx struct {
 	p   *des.Process
 	rt  *Runtime
@@ -18,6 +21,7 @@ type Ctx struct {
 // Message returns the SOME/IP message that triggered this handler, or nil
 // for tasks not associated with a message. The DEAR transactors use it to
 // retrieve the tag that the modified binding extracted from the wire.
+// Like the Ctx, it is valid only while the handler runs.
 func (c *Ctx) Message() *someip.Message { return c.msg }
 
 // Now returns the current simulated (global) time.
@@ -36,12 +40,14 @@ func (c *Ctx) Runtime() *Runtime { return c.rt }
 // executor thread is reused by later tasks once the handler returns.
 func (c *Ctx) Process() *des.Process { return c.p }
 
-// task is one unit of work for the executor: the handler and the runtime
-// its Ctx reports (nil for Submit).
+// task is one unit of work for the executor: a Submit function, or a
+// served message (which carries its runtime).
 type task struct {
 	fn func(*Ctx)
-	rt *Runtime
+	s  *serve
 }
+
+func (t task) empty() bool { return t.fn == nil && t.s == nil }
 
 // ExecConfig configures the executor of a runtime.
 type ExecConfig struct {
@@ -113,10 +119,12 @@ type Executor struct {
 type worker struct {
 	e *Executor
 	p *des.Process
-	// next is the task handed over by dispatch (fn nil while idle), and
+	// next is the task handed over by dispatch (zero while idle), and
 	// at the time it may start.
 	next task
 	at   logical.Time
+	// ctx is handed to every task the thread runs.
+	ctx Ctx
 }
 
 // NewExecutor creates an executor. Worker threads spawn on demand and
@@ -147,12 +155,12 @@ func (e *Executor) InFlight() int { return e.inFlight }
 // The ctx passed to fn carries a nil runtime (runtimes submit their
 // handlers with themselves attached).
 func (e *Executor) Submit(fn func(*Ctx)) {
-	e.submit(nil, fn)
+	e.submit(task{fn: fn})
 }
 
-func (e *Executor) submit(rt *Runtime, fn func(*Ctx)) {
+func (e *Executor) submit(t task) {
 	e.inFlight++
-	e.queue.Put(task{fn: fn, rt: rt})
+	e.queue.Put(t)
 	if e.state == waitTask {
 		e.state = scheduled
 		e.k.Post(e.k.Now(), dispatchFn, e)
@@ -193,10 +201,11 @@ func dispatchFn(a any) {
 // next task's start time.
 func (w *worker) run(p *des.Process) {
 	e := w.e
+	w.ctx.p = p
 	for {
 		t := w.next
 		w.next = task{}
-		e.runTask(p, t)
+		e.runTask(&w.ctx, t)
 		e.busy--
 		if e.state == waitWorker {
 			e.state = scheduled
@@ -207,20 +216,25 @@ func (w *worker) run(p *des.Process) {
 		// FindServiceSync callback after its timeout, say) may arrive
 		// first; it finds no task, or a start time still ahead, and the
 		// worker parks again until its own UnparkAt.
-		for w.next.fn == nil || p.Now() < w.at {
+		for w.next.empty() || p.Now() < w.at {
 			p.Park()
 		}
 	}
 }
 
-// runTask runs one task on p. The deferred Unlock also runs when a kernel
-// shutdown kills the task mid-Exec.
-func (e *Executor) runTask(p *des.Process, t task) {
+// runTask runs one task with the worker's Ctx c. The deferred Unlock
+// also runs when a kernel shutdown kills the task mid-Exec.
+func (e *Executor) runTask(c *Ctx, t task) {
 	if e.cfg.Serialized {
-		e.mutex.Lock(p)
+		e.mutex.Lock(c.p)
 		defer e.mutex.Unlock()
 	}
-	t.fn(&Ctx{p: p, rt: t.rt})
+	if t.s != nil {
+		t.s.run(c)
+	} else {
+		t.fn(c)
+	}
+	c.rt, c.msg = nil, nil
 	e.executed++
 	e.inFlight--
 }

@@ -38,15 +38,23 @@ type Result struct {
 // Future is the asynchronous result of a method call, mirroring
 // ara::core::Future. It resolves at most once.
 type Future struct {
-	k       *des.Kernel
-	done    bool
-	result  Result
-	cbs     []func(Result)
+	k      *des.Kernel
+	done   bool
+	result Result
+	cbs    []func(Result)
+	// waiters are the processes blocked in Get, in the order they
+	// arrived. A future almost always has exactly one, so NewFuture
+	// starts the slice on the inline backing w0.
 	waiters []*des.Process
+	w0      [1]*des.Process
 }
 
 // NewFuture creates an unresolved future (exported for transactor use).
-func NewFuture(k *des.Kernel) *Future { return &Future{k: k} }
+func NewFuture(k *des.Kernel) *Future {
+	f := &Future{k: k}
+	f.waiters = f.w0[:0]
+	return f
+}
 
 // Done reports whether the future has resolved.
 func (f *Future) Done() bool { return f.done }
@@ -129,7 +137,7 @@ func (f *Future) GetTimeout(p *des.Process, d logical.Duration) ([]byte, error) 
 		// Drop ourselves from waiters if still present (timeout path).
 		for i, w := range f.waiters {
 			if w == p {
-				f.waiters = append(f.waiters[:i:i], f.waiters[i+1:]...)
+				f.waiters = append(f.waiters[:i], f.waiters[i+1:]...)
 				break
 			}
 		}

@@ -109,7 +109,7 @@ func (px *Proxy) CallID(method someip.MethodID, args []byte, fireAndForget bool)
 		typ = someip.TypeRequestNoReturn
 	}
 	session := px.rt.nextSession()
-	m := &someip.Message{
+	px.rt.out = someip.Message{
 		Service:          px.key.Service,
 		Method:           method,
 		Client:           px.rt.clientID,
@@ -119,6 +119,7 @@ func (px *Proxy) CallID(method someip.MethodID, args []byte, fireAndForget bool)
 		Code:             someip.EOK,
 		Payload:          args,
 	}
+	m := &px.rt.out
 	if fireAndForget {
 		if err := px.rt.send(px.remote.Endpoint, m); err != nil {
 			return ResolvedFuture(px.rt.k, Result{Err: fmt.Errorf("%w: %v", ErrServiceNotAvailable, err)})

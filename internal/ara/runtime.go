@@ -15,7 +15,11 @@ import (
 // attaches it to the message; Incoming extracts the tag and pushes it to
 // the bypass before the message continues up the standard stack. The
 // hook sees substrate-independent addresses, so the same hook works over
-// the simulated network and over real UDP sockets.
+// the simulated network and over real UDP sockets. m is valid only
+// during Outgoing or Incoming: an outgoing message is the runtime's
+// scratch, which the next request, reply or notification overwrites,
+// and an incoming one is the endpoint's (see someip.Endpoint.OnMessage).
+// A hook that keeps any field of m, or its Tag, copies it.
 type BindingHook interface {
 	Outgoing(m *someip.Message)
 	Incoming(src someip.Addr, m *someip.Message)
@@ -72,6 +76,11 @@ type Runtime struct {
 
 	hook BindingHook
 	rng  *des.Rand
+
+	// out is the scratch every outgoing request, reply and notification
+	// is built in: the binding hook and the endpoint read a Message only
+	// during send (see someip.Endpoint), so one per runtime suffices.
+	out someip.Message
 }
 
 type eventKey struct {
@@ -134,6 +143,8 @@ func NewUDPRuntime(drv *des.RealTime, addr string, cfg Config) (*Runtime, error)
 	rt.conn.OnMessage(func(src someip.Addr, m *someip.Message) {
 		// Handlers must run on the kernel goroutine; the socket reader
 		// hands the message over through the driver's injection queue.
+		// UDPConn's messages are freshly decoded, so m may outlive the
+		// callback.
 		drv.Inject(func() { rt.handle(src, m) })
 	})
 	return rt, nil
@@ -247,6 +258,9 @@ func (rt *Runtime) nextSession() someip.SessionID {
 	return rt.session
 }
 
+// handle is the runtime's inbound path. m is valid only during the call
+// (see someip.Endpoint.OnMessage): whatever outlives it — a served
+// request, a notification, a response tag — is copied out here.
 func (rt *Runtime) handle(src someip.Addr, m *someip.Message) {
 	if rt.hook != nil {
 		rt.hook.Incoming(src, m)
@@ -261,55 +275,109 @@ func (rt *Runtime) handle(src someip.Addr, m *someip.Message) {
 	}
 }
 
-func (rt *Runtime) handleRequest(src someip.Addr, m *someip.Message) {
-	sk, ok := rt.skeletons[m.Service]
-	if !ok || !sk.offered {
-		rt.reply(src, m, nil, someip.EUnknownService)
-		return
+// serve is one inbound message being served: the request (or
+// notification) copied out of the endpoint's scratch, its tag, the
+// handler, and the sync handler's result. It is at once the executor
+// task and the argument of the reply event, so a served request costs
+// this one heap object.
+type serve struct {
+	rt  *Runtime
+	src someip.Addr
+	msg someip.Message
+	tag logical.Tag
+
+	// Exactly one handler is set: the method's, or event for a
+	// notification.
+	method
+	event func(*Ctx, []byte)
+
+	res Result // the sync handler's outcome, sent by replyFn
+}
+
+// newServe copies m (and its tag) into a fresh serve.
+func (rt *Runtime) newServe(src someip.Addr, m *someip.Message) *serve {
+	s := &serve{rt: rt, src: src, msg: *m}
+	if m.Tag != nil {
+		s.tag = *m.Tag
+		s.msg.Tag = &s.tag
 	}
-	h, ok := sk.handlers[m.Method]
-	if !ok {
-		rt.reply(src, m, nil, someip.EUnknownMethod)
-		return
-	}
-	req := *m
-	// Each invocation is dispatched to a worker thread; ordering is up to
-	// the (simulated) scheduler.
-	rt.exec.submit(rt, func(c *Ctx) {
-		c.msg = &req
-		fut := h(c, req.Payload)
-		if req.Type == someip.TypeRequestNoReturn {
+	return s
+}
+
+// run executes the handler on a worker thread. A sync handler's reply is
+// one event at the current instant carrying s; an async handler's is
+// sent when its future resolves.
+func (s *serve) run(c *Ctx) {
+	c.rt, c.msg = s.rt, &s.msg
+	args := s.msg.Payload
+	switch {
+	case s.event != nil:
+		s.event(c, args)
+	case s.sync != nil:
+		payload, err := s.sync(c, args)
+		if s.msg.Type == someip.TypeRequestNoReturn {
+			return
+		}
+		s.res = Result{Payload: payload, Err: err}
+		s.rt.k.Post(s.rt.k.Now(), replyFn, s)
+	default:
+		fut := s.async(c, args)
+		if s.msg.Type == someip.TypeRequestNoReturn {
 			return
 		}
 		fut.Then(func(r Result) {
-			code := someip.EOK
-			payload := r.Payload
-			if r.Err != nil {
-				if re, ok := r.Err.(*RemoteError); ok {
-					code = re.Code
-				} else {
-					code = someip.ENotOK
-				}
-				payload = nil
-			}
-			rt.replyTagged(src, &req, payload, code, r.Tag)
+			s.res = r
+			replyFn(s)
 		})
-	})
+	}
 }
 
-func (rt *Runtime) reply(dst someip.Addr, req *someip.Message, payload []byte, code someip.ReturnCode) {
-	rt.replyTagged(dst, req, payload, code, nil)
+// replyFn sends the response to a served request.
+func replyFn(a any) {
+	s := a.(*serve)
+	code := someip.EOK
+	payload := s.res.Payload
+	if err := s.res.Err; err != nil {
+		if re, ok := err.(*RemoteError); ok {
+			code = re.Code
+		} else {
+			code = someip.ENotOK
+		}
+		payload = nil
+	}
+	s.rt.reply(s.src, &s.msg, payload, code, s.res.Tag)
 }
 
-// replyTagged sends a response; tag, when non-nil, rides the modified
+// handleRequest dispatches a request to its handler on the executor.
+// Each invocation runs on a worker thread; ordering is up to the
+// (simulated) scheduler. A request for an unknown or unoffered service
+// or method is answered with an error — unless it is fire&forget, which
+// per SOME/IP never gets a reply.
+func (rt *Runtime) handleRequest(src someip.Addr, m *someip.Message) {
+	code := someip.EUnknownService
+	if sk, ok := rt.skeletons[m.Service]; ok && sk.offered {
+		if h, ok := sk.handlers[m.Method]; ok {
+			s := rt.newServe(src, m)
+			s.method = h
+			rt.exec.submit(task{s: s})
+			return
+		}
+		code = someip.EUnknownMethod
+	}
+	if m.Type != someip.TypeRequestNoReturn {
+		rt.reply(src, m, nil, code, nil)
+	}
+}
+
+// reply sends a response to req; tag, when non-nil, rides the modified
 // binding's tag trailer (the DEAR server method transactor resolves its
 // future with the response tag ts+Ds).
-func (rt *Runtime) replyTagged(dst someip.Addr, req *someip.Message, payload []byte, code someip.ReturnCode, tag *logical.Tag) {
+func (rt *Runtime) reply(dst someip.Addr, req *someip.Message, payload []byte, code someip.ReturnCode, tag *logical.Tag) {
 	typ := someip.TypeResponse
 	if code != someip.EOK {
 		typ = someip.TypeError
 	}
-	rt.send(dst, &someip.Message{
+	rt.out = someip.Message{
 		Service:          req.Service,
 		Method:           req.Method,
 		Client:           req.Client,
@@ -319,7 +387,8 @@ func (rt *Runtime) replyTagged(dst someip.Addr, req *someip.Message, payload []b
 		Code:             code,
 		Payload:          payload,
 		Tag:              tag,
-	})
+	}
+	rt.send(dst, &rt.out)
 }
 
 func (rt *Runtime) handleResponse(m *someip.Message) {
@@ -328,23 +397,25 @@ func (rt *Runtime) handleResponse(m *someip.Message) {
 		return
 	}
 	delete(rt.pending, m.Session)
+	var tag *logical.Tag
+	if m.Tag != nil {
+		t := *m.Tag
+		tag = &t
+	}
 	if m.Type == someip.TypeError || m.Code != someip.EOK {
-		fut.Resolve(Result{Err: &RemoteError{Code: m.Code}, Tag: m.Tag})
+		fut.Resolve(Result{Err: &RemoteError{Code: m.Code}, Tag: tag})
 		return
 	}
-	fut.Resolve(Result{Payload: m.Payload, Tag: m.Tag})
+	fut.Resolve(Result{Payload: m.Payload, Tag: tag})
 }
 
+// handleNotification submits one task per subscribed handler, each with
+// its own copy of the message; the handlers share the payload.
 func (rt *Runtime) handleNotification(m *someip.Message) {
-	handlers := rt.eventSubs[eventKey{m.Service, m.Method}]
-	msg := *m
-	payload := m.Payload
-	for _, h := range handlers {
-		h := h
-		rt.exec.submit(rt, func(c *Ctx) {
-			c.msg = &msg
-			h(c, payload)
-		})
+	for _, h := range rt.eventSubs[eventKey{m.Service, m.Method}] {
+		s := rt.newServe(nil, m)
+		s.event = h
+		rt.exec.submit(task{s: s})
 	}
 }
 

@@ -1,0 +1,146 @@
+package ara
+
+import (
+	"testing"
+
+	"repro/internal/des"
+	"repro/internal/logical"
+	"repro/internal/simnet"
+	"repro/internal/someip"
+)
+
+// Fire&forget requests get no reply, not even an error: SOME/IP says so,
+// and after the client's 16-bit session counter wraps a stray error
+// could resolve an unrelated pending call with the same session. A
+// plain request to the same unoffered service still gets its error.
+func TestFireAndForgetGetsNoErrorReply(t *testing.T) {
+	k := des.NewKernel(1)
+	n := simnet.NewNetwork(k, simnet.Config{})
+	server, err := NewRuntime(n.AddHost("p1", nil), Config{Name: "server"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := NewRuntime(n.AddHost("p2", nil), Config{Name: "client"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := server.NewSkeleton(calcIface, 1) // never offered
+	if err != nil {
+		t.Fatal(err)
+	}
+	px := client.StaticProxy(calcIface, 1, server.Addr())
+	k.At(0, func() {
+		px.Call("log", []byte("unoffered service"))
+	})
+	k.At(logical.Time(logical.Millisecond), func() {
+		sk.Offer()
+		px.CallID(0x7777, []byte("unknown method"), true)
+	})
+	k.Run(logical.Time(10 * logical.Millisecond))
+	if sent, received, _ := server.ConnStats(); received != 2 || sent != 0 {
+		t.Fatalf("server received %d fire&forget requests and sent %d datagrams back, want 2 and 0", received, sent)
+	}
+	if _, received, _ := client.ConnStats(); received != 0 {
+		t.Errorf("client received %d replies to fire&forget requests", received)
+	}
+
+	sk.StopOffer()
+	var callErr error
+	client.Spawn("main", func(c *Ctx) {
+		_, callErr = px.Call("add", u32(1)).Get(c.Process())
+	})
+	k.Run(logical.Time(20 * logical.Millisecond))
+	if re, ok := callErr.(*RemoteError); !ok || re.Code != someip.EUnknownService {
+		t.Errorf("request to an unoffered service: err = %v, want E_UNKNOWN_SERVICE", callErr)
+	}
+}
+
+// A worker thread hands one Ctx to every task it runs; each task still
+// sees its own message, for the whole of its run, and a Submit task
+// after them sees none.
+func TestWorkerCtxPerTask(t *testing.T) {
+	f := newFixture(t, 1, serialExec())
+	type seen struct {
+		ctx           *Ctx
+		p             *des.Process
+		before, after someip.SessionID
+		args          uint32
+	}
+	var runs []seen
+	f.skeleton.HandleID(0x0005, func(c *Ctx, args []byte) ([]byte, error) {
+		s := seen{ctx: c, p: c.Process(), before: c.Message().Session, args: decodeU32(args)}
+		c.Exec(100 * logical.Microsecond) // the next request queues meanwhile
+		s.after = c.Message().Session
+		runs = append(runs, s)
+		return nil, nil
+	})
+	var sessions [2]someip.SessionID
+	var callErr error
+	f.client.Spawn("main", func(c *Ctx) {
+		px, err := f.client.FindServiceSync(c.Process(), calcIface, 1, logical.Duration(logical.Second))
+		if err != nil {
+			callErr = err
+			return
+		}
+		futs := [2]*Future{px.CallID(0x0005, u32(10), false), px.CallID(0x0005, u32(20), false)}
+		sessions = [2]someip.SessionID{f.client.session - 1, f.client.session}
+		for _, fut := range futs {
+			if _, err := fut.Get(c.Process()); err != nil {
+				callErr = err
+			}
+		}
+	})
+	f.k.Run(logical.Time(10 * logical.Second))
+	if callErr != nil {
+		t.Fatal(callErr)
+	}
+	if len(runs) != 2 {
+		t.Fatalf("%d handler runs, want 2", len(runs))
+	}
+	if runs[0].ctx != runs[1].ctx || runs[0].p != runs[1].p {
+		t.Error("back-to-back tasks on one worker did not share its Ctx")
+	}
+	for i, r := range runs {
+		if r.before != sessions[i] || r.after != sessions[i] || r.args != uint32(10*(i+1)) {
+			t.Errorf("task %d saw session %d then %d, args %d; want session %d, args %d",
+				i, r.before, r.after, r.args, sessions[i], 10*(i+1))
+		}
+	}
+	var msg *someip.Message
+	ran := false
+	f.server.Executor().Submit(func(c *Ctx) { msg, ran = c.Message(), true })
+	f.k.Run(f.k.Now().Add(logical.Second))
+	if !ran || msg != nil {
+		t.Errorf("Submit task after served requests: ran=%v, Message() = %v, want nil", ran, msg)
+	}
+}
+
+// A future wakes its waiters in the order they called Get, also after
+// the first one (in the inline backing slot) gave up through GetTimeout.
+func TestFutureWakeOrder(t *testing.T) {
+	k := des.NewKernel(1)
+	fut := NewFuture(k)
+	var woke []string
+	get := func(name string, at logical.Time, timeout logical.Duration) {
+		k.SpawnAt(at, name, func(p *des.Process) {
+			var err error
+			if timeout > 0 {
+				_, err = fut.GetTimeout(p, timeout)
+			} else {
+				_, err = fut.Get(p)
+			}
+			if err == nil {
+				woke = append(woke, name)
+			}
+		})
+	}
+	get("quitter", 0, 5)
+	get("a", 1, 0)
+	get("b", 2, 0)
+	get("c", 10, 0)
+	k.At(20, func() { fut.Resolve(Result{}) })
+	k.RunAll()
+	if len(woke) != 3 || woke[0] != "a" || woke[1] != "b" || woke[2] != "c" {
+		t.Errorf("woke %v, want [a b c]", woke)
+	}
+}

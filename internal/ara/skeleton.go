@@ -27,7 +27,7 @@ type Skeleton struct {
 	rt       *Runtime
 	iface    *ServiceInterface
 	key      someip.ServiceKey
-	handlers map[someip.MethodID]AsyncHandler
+	handlers map[someip.MethodID]method
 	fields   map[string]*FieldServer
 	offered  bool
 }
@@ -45,7 +45,7 @@ func (rt *Runtime) NewSkeleton(si *ServiceInterface, instance someip.InstanceID)
 		rt:       rt,
 		iface:    si,
 		key:      someip.ServiceKey{Service: si.ID, Instance: instance},
-		handlers: map[someip.MethodID]AsyncHandler{},
+		handlers: map[someip.MethodID]method{},
 		fields:   map[string]*FieldServer{},
 	}
 	rt.skeletons[si.ID] = sk
@@ -81,19 +81,24 @@ func (sk *Skeleton) HandleAsync(method string, h AsyncHandler) error {
 	return nil
 }
 
+// method is one installed implementation; exactly one field is set. A
+// sync handler is kept unwrapped, so serving it builds no future: its
+// reply goes out in one event, the one Then on a resolved future posts.
+type method struct {
+	sync  Handler
+	async AsyncHandler
+}
+
 // HandleID installs a synchronous handler by wire ID (used by generated
 // field accessors and transactors).
 func (sk *Skeleton) HandleID(id someip.MethodID, h Handler) {
-	sk.handlers[id] = func(c *Ctx, args []byte) *Future {
-		payload, err := h(c, args)
-		return ResolvedFuture(sk.rt.k, Result{Payload: payload, Err: err})
-	}
+	sk.handlers[id] = method{sync: h}
 }
 
 // HandleIDAsync installs a future-returning handler by wire ID. The
 // response message is sent when the future resolves.
 func (sk *Skeleton) HandleIDAsync(id someip.MethodID, h AsyncHandler) {
-	sk.handlers[id] = h
+	sk.handlers[id] = method{async: h}
 }
 
 // Offer makes the service available and, on runtimes with an SD agent,
@@ -132,7 +137,7 @@ func (sk *Skeleton) NotifyID(id someip.MethodID, eventgroup uint16, payload []by
 		return
 	}
 	for _, sub := range sk.rt.sd.Subscribers(sk.key, eventgroup) {
-		sk.rt.send(sub, &someip.Message{
+		sk.rt.out = someip.Message{
 			Service:          sk.key.Service,
 			Method:           id,
 			Client:           0,
@@ -141,7 +146,8 @@ func (sk *Skeleton) NotifyID(id someip.MethodID, eventgroup uint16, payload []by
 			Type:             someip.TypeNotification,
 			Code:             someip.EOK,
 			Payload:          payload,
-		})
+		}
+		sk.rt.send(sub, &sk.rt.out)
 	}
 }
 

@@ -661,6 +661,19 @@ func (e *Endpoint) SendTopic(group Addr, topic uint64, payload []byte) {
 	n.fanout(e, n.topics[topicKey{group, topic}], payload)
 }
 
+// HasTopicPeers reports whether SendTopic(group, topic, …) through e
+// would reach anyone: whether the topic has a member other than e. A
+// sender with no audience can skip building its payload and call
+// SendTopic with nil, which still counts the send in ControlPlane.
+func (e *Endpoint) HasTopicPeers(group Addr, topic uint64) bool {
+	for _, m := range e.host.net.topics[topicKey{group, topic}] {
+		if m != e {
+			return true
+		}
+	}
+	return false
+}
+
 // fanout routes one copy of payload to every member except the sender.
 // Each member gets its own payload copy so receivers never alias one
 // another's buffers (or the sender's). Multicast/topic fan-out is

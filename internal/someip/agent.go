@@ -193,10 +193,18 @@ func (a *Agent) send(dst Addr, entries []Entry) {
 }
 
 // sendTopic multicasts SD entries on an interest topic, reaching only
-// the endpoints subscribed to it.
+// the endpoints subscribed to it. A topic with no member but the sender
+// gets no message built: the session still advances and the send still
+// counts in the network's ControlPlane, exactly as if one had been
+// marshalled and fanned out to nobody.
 func (a *Agent) sendTopic(topic uint64, entries []Entry) {
-	m := NewSDMessage(a.nextSession(), entries)
-	a.conn.Endpoint().SendTopic(a.group, topic, m.Marshal())
+	session := a.nextSession()
+	ep := a.conn.Endpoint()
+	if !ep.HasTopicPeers(a.group, topic) {
+		ep.SendTopic(a.group, topic, nil)
+		return
+	}
+	ep.SendTopic(a.group, topic, NewSDMessage(session, entries).Marshal())
 }
 
 // Offer announces a local service instance and keeps re-announcing it

@@ -3,6 +3,7 @@ package someip
 import (
 	"fmt"
 
+	"repro/internal/logical"
 	"repro/internal/simnet"
 )
 
@@ -34,6 +35,12 @@ type Conn struct {
 	// copies its payload before returning), so one per-Conn buffer
 	// replaces a fresh allocation per outbound message.
 	scratch []byte
+	// msg and tag are the receive path's decode target: a handler may use
+	// the *Message only during its callback (see OnMessage), so one per
+	// Conn serves every datagram. Kernel events never nest, so a
+	// delivery cannot start while the previous one is being handled.
+	msg Message
+	tag logical.Tag
 }
 
 // NewConn creates a binding over the endpoint. When tagged is true the
@@ -46,7 +53,7 @@ func NewConn(ep *simnet.Endpoint, tagged bool) *Conn {
 // whose wire size exceeds mtu are split into TP segments and reassembled
 // at the receiver. mtu 0 disables segmentation.
 func NewConnMTU(ep *simnet.Endpoint, tagged bool, mtu int) *Conn {
-	c := &Conn{ep: ep, tagged: tagged, mtu: mtu, reasm: NewReassembler(0)}
+	c := &Conn{ep: ep, tagged: tagged, mtu: mtu}
 	ep.OnReceive(c.receive)
 	return c
 }
@@ -69,7 +76,9 @@ func (c *Conn) Stats() (sent, received, decodeErrors uint64) {
 }
 
 // OnMessage installs the inbound message handler. It runs as a kernel
-// event at delivery time; src is always a simnet.Addr.
+// event at delivery time; src is always a simnet.Addr. The *Message and
+// its Tag are the Conn's decode scratch, valid only during the callback;
+// the payload aliases the delivered datagram, which the receiver owns.
 func (c *Conn) OnMessage(fn func(src Addr, m *Message)) { c.onMsg = fn }
 
 // OnError installs a handler for inbound decode errors (default: drop).
@@ -133,17 +142,27 @@ func (c *Conn) sendMarshaled(dst simnet.Addr, m *Message) {
 	c.ep.Send(dst, buf)
 }
 
+// receive decodes one delivered datagram into the Conn's scratch
+// message without copying: the payload aliases dg.Payload, which the
+// network hands to the receiver for good. TP segments are copied into
+// the reassembler, which returns a fresh message on completion.
 func (c *Conn) receive(dg simnet.Datagram) {
-	var m *Message
-	var err error
-	if c.tagged {
-		m, err = UnmarshalTagged(dg.Payload)
-	} else {
-		m, err = Unmarshal(dg.Payload)
+	m := &c.msg
+	err := decodeInto(m, dg.Payload)
+	if err == nil && c.tagged {
+		if tag, rest, ok := splitTagTrailer(m.Payload); ok {
+			c.tag = tag
+			m.Tag = &c.tag
+			m.Payload = rest
+		}
 	}
 	if err == nil && m.Type&TPFlag != 0 {
+		if c.reasm == nil { // made at the first segment: most Conns see none
+			c.reasm = NewReassembler(0)
+		}
 		m, err = c.reasm.Feed(m, c.ep.Host().Net().Kernel().Now())
 		if m == nil && err == nil {
+			c.msg = Message{}
 			return // segment buffered, reassembly incomplete
 		}
 	}
@@ -158,4 +177,5 @@ func (c *Conn) receive(dg simnet.Datagram) {
 	if c.onMsg != nil {
 		c.onMsg(dg.Src, m)
 	}
+	c.msg = Message{} // drop the datagram reference
 }

@@ -20,10 +20,22 @@ func connPair(t *testing.T, tagged bool, mtu int) (*des.Kernel, *Conn, *Conn) {
 	return k, a, b
 }
 
+// keep copies a received message out of the handler, as the OnMessage
+// contract requires of anything that outlives the callback: the header
+// and the tag are copied; the payload already belongs to the receiver.
+func keep(m *Message) *Message {
+	c := *m
+	if m.Tag != nil {
+		tag := *m.Tag
+		c.Tag = &tag
+	}
+	return &c
+}
+
 func TestConnRoundTrip(t *testing.T) {
 	k, a, b := connPair(t, false, 0)
 	var got *Message
-	b.OnMessage(func(src Addr, m *Message) { got = m })
+	b.OnMessage(func(src Addr, m *Message) { got = keep(m) })
 	m := &Message{Service: 1, Method: 2, Type: TypeRequest, Payload: []byte("hi")}
 	k.At(0, func() { a.Send(b.Addr(), m) })
 	k.RunAll()
@@ -40,7 +52,7 @@ func TestConnRoundTrip(t *testing.T) {
 func TestConnTaggedCarriesTag(t *testing.T) {
 	k, a, b := connPair(t, true, 0)
 	var got *Message
-	b.OnMessage(func(src Addr, m *Message) { got = m })
+	b.OnMessage(func(src Addr, m *Message) { got = keep(m) })
 	tag := logical.Tag{Time: 7, Microstep: 1}
 	k.At(0, func() {
 		a.Send(b.Addr(), &Message{Service: 1, Method: 2, Type: TypeNotification, Tag: &tag})
@@ -54,7 +66,7 @@ func TestConnTaggedCarriesTag(t *testing.T) {
 func TestConnUntaggedStripsTag(t *testing.T) {
 	k, a, b := connPair(t, false, 0)
 	var got *Message
-	b.OnMessage(func(src Addr, m *Message) { got = m })
+	b.OnMessage(func(src Addr, m *Message) { got = keep(m) })
 	tag := logical.Tag{Time: 7}
 	k.At(0, func() {
 		a.Send(b.Addr(), &Message{Service: 1, Method: 2, Type: TypeNotification, Payload: []byte("z"), Tag: &tag})
@@ -74,7 +86,7 @@ func TestConnUntaggedStripsTag(t *testing.T) {
 func TestConnSegmentsOverMTU(t *testing.T) {
 	k, a, b := connPair(t, true, 1400)
 	var got *Message
-	b.OnMessage(func(src Addr, m *Message) { got = m })
+	b.OnMessage(func(src Addr, m *Message) { got = keep(m) })
 	payload := make([]byte, 5000)
 	for i := range payload {
 		payload[i] = byte(i * 3)

@@ -76,7 +76,7 @@ func (c *collector) install(e Endpoint) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		c.srcs = append(c.srcs, src)
-		c.msgs = append(c.msgs, m)
+		c.msgs = append(c.msgs, keep(m))
 	})
 }
 

@@ -209,38 +209,23 @@ func (m *Message) MarshalTo(buf []byte) int {
 // Unmarshal decodes a message. It does not interpret the tag trailer:
 // a trailer, if any, remains part of Payload (this is the behaviour of an
 // unmodified, standards-conformant binding). Use UnmarshalTagged for the
-// DEAR modified binding.
+// DEAR modified binding. The payload is copied, so the caller may reuse
+// buf (UDPConn reads every datagram into one buffer).
 func Unmarshal(buf []byte) (*Message, error) {
-	if len(buf) < HeaderSize {
-		return nil, ErrShortMessage
+	var m Message
+	if err := decodeInto(&m, buf); err != nil {
+		return nil, err
 	}
-	be := binary.BigEndian
-	length := be.Uint32(buf[4:8])
-	if int(length)+lengthFieldCovers != len(buf) {
-		return nil, fmt.Errorf("%w: field %d, buffer %d", ErrLengthMismatch, length, len(buf))
-	}
-	if buf[12] != ProtocolVersion {
-		return nil, fmt.Errorf("%w: 0x%02x", ErrProtocolVersion, buf[12])
-	}
-	msgID := be.Uint32(buf[0:4])
-	reqID := be.Uint32(buf[8:12])
-	payload := make([]byte, len(buf)-HeaderSize)
-	copy(payload, buf[HeaderSize:])
-	return &Message{
-		Service:          ServiceID(msgID >> 16),
-		Method:           MethodID(msgID & 0xffff),
-		Client:           ClientID(reqID >> 16),
-		Session:          SessionID(reqID & 0xffff),
-		InterfaceVersion: buf[13],
-		Type:             MessageType(buf[14]),
-		Code:             ReturnCode(buf[15]),
-		Payload:          payload,
-	}, nil
+	payload := make([]byte, len(m.Payload))
+	copy(payload, m.Payload)
+	m.Payload = payload
+	return &m, nil
 }
 
 // UnmarshalTagged decodes a message and, if a DEAR tag trailer is present,
 // strips it from the payload and exposes it as Tag. This is the receive
-// path of the paper's modified SOME/IP binding.
+// path of the paper's modified SOME/IP binding. Like Unmarshal it copies
+// the payload.
 func UnmarshalTagged(buf []byte) (*Message, error) {
 	m, err := Unmarshal(buf)
 	if err != nil {
@@ -251,6 +236,37 @@ func UnmarshalTagged(buf []byte) (*Message, error) {
 		m.Payload = rest
 	}
 	return m, nil
+}
+
+// decodeInto decodes buf into m without copying: m.Payload aliases buf
+// and m.Tag is nil (the trailer, if any, is still part of the payload).
+// It is the receive path of Conn, to which the simulated network hands
+// each datagram buffer for good.
+func decodeInto(m *Message, buf []byte) error {
+	if len(buf) < HeaderSize {
+		return ErrShortMessage
+	}
+	be := binary.BigEndian
+	length := be.Uint32(buf[4:8])
+	if int(length)+lengthFieldCovers != len(buf) {
+		return fmt.Errorf("%w: field %d, buffer %d", ErrLengthMismatch, length, len(buf))
+	}
+	if buf[12] != ProtocolVersion {
+		return fmt.Errorf("%w: 0x%02x", ErrProtocolVersion, buf[12])
+	}
+	msgID := be.Uint32(buf[0:4])
+	reqID := be.Uint32(buf[8:12])
+	*m = Message{
+		Service:          ServiceID(msgID >> 16),
+		Method:           MethodID(msgID & 0xffff),
+		Client:           ClientID(reqID >> 16),
+		Session:          SessionID(reqID & 0xffff),
+		InterfaceVersion: buf[13],
+		Type:             MessageType(buf[14]),
+		Code:             ReturnCode(buf[15]),
+		Payload:          buf[HeaderSize:],
+	}
+	return nil
 }
 
 func (m *Message) String() string {

@@ -34,7 +34,11 @@ type Endpoint interface {
 	// message is dropped (a standard binding has no way to transmit it).
 	// dst must be an address of the endpoint's own substrate.
 	Send(dst Addr, m *Message) error
-	// OnMessage installs the inbound message handler.
+	// OnMessage installs the inbound message handler. m and its Tag
+	// are valid only during the callback (Conn decodes every datagram
+	// into one scratch Message); a handler that keeps any header field
+	// or the tag past its return copies it. m.Payload is the receiver's:
+	// it may be kept and mutated, and no other receiver sees the bytes.
 	OnMessage(fn func(src Addr, m *Message))
 	// OnError installs a handler for inbound decode errors (default: drop).
 	OnError(fn func(src Addr, err error))

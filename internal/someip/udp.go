@@ -72,7 +72,8 @@ func (c *UDPConn) Stats() (sent, received, decodeErrors uint64) {
 
 // OnMessage installs the receive handler and starts the read loop.
 // Handlers run on the connection's reader goroutine; src is always a
-// *net.UDPAddr.
+// *net.UDPAddr. Unlike Conn's, every message (tag included) is freshly
+// decoded and copied out of the read buffer, so a handler may keep it.
 func (c *UDPConn) OnMessage(fn func(src Addr, m *Message)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
