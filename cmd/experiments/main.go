@@ -7,7 +7,6 @@
 //	experiments [-quick] [-list] [-only <name>] [-scenario <file.json> [-monitors]]
 //	experiments [-quick] -trace <file>
 //	experiments -replay <file>
-//	experiments [-quick] -bench-json <file> [-bench-suite kernel|city|federation|monitor|all]
 //	experiments -fuzz <n> [-seed <s>] [-fuzz-out <dir>]
 //
 // Any workload mode additionally accepts -cpuprofile <file> and
@@ -29,23 +28,14 @@
 // trace to a file; -replay re-executes a recorded trace inside the
 // deterministic simulator and exits nonzero if the replayed outputs
 // diverge from the recorded ones (E13). -trace and -replay are
-// mutually exclusive. -bench-json runs the performance benchmark suites
-// and writes one machine-readable JSON document; -bench-suite narrows
-// the run to a single suite — "kernel" (the des/simnet hot-path
-// microbenchmarks, BENCH_kernel.json), "city" (city scale + trace
-// recording, BENCH_city.json), "federation" (the E10 scaling workload
-// across a GOMAXPROCS x partitions matrix, BENCH_federation.json, which
-// CI gates coordination cost and allocation budgets against),
-// "monitor" (the online-verification hot path and the monitored mesh
-// with its checks/op diagnostic, BENCH_monitor.json), or "all"
-// (the default). -fuzz runs a seeded
+// mutually exclusive. -fuzz runs a seeded
 // offline fuzzing campaign of n generated scenario specs through the
 // determinism property (single-kernel vs federated byte-equality);
 // -seed keys the campaign (default 1) and -fuzz-out selects where the
 // shrunk minimal repro of a divergence is written (default
 // examples/regressions, the ready-to-commit location). All experiments except
-// loopback, replay and the wall-clock benchmark figures are
-// deterministic; those use real UDP sockets and/or wall-clock time.
+// loopback and replay are deterministic; those use real UDP sockets.
+// Timing lines ("completed in", city throughput) are wall-clock.
 package main
 
 import (
@@ -60,6 +50,7 @@ import (
 
 	"repro/internal/apd"
 	"repro/internal/exp"
+	"repro/internal/metrics"
 	"repro/internal/scenario"
 	"repro/internal/trace"
 )
@@ -78,8 +69,6 @@ func main() {
 	monitors := flag.Bool("monitors", false, "attach the standard online safety monitors to the -scenario run (nonzero exit + trace-prefix dump on violation)")
 	traceFile := flag.String("trace", "", "record a live loopback run and write its trace to this file")
 	replayFile := flag.String("replay", "", "replay a recorded trace file in the simulator and verify outputs")
-	benchJSON := flag.String("bench-json", "", "run the benchmark suites and write machine-readable results to this file")
-	benchSuite := flag.String("bench-suite", "all", "suite for -bench-json: kernel, city, federation or all")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	fuzzN := flag.Int("fuzz", 0, "run a seeded fuzzing campaign of this many generated specs through the determinism property")
@@ -165,6 +154,11 @@ func main() {
 					r.LatencyMean, r.LatencyMax, r.BrakeOns, r.BehaviorHash)
 			}
 			fmt.Println("behaviour identical across physical seeds; zero errors (paper: \"correct and deterministic execution\")")
+			bl, err := apd.NewBaseline(1, apd.DefaultBaselineConfig(detFrames))
+			if err != nil {
+				log.Fatal(err)
+			}
+			fmt.Printf("\nper-stage error counters, seed 1, %d frames:\n%s", detFrames, stageErrors(bl.Run(), &results[0].Counters))
 		}},
 
 		{"tradeoff", "E5: deadline scale vs latency/error trade-off sweep", func() {
@@ -391,29 +385,11 @@ func main() {
 		os.Exit(2)
 	}
 	if *fuzzN > 0 {
-		if *only != "" || *scenarioFile != "" || *traceFile != "" || *replayFile != "" || *benchJSON != "" {
-			fmt.Fprintln(os.Stderr, "experiments: -fuzz replaces the registry and is mutually exclusive with -only, -scenario, -trace, -replay and the bench suites")
+		if *only != "" || *scenarioFile != "" || *traceFile != "" || *replayFile != "" {
+			fmt.Fprintln(os.Stderr, "experiments: -fuzz replaces the registry and is mutually exclusive with -only, -scenario, -trace and -replay")
 			os.Exit(2)
 		}
 		runFuzz(*fuzzN, *fuzzSeed, *fuzzOut)
-		return
-	}
-	if *benchSuite != "all" && *benchJSON == "" {
-		fmt.Fprintln(os.Stderr, "experiments: -bench-suite requires -bench-json")
-		os.Exit(2)
-	}
-	if *benchJSON != "" {
-		if *only != "" || *scenarioFile != "" || *traceFile != "" || *replayFile != "" {
-			fmt.Fprintln(os.Stderr, "experiments: -bench-json replaces the registry and is mutually exclusive with -only, -scenario, -trace and -replay")
-			os.Exit(2)
-		}
-		switch *benchSuite {
-		case "all", "kernel", "city", "federation", "monitor":
-		default:
-			fmt.Fprintf(os.Stderr, "experiments: unknown -bench-suite %q; valid choices: kernel, city, federation, monitor, all\n", *benchSuite)
-			os.Exit(2)
-		}
-		runBench(*benchJSON, *quick, *benchSuite)
 		return
 	}
 	if *traceFile != "" {
@@ -572,6 +548,22 @@ func runScenarioFile(path string, monitors bool) {
 		}
 		fmt.Println("determinism gate: federated report and trace byte-identical to single-kernel run")
 	}
+}
+
+// stageErrors renders the brake assistant's per-stage error counters,
+// the stock baseline next to DEAR.
+func stageErrors(b, d *apd.ErrorCounters) *metrics.Table {
+	t := metrics.NewTable("metric", "baseline", "DEAR")
+	t.Row("frames sent", b.FramesSent, d.FramesSent)
+	t.Row("frames processed", b.FramesProcessed, d.FramesProcessed)
+	t.Row("dropped frames (Preprocessing)", b.DroppedPre, d.DroppedPre)
+	t.Row("dropped frames (Computer Vision)", b.DroppedCV, d.DroppedCV)
+	t.Row("input mismatches (Computer Vision)", b.MismatchCV, d.MismatchCV)
+	t.Row("dropped vehicles (EBA)", b.DroppedEBA, d.DroppedEBA)
+	t.Row("deadline violations", b.DeadlineViolations, d.DeadlineViolations)
+	t.Row("safe-to-process violations", b.SafeToProcessViolations, d.SafeToProcessViolations)
+	t.Row("error prevalence", fmt.Sprintf("%.3f%%", b.Prevalence()), fmt.Sprintf("%.3f%%", d.Prevalence()))
+	return t
 }
 
 // tailLines returns the last n lines of s (all of s when shorter) —

@@ -5,12 +5,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/logical"
-	"repro/internal/monitor"
 	"repro/internal/reactor"
-	"repro/internal/scenario"
 	"repro/internal/simnet"
 	"repro/internal/someip"
-	"repro/internal/trace"
 )
 
 // --- Logical time ---
@@ -24,21 +21,12 @@ type Duration = logical.Duration
 // Tag is a superdense-time tag (time point, microstep).
 type Tag = logical.Tag
 
-// Microstep orders logically-simultaneous events at one time point.
-type Microstep = logical.Microstep
-
 // Duration units.
 const (
-	Nanosecond  = logical.Nanosecond
 	Microsecond = logical.Microsecond
 	Millisecond = logical.Millisecond
 	Second      = logical.Second
-	Minute      = logical.Minute
-	Hour        = logical.Hour
 )
-
-// Forever is the largest representable time point.
-const Forever = logical.Forever
 
 // --- Reactor runtime ---
 
@@ -57,12 +45,6 @@ type Reaction = reactor.Reaction
 // ReactionCtx is passed to reaction bodies and deadline handlers.
 type ReactionCtx = reactor.Ctx
 
-// Trigger is anything that can trigger a reaction.
-type Trigger = reactor.Trigger
-
-// Effect is anything a reaction may write or schedule.
-type Effect = reactor.Effect
-
 // Port is a typed reactor port.
 type Port[T any] = reactor.Port[T]
 
@@ -72,23 +54,11 @@ type Action[T any] = reactor.Action[T]
 // Timer triggers reactions periodically.
 type Timer = reactor.Timer
 
-// Clock supplies physical time to an environment.
-type Clock = reactor.Clock
-
-// RealClock drives an environment from the wall clock.
-type RealClock = reactor.RealClock
-
 // SimClock drives an environment deterministically from a DES kernel.
 type SimClock = reactor.SimClock
 
-// TraceEvent describes one reaction execution for trace hooks.
-type TraceEvent = reactor.TraceEvent
-
 // NewEnvironment creates an empty reactor environment.
 func NewEnvironment(opts Options) *Environment { return reactor.NewEnvironment(opts) }
-
-// NewRealClock returns a wall-clock Clock with time zero at creation.
-func NewRealClock() *RealClock { return reactor.NewRealClock() }
 
 // NewSimClock creates a deterministic clock for a scheduler running as
 // DES process p; local may be nil to use global simulated time.
@@ -111,12 +81,6 @@ func NewLogicalAction[T any](r *Reactor, name string, minDelay Duration) *Action
 	return reactor.NewLogicalAction[T](r, name, minDelay)
 }
 
-// NewPhysicalAction creates a physical action — the sanctioned interface
-// for sporadic sensors, interrupts and network receptions.
-func NewPhysicalAction[T any](r *Reactor, name string, minDelay Duration) *Action[T] {
-	return reactor.NewPhysicalAction[T](r, name, minDelay)
-}
-
 // NewTimer creates a timer on reactor r (period 0 = one-shot).
 func NewTimer(r *Reactor, name string, offset, period Duration) *Timer {
 	return reactor.NewTimer(r, name, offset, period)
@@ -125,11 +89,6 @@ func NewTimer(r *Reactor, name string, offset, period Duration) *Timer {
 // Connect wires an upstream port to a downstream port with zero logical
 // delay.
 func Connect[T any](up, down *Port[T]) { reactor.Connect(up, down) }
-
-// ConnectDelayed wires ports with a logical delay ("after" semantics).
-func ConnectDelayed[T any](up, down *Port[T], delay Duration) {
-	reactor.ConnectDelayed(up, down, delay)
-}
 
 // --- DEAR framework ---
 
@@ -147,25 +106,9 @@ type TransactorConfig = core.TransactorConfig
 // LinkConfig carries the timing assumptions of a DEAR deployment.
 type LinkConfig = core.LinkConfig
 
-// TransactorStats counts observable error conditions at a transactor.
-type TransactorStats = core.TransactorStats
-
-// UntaggedPolicy selects the treatment of untagged (legacy) messages.
-type UntaggedPolicy = core.UntaggedPolicy
-
-// Untagged policies.
-const (
-	UntaggedFail         = core.UntaggedFail
-	UntaggedPhysicalTime = core.UntaggedPhysicalTime
-)
-
 // Transactors translate between reactor ports and AP service interfaces
 // (Figure 3 of the paper).
 type (
-	// ClientMethodTransactor invokes a remote method per request event.
-	ClientMethodTransactor = core.ClientMethodTransactor
-	// ServerMethodTransactor turns invocations into tagged port events.
-	ServerMethodTransactor = core.ServerMethodTransactor
 	// ClientEventTransactor emits received notifications as port events.
 	ClientEventTransactor = core.ClientEventTransactor
 	// ServerEventTransactor publishes port events as notifications.
@@ -176,24 +119,8 @@ type (
 	ServerFieldTransactor = core.ServerFieldTransactor
 )
 
-// Binding is the modified (tag-carrying) SOME/IP binding hook.
-type Binding = core.Binding
-
-// TimestampBypass pairs outgoing tags with standard-API sends.
-type TimestampBypass = core.TimestampBypass
-
 // NewSWC creates a DEAR software component on a simulated platform.
 func NewSWC(host *Host, cfg RuntimeConfig) (*SWC, error) { return core.NewSWC(host, cfg) }
-
-// NewClientMethodTransactor creates a client-role method transactor.
-func NewClientMethodTransactor(env *Environment, swc *SWC, iface *ServiceInterface, instance InstanceID, method string, cfg TransactorConfig) (*ClientMethodTransactor, error) {
-	return core.NewClientMethodTransactor(env, swc, iface, instance, method, cfg)
-}
-
-// NewServerMethodTransactor creates a server-role method transactor.
-func NewServerMethodTransactor(env *Environment, swc *SWC, sk *Skeleton, method string, cfg TransactorConfig) (*ServerMethodTransactor, error) {
-	return core.NewServerMethodTransactor(env, swc, sk, method, cfg)
-}
 
 // NewClientEventTransactor creates a client-role event transactor.
 func NewClientEventTransactor(env *Environment, swc *SWC, iface *ServiceInterface, instance InstanceID, event string, cfg TransactorConfig) (*ClientEventTransactor, error) {
@@ -240,23 +167,14 @@ type RuntimeConfig = ara.Config
 // ExecConfig configures the worker-thread executor of a runtime.
 type ExecConfig = ara.ExecConfig
 
-// Proxy is the client-side service access object.
-type Proxy = ara.Proxy
-
 // Skeleton is the server-side service access object.
 type Skeleton = ara.Skeleton
 
 // Future is the asynchronous result of a method call.
 type Future = ara.Future
 
-// Result is the outcome of a method call.
-type Result = ara.Result
-
 // HandlerCtx is passed to ara method/event handlers.
 type HandlerCtx = ara.Ctx
-
-// RemoteError is an application-level error from a server.
-type RemoteError = ara.RemoteError
 
 // NewRuntime creates an ara::com runtime on a host.
 func NewRuntime(host *Host, cfg RuntimeConfig) (*Runtime, error) {
@@ -273,18 +191,6 @@ type MethodID = someip.MethodID
 
 // InstanceID distinguishes instances of a service.
 type InstanceID = someip.InstanceID
-
-// Message is a SOME/IP message (with optional DEAR tag).
-type Message = someip.Message
-
-// Endpoint is the pluggable SOME/IP transport seam: both the simulated
-// binding and the real-socket UDP binding implement it, so everything
-// above the codec is substrate-independent.
-type Endpoint = someip.Endpoint
-
-// EndpointAddr is a substrate-independent endpoint address (simnet.Addr
-// or *net.UDPAddr).
-type EndpointAddr = someip.Addr
 
 // EventID builds the wire identifier for event number n.
 func EventID(n uint16) MethodID { return someip.EventID(n) }
@@ -303,9 +209,6 @@ type LocalClock = des.LocalClock
 // ClockConfig configures a LocalClock.
 type ClockConfig = des.ClockConfig
 
-// Rand is a deterministic random stream.
-type Rand = des.Rand
-
 // Network is a simulated switched network.
 type Network = simnet.Network
 
@@ -315,289 +218,11 @@ type NetworkConfig = simnet.Config
 // Host is a simulated platform attached to a network.
 type Host = simnet.Host
 
-// Addr identifies a network endpoint.
-type Addr = simnet.Addr
-
-// LatencyModel computes one-way packet latencies.
-type LatencyModel = simnet.LatencyModel
-
-// FixedLatency is a constant-latency model.
-type FixedLatency = simnet.FixedLatency
-
 // JitterLatency models base + per-byte + truncated-Gaussian latency.
 type JitterLatency = simnet.JitterLatency
-
-// FaultPlan is a seeded, deterministic fault schedule: background loss,
-// per-link loss windows, network partitions and jitter bursts, all
-// drawn from counter-based per-link streams so packet fates are
-// independent of execution interleaving (and therefore identical on a
-// single kernel and on a federated Cluster — drops included).
-type FaultPlan = simnet.FaultPlan
-
-// LossWindow elevates loss probability on selected links for a window
-// of simulated time.
-type LossWindow = simnet.LossWindow
-
-// PartitionWindow blacks out all traffic between two host groups for a
-// window of simulated time.
-type PartitionWindow = simnet.PartitionWindow
-
-// JitterBurst adds bounded extra one-way delay on selected links for a
-// window of simulated time (reordering traffic without losing it).
-type JitterBurst = simnet.JitterBurst
 
 // NewKernel creates a simulation kernel seeded with seed.
 func NewKernel(seed uint64) *Kernel { return des.NewKernel(seed) }
 
 // NewNetwork creates a simulated network on the kernel.
 func NewNetwork(k *Kernel, cfg NetworkConfig) *Network { return simnet.NewNetwork(k, cfg) }
-
-// --- Sharded (federated) simulation ---
-
-// Federation shards a deterministic simulation across several kernels
-// running in parallel under conservative (LBTS / null-message style)
-// time synchronization. Same seed, same bytes — for every partition
-// count and GOMAXPROCS value.
-type Federation = des.Federation
-
-// FederationChannel is a timestamped inter-federate link with a
-// conservative lookahead.
-type FederationChannel = des.Channel
-
-// Cluster partitions a simulated network across the kernels of a
-// Federation: intra-partition traffic schedules locally, cross-partition
-// traffic rides federation channels whose lookahead is the link's
-// minimum latency.
-type Cluster = simnet.Cluster
-
-// MinLatencyModel is a latency model with a known lower bound — required
-// on cross-partition links, where the bound supplies the lookahead.
-type MinLatencyModel = simnet.MinLatencyModel
-
-// NewFederation creates a federation of partition kernels, all derived
-// from the same seed.
-func NewFederation(seed uint64, partitions int) *Federation {
-	return des.NewFederation(seed, partitions)
-}
-
-// NewCluster creates a partitioned network over the federation.
-func NewCluster(fed *Federation, cfg NetworkConfig) (*Cluster, error) {
-	return simnet.NewCluster(fed, cfg)
-}
-
-// --- Scenario engine ---
-
-// Scenario is the declarative description of a simulated deployment:
-// platform count, topology shape, partition assignment, link model,
-// fault plan, workload mix and seed. It serializes to/from JSON
-// (durations are nanosecond integers), so deployments can be described
-// in files and run without recompiling.
-type Scenario = scenario.Spec
-
-// ScenarioShape names a topology generator (star, ring, tree,
-// random-regular, full) — all pure functions of the scenario seed.
-type ScenarioShape = scenario.Shape
-
-// ScenarioWorld is a compiled scenario: substrate, hosts, runtimes,
-// workload and canonical per-platform stats.
-type ScenarioWorld = scenario.World
-
-// ScenarioCrashPlan schedules a platform crash and restart inside a
-// compiled scenario.
-type ScenarioCrashPlan = scenario.CrashPlan
-
-// The topology shapes a Scenario can request.
-const (
-	ScenarioFull          = scenario.Full
-	ScenarioRing          = scenario.Ring
-	ScenarioStar          = scenario.Star
-	ScenarioTree          = scenario.Tree
-	ScenarioRandomRegular = scenario.RandomRegular
-)
-
-// BuildScenario compiles a scenario spec into a runnable world
-// (single kernel or federation, chosen by Spec.Partitions). For a
-// fixed spec the world's behaviour is byte-identical for every
-// partition count and GOMAXPROCS value.
-func BuildScenario(spec Scenario) (*ScenarioWorld, error) { return scenario.Build(spec) }
-
-// DescribeScenario renders the canonical, mode-independent description
-// of the world a spec compiles to (shape, link and workload
-// parameters, the full call graph) without building it.
-func DescribeScenario(spec Scenario) (string, error) { return scenario.Describe(spec) }
-
-// ParseScenario decodes a JSON scenario description; unknown fields
-// are rejected.
-func ParseScenario(data []byte) (Scenario, error) { return scenario.ParseSpec(data) }
-
-// MeshScenario returns the E10 preset: a ring mesh of n platforms with
-// the standard workload mix.
-func MeshScenario(n int) Scenario { return scenario.MeshPreset(n) }
-
-// TopologyScenario returns the E12 preset: the standard workload on
-// the given topology shape.
-func TopologyScenario(shape ScenarioShape, n int) Scenario {
-	return scenario.TopologyPreset(shape, n)
-}
-
-// --- Deterministic traces & replay ---
-
-// Trace is a canonical logical event trace: records ordered by
-// (time, component, sequence) — a total order every execution mode
-// agrees on, so behaviourally identical runs produce byte-identical
-// encoded traces for every partition count and GOMAXPROCS value.
-type Trace = trace.Trace
-
-// TraceRecord is one logical event of a Trace.
-type TraceRecord = trace.Record
-
-// TraceRecorder captures logical events into a pooled, zero-alloc
-// ring buffer; it implements the kernel's Tracer hook.
-type TraceRecorder = trace.Recorder
-
-// TraceDivergence names the first event at which two traces disagree
-// (time, component, kind, both sides' records).
-type TraceDivergence = trace.Divergence
-
-// KernelTracer is the kernel-side trace hook interface (see
-// Kernel.SetTracer); TraceRecorder is the canonical implementation.
-type KernelTracer = des.Tracer
-
-// RecordingEndpoint wraps a transport endpoint and records traffic:
-// inputs in full (replayable), outputs as digests.
-type RecordingEndpoint = trace.RecordingEndpoint
-
-// Replayer is a transport endpoint that re-injects a recorded
-// trace's stored inputs into a fresh simulated kernel and captures
-// the outputs for comparison.
-type Replayer = trace.Replayer
-
-// NewTraceRecorder creates a trace recorder holding up to capacity
-// records.
-func NewTraceRecorder(capacity int) *TraceRecorder { return trace.NewRecorder(capacity) }
-
-// MergeTraces combines per-partition recorders into one canonical
-// trace.
-func MergeTraces(recorders ...*TraceRecorder) *Trace { return trace.Merge(recorders...) }
-
-// FirstDivergence returns the first disagreement between two
-// canonical traces, or nil when they are identical.
-func FirstDivergence(a, b *Trace) *TraceDivergence { return trace.FirstDivergence(a, b) }
-
-// NewRecordingEndpoint wraps ep so traffic is recorded into rec under
-// the given component label; now supplies record timestamps.
-func NewRecordingEndpoint(ep Endpoint, rec *TraceRecorder, component string, now func() Time) *RecordingEndpoint {
-	return trace.NewRecordingEndpoint(ep, rec, component, now)
-}
-
-// NewReplayer creates a replayer that injects recorded's stored
-// inputs into k and captures outputs into out.
-func NewReplayer(k *Kernel, recorded *Trace, out *TraceRecorder) *Replayer {
-	return trace.NewReplayer(k, recorded, out)
-}
-
-// NewEndpointRuntime creates an ara::com runtime over an arbitrary
-// pre-built transport endpoint (e.g. a Replayer) driven by the given
-// kernel.
-func NewEndpointRuntime(k *Kernel, ep Endpoint, cfg RuntimeConfig) (*Runtime, error) {
-	return ara.NewEndpointRuntime(k, ep, cfg)
-}
-
-// WriteTraceFile persists a trace in the deterministic binary format.
-func WriteTraceFile(path string, t *Trace) error { return trace.WriteFile(path, t) }
-
-// ReadTraceFile loads a binary trace file.
-func ReadTraceFile(path string) (*Trace, error) { return trace.ReadFile(path) }
-
-// --- Runtime monitors ---
-
-// Monitor is one online temporal property evaluated over a trace
-// stream. Monitors are stateful and single-use: build a fresh instance
-// per engine.
-type Monitor = monitor.Monitor
-
-// MonitorEngine evaluates monitors over a live trace stream at zero
-// allocations per event; it implements KernelTracer (attach next to a
-// recorder via KernelTeeTracer) and the recorder's tap.
-type MonitorEngine = monitor.Engine
-
-// MonitorVerdict is one monitor's outcome: obligations checked,
-// violations counted, a commutative violation hash, and the
-// canonically smallest violation samples — all mode-independent.
-type MonitorVerdict = monitor.Verdict
-
-// MonitorViolation names one violated obligation, anchored at the
-// trace record (time, component, sequence) that opened it.
-type MonitorViolation = monitor.Violation
-
-// ScenarioMonitors is a Scenario's declarative monitors block: which
-// standard safety properties to verify online, with their deadlines.
-type ScenarioMonitors = scenario.MonitorSpec
-
-// NewMonitorEngine returns an engine evaluating freshly built
-// monitors; call Finish at end of run, then Verdicts.
-func NewMonitorEngine(monitors ...Monitor) *MonitorEngine { return monitor.NewEngine(monitors...) }
-
-// KernelTeeTracer fans one kernel's trace stream out to several
-// tracer hooks (e.g. a TraceRecorder and a MonitorEngine); nil sinks
-// are dropped.
-func KernelTeeTracer(sinks ...KernelTracer) KernelTracer { return des.TeeTracer(sinks...) }
-
-// MonitorAlways requires every record to satisfy the predicate.
-func MonitorAlways(name string, p monitor.Pred) Monitor { return monitor.Always(name, p) }
-
-// MonitorNever forbids any record satisfying the predicate.
-func MonitorNever(name string, p monitor.Pred) Monitor { return monitor.Never(name, p) }
-
-// MonitorMatchedWithin requires every openKind record to be followed,
-// on the same component, by one of closeKinds within d.
-func MonitorMatchedWithin(name, openKind string, closeKinds []string, d Duration) Monitor {
-	return monitor.MatchedWithin(name, openKind, closeKinds, d)
-}
-
-// MonitorNoSilentCorruption is the standard "no silent corruption
-// ever" safety monitor.
-func MonitorNoSilentCorruption() Monitor { return monitor.NoSilentCorruption() }
-
-// MonitorRespondedWithin is the standard "every request answered or
-// observably timed out within d" safety monitor.
-func MonitorRespondedWithin(d Duration) Monitor { return monitor.RespondedWithin(d) }
-
-// MonitorReboundWithin is the standard "every restart re-bound within
-// d" safety monitor.
-func MonitorReboundWithin(d Duration) Monitor { return monitor.ReboundWithin(d) }
-
-// MonitorEvaluate runs freshly built monitors over a recorded trace
-// offline — the replay half of the violation dump/replay round trip.
-func MonitorEvaluate(t *Trace, monitors ...Monitor) []MonitorVerdict {
-	return monitor.Evaluate(t, monitors...)
-}
-
-// MergeMonitorVerdicts folds per-engine verdict groups (one per
-// partition kernel) into the mode-independent whole.
-func MergeMonitorVerdicts(groups ...[]MonitorVerdict) []MonitorVerdict {
-	return monitor.MergeVerdicts(groups...)
-}
-
-// DefaultScenarioMonitors enables the full standard safety library
-// with deadlines derived from the spec's own timing model.
-func DefaultScenarioMonitors(spec Scenario) *ScenarioMonitors { return scenario.DefaultMonitors(spec) }
-
-// --- Physical substrate ---
-
-// RealTime drives a kernel at the pace of the physical clock: queued
-// events fire when the wall clock reaches their timestamps, and socket
-// receptions enter the event queue through injection. It is the
-// execution mode behind UDP runtimes.
-type RealTime = des.RealTime
-
-// NewRealTime creates a physical-clock driver for the kernel.
-func NewRealTime(k *Kernel) *RealTime { return des.NewRealTime(k) }
-
-// NewUDPRuntime creates an ara::com runtime over a real UDP socket
-// (addr uses net.ListenUDP semantics, e.g. "127.0.0.1:0"), driven by
-// the real-time driver. UDP runtimes have no service discovery; peers
-// are configured statically with Runtime.StaticProxy.
-func NewUDPRuntime(drv *RealTime, addr string, cfg RuntimeConfig) (*Runtime, error) {
-	return ara.NewUDPRuntime(drv, addr, cfg)
-}

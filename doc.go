@@ -4,17 +4,20 @@
 // on top of the AUTOSAR Adaptive Platform's service-oriented
 // communication stack.
 //
-// The package re-exports the user-facing API of the internal packages:
+// The package re-exports the part of the internal packages' API that
+// the examples use:
 //
 //   - the reactor runtime (environments, reactors, reactions, ports,
 //     actions, timers, deadlines) — internal/reactor;
-//   - the DEAR framework (software components, the four transactors,
-//     tagged bindings, safe-to-process configuration) — internal/core;
-//   - the ara::com substrate (service interfaces, runtimes, proxies,
-//     skeletons, futures) — internal/ara;
+//   - the DEAR framework (software components, event and field
+//     transactors, safe-to-process configuration) — internal/core;
+//   - the ara::com substrate (service interfaces, runtimes, skeletons,
+//     futures) — internal/ara;
 //   - the deterministic simulation substrate (kernel, platforms with
 //     drifting clocks, network with latency models) — internal/des and
 //     internal/simnet.
+//
+// Everything else is reached through the internal packages directly.
 //
 // # A minimal deterministic program
 //
@@ -35,150 +38,26 @@
 //
 // # Choosing a transport
 //
-// The SOME/IP binding is substrate-independent: everything above the
-// codec is written against the Endpoint seam, which two transports
-// implement. The default is the deterministic simulated network — a
-// Runtime created with NewRuntime binds a simnet endpoint, discovers
-// peers through the simulated SD multicast group, and is driven
-// reproducibly by Kernel.Run:
+// A Runtime created with NewRuntime binds a simulated network endpoint,
+// discovers peers through the simulated SD multicast group, and is
+// driven reproducibly by Kernel.Run:
 //
 //	rt, err := dear.NewRuntime(host, dear.RuntimeConfig{Name: "swc", Tagged: true})
 //
-// The deployment path uses real UDP sockets. A Runtime created with
-// NewUDPRuntime binds a socket and is driven by a RealTime driver,
-// which advances the same kernel at wall-clock pace and injects socket
-// receptions as kernel events; peers are configured statically because
-// there is no SD substrate:
+// The real-UDP deployment path is ara.NewUDPRuntime driven by
+// des.RealTime; cmd/federate is a complete two-federate deployment over
+// loopback.
 //
-//	drv := dear.NewRealTime(dear.NewKernel(1))
-//	rt, err := dear.NewUDPRuntime(drv, "127.0.0.1:0", dear.RuntimeConfig{Name: "swc", Tagged: true})
-//	px := rt.StaticProxy(iface, instance, peer)
-//	go drv.Run()
+// # Beyond the facade
 //
-// Proxies, skeletons, futures, the executor and the DEAR tag trailer
-// behave identically in both modes; only time differs — logical and
-// reproducible under simulation, physical under the driver. See
-// cmd/federate for a complete two-federate deployment over loopback.
-//
-// # Sharded simulation
-//
-// Large topologies need not run on one sequential kernel. A Federation
-// owns one kernel per partition, executed on its own goroutine under
-// conservative (LBTS / null-message style) time synchronization, and a
-// Cluster partitions the simulated network across them: intra-partition
-// links schedule locally, cross-partition links become timestamped
-// inter-federate channels whose minimum latency supplies the lookahead.
-// Runtimes are pinned to their partition's kernel transparently —
-// NewRuntime against a Cluster host works unchanged:
-//
-//	fed := dear.NewFederation(seed, 4)
-//	cluster, err := dear.NewCluster(fed, dear.NetworkConfig{
-//	    DefaultLatency: dear.FixedLatency(200 * dear.Microsecond),
-//	})
-//	host := cluster.AddHost(0, "ecu0", nil) // partition 0
-//	rt, err := dear.NewRuntime(host, dear.RuntimeConfig{Name: "swc"})
-//	fed.RunAll()
-//
-// Sharded runs preserve the repo's defining property: the same seed
-// produces byte-identical behaviour for every partition count and every
-// GOMAXPROCS value (experiment E10 gates this). Cross-partition links
-// must use RNG-free latency models (see simnet.Cluster for the full
-// determinism contract).
-//
-// # Fault injection and recovery
-//
-// A FaultPlan turns the benign simulated network hostile — seeded
-// background loss, per-link loss windows, network partitions and
-// jitter bursts — without costing determinism: every packet fate is a
-// counter-based pure function of (seed, directed link, packet index),
-// so the same packet meets the same fate under any partitioning and
-// any GOMAXPROCS (experiment E11 gates this, drops and all, on a
-// federated Cluster):
-//
-//	net := dear.NewNetwork(k, dear.NetworkConfig{
-//	    DropRate: 0.01,
-//	    Faults: &dear.FaultPlan{
-//	        Partitions: []dear.PartitionWindow{{From: t0, To: t1}},
-//	    },
-//	})
-//
-// Hosts crash and restart: Host.Crash silences a platform (endpoints
-// close, in-flight packets drop, no SD stop-offer is sent), remote
-// agents observe the loss through SD TTL expiry, and Host.Restart
-// rebuilds the stack whose skeletons re-offer through SD so consumers
-// re-bind. Runtime.WatchService is the client-side counterpart: a
-// persistent up/down watcher that hands out a fresh proxy on every
-// (re)discovery.
-//
-// # Declarative scenarios
-//
-// Instead of hand-assembling kernels, networks, hosts and runtimes,
-// a deployment can be declared as a Scenario — platform count,
-// topology shape (star, ring, tree, random-regular, full; all seeded
-// generators), partition assignment, link model, fault plan, workload
-// mix and seed — and compiled into a runnable world:
-//
-//	spec := dear.TopologyScenario(dear.ScenarioStar, 16)
-//	spec.Seed, spec.Partitions = 7, 4
-//	world, err := dear.BuildScenario(spec)
-//	world.Run()
-//	// world.Stats holds the canonical per-platform report rows.
-//
-// Scenarios serialize to/from JSON (ParseScenario), so a deployment
-// that was never compiled into the binary can run from a file:
-// `go run ./cmd/experiments -scenario examples/scenarios/star.json`.
-// DescribeScenario renders the canonical, mode-independent description
-// of the compiled world — the string the scenario golden tests pin.
-// Experiment E12 sweeps the same workload across every topology shape
-// × partition count and extends the byte-equality determinism gate to
-// each.
-//
-// # Logical traces, divergence diagnosis and record/replay
-//
-// Every scenario run records a canonical logical event trace —
-// (time, per-component sequence, component, kind, payload digest)
-// records captured through the kernel's tracer hook into pooled ring
-// buffers. The merged trace is mode-independent: byte-identical for
-// every partition count and GOMAXPROCS value, like the canonical
-// report. When two runs disagree, FirstDivergence names the first
-// divergent event instead of leaving a byte-level diff:
-//
-//	world.Run()
-//	t := world.Trace()                    // canonical *dear.Trace
-//	if d := dear.FirstDivergence(t, t2); d != nil {
-//	    fmt.Println(d)                    // time, component, kind, digests
-//	}
-//
-// Record/replay closes the loop on the paper's pure-function claim:
-// wrap a live runtime's transport in a recording endpoint
-// (RuntimeConfig.WrapEndpoint + NewTraceRecorder), persist the trace
-// (WriteTraceFile), and re-inject the stored tagged inputs into a
-// fresh simulated kernel through a Replayer endpoint
-// (NewEndpointRuntime) — the replayed outputs must match the recorded
-// ones record-for-record. Experiment E13 runs exactly this gate over
-// a real-UDP loopback run (`go run ./cmd/experiments -trace f`, then
-// `-replay f`).
-//
-// # Online runtime verification
-//
-// Monitors (internal/monitor, experiment E16) verify temporal safety
-// properties over the live trace stream as it is recorded: a
-// MonitorEngine tees off the same kernel tracer hook as the recorder
-// (KernelTeeTracer) — or taps a live recording via
-// Recorder.SetTap — and evaluates combinator-built monitors
-// (MonitorAlways, MonitorNever, MonitorMatchedWithin) at zero
-// allocations per event. The standard safety library — no silent
-// corruption, responded-within-deadline, rebound-within-deadline — is
-// declared per scenario through the Scenario's Monitors block, and
-// verdicts are mode-independent: merged federated verdicts equal the
-// single-kernel engine's byte-for-byte. A violated run dumps the
-// canonical trace prefix up to the violation's anchoring record, which
-// replays offline (MonitorEvaluate) to the same violation:
-//
-//	spec.Monitors = dear.DefaultScenarioMonitors(spec)
-//	world, _ := dear.BuildScenario(spec)
-//	world.Run()
-//	for _, v := range world.Verdicts() {
-//	    if !v.OK() { fmt.Println(v.Monitor, v.Violations) }
-//	}
+//   - Sharded simulation: des.Federation and simnet.Cluster; experiment
+//     E10, `go run ./cmd/experiments -only mesh`.
+//   - Fault injection and recovery: simnet.FaultPlan, Host.Crash and
+//     Host.Restart; experiment E11, `-only faults`.
+//   - Declarative scenarios: internal/scenario; experiment E12, `-only
+//     topo`, and `-scenario examples/scenarios/star.json`.
+//   - Logical traces and record/replay: internal/trace; experiment E13,
+//     `-trace f` then `-replay f`.
+//   - Online runtime verification: internal/monitor; experiment E16,
+//     `-only monitors`.
 package dear

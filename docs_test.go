@@ -10,6 +10,8 @@ package dear_test
 //     there is a contract hole.
 //   - TestDocsMarkdownLinks checks every relative link and local anchor
 //     in the top-level markdown docs.
+//   - TestFacadeExportsHaveCallers keeps dear.go at what its callers
+//     use, and the docs at what dear.go exports.
 
 import (
 	"go/ast"
@@ -206,5 +208,115 @@ func TestDocsExperimentIndexCoverage(t *testing.T) {
 	}
 	if len(indexed) < 11 {
 		t.Errorf("experiment index has only %d rows; expected at least E1–E11", len(indexed))
+	}
+}
+
+// TestFacadeExportsHaveCallers fails for any name dear.go exports that
+// nothing uses: a used name is one an example program or a root test
+// names as dear.X, the subject of an Example function, or a name in the
+// signature of another used declaration. It also fails for any dear.X
+// in doc.go or README.md that dear.go does not export.
+func TestFacadeExportsHaveCallers(t *testing.T) {
+	fset := token.NewFileSet()
+	facade, err := parser.ParseFile(fset, "dear.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// signature maps each export to the part of its declaration that
+	// names other exports: a function's type; nil for the rest, whose
+	// right-hand sides name only internal packages.
+	signature := map[string]ast.Node{}
+	for _, decl := range facade.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			signature[d.Name.Name] = d.Type
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					signature[s.Name.Name] = nil
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						signature[n.Name] = nil
+					}
+				}
+			}
+		}
+	}
+
+	callers, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = filepath.WalkDir("examples", func(path string, d os.DirEntry, err error) error {
+		if err == nil && strings.HasSuffix(path, ".go") {
+			callers = append(callers, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[string]bool{}
+	var queue []string
+	use := func(name string) {
+		if _, ok := signature[name]; ok && !used[name] {
+			used[name] = true
+			queue = append(queue, name)
+		}
+	}
+	for _, path := range callers {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && strings.HasPrefix(fn.Name.Name, "Example") {
+				subject, _, _ := strings.Cut(strings.TrimPrefix(fn.Name.Name, "Example"), "_")
+				use(subject)
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "dear" {
+					use(sel.Sel.Name)
+				}
+			}
+			return true
+		})
+	}
+	for len(queue) > 0 {
+		sig := signature[queue[0]]
+		queue = queue[1:]
+		if sig == nil {
+			continue
+		}
+		ast.Inspect(sig, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.SelectorExpr:
+				return false // a name qualified by an internal package
+			case *ast.Ident:
+				use(x.Name)
+			}
+			return true
+		})
+	}
+	for name := range signature {
+		if ast.IsExported(name) && !used[name] {
+			t.Errorf("dear.go exports %s, which no example, root test or kept signature uses", name)
+		}
+	}
+
+	docRef := regexp.MustCompile(`\bdear\.([A-Z]\w*)`)
+	for _, doc := range []string{"doc.go", "README.md"} {
+		body, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range docRef.FindAllStringSubmatch(string(body), -1) {
+			if _, ok := signature[m[1]]; !ok {
+				t.Errorf("%s names dear.%s, which dear.go does not export", doc, m[1])
+			}
+		}
 	}
 }

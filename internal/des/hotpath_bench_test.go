@@ -6,10 +6,10 @@ import (
 	"repro/internal/logical"
 )
 
-// The kernel hot-path microbenchmark suite. Each benchmark isolates one
-// of the converted closure-free paths; cmd/experiments mirrors these
-// bodies for the -bench-json kernel suite (BENCH_kernel.json), and the
-// repo-root alloc gates pin the 0 allocs/op claims.
+// Kernel hot-path microbenchmarks that no perfbench probe times. Each
+// isolates one closure-free path; the repo-root alloc gates pin the 0
+// allocs/op claims. The process switch is timed by perfbench's
+// des.process_switch row.
 
 // benchChain is the carrier of the self-rescheduling closure-free chain:
 // the (fn, arg) analogue of BenchmarkKernelScheduleTransient's closure.
@@ -37,23 +37,6 @@ func BenchmarkKernelFire(b *testing.B) {
 	b.ResetTimer()
 	k.Post(0, benchChainFn, c)
 	k.RunAll()
-}
-
-// BenchmarkProcessSwitch measures one sleep/wake cycle of a process:
-// schedule the wake (reusing the process's own Event structure), hand
-// the baton to the kernel, fire, hand it back — two coroutine switches.
-func BenchmarkProcessSwitch(b *testing.B) {
-	k := NewKernel(1)
-	k.Spawn("switcher", func(p *Process) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(logical.Microsecond)
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	k.RunAll()
-	b.StopTimer()
-	k.Shutdown()
 }
 
 // BenchmarkMailboxTimedPut measures a timed put delivered and drained:

@@ -76,20 +76,3 @@ func BenchmarkKernelScheduleTransient(b *testing.B) {
 	k.Post(0, Call, next)
 	k.RunAll()
 }
-
-// Baseline: the handle-returning path allocates one Event per schedule.
-func BenchmarkKernelScheduleHandle(b *testing.B) {
-	k := NewKernel(1)
-	count := 0
-	var next func()
-	next = func() {
-		count++
-		if count < b.N {
-			k.After(1, next)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	k.At(0, next)
-	k.RunAll()
-}

@@ -1,6 +1,6 @@
 // Package exp contains one entry point per experiment in the paper's
 // evaluation, plus the extension studies listed in DESIGN.md. The cmd/
-// tools and the benchmark harness are thin wrappers around this package.
+// tools and perfbench are thin wrappers around this package.
 package exp
 
 import (

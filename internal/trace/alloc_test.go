@@ -92,15 +92,3 @@ func TestMergeAllocBudget(t *testing.T) {
 		t.Errorf("Merge of %d recorders makes %.0f allocations, budget %d", k, counts[1], k+6)
 	}
 }
-
-// BenchmarkTraceRecord is the recorder hot-path gate: 0 allocs/op.
-func BenchmarkTraceRecord(b *testing.B) {
-	r := NewRecorder(1 << 14)
-	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	r.TraceEvent(0, "plat00.client", KindCall, payload)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.TraceEvent(logical.Time(i), "plat00.client", KindCall, payload)
-	}
-}
