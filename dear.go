@@ -96,9 +96,6 @@ func Connect[T any](up, down *Port[T]) { reactor.Connect(up, down) }
 // plus a reactor environment running as a platform process.
 type SWC = core.SWC
 
-// StartOptions tune the reactor environment of an SWC.
-type StartOptions = core.StartOptions
-
 // TransactorConfig carries per-transactor timing parameters (deadline D,
 // latency bound L, clock error bound E, untagged-message policy).
 type TransactorConfig = core.TransactorConfig

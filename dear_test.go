@@ -126,7 +126,7 @@ func TestFacadeDearPipelineDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sensor.Start(dear.StartOptions{KeepAlive: true, Timeout: horizon}, func(env *dear.Environment) error {
+		sensor.Start(horizon, func(env *dear.Environment) error {
 			sk, err := sensor.Runtime().NewSkeleton(iface, 1)
 			if err != nil {
 				return err
@@ -155,7 +155,7 @@ func TestFacadeDearPipelineDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var seen []uint32
-		ctrl.Start(dear.StartOptions{KeepAlive: true, Timeout: horizon}, func(env *dear.Environment) error {
+		ctrl.Start(horizon, func(env *dear.Environment) error {
 			cet, err := dear.NewClientEventTransactor(env, ctrl, iface, 1, "m", tcfg)
 			if err != nil {
 				return err

@@ -76,7 +76,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		swc.Start(dear.StartOptions{KeepAlive: true, Timeout: horizon}, func(env *dear.Environment) error {
+		swc.Start(horizon, func(env *dear.Environment) error {
 			sk, err := swc.Runtime().NewSkeleton(iface, 1)
 			if err != nil {
 				return err
@@ -115,7 +115,7 @@ func main() {
 	}
 	var received []rx
 	var cetL, cetR *dear.ClientEventTransactor
-	fusion.Start(dear.StartOptions{KeepAlive: true, Timeout: horizon}, func(env *dear.Environment) error {
+	fusion.Start(horizon, func(env *dear.Environment) error {
 		var err error
 		cetL, err = dear.NewClientEventTransactor(env, fusion, leftIface, 1, "data", tcfg)
 		if err != nil {

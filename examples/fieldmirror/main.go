@@ -52,7 +52,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	server.Start(dear.StartOptions{KeepAlive: true, Timeout: horizon}, func(env *dear.Environment) error {
+	server.Start(horizon, func(env *dear.Environment) error {
 		sk, err := server.Runtime().NewSkeleton(configIface, 1)
 		if err != nil {
 			return err
@@ -99,7 +99,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	client.Start(dear.StartOptions{KeepAlive: true, Timeout: horizon}, func(env *dear.Environment) error {
+	client.Start(horizon, func(env *dear.Environment) error {
 		cft, err := dear.NewClientFieldTransactor(env, client, configIface, 1, "speed_limit", tcfg)
 		if err != nil {
 			return err

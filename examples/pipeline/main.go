@@ -60,7 +60,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sensor.Start(dear.StartOptions{KeepAlive: true, Timeout: horizon}, func(env *dear.Environment) error {
+	sensor.Start(horizon, func(env *dear.Environment) error {
 		sk, err := sensor.Runtime().NewSkeleton(sensorIface, 1)
 		if err != nil {
 			return err
@@ -92,7 +92,7 @@ func main() {
 	}
 	var processed []uint32
 	var tags []dear.Tag
-	controller.Start(dear.StartOptions{KeepAlive: true, Timeout: horizon}, func(env *dear.Environment) error {
+	controller.Start(horizon, func(env *dear.Environment) error {
 		cet, err := dear.NewClientEventTransactor(env, controller, sensorIface, 1, "measurement", tcfg)
 		if err != nil {
 			return err

@@ -181,7 +181,7 @@ func NewDeterministic(seed uint64, cfg DeterministicConfig) (*Deterministic, err
 		return nil, err
 	}
 	d.swcs = append(d.swcs, va)
-	va.Start(core.StartOptions{KeepAlive: true, Timeout: envTimeout}, func(env *reactor.Environment) error {
+	va.Start(envTimeout, func(env *reactor.Environment) error {
 		sk, err := va.Runtime().NewSkeleton(VideoFeedIface, PipelineInstance)
 		if err != nil {
 			return err
@@ -216,7 +216,7 @@ func NewDeterministic(seed uint64, cfg DeterministicConfig) (*Deterministic, err
 	}
 	d.swcs = append(d.swcs, pre)
 	preRand := k.Rand("apd.pre")
-	pre.Start(core.StartOptions{KeepAlive: true, Timeout: envTimeout}, func(env *reactor.Environment) error {
+	pre.Start(envTimeout, func(env *reactor.Environment) error {
 		cet, err := core.NewClientEventTransactor(env, pre, VideoFeedIface, PipelineInstance, "frame", tc(cfg.PreDeadline))
 		if err != nil {
 			return err
@@ -265,7 +265,7 @@ func NewDeterministic(seed uint64, cfg DeterministicConfig) (*Deterministic, err
 	}
 	d.swcs = append(d.swcs, cv)
 	cvRand := k.Rand("apd.cv")
-	cv.Start(core.StartOptions{KeepAlive: true, Timeout: envTimeout}, func(env *reactor.Environment) error {
+	cv.Start(envTimeout, func(env *reactor.Environment) error {
 		cetFrame, err := core.NewClientEventTransactor(env, cv, PreOutIface, PipelineInstance, "frame", tc(cfg.CVDeadline))
 		if err != nil {
 			return err
@@ -326,7 +326,7 @@ func NewDeterministic(seed uint64, cfg DeterministicConfig) (*Deterministic, err
 		return nil, err
 	}
 	d.swcs = append(d.swcs, eba)
-	eba.Start(core.StartOptions{KeepAlive: true, Timeout: envTimeout}, func(env *reactor.Environment) error {
+	eba.Start(envTimeout, func(env *reactor.Environment) error {
 		cet, err := core.NewClientEventTransactor(env, eba, CVOutIface, PipelineInstance, "vehicles", tc(cfg.EBADeadline))
 		if err != nil {
 			return err

@@ -193,17 +193,6 @@ func TestVehiclesEmptyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBrakeMarshalRoundTrip(t *testing.T) {
-	b := &BrakeCmd{Seq: 3, Brake: true, Force: 0.75}
-	got, err := UnmarshalBrake(MarshalBrake(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got != *b {
-		t.Errorf("got %+v, want %+v", got, b)
-	}
-}
-
 // Property: lane marshal round-trips arbitrary boxes.
 func TestLaneMarshalProperty(t *testing.T) {
 	f := func(seq uint32, l, r, top, bot uint16) bool {

@@ -159,26 +159,3 @@ func UnmarshalVehicles(buf []byte) (*VehicleList, error) {
 	}
 	return v, nil
 }
-
-// MarshalBrake encodes a brake command.
-func MarshalBrake(b *BrakeCmd) []byte {
-	buf := make([]byte, 4+1+8)
-	binary.BigEndian.PutUint32(buf[0:4], b.Seq)
-	if b.Brake {
-		buf[4] = 1
-	}
-	binary.BigEndian.PutUint64(buf[5:13], math.Float64bits(b.Force))
-	return buf
-}
-
-// UnmarshalBrake decodes a brake command.
-func UnmarshalBrake(buf []byte) (*BrakeCmd, error) {
-	if len(buf) != 13 {
-		return nil, fmt.Errorf("apd: brake payload %d bytes, want 13", len(buf))
-	}
-	return &BrakeCmd{
-		Seq:   binary.BigEndian.Uint32(buf[0:4]),
-		Brake: buf[4] == 1,
-		Force: math.Float64frombits(binary.BigEndian.Uint64(buf[5:13])),
-	}, nil
-}

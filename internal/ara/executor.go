@@ -27,9 +27,6 @@ func (c *Ctx) Message() *someip.Message { return c.msg }
 // Now returns the current simulated (global) time.
 func (c *Ctx) Now() logical.Time { return c.p.Now() }
 
-// LocalNow returns the current local platform time.
-func (c *Ctx) LocalNow() logical.Time { return c.rt.Clock().Now() }
-
 // Exec consumes d of simulated execution time (the handler's computation).
 func (c *Ctx) Exec(d logical.Duration) { c.p.Sleep(d) }
 

@@ -86,9 +86,6 @@ func (rt *Runtime) FindServiceSync(p *des.Process, si *ServiceInterface, instanc
 // Interface returns the service interface description.
 func (px *Proxy) Interface() *ServiceInterface { return px.iface }
 
-// Remote returns the discovered remote service.
-func (px *Proxy) Remote() someip.RemoteService { return px.remote }
-
 // Runtime returns the owning runtime.
 func (px *Proxy) Runtime() *Runtime { return px.rt }
 

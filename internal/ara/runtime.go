@@ -31,8 +31,6 @@ type Config struct {
 	Name string
 	// Port is the application endpoint port (0 = ephemeral).
 	Port uint16
-	// ClientID for outgoing requests; 0 derives one from host and port.
-	ClientID someip.ClientID
 	// Exec configures the worker-thread pool.
 	Exec ExecConfig
 	// SD configures service discovery timing.
@@ -104,10 +102,7 @@ func NewRuntime(host *simnet.Host, cfg Config) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	clientID := cfg.ClientID
-	if clientID == 0 {
-		clientID = someip.ClientID(host.ID()<<8 | ep.Addr().Port&0xff)
-	}
+	clientID := someip.ClientID(host.ID()<<8 | ep.Addr().Port&0xff)
 	rt := newRuntime(k, host.Clock(), cfg, someip.NewConnMTU(ep, cfg.Tagged, cfg.MTU), clientID)
 	rt.host = host
 	rt.sd = sd
@@ -133,13 +128,9 @@ func NewUDPRuntime(drv *des.RealTime, addr string, cfg Config) (*Runtime, error)
 		return nil, err
 	}
 	k := drv.Kernel()
-	clientID := cfg.ClientID
-	if clientID == 0 {
-		clientID = someip.ClientID(conn.Addr().Port)
-	}
 	// The physical clock: kernel time already tracks the wall clock under
 	// the real-time driver, so the local clock is the identity mapping.
-	rt := newRuntime(k, k.NewLocalClock(des.ClockConfig{}, nil), cfg, conn, clientID)
+	rt := newRuntime(k, k.NewLocalClock(des.ClockConfig{}, nil), cfg, conn, someip.ClientID(conn.Addr().Port))
 	rt.conn.OnMessage(func(src someip.Addr, m *someip.Message) {
 		// Handlers must run on the kernel goroutine; the socket reader
 		// hands the message over through the driver's injection queue.
@@ -162,11 +153,7 @@ func NewEndpointRuntime(k *des.Kernel, ep someip.Endpoint, cfg Config) (*Runtime
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("ara: runtime needs a name")
 	}
-	clientID := cfg.ClientID
-	if clientID == 0 {
-		clientID = 1
-	}
-	rt := newRuntime(k, k.NewLocalClock(des.ClockConfig{}, nil), cfg, ep, clientID)
+	rt := newRuntime(k, k.NewLocalClock(des.ClockConfig{}, nil), cfg, ep, 1)
 	rt.conn.OnMessage(rt.handle)
 	return rt, nil
 }

@@ -75,7 +75,7 @@ func TestMethodRoundTripThroughTransactors(t *testing.T) {
 	var reqTagAtServer, respTagAtClient, sendTag logical.Tag
 	var response []byte
 
-	f.server.Start(StartOptions{KeepAlive: true, Timeout: logical.Duration(2 * logical.Second)}, func(env *reactor.Environment) error {
+	f.server.Start(logical.Duration(2*logical.Second), func(env *reactor.Environment) error {
 		sk, err := f.server.Runtime().NewSkeleton(echoIface, 1)
 		if err != nil {
 			return err
@@ -98,7 +98,7 @@ func TestMethodRoundTripThroughTransactors(t *testing.T) {
 		return nil
 	})
 
-	f.client.Start(StartOptions{KeepAlive: true, Timeout: logical.Duration(2 * logical.Second)}, func(env *reactor.Environment) error {
+	f.client.Start(logical.Duration(2*logical.Second), func(env *reactor.Environment) error {
 		var err error
 		cmt, err = NewClientMethodTransactor(env, f.client, echoIface, 1, "echo", tcfg())
 		if err != nil {
@@ -157,7 +157,7 @@ func TestFigure3Sequence(t *testing.T) {
 	var seq []string
 	log := func(step string) { seq = append(seq, step) }
 
-	f.server.Start(StartOptions{KeepAlive: true, Timeout: logical.Duration(2 * logical.Second)}, func(env *reactor.Environment) error {
+	f.server.Start(logical.Duration(2*logical.Second), func(env *reactor.Environment) error {
 		sk, err := f.server.Runtime().NewSkeleton(echoIface, 1)
 		if err != nil {
 			return err
@@ -181,7 +181,7 @@ func TestFigure3Sequence(t *testing.T) {
 		return nil
 	})
 
-	f.client.Start(StartOptions{KeepAlive: true, Timeout: logical.Duration(2 * logical.Second)}, func(env *reactor.Environment) error {
+	f.client.Start(logical.Duration(2*logical.Second), func(env *reactor.Environment) error {
 		cmt, err := NewClientMethodTransactor(env, f.client, echoIface, 1, "echo", tcfg())
 		if err != nil {
 			return err
@@ -228,7 +228,7 @@ func TestEventPathThroughTransactors(t *testing.T) {
 	var tags []logical.Tag
 	var sendTags []logical.Tag
 
-	f.server.Start(StartOptions{KeepAlive: true, Timeout: logical.Duration(2 * logical.Second)}, func(env *reactor.Environment) error {
+	f.server.Start(logical.Duration(2*logical.Second), func(env *reactor.Environment) error {
 		sk, err := f.server.Runtime().NewSkeleton(echoIface, 1)
 		if err != nil {
 			return err
@@ -254,7 +254,7 @@ func TestEventPathThroughTransactors(t *testing.T) {
 		return nil
 	})
 
-	f.client.Start(StartOptions{KeepAlive: true, Timeout: logical.Duration(2 * logical.Second)}, func(env *reactor.Environment) error {
+	f.client.Start(logical.Duration(2*logical.Second), func(env *reactor.Environment) error {
 		cet, err := NewClientEventTransactor(env, f.client, echoIface, 1, "beat", tcfg())
 		if err != nil {
 			return err
@@ -304,7 +304,7 @@ func TestEventOrderPreservedDespiteJitter(t *testing.T) {
 			Rng:   f.k.Rand("jitter"),
 		})
 		var tags []logical.Tag
-		f.server.Start(StartOptions{KeepAlive: true, Timeout: logical.Duration(2 * logical.Second)}, func(env *reactor.Environment) error {
+		f.server.Start(logical.Duration(2*logical.Second), func(env *reactor.Environment) error {
 			sk, err := f.server.Runtime().NewSkeleton(echoIface, 1)
 			if err != nil {
 				return err
@@ -328,7 +328,7 @@ func TestEventOrderPreservedDespiteJitter(t *testing.T) {
 			sk.Offer()
 			return nil
 		})
-		f.client.Start(StartOptions{KeepAlive: true, Timeout: logical.Duration(2 * logical.Second)}, func(env *reactor.Environment) error {
+		f.client.Start(logical.Duration(2*logical.Second), func(env *reactor.Environment) error {
 			cet, err := NewClientEventTransactor(env, f.client, echoIface, 1, "beat", tcfg())
 			if err != nil {
 				return err
@@ -367,7 +367,7 @@ func TestUntaggedFailPolicy(t *testing.T) {
 	// method transactor must reject the untagged request.
 	f := newDearFixture(t, 1, nil)
 	var smt *ServerMethodTransactor
-	f.server.Start(StartOptions{KeepAlive: true, Timeout: logical.Duration(2 * logical.Second)}, func(env *reactor.Environment) error {
+	f.server.Start(logical.Duration(2*logical.Second), func(env *reactor.Environment) error {
 		sk, err := f.server.Runtime().NewSkeleton(echoIface, 1)
 		if err != nil {
 			return err
@@ -423,7 +423,7 @@ func TestUntaggedPhysicalTimePolicy(t *testing.T) {
 	cfg := tcfg()
 	cfg.Untagged = UntaggedPhysicalTime
 	var smt *ServerMethodTransactor
-	f.server.Start(StartOptions{KeepAlive: true, Timeout: logical.Duration(2 * logical.Second)}, func(env *reactor.Environment) error {
+	f.server.Start(logical.Duration(2*logical.Second), func(env *reactor.Environment) error {
 		sk, err := f.server.Runtime().NewSkeleton(echoIface, 1)
 		if err != nil {
 			return err
@@ -484,7 +484,7 @@ func TestSafeToProcessViolationDetected(t *testing.T) {
 
 	var cet *ClientEventTransactor
 	received := 0
-	f.server.Start(StartOptions{KeepAlive: true, Timeout: logical.Duration(2 * logical.Second)}, func(env *reactor.Environment) error {
+	f.server.Start(logical.Duration(2*logical.Second), func(env *reactor.Environment) error {
 		sk, err := f.server.Runtime().NewSkeleton(echoIface, 1)
 		if err != nil {
 			return err
@@ -507,7 +507,7 @@ func TestSafeToProcessViolationDetected(t *testing.T) {
 		sk.Offer()
 		return nil
 	})
-	f.client.Start(StartOptions{KeepAlive: true, Timeout: logical.Duration(2 * logical.Second)}, func(env *reactor.Environment) error {
+	f.client.Start(logical.Duration(2*logical.Second), func(env *reactor.Environment) error {
 		var err error
 		cet, err = NewClientEventTransactor(env, f.client, echoIface, 1, "beat", cfg)
 		if err != nil {
@@ -537,7 +537,7 @@ func TestDeadlineViolationAtSendingTransactor(t *testing.T) {
 		Link:     LinkConfig{Latency: logical.Duration(5 * ms)},
 	}
 	var set *ServerEventTransactor
-	f.server.Start(StartOptions{KeepAlive: true, Timeout: logical.Duration(2 * logical.Second)}, func(env *reactor.Environment) error {
+	f.server.Start(logical.Duration(2*logical.Second), func(env *reactor.Environment) error {
 		sk, err := f.server.Runtime().NewSkeleton(echoIface, 1)
 		if err != nil {
 			return err
@@ -577,7 +577,7 @@ func TestFieldTransactorRoundTrip(t *testing.T) {
 	var cft *ClientFieldTransactor
 	var gotValue, gotChange []byte
 
-	f.server.Start(StartOptions{KeepAlive: true, Timeout: logical.Duration(3 * logical.Second)}, func(env *reactor.Environment) error {
+	f.server.Start(logical.Duration(3*logical.Second), func(env *reactor.Environment) error {
 		sk, err := f.server.Runtime().NewSkeleton(echoIface, 1)
 		if err != nil {
 			return err
@@ -613,7 +613,7 @@ func TestFieldTransactorRoundTrip(t *testing.T) {
 		return nil
 	})
 
-	f.client.Start(StartOptions{KeepAlive: true, Timeout: logical.Duration(3 * logical.Second)}, func(env *reactor.Environment) error {
+	f.client.Start(logical.Duration(3*logical.Second), func(env *reactor.Environment) error {
 		var err error
 		cft, err = NewClientFieldTransactor(env, f.client, echoIface, 1, "gain", tcfg())
 		if err != nil {
@@ -699,7 +699,7 @@ func TestLinkConfigOffset(t *testing.T) {
 
 func TestSWCDoubleStartPanics(t *testing.T) {
 	f := newDearFixture(t, 1, nil)
-	f.client.Start(StartOptions{Timeout: logical.Duration(ms)}, func(env *reactor.Environment) error {
+	f.client.Start(logical.Duration(ms), func(env *reactor.Environment) error {
 		env.NewReactor("r")
 		return nil
 	})
@@ -708,12 +708,12 @@ func TestSWCDoubleStartPanics(t *testing.T) {
 			t.Error("want panic on double start")
 		}
 	}()
-	f.client.Start(StartOptions{}, func(env *reactor.Environment) error { return nil })
+	f.client.Start(0, func(env *reactor.Environment) error { return nil })
 }
 
 func TestSWCBuildErrorSurfaces(t *testing.T) {
 	f := newDearFixture(t, 1, nil)
-	f.client.Start(StartOptions{}, func(env *reactor.Environment) error {
+	f.client.Start(0, func(env *reactor.Environment) error {
 		return fmt.Errorf("boom")
 	})
 	f.k.RunAll()

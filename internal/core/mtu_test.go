@@ -42,7 +42,7 @@ func TestTaggedPipelineOverMTULimitedLink(t *testing.T) {
 
 	var sendTags, recvTags []logical.Tag
 	var received [][]byte
-	server.Start(StartOptions{KeepAlive: true, Timeout: logical.Duration(2 * logical.Second)}, func(env *reactor.Environment) error {
+	server.Start(logical.Duration(2*logical.Second), func(env *reactor.Environment) error {
 		sk, err := server.Runtime().NewSkeleton(echoIface, 1)
 		if err != nil {
 			return err
@@ -68,7 +68,7 @@ func TestTaggedPipelineOverMTULimitedLink(t *testing.T) {
 		sk.Offer()
 		return nil
 	})
-	client.Start(StartOptions{KeepAlive: true, Timeout: logical.Duration(2 * logical.Second)}, func(env *reactor.Environment) error {
+	client.Start(logical.Duration(2*logical.Second), func(env *reactor.Environment) error {
 		cet, err := NewClientEventTransactor(env, client, echoIface, 1, "beat", cfg)
 		if err != nil {
 			return err

@@ -46,33 +46,21 @@ func (s *SWC) Runtime() *ara.Runtime { return s.runtime }
 // Binding returns the component's DEAR binding.
 func (s *SWC) Binding() *Binding { return s.binding }
 
-// Env returns the reactor environment (valid after Start's build phase;
-// the build callback receives it too).
-func (s *SWC) Env() *reactor.Environment { return s.env }
-
 // Done reports whether the reactor program has terminated.
 func (s *SWC) Done() bool { return s.done }
 
 // Err returns the error from the reactor run, if any (valid once Done).
 func (s *SWC) Err() error { return s.runErr }
 
-// StartOptions tune the reactor environment of an SWC.
-type StartOptions struct {
-	// Timeout stops the reactor program after this much logical time.
-	Timeout logical.Duration
-	// KeepAlive keeps the scheduler alive while the event queue is empty
-	// (required for components driven purely by physical actions).
-	KeepAlive bool
-	// Fast skips the physical-time barrier. Almost always false for DEAR
-	// components: safe-to-process relies on the barrier.
-	Fast bool
-}
-
 // Start spawns the component's reactor program as a platform process.
 // build assembles the program (creating reactors, transactors and
 // connections); it runs inside the process at current simulated time.
-// Returns immediately; the program runs as the kernel advances.
-func (s *SWC) Start(opts StartOptions, build func(env *reactor.Environment) error) {
+// The program stops after timeout of logical time (zero = never); its
+// scheduler stays alive while the event queue is empty, since a DEAR
+// component is driven by physical actions, and it honours the
+// physical-time barrier that safe-to-process relies on. Returns
+// immediately; the program runs as the kernel advances.
+func (s *SWC) Start(timeout logical.Duration, build func(env *reactor.Environment) error) {
 	if s.started {
 		panic("core: SWC " + s.name + " already started")
 	}
@@ -81,9 +69,8 @@ func (s *SWC) Start(opts StartOptions, build func(env *reactor.Environment) erro
 	s.proc = k.Spawn(s.name+".reactor", func(p *des.Process) {
 		env := reactor.NewEnvironment(reactor.Options{
 			Clock:     reactor.NewSimClock(p, s.runtime.Host().Clock()),
-			Timeout:   opts.Timeout,
-			KeepAlive: opts.KeepAlive,
-			Fast:      opts.Fast,
+			Timeout:   timeout,
+			KeepAlive: true,
 			Workers:   1,
 		})
 		s.env = env

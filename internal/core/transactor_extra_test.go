@@ -28,7 +28,7 @@ func TestClientMethodTransactorDeadlineViolation(t *testing.T) {
 		Link:     LinkConfig{Latency: 5 * ms},
 	}
 	served := 0
-	f.server.Start(StartOptions{KeepAlive: true, Timeout: logical.Duration(2 * logical.Second)}, func(env *reactor.Environment) error {
+	f.server.Start(logical.Duration(2*logical.Second), func(env *reactor.Environment) error {
 		sk, err := f.server.Runtime().NewSkeleton(echoIface, 1)
 		if err != nil {
 			return err
@@ -53,7 +53,7 @@ func TestClientMethodTransactorDeadlineViolation(t *testing.T) {
 
 	var cmt *ClientMethodTransactor
 	responses := 0
-	f.client.Start(StartOptions{KeepAlive: true, Timeout: logical.Duration(2 * logical.Second)}, func(env *reactor.Environment) error {
+	f.client.Start(logical.Duration(2*logical.Second), func(env *reactor.Environment) error {
 		var err error
 		cmt, err = NewClientMethodTransactor(env, f.client, echoIface, 1, "echo", cfg)
 		if err != nil {
@@ -95,7 +95,7 @@ func TestServerMethodTransactorDeadlineReturnsTimeout(t *testing.T) {
 		Deadline: logical.Millisecond, // response must be ready ~instantly
 		Link:     LinkConfig{Latency: 5 * ms},
 	}
-	f.server.Start(StartOptions{KeepAlive: true, Timeout: logical.Duration(2 * logical.Second)}, func(env *reactor.Environment) error {
+	f.server.Start(logical.Duration(2*logical.Second), func(env *reactor.Environment) error {
 		sk, err := f.server.Runtime().NewSkeleton(ffIface, 1)
 		if err != nil {
 			return err
@@ -120,7 +120,7 @@ func TestServerMethodTransactorDeadlineReturnsTimeout(t *testing.T) {
 
 	// Plain DEAR client through a method transactor.
 	done := false
-	f.client.Start(StartOptions{KeepAlive: true, Timeout: logical.Duration(2 * logical.Second)}, func(env *reactor.Environment) error {
+	f.client.Start(logical.Duration(2*logical.Second), func(env *reactor.Environment) error {
 		cmt, err := NewClientMethodTransactor(env, f.client, ffIface, 1, "slow", tcfg())
 		if err != nil {
 			return err
@@ -149,7 +149,7 @@ func TestServerMethodTransactorDeadlineReturnsTimeout(t *testing.T) {
 func TestFireAndForgetThroughClientMethodTransactor(t *testing.T) {
 	f := newDearFixture(t, 1, nil)
 	received := 0
-	f.server.Start(StartOptions{KeepAlive: true, Timeout: logical.Duration(2 * logical.Second)}, func(env *reactor.Environment) error {
+	f.server.Start(logical.Duration(2*logical.Second), func(env *reactor.Environment) error {
 		sk, err := f.server.Runtime().NewSkeleton(ffIface, 1)
 		if err != nil {
 			return err
@@ -165,7 +165,7 @@ func TestFireAndForgetThroughClientMethodTransactor(t *testing.T) {
 	})
 
 	var cmt *ClientMethodTransactor
-	f.client.Start(StartOptions{KeepAlive: true, Timeout: logical.Duration(2 * logical.Second)}, func(env *reactor.Environment) error {
+	f.client.Start(logical.Duration(2*logical.Second), func(env *reactor.Environment) error {
 		var err error
 		cmt, err = NewClientMethodTransactor(env, f.client, ffIface, 1, "log", tcfg())
 		if err != nil {
@@ -201,7 +201,7 @@ func TestRequestBeforeDiscoveryCountsRemoteError(t *testing.T) {
 	// A request event before SD has bound the proxy is a counted error.
 	f := newDearFixture(t, 1, nil)
 	var cmt *ClientMethodTransactor
-	f.client.Start(StartOptions{KeepAlive: true, Timeout: logical.Duration(500 * ms)}, func(env *reactor.Environment) error {
+	f.client.Start(logical.Duration(500*ms), func(env *reactor.Environment) error {
 		var err error
 		cmt, err = NewClientMethodTransactor(env, f.client, echoIface, 1, "echo", tcfg())
 		if err != nil {
@@ -245,7 +245,7 @@ func TestUnmatchedResponseCountsRemoteError(t *testing.T) {
 	// one) is counted, not silently dropped.
 	f := newDearFixture(t, 1, nil)
 	var smt *ServerMethodTransactor
-	f.server.Start(StartOptions{KeepAlive: true, Timeout: logical.Duration(1 * logical.Second)}, func(env *reactor.Environment) error {
+	f.server.Start(logical.Duration(1*logical.Second), func(env *reactor.Environment) error {
 		sk, err := f.server.Runtime().NewSkeleton(echoIface, 1)
 		if err != nil {
 			return err

@@ -102,14 +102,7 @@ type Channel struct {
 	// target kernel was still running, held until the target parks. Its
 	// backing array is recycled across drains too.
 	staged []fedMsg
-	// flush is the null-message batch marker: the timestamp stamped at the
-	// channel's most recent drain, below which the sender guaranteed — at
-	// that drain — to send nothing further. It is a diagnostic snapshot,
-	// not an input to grant computation: a message injected into the
-	// sender after the drain can legitimately wake it below an old mark
-	// (the transitive reach matrix is what keeps grants safe).
-	flush logical.Time
-	sent  uint64
+	sent   uint64
 }
 
 // fedMsg is one queued cross-partition message: delivery time plus the
@@ -124,7 +117,10 @@ type fedMsg struct {
 // NewFederation creates a federation of the given number of partition
 // kernels. Every kernel derives from the same seed so that labeled
 // random streams are identical across partition assignments (and match a
-// single kernel created with the same seed).
+// single kernel created with the same seed). A lone partition never
+// reaches the coordinator (Run hands it straight to Kernel.Run), so its
+// kernel skips the emit shadow heap and keeps a plain kernel's
+// per-event cost.
 func NewFederation(seed uint64, partitions int) *Federation {
 	if partitions <= 0 {
 		panic("des: federation needs at least one partition")
@@ -136,7 +132,7 @@ func NewFederation(seed uint64, partitions int) *Federation {
 	}
 	for i := range f.kernels {
 		f.kernels[i] = NewKernel(seed)
-		f.kernels[i].emitTracked = true
+		f.kernels[i].emitTracked = partitions > 1
 	}
 	return f
 }
@@ -217,11 +213,6 @@ func (c *Channel) SetLookahead(d logical.Duration) {
 
 // Sent returns the number of messages that crossed the channel.
 func (c *Channel) Sent() uint64 { return c.sent }
-
-// FlushedTo returns the channel's most recent null-message mark: the
-// guarantee stamped at its last drain (see the flush field for why this
-// is a diagnostic snapshot, not a live bound).
-func (c *Channel) FlushedTo() logical.Time { return c.flush }
 
 // Send enqueues a message for delivery at time `at` on the target
 // kernel, which then calls fn(arg) as an event. It must be called from
@@ -638,9 +629,9 @@ func (co *coordinator) park(i int) {
 	co.refresh(i)
 
 	// Drain outbound queues. The drain doubles as a null-message batch:
-	// flush records the guarantee it carried even when no data crossed.
+	// the refreshed bound carries the sender's guarantee even when no
+	// data crossed.
 	for _, c := range co.f.outbound[i] {
-		c.flush = co.bound[i].Add(c.lookahead)
 		if len(c.queue) == 0 {
 			continue
 		}

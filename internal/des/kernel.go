@@ -307,8 +307,8 @@ type Kernel struct {
 	// events inherit the mark and Channel.Send panics (see Event.local).
 	firingLocal bool
 	// emitTracked enables the emit shadow heap (set by NewFederation on
-	// its fresh kernels). Single-kernel mode leaves it off, keeping
-	// enqueue/dequeue free of shadow maintenance.
+	// the kernels of two or more partitions). A single kernel leaves it
+	// off, keeping enqueue/dequeue free of shadow maintenance.
 	emitTracked bool
 	// emit shadows the queue's live non-local events (see emitHeap).
 	emit emitHeap
@@ -537,8 +537,9 @@ func (k *Kernel) NextEventTime() (logical.Time, bool) {
 // provably incapable of sending cross-partition, so downstream grants
 // may reach past them. The answer is the head of the emit shadow heap,
 // O(1) after lazily discarding canceled heads. Precondition: the kernel
-// belongs to a Federation — NewFederation turns the shadow heap on, and
-// on any other kernel it stays empty.
+// belongs to a Federation of two or more partitions — NewFederation
+// turns the shadow heap on there, and on any other kernel it stays
+// empty.
 func (k *Kernel) NextEmitTime() (logical.Time, bool) {
 	for len(k.emit) > 0 && k.emit[0].canceled {
 		k.emit.removeAt(0)

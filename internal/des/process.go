@@ -321,10 +321,6 @@ func unparkFn(a any) {
 	p.dispatch(resumeSignal{})
 }
 
-// Yield gives other events scheduled at the current time a chance to run
-// before the process continues (equivalent to WaitUntil(now)).
-func (p *Process) Yield() { p.WaitUntil(p.k.now) }
-
 // String identifies the process by name for diagnostics.
 func (p *Process) String() string {
 	return fmt.Sprintf("process(%s)", p.name)

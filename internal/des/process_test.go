@@ -229,12 +229,14 @@ func TestShutdownUnblocksSleepers(t *testing.T) {
 	}
 }
 
+// Waiting until the current instant yields: events already scheduled
+// at that time run before the process continues.
 func TestProcessYield(t *testing.T) {
 	k := NewKernel(1)
 	var trace []string
 	k.Spawn("a", func(p *Process) {
 		trace = append(trace, "a1")
-		p.Yield()
+		p.WaitUntil(p.Now())
 		trace = append(trace, "a2")
 	})
 	k.Spawn("b", func(p *Process) {

@@ -146,10 +146,3 @@ func (d *RealTime) Run() {
 		}
 	}
 }
-
-// RunFor drives the kernel for the given wall-clock duration, then
-// stops. A convenience for demos and tests.
-func (d *RealTime) RunFor(dur time.Duration) {
-	time.AfterFunc(dur, d.Stop)
-	d.Run()
-}

@@ -74,15 +74,19 @@ func TestRealTimeDrivesProcesses(t *testing.T) {
 	}
 }
 
-func TestRealTimeRunFor(t *testing.T) {
+// The real-time driver runs daemon events as their wall-clock time
+// comes (a lone daemon would end a Run at once), until it is stopped
+// from another goroutine.
+func TestRealTimeFiresDaemonEvents(t *testing.T) {
 	k := NewKernel(1)
 	d := NewRealTime(k)
 	fired := 0
 	k.AfterDaemon(1*logical.Millisecond, func() { fired++ })
 	start := time.Now()
-	d.RunFor(10 * time.Millisecond)
+	time.AfterFunc(10*time.Millisecond, d.Stop)
+	d.Run()
 	if time.Since(start) < 10*time.Millisecond {
-		t.Error("RunFor returned early")
+		t.Error("Run returned before Stop")
 	}
 	if fired != 1 {
 		t.Errorf("daemon event fired %d times", fired)

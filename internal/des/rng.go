@@ -177,16 +177,3 @@ func Mix3(a, b, c uint64) uint64 {
 func UnitFloat64(bits uint64) float64 {
 	return float64(bits>>11) / (1 << 53)
 }
-
-// Perm returns a random permutation of [0, n) (Fisher-Yates).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}

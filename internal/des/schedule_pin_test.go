@@ -177,7 +177,10 @@ func (r *pinRig) act() {
 
 // TestKernelSchedulePinned pins the kernel's event order across every
 // scheduling entry point, on one kernel and on a 2-partition federation
-// with links both ways. The literals were captured from the kernel
+// with links both ways. The single-kernel section runs twice: on a bare
+// kernel and on the lone kernel of a one-partition federation, driven
+// through the federation's Run/RunAll — the substrate every compiled
+// scenario world uses. The literals were captured from the kernel
 // before its scheduling paths were collapsed onto one helper; any path
 // that adds, drops or reorders a sequence number moves a digest, a
 // fired count or a pending count.
@@ -193,16 +196,28 @@ func TestKernelSchedulePinned(t *testing.T) {
 		wantFed1Fired     = 494
 	)
 
-	k := NewKernel(7)
-	r := newPinRig(k, "pin", 600)
-	k.Run(logical.Time(400 * logical.Microsecond))
-	fired, pending := k.EventsFired(), k.Pending()
-	k.RunAll()
-	k.Shutdown()
-	if got := r.sum.Sum64(); got != wantSingle || fired != wantSingleFired ||
-		pending != wantSinglePending || k.EventsFired() != wantSingleAll {
-		t.Errorf("single kernel: digest=%#x fired=%d pending=%d total=%d, want %#x %d %d %d",
-			got, fired, pending, k.EventsFired(), uint64(wantSingle), wantSingleFired, wantSinglePending, wantSingleAll)
+	single, lone := NewKernel(7), NewFederation(7, 1)
+	for _, c := range []struct {
+		name   string
+		k      *Kernel
+		run    func(logical.Time) logical.Time
+		runAll func() logical.Time
+		stop   func()
+	}{
+		{"single kernel", single, single.Run, single.RunAll, single.Shutdown},
+		{"one-partition federation", lone.Kernel(0), lone.Run, lone.RunAll, lone.Shutdown},
+	} {
+		k := c.k
+		r := newPinRig(k, "pin", 600)
+		c.run(logical.Time(400 * logical.Microsecond))
+		fired, pending := k.EventsFired(), k.Pending()
+		c.runAll()
+		c.stop()
+		if got := r.sum.Sum64(); got != wantSingle || fired != wantSingleFired ||
+			pending != wantSinglePending || k.EventsFired() != wantSingleAll {
+			t.Errorf("%s: digest=%#x fired=%d pending=%d total=%d, want %#x %d %d %d",
+				c.name, got, fired, pending, k.EventsFired(), uint64(wantSingle), wantSingleFired, wantSinglePending, wantSingleAll)
+		}
 	}
 
 	f := NewFederation(7, 2)

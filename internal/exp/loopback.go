@@ -100,8 +100,22 @@ func (h *loopbackHook) Incoming(src someip.Addr, m *someip.Message) {}
 // two ara runtimes bound to real loopback UDP sockets and reports
 // wall-clock latency statistics. timeout bounds each individual call.
 func RunLoopback(n int, timeout time.Duration) (*LoopbackResult, error) {
+	return runLoopback(n, timeout, "loopback", func(*des.RealTime) ara.Config {
+		return ara.Config{Name: "server", Tagged: true}
+	})
+}
+
+// runLoopback is the one body of the E9 workload, shared by RunLoopback
+// and the E13 recording path: n sequential tagged echo round trips
+// between two UDP-bound runtimes, each kernel advanced by its own
+// real-time driver. serverCfg builds the server runtime's config from
+// the server's driver (the recording path wraps the endpoint with a
+// recorder stamped by that driver's clock); what names the run in
+// errors. Both drivers are stopped and both kernels shut down before
+// it returns.
+func runLoopback(n int, timeout time.Duration, what string, serverCfg func(drv *des.RealTime) ara.Config) (*LoopbackResult, error) {
 	if n <= 0 {
-		return nil, fmt.Errorf("exp: loopback needs n > 0")
+		return nil, fmt.Errorf("exp: %s needs n > 0", what)
 	}
 	if timeout <= 0 {
 		timeout = 2 * time.Second
@@ -109,7 +123,7 @@ func RunLoopback(n int, timeout time.Duration) (*LoopbackResult, error) {
 	drvS := des.NewRealTime(des.NewKernel(1))
 	drvC := des.NewRealTime(des.NewKernel(2))
 
-	server, err := ara.NewUDPRuntime(drvS, "127.0.0.1:0", ara.Config{Name: "server", Tagged: true})
+	server, err := ara.NewUDPRuntime(drvS, "127.0.0.1:0", serverCfg(drvS))
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +154,7 @@ func RunLoopback(n int, timeout time.Duration) (*LoopbackResult, error) {
 			begin := time.Now()
 			fut := px.Call("echo", []byte{byte(i)})
 			if _, err := fut.GetTimeout(c.Process(), logical.Duration(timeout)); err != nil {
-				done <- fmt.Errorf("exp: loopback call %d: %w", i, err)
+				done <- fmt.Errorf("exp: %s call %d: %w", what, i, err)
 				return
 			}
 			rtt := time.Since(begin)
@@ -177,7 +191,7 @@ func RunLoopback(n int, timeout time.Duration) (*LoopbackResult, error) {
 			return nil, err
 		}
 	case <-time.After(time.Duration(n)*timeout + 5*time.Second):
-		return nil, fmt.Errorf("exp: loopback run stalled")
+		return nil, fmt.Errorf("exp: %s run stalled", what)
 	}
 	return res, nil
 }

@@ -67,11 +67,11 @@ type MeshResult struct {
 	Trace *trace.Trace
 
 	// Mode-dependent diagnostics (NOT part of the canonical report):
-	// coordination rounds are zero on a single kernel, and delivered
+	// coordination rounds are zero for one partition, and delivered
 	// counts include SD multicast whose fan-out is per-partition.
 	CoordRounds uint64
 	// CoordGrants counts execution windows the federation coordinator
-	// dispatched across all partitions (zero on a single kernel).
+	// dispatched across all partitions (zero for one partition).
 	// Schedule-dependent, like CoordRounds.
 	CoordGrants uint64
 	// CoordParkedNs is cumulative wall-clock nanoseconds partitions
@@ -185,10 +185,10 @@ func RunScenario(spec scenario.Spec) (*MeshResult, error) {
 }
 
 // RunMesh executes E10 (and, with MeshConfig.Faults/Crash set, the E11
-// fault scenario) once. partitions <= 1 selects the classic
-// single-kernel substrate; larger values shard the platforms
-// round-robin over that many federated kernels. For a fixed (seed,
-// cfg) the Report is identical for every partition count.
+// fault scenario) once, sharding the platforms round-robin over
+// partitions federated kernels (≤ 1 means one, the single-kernel run).
+// For a fixed (seed, cfg) the Report is identical for every partition
+// count.
 func RunMesh(seed uint64, cfg MeshConfig, partitions int) (*MeshResult, error) {
 	cfg.Seed = seed
 	cfg.Partitions = partitions

@@ -105,100 +105,25 @@ func MonitorLoopback(n int, timeout time.Duration, turnaround logical.Duration) 
 // MonitorLoopback: tap, when non-nil, observes every appended record
 // of the live run in append order.
 func recordLoopback(n int, timeout time.Duration, tap trace.Tap) (*trace.Trace, *LoopbackResult, error) {
-	if n <= 0 {
-		return nil, nil, fmt.Errorf("exp: replay recording needs n > 0")
-	}
-	if timeout <= 0 {
-		timeout = 2 * time.Second
-	}
-	drvS := des.NewRealTime(des.NewKernel(1))
-	drvC := des.NewRealTime(des.NewKernel(2))
-
-	rec := trace.NewRecorder(4*n + 64)
-	rec.SetTap(tap)
-	server, err := ara.NewUDPRuntime(drvS, "127.0.0.1:0", ara.Config{
-		Name:   "server",
-		Tagged: true,
-		Exec:   replayExec,
-		WrapEndpoint: func(ep someip.Endpoint) someip.Endpoint {
-			return trace.NewRecordingEndpoint(ep, rec, "server", drvS.Elapsed)
-		},
+	var rec *trace.Recorder
+	res, err := runLoopback(n, timeout, "replay recording", func(drv *des.RealTime) ara.Config {
+		rec = trace.NewRecorder(4*n + 64)
+		rec.SetTap(tap)
+		return ara.Config{
+			Name:   "server",
+			Tagged: true,
+			Exec:   replayExec,
+			WrapEndpoint: func(ep someip.Endpoint) someip.Endpoint {
+				return trace.NewRecordingEndpoint(ep, rec, "server", drv.Elapsed)
+			},
+		}
 	})
 	if err != nil {
 		return nil, nil, err
-	}
-	defer server.Close()
-	client, err := ara.NewUDPRuntime(drvC, "127.0.0.1:0", ara.Config{Name: "client", Tagged: true})
-	if err != nil {
-		return nil, nil, err
-	}
-	defer client.Close()
-
-	sk, err := registerLoopbackEcho(server)
-	if err != nil {
-		return nil, nil, err
-	}
-	sk.Offer()
-
-	hook := &loopbackHook{}
-	client.SetBindingHook(hook)
-
-	res := &LoopbackResult{Requested: n}
-	done := make(chan error, 1)
-	client.Spawn("driver", func(c *ara.Ctx) {
-		px := client.StaticProxy(loopbackIface, 1, server.Addr())
-		var total time.Duration
-		for i := 0; i < n; i++ {
-			tag := logical.Tag{Time: logical.Time(i+1) * logical.Time(logical.Millisecond)}
-			hook.next = &tag
-			begin := time.Now()
-			fut := px.Call("echo", []byte{byte(i)})
-			if _, err := fut.GetTimeout(c.Process(), logical.Duration(timeout)); err != nil {
-				done <- fmt.Errorf("exp: replay recording call %d: %w", i, err)
-				return
-			}
-			rtt := time.Since(begin)
-			res.Completed++
-			total += rtt
-			if res.RTTMin == 0 || rtt < res.RTTMin {
-				res.RTTMin = rtt
-			}
-			if rtt > res.RTTMax {
-				res.RTTMax = rtt
-			}
-			if r, ok := fut.Result(); ok && r.Tag != nil && *r.Tag == tag.Delay(loopbackDeadline) {
-				res.TagsEchoed++
-			}
-		}
-		res.RTTMean = total / time.Duration(n)
-		done <- nil
-	})
-
-	go drvS.Run()
-	go drvC.Run()
-	teardown := func() {
-		drvS.Stop()
-		drvC.Stop()
-		<-drvS.Done()
-		<-drvC.Done()
-		server.Kernel().Shutdown()
-		client.Kernel().Shutdown()
-	}
-
-	select {
-	case err := <-done:
-		if err != nil {
-			teardown()
-			return nil, nil, err
-		}
-	case <-time.After(time.Duration(n)*timeout + 5*time.Second):
-		teardown()
-		return nil, nil, fmt.Errorf("exp: replay recording stalled")
 	}
 	// Snapshot after the drivers have stopped: every response send is
 	// recorded before the client's future resolves, so the trace is
 	// complete here.
-	teardown()
 	return rec.Trace(), res, nil
 }
 

@@ -46,7 +46,7 @@ func RunMethodRoundTrips(seed uint64, n int) (int, error) {
 	// Each round trip spans ~30ms of logical time (2×(D+L)).
 	horizon := logical.Duration(n+20)*40*logical.Millisecond + logical.Second
 
-	server.Start(core.StartOptions{KeepAlive: true, Timeout: horizon}, func(env *reactor.Environment) error {
+	server.Start(horizon, func(env *reactor.Environment) error {
 		sk, err := server.Runtime().NewSkeleton(echoIface, 1)
 		if err != nil {
 			return err
@@ -69,7 +69,7 @@ func RunMethodRoundTrips(seed uint64, n int) (int, error) {
 	})
 
 	completed := 0
-	client.Start(core.StartOptions{KeepAlive: true, Timeout: horizon}, func(env *reactor.Environment) error {
+	client.Start(horizon, func(env *reactor.Environment) error {
 		cmt, err := core.NewClientMethodTransactor(env, client, echoIface, 1, "echo", cfg)
 		if err != nil {
 			return err

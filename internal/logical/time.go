@@ -35,9 +35,6 @@ const (
 // "never" sentinel by schedulers waiting for an unbounded future event.
 const Forever Time = math.MaxInt64
 
-// FromStd converts a time.Duration to a logical Duration.
-func FromStd(d time.Duration) Duration { return Duration(d.Nanoseconds()) }
-
 // Std converts a logical Duration to a time.Duration.
 func (d Duration) Std() time.Duration { return time.Duration(d) }
 

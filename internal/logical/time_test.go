@@ -44,10 +44,7 @@ func TestTimeOrdering(t *testing.T) {
 }
 
 func TestDurationConversion(t *testing.T) {
-	d := FromStd(3 * time.Millisecond)
-	if d != 3*Millisecond {
-		t.Errorf("FromStd = %d, want %d", d, 3*Millisecond)
-	}
+	d := 3 * Millisecond
 	if d.Std() != 3*time.Millisecond {
 		t.Errorf("Std = %v, want 3ms", d.Std())
 	}

@@ -1,12 +1,11 @@
 // Package metrics provides the small statistics and table-rendering
-// toolkit used by the experiment harness: streaming moments, quantiles,
-// histograms and fixed-width text tables matching the paper's figures.
+// toolkit used by the experiment harness: streaming moments, quantiles
+// and fixed-width text tables matching the paper's figures.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -73,9 +72,6 @@ func (s *Stream) Var() float64 {
 	return s.m2 / float64(s.n-1)
 }
 
-// Stddev returns the sample standard deviation.
-func (s *Stream) Stddev() float64 { return math.Sqrt(s.Var()) }
-
 // Min returns the smallest sample.
 func (s *Stream) Min() float64 { return s.min }
 
@@ -125,103 +121,6 @@ func (s *Stream) Merge(other *Stream) {
 	if s.sketch != nil && other.sketch != nil {
 		s.sketch.Merge(other.sketch)
 	}
-}
-
-// Histogram is a fixed-bucket histogram over [Lo, Hi).
-type Histogram struct {
-	// Lo and Hi bound the bucketed range; samples below Lo or at/above
-	// Hi are counted out-of-range.
-	Lo, Hi float64
-	// Buckets holds the per-bucket counts.
-	Buckets []int
-	under   int
-	over    int
-	n       int
-	// edges[i] is the left boundary of bucket i (edges[len(Buckets)] ==
-	// Hi). Precomputed so Add can bucket by binary search over the exact
-	// boundary values instead of a float multiply that can mis-bucket
-	// samples landing exactly on an edge.
-	edges []float64
-}
-
-// NewHistogram creates a histogram with the given bucket count.
-func NewHistogram(lo, hi float64, buckets int) *Histogram {
-	if hi <= lo || buckets <= 0 {
-		panic("metrics: invalid histogram bounds")
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Buckets: make([]int, buckets)}
-	h.initEdges()
-	return h
-}
-
-// initEdges precomputes bucket boundaries from Lo/Hi/len(Buckets).
-func (h *Histogram) initEdges() {
-	n := len(h.Buckets)
-	h.edges = make([]float64, n+1)
-	h.edges[0] = h.Lo
-	for i := 1; i < n; i++ {
-		h.edges[i] = h.Lo + (h.Hi-h.Lo)*float64(i)/float64(n)
-	}
-	h.edges[n] = h.Hi
-}
-
-// Add records a sample. A sample exactly on a bucket boundary lands in
-// the bucket whose range starts there (buckets are half-open
-// [edge[i], edge[i+1])), determined by comparison against the
-// precomputed edge values — never by a rounded float multiply.
-func (h *Histogram) Add(x float64) {
-	h.n++
-	switch {
-	case x < h.Lo:
-		h.under++
-	case x >= h.Hi:
-		h.over++
-	default:
-		if h.edges == nil {
-			// Histogram built as a literal rather than via NewHistogram.
-			h.initEdges()
-		}
-		// Smallest i with edges[i] > x; x then lies in bucket i-1.
-		idx := sort.SearchFloat64s(h.edges, x)
-		if idx < len(h.edges) && h.edges[idx] == x {
-			idx++
-		}
-		idx--
-		if idx >= len(h.Buckets) {
-			idx = len(h.Buckets) - 1
-		}
-		h.Buckets[idx]++
-	}
-}
-
-// N returns the total number of samples.
-func (h *Histogram) N() int { return h.n }
-
-// OutOfRange returns samples below Lo and at/above Hi.
-func (h *Histogram) OutOfRange() (under, over int) { return h.under, h.over }
-
-// Fraction returns the share of samples in bucket i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.Buckets[i]) / float64(h.n)
-}
-
-// Render draws a horizontal ASCII bar chart of the histogram.
-func (h *Histogram) Render(width int, label func(i int) string) string {
-	var b strings.Builder
-	maxCount := 1
-	for _, c := range h.Buckets {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	for i, c := range h.Buckets {
-		bar := strings.Repeat("#", c*width/maxCount)
-		fmt.Fprintf(&b, "%12s |%-*s| %6.3f\n", label(i), width, bar, h.Fraction(i))
-	}
-	return b.String()
 }
 
 // Table renders fixed-width text tables.
@@ -278,32 +177,6 @@ func (t *Table) String() string {
 	writeRow(sep)
 	for _, row := range t.rows {
 		writeRow(row)
-	}
-	return b.String()
-}
-
-// CSV renders the table as comma-separated values.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
-	}
-	cells := make([]string, len(t.header))
-	for i, h := range t.header {
-		cells[i] = esc(h)
-	}
-	b.WriteString(strings.Join(cells, ","))
-	b.WriteByte('\n')
-	for _, row := range t.rows {
-		cells = cells[:0]
-		for _, c := range row {
-			cells = append(cells, esc(c))
-		}
-		b.WriteString(strings.Join(cells, ","))
-		b.WriteByte('\n')
 	}
 	return b.String()
 }

@@ -7,7 +7,7 @@ import (
 	"repro/internal/trace"
 )
 
-// Pred is a record predicate — the building block of Always and Never.
+// Pred is a record predicate — the building block of Never.
 // Predicates must be pure functions of the record (never of shared
 // state), or verdicts lose their mode-independence.
 type Pred func(r *trace.Record) bool
@@ -17,41 +17,32 @@ func KindIs(kind string) Pred {
 	return func(r *trace.Record) bool { return r.Kind == kind }
 }
 
-// predMon implements Always (violate when the predicate fails) and
-// Never (violate when it holds) over every observed record.
-type predMon struct {
-	name   string
-	p      Pred
-	negate bool // true for Never
-	detail string
+// neverMon implements Never: it violates whenever the predicate holds
+// for an observed record.
+type neverMon struct {
+	name string
+	p    Pred
 }
 
 // Name identifies the monitor.
-func (m *predMon) Name() string { return m.name }
+func (m *neverMon) Name() string { return m.name }
 
 // Observe checks the predicate against one record.
-func (m *predMon) Observe(r *trace.Record, rep *Reporter) {
+func (m *neverMon) Observe(r *trace.Record, rep *Reporter) {
 	rep.Check()
-	if m.p(r) == m.negate {
+	if m.p(r) {
 		rep.Violate(Violation{
 			Monitor: m.name, Time: r.Time, Component: r.Component,
-			Seq: r.Seq, Kind: r.Kind, Detail: m.detail,
+			Seq: r.Seq, Kind: r.Kind, Detail: "forbidden event observed",
 		})
 	}
 }
 
 // Flush is a no-op: predicate monitors carry no pending obligations.
-func (m *predMon) Flush(rep *Reporter) {}
-
-// Always returns a monitor demanding that every record satisfies p.
-func Always(name string, p Pred) Monitor {
-	return &predMon{name: name, p: p, detail: "predicate violated"}
-}
+func (m *neverMon) Flush(rep *Reporter) {}
 
 // Never returns a monitor demanding that no record satisfies p.
-func Never(name string, p Pred) Monitor {
-	return &predMon{name: name, p: p, negate: true, detail: "forbidden event observed"}
-}
+func Never(name string, p Pred) Monitor { return &neverMon{name: name, p: p} }
 
 // obQueue is a per-component FIFO of open obligations awaiting their
 // close. It mirrors the kernel free-list discipline: the backing slice

@@ -15,7 +15,7 @@
 //     The hot path performs zero allocations after the first sight of
 //     each component (TestMonitorZeroAllocs), matching the recorder.
 //
-//   - Property combinators (combinators.go): Always, Never, and
+//   - Property combinators (combinators.go): Never and
 //     MatchedWithin(open, close, d) — every open-kind event must be
 //     matched by a close-kind event of the same component within a
 //     deadline. RespondedWithin, ReboundWithin and NoSilentCorruption
@@ -106,7 +106,7 @@ func (v *Violation) less(o *Violation) bool {
 type Verdict struct {
 	// Monitor names the monitor this verdict belongs to.
 	Monitor string `json:"monitor"`
-	// Checked counts obligations examined (records for Always/Never,
+	// Checked counts obligations examined (records for Never,
 	// opened obligations for MatchedWithin).
 	Checked uint64 `json:"checked"`
 	// Violations counts breaches.

@@ -43,20 +43,6 @@ func TestNeverFlagsForbiddenKind(t *testing.T) {
 	}
 }
 
-// Always is Never's dual: every record must satisfy the predicate.
-func TestAlwaysFlagsFailures(t *testing.T) {
-	mon := func() []Monitor {
-		return []Monitor{Always("serves-only", KindIs(trace.KindServe))}
-	}
-	vs := feed(t, mon, []trace.Record{
-		rec(1, "a", trace.KindServe),
-		rec(2, "a", trace.KindNoise),
-	})
-	if vs[0].Violations != 1 || vs[0].Samples[0].Kind != trace.KindNoise {
-		t.Fatalf("verdict %+v", vs[0])
-	}
-}
-
 // A request answered within the deadline discharges its obligation; a
 // late answer and an unanswered request are both violations anchored
 // at the opening request record.

@@ -72,9 +72,6 @@ func (a *Action[T]) declareReader(rx *Reaction) {}
 // Name returns "reactor.action".
 func (a *Action[T]) Name() string { return a.triggerName() }
 
-// IsPhysical reports whether this is a physical action.
-func (a *Action[T]) IsPhysical() bool { return a.physical }
-
 // Get returns the action's value and presence at the current tag.
 func (a *Action[T]) Get(c *Ctx) (T, bool) {
 	if !c.reaction.declaredReads[Source(a)] && !c.reaction.declaredReads[Trigger(a)] {

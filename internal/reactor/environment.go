@@ -97,13 +97,6 @@ func (e *Environment) mustBeAssembling(op string) {
 // Clock returns the environment's physical clock.
 func (e *Environment) Clock() Clock { return e.clock }
 
-// CurrentTag returns the tag being processed (valid while running).
-func (e *Environment) CurrentTag() logical.Tag {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.currentTag
-}
-
 // StartTime returns the logical start time (valid once running).
 func (e *Environment) StartTime() logical.Time { return e.startTime }
 

@@ -44,9 +44,6 @@ func (e *Environment) NewReactor(name string) *Reactor {
 // Name returns the reactor's name.
 func (r *Reactor) Name() string { return r.name }
 
-// Env returns the owning environment.
-func (r *Reactor) Env() *Environment { return r.env }
-
 // Startup returns the trigger that fires once at the start tag.
 func (r *Reactor) Startup() Trigger { return r.startup }
 
@@ -228,11 +225,6 @@ func (c *Ctx) LogicalTime() logical.Time { return c.tag.Time }
 // clock.
 func (c *Ctx) PhysicalTime() logical.Time { return c.env.clock.Now() }
 
-// Lag returns physical minus logical time.
-func (c *Ctx) Lag() logical.Duration {
-	return logical.Duration(c.PhysicalTime() - c.tag.Time)
-}
-
 // Elapsed returns logical time since the start tag.
 func (c *Ctx) Elapsed() logical.Duration {
 	return logical.Duration(c.tag.Time - c.env.startTime)
@@ -245,9 +237,6 @@ func (c *Ctx) DoWork(d logical.Duration) { c.env.clock.Sleep(d) }
 // RequestStop asks the runtime to shut down at the next microstep. All
 // shutdown reactions will execute at that stop tag.
 func (c *Ctx) RequestStop() { c.env.requestStopAt(c.tag.Next()) }
-
-// Env returns the environment.
-func (c *Ctx) Env() *Environment { return c.env }
 
 // Reaction returns the currently executing reaction.
 func (c *Ctx) Reaction() *Reaction { return c.reaction }

@@ -27,8 +27,8 @@ const (
 )
 
 // HostID returns the simnet host ID platform i receives during world
-// construction, in every execution mode: hosts are added in platform
-// order and both Network and Cluster allocate IDs sequentially from 1.
+// construction, for every partition count: hosts are added in platform
+// order and the Cluster allocates IDs sequentially from 1.
 // Fault plans that target specific platform links are built from it.
 func HostID(i int) uint16 { return uint16(i) + 1 }
 
@@ -43,8 +43,8 @@ func fnvMix(h, v uint64) uint64 {
 	return h
 }
 
-// World is a compiled scenario: the execution substrate (one kernel or
-// a federation), the network (or cluster), the platform hosts and
+// World is a compiled scenario: the execution substrate (a federation,
+// of one partition or more) and its cluster, the platform hosts and
 // runtimes, the topology edges the clients follow, and the per-platform
 // stats the workload folds its observable behaviour into. Run executes
 // it to completion.
@@ -65,10 +65,7 @@ type World struct {
 
 	fed     *des.Federation
 	cluster *simnet.Cluster
-	single  *des.Kernel
-	net     *simnet.Network
-	// recorders hold one trace recorder per kernel (a single entry on
-	// the classic substrate, one per partition under a federation).
+	// recorders hold one trace recorder per partition kernel.
 	recorders []*trace.Recorder
 	// engines hold one monitor engine per kernel when the spec's
 	// monitors block is set, teed onto the same tracer hook as the
@@ -79,12 +76,13 @@ type World struct {
 	monitorsDone bool
 }
 
-// Build compiles the spec into a runnable world. Partitions ≤ 1
-// selects the classic single-kernel substrate; larger values shard the
-// platforms round-robin over that many federated kernels. For a fixed
-// (Spec minus Partitions) the world's behaviour — and with it
-// StatsReport(Stats) after Run — is identical for every partition
-// count; only wall-clock time and mode-internal diagnostics differ.
+// Build compiles the spec into a runnable world on a federation of
+// Partitions kernels, with the platforms sharded round-robin over them;
+// one partition is the single-kernel run, whose lone kernel the
+// federation runs directly. For a fixed (Spec minus Partitions) the
+// world's behaviour — and with it StatsReport(Stats) after Run — is
+// identical for every partition count; only wall-clock time and
+// mode-internal diagnostics differ.
 //
 // Construction order is part of the determinism contract and is fixed:
 // substrate, hosts in platform order, then all servers, then all
@@ -179,38 +177,18 @@ func Build(spec Spec) (*World, error) {
 	return w, nil
 }
 
-// traceCapacity bounds the trace ring for one run: every client call
-// yields exactly one req record and one call (or call-err) record plus
-// at most one serve record, every noise delivery one record, every
-// platform one lifecycle bind, plus slack for reborn clients and the
-// crash plan. Complete traces are a determinism requirement (eviction
-// is mode-dependent), so the estimate is computed from the actual
-// generated edges — Degree alone undercounts the Full shape, whose
-// clients call all n-1 peers — and errs high (2× over the exact
-// three-records-per-call count).
-func (w *World) traceCapacity() int {
-	spec := w.Spec
-	rounds := spec.Rounds
-	if spec.Crash != nil && spec.Crash.RebornRounds > rounds {
-		rounds = spec.Crash.RebornRounds
-	}
-	targets := 0
-	for _, edges := range w.Edges {
-		targets += len(edges)
-	}
-	return 6*rounds*targets + spec.Platforms*(spec.NoiseEvents+1) + 256
-}
-
 // traceCapacityPartition bounds the trace ring for the platforms pinned
 // to one partition (platform i lives on partition i % partitions): the
 // partition records its own clients' req and call/call-err records
 // (outbound edges, two records per call), its own servers' serve
 // records (inbound edges), its own lifecycle binds and its own noise
-// deliveries. Sized per partition instead of handing every recorder
-// the full global capacity, the federation's total ring memory matches
-// the single-kernel ring instead of multiplying it by the partition
-// count — with the same 2× slack over the exact record count, because
-// eviction anywhere is a mode-dependence bug.
+// deliveries, plus slack for reborn clients and the crash plan. Complete
+// traces are a determinism requirement (eviction is mode-dependent), so
+// the estimate is computed from the actual generated edges — Degree
+// alone undercounts the Full shape, whose clients call all n-1 peers —
+// and errs high (2× over the exact record count). Sized per partition,
+// the federation's total ring memory does not grow with the partition
+// count.
 func (w *World) traceCapacityPartition(part, partitions int) int {
 	spec := w.Spec
 	rounds := spec.Rounds
@@ -232,8 +210,8 @@ func (w *World) traceCapacityPartition(part, partitions int) int {
 	return 2*rounds*(2*out+in) + noisy*(spec.NoiseEvents+1) + 256
 }
 
-// buildSubstrate creates the kernel(s), the network (or cluster), the
-// per-kernel trace recorders and the platform hosts.
+// buildSubstrate creates the federation, its cluster, the per-kernel
+// trace recorders and the platform hosts.
 func (w *World) buildSubstrate() error {
 	spec := w.Spec
 	netCfg := simnet.Config{
@@ -254,17 +232,6 @@ func (w *World) buildSubstrate() error {
 		eng := monitor.NewEngine(spec.Monitors.Build()...)
 		w.engines = append(w.engines, eng)
 		return eng
-	}
-	if spec.Partitions <= 1 {
-		w.single = des.NewKernel(spec.Seed)
-		rec := trace.NewRecorder(w.traceCapacity())
-		w.single.SetTracer(des.TeeTracer(rec, newEngine()))
-		w.recorders = []*trace.Recorder{rec}
-		w.net = simnet.NewNetwork(w.single, netCfg)
-		for i := 0; i < spec.Platforms; i++ {
-			w.Hosts = append(w.Hosts, w.net.AddHost(HostName(i), nil))
-		}
-		return nil
 	}
 	w.fed = des.NewFederation(spec.Seed, spec.Partitions)
 	for i := 0; i < w.fed.Partitions(); i++ {
@@ -292,7 +259,7 @@ func (w *World) buildSubstrate() error {
 			}
 		}
 	}
-	cluster, err := simnet.NewClusterRoutes(w.fed, netCfg, func(from, to int) bool {
+	cluster, err := simnet.NewCluster(w.fed, netCfg, func(from, to int) bool {
 		return allowed[from][to]
 	})
 	if err != nil {
@@ -512,13 +479,8 @@ func (w *World) spawnClient(rt *ara.Runtime, i, rounds int, marker uint64) {
 
 // Run executes the world to completion and shuts the substrate down.
 func (w *World) Run() {
-	if w.fed != nil {
-		w.fed.RunAll()
-		w.fed.Shutdown()
-		return
-	}
-	w.single.RunAll()
-	w.single.Shutdown()
+	w.fed.RunAll()
+	w.fed.Shutdown()
 }
 
 // Describe renders the world's canonical, mode-independent description
@@ -563,69 +525,33 @@ func (w *World) Trace() *trace.Trace {
 }
 
 // Partitions returns the number of partition kernels executing the
-// world (1 on the single-kernel substrate).
-func (w *World) Partitions() int {
-	if w.fed != nil {
-		return w.fed.Partitions()
-	}
-	return 1
-}
+// world.
+func (w *World) Partitions() int { return w.fed.Partitions() }
 
 // CoordRounds returns the federation's coordination-round count (zero
-// on a single kernel). Mode-dependent — never part of canonical
-// reports.
-func (w *World) CoordRounds() uint64 {
-	if w.fed != nil {
-		return w.fed.Rounds()
-	}
-	return 0
-}
+// for one partition). Mode-dependent — never part of canonical reports.
+func (w *World) CoordRounds() uint64 { return w.fed.Rounds() }
 
 // CoordGrants returns the federation's total dispatched-window count
-// (zero on a single kernel). Mode- and schedule-dependent — never part
+// (zero for one partition). Mode- and schedule-dependent — never part
 // of canonical reports.
-func (w *World) CoordGrants() uint64 {
-	if w.fed != nil {
-		return w.fed.Grants()
-	}
-	return 0
-}
+func (w *World) CoordGrants() uint64 { return w.fed.Grants() }
 
 // CoordParkedNs returns cumulative wall-clock nanoseconds partitions
-// with pending work spent parked between windows (zero on a single
-// kernel) — the observable sync tax. Machine-dependent.
-func (w *World) CoordParkedNs() int64 {
-	if w.fed != nil {
-		return w.fed.ParkedNs()
-	}
-	return 0
-}
+// with pending work spent parked between windows (zero for one
+// partition) — the observable sync tax. Machine-dependent.
+func (w *World) CoordParkedNs() int64 { return w.fed.ParkedNs() }
 
 // EventsFired returns the total kernel events executed. Mode-dependent.
-func (w *World) EventsFired() uint64 {
-	if w.fed != nil {
-		return w.fed.EventsFired()
-	}
-	return w.single.EventsFired()
-}
+func (w *World) EventsFired() uint64 { return w.fed.EventsFired() }
 
 // Delivered returns the substrate's delivered-datagram count.
 // Mode-dependent (SD multicast fan-out is per-partition).
-func (w *World) Delivered() uint64 {
-	if w.cluster != nil {
-		return w.cluster.Delivered()
-	}
-	return w.net.Delivered()
-}
+func (w *World) Delivered() uint64 { return w.cluster.Delivered() }
 
 // Dropped returns the substrate's dropped-datagram count.
 // Mode-dependent.
-func (w *World) Dropped() uint64 {
-	if w.cluster != nil {
-		return w.cluster.Dropped()
-	}
-	return w.net.Dropped()
-}
+func (w *World) Dropped() uint64 { return w.cluster.Dropped() }
 
 // ControlPlane returns the substrate's control-plane counters (see
 // simnet.Network.ControlPlane): multicast/topic send calls and their
@@ -633,9 +559,4 @@ func (w *World) Dropped() uint64 {
 // declared interest rather than platforms², which is what the
 // city-scale acceptance gate measures. Mode-dependent (fan-out is
 // per-partition).
-func (w *World) ControlPlane() (sends, fanout uint64) {
-	if w.cluster != nil {
-		return w.cluster.ControlPlane()
-	}
-	return w.net.ControlPlane()
-}
+func (w *World) ControlPlane() (sends, fanout uint64) { return w.cluster.ControlPlane() }

@@ -102,9 +102,9 @@ type Spec struct {
 	// random-regular out-degree (capped at Platforms-1; 0 means
 	// min(3, Platforms-1), the E10 default).
 	Degree int `json:"degree,omitempty"`
-	// Partitions is the execution-mode default: ≤ 1 runs on a single
-	// kernel, larger values shard the platforms round-robin over that
-	// many federated kernels (capped at Platforms). Excluded from
+	// Partitions is the execution-mode default: the platforms are
+	// sharded round-robin over that many federated kernels (≤ 1 means
+	// one, the single-kernel run; capped at Platforms). Excluded from
 	// Describe — it must not change behaviour.
 	Partitions int `json:"partitions,omitempty"`
 	// Seed drives every random stream of the world.
@@ -352,9 +352,8 @@ func (s Spec) normalized() (Spec, error) {
 		s.NoiseInterval = 0
 	}
 	if s.Faults != nil {
-		// Surface fault-plan mistakes here: the single-kernel build path
-		// would otherwise only discover them as a panic inside
-		// simnet.NewNetwork, and a JSON spec must fail loudly instead.
+		// Surface fault-plan mistakes here, so Describe and every
+		// compiler entry point reject a bad JSON spec loudly and alike.
 		if err := s.Faults.Validate(); err != nil {
 			return s, err
 		}

@@ -240,9 +240,8 @@ func TestSpecValidation(t *testing.T) {
 		}, "out of range"},
 		{"crash without timeout", func(s *Spec) { s.Crash = &CrashPlan{Platform: 1, At: 1} }, "CallTimeout"},
 		{"drops without timeout", func(s *Spec) { s.Faults = &simnet.FaultPlan{DropRate: 0.1} }, "CallTimeout"},
-		// An ill-formed fault plan must fail validation here — the
-		// single-kernel build path would otherwise panic inside
-		// simnet.NewNetwork.
+		// An ill-formed fault plan must fail validation here, before
+		// any world is built.
 		{"invalid fault plan", func(s *Spec) {
 			s.CallTimeout = logical.Millisecond
 			s.Faults = &simnet.FaultPlan{DropRate: 1.5}

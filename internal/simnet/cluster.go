@@ -22,7 +22,7 @@ import (
 //     random streams — FixedLatency is the canonical choice). A shared
 //     jitter stream would be consumed in global event order on one kernel
 //     but in per-partition order on a federation.
-//   - DropRate and FaultPlans are fully supported: packet fates are
+//   - FaultPlans are fully supported: packet fates are
 //     counter-based (see FaultPlan) — keyed on (seed, directed link,
 //     packet index) rather than drawn from a shared sequential stream —
 //     so a drop, blackout or jitter decision is a pure function that
@@ -34,7 +34,7 @@ import (
 type Cluster struct {
 	fed         *des.Federation
 	parts       []*Network
-	owner       map[uint16]int // host id -> partition
+	owner       []int // host id -> partition; IDs are dense from 1, owner[0] unused
 	chans       [][]*des.Channel
 	model       MinLatencyModel
 	links       map[[2]uint16]MinLatencyModel
@@ -48,33 +48,27 @@ type Cluster struct {
 // latency model, switch delay and fault plan, so a host pair observes
 // identical timing (and identical packet fates) whether or not it is
 // co-partitioned. DefaultLatency must implement MinLatencyModel and have
-// a positive minimum (plus switch delay). DropRate and Faults may be
-// nonzero: counter-based fault streams are interleaving-independent, so
-// they do not break cross-mode byte-equality — and because fault-plan
-// jitter only ever adds delay, the lookahead derived from the link
-// model's minimum remains conservative under any plan.
-func NewCluster(fed *des.Federation, cfg Config) (*Cluster, error) {
-	return NewClusterRoutes(fed, cfg, nil)
-}
-
-// NewClusterRoutes creates a partitioned network whose federation
-// channels exist only for the directed partition pairs the route
-// predicate admits (nil admits every pair, matching NewCluster). A
-// sparser channel graph directly widens the federation's conservative
-// grants: the coordinator's lookahead matrix routes the synchronization
-// constraint between undeclared pairs through multi-hop paths (or not at
-// all), so partitions that never exchange traffic stop throttling each
-// other. Sending a datagram across an undeclared partition pair panics —
-// the route set is a topology contract, not a filter. The predicate is
+// a positive minimum (plus switch delay). Faults may be set:
+// counter-based fault streams are interleaving-independent, so they do
+// not break cross-mode byte-equality — and because fault-plan jitter
+// only ever adds delay, the lookahead derived from the link model's
+// minimum remains conservative under any plan. A one-partition cluster
+// is a plain Network on the federation's lone kernel.
+//
+// Federation channels exist only for the directed partition pairs the
+// route predicate admits (nil admits every pair). A sparser channel
+// graph directly widens the federation's conservative grants: the
+// coordinator's lookahead matrix routes the synchronization constraint
+// between undeclared pairs through multi-hop paths (or not at all), so
+// partitions that never exchange traffic stop throttling each other.
+// Sending a datagram across an undeclared partition pair panics — the
+// route set is a topology contract, not a filter. The predicate is
 // consulted once per ordered pair at construction time, in (from, to)
 // creation order, so it also fixes the channels' deterministic creation
 // order.
-func NewClusterRoutes(fed *des.Federation, cfg Config, route func(from, to int) bool) (*Cluster, error) {
-	// Surface fault-configuration mistakes as errors here; the same
-	// checks panic later in NewNetwork, whose signature predates them.
-	if cfg.DropRate < 0 || cfg.DropRate > 1 {
-		return nil, fmt.Errorf("simnet: cluster DropRate %v outside [0,1]", cfg.DropRate)
-	}
+func NewCluster(fed *des.Federation, cfg Config, route func(from, to int) bool) (*Cluster, error) {
+	// Surface fault-plan mistakes as errors here; the same check panics
+	// later in NewNetwork, whose signature predates it.
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Validate(); err != nil {
 			return nil, err
@@ -100,7 +94,7 @@ func NewClusterRoutes(fed *des.Federation, cfg Config, route func(from, to int) 
 	c := &Cluster{
 		fed:         fed,
 		parts:       make([]*Network, p),
-		owner:       map[uint16]int{},
+		owner:       []int{-1},
 		chans:       make([][]*des.Channel, p),
 		model:       mm,
 		links:       map[[2]uint16]MinLatencyModel{},
@@ -137,14 +131,16 @@ func (c *Cluster) Partition(i int) *Network { return c.parts[i] }
 // The clock (may be nil) must belong to the partition's kernel.
 func (c *Cluster) AddHost(part int, name string, clock *des.LocalClock) *Host {
 	c.nextID++
-	c.owner[c.nextID] = part
+	c.owner = append(c.owner, part)
 	return c.parts[part].addHostID(c.nextID, name, clock)
 }
 
 // PartitionOf returns the partition owning the host ID.
 func (c *Cluster) PartitionOf(host uint16) (int, bool) {
-	p, ok := c.owner[host]
-	return p, ok
+	if host == 0 || int(host) >= len(c.owner) {
+		return 0, false
+	}
+	return c.owner[host], true
 }
 
 // SetLink installs a latency model for traffic between hosts a and b
@@ -153,8 +149,8 @@ func (c *Cluster) PartitionOf(host uint16) (int, bool) {
 // channels' lookahead is lowered to the model's minimum when necessary.
 // Must be called before the federation runs.
 func (c *Cluster) SetLink(a, b uint16, m MinLatencyModel) {
-	pa, oka := c.owner[a]
-	pb, okb := c.owner[b]
+	pa, oka := c.PartitionOf(a)
+	pb, okb := c.PartitionOf(b)
 	if !oka || !okb {
 		panic(fmt.Sprintf("simnet: SetLink on unknown hosts %d,%d", a, b))
 	}
@@ -173,7 +169,7 @@ func (c *Cluster) SetLink(a, b uint16, m MinLatencyModel) {
 	for _, ch := range []*des.Channel{c.chans[pa][pb], c.chans[pb][pa]} {
 		if ch == nil {
 			panic(fmt.Sprintf(
-				"simnet: SetLink between hosts %d,%d crosses partitions %d<->%d with no declared route (see NewClusterRoutes)",
+				"simnet: SetLink between hosts %d,%d crosses partitions %d<->%d with no declared route (see NewCluster)",
 				a, b, pa, pb))
 		}
 		if la < ch.Lookahead() {
@@ -235,7 +231,7 @@ func crossPartitionSafe(m MinLatencyModel) error {
 // is scheduled locally and dropped at delivery time, mirroring the
 // single-kernel count).
 func (c *Cluster) route(from int, src *Endpoint, dg Datagram) bool {
-	to, ok := c.owner[dg.Dst.Host]
+	to, ok := c.PartitionOf(dg.Dst.Host)
 	if !ok {
 		return false
 	}
@@ -256,7 +252,7 @@ func (c *Cluster) route(from int, src *Endpoint, dg Datagram) bool {
 	ch := c.chans[from][to]
 	if ch == nil {
 		panic(fmt.Sprintf(
-			"simnet: datagram %d->%d crosses partitions %d->%d with no declared route (see NewClusterRoutes)",
+			"simnet: datagram %d->%d crosses partitions %d->%d with no declared route (see NewCluster)",
 			dg.Src.Host, dg.Dst.Host, from, to))
 	}
 	at := c.parts[from].k.Now().Add(lat)

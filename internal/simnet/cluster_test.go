@@ -39,7 +39,7 @@ func runStarCfg(t *testing.T, cfg Config, partitions, hosts, msgs int) []string 
 		}
 	} else {
 		fed = des.NewFederation(42, partitions)
-		c, err := NewCluster(fed, cfg)
+		c, err := NewCluster(fed, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,8 +117,8 @@ func TestClusterMatchesSingleNetwork(t *testing.T) {
 	}
 }
 
-// Regression for the lifted DropRate restriction: a federated run with
-// nonzero drop rate must match the single-kernel run byte-for-byte —
+// Regression for the lifted drop-rate restriction: a federated run with
+// nonzero background loss must match the single-kernel run byte-for-byte —
 // both the delivery trace and the loss accounting. This is exactly what
 // the old shared-stream drop implementation could not provide (drops
 // consumed one sequential stream in delivery order, which differs
@@ -127,7 +127,7 @@ func TestClusterDropRateMatchesSingleNetwork(t *testing.T) {
 	cfg := Config{
 		DefaultLatency: FixedLatency(120 * logical.Microsecond),
 		SwitchDelay:    20 * logical.Microsecond,
-		DropRate:       0.3,
+		Faults:         &FaultPlan{DropRate: 0.3},
 	}
 	want := runStarCfg(t, cfg, 1, 5, 12)
 	if len(want) == 0 {
@@ -192,7 +192,7 @@ func TestClusterFaultPlanMatchesSingleNetwork(t *testing.T) {
 
 func TestClusterCountsUnknownHostDrops(t *testing.T) {
 	fed := des.NewFederation(1, 2)
-	c, err := NewCluster(fed, Config{})
+	c, err := NewCluster(fed, Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestClusterCountsUnknownHostDrops(t *testing.T) {
 
 func TestClusterCrossPartitionDeliveredCount(t *testing.T) {
 	fed := des.NewFederation(1, 2)
-	c, err := NewCluster(fed, Config{})
+	c, err := NewCluster(fed, Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestClusterCrossPartitionDeliveredCount(t *testing.T) {
 
 func TestClusterSetLinkLowersLookahead(t *testing.T) {
 	fed := des.NewFederation(1, 2)
-	c, err := NewCluster(fed, Config{DefaultLatency: FixedLatency(logical.Millisecond)})
+	c, err := NewCluster(fed, Config{DefaultLatency: FixedLatency(logical.Millisecond)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,25 +256,25 @@ func TestClusterSetLinkLowersLookahead(t *testing.T) {
 }
 
 func TestClusterRejectsBadConfigs(t *testing.T) {
-	// DropRate is supported since drops moved to counter-based per-link
-	// streams (it used to be rejected as a shared-stream determinism
-	// hazard).
-	if _, err := NewCluster(des.NewFederation(1, 2), Config{DropRate: 0.1}); err != nil {
+	// Background loss is supported since drops moved to counter-based
+	// per-link streams (it used to be rejected as a shared-stream
+	// determinism hazard).
+	if _, err := NewCluster(des.NewFederation(1, 2), Config{Faults: &FaultPlan{DropRate: 0.1}}, nil); err != nil {
 		t.Errorf("DropRate must be accepted now: %v", err)
 	}
-	if _, err := NewCluster(des.NewFederation(1, 2), Config{DefaultLatency: jitterNoMin{}}); err == nil {
+	if _, err := NewCluster(des.NewFederation(1, 2), Config{DefaultLatency: jitterNoMin{}}, nil); err == nil {
 		t.Error("latency model without MinLatency must be rejected")
 	}
 	// Invalid fault configurations surface as errors, not panics.
-	if _, err := NewCluster(des.NewFederation(1, 2), Config{DropRate: 1.5}); err == nil {
+	if _, err := NewCluster(des.NewFederation(1, 2), Config{Faults: &FaultPlan{DropRate: 1.5}}, nil); err == nil {
 		t.Error("out-of-range DropRate must be rejected")
 	}
 	if _, err := NewCluster(des.NewFederation(1, 2), Config{
 		Faults: &FaultPlan{Loss: []LossWindow{{From: 5, To: 1, Rate: 0.5}}},
-	}); err == nil {
+	}, nil); err == nil {
 		t.Error("ill-formed fault plan must be rejected")
 	}
-	if _, err := NewCluster(des.NewFederation(1, 2), Config{DefaultLatency: FixedLatency(0)}); err == nil {
+	if _, err := NewCluster(des.NewFederation(1, 2), Config{DefaultLatency: FixedLatency(0)}, nil); err == nil {
 		t.Error("zero lookahead must be rejected")
 	}
 	// A jittered model with an RNG would be consulted from parallel kernel
@@ -283,7 +283,7 @@ func TestClusterRejectsBadConfigs(t *testing.T) {
 	fed2 := des.NewFederation(1, 2)
 	jl := &JitterLatency{Base: 100 * logical.Microsecond, Sigma: 10 * logical.Microsecond,
 		Rng: fed2.Kernel(0).Rand("jitter")}
-	if _, err := NewCluster(fed2, Config{DefaultLatency: jl}); err == nil {
+	if _, err := NewCluster(fed2, Config{DefaultLatency: jl}, nil); err == nil {
 		t.Error("RNG-backed latency model must be rejected")
 	}
 }

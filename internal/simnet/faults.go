@@ -36,8 +36,8 @@ type FaultPlan struct {
 	// Seed salts every counter-based draw. Two plans that differ only in
 	// Seed produce independent fault patterns.
 	Seed uint64 `json:"seed,omitempty"`
-	// DropRate is the background probability of losing any inter-host
-	// packet, matching Config.DropRate semantics.
+	// DropRate is the background probability of silently losing any
+	// inter-host packet.
 	DropRate float64 `json:"dropRate,omitempty"`
 	// Loss elevates the loss probability on selected links during
 	// windows of simulated time.

@@ -23,7 +23,7 @@ func pumpPackets(k *des.Kernel, src, dst *Endpoint, n int, gap logical.Duration)
 
 func TestFaultPlanBackgroundDrops(t *testing.T) {
 	k := des.NewKernel(1)
-	n := NewNetwork(k, Config{DropRate: 0.5})
+	n := NewNetwork(k, Config{Faults: &FaultPlan{DropRate: 0.5}})
 	h1, h2 := n.AddHost("a", nil), n.AddHost("b", nil)
 	times := pumpPackets(k, h1.MustBind(1), h2.MustBind(2), 200, logical.Millisecond)
 	k.RunAll()
@@ -47,7 +47,7 @@ func TestFaultPlanBackgroundDrops(t *testing.T) {
 func TestFaultDropsIndependentOfUnrelatedTraffic(t *testing.T) {
 	run := func(noise bool) []logical.Time {
 		k := des.NewKernel(1)
-		n := NewNetwork(k, Config{DropRate: 0.4})
+		n := NewNetwork(k, Config{Faults: &FaultPlan{DropRate: 0.4}})
 		h1, h2, h3 := n.AddHost("a", nil), n.AddHost("b", nil), n.AddHost("c", nil)
 		times := pumpPackets(k, h1.MustBind(1), h2.MustBind(2), 100, logical.Millisecond)
 		if noise {
@@ -185,7 +185,7 @@ func TestJitterBurstDelaysWithoutLoss(t *testing.T) {
 
 func TestFaultPlanValidate(t *testing.T) {
 	bad := []Config{
-		{DropRate: 1.5},
+		{Faults: &FaultPlan{DropRate: 1.5}},
 		{Faults: &FaultPlan{Loss: []LossWindow{{Rate: -0.1}}}},
 		{Faults: &FaultPlan{Loss: []LossWindow{{From: 5, To: 1, Rate: 0.5}}}},
 		{Faults: &FaultPlan{Partitions: []PartitionWindow{{From: 9, To: 2}}}},

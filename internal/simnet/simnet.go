@@ -228,22 +228,15 @@ type Config struct {
 	DefaultLatency LatencyModel
 	// SwitchDelay is added to every inter-host packet (store-and-forward).
 	SwitchDelay logical.Duration
-	// DropRate is the probability of silently losing an inter-host packet
-	// (the paper's AP stack gives no delivery guarantee; default 0).
-	// Drops are drawn from counter-based per-link streams, so they are
-	// independent of execution interleaving and safe on a federated
-	// Cluster. A nonzero DropRate is shorthand for a FaultPlan with only
-	// the background rate set.
-	DropRate float64
-	// Faults installs a full fault schedule (loss windows, partitions,
-	// jitter bursts); see FaultPlan. A nonzero DropRate combines with it
-	// as the background loss floor. The plan must not be mutated after
-	// the network is created.
+	// Faults installs a fault schedule (background loss, loss windows,
+	// partitions, jitter bursts); see FaultPlan. Nil is a lossless
+	// network. The plan must not be mutated after the network is
+	// created.
 	Faults *FaultPlan
 }
 
 // NewNetwork creates a network on the kernel. It panics on an invalid
-// fault configuration (rates outside [0,1], ill-formed windows).
+// fault plan (rates outside [0,1], ill-formed windows).
 func NewNetwork(k *des.Kernel, cfg Config) *Network {
 	model := cfg.DefaultLatency
 	if model == nil {
@@ -260,19 +253,7 @@ func NewNetwork(k *des.Kernel, cfg Config) *Network {
 		groups:       map[Addr][]*Endpoint{},
 		topics:       map[topicKey][]*Endpoint{},
 	}
-	plan := cfg.Faults
-	if cfg.DropRate != 0 {
-		// Fold the shorthand into a plan without mutating the caller's.
-		merged := FaultPlan{DropRate: cfg.DropRate}
-		if plan != nil {
-			merged = *plan
-			if cfg.DropRate > merged.DropRate {
-				merged.DropRate = cfg.DropRate
-			}
-		}
-		plan = &merged
-	}
-	if plan != nil {
+	if plan := cfg.Faults; plan != nil {
 		if err := plan.Validate(); err != nil {
 			panic(err)
 		}
@@ -409,15 +390,18 @@ func linkKey(a, b uint16) [2]uint16 {
 	return [2]uint16{a, b}
 }
 
+// loopbackLatency is the intra-host delivery latency. It draws no
+// randomness, so loopback traffic schedules identically on every
+// partition count.
+const loopbackLatency = 5 * logical.Microsecond
+
 // Host is a simulated platform attached to the network.
 type Host struct {
 	net   *Network
 	id    uint16
 	name  string
 	ports map[uint16]*Endpoint
-	// loopback is the intra-host delivery latency.
-	loopback LatencyModel
-	clock    *des.LocalClock
+	clock *des.LocalClock
 	// down marks a crashed host: no endpoint is bound, sends from stale
 	// endpoints are suppressed, deliveries drop.
 	down bool
@@ -438,12 +422,11 @@ func (n *Network) addHostID(id uint16, name string, clock *des.LocalClock) *Host
 		panic(fmt.Sprintf("simnet: duplicate host id %d (%s)", id, name))
 	}
 	h := &Host{
-		net:      n,
-		id:       id,
-		name:     name,
-		ports:    map[uint16]*Endpoint{},
-		loopback: FixedLatency(5 * logical.Microsecond),
-		clock:    clock,
+		net:   n,
+		id:    id,
+		name:  name,
+		ports: map[uint16]*Endpoint{},
+		clock: clock,
 	}
 	n.hosts[h.id] = h
 	return h
@@ -460,15 +443,6 @@ func (h *Host) Name() string { return h.name }
 
 // Clock returns the host's local clock (may be nil).
 func (h *Host) Clock() *des.LocalClock { return h.clock }
-
-// SetLoopback overrides the intra-host delivery latency model (default:
-// FixedLatency(5µs)). Like every latency model consulted on this host's
-// kernel, m must draw randomness only from streams owned by that kernel
-// (or none at all) to preserve determinism; on a Cluster the loopback
-// model is consulted exclusively by the host's own partition, so any
-// deterministic model is safe — the MinLatencyModel/RNG-free
-// restrictions apply only to inter-host links.
-func (h *Host) SetLoopback(m LatencyModel) { h.loopback = m }
 
 // Down reports whether the host is currently crashed.
 func (h *Host) Down() bool { return h.down }
@@ -707,7 +681,7 @@ func (n *Network) route(e *Endpoint, dg Datagram, faulted bool) {
 	payload := dg.Payload
 	var lat logical.Duration
 	if dst.Host == e.addr.Host {
-		lat = e.host.loopback.Latency(len(payload))
+		lat = loopbackLatency
 	} else {
 		if _, local := n.hosts[dst.Host]; !local && n.router != nil {
 			if n.router(e, dg) {

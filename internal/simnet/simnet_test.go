@@ -297,7 +297,7 @@ func TestSwitchDelayAddsOnlyAcrossHosts(t *testing.T) {
 
 func TestDropRate(t *testing.T) {
 	k := des.NewKernel(3)
-	n := NewNetwork(k, Config{DropRate: 0.5})
+	n := NewNetwork(k, Config{Faults: &FaultPlan{DropRate: 0.5}})
 	h1 := n.AddHost("p1", nil)
 	h2 := n.AddHost("p2", nil)
 	a := h1.MustBind(1)

@@ -113,10 +113,6 @@ func (c *Conn) Send(dst Addr, m *Message) error {
 	if c.mtu > 0 {
 		msgs, err := Segment(m, c.mtu)
 		if err != nil {
-			c.decodeErr++
-			if c.onErr != nil {
-				c.onErr(dst, err)
-			}
 			return err
 		}
 		for _, seg := range msgs {

@@ -209,6 +209,26 @@ func TestEndpointSegmentsOverMTU(t *testing.T) {
 	})
 }
 
+// A message that cannot be segmented (the MTU leaves no room for TP
+// payload) is a send failure: Send returns the error, and the inbound
+// side's decode-error count and error handler stay untouched.
+func TestEndpointSegmentFailureIsSendError(t *testing.T) {
+	forEachEndpoint(t, false, 20, func(t *testing.T, f endpointFixture) {
+		var inbound []error
+		f.a.OnError(func(src Addr, err error) { inbound = append(inbound, err) })
+		m := &Message{Service: 1, Method: 1, Type: TypeRequest, Payload: make([]byte, 100)}
+		if err := f.a.Send(f.b.LocalAddr(), m); err == nil {
+			t.Fatal("want error: MTU 20 leaves no room for TP payload")
+		}
+		if sent, _, decodeErrs := f.a.Stats(); sent != 0 || decodeErrs != 0 {
+			t.Errorf("stats after failed send: sent=%d decodeErrors=%d, want 0 0", sent, decodeErrs)
+		}
+		if len(inbound) != 0 {
+			t.Errorf("send failure reached the inbound error handler: %v", inbound)
+		}
+	})
+}
+
 func TestEndpointSendAfterCloseFails(t *testing.T) {
 	forEachEndpoint(t, false, 0, func(t *testing.T, f endpointFixture) {
 		dst := f.b.LocalAddr()

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // SOME/IP payload serialization per the AUTOSAR basic datatype rules:
@@ -63,18 +62,6 @@ func (w *Writer) U64(v uint64) *Writer {
 	return w
 }
 
-// I8 appends a signed 8-bit value.
-func (w *Writer) I8(v int8) *Writer { return w.U8(uint8(v)) }
-
-// I16 appends a signed 16-bit value.
-func (w *Writer) I16(v int16) *Writer { return w.U16(uint16(v)) }
-
-// I32 appends a signed 32-bit value.
-func (w *Writer) I32(v int32) *Writer { return w.U32(uint32(v)) }
-
-// I64 appends a signed 64-bit value.
-func (w *Writer) I64(v int64) *Writer { return w.U64(uint64(v)) }
-
 // Bool appends a boolean (one byte, 0 or 1).
 func (w *Writer) Bool(v bool) *Writer {
 	if v {
@@ -82,12 +69,6 @@ func (w *Writer) Bool(v bool) *Writer {
 	}
 	return w.U8(0)
 }
-
-// F32 appends an IEEE-754 single-precision float.
-func (w *Writer) F32(v float32) *Writer { return w.U32(math.Float32bits(v)) }
-
-// F64 appends an IEEE-754 double-precision float.
-func (w *Writer) F64(v float64) *Writer { return w.U64(math.Float64bits(v)) }
 
 // String appends a UTF-8 string with a 32-bit length field.
 func (w *Writer) String(s string) *Writer {
@@ -198,26 +179,8 @@ func (r *Reader) U64() uint64 {
 	return binary.BigEndian.Uint64(b)
 }
 
-// I8 reads a signed 8-bit value.
-func (r *Reader) I8() int8 { return int8(r.U8()) }
-
-// I16 reads a signed 16-bit value.
-func (r *Reader) I16() int16 { return int16(r.U16()) }
-
-// I32 reads a signed 32-bit value.
-func (r *Reader) I32() int32 { return int32(r.U32()) }
-
-// I64 reads a signed 64-bit value.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
 // Bool reads a boolean; any nonzero byte is true.
 func (r *Reader) Bool() bool { return r.U8() != 0 }
-
-// F32 reads an IEEE-754 single-precision float.
-func (r *Reader) F32() float32 { return math.Float32frombits(r.U32()) }
-
-// F64 reads an IEEE-754 double-precision float.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
 // String reads a length-prefixed UTF-8 string.
 func (r *Reader) String() string {

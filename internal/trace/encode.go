@@ -2,7 +2,6 @@ package trace
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"os"
 
@@ -153,21 +152,6 @@ func Decode(data []byte) (*Trace, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadTrace, len(data)-d.off)
 	}
 	return t, nil
-}
-
-// EncodeJSON renders the trace as indented JSON (stored input bytes
-// appear base64-encoded, per encoding/json's []byte convention).
-func (t *Trace) EncodeJSON() ([]byte, error) {
-	return json.MarshalIndent(t, "", "  ")
-}
-
-// DecodeJSON parses a JSON trace produced by EncodeJSON.
-func DecodeJSON(data []byte) (*Trace, error) {
-	var t Trace
-	if err := json.Unmarshal(data, &t); err != nil {
-		return nil, fmt.Errorf("trace: parsing JSON trace: %w", err)
-	}
-	return &t, nil
 }
 
 // WriteFile persists the trace to path in the binary format.

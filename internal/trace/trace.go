@@ -27,10 +27,10 @@
 //     simulated kernel — the DEAR application, being a pure function
 //     of its tagged inputs, must reproduce the recorded outputs.
 //
-// Traces have two interchangeable encodings: a deterministic binary
-// format (Encode/Decode, WriteFile/ReadFile) for artifacts and CI,
-// and JSON (EncodeJSON/DecodeJSON) for human inspection. Payloads are
-// digested, not stored, except for records captured as re-injectable
+// Traces have one encoding, a deterministic binary format
+// (Encode/Decode, WriteFile/ReadFile) for artifacts and CI;
+// Record.String and cmd/someip-dump -trace render them for human
+// inspection. Payloads are digested, not stored, except for records captured as re-injectable
 // inputs (RecordInput, RecordingEndpoint's receive path), which keep
 // the full marshaled bytes — replay needs them.
 package trace
@@ -94,25 +94,25 @@ const (
 type Record struct {
 	// Time is the logical (simulated or wall-derived) time of the
 	// event in nanoseconds.
-	Time logical.Time `json:"atNs"`
+	Time logical.Time
 	// Seq is the component-local sequence number, starting at 1 and
 	// incrementing per record of the same component. It breaks ties
 	// between same-time records of one component and is identical in
 	// every execution mode.
-	Seq uint64 `json:"seq"`
+	Seq uint64
 	// Component labels the emitting component (e.g. "plat03.client").
 	// A component must live on exactly one kernel of a federation.
-	Component string `json:"component"`
+	Component string
 	// Kind classifies the event (see the Kind constants).
-	Kind string `json:"kind"`
+	Kind string
 	// Digest is the FNV-1a digest of the event payload.
-	Digest uint64 `json:"digest"`
+	Digest uint64
 	// Src is the source address of a captured input (recv records
 	// only).
-	Src string `json:"src,omitempty"`
+	Src string
 	// Data holds the full marshaled bytes of a captured input so a
 	// Replayer can re-inject it. Digest-only records leave it nil.
-	Data []byte `json:"data,omitempty"`
+	Data []byte
 }
 
 // String renders the record for diagnostics.
@@ -142,11 +142,11 @@ func (r *Record) equal(o *Record) bool {
 // or GOMAXPROCS.
 type Trace struct {
 	// Records are the events in canonical order.
-	Records []Record `json:"records"`
+	Records []Record
 	// Truncated counts records evicted from ring buffers before the
 	// merge (0 = complete). A truncated trace is still canonical but
 	// mode-independence only holds for complete traces.
-	Truncated uint64 `json:"truncated,omitempty"`
+	Truncated uint64
 }
 
 // compareCanonical orders two records by the canonical (time,
