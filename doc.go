@@ -45,8 +45,9 @@
 //	rt, err := dear.NewRuntime(host, dear.RuntimeConfig{Name: "swc", Tagged: true})
 //
 // The real-UDP deployment path is ara.NewUDPRuntime driven by
-// des.RealTime; cmd/federate is a complete two-federate deployment over
-// loopback.
+// des.RealTime. Experiment E9 (exp.RunLoopback) is a complete
+// two-federate deployment over loopback:
+// `go run ./cmd/experiments -only loopback`.
 //
 // # Beyond the facade
 //

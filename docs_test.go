@@ -14,6 +14,8 @@ package dear_test
 //     use, and the docs at what dear.go exports.
 //   - TestLibraryExportsHaveCallers keeps the internal packages'
 //     exports at what some Go file names.
+//   - TestDocsCommandPathsExist keeps the command paths the docs tell a
+//     reader to run at directories that exist.
 
 import (
 	"fmt"
@@ -182,6 +184,55 @@ func headingAnchor(h string) string {
 		}
 	}
 	return b.String()
+}
+
+// commandDocs are the files whose command paths must exist.
+var commandDocs = []string{"README.md", "DESIGN.md", "ARCHITECTURE.md", "doc.go", ".claude/skills/verify/SKILL.md"}
+
+var (
+	goRunPath = regexp.MustCompile(`go run (\./[^\s"'\x60)]+)`)
+	cmdPath   = regexp.MustCompile(`(?:^|[\s\x60(])(?:\./)?(cmd/[\w-]+)`)
+	braceList = regexp.MustCompile(`\{([^}]*)\}`)
+)
+
+// TestDocsCommandPathsExist fails for any `go run ./<path>` or cmd/<name>
+// in the docs that does not name a directory holding Go files, so a
+// deleted or renamed command cannot stay in the instructions. A shell
+// brace list in a path ({a,b}) is expanded.
+func TestDocsCommandPathsExist(t *testing.T) {
+	for _, doc := range commandDocs {
+		body, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var paths []string
+		for _, m := range goRunPath.FindAllStringSubmatch(string(body), -1) {
+			paths = append(paths, m[1])
+		}
+		for _, m := range cmdPath.FindAllStringSubmatch(string(body), -1) {
+			paths = append(paths, m[1])
+		}
+		checked := map[string]bool{}
+		for _, p := range paths {
+			expanded := []string{p}
+			if b := braceList.FindStringSubmatchIndex(p); b != nil {
+				expanded = nil
+				for _, alt := range strings.Split(p[b[2]:b[3]], ",") {
+					expanded = append(expanded, p[:b[0]]+alt+p[b[1]:])
+				}
+			}
+			for _, dir := range expanded {
+				dir = filepath.Clean(dir)
+				if checked[dir] {
+					continue
+				}
+				checked[dir] = true
+				if gos, _ := filepath.Glob(filepath.Join(dir, "*.go")); len(gos) == 0 {
+					t.Errorf("%s names %s, which is not a directory holding Go files", doc, dir)
+				}
+			}
+		}
+	}
 }
 
 // Ensure the experiment index and the architecture document stay in

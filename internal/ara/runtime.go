@@ -37,9 +37,6 @@ type Config struct {
 	SD someip.AgentConfig
 	// Tagged selects the modified (tag-aware) SOME/IP binding.
 	Tagged bool
-	// MTU enables SOME/IP-TP segmentation for messages exceeding this
-	// wire size (0 = no segmentation).
-	MTU int
 	// WrapEndpoint, when set, wraps the runtime's transport endpoint at
 	// construction time — the seam trace recording installs itself at
 	// (e.g. trace.NewRecordingEndpoint). The wrapper sees every message
@@ -103,7 +100,7 @@ func NewRuntime(host *simnet.Host, cfg Config) (*Runtime, error) {
 		return nil, err
 	}
 	clientID := someip.ClientID(host.ID()<<8 | ep.Addr().Port&0xff)
-	rt := newRuntime(k, host.Clock(), cfg, someip.NewConnMTU(ep, cfg.Tagged, cfg.MTU), clientID)
+	rt := newRuntime(k, host.Clock(), cfg, someip.NewConn(ep, cfg.Tagged), clientID)
 	rt.host = host
 	rt.sd = sd
 	rt.conn.OnMessage(rt.handle)
@@ -123,7 +120,7 @@ func NewUDPRuntime(drv *des.RealTime, addr string, cfg Config) (*Runtime, error)
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("ara: runtime needs a name")
 	}
-	conn, err := someip.ListenUDP(addr, cfg.Tagged, cfg.MTU)
+	conn, err := someip.ListenUDP(addr, cfg.Tagged)
 	if err != nil {
 		return nil, err
 	}
@@ -228,7 +225,7 @@ func (rt *Runtime) SetBindingHook(h BindingHook) { rt.hook = h }
 // send transmits a message through the (possibly hooked) binding.
 // Transmission is best-effort, mirroring the AP stack's lack of a
 // delivery guarantee; the returned error reports local failures only
-// (closed endpoint, wrong-substrate address, segmentation) — most
+// (closed endpoint, wrong-substrate address, failed socket write) — most
 // callers drop it, but the proxy uses it to fail calls fast.
 func (rt *Runtime) send(dst someip.Addr, m *someip.Message) error {
 	if rt.hook != nil {

@@ -20,8 +20,6 @@ import (
 type Conn struct {
 	ep     *simnet.Endpoint
 	tagged bool
-	mtu    int
-	reasm  *Reassembler
 	closed bool
 	onMsg  func(src Addr, m *Message)
 	onErr  func(src Addr, err error)
@@ -46,14 +44,7 @@ type Conn struct {
 // NewConn creates a binding over the endpoint. When tagged is true the
 // binding understands the DEAR tag trailer.
 func NewConn(ep *simnet.Endpoint, tagged bool) *Conn {
-	return NewConnMTU(ep, tagged, 0)
-}
-
-// NewConnMTU creates a binding with SOME/IP-TP segmentation: messages
-// whose wire size exceeds mtu are split into TP segments and reassembled
-// at the receiver. mtu 0 disables segmentation.
-func NewConnMTU(ep *simnet.Endpoint, tagged bool, mtu int) *Conn {
-	c := &Conn{ep: ep, tagged: tagged, mtu: mtu}
+	c := &Conn{ep: ep, tagged: tagged}
 	ep.OnReceive(c.receive)
 	return c
 }
@@ -92,11 +83,12 @@ func (c *Conn) Close() error {
 	return nil
 }
 
-// Send marshals and transmits the message, segmenting via SOME/IP-TP
-// when an MTU is configured. In an untagged binding any Tag on the
-// message is ignored (a standard binding has no way to transmit it) —
-// this models composing DEAR components with unmodified middleware.
-// dst must be a simnet.Addr.
+// Send marshals the message into the Conn's scratch buffer and hands it
+// to the endpoint, which copies it into the in-flight datagram before
+// returning, so the scratch is free for the next send. In an untagged
+// binding any Tag on the message is ignored (a standard binding has no
+// way to transmit it) — this models composing DEAR components with
+// unmodified middleware. dst must be a simnet.Addr.
 func (c *Conn) Send(dst Addr, m *Message) error {
 	if c.closed {
 		return fmt.Errorf("someip: send on closed Conn")
@@ -105,29 +97,7 @@ func (c *Conn) Send(dst Addr, m *Message) error {
 	if !ok {
 		return fmt.Errorf("someip: Conn.Send to non-simulated address %v (%s)", dst, dst.Network())
 	}
-	if !c.tagged && m.Tag != nil {
-		clone := *m
-		clone.Tag = nil
-		m = &clone
-	}
-	if c.mtu > 0 {
-		msgs, err := Segment(m, c.mtu)
-		if err != nil {
-			return err
-		}
-		for _, seg := range msgs {
-			c.sendMarshaled(simDst, seg)
-		}
-		return nil
-	}
-	c.sendMarshaled(simDst, m)
-	return nil
-}
-
-// sendMarshaled marshals one wire message into the Conn's scratch buffer
-// and hands it to the endpoint, which copies it into the in-flight
-// datagram before returning — so the scratch is free for the next send.
-func (c *Conn) sendMarshaled(dst simnet.Addr, m *Message) {
+	m = outgoing(m, c.tagged)
 	c.sent++
 	size := m.WireSize()
 	if cap(c.scratch) < size {
@@ -135,43 +105,29 @@ func (c *Conn) sendMarshaled(dst simnet.Addr, m *Message) {
 	}
 	buf := c.scratch[:size]
 	m.MarshalTo(buf)
-	c.ep.Send(dst, buf)
+	c.ep.Send(simDst, buf)
+	return nil
 }
 
 // receive decodes one delivered datagram into the Conn's scratch
 // message without copying: the payload aliases dg.Payload, which the
-// network hands to the receiver for good. TP segments are copied into
-// the reassembler, which returns a fresh message on completion.
+// network hands to the receiver for good.
 func (c *Conn) receive(dg simnet.Datagram) {
 	m := &c.msg
 	err := decodeInto(m, dg.Payload)
-	if err == nil && c.tagged {
-		if tag, rest, ok := splitTagTrailer(m.Payload); ok {
-			c.tag = tag
-			m.Tag = &c.tag
-			m.Payload = rest
-		}
-	}
-	if err == nil && m.Type&TPFlag != 0 {
-		if c.reasm == nil { // made at the first segment: most Conns see none
-			c.reasm = NewReassembler(0)
-		}
-		m, err = c.reasm.Feed(m, c.ep.Host().Net().Kernel().Now())
-		if m == nil && err == nil {
-			c.msg = Message{}
-			return // segment buffered, reassembly incomplete
-		}
+	if err == nil {
+		err = incoming(m, c.tagged, &c.tag)
 	}
 	if err != nil {
 		c.decodeErr++
 		if c.onErr != nil {
 			c.onErr(dg.Src, err)
 		}
-		return
-	}
-	c.received++
-	if c.onMsg != nil {
-		c.onMsg(dg.Src, m)
+	} else {
+		c.received++
+		if c.onMsg != nil {
+			c.onMsg(dg.Src, m)
+		}
 	}
 	c.msg = Message{} // drop the datagram reference
 }

@@ -9,14 +9,14 @@ import (
 	"repro/internal/simnet"
 )
 
-func connPair(t *testing.T, tagged bool, mtu int) (*des.Kernel, *Conn, *Conn) {
+func connPair(t *testing.T, tagged bool) (*des.Kernel, *Conn, *Conn) {
 	t.Helper()
 	k := des.NewKernel(1)
 	n := simnet.NewNetwork(k, simnet.Config{})
 	h1 := n.AddHost("a", nil)
 	h2 := n.AddHost("b", nil)
-	a := NewConnMTU(h1.MustBind(1000), tagged, mtu)
-	b := NewConnMTU(h2.MustBind(2000), tagged, mtu)
+	a := NewConn(h1.MustBind(1000), tagged)
+	b := NewConn(h2.MustBind(2000), tagged)
 	return k, a, b
 }
 
@@ -33,7 +33,7 @@ func keep(m *Message) *Message {
 }
 
 func TestConnRoundTrip(t *testing.T) {
-	k, a, b := connPair(t, false, 0)
+	k, a, b := connPair(t, false)
 	var got *Message
 	b.OnMessage(func(src Addr, m *Message) { got = keep(m) })
 	m := &Message{Service: 1, Method: 2, Type: TypeRequest, Payload: []byte("hi")}
@@ -50,7 +50,7 @@ func TestConnRoundTrip(t *testing.T) {
 }
 
 func TestConnTaggedCarriesTag(t *testing.T) {
-	k, a, b := connPair(t, true, 0)
+	k, a, b := connPair(t, true)
 	var got *Message
 	b.OnMessage(func(src Addr, m *Message) { got = keep(m) })
 	tag := logical.Tag{Time: 7, Microstep: 1}
@@ -64,7 +64,7 @@ func TestConnTaggedCarriesTag(t *testing.T) {
 }
 
 func TestConnUntaggedStripsTag(t *testing.T) {
-	k, a, b := connPair(t, false, 0)
+	k, a, b := connPair(t, false)
 	var got *Message
 	b.OnMessage(func(src Addr, m *Message) { got = keep(m) })
 	tag := logical.Tag{Time: 7}
@@ -80,51 +80,6 @@ func TestConnUntaggedStripsTag(t *testing.T) {
 	}
 	if !bytes.Equal(got.Payload, []byte("z")) {
 		t.Errorf("payload = %q", got.Payload)
-	}
-}
-
-func TestConnSegmentsOverMTU(t *testing.T) {
-	k, a, b := connPair(t, true, 1400)
-	var got *Message
-	b.OnMessage(func(src Addr, m *Message) { got = keep(m) })
-	payload := make([]byte, 5000)
-	for i := range payload {
-		payload[i] = byte(i * 3)
-	}
-	tag := logical.Tag{Time: 11, Microstep: 2}
-	k.At(0, func() {
-		a.Send(b.Addr(), &Message{Service: 1, Method: EventID(1), Type: TypeNotification, Payload: payload, Tag: &tag})
-	})
-	k.RunAll()
-	if got == nil {
-		t.Fatal("not reassembled")
-	}
-	if !bytes.Equal(got.Payload, payload) {
-		t.Error("payload corrupted")
-	}
-	if got.Tag == nil || *got.Tag != tag {
-		t.Errorf("tag = %v", got.Tag)
-	}
-	sent, _, _ := a.Stats()
-	if sent < 4 {
-		t.Errorf("sent = %d, expected multiple segments", sent)
-	}
-	if got.Type&TPFlag != 0 {
-		t.Error("TP flag leaked to consumer")
-	}
-}
-
-func TestConnSmallMessageUnsegmented(t *testing.T) {
-	k, a, b := connPair(t, true, 1400)
-	count := 0
-	b.OnMessage(func(src Addr, m *Message) { count++ })
-	k.At(0, func() {
-		a.Send(b.Addr(), &Message{Service: 1, Method: 2, Type: TypeRequest, Payload: []byte("s")})
-	})
-	k.RunAll()
-	sent, _, _ := a.Stats()
-	if sent != 1 || count != 1 {
-		t.Errorf("sent=%d received=%d", sent, count)
 	}
 }
 

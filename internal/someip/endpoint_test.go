@@ -2,6 +2,8 @@ package someip
 
 import (
 	"bytes"
+	"errors"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -19,43 +21,60 @@ import (
 // endpointFixture builds a pair of bound endpoints on one substrate.
 // pump drives pending deliveries (sim: run the kernel; udp: real time
 // passes on its own) and returns once the substrate is quiescent enough
-// for another wait poll.
+// for another wait poll. raw sends wire bytes to b from a third,
+// binding-less socket, as foreign input arrives.
 type endpointFixture struct {
 	a, b Endpoint
 	pump func()
+	raw  func(wire []byte)
 }
 
 type endpointBuilder struct {
 	name  string
 	short bool // runnable under -short (no real sockets)
-	build func(t *testing.T, tagged bool, mtu int) endpointFixture
+	build func(t *testing.T, tagged bool) endpointFixture
 }
 
-func buildSimPair(t *testing.T, tagged bool, mtu int) endpointFixture {
+func buildSimPair(t *testing.T, tagged bool) endpointFixture {
 	t.Helper()
 	k := des.NewKernel(1)
 	n := simnet.NewNetwork(k, simnet.Config{})
-	a := NewConnMTU(n.AddHost("a", nil).MustBind(1000), tagged, mtu)
-	b := NewConnMTU(n.AddHost("b", nil).MustBind(2000), tagged, mtu)
-	return endpointFixture{a: a, b: b, pump: func() { k.RunAll() }}
+	ha := n.AddHost("a", nil)
+	a := NewConn(ha.MustBind(1000), tagged)
+	b := NewConn(n.AddHost("b", nil).MustBind(2000), tagged)
+	rawEP := ha.MustBind(1001)
+	raw := func(wire []byte) { rawEP.Send(b.Addr(), wire) }
+	return endpointFixture{a: a, b: b, pump: func() { k.RunAll() }, raw: raw}
 }
 
-func buildUDPPair(t *testing.T, tagged bool, mtu int) endpointFixture {
+func buildUDPPair(t *testing.T, tagged bool) endpointFixture {
 	t.Helper()
-	a, err := ListenUDP("127.0.0.1:0", tagged, mtu)
+	a, err := ListenUDP("127.0.0.1:0", tagged)
 	if err != nil {
 		t.Skipf("loopback sockets unavailable: %v", err)
 	}
-	b, err := ListenUDP("127.0.0.1:0", tagged, mtu)
+	b, err := ListenUDP("127.0.0.1:0", tagged)
 	if err != nil {
 		a.Close()
+		t.Skipf("loopback sockets unavailable: %v", err)
+	}
+	rawConn, err := net.DialUDP("udp", nil, b.Addr())
+	if err != nil {
+		a.Close()
+		b.Close()
 		t.Skipf("loopback sockets unavailable: %v", err)
 	}
 	t.Cleanup(func() {
 		a.Close()
 		b.Close()
+		rawConn.Close()
 	})
-	return endpointFixture{a: a, b: b, pump: func() { time.Sleep(2 * time.Millisecond) }}
+	raw := func(wire []byte) {
+		if _, err := rawConn.Write(wire); err != nil {
+			t.Error(err)
+		}
+	}
+	return endpointFixture{a: a, b: b, pump: func() { time.Sleep(2 * time.Millisecond) }, raw: raw}
 }
 
 var endpointBuilders = []endpointBuilder{
@@ -63,12 +82,14 @@ var endpointBuilders = []endpointBuilder{
 	{name: "udp", short: false, build: buildUDPPair},
 }
 
-// collector gathers delivered messages thread-safely (UDP handlers run
-// on the reader goroutine).
+// collector gathers delivered messages, and decode errors where a test
+// installs an error handler filling errs, thread-safely (UDP handlers
+// run on the reader goroutine).
 type collector struct {
 	mu   sync.Mutex
 	srcs []Addr
 	msgs []*Message
+	errs []error
 }
 
 func (c *collector) install(e Endpoint) {
@@ -99,19 +120,19 @@ func (c *collector) wait(t *testing.T, pump func(), n int) ([]Addr, []*Message) 
 	}
 }
 
-func forEachEndpoint(t *testing.T, tagged bool, mtu int, body func(t *testing.T, f endpointFixture)) {
+func forEachEndpoint(t *testing.T, tagged bool, body func(t *testing.T, f endpointFixture)) {
 	for _, eb := range endpointBuilders {
 		t.Run(eb.name, func(t *testing.T) {
 			if !eb.short && testing.Short() {
 				t.Skip("real sockets skipped with -short")
 			}
-			body(t, eb.build(t, tagged, mtu))
+			body(t, eb.build(t, tagged))
 		})
 	}
 }
 
 func TestEndpointRoundTrip(t *testing.T) {
-	forEachEndpoint(t, false, 0, func(t *testing.T, f endpointFixture) {
+	forEachEndpoint(t, false, func(t *testing.T, f endpointFixture) {
 		var c collector
 		c.install(f.b)
 		m := &Message{Service: 0x1234, Method: 1, Client: 2, Session: 3,
@@ -139,7 +160,7 @@ func TestEndpointRoundTrip(t *testing.T) {
 }
 
 func TestEndpointTaggedCarriesTag(t *testing.T) {
-	forEachEndpoint(t, true, 0, func(t *testing.T, f endpointFixture) {
+	forEachEndpoint(t, true, func(t *testing.T, f endpointFixture) {
 		if !f.a.Tagged() || !f.b.Tagged() {
 			t.Fatal("endpoints should report Tagged")
 		}
@@ -158,7 +179,7 @@ func TestEndpointTaggedCarriesTag(t *testing.T) {
 }
 
 func TestEndpointUntaggedStripsTag(t *testing.T) {
-	forEachEndpoint(t, false, 0, func(t *testing.T, f endpointFixture) {
+	forEachEndpoint(t, false, func(t *testing.T, f endpointFixture) {
 		if f.a.Tagged() {
 			t.Fatal("endpoint should report untagged")
 		}
@@ -179,58 +200,51 @@ func TestEndpointUntaggedStripsTag(t *testing.T) {
 	})
 }
 
-func TestEndpointSegmentsOverMTU(t *testing.T) {
-	forEachEndpoint(t, true, 1400, func(t *testing.T, f endpointFixture) {
+// An inbound SOME/IP-TP segment is a decode error on both bindings: a
+// well-formed single final segment at offset 0 is counted, reported as
+// ErrSegmented and never delivered with its TP header as payload.
+func TestEndpointRejectsTPSegments(t *testing.T) {
+	forEachEndpoint(t, true, func(t *testing.T, f endpointFixture) {
 		var c collector
 		c.install(f.b)
-		payload := make([]byte, 6000)
-		for i := range payload {
-			payload[i] = byte(i * 7)
+		f.b.OnError(func(_ Addr, err error) {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			c.errs = append(c.errs, err)
+		})
+		tpHeader := []byte{0, 0, 0, 0} // offset 0, more-segments flag clear
+		seg := &Message{Service: 1, Method: 2, Client: 3, Session: 4, InterfaceVersion: 1,
+			Type: TypeRequest | TPFlag, Payload: append(tpHeader, "segment"...)}
+		f.raw(seg.Marshal())
+		for deadline := time.Now().Add(5 * time.Second); ; {
+			f.pump()
+			c.mu.Lock()
+			settled := len(c.errs)+len(c.msgs) > 0
+			c.mu.Unlock()
+			if settled {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("timeout: the segment was neither delivered nor reported")
+			}
 		}
-		tag := logical.Tag{Time: 99, Microstep: 1}
-		m := &Message{Service: 1, Method: EventID(1), Type: TypeNotification, Payload: payload, Tag: &tag}
-		if err := f.a.Send(f.b.LocalAddr(), m); err != nil {
-			t.Fatal(err)
+		f.pump()
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if len(c.errs) != 1 || !errors.Is(c.errs[0], ErrSegmented) {
+			t.Errorf("OnError calls = %v, want one ErrSegmented", c.errs)
 		}
-		_, msgs := c.wait(t, f.pump, 1)
-		if !bytes.Equal(msgs[0].Payload, payload) {
-			t.Error("payload corrupted across TP segmentation")
+		if len(c.msgs) != 0 {
+			t.Errorf("segment delivered: %v", c.msgs[0])
 		}
-		if msgs[0].Tag == nil || *msgs[0].Tag != tag {
-			t.Errorf("tag = %v", msgs[0].Tag)
-		}
-		if msgs[0].Type&TPFlag != 0 {
-			t.Error("TP flag leaked to consumer")
-		}
-		sent, _, _ := f.a.Stats()
-		if sent < 4 {
-			t.Errorf("sent = %d datagrams, expected several segments", sent)
-		}
-	})
-}
-
-// A message that cannot be segmented (the MTU leaves no room for TP
-// payload) is a send failure: Send returns the error, and the inbound
-// side's decode-error count and error handler stay untouched.
-func TestEndpointSegmentFailureIsSendError(t *testing.T) {
-	forEachEndpoint(t, false, 20, func(t *testing.T, f endpointFixture) {
-		var inbound []error
-		f.a.OnError(func(src Addr, err error) { inbound = append(inbound, err) })
-		m := &Message{Service: 1, Method: 1, Type: TypeRequest, Payload: make([]byte, 100)}
-		if err := f.a.Send(f.b.LocalAddr(), m); err == nil {
-			t.Fatal("want error: MTU 20 leaves no room for TP payload")
-		}
-		if sent, _, decodeErrs := f.a.Stats(); sent != 0 || decodeErrs != 0 {
-			t.Errorf("stats after failed send: sent=%d decodeErrors=%d, want 0 0", sent, decodeErrs)
-		}
-		if len(inbound) != 0 {
-			t.Errorf("send failure reached the inbound error handler: %v", inbound)
+		if _, received, decodeErrs := f.b.Stats(); received != 0 || decodeErrs != 1 {
+			t.Errorf("stats: received=%d decodeErrors=%d, want 0 1", received, decodeErrs)
 		}
 	})
 }
 
 func TestEndpointSendAfterCloseFails(t *testing.T) {
-	forEachEndpoint(t, false, 0, func(t *testing.T, f endpointFixture) {
+	forEachEndpoint(t, false, func(t *testing.T, f endpointFixture) {
 		dst := f.b.LocalAddr()
 		if err := f.a.Close(); err != nil {
 			t.Fatalf("close: %v", err)

@@ -51,7 +51,8 @@ const (
 	TypeNotification    MessageType = 0x02 // event
 	TypeResponse        MessageType = 0x80
 	TypeError           MessageType = 0x81
-	// TPFlag marks segmented (SOME/IP-TP) messages.
+	// TPFlag marks segmented (SOME/IP-TP) messages. The bindings do
+	// not reassemble: an inbound segment is an ErrSegmented decode error.
 	TPFlag MessageType = 0x20
 )
 

@@ -43,7 +43,7 @@ func TestUnmarshalCopiesPayload(t *testing.T) {
 // delivered datagram, which the network hands to the receiver for good.
 func TestConnReceiveAliasesDatagram(t *testing.T) {
 	for _, tagged := range []bool{false, true} {
-		_, a, b := connPair(t, tagged, 0)
+		_, a, b := connPair(t, tagged)
 		tag := logical.Tag{Time: 9}
 		wire := (&Message{Service: 1, Method: 2, Type: TypeRequest, Payload: []byte("xyz"), Tag: &tag}).Marshal()
 		var aliased, sawTag bool
@@ -68,7 +68,7 @@ func TestFanoutReceiversOwnTheirPayload(t *testing.T) {
 	group := simnet.Addr{Host: simnet.MulticastBase + 7, Port: 30490}
 	const topic = 42
 	for _, mode := range []string{"multicast", "topic"} {
-		k, a, b := connPair(t, false, 0)
+		k, a, b := connPair(t, false)
 		net := b.Endpoint().Host().Net()
 		c := NewConn(net.AddHost("c", nil).MustBind(3000), false)
 		for _, r := range []*Conn{b, c} {
@@ -99,38 +99,5 @@ func TestFanoutReceiversOwnTheirPayload(t *testing.T) {
 		if len(seen) != 2 || !bytes.Equal(seen[0], m.Payload) || !bytes.Equal(seen[1], m.Payload) {
 			t.Errorf("%s: receivers saw %q, want %q twice", mode, seen, m.Payload)
 		}
-	}
-}
-
-// SOME/IP-TP reassembly copies each segment out of its datagram: fed
-// segments that all alias one buffer, overwritten between deliveries,
-// the Conn still yields the original message.
-func TestTPReassemblyOverAliasedSegments(t *testing.T) {
-	_, a, b := connPair(t, true, 200)
-	payload := make([]byte, 1000)
-	for i := range payload {
-		payload[i] = byte(i * 5)
-	}
-	tag := logical.Tag{Time: 77, Microstep: 3}
-	segs, err := Segment(&Message{Service: 1, Method: 2, Type: TypeRequest, Payload: payload, Tag: &tag}, 200)
-	if err != nil || len(segs) < 2 {
-		t.Fatalf("segments: %d, %v", len(segs), err)
-	}
-	var got *Message
-	b.OnMessage(func(_ Addr, m *Message) { got = keep(m) })
-	wire := make([]byte, 200)
-	for _, seg := range segs {
-		buf := wire[:seg.WireSize()]
-		seg.MarshalTo(buf)
-		b.receive(simnet.Datagram{Src: a.Addr(), Dst: b.Addr(), Payload: buf})
-	}
-	for i := range wire {
-		wire[i] = 0xaa
-	}
-	if got == nil || !bytes.Equal(got.Payload, payload) {
-		t.Fatal("reassembled payload differs from the original")
-	}
-	if got.Tag == nil || *got.Tag != tag || got.Type != TypeRequest {
-		t.Errorf("reassembled header: type %v tag %v", got.Type, got.Tag)
 	}
 }

@@ -1,5 +1,11 @@
 package someip
 
+import (
+	"errors"
+
+	"repro/internal/logical"
+)
+
 // Addr is a substrate-independent endpoint address. Both the simulated
 // network's simnet.Addr and the real-socket *net.UDPAddr satisfy it, so
 // everything above the binding (the ara::com runtime, the DEAR binding
@@ -29,10 +35,10 @@ type Addr interface {
 // implementation's contract: Conn runs handlers as kernel events at
 // simulated delivery time; UDPConn runs them on its reader goroutine.
 type Endpoint interface {
-	// Send marshals and transmits the message, segmenting via SOME/IP-TP
-	// when an MTU is configured. In an untagged binding any Tag on the
-	// message is dropped (a standard binding has no way to transmit it).
-	// dst must be an address of the endpoint's own substrate.
+	// Send marshals and transmits the message. In an untagged binding
+	// any Tag on the message is dropped (a standard binding has no way
+	// to transmit it). dst must be an address of the endpoint's own
+	// substrate.
 	Send(dst Addr, m *Message) error
 	// OnMessage installs the inbound message handler. m and its Tag
 	// are valid only during the callback (Conn decodes every datagram
@@ -40,7 +46,8 @@ type Endpoint interface {
 	// or the tag past its return copies it. m.Payload is the receiver's:
 	// it may be kept and mutated, and no other receiver sees the bytes.
 	OnMessage(fn func(src Addr, m *Message))
-	// OnError installs a handler for inbound decode errors (default: drop).
+	// OnError installs a handler for inbound decode errors (default:
+	// drop). A SOME/IP-TP segment is one: ErrSegmented.
 	OnError(fn func(src Addr, err error))
 	// LocalAddr returns the bound address.
 	LocalAddr() Addr
@@ -58,3 +65,42 @@ var (
 	_ Endpoint = (*Conn)(nil)
 	_ Endpoint = (*UDPConn)(nil)
 )
+
+// ErrSegmented is the decode error for an inbound SOME/IP-TP segment
+// (TPFlag set). Neither binding segments or reassembles, so a segment is
+// counted and reported, never delivered with its TP header as payload.
+var ErrSegmented = errors.New("someip: SOME/IP-TP segment (unsupported)")
+
+// outgoing is the send step both bindings share: the message as it goes
+// on the wire. An untagged binding sends a copy without the tag.
+func outgoing(m *Message, tagged bool) *Message {
+	if tagged || m.Tag == nil {
+		return m
+	}
+	clone := *m
+	clone.Tag = nil
+	return &clone
+}
+
+// incoming is the receive step both bindings share, run on a decoded
+// message whose payload still holds any trailer. It rejects SOME/IP-TP
+// segments and, in a tagged binding, splits off the DEAR tag trailer,
+// storing the tag in *tag (a fresh one when tag is nil) and pointing
+// m.Tag at it.
+func incoming(m *Message, tagged bool, tag *logical.Tag) error {
+	if m.Type&TPFlag != 0 {
+		return ErrSegmented
+	}
+	if !tagged {
+		return nil
+	}
+	if t, rest, ok := splitTagTrailer(m.Payload); ok {
+		if tag == nil {
+			tag = new(logical.Tag)
+		}
+		*tag = t
+		m.Tag = tag
+		m.Payload = rest
+	}
+	return nil
+}

@@ -20,12 +20,10 @@ import (
 type UDPConn struct {
 	pc     *net.UDPConn
 	tagged bool
-	mtu    int
 
 	mu      sync.Mutex
 	onMsg   func(src Addr, m *Message)
 	onErr   func(src Addr, err error)
-	reasm   *Reassembler
 	started bool
 	closed  atomic.Bool
 	done    chan struct{}
@@ -37,8 +35,7 @@ type UDPConn struct {
 
 // ListenUDP binds a SOME/IP UDP endpoint. addr uses net.ListenUDP
 // semantics (e.g. "127.0.0.1:0" for an ephemeral loopback port).
-// mtu > 0 enables SOME/IP-TP segmentation for oversized messages.
-func ListenUDP(addr string, tagged bool, mtu int) (*UDPConn, error) {
+func ListenUDP(addr string, tagged bool) (*UDPConn, error) {
 	udpAddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("someip: resolve %q: %w", addr, err)
@@ -50,8 +47,6 @@ func ListenUDP(addr string, tagged bool, mtu int) (*UDPConn, error) {
 	return &UDPConn{
 		pc:     pc,
 		tagged: tagged,
-		mtu:    mtu,
-		reasm:  NewReassembler(0),
 		done:   make(chan struct{}),
 	}, nil
 }
@@ -104,9 +99,8 @@ func resolveUDP(dst Addr) (*net.UDPAddr, error) {
 	return nil, fmt.Errorf("someip: UDPConn.Send to non-UDP address %v (%s)", dst, dst.Network())
 }
 
-// Send marshals and transmits the message, segmenting via SOME/IP-TP
-// when an MTU is configured and the message exceeds it. dst must be a
-// UDP address.
+// Send marshals and transmits the message. In an untagged binding any
+// Tag on the message is ignored. dst must be a UDP address.
 func (c *UDPConn) Send(dst Addr, m *Message) error {
 	if c.closed.Load() {
 		return errors.New("someip: send on closed UDPConn")
@@ -115,24 +109,10 @@ func (c *UDPConn) Send(dst Addr, m *Message) error {
 	if err != nil {
 		return err
 	}
-	if !c.tagged && m.Tag != nil {
-		clone := *m
-		clone.Tag = nil
-		m = &clone
+	if _, err := c.pc.WriteToUDP(outgoing(m, c.tagged).Marshal(), udpDst); err != nil {
+		return fmt.Errorf("someip: send: %w", err)
 	}
-	msgs := []*Message{m}
-	if c.mtu > 0 {
-		msgs, err = Segment(m, c.mtu)
-		if err != nil {
-			return err
-		}
-	}
-	for _, seg := range msgs {
-		if _, err := c.pc.WriteToUDP(seg.Marshal(), udpDst); err != nil {
-			return fmt.Errorf("someip: send: %w", err)
-		}
-		c.sent.Add(1)
-	}
+	c.sent.Add(1)
 	return nil
 }
 
@@ -159,19 +139,9 @@ func (c *UDPConn) readLoop() {
 		if err != nil {
 			return // closed
 		}
-		var m *Message
-		if c.tagged {
-			m, err = UnmarshalTagged(buf[:n])
-		} else {
-			m, err = Unmarshal(buf[:n])
-		}
-		if err == nil && m.Type&TPFlag != 0 {
-			c.mu.Lock()
-			m, err = c.reasm.Feed(m, 0)
-			c.mu.Unlock()
-			if m == nil && err == nil {
-				continue // segment buffered
-			}
+		m, err := Unmarshal(buf[:n])
+		if err == nil {
+			err = incoming(m, c.tagged, nil)
 		}
 		if err != nil {
 			c.decodeEr.Add(1)

@@ -10,13 +10,13 @@ import (
 )
 
 // newUDPPair creates two connected loopback endpoints.
-func newUDPPair(t *testing.T, tagged bool, mtu int) (*UDPConn, *UDPConn) {
+func newUDPPair(t *testing.T, tagged bool) (*UDPConn, *UDPConn) {
 	t.Helper()
-	a, err := ListenUDP("127.0.0.1:0", tagged, mtu)
+	a, err := ListenUDP("127.0.0.1:0", tagged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ListenUDP("127.0.0.1:0", tagged, mtu)
+	b, err := ListenUDP("127.0.0.1:0", tagged)
 	if err != nil {
 		a.Close()
 		t.Fatal(err)
@@ -40,7 +40,7 @@ func waitFor[T any](t *testing.T, ch <-chan T, what string) T {
 }
 
 func TestUDPRoundTrip(t *testing.T) {
-	a, b := newUDPPair(t, false, 0)
+	a, b := newUDPPair(t, false)
 	got := make(chan *Message, 1)
 	b.OnMessage(func(src Addr, m *Message) { got <- m })
 
@@ -56,7 +56,7 @@ func TestUDPRoundTrip(t *testing.T) {
 }
 
 func TestUDPTaggedRoundTrip(t *testing.T) {
-	a, b := newUDPPair(t, true, 0)
+	a, b := newUDPPair(t, true)
 	got := make(chan *Message, 1)
 	b.OnMessage(func(src Addr, m *Message) { got <- m })
 
@@ -72,7 +72,7 @@ func TestUDPTaggedRoundTrip(t *testing.T) {
 }
 
 func TestUDPUntaggedBindingStripsTag(t *testing.T) {
-	a, b := newUDPPair(t, false, 0)
+	a, b := newUDPPair(t, false)
 	got := make(chan *Message, 1)
 	b.OnMessage(func(src Addr, m *Message) { got <- m })
 
@@ -90,35 +90,8 @@ func TestUDPUntaggedBindingStripsTag(t *testing.T) {
 	}
 }
 
-func TestUDPSegmentationOverLoopback(t *testing.T) {
-	a, b := newUDPPair(t, true, 1400)
-	got := make(chan *Message, 1)
-	b.OnMessage(func(src Addr, m *Message) { got <- m })
-
-	payload := make([]byte, 6000)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	tag := logical.Tag{Time: 99, Microstep: 1}
-	m := &Message{Service: 1, Method: EventID(1), Type: TypeNotification, Payload: payload, Tag: &tag}
-	if err := a.Send(b.Addr(), m); err != nil {
-		t.Fatal(err)
-	}
-	rx := waitFor(t, got, "reassembled message")
-	if !bytes.Equal(rx.Payload, payload) {
-		t.Error("payload corrupted across TP segmentation")
-	}
-	if rx.Tag == nil || *rx.Tag != tag {
-		t.Errorf("tag = %v", rx.Tag)
-	}
-	sent, _, _ := a.Stats()
-	if sent < 4 {
-		t.Errorf("sent = %d datagrams, expected several segments", sent)
-	}
-}
-
 func TestUDPRequestResponse(t *testing.T) {
-	server, client := newUDPPair(t, true, 0)
+	server, client := newUDPPair(t, true)
 	server.OnMessage(func(src Addr, m *Message) {
 		resp := &Message{
 			Service: m.Service, Method: m.Method, Client: m.Client, Session: m.Session,
@@ -152,7 +125,7 @@ func TestUDPRequestResponse(t *testing.T) {
 }
 
 func TestUDPSendAfterClose(t *testing.T) {
-	a, err := ListenUDP("127.0.0.1:0", false, 0)
+	a, err := ListenUDP("127.0.0.1:0", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +141,7 @@ func TestUDPSendAfterClose(t *testing.T) {
 }
 
 func TestUDPDecodeErrorCounted(t *testing.T) {
-	a, b := newUDPPair(t, false, 0)
+	a, b := newUDPPair(t, false)
 	errs := make(chan error, 1)
 	b.OnError(func(src Addr, err error) { errs <- err })
 	b.OnMessage(func(src Addr, m *Message) {})
