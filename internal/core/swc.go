@@ -71,7 +71,6 @@ func (s *SWC) Start(timeout logical.Duration, build func(env *reactor.Environmen
 			Clock:     reactor.NewSimClock(p, s.runtime.Host().Clock()),
 			Timeout:   timeout,
 			KeepAlive: true,
-			Workers:   1,
 		})
 		s.env = env
 		if err := build(env); err != nil {

@@ -278,7 +278,6 @@ type DeterministicResult struct {
 	LatencyMax   logical.Duration
 	BrakeOns     int
 	BehaviorHash uint64
-	TagTraceHash uint64
 }
 
 // RunDeterministic executes the DEAR brake assistant once.
@@ -298,12 +297,6 @@ func RunDeterministic(seed uint64, frames int) (*DeterministicResult, error) {
 		res.LatencyMax = logical.Duration(lat.Max())
 	}
 	res.BehaviorHash = hashBrakes(d.BrakeSeq)
-	var th uint64 = fnvOffset
-	for _, tag := range d.TagTrace {
-		th = fnvMix(th, uint64(tag.Time))
-		th = fnvMix(th, uint64(tag.Microstep))
-	}
-	res.TagTraceHash = th
 	for _, cmd := range d.BrakeSeq {
 		if cmd.Brake {
 			res.BrakeOns++
@@ -335,7 +328,8 @@ func hashBrakes(seq []apd.BrakeCmd) uint64 {
 
 // RunDeterminismCheck runs the DEAR pipeline under several physical
 // seeds and verifies that the behaviour (brake decision sequence) is
-// identical and error-free in every run. It returns the per-seed results.
+// identical and error-free in every run (see checkDeterministic). It
+// returns the per-seed results.
 func RunDeterminismCheck(seedBase uint64, seeds, frames int) ([]*DeterministicResult, error) {
 	var out []*DeterministicResult
 	for i := 0; i < seeds; i++ {
@@ -345,12 +339,33 @@ func RunDeterminismCheck(seedBase uint64, seeds, frames int) ([]*DeterministicRe
 		}
 		out = append(out, r)
 	}
-	for _, r := range out[1:] {
-		if r.BehaviorHash != out[0].BehaviorHash {
-			return out, fmt.Errorf("exp: behaviour diverged across physical seeds")
-		}
+	return out, checkDeterministic(out)
+}
+
+// checkDeterministic is E4's gate. It fails on fewer than two runs, on
+// any run with an error, no processed frame or no braking decision, on a
+// behaviour hash that differs from run 0's, and when every run has run
+// 0's latency mean and max: seeds that perturb nothing show nothing.
+func checkDeterministic(runs []*DeterministicResult) error {
+	if len(runs) < 2 {
+		return fmt.Errorf("exp: %d run(s); determinism needs at least 2", len(runs))
 	}
-	return out, nil
+	perturbed := false
+	for i, r := range runs {
+		switch {
+		case r.Counters.TotalErrors() != 0:
+			return fmt.Errorf("exp: seed %d: %d errors", i, r.Counters.TotalErrors())
+		case r.Counters.FramesProcessed == 0 || r.BrakeOns == 0:
+			return fmt.Errorf("exp: seed %d: %d frames processed, %d braking decisions", i, r.Counters.FramesProcessed, r.BrakeOns)
+		case r.BehaviorHash != runs[0].BehaviorHash:
+			return fmt.Errorf("exp: behaviour diverged across physical seeds (seed %d)", i)
+		}
+		perturbed = perturbed || r.LatencyMean != runs[0].LatencyMean || r.LatencyMax != runs[0].LatencyMax
+	}
+	if !perturbed {
+		return fmt.Errorf("exp: every seed had run 0's latency; the seeds perturbed nothing")
+	}
+	return nil
 }
 
 // --- Experiment E5: deadline scale / latency trade-off ---

@@ -174,6 +174,36 @@ func TestDeterminismCheckAcrossSeeds(t *testing.T) {
 	// seeds — but the behaviour must not.
 }
 
+// checkDeterministic on synthetic results: a clean pair passes, and each
+// defect fails the gate. The error and identical-timing cases carry equal
+// behaviour hashes, so a hash comparison alone would pass them.
+func TestCheckDeterministicRejects(t *testing.T) {
+	run := func(mean logical.Duration, edit func(*DeterministicResult)) *DeterministicResult {
+		r := &DeterministicResult{Frames: 100, LatencyMean: mean, LatencyMax: 2 * mean, BrakeOns: 3, BehaviorHash: 0xb4a}
+		r.Counters.FramesProcessed = 100
+		if edit != nil {
+			edit(r)
+		}
+		return r
+	}
+	ok := func() []*DeterministicResult { return []*DeterministicResult{run(70, nil), run(71, nil)} }
+	if err := checkDeterministic(ok()); err != nil {
+		t.Fatalf("clean runs: %v", err)
+	}
+	for name, runs := range map[string][]*DeterministicResult{
+		"one run":          ok()[:1],
+		"errors":           {run(70, nil), run(71, func(r *DeterministicResult) { r.Counters.DeadlineViolations = 1 })},
+		"no frames":        {run(70, func(r *DeterministicResult) { r.Counters.FramesProcessed = 0 }), run(71, nil)},
+		"no braking":       {run(70, nil), run(71, func(r *DeterministicResult) { r.BrakeOns = 0 })},
+		"hash mismatch":    {run(70, nil), run(71, func(r *DeterministicResult) { r.BehaviorHash++ })},
+		"identical timing": {run(70, nil), run(70, nil), run(70, nil)},
+	} {
+		if err := checkDeterministic(runs); err == nil {
+			t.Errorf("%s: gate passed", name)
+		}
+	}
+}
+
 func TestTradeoffMonotonicity(t *testing.T) {
 	res, err := RunTradeoff(1, 200, []float64{0.85, 1.0})
 	if err != nil {

@@ -14,16 +14,10 @@ type actionBase struct {
 	physical bool
 
 	reactions []*Reaction
-	writers   []*Reaction
 
 	present   bool
 	presentAt logical.Tag
 }
-
-func (a *actionBase) triggerName() string     { return a.owner.name + "." + a.name }
-func (a *actionBase) effectName() string      { return a.triggerName() }
-func (a *actionBase) sourceName() string      { return a.triggerName() }
-func (a *actionBase) owningReactor() *Reactor { return a.owner }
 
 // Action is a typed schedulable event source. Logical actions are
 // scheduled from reactions and produce events with a tag relative to the
@@ -41,9 +35,7 @@ func NewLogicalAction[T any](r *Reactor, name string, minDelay logical.Duration)
 	if minDelay < 0 {
 		panic("reactor: negative action delay")
 	}
-	a := &Action[T]{actionBase: actionBase{owner: r, name: name, minDelay: minDelay}}
-	r.env.actions = append(r.env.actions, &a.actionBase)
-	return a
+	return &Action[T]{actionBase: actionBase{owner: r, name: name, minDelay: minDelay}}
 }
 
 // NewPhysicalAction creates a physical action. Its events are tagged
@@ -55,22 +47,20 @@ func NewPhysicalAction[T any](r *Reactor, name string, minDelay logical.Duration
 	if minDelay < 0 {
 		panic("reactor: negative action delay")
 	}
-	a := &Action[T]{actionBase: actionBase{owner: r, name: name, minDelay: minDelay, physical: true}}
-	r.env.actions = append(r.env.actions, &a.actionBase)
-	return a
+	return &Action[T]{actionBase: actionBase{owner: r, name: name, minDelay: minDelay, physical: true}}
 }
 
 // attach implements Trigger.
 func (a *Action[T]) attach(rx *Reaction) { a.reactions = append(a.reactions, rx) }
 
 // declareWriter implements Effect.
-func (a *Action[T]) declareWriter(rx *Reaction) { a.writers = append(a.writers, rx) }
+func (a *Action[T]) declareWriter(rx *Reaction) {}
 
 // declareReader implements Source.
 func (a *Action[T]) declareReader(rx *Reaction) {}
 
 // Name returns "reactor.action".
-func (a *Action[T]) Name() string { return a.triggerName() }
+func (a *Action[T]) Name() string { return a.owner.name + "." + a.name }
 
 // Get returns the action's value and presence at the current tag.
 func (a *Action[T]) Get(c *Ctx) (T, bool) {
@@ -194,17 +184,8 @@ func NewTimer(r *Reactor, name string, offset, period logical.Duration) *Timer {
 // attach implements Trigger.
 func (t *Timer) attach(rx *Reaction) { t.reactions = append(t.reactions, rx) }
 
-func (t *Timer) triggerName() string     { return t.owner.name + "." + t.name }
-func (t *Timer) owningReactor() *Reactor { return t.owner }
-
 // Name returns "reactor.timer".
-func (t *Timer) Name() string { return t.triggerName() }
-
-// Offset returns the timer's start offset.
-func (t *Timer) Offset() logical.Duration { return t.offset }
-
-// Period returns the timer's period (0 = one-shot).
-func (t *Timer) Period() logical.Duration { return t.period }
+func (t *Timer) Name() string { return t.owner.name + "." + t.name }
 
 // fire triggers the timer's reactions and schedules the next occurrence.
 func (t *Timer) fire(e *Environment) {

@@ -4,9 +4,8 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/logical"
 )
@@ -23,9 +22,6 @@ type Options struct {
 	KeepAlive bool
 	// Timeout stops execution at start+Timeout (0 = no timeout).
 	Timeout logical.Duration
-	// Workers is the number of goroutines executing same-level reactions
-	// in parallel (default 1; must be 1 with a SimClock).
-	Workers int
 }
 
 type envState int
@@ -38,39 +34,42 @@ const (
 
 // Environment owns a reactor program: the reactors, their interconnect,
 // the event queue and the scheduler. Create reactors and connections
-// while assembling, then call Run (or Spawn, for DES-driven execution).
+// while assembling, then call Run.
+// Reactions run one at a time on the scheduler's goroutine.
 type Environment struct {
 	opts  Options
 	clock Clock
 	state envState
 
-	mu  sync.Mutex
-	seq uint64
+	// mu guards what ScheduleAsync, ScheduleAt and RequestStop reach from
+	// other goroutines: the queue, seq, currentTag and the stop state.
+	mu            sync.Mutex
+	seq           uint64
+	queue         eventHeap
+	currentTag    logical.Tag
+	stopTag       logical.Tag
+	stopRequested bool
 
 	reactors    []*Reactor
 	ports       []*portBase
-	actions     []*actionBase
 	timers      []*Timer
 	connections []connection
 
-	queue eventHeap
-
-	currentTag    logical.Tag
 	startTime     logical.Time
-	stopTag       logical.Tag
-	stopRequested bool
 	shutdownFired bool
 
-	// Per-tag working state.
-	buckets    [][]*Reaction
-	maxLevel   int
+	// Scheduler-goroutine state: every reaction in precedence order (set
+	// by assignLevels), and per-tag scratch reused across tags.
+	order      []*Reaction
+	fires      []func(*Environment)
 	setPorts   []*portBase
 	setActions []*actionBase
+	ctx        Ctx
 
 	traceHook func(TraceEvent)
 
 	tagsProcessed     uint64
-	reactionsExecuted atomic.Uint64
+	reactionsExecuted uint64
 	eventsProcessed   uint64
 }
 
@@ -79,13 +78,9 @@ func NewEnvironment(opts Options) *Environment {
 	if opts.Clock == nil {
 		opts.Clock = NewRealClock()
 	}
-	if opts.Workers <= 0 {
-		opts.Workers = 1
-	}
-	if _, sim := opts.Clock.(*SimClock); sim && opts.Workers != 1 {
-		panic("reactor: SimClock requires Workers == 1 (the DES serializes execution)")
-	}
-	return &Environment{opts: opts, clock: opts.Clock}
+	e := &Environment{opts: opts, clock: opts.Clock}
+	e.ctx.env = e
+	return e
 }
 
 func (e *Environment) mustBeAssembling(op string) {
@@ -94,15 +89,9 @@ func (e *Environment) mustBeAssembling(op string) {
 	}
 }
 
-// Clock returns the environment's physical clock.
-func (e *Environment) Clock() Clock { return e.clock }
-
-// StartTime returns the logical start time (valid once running).
-func (e *Environment) StartTime() logical.Time { return e.startTime }
-
 // Stats returns (tags processed, reactions executed, events processed).
 func (e *Environment) Stats() (tags, reactions, events uint64) {
-	return e.tagsProcessed, e.reactionsExecuted.Load(), e.eventsProcessed
+	return e.tagsProcessed, e.reactionsExecuted, e.eventsProcessed
 }
 
 // SetTraceHook installs a callback receiving one TraceEvent per executed
@@ -174,30 +163,13 @@ func (e *Environment) scheduleEventLocked(tag logical.Tag, fire func(*Environmen
 	heap.Push(&e.queue, &schedEvent{tag: tag, seq: e.seq, fire: fire})
 }
 
-// enqueueReaction adds a reaction to the current tag's working set
-// (thread-safe; deduplicated per tag).
-func (e *Environment) enqueueReaction(rx *Reaction) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if rx.enqueued && rx.enqueuedAt == e.currentTag {
-		return
-	}
-	rx.enqueued = true
-	rx.enqueuedAt = e.currentTag
-	e.buckets[rx.level] = append(e.buckets[rx.level], rx)
-}
+// enqueueReaction marks a reaction triggered at the current tag; marking
+// it twice runs it once.
+func (e *Environment) enqueueReaction(rx *Reaction) { rx.triggered = true }
 
-func (e *Environment) markPortSet(p *portBase) {
-	e.mu.Lock()
-	e.setPorts = append(e.setPorts, p)
-	e.mu.Unlock()
-}
+func (e *Environment) markPortSet(p *portBase) { e.setPorts = append(e.setPorts, p) }
 
-func (e *Environment) markActionSet(a *actionBase) {
-	e.mu.Lock()
-	e.setActions = append(e.setActions, a)
-	e.mu.Unlock()
-}
+func (e *Environment) markActionSet(a *actionBase) { e.setActions = append(e.setActions, a) }
 
 // Errors returned by Run.
 var (
@@ -208,7 +180,7 @@ var (
 // Run assembles the program and executes it to completion: until the
 // event queue is exhausted (unless KeepAlive), the timeout elapses, or
 // stop is requested. With a SimClock, Run must be called from within the
-// clock's DES process (see Spawn in the dear package for the usual wiring).
+// clock's DES process (core.SWC.Start is the usual wiring).
 func (e *Environment) Run() error {
 	if e.state != stateAssembling {
 		return ErrAlreadyRan
@@ -217,7 +189,6 @@ func (e *Environment) Run() error {
 		return err
 	}
 	e.state = stateRunning
-	e.buckets = make([][]*Reaction, e.maxLevel+1)
 
 	e.mu.Lock()
 	e.startTime = e.clock.Now()
@@ -285,7 +256,7 @@ func (e *Environment) loop() {
 		// Advance to the tag and drain all events bearing it.
 		tag := next.tag
 		e.currentTag = tag
-		var fires []func(*Environment)
+		fires := e.fires[:0]
 		for len(e.queue) > 0 && e.queue[0].tag.Equal(tag) {
 			ev := heap.Pop(&e.queue).(*schedEvent)
 			fires = append(fires, ev.fire)
@@ -297,6 +268,8 @@ func (e *Environment) loop() {
 		for _, fire := range fires {
 			fire(e)
 		}
+		clear(fires)
+		e.fires = fires
 		if stopHere {
 			e.fireShutdownTriggers()
 		}
@@ -327,53 +300,22 @@ func (e *Environment) fireShutdownTriggers() {
 	}
 }
 
-// processTag executes the triggered reactions level by level, then cleans
-// up presence flags.
+// processTag runs the triggered reactions in precedence order, then
+// clears presence flags so the next tag starts clean.
 func (e *Environment) processTag(tag logical.Tag) {
 	e.tagsProcessed++
-	for level := 0; level <= e.maxLevel; level++ {
-		e.mu.Lock()
-		bucket := e.buckets[level]
-		e.buckets[level] = nil
-		e.mu.Unlock()
-		if len(bucket) == 0 {
+	for _, rx := range e.order {
+		if !rx.triggered {
 			continue
 		}
-		// Deterministic order within the level.
-		sort.Slice(bucket, func(i, j int) bool {
-			a, b := bucket[i], bucket[j]
-			if a.reactor.index != b.reactor.index {
-				return a.reactor.index < b.reactor.index
-			}
-			return a.index < b.index
-		})
-		if e.opts.Workers == 1 || len(bucket) == 1 {
-			for _, rx := range bucket {
-				e.invoke(rx, tag)
-			}
-		} else {
-			var wg sync.WaitGroup
-			sem := make(chan struct{}, e.opts.Workers)
-			for _, rx := range bucket {
-				rx := rx
-				wg.Add(1)
-				sem <- struct{}{}
-				go func() {
-					defer wg.Done()
-					e.invoke(rx, tag)
-					<-sem
-				}()
-			}
-			wg.Wait()
-		}
+		e.invoke(rx, tag)
+		// Cleared after the body, so a reaction that re-triggers itself
+		// at this tag still runs once.
+		rx.triggered = false
 		if e.traceHook != nil {
-			for _, rx := range bucket {
-				e.traceHook(TraceEvent{Tag: tag, Reaction: rx.Name(), Level: level})
-			}
+			e.traceHook(TraceEvent{Tag: tag, Reaction: rx.Name(), Level: rx.level})
 		}
 	}
-	// Cleanup: clear presence so the next tag starts clean.
-	e.mu.Lock()
 	for _, p := range e.setPorts {
 		p.present = false
 	}
@@ -382,22 +324,21 @@ func (e *Environment) processTag(tag logical.Tag) {
 		a.present = false
 	}
 	e.setActions = e.setActions[:0]
-	e.mu.Unlock()
 }
 
 func (e *Environment) invoke(rx *Reaction, tag logical.Tag) {
-	ctx := &Ctx{env: e, reaction: rx, tag: tag}
+	c := &e.ctx
+	c.reaction, c.tag = rx, tag
 	rx.invocations++
-	e.reactionsExecuted.Add(1)
+	e.reactionsExecuted++
 	if rx.deadline > 0 && e.clock.Now() > tag.Time.Add(rx.deadline) {
-		rx.deadlineViolations++
 		if rx.deadlineHandler != nil {
-			rx.deadlineHandler(ctx)
+			rx.deadlineHandler(c)
 		}
 		return
 	}
 	if rx.body != nil {
-		rx.body(ctx)
+		rx.body(c)
 	}
 }
 
@@ -506,13 +447,13 @@ func (e *Environment) assignLevels() error {
 		}
 		return fmt.Errorf("%w involving %v", ErrCausalityCycle, stuck)
 	}
-	e.maxLevel = 0
 	for i, rx := range all {
 		rx.level = level[i]
-		if level[i] > e.maxLevel {
-			e.maxLevel = level[i]
-		}
 	}
+	// all is in (reactor index, priority) order, the tie-break within a
+	// level, so a stable sort by level yields the precedence order.
+	slices.SortStableFunc(all, func(a, b *Reaction) int { return a.level - b.level })
+	e.order = all
 	return nil
 }
 

@@ -6,20 +6,10 @@ import (
 	"repro/internal/logical"
 )
 
-// PortKind distinguishes input from output ports.
-type PortKind int
-
-// Port kinds.
-const (
-	Input PortKind = iota
-	Output
-)
-
 // portBase carries the untyped bookkeeping shared by all Port[T].
 type portBase struct {
 	owner *Reactor
 	name  string
-	kind  PortKind
 
 	// reactions triggered when the port becomes present.
 	reactions []*Reaction
@@ -33,11 +23,6 @@ type portBase struct {
 	present   bool
 	presentAt logical.Tag
 }
-
-func (p *portBase) triggerName() string     { return p.owner.name + "." + p.name }
-func (p *portBase) effectName() string      { return p.triggerName() }
-func (p *portBase) sourceName() string      { return p.triggerName() }
-func (p *portBase) owningReactor() *Reactor { return p.owner }
 
 // connection is a typed edge between two ports (possibly delayed).
 type connection interface {
@@ -57,23 +42,18 @@ type Port[T any] struct {
 	conns []*typedConnection[T]
 }
 
-// NewPort creates a port on reactor r.
-func NewPort[T any](r *Reactor, name string, kind PortKind) *Port[T] {
-	r.env.mustBeAssembling("NewPort")
-	p := &Port[T]{portBase: portBase{owner: r, name: name, kind: kind}}
+func newPort[T any](r *Reactor, name string) *Port[T] {
+	r.env.mustBeAssembling("NewInputPort/NewOutputPort")
+	p := &Port[T]{portBase: portBase{owner: r, name: name}}
 	r.env.ports = append(r.env.ports, &p.portBase)
 	return p
 }
 
 // NewInputPort creates an input port.
-func NewInputPort[T any](r *Reactor, name string) *Port[T] {
-	return NewPort[T](r, name, Input)
-}
+func NewInputPort[T any](r *Reactor, name string) *Port[T] { return newPort[T](r, name) }
 
 // NewOutputPort creates an output port.
-func NewOutputPort[T any](r *Reactor, name string) *Port[T] {
-	return NewPort[T](r, name, Output)
-}
+func NewOutputPort[T any](r *Reactor, name string) *Port[T] { return newPort[T](r, name) }
 
 // attach implements Trigger.
 func (p *Port[T]) attach(rx *Reaction) { p.reactions = append(p.reactions, rx) }
@@ -84,11 +64,8 @@ func (p *Port[T]) declareWriter(rx *Reaction) { p.writers = append(p.writers, rx
 // declareReader implements Source.
 func (p *Port[T]) declareReader(rx *Reaction) { p.readers = append(p.readers, rx) }
 
-// Kind returns the port kind.
-func (p *Port[T]) Kind() PortKind { return p.kind }
-
 // Name returns "reactor.port".
-func (p *Port[T]) Name() string { return p.triggerName() }
+func (p *Port[T]) Name() string { return p.owner.name + "." + p.name }
 
 // Get returns the port's value and presence at the current tag. The
 // calling reaction must have declared the port as a trigger or source.

@@ -3,8 +3,8 @@
 // deterministic software components: reactors communicate through ports
 // connected by channels, computation happens in reactions triggered by
 // tagged events, and a runtime scheduler processes events in tag order,
-// exploiting parallelism permitted by the acyclic precedence graph while
-// preserving determinism.
+// running the reactions triggered at each tag one at a time in an order
+// fixed by the acyclic precedence graph.
 //
 // Logical actions schedule future events within a reactor; physical
 // actions inject events from asynchronous contexts (sensors, network
@@ -27,16 +27,15 @@ type Reactor struct {
 	index int // creation order, used for deterministic tie-breaking
 
 	reactions []*Reaction
-	startup   *startupTrigger
-	shutdown  *shutdownTrigger
+	startup   *lifecycleTrigger
+	shutdown  *lifecycleTrigger
 }
 
 // NewReactor creates a top-level reactor.
 func (e *Environment) NewReactor(name string) *Reactor {
 	e.mustBeAssembling("NewReactor")
-	r := &Reactor{env: e, name: name, index: len(e.reactors)}
-	r.startup = &startupTrigger{owner: r}
-	r.shutdown = &shutdownTrigger{owner: r}
+	r := &Reactor{env: e, name: name, index: len(e.reactors),
+		startup: &lifecycleTrigger{}, shutdown: &lifecycleTrigger{}}
 	e.reactors = append(e.reactors, r)
 	return r
 }
@@ -56,41 +55,24 @@ func (r *Reactor) String() string { return fmt.Sprintf("reactor(%s)", r.name) }
 // timers, startup and shutdown.
 type Trigger interface {
 	attach(rx *Reaction)
-	triggerName() string
-	owningReactor() *Reactor
 }
 
 // Effect is anything a reaction may affect: output ports it writes and
 // actions it schedules.
 type Effect interface {
 	declareWriter(rx *Reaction)
-	effectName() string
 }
 
 // Source is anything a reaction may read without being triggered by it
 // (a "use" dependency).
 type Source interface {
 	declareReader(rx *Reaction)
-	sourceName() string
 }
 
-type startupTrigger struct {
-	owner     *Reactor
-	reactions []*Reaction
-}
+// lifecycleTrigger is a reactor's startup or shutdown trigger.
+type lifecycleTrigger struct{ reactions []*Reaction }
 
-func (s *startupTrigger) attach(rx *Reaction)     { s.reactions = append(s.reactions, rx) }
-func (s *startupTrigger) triggerName() string     { return s.owner.name + ".startup" }
-func (s *startupTrigger) owningReactor() *Reactor { return s.owner }
-
-type shutdownTrigger struct {
-	owner     *Reactor
-	reactions []*Reaction
-}
-
-func (s *shutdownTrigger) attach(rx *Reaction)     { s.reactions = append(s.reactions, rx) }
-func (s *shutdownTrigger) triggerName() string     { return s.owner.name + ".shutdown" }
-func (s *shutdownTrigger) owningReactor() *Reactor { return s.owner }
+func (s *lifecycleTrigger) attach(rx *Reaction) { s.reactions = append(s.reactions, rx) }
 
 // Reaction is a unit of computation triggered by events. Reactions of the
 // same reactor are mutually exclusive and execute in declaration order
@@ -101,24 +83,18 @@ type Reaction struct {
 	name    string
 	body    func(*Ctx)
 
-	triggers []Trigger
-	sources  []Source
-	effects  []Effect
-
 	deadline        logical.Duration
 	deadlineHandler func(*Ctx)
 
 	// level in the acyclic precedence graph (set during assembly).
 	level int
-	// enqueuedAt dedupes triggering within one tag.
-	enqueuedAt logical.Tag
-	enqueued   bool
+	// triggered marks the reaction for the tag being processed.
+	triggered bool
 
 	declaredEffects map[Effect]bool
 	declaredReads   map[any]bool
 
-	invocations        uint64
-	deadlineViolations uint64
+	invocations uint64
 }
 
 // AddReaction declares a new reaction. Triggers, sources, effects, an
@@ -141,7 +117,6 @@ func (r *Reactor) AddReaction(name string) *Reaction {
 func (rx *Reaction) Triggers(ts ...Trigger) *Reaction {
 	rx.reactor.env.mustBeAssembling("Triggers")
 	for _, t := range ts {
-		rx.triggers = append(rx.triggers, t)
 		rx.declaredReads[t] = true
 		t.attach(rx)
 	}
@@ -152,7 +127,6 @@ func (rx *Reaction) Triggers(ts ...Trigger) *Reaction {
 func (rx *Reaction) Reads(ss ...Source) *Reaction {
 	rx.reactor.env.mustBeAssembling("Reads")
 	for _, s := range ss {
-		rx.sources = append(rx.sources, s)
 		rx.declaredReads[s] = true
 		s.declareReader(rx)
 	}
@@ -165,7 +139,6 @@ func (rx *Reaction) Reads(ss ...Source) *Reaction {
 func (rx *Reaction) Effects(es ...Effect) *Reaction {
 	rx.reactor.env.mustBeAssembling("Effects")
 	for _, e := range es {
-		rx.effects = append(rx.effects, e)
 		rx.declaredEffects[e] = true
 		e.declareWriter(rx)
 	}
@@ -203,12 +176,11 @@ func (rx *Reaction) Level() int { return rx.level }
 // Invocations returns how many times the body (or deadline handler) ran.
 func (rx *Reaction) Invocations() uint64 { return rx.invocations }
 
-// DeadlineViolations returns how many invocations missed their deadline.
-func (rx *Reaction) DeadlineViolations() uint64 { return rx.deadlineViolations }
-
 func (rx *Reaction) String() string { return rx.Name() }
 
-// Ctx is passed to reaction bodies and deadline handlers.
+// Ctx is passed to reaction bodies and deadline handlers. The environment
+// reuses one Ctx for every invocation, so a Ctx is valid only while its
+// reaction runs: never keep it past the body's return.
 type Ctx struct {
 	env      *Environment
 	reaction *Reaction
@@ -237,6 +209,3 @@ func (c *Ctx) DoWork(d logical.Duration) { c.env.clock.Sleep(d) }
 // RequestStop asks the runtime to shut down at the next microstep. All
 // shutdown reactions will execute at that stop tag.
 func (c *Ctx) RequestStop() { c.env.requestStopAt(c.tag.Next()) }
-
-// Reaction returns the currently executing reaction.
-func (c *Ctx) Reaction() *Reaction { return c.reaction }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/des"
 	"repro/internal/logical"
@@ -549,74 +550,6 @@ func TestDeterministicTraceAcrossSeeds(t *testing.T) {
 	}
 }
 
-func TestDeterminismAcrossWorkerCounts(t *testing.T) {
-	// Same program, real clock in fast mode, 1 vs 4 workers: identical
-	// trace (the scheduler exploits parallelism without losing
-	// determinism).
-	run := func(workers int) []string {
-		env := NewEnvironment(Options{Fast: true, Workers: workers, Timeout: logical.Duration(100 * ms)})
-		var trace []string
-		// Normalize to elapsed logical time: the wall-clock start tag
-		// differs between runs by construction.
-		env.SetTraceHook(func(ev TraceEvent) {
-			rel := logical.Tag{Time: ev.Tag.Time - env.StartTime(), Microstep: ev.Tag.Microstep}
-			trace = append(trace, fmt.Sprintf("%s %s@L%d", rel, ev.Reaction, ev.Level))
-		})
-		// A diamond: src feeds two parallel workers that feed a join.
-		src := env.NewReactor("src")
-		w1 := env.NewReactor("w1")
-		w2 := env.NewReactor("w2")
-		join := env.NewReactor("join")
-		srcOut := NewOutputPort[int](src, "out")
-		w1In := NewInputPort[int](w1, "in")
-		w2In := NewInputPort[int](w2, "in")
-		w1Out := NewOutputPort[int](w1, "out")
-		w2Out := NewOutputPort[int](w2, "out")
-		j1 := NewInputPort[int](join, "in1")
-		j2 := NewInputPort[int](join, "in2")
-		Connect(srcOut, w1In)
-		// Fan-out needs two connections from srcOut; w2In is separate.
-		Connect(srcOut, w2In)
-		Connect(w1Out, j1)
-		Connect(w2Out, j2)
-		timer := NewTimer(src, "t", 0, logical.Duration(10*ms))
-		n := 0
-		src.AddReaction("emit").Triggers(timer).Effects(srcOut).Do(func(c *Ctx) {
-			n++
-			srcOut.Set(c, n)
-		})
-		w1.AddReaction("f").Triggers(w1In).Effects(w1Out).Do(func(c *Ctx) {
-			v, _ := w1In.Get(c)
-			w1Out.Set(c, v+1)
-		})
-		w2.AddReaction("g").Triggers(w2In).Effects(w2Out).Do(func(c *Ctx) {
-			v, _ := w2In.Get(c)
-			w2Out.Set(c, v*2)
-		})
-		sum := 0
-		join.AddReaction("join").Triggers(j1, j2).Do(func(c *Ctx) {
-			a, _ := j1.Get(c)
-			b, _ := j2.Get(c)
-			sum += a + b
-		})
-		if err := env.Run(); err != nil {
-			t.Fatal(err)
-		}
-		trace = append(trace, fmt.Sprintf("sum=%d", sum))
-		return trace
-	}
-	t1 := run(1)
-	t4 := run(4)
-	if len(t1) != len(t4) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(t1), len(t4))
-	}
-	for i := range t1 {
-		if t1[i] != t4[i] {
-			t.Fatalf("worker counts diverge at %d: %q vs %q", i, t1[i], t4[i])
-		}
-	}
-}
-
 func TestPhysicalActionFromAnotherProcess(t *testing.T) {
 	k := des.NewKernel(1)
 	var received []int
@@ -778,6 +711,55 @@ func TestRealClockSmoke(t *testing.T) {
 	}
 	if count != 6 {
 		t.Errorf("count = %d, want 6", count)
+	}
+}
+
+// A physical action fed by ScheduleAsync from a goroutine other than the
+// scheduler's, under a RealClock, is delivered value for value in tag
+// order; RequestStop from that goroutine then ends the run. Under -race
+// this pins the lock on the queue and the stop state.
+func TestScheduleAsyncFromForeignGoroutine(t *testing.T) {
+	const n = 200
+	env := NewEnvironment(Options{KeepAlive: true})
+	r := env.NewReactor("r")
+	act := NewPhysicalAction[int](r, "a", 0)
+	var got []int
+	var tags []logical.Tag
+	all := make(chan struct{})
+	r.AddReaction("recv").Triggers(act).Do(func(c *Ctx) {
+		v, _ := act.Get(c)
+		got = append(got, v)
+		tags = append(tags, c.Tag())
+		if len(got) == n {
+			close(all)
+		}
+	})
+	go func() {
+		for i := 0; i < n; i++ {
+			act.ScheduleAsync(i, 0)
+			if i%20 == 0 {
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+		select {
+		case <-all:
+		case <-time.After(10 * time.Second): // a lost event fails below
+		}
+		env.RequestStop()
+	}()
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != n {
+		t.Fatalf("delivered %d values, want %d", len(got), n)
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("value %d delivered as %d", i, v)
+		}
+		if i > 0 && !tags[i-1].Before(tags[i]) {
+			t.Fatalf("tag order violated at %d: %v then %v", i, tags[i-1], tags[i])
+		}
 	}
 }
 
