@@ -298,13 +298,8 @@ func NewBaseline(seed uint64, cfg BaselineConfig) (*Baseline, error) {
 
 	// --- Video Provider (platform 1): the camera, sending one frame
 	// roughly every 50ms over a proprietary (raw datagram) protocol.
-	scene := &Scene{}
 	w.SpawnFrameSource(cameraSource(p2, cfg.Frames, cfg.Period, cfg.CameraJitterSigma, cfg.SettleTime),
-		func(now logical.Time) []byte {
-			frame := scene.Generate(now)
-			b.Counters.FramesSent++
-			return MarshalFrame(frame)
-		})
+		cameraFrames(&b.Counters.FramesSent))
 
 	return b, nil
 }
@@ -333,6 +328,19 @@ func cameraSource(p2 *simnet.Host, frames int, period, jitterSigma, settle logic
 		Settle:      settle,
 		Stream:      "apd.camera",
 		Name:        "video-provider",
+	}
+}
+
+// cameraFrames is the shared camera payload of both variants: each call
+// renders the next frame into one reused wire buffer (the network copies
+// a datagram on send) and counts it in *sent.
+func cameraFrames(sent *uint64) func(now logical.Time) []byte {
+	scene := &Scene{}
+	var wire []byte
+	return func(now logical.Time) []byte {
+		wire = scene.generateWire(wire, now)
+		*sent++
+		return wire
 	}
 }
 

@@ -359,13 +359,8 @@ func NewDeterministic(seed uint64, cfg DeterministicConfig) (*Deterministic, err
 
 	// --- Video Provider (platform 1), identical camera model to the
 	// baseline.
-	scene := &Scene{}
 	w.SpawnFrameSource(cameraSource(p2, cfg.Frames, cfg.Period, cfg.CameraJitterSigma, cfg.SettleTime),
-		func(now logical.Time) []byte {
-			frame := scene.Generate(now)
-			d.Counters.FramesSent++
-			return MarshalFrame(frame)
-		})
+		cameraFrames(&d.Counters.FramesSent))
 
 	return d, nil
 }

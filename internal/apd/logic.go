@@ -1,6 +1,7 @@
 package apd
 
 import (
+	"encoding/binary"
 	"math"
 
 	"repro/internal/logical"
@@ -74,9 +75,30 @@ func (s *Scene) vehicleAt(seq uint32) groundTruth {
 
 // Generate produces the next synthetic frame.
 func (s *Scene) Generate(capture logical.Time) *Frame {
+	f := &Frame{Seq: s.seq, Capture: capture, Pix: make([]byte, FrameW*FrameH)}
+	s.render(f.Pix)
+	return f
+}
+
+// generateWire renders the next frame straight into its wire encoding,
+// byte-identical to MarshalFrame(Generate(capture)), reusing buf's
+// storage when it is large enough.
+func (s *Scene) generateWire(buf []byte, capture logical.Time) []byte {
+	if cap(buf) < frameWireSize {
+		buf = make([]byte, frameWireSize)
+	}
+	buf = buf[:frameWireSize]
+	binary.BigEndian.PutUint32(buf[0:4], s.seq)
+	binary.BigEndian.PutUint64(buf[4:12], uint64(capture))
+	s.render(buf[12:])
+	return buf
+}
+
+// render draws the frame numbered s.seq into pix, overwriting every
+// pixel, and advances the sequence.
+func (s *Scene) render(pix []byte) {
 	seq := s.seq
 	s.seq++
-	f := &Frame{Seq: seq, Capture: capture, Pix: make([]byte, FrameW*FrameH)}
 	for row := 0; row < FrameH; row++ {
 		center := s.laneCenterAt(seq, row)
 		half := laneHalfWidthAt(row)
@@ -85,7 +107,7 @@ func (s *Scene) Generate(capture logical.Time) *Frame {
 			if col == center-half || col == center+half {
 				g = laneGray
 			}
-			f.Pix[row*FrameW+col] = g
+			pix[row*FrameW+col] = g
 		}
 	}
 	gt := s.vehicleAt(seq)
@@ -102,11 +124,10 @@ func (s *Scene) Generate(capture logical.Time) *Frame {
 				if c < 0 || c >= FrameW {
 					continue
 				}
-				f.Pix[r*FrameW+c] = vehicleGray
+				pix[r*FrameW+c] = vehicleGray
 			}
 		}
 	}
-	return f
 }
 
 // Truth exposes the scripted vehicle distance for a sequence number

@@ -1,6 +1,7 @@
 package apd
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -142,6 +143,44 @@ func TestFrameMarshalRoundTrip(t *testing.T) {
 	for i := range f.Pix {
 		if got.Pix[i] != f.Pix[i] {
 			t.Fatalf("pixel %d differs", i)
+		}
+	}
+}
+
+// TestGenerateWireMatchesMarshalFrame pins the camera's in-place
+// rendering: one reused buffer holds, frame after frame, exactly the
+// bytes of MarshalFrame(Generate(capture)).
+func TestGenerateWireMatchesMarshalFrame(t *testing.T) {
+	wireScene, frameScene := &Scene{}, &Scene{}
+	var wire []byte
+	for i := 0; i < 200; i++ {
+		capture := logical.Time(i * 50_000_017)
+		wire = wireScene.generateWire(wire, capture)
+		want := MarshalFrame(frameScene.Generate(capture))
+		if !bytes.Equal(wire, want) {
+			t.Fatalf("frame %d: in-place wire bytes differ from MarshalFrame(Generate)", i)
+		}
+	}
+}
+
+// TestStagesDoNotMutateFrame pins the read-only contract of an aliased
+// Frame.Pix: Preprocessing forwards the very payload it decoded, so
+// neither stage may write the pixels it reads.
+func TestStagesDoNotMutateFrame(t *testing.T) {
+	s := &Scene{}
+	for i := 0; i < 200; i++ {
+		payload := MarshalFrame(s.Generate(0))
+		orig := bytes.Clone(payload)
+		f, err := UnmarshalFrame(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &f.Pix[0] != &payload[12] {
+			t.Fatal("UnmarshalFrame copied the pixels instead of aliasing the payload")
+		}
+		DetectVehicles(f, Preprocess(f))
+		if !bytes.Equal(payload, orig) {
+			t.Fatalf("frame %d: a stage wrote the aliased payload", i)
 		}
 	}
 }

@@ -38,7 +38,10 @@ const (
 type Frame struct {
 	Seq     uint32
 	Capture logical.Time // physical capture time at the camera
-	Pix     []byte       // FrameW*FrameH grayscale, row-major
+	// Pix is FrameW*FrameH grayscale, row-major. A frame decoded by
+	// UnmarshalFrame aliases the received payload, which a stage may
+	// forward downstream, so Pix is read-only.
+	Pix []byte
 }
 
 // LaneInfo is the preprocessing result: the bounding box demarcating the
@@ -73,6 +76,9 @@ type BrakeCmd struct {
 
 // --- wire encoding (big endian, explicit layouts) ---
 
+// frameWireSize is an encoded frame's length: seq, capture time, pixels.
+const frameWireSize = 4 + 8 + FrameW*FrameH
+
 // MarshalFrame encodes a frame for transmission.
 func MarshalFrame(f *Frame) []byte {
 	buf := make([]byte, 4+8+len(f.Pix))
@@ -82,18 +88,18 @@ func MarshalFrame(f *Frame) []byte {
 	return buf
 }
 
-// UnmarshalFrame decodes a frame.
+// UnmarshalFrame decodes a frame without copying its pixels: Pix
+// aliases buf[12:]. A delivered payload is the receiver's for good, and
+// no stage writes Pix.
 func UnmarshalFrame(buf []byte) (*Frame, error) {
-	if len(buf) != 4+8+FrameW*FrameH {
-		return nil, fmt.Errorf("apd: frame payload %d bytes, want %d", len(buf), 12+FrameW*FrameH)
+	if len(buf) != frameWireSize {
+		return nil, fmt.Errorf("apd: frame payload %d bytes, want %d", len(buf), frameWireSize)
 	}
-	f := &Frame{
+	return &Frame{
 		Seq:     binary.BigEndian.Uint32(buf[0:4]),
 		Capture: logical.Time(binary.BigEndian.Uint64(buf[4:12])),
-		Pix:     make([]byte, FrameW*FrameH),
-	}
-	copy(f.Pix, buf[12:])
-	return f, nil
+		Pix:     buf[12:frameWireSize:frameWireSize],
+	}, nil
 }
 
 // MarshalLane encodes lane info.

@@ -60,15 +60,26 @@ type Event struct {
 // Canceled reports whether Cancel was called on the event.
 func (e *Event) Canceled() bool { return e.canceled }
 
-// Cancel prevents the event from firing. Canceling an already-fired or
-// already-canceled event is a no-op.
+// Cancel prevents the event from firing by taking it out of the
+// kernel's queue (and its emit shadow heap) at once, so the queue only
+// ever holds live events and caller-owned storage such as a process's
+// wake event is free for reuse as soon as it is canceled. Canceling an
+// already-fired or already-canceled event is a no-op.
 func (e *Event) Cancel() {
 	if e.canceled {
 		return
 	}
 	e.canceled = true
-	if !e.daemon && e.index >= 0 {
-		e.k.pending--
+	if e.index < 0 {
+		return
+	}
+	k := e.k
+	if !e.daemon {
+		k.pending--
+	}
+	k.queue.removeAt(e.index)
+	if e.emitIndex >= 0 {
+		k.emit.removeAt(e.emitIndex)
 	}
 }
 
@@ -86,8 +97,8 @@ func (e *Event) Time() logical.Time { return e.at }
 // swap. The 4-ary layout halves tree depth, trading one extra child
 // comparison per level for better cache locality on sift-down.
 //
-// Event.index is maintained on every move so Cancel can keep telling
-// queued events (index >= 0) from popped ones (index == -1).
+// Event.index is maintained on every move so Cancel can find a queued
+// event (index >= 0) and tell it from a popped one (index == -1).
 type eventQueue []*Event
 
 // before reports the strict (at, seq) order. Keys are never equal:
@@ -118,46 +129,62 @@ func (q *eventQueue) push(e *Event) {
 	*q = h
 }
 
-// pop removes and returns the minimum event, restoring the heap by
-// sifting the displaced tail element down.
+// pop removes and returns the minimum event.
 func (q *eventQueue) pop() *Event {
+	min := (*q)[0]
+	q.removeAt(0)
+	return min
+}
+
+// removeAt deletes the event at heap position i (pop, Cancel): the tail
+// element takes its place and is sifted in either direction as needed.
+func (q *eventQueue) removeAt(i int) {
 	h := *q
-	min := h[0]
-	min.index = -1
+	h[i].index = -1
 	n := len(h) - 1
 	e := h[n]
 	h[n] = nil
 	h = h[:n]
 	*q = h
-	if n == 0 {
-		return min
+	if i == n {
+		return
 	}
-	// Sift e down from the root.
-	i := 0
-	for {
-		c := i<<2 + 1 // first child
-		if c >= n {
+	// Sift e up from i, then down if it did not move.
+	j := i
+	for j > 0 {
+		parent := (j - 1) >> 2
+		p := h[parent]
+		if !e.before(p) {
 			break
 		}
-		// Pick the smallest of up to four children.
-		best := c
-		bestEv := h[c]
-		for j := c + 1; j < c+4 && j < n; j++ {
-			if h[j].before(bestEv) {
-				best = j
-				bestEv = h[j]
+		h[j] = p
+		p.index = j
+		j = parent
+	}
+	if j == i {
+		for {
+			c := j<<2 + 1
+			if c >= n {
+				break
 			}
+			best := c
+			bestEv := h[c]
+			for m := c + 1; m < c+4 && m < n; m++ {
+				if h[m].before(bestEv) {
+					best = m
+					bestEv = h[m]
+				}
+			}
+			if !bestEv.before(e) {
+				break
+			}
+			h[j] = bestEv
+			bestEv.index = j
+			j = best
 		}
-		if !bestEv.before(e) {
-			break
-		}
-		h[i] = bestEv
-		bestEv.index = i
-		i = best
 	}
-	h[i] = e
-	e.index = i
-	return min
+	h[j] = e
+	e.index = j
 }
 
 // emitHeap is the kernel's shadow priority queue over emit-capable
@@ -166,7 +193,7 @@ func (q *eventQueue) pop() *Event {
 // Event.index. Federated kernels keep it in lock-step with the main
 // queue so NextEmitTime — the coordinator's earliest-output-time bound,
 // consulted on every park — is O(1) at the head instead of a full
-// O(queued) scan. Canceled events are discarded lazily at the head.
+// O(queued) scan. Cancel removes an event from both heaps.
 type emitHeap []*Event
 
 // push inserts e, restoring the heap by sifting up.
@@ -189,8 +216,7 @@ func (q *emitHeap) push(e *Event) {
 }
 
 // removeAt deletes the event at heap position i (the main queue popped
-// it, or it was discarded as canceled): the tail element takes its
-// place and is sifted in either direction as needed.
+// it, or it was canceled): the tail element takes its place and is sifted in either direction as needed.
 func (q *emitHeap) removeAt(i int) {
 	h := *q
 	h[i].emitIndex = -1
@@ -291,7 +317,7 @@ type Kernel struct {
 	now      logical.Time
 	seq      uint64
 	queue    eventQueue
-	pending  int // non-daemon, non-canceled events still queued
+	pending  int // non-daemon events still queued
 	procs    []*Process
 	running  bool
 	stopped  bool
@@ -393,9 +419,9 @@ func Call(a any) { a.(func())() }
 // post is the kernel's one scheduling path: every event takes its
 // sequence number here, at the moment it is scheduled. e is optional
 // caller-owned storage (process wake events): it is reused in place
-// unless its previous incarnation is still queued — canceled but not
-// yet popped — in which case a fresh Event is allocated; either way the
-// returned handle is the one to cancel. Transient events come from the
+// unless its previous incarnation is still queued, in which case a fresh
+// Event is allocated; either way the returned handle is the one to
+// cancel. Cancel dequeues at once, so a canceled wake event is reused. Transient events come from the
 // free list and return to it after firing. local forces the
 // never-emits mark (SpawnLocal); events scheduled while a local event
 // fires inherit it regardless. The mark is set before enqueue, which
@@ -458,16 +484,13 @@ func (k *Kernel) ReserveEvents(n int) {
 }
 
 // fire dequeues the head event and runs it — the one firing body shared
-// by Run and RunLive. A canceled event is discarded unrun. A fired
-// transient event returns to the free list; handles returned by At,
+// by Run and RunLive. The queue holds no canceled event (Cancel dequeues
+// it). A fired transient event returns to the free list; handles returned by At,
 // After and AfterDaemon are never pooled, because they may be held (and
 // canceled) long after firing, and reusing them would let a stale
 // Cancel hit an unrelated future event.
 func (k *Kernel) fire() {
 	e := k.dequeue()
-	if e.canceled {
-		return
-	}
 	if !e.daemon {
 		k.pending--
 	}
@@ -514,16 +537,12 @@ func (k *Kernel) Run(until logical.Time) logical.Time {
 // RunAll executes events until the queue is empty or Stop is called.
 func (k *Kernel) RunAll() logical.Time { return k.Run(logical.Forever) }
 
-// NextEventTime returns the firing time of the earliest queued live
-// event, discarding canceled events from the head of the queue as it
-// goes (they would be skipped at firing time anyway). The federation
+// NextEventTime returns the firing time of the earliest queued event;
+// every queued event is live (Cancel dequeues). The federation
 // coordinator uses the result as the partition's earliest-output-time
 // bound, so keeping it tight — never a stale canceled timestamp —
 // directly widens the windows granted to downstream partitions.
 func (k *Kernel) NextEventTime() (logical.Time, bool) {
-	for len(k.queue) > 0 && k.queue[0].canceled {
-		k.dequeue()
-	}
 	if len(k.queue) == 0 {
 		return 0, false
 	}
@@ -536,14 +555,11 @@ func (k *Kernel) NextEventTime() (logical.Time, bool) {
 // partition's earliest-output-time bound: events below the result are
 // provably incapable of sending cross-partition, so downstream grants
 // may reach past them. The answer is the head of the emit shadow heap,
-// O(1) after lazily discarding canceled heads. Precondition: the kernel
+// O(1). Precondition: the kernel
 // belongs to a Federation of two or more partitions — NewFederation
 // turns the shadow heap on there, and on any other kernel it stays
 // empty.
 func (k *Kernel) NextEmitTime() (logical.Time, bool) {
-	for len(k.emit) > 0 && k.emit[0].canceled {
-		k.emit.removeAt(0)
-	}
 	if len(k.emit) == 0 {
 		return 0, false
 	}
@@ -592,7 +608,7 @@ func (k *Kernel) Shutdown() {
 	k.idle = nil
 }
 
-// Pending reports the number of queued non-daemon, non-canceled events —
+// Pending reports the number of queued non-daemon events —
 // the count that keeps Run alive. The federation coordinator uses it for
 // global quiescence detection across kernels.
 func (k *Kernel) Pending() int { return k.pending }

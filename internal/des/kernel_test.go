@@ -61,6 +61,108 @@ func TestKernelCancel(t *testing.T) {
 	}
 }
 
+// TestCancelRemovesEvent pins that Cancel takes an event out of both the
+// main queue and the emit shadow heap at once, on a kernel of a
+// 2-partition federation (where the shadow heap is kept): the next-time
+// queries name the next live event without discarding anything, and
+// Pending stays exact.
+func TestCancelRemovesEvent(t *testing.T) {
+	f := NewFederation(1, 2)
+	defer f.Shutdown()
+	k := f.Kernel(0)
+	fired := 0
+	fn := func() { fired++ }
+	e10 := k.At(10, fn)
+	local := k.post(nil, 12, Call, fn, false, false, true) // never emits
+	e20 := k.At(20, fn)
+	e30 := k.At(30, fn)
+	daemon := k.AfterDaemon(25, fn)
+	check := func(step string, queued, emit, pending int, next, nextEmit logical.Time) {
+		t.Helper()
+		if len(k.queue) != queued || len(k.emit) != emit || k.Pending() != pending {
+			t.Fatalf("%s: queue %d, emit %d, pending %d; want %d, %d, %d",
+				step, len(k.queue), len(k.emit), k.Pending(), queued, emit, pending)
+		}
+		if at, ok := k.NextEventTime(); !ok || at != next {
+			t.Fatalf("%s: NextEventTime = (%v, %v), want (%v, true)", step, at, ok, next)
+		}
+		if at, ok := k.NextEmitTime(); !ok || at != nextEmit {
+			t.Fatalf("%s: NextEmitTime = (%v, %v), want (%v, true)", step, at, ok, nextEmit)
+		}
+		// Neither query may have dropped anything.
+		if len(k.queue) != queued || len(k.emit) != emit {
+			t.Fatalf("%s: a next-time query changed the queues", step)
+		}
+	}
+	check("scheduled", 5, 4, 4, 10, 10)
+	e10.Cancel()
+	if e10.index != -1 || e10.emitIndex != -1 {
+		t.Fatalf("canceled event still indexed: index %d, emitIndex %d", e10.index, e10.emitIndex)
+	}
+	check("head canceled", 4, 3, 3, 12, 20)
+	e10.Cancel()
+	check("second cancel", 4, 3, 3, 12, 20)
+	local.Cancel()
+	check("local canceled", 3, 3, 2, 20, 20)
+	e30.Cancel() // not at the head
+	check("tail canceled", 2, 2, 1, 20, 20)
+	daemon.Cancel()
+	check("daemon canceled", 1, 1, 1, 20, 20)
+	f.RunAll()
+	if fired != 1 || k.Pending() != 0 || len(k.queue) != 0 || len(k.emit) != 0 {
+		t.Fatalf("after run: fired %d, pending %d, queue %d, emit %d; want 1, 0, 0, 0",
+			fired, k.Pending(), len(k.queue), len(k.emit))
+	}
+	if e20.Canceled() {
+		t.Fatal("live event reports canceled")
+	}
+}
+
+// TestCancelKeepsHeapOrder cancels a seeded random half of many queued
+// events from arbitrary heap positions and checks that the survivors
+// fire in (time, sequence) order and nothing canceled fires.
+func TestCancelKeepsHeapOrder(t *testing.T) {
+	f := NewFederation(1, 2)
+	defer f.Shutdown()
+	k := f.Kernel(0)
+	rng := NewRand(9)
+	type ev struct {
+		at  logical.Time
+		seq int
+	}
+	var got []ev
+	var handles []*Event
+	for i := 0; i < 400; i++ {
+		at, seq := logical.Time(rng.Intn(50)), i
+		handles = append(handles, k.At(at, func() { got = append(got, ev{at, seq}) }))
+	}
+	live := 0
+	for _, h := range handles {
+		if rng.Intn(2) == 0 {
+			h.Cancel()
+		} else {
+			live++
+		}
+	}
+	if len(k.queue) != live || len(k.emit) != live || k.Pending() != live {
+		t.Fatalf("queue %d, emit %d, pending %d; want %d each", len(k.queue), len(k.emit), k.Pending(), live)
+	}
+	f.RunAll()
+	if len(got) != live {
+		t.Fatalf("%d events fired, want %d", len(got), live)
+	}
+	for i, g := range got {
+		if handles[g.seq].Canceled() {
+			t.Fatalf("canceled event %d fired", g.seq)
+		}
+		if i > 0 {
+			if a := got[i-1]; a.at > g.at || a.at == g.at && a.seq > g.seq {
+				t.Fatalf("fired out of order at %d: %v then %v", i, a, g)
+			}
+		}
+	}
+}
+
 func TestKernelRunHorizon(t *testing.T) {
 	k := NewKernel(1)
 	fired := []logical.Time{}

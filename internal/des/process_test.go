@@ -371,6 +371,36 @@ func TestSpawnAllocs(t *testing.T) {
 	}
 }
 
+// TestInterruptibleWaitAllocs pins the idle reactor's cycle: a process
+// waiting far in the future (WaitUntilInterruptible) is interrupted and
+// waits again. Cancel dequeues the interrupted wake event, so the next
+// wait reuses the process's wake-event storage: the cycle allocates
+// nothing and the queue does not grow.
+func TestInterruptibleWaitAllocs(t *testing.T) {
+	k := NewKernel(1)
+	defer k.Shutdown()
+	far := logical.Time(1) << 60
+	waiter := k.Spawn("waiter", func(p *Process) {
+		for {
+			p.WaitUntilInterruptible(far)
+		}
+	})
+	cycle := func() {
+		waiter.Interrupt()
+		k.Run(k.Now())
+	}
+	k.Run(0)
+	for i := 0; i < 10; i++ {
+		cycle()
+	}
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Errorf("interrupt + wait allocates %v times per cycle, want 0", got)
+	}
+	if len(k.queue) != 1 || k.Pending() != 1 {
+		t.Errorf("after the cycles: %d queued, %d pending; want the one wake event", len(k.queue), k.Pending())
+	}
+}
+
 // A body's panic surfaces from the Run call that resumed it, on the
 // caller's goroutine, and its carrier is not reused.
 func TestProcessPanicSurfacesFromRun(t *testing.T) {

@@ -1,7 +1,6 @@
 package reactor
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"slices"
@@ -124,31 +123,73 @@ func (e *Environment) requestStopLocked(tag logical.Tag) {
 	e.stopTag = tag
 }
 
-// scheduled event: a closure fired when its tag is processed.
+// schedEvent is a queued closure, fired when its tag is processed.
 type schedEvent struct {
 	tag  logical.Tag
 	seq  uint64
 	fire func(*Environment)
 }
 
-type eventHeap []*schedEvent
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if c := h[i].tag.Compare(h[j].tag); c != 0 {
+// before reports the strict (tag, seq) order; seq is unique per
+// environment, so every correct heap pops events in the same sequence.
+func (a *schedEvent) before(b *schedEvent) bool {
+	if c := a.tag.Compare(b.tag); c != 0 {
 		return c < 0
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*schedEvent)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+
+// eventHeap is the scheduler's binary min-heap over (tag, seq), holding
+// events by value so that queueing one allocates nothing but the
+// slice's occasional growth.
+type eventHeap []schedEvent
+
+// push inserts ev, restoring the heap by sifting up.
+func (q *eventHeap) push(ev schedEvent) {
+	h := append(*q, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+	*q = h
+}
+
+// pop removes and returns the minimum event, restoring the heap by
+// sifting the displaced tail element down.
+func (q *eventHeap) pop() schedEvent {
+	h := *q
+	min := h[0]
+	n := len(h) - 1
+	ev := h[n]
+	h[n] = schedEvent{}
+	h = h[:n]
+	*q = h
+	if n == 0 {
+		return min
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(&h[c]) {
+			c++
+		}
+		if !h[c].before(&ev) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = ev
+	return min
 }
 
 // scheduleEvent enqueues a tagged event (thread-safe).
@@ -160,7 +201,7 @@ func (e *Environment) scheduleEvent(tag logical.Tag, fire func(*Environment)) {
 
 func (e *Environment) scheduleEventLocked(tag logical.Tag, fire func(*Environment)) {
 	e.seq++
-	heap.Push(&e.queue, &schedEvent{tag: tag, seq: e.seq, fire: fire})
+	e.queue.push(schedEvent{tag: tag, seq: e.seq, fire: fire})
 }
 
 // enqueueReaction marks a reaction triggered at the current tag; marking
@@ -239,7 +280,7 @@ func (e *Environment) loop() {
 			e.mu.Unlock()
 			break
 		}
-		next := e.queue[0]
+		next := &e.queue[0]
 		if e.stopRequested && e.stopTag.Before(next.tag) {
 			e.mu.Unlock()
 			break
@@ -258,8 +299,7 @@ func (e *Environment) loop() {
 		e.currentTag = tag
 		fires := e.fires[:0]
 		for len(e.queue) > 0 && e.queue[0].tag.Equal(tag) {
-			ev := heap.Pop(&e.queue).(*schedEvent)
-			fires = append(fires, ev.fire)
+			fires = append(fires, e.queue.pop().fire)
 			e.eventsProcessed++
 		}
 		stopHere := e.stopRequested && e.stopTag.Equal(tag)

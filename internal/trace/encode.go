@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -72,11 +73,16 @@ type decoder struct {
 	err error
 }
 
+// fail records a malformed encoding unless an error is already set.
+func (d *decoder) fail() {
+	if d.err == nil {
+		d.err = ErrBadTrace
+	}
+}
+
 func (d *decoder) take(n int) []byte {
 	if d.err != nil || d.off+n > len(d.buf) {
-		if d.err == nil {
-			d.err = ErrBadTrace
-		}
+		d.fail()
 		return nil
 	}
 	b := d.buf[d.off : d.off+n]
@@ -118,7 +124,10 @@ func (d *decoder) u64() uint64 {
 
 func (d *decoder) str() string { return string(d.take(int(d.u16()))) }
 
-// Decode parses a binary trace produced by Encode.
+// Decode parses a binary trace produced by Encode. Malformed input —
+// truncated, trailing bytes, a bad magic, version or stored-input flag —
+// returns an error wrapping ErrBadTrace; an accepted input re-encodes
+// to exactly its own bytes.
 func Decode(data []byte) (*Trace, error) {
 	d := &decoder{buf: data}
 	if string(d.take(len(traceMagic))) != traceMagic {
@@ -137,11 +146,14 @@ func Decode(data []byte) (*Trace, error) {
 		r.Component = d.str()
 		r.Kind = d.str()
 		r.Src = d.str()
-		if d.u8() != 0 {
-			n := int(d.u32())
-			if b := d.take(n); b != nil {
-				r.Data = append([]byte(nil), b...)
-			}
+		switch d.u8() {
+		case 0:
+		case 1:
+			// Clone keeps an empty stored input non-nil, so it
+			// re-encodes as one.
+			r.Data = bytes.Clone(d.take(int(d.u32())))
+		default:
+			d.fail()
 		}
 		t.Records = append(t.Records, r)
 	}

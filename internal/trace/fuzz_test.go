@@ -1,0 +1,48 @@
+package trace
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+)
+
+// FuzzTraceDecode feeds arbitrary bytes to Decode, the reader of trace
+// files (-replay and someip-dump load them from disk). It may not
+// panic; a rejection wraps ErrBadTrace, and an accepted trace
+// re-encodes to exactly the input. The seed corpus in
+// testdata/fuzz/FuzzTraceDecode holds a merged two-recorder trace with
+// a stored-input record, a trace with no records and a truncated trace.
+func FuzzTraceDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Decode(data)
+		if err != nil {
+			if !errors.Is(err, ErrBadTrace) {
+				t.Fatalf("Decode error %v does not wrap ErrBadTrace", err)
+			}
+			return
+		}
+		if !bytes.Equal(tr.Encode(), data) {
+			t.Fatal("decoded trace re-encodes differently")
+		}
+	})
+}
+
+// TestDecodeIsCanonical pins the decoder's canonical form: a
+// stored-input flag other than 0 or 1 is malformed, and an empty stored
+// input decodes as a stored input (non-nil Data), so it re-encodes to
+// the same bytes.
+func TestDecodeIsCanonical(t *testing.T) {
+	empty := (&Trace{Records: []Record{{Time: 1, Seq: 1, Component: "c", Kind: KindRecv, Data: []byte{}}}}).Encode()
+	tr, err := Decode(empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Records[0].Data == nil || !bytes.Equal(tr.Encode(), empty) {
+		t.Fatal("an empty stored input does not round-trip")
+	}
+	bad := bytes.Clone(empty)
+	bad[len(bad)-5] = 2 // the stored-input flag, ahead of the u32 length
+	if _, err := Decode(bad); !errors.Is(err, ErrBadTrace) {
+		t.Fatalf("stored-input flag 2: Decode error %v, want ErrBadTrace", err)
+	}
+}
