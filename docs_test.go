@@ -12,20 +12,19 @@ package dear_test
 //     in the top-level markdown docs.
 //   - TestFacadeExportsHaveCallers keeps dear.go at what its callers
 //     use, and the docs at what dear.go exports.
-//   - TestLibraryExportsHaveCallers keeps the internal packages'
-//     exports at what some Go file names.
+//   - TestLibraryExportsHaveCallers (reach_test.go) keeps the code under
+//     internal/ that no program reaches at what testdata/unreachable.txt
+//     lists.
 //   - TestDocsCommandPathsExist keeps the command paths the docs tell a
 //     reader to run at directories that exist.
 
 import (
-	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -373,96 +372,5 @@ func TestFacadeExportsHaveCallers(t *testing.T) {
 				t.Errorf("%s names dear.%s, which dear.go does not export", doc, m[1])
 			}
 		}
-	}
-}
-
-// TestLibraryExportsHaveCallers fails for any exported top-level func,
-// method, type, const or var in a non-test file under internal/ whose
-// name appears nowhere in the tree's Go files (tests and perfbench
-// count) but in declarations. Like the facade audit it matches by name
-// only, so a method is kept alive by any identifier of the same name.
-// Methods that satisfy a standard interface (error, Stringer, sort and
-// heap) and the first constant of an iota block are exempt.
-func TestLibraryExportsHaveCallers(t *testing.T) {
-	exempt := map[string]bool{"Error": true, "String": true, "Len": true,
-		"Less": true, "Swap": true, "Push": true, "Pop": true}
-	declared := map[*ast.Ident]string{} // audited declaration -> file
-	used := map[string]bool{}
-	var files []*ast.File
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		files = append(files, f)
-		if !strings.HasPrefix(path, "internal"+string(filepath.Separator)) || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		add := func(id *ast.Ident) {
-			if id.IsExported() {
-				declared[id] = path
-			}
-		}
-		for _, dl := range f.Decls {
-			switch d := dl.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil || !exempt[d.Name.Name] {
-					add(d.Name)
-				}
-			case *ast.GenDecl:
-				for i, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						add(s.Name)
-					case *ast.ValueSpec:
-						if i == 0 && d.Tok == token.CONST && len(s.Values) == 1 {
-							if id, ok := s.Values[0].(*ast.Ident); ok && id.Name == "iota" {
-								continue
-							}
-						}
-						for _, n := range s.Names {
-							add(n)
-						}
-					}
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if _, decl := declared[id]; !decl {
-					used[id.Name] = true
-				}
-			}
-			return true
-		})
-	}
-	var unused []string
-	for id, path := range declared {
-		if !used[id.Name] {
-			unused = append(unused, fmt.Sprintf("%s declares %s", path, id.Name))
-		}
-	}
-	sort.Strings(unused)
-	for _, u := range unused {
-		t.Errorf("%s, which no Go file names", u)
 	}
 }

@@ -34,7 +34,6 @@ var echoIface = &ara.ServiceInterface{
 // dearFixture wires two platforms with a DEAR client and server SWC.
 type dearFixture struct {
 	k              *des.Kernel
-	net            *simnet.Network
 	h1, h2         *simnet.Host
 	client, server *SWC
 }
@@ -57,7 +56,7 @@ func newDearFixture(t *testing.T, seed uint64, latency simnet.LatencyModel) *dea
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &dearFixture{k: k, net: n, h1: h1, h2: h2, client: client, server: server}
+	return &dearFixture{k: k, h1: h1, h2: h2, client: client, server: server}
 }
 
 // tcfg is a standard transactor configuration: D=10ms, L=5ms, E=0.
@@ -290,19 +289,13 @@ func TestEventOrderPreservedDespiteJitter(t *testing.T) {
 	// Network jitter below the assumed bound L must not affect the order
 	// or tags of delivered events (source #3 of nondeterminism removed).
 	run := func(seed uint64) []logical.Tag {
-		f := newDearFixture(t, seed, &simnet.JitterLatency{
+		jitter := &simnet.JitterLatency{
 			Base:  logical.Duration(500 * logical.Microsecond),
 			Sigma: logical.Duration(800 * logical.Microsecond),
 			Max:   logical.Duration(4 * ms), // stays below L=5ms
-			Rng:   nil,                      // set below, needs kernel rand
-		})
-		// Rebuild with a seeded rng for the jitter model.
-		f.net.SetLink(f.h1.ID(), f.h2.ID(), &simnet.JitterLatency{
-			Base:  logical.Duration(500 * logical.Microsecond),
-			Sigma: logical.Duration(800 * logical.Microsecond),
-			Max:   logical.Duration(4 * ms),
-			Rng:   f.k.Rand("jitter"),
-		})
+		}
+		f := newDearFixture(t, seed, jitter)
+		jitter.Rng = f.k.Rand("jitter") // the stream needs the fixture's kernel
 		var tags []logical.Tag
 		f.server.Start(logical.Duration(2*logical.Second), func(env *reactor.Environment) error {
 			sk, err := f.server.Runtime().NewSkeleton(echoIface, 1)
@@ -474,13 +467,12 @@ func TestUntaggedPhysicalTimePolicy(t *testing.T) {
 func TestSafeToProcessViolationDetected(t *testing.T) {
 	// The actual network latency exceeds the assumed bound L: the
 	// receiver must detect and count the violated assumption.
-	f := newDearFixture(t, 1, nil)
 	// Assumed L = 1ms, actual latency 20ms.
+	f := newDearFixture(t, 1, simnet.FixedLatency(logical.Duration(20*ms)))
 	cfg := TransactorConfig{
 		Deadline: logical.Duration(2 * ms),
 		Link:     LinkConfig{Latency: logical.Duration(1 * ms)},
 	}
-	f.net.SetLink(f.h1.ID(), f.h2.ID(), simnet.FixedLatency(logical.Duration(20*ms)))
 
 	var cet *ClientEventTransactor
 	received := 0

@@ -175,9 +175,9 @@ func (f *Federation) EventsFired() uint64 {
 }
 
 // Channel creates an inter-federate link from partition `from` to
-// partition `to` with the given lookahead. Lookahead must be positive:
-// conservative synchronization cannot make progress through a
-// zero-latency cross-partition link.
+// partition `to` with the given lookahead, fixed for the channel's
+// lifetime. Lookahead must be positive: conservative synchronization
+// cannot make progress through a zero-latency cross-partition link.
 func (f *Federation) Channel(from, to int, lookahead logical.Duration) *Channel {
 	if f.running {
 		panic("des: Federation.Channel called while running")
@@ -193,22 +193,6 @@ func (f *Federation) Channel(from, to int, lookahead logical.Duration) *Channel 
 	f.inbound[to] = append(f.inbound[to], c)
 	f.outbound[from] = append(f.outbound[from], c)
 	return c
-}
-
-// Lookahead returns the channel's conservative latency bound.
-func (c *Channel) Lookahead() logical.Duration { return c.lookahead }
-
-// SetLookahead lowers (or raises) the channel's lookahead. It may only be
-// called before the federation runs — typically when a link latency model
-// with a smaller minimum is installed after topology construction.
-func (c *Channel) SetLookahead(d logical.Duration) {
-	if c.fed.running {
-		panic("des: Channel.SetLookahead called while running")
-	}
-	if d <= 0 {
-		panic("des: federation channel needs positive lookahead")
-	}
-	c.lookahead = d
 }
 
 // Sent returns the number of messages that crossed the channel.

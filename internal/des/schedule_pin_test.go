@@ -151,7 +151,7 @@ func (r *pinRig) act() {
 		k.Post(k.Now().Add(d), pinPostFn, r)
 	case 5:
 		if r.out != nil {
-			r.out.Send(k.Now().Add(r.out.Lookahead()+d), pinRecvFn, r.peer)
+			r.out.Send(k.Now().Add(r.out.lookahead+d), pinRecvFn, r.peer)
 		} else {
 			k.Post(k.Now().Add(d), pinPostFn, r)
 		}

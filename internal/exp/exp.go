@@ -230,7 +230,7 @@ func (r *Figure5Result) Prevalences() []float64 {
 
 // Stats returns (min, mean, max) prevalence.
 func (r *Figure5Result) Stats() (min, mean, max float64) {
-	s := metrics.NewMomentsOnly()
+	var s metrics.Stream
 	for _, inst := range r.Instances {
 		s.Add(inst.Counters.Prevalence())
 	}
@@ -288,7 +288,7 @@ func RunDeterministic(seed uint64, frames int) (*DeterministicResult, error) {
 	}
 	c := d.Run()
 	res := &DeterministicResult{Frames: frames, Counters: *c}
-	lat := metrics.NewMomentsOnly()
+	var lat metrics.Stream
 	for _, l := range d.Latencies {
 		lat.Add(float64(l))
 	}
@@ -419,7 +419,7 @@ func RunTradeoff(seed uint64, frames int, scales []float64) (*TradeoffResult, er
 		if c.FramesSent > 0 {
 			p.ViolationRate = float64(c.DeadlineViolations) / float64(c.FramesSent)
 		}
-		lat := metrics.NewMomentsOnly()
+		var lat metrics.Stream
 		for _, l := range d.Latencies {
 			lat.Add(float64(l))
 		}

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"slices"
+
 	"repro/internal/apd"
 	"repro/internal/logical"
 	"repro/internal/metrics"
@@ -54,15 +56,16 @@ func RunLatencyComparison(seed uint64, frames int) (*LatencyComparison, error) {
 	res.DearErrors = dc.TotalErrors()
 
 	fill := func(lats []logical.Duration, mean, p99, max, spread *logical.Duration) {
-		s := metrics.NewStream()
+		var s metrics.Stream
 		for _, l := range lats {
 			s.Add(float64(l))
 		}
 		if s.N() == 0 {
 			return
 		}
+		sorted := slices.Sorted(slices.Values(lats))
 		*mean = logical.Duration(s.Mean())
-		*p99 = logical.Duration(s.Quantile(0.99))
+		*p99 = sorted[99*(len(sorted)-1)/100] // the exact rank-⌊0.99·(n−1)⌋ sample
 		*max = logical.Duration(s.Max())
 		*spread = logical.Duration(s.Max() - s.Min())
 	}

@@ -47,7 +47,7 @@ func LoadDir(dir string) ([]NamedSpec, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
-		if err := spec.Validate(); err != nil {
+		if _, err := spec.Normalized(); err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
 		specs = append(specs, NamedSpec{Path: path, Spec: spec})

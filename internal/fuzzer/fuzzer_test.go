@@ -86,7 +86,7 @@ func TestFuzzFindsInjectedNondeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatalf("repro spec does not parse: %v", err)
 	}
-	if err := spec.Validate(); err != nil {
+	if _, err := spec.Normalized(); err != nil {
 		t.Fatalf("repro spec does not validate: %v", err)
 	}
 	if spec.Partitions < 2 {
@@ -140,7 +140,7 @@ func TestShrinkGreedy(t *testing.T) {
 	if min.Partitions != 2 {
 		t.Errorf("partitions shrunk to %d, want 2", min.Partitions)
 	}
-	if err := min.Validate(); err != nil {
+	if _, err := min.Normalized(); err != nil {
 		t.Errorf("shrunk spec invalid: %v", err)
 	}
 }
@@ -166,7 +166,7 @@ func FuzzSpecDeterminism(f *testing.F) {
 			t.Skip("not a spec")
 		}
 		spec = clampForFuzz(spec)
-		if spec.Validate() != nil {
+		if _, err := spec.Normalized(); err != nil {
 			t.Skip("invalid spec")
 		}
 		_, div, err := exp.CompareSpecModes(spec, []int{2, 3}, nil)

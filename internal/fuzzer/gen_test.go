@@ -14,7 +14,7 @@ func TestGenAlwaysValid(t *testing.T) {
 	for seed := uint64(0); seed < 4; seed++ {
 		for i := uint64(0); i < 500; i++ {
 			spec := Gen(seed, i)
-			if err := spec.Validate(); err != nil {
+			if _, err := spec.Normalized(); err != nil {
 				t.Fatalf("Gen(%d, %d) invalid: %v\nspec: %+v", seed, i, err, spec)
 			}
 		}

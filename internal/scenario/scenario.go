@@ -300,6 +300,11 @@ func (s Spec) normalized() (Spec, error) {
 	if s.Platforms < 2 {
 		return s, fmt.Errorf("scenario: needs at least 2 platforms")
 	}
+	// Platform i is host HostID(i) = i+1, and host IDs from
+	// simnet.MulticastBase up address multicast groups.
+	if max := int(simnet.MulticastBase) - 1; s.Platforms > max {
+		return s, fmt.Errorf("scenario: %d platforms exceed the %d host IDs below the multicast range", s.Platforms, max)
+	}
 	if s.Topology == "" {
 		s.Topology = Ring
 	}
@@ -402,12 +407,6 @@ func (s Spec) normalized() (Spec, error) {
 		}
 	}
 	return s, nil
-}
-
-// Validate reports whether the spec compiles, without building a world.
-func (s Spec) Validate() error {
-	_, err := s.normalized()
-	return err
 }
 
 // Normalized returns the canonical form of the spec — defaults filled,

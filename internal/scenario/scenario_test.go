@@ -219,7 +219,7 @@ func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := spec.Validate(); err != nil {
+	if _, err := spec.Normalized(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -250,9 +250,28 @@ func TestSpecValidation(t *testing.T) {
 	for _, tc := range cases {
 		spec := MeshPreset(6)
 		tc.mut(&spec)
-		err := spec.Validate()
+		_, err := spec.Normalized()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// Platform i is host HostID(i) = i+1, so 65,279 platforms take every
+// host ID below simnet.MulticastBase; one more would address a multicast
+// group, and past 65,535 the IDs wrap. Normalizing builds no world.
+func TestSpecPlatformCap(t *testing.T) {
+	spec := CityPreset(int(simnet.MulticastBase) - 1)
+	if spec.Platforms != 65279 || HostID(spec.Platforms-1) != simnet.MulticastBase-1 {
+		t.Fatalf("cap arithmetic: %d platforms, last host %d", spec.Platforms, HostID(spec.Platforms-1))
+	}
+	if _, err := spec.Normalized(); err != nil {
+		t.Fatalf("%d platforms rejected: %v", spec.Platforms, err)
+	}
+	for _, n := range []int{65280, 65536, 65537} {
+		spec.Platforms = n
+		if _, err := spec.Normalized(); err == nil || !strings.Contains(err.Error(), "multicast range") {
+			t.Errorf("%d platforms: err = %v, want the multicast-range rejection", n, err)
 		}
 	}
 }

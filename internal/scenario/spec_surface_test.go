@@ -85,7 +85,7 @@ func TestSpecRejectionMatrix(t *testing.T) {
 		mp := *spec.Monitors
 		spec.Monitors = &mp
 		tc.mut(&spec)
-		err := spec.Validate()
+		_, err := spec.Normalized()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}

@@ -27,17 +27,16 @@ import (
 //     packet index) rather than drawn from a shared sequential stream —
 //     so a drop, blackout or jitter decision is a pure function that
 //     both execution modes evaluate identically.
-//   - Multicast groups are per-partition: a group member receives
-//     cross-partition traffic only if the sender's partition also has the
-//     group (service discovery therefore spans one partition; federated
-//     scenarios use static peer configuration, ara.Runtime.StaticProxy).
+//   - Interest topics are per-partition: a topic member receives a
+//     SendTopic only from senders on its own partition (service discovery
+//     therefore spans one partition; federated scenarios use static peer
+//     configuration, ara.Runtime.StaticProxy).
 type Cluster struct {
 	fed         *des.Federation
 	parts       []*Network
 	owner       []int // host id -> partition; IDs are dense from 1, owner[0] unused
 	chans       [][]*des.Channel
 	model       MinLatencyModel
-	links       map[[2]uint16]MinLatencyModel
 	switchDelay logical.Duration
 	nextID      uint16
 }
@@ -97,7 +96,6 @@ func NewCluster(fed *des.Federation, cfg Config, route func(from, to int) bool) 
 		owner:       []int{-1},
 		chans:       make([][]*des.Channel, p),
 		model:       mm,
-		links:       map[[2]uint16]MinLatencyModel{},
 		switchDelay: cfg.SwitchDelay,
 	}
 	for i := 0; i < p; i++ {
@@ -122,8 +120,7 @@ func NewCluster(fed *des.Federation, cfg Config, route func(from, to int) bool) 
 // Federation returns the underlying federation.
 func (c *Cluster) Federation() *des.Federation { return c.fed }
 
-// Partition returns partition i's Network (for latency overrides,
-// multicast groups, or direct kernel access).
+// Partition returns partition i's Network (for direct kernel access).
 func (c *Cluster) Partition(i int) *Network { return c.parts[i] }
 
 // AddHost attaches a platform to the given partition. Host IDs are
@@ -143,41 +140,6 @@ func (c *Cluster) PartitionOf(host uint16) (int, bool) {
 	return c.owner[host], true
 }
 
-// SetLink installs a latency model for traffic between hosts a and b
-// (both directions), co-partitioned or not. The model must implement
-// MinLatencyModel; if the pair crosses partitions, the connecting
-// channels' lookahead is lowered to the model's minimum when necessary.
-// Must be called before the federation runs.
-func (c *Cluster) SetLink(a, b uint16, m MinLatencyModel) {
-	pa, oka := c.PartitionOf(a)
-	pb, okb := c.PartitionOf(b)
-	if !oka || !okb {
-		panic(fmt.Sprintf("simnet: SetLink on unknown hosts %d,%d", a, b))
-	}
-	if pa == pb {
-		c.parts[pa].SetLink(a, b, m)
-		return
-	}
-	if err := crossPartitionSafe(m); err != nil {
-		panic(err)
-	}
-	c.links[linkKey(a, b)] = m
-	la := m.MinLatency() + c.switchDelay
-	if la <= 0 {
-		panic("simnet: cluster link needs positive lookahead (min latency + switch delay)")
-	}
-	for _, ch := range []*des.Channel{c.chans[pa][pb], c.chans[pb][pa]} {
-		if ch == nil {
-			panic(fmt.Sprintf(
-				"simnet: SetLink between hosts %d,%d crosses partitions %d<->%d with no declared route (see NewCluster)",
-				a, b, pa, pb))
-		}
-		if la < ch.Lookahead() {
-			ch.SetLookahead(la)
-		}
-	}
-}
-
 // Delivered sums delivered datagrams across all partitions. Each
 // datagram is counted exactly once, by the partition that owns its
 // destination host.
@@ -190,7 +152,7 @@ func (c *Cluster) Delivered() uint64 {
 }
 
 // ControlPlane sums the partitions' control-plane counters (see
-// Network.ControlPlane): multicast/topic send calls and the datagrams
+// Network.ControlPlane): topic send calls and the datagrams
 // they fanned out. Fan-out is per-partition, so each fanned-out
 // datagram is counted once, by the sender's partition.
 func (c *Cluster) ControlPlane() (sends, fanout uint64) {
@@ -243,11 +205,7 @@ func (c *Cluster) route(from int, src *Endpoint, dg Datagram) bool {
 		c.parts[from].dropped++
 		return true
 	}
-	model := MinLatencyModel(c.model)
-	if m, ok := c.links[linkKey(dg.Src.Host, dg.Dst.Host)]; ok {
-		model = m
-	}
-	lat := model.Latency(len(dg.Payload)) + c.switchDelay + extra
+	lat := c.model.Latency(len(dg.Payload)) + c.switchDelay + extra
 	target := c.parts[to]
 	ch := c.chans[from][to]
 	if ch == nil {

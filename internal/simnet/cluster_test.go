@@ -234,27 +234,6 @@ func TestClusterCrossPartitionDeliveredCount(t *testing.T) {
 	}
 }
 
-func TestClusterSetLinkLowersLookahead(t *testing.T) {
-	fed := des.NewFederation(1, 2)
-	c, err := NewCluster(fed, Config{DefaultLatency: FixedLatency(logical.Millisecond)}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h0 := c.AddHost(0, "a", nil)
-	h1 := c.AddHost(1, "b", nil)
-	c.SetLink(h0.ID(), h1.ID(), FixedLatency(100*logical.Microsecond))
-	// The faster link must be honored end to end: delivery at 100µs.
-	sink := h1.MustBind(1)
-	var at logical.Time
-	sink.OnReceive(func(dg Datagram) { at = fed.Kernel(1).Now() })
-	src := h0.MustBind(1)
-	fed.Kernel(0).At(0, func() { src.Send(Addr{Host: h1.ID(), Port: 1}, []byte("y")) })
-	fed.RunAll()
-	if at != logical.Time(100*logical.Microsecond) {
-		t.Fatalf("delivery at %v", at)
-	}
-}
-
 func TestClusterRejectsBadConfigs(t *testing.T) {
 	// Background loss is supported since drops moved to counter-based
 	// per-link streams (it used to be rejected as a shared-stream

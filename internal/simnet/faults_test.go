@@ -285,13 +285,13 @@ func TestCrashLeavesMulticastGroups(t *testing.T) {
 	member := h2.MustBind(5)
 	got := 0
 	member.OnReceive(func(Datagram) { got++ })
-	n.JoinGroup(group, member)
+	n.JoinTopic(group, 1, member)
 	src := h1.MustBind(5)
-	n.JoinGroup(group, src)
+	n.JoinTopic(group, 1, src)
 
-	k.At(0, func() { src.Send(group, []byte("one")) })
+	k.At(0, func() { src.SendTopic(group, 1, []byte("one")) })
 	h2.Crash(logical.Time(logical.Millisecond))
-	k.At(logical.Time(2*logical.Millisecond), func() { src.Send(group, []byte("two")) })
+	k.At(logical.Time(2*logical.Millisecond), func() { src.SendTopic(group, 1, []byte("two")) })
 	k.RunAll()
 	k.Shutdown()
 	if got != 1 {

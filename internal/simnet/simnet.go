@@ -1,12 +1,12 @@
 // Package simnet models the evaluation network of the paper: platforms
 // (the two MinnowBoard Turbot boards) connected through a store-and-forward
-// Ethernet switch, with configurable per-link latency and jitter.
+// Ethernet switch, with configurable latency and jitter.
 //
 // The model is intentionally at datagram granularity (SOME/IP runs over
-// UDP in the APD demonstrator). Each endpoint owns a mailbox of inbound
-// datagrams; delivery times are computed deterministically from seeded
-// randomness, so a given topology and seed always produces the same packet
-// schedule.
+// UDP in the APD demonstrator). An endpoint's receive callback consumes
+// each inbound datagram as a kernel event; delivery times are computed
+// deterministically from seeded randomness, so a given topology and seed
+// always produces the same packet schedule.
 package simnet
 
 import (
@@ -20,7 +20,7 @@ import (
 // Addr identifies an endpoint: a (host, port) pair. Hosts are small
 // integers assigned by the network; ports are chosen by the application
 // (mirroring UDP ports). Host values at or above MulticastBase denote
-// multicast groups.
+// multicast groups, which scope interest topics (see JoinTopic).
 type Addr struct {
 	// Host is the network-assigned platform ID (or multicast group at or
 	// above MulticastBase).
@@ -29,7 +29,8 @@ type Addr struct {
 	Port uint16
 }
 
-// MulticastBase is the first host number reserved for multicast groups.
+// MulticastBase is the first host number reserved for multicast groups;
+// platform host IDs lie below it.
 const MulticastBase uint16 = 0xFF00
 
 // IsMulticast reports whether the address denotes a multicast group.
@@ -134,9 +135,8 @@ type Network struct {
 	k       *des.Kernel
 	hosts   map[uint16]*Host
 	nextKey uint16
-	// defaultModel is used for host pairs without an explicit link model.
-	defaultModel LatencyModel
-	links        map[[2]uint16]LatencyModel
+	// model is the latency of every inter-host packet.
+	model LatencyModel
 	// switchDelay models store-and-forward queuing through the switch for
 	// packets crossing hosts; zero for loopback traffic.
 	switchDelay logical.Duration
@@ -154,14 +154,13 @@ type Network struct {
 	linkSeq   map[[2]uint16]uint64
 	delivered uint64
 	dropped   uint64
-	groups    map[Addr][]*Endpoint
 	// topics holds interest-based subscription lists: endpoints that
 	// registered interest in a (group, topic) pair, in join order.
 	// SendTopic fans out only to these members, replacing all-pairs
 	// multicast for the SD control plane (O(platforms²) at startup)
 	// with fan-out proportional to actual interest.
 	topics map[topicKey][]*Endpoint
-	// ctrlSends counts multicast/topic send calls; ctrlFanout counts
+	// ctrlSends counts topic send calls; ctrlFanout counts
 	// the datagrams those sends fanned out to members. Together they
 	// measure the control-plane load (the quantity the city-scale
 	// acceptance gate requires to be sub-quadratic in platforms).
@@ -223,8 +222,8 @@ func (sender *Network) borrowDeliver(n *Network, dg Datagram) *deliverArg {
 
 // Config configures a Network.
 type Config struct {
-	// DefaultLatency applies to host pairs without a specific link model.
-	// If nil, FixedLatency(50µs) is used.
+	// DefaultLatency applies to every inter-host packet. If nil,
+	// FixedLatency(50µs) is used.
 	DefaultLatency LatencyModel
 	// SwitchDelay is added to every inter-host packet (store-and-forward).
 	SwitchDelay logical.Duration
@@ -243,15 +242,13 @@ func NewNetwork(k *des.Kernel, cfg Config) *Network {
 		model = FixedLatency(50 * logical.Microsecond)
 	}
 	n := &Network{
-		k:            k,
-		hosts:        map[uint16]*Host{},
-		defaultModel: model,
-		links:        map[[2]uint16]LatencyModel{},
-		switchDelay:  cfg.SwitchDelay,
-		faultSeed:    k.Rand("simnet.fault").Uint64(),
-		linkSeq:      map[[2]uint16]uint64{},
-		groups:       map[Addr][]*Endpoint{},
-		topics:       map[topicKey][]*Endpoint{},
+		k:           k,
+		hosts:       map[uint16]*Host{},
+		model:       model,
+		switchDelay: cfg.SwitchDelay,
+		faultSeed:   k.Rand("simnet.fault").Uint64(),
+		linkSeq:     map[[2]uint16]uint64{},
+		topics:      map[topicKey][]*Endpoint{},
 	}
 	if plan := cfg.Faults; plan != nil {
 		if err := plan.Validate(); err != nil {
@@ -277,32 +274,6 @@ func (n *Network) faultVerdict(src, dst uint16) (drop bool, extra logical.Durati
 	idx := n.linkSeq[dl]
 	n.linkSeq[dl] = idx + 1
 	return n.faults.verdict(n.faultSeed, src, dst, idx, n.k.Now())
-}
-
-// JoinGroup subscribes the endpoint to a multicast group address. Packets
-// sent to the group are delivered to every member except the sender, in
-// join order.
-func (n *Network) JoinGroup(group Addr, e *Endpoint) {
-	if !group.IsMulticast() {
-		panic("simnet: JoinGroup on non-multicast address " + group.String())
-	}
-	for _, m := range n.groups[group] {
-		if m == e {
-			return
-		}
-	}
-	n.groups[group] = append(n.groups[group], e)
-}
-
-// LeaveGroup removes the endpoint from the group.
-func (n *Network) LeaveGroup(group Addr, e *Endpoint) {
-	members := n.groups[group]
-	for i, m := range members {
-		if m == e {
-			n.groups[group] = append(members[:i:i], members[i+1:]...)
-			return
-		}
-	}
 }
 
 // topicKey identifies one interest-based subscription list: a topic
@@ -354,7 +325,7 @@ func (n *Network) TopicMembers(group Addr, topic uint64) int {
 }
 
 // ControlPlane returns the control-plane load so far: sends is the
-// number of multicast/topic send calls, fanout the total datagrams
+// number of topic send calls, fanout the total datagrams
 // those sends fanned out to members. With interest-based routing the
 // fanout grows with actual interest, not with the square of the
 // platform count.
@@ -370,25 +341,6 @@ func (n *Network) Delivered() uint64 { return n.delivered }
 
 // Dropped returns the number of datagrams dropped so far.
 func (n *Network) Dropped() uint64 { return n.dropped }
-
-// SetLink installs a latency model for traffic between hosts a and b
-// (both directions), overriding the network's default model for that
-// pair. Determinism preconditions: install links before traffic flows,
-// and give any stateful model (e.g. *JitterLatency with an Rng) a
-// stream owned by this network's kernel — a model shared across kernels
-// would be consumed in partition-dependent order. On a federated
-// Cluster use Cluster.SetLink instead, which additionally enforces the
-// MinLatencyModel/RNG-free contract for cross-partition pairs.
-func (n *Network) SetLink(a, b uint16, m LatencyModel) {
-	n.links[linkKey(a, b)] = m
-}
-
-func linkKey(a, b uint16) [2]uint16 {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]uint16{a, b}
-}
 
 // loopbackLatency is the intra-host delivery latency. It draws no
 // randomness, so loopback traffic schedules identically on every
@@ -448,7 +400,7 @@ func (h *Host) Clock() *des.LocalClock { return h.clock }
 func (h *Host) Down() bool { return h.down }
 
 // Crash schedules the host to fail at simulated time at: every bound
-// endpoint closes and leaves its multicast groups, packets still in
+// endpoint closes and leaves its interest topics, packets still in
 // flight toward the host are dropped at delivery time, and sends
 // through stale endpoint handles are silently suppressed (a dead host
 // transmits nothing — in particular it sends no SD stop-offer, so
@@ -487,14 +439,8 @@ func (h *Host) crashNow() {
 	h.down = true
 	for _, ep := range h.ports {
 		// Map iteration order is irrelevant: closing endpoints and
-		// removing group/topic memberships commute.
-		ep.closed = true
-		for group := range h.net.groups {
-			h.net.LeaveGroup(group, ep)
-		}
-		for tk := range h.net.topics {
-			h.net.LeaveTopic(tk.group, tk.topic, ep)
-		}
+		// removing topic memberships commute.
+		ep.teardown()
 	}
 	h.ports = map[uint16]*Endpoint{}
 }
@@ -509,14 +455,12 @@ func (h *Host) Endpoints() []*Endpoint {
 	return eps
 }
 
-// Endpoint is a bound (host, port) able to send and receive datagrams.
-// Inbound datagrams are queued in a mailbox; a receiver callback may be
-// installed instead to consume them as kernel events.
+// Endpoint is a bound (host, port) able to send datagrams and, once a
+// receive callback is installed (OnReceive), to receive them.
 type Endpoint struct {
 	host *Host
 	addr Addr
-	mb   *des.Mailbox[Datagram]
-	// onRecv, when set, consumes datagrams instead of the mailbox.
+	// onRecv consumes inbound datagrams; while it is nil they drop.
 	onRecv func(Datagram)
 	closed bool
 }
@@ -544,11 +488,7 @@ func (h *Host) Bind(port uint16) (*Endpoint, error) {
 	if _, used := h.ports[port]; used {
 		return nil, fmt.Errorf("simnet: port %d already bound on host %s", port, h.name)
 	}
-	ep := &Endpoint{
-		host: h,
-		addr: Addr{Host: h.id, Port: port},
-		mb:   des.NewMailbox[Datagram](h.net.k, fmt.Sprintf("%s:%d", h.name, port)),
-	}
+	ep := &Endpoint{host: h, addr: Addr{Host: h.id, Port: port}}
 	h.ports[port] = ep
 	return ep, nil
 }
@@ -569,31 +509,32 @@ func (e *Endpoint) Addr() Addr { return e.addr }
 // Host returns the owning host.
 func (e *Endpoint) Host() *Host { return e.host }
 
-// Close unbinds the endpoint; subsequent sends to it are dropped. A
-// stale Close — after the host crashed and a restarted stack re-bound
-// the same port — never unbinds the successor endpoint.
+// Close unbinds the endpoint and withdraws its topic interests;
+// subsequent sends to it are dropped. A stale Close — after the host
+// crashed and a restarted stack re-bound the same port — never unbinds
+// the successor endpoint.
 func (e *Endpoint) Close() {
-	e.closed = true
+	e.teardown()
 	if e.host.ports[e.addr.Port] == e {
 		delete(e.host.ports, e.addr.Port)
 	}
 }
 
-// OnReceive installs a callback that consumes inbound datagrams as kernel
-// events (at delivery time). Once installed, the mailbox is bypassed.
-// Must be installed before traffic arrives.
-func (e *Endpoint) OnReceive(fn func(Datagram)) { e.onRecv = fn }
-
-// Recv blocks the process until a datagram arrives (mailbox mode).
-func (e *Endpoint) Recv(p *des.Process) Datagram { return e.mb.Recv(p) }
-
-// RecvTimeout blocks until a datagram arrives or the timeout elapses.
-func (e *Endpoint) RecvTimeout(p *des.Process, d logical.Duration) (Datagram, bool) {
-	return e.mb.RecvTimeout(p, d)
+// teardown marks the endpoint closed and removes it from every interest
+// topic; Close and a host crash share it.
+func (e *Endpoint) teardown() {
+	e.closed = true
+	n := e.host.net
+	for tk := range n.topics {
+		n.LeaveTopic(tk.group, tk.topic, e)
+	}
 }
 
-// Pending returns the number of queued inbound datagrams (mailbox mode).
-func (e *Endpoint) Pending() int { return e.mb.Len() }
+// OnReceive installs the callback that consumes inbound datagrams as
+// kernel events (at delivery time). A datagram that arrives while no
+// callback is installed is dropped, so install it before traffic
+// arrives.
+func (e *Endpoint) OnReceive(fn func(Datagram)) { e.onRecv = fn }
 
 // Send routes a datagram to dst. The payload is copied, so callers may
 // reuse their buffer. Sending to an unbound destination silently drops
@@ -606,13 +547,6 @@ func (e *Endpoint) Send(dst Addr, payload []byte) {
 		return
 	}
 	n := e.host.net
-	if dst.IsMulticast() {
-		// Fan out straight from the caller's buffer: one copy per
-		// member (no up-front staging copy — the caller's slice is
-		// only read within this call).
-		n.fanout(e, n.groups[dst], payload)
-		return
-	}
 	buf := make([]byte, len(payload))
 	copy(buf, payload)
 	n.route(e, Datagram{Src: e.addr, Dst: dst, Payload: buf, SentAt: n.k.Now()}, true)
@@ -620,9 +554,8 @@ func (e *Endpoint) Send(dst Addr, payload []byte) {
 
 // SendTopic delivers the payload to every endpoint subscribed to the
 // (group, topic) pair except the sender, in join order, with one
-// payload copy per member. Like plain multicast, topic fan-out is
-// exempt from the fault plan (see Send) and a federated Cluster fans
-// it out per partition. Sends through closed endpoints or from crashed
+// payload copy per member. Topic fan-out is exempt from the fault plan
+// (see fanout) and a federated Cluster fans it out per partition. Sends through closed endpoints or from crashed
 // hosts are suppressed.
 func (e *Endpoint) SendTopic(group Addr, topic uint64, payload []byte) {
 	if e.closed || e.host.down {
@@ -650,10 +583,10 @@ func (e *Endpoint) HasTopicPeers(group Addr, topic uint64) bool {
 
 // fanout routes one copy of payload to every member except the sender.
 // Each member gets its own payload copy so receivers never alias one
-// another's buffers (or the sender's). Multicast/topic fan-out is
-// exempt from the fault plan: it stands in for true Ethernet multicast
-// (the SD control plane), which the per-link fault model does not
-// cover — and a federated Cluster fans multicast out per partition, so
+// another's buffers (or the sender's). Topic fan-out is exempt from the
+// fault plan: it stands in for true Ethernet multicast (the SD control
+// plane), which the per-link fault model does not cover — and a
+// federated Cluster fans topics out per partition, so
 // faulting it would consume link counters mode-dependently and break
 // cross-mode byte-equality. SD is disturbed through host lifecycle
 // (Crash silences a provider; TTL expiry follows), not through
@@ -675,7 +608,7 @@ func (n *Network) fanout(e *Endpoint, members []*Endpoint, payload []byte) {
 }
 
 // route schedules one datagram for delivery; faulted selects whether
-// the fault plan applies (unicast traffic) or not (multicast fan-out).
+// the fault plan applies (unicast traffic) or not (topic fan-out).
 func (n *Network) route(e *Endpoint, dg Datagram, faulted bool) {
 	dst := dg.Dst
 	payload := dg.Payload
@@ -688,10 +621,6 @@ func (n *Network) route(e *Endpoint, dg Datagram, faulted bool) {
 				return
 			}
 		}
-		model := n.defaultModel
-		if m, ok := n.links[linkKey(e.addr.Host, dst.Host)]; ok {
-			model = m
-		}
 		var extra logical.Duration
 		if faulted {
 			var drop bool
@@ -701,7 +630,7 @@ func (n *Network) route(e *Endpoint, dg Datagram, faulted bool) {
 				return
 			}
 		}
-		lat = model.Latency(len(payload)) + n.switchDelay + extra
+		lat = n.model.Latency(len(payload)) + n.switchDelay + extra
 	}
 	n.k.Post(n.k.Now().Add(lat), deliverFn, n.borrowDeliver(n, dg))
 }
@@ -713,14 +642,10 @@ func (n *Network) deliver(dg Datagram) {
 		return
 	}
 	ep, ok := h.ports[dg.Dst.Port]
-	if !ok || ep.closed {
+	if !ok || ep.closed || ep.onRecv == nil {
 		n.dropped++
 		return
 	}
 	n.delivered++
-	if ep.onRecv != nil {
-		ep.onRecv(dg)
-		return
-	}
-	ep.mb.Put(dg)
+	ep.onRecv(dg)
 }

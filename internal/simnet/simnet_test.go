@@ -22,7 +22,7 @@ func TestSendReceiveAcrossHosts(t *testing.T) {
 	b := h2.MustBind(2000)
 
 	var got Datagram
-	k.Spawn("rx", func(p *des.Process) { got = b.Recv(p) })
+	b.OnReceive(func(dg Datagram) { got = dg })
 	k.At(0, func() { a.Send(b.Addr(), []byte("hello")) })
 	k.RunAll()
 
@@ -43,10 +43,7 @@ func TestLoopbackFasterThanNetwork(t *testing.T) {
 	a := h.MustBind(1)
 	b := h.MustBind(2)
 	var at logical.Time
-	k.Spawn("rx", func(p *des.Process) {
-		b.Recv(p)
-		at = p.Now()
-	})
+	b.OnReceive(func(Datagram) { at = k.Now() })
 	k.At(0, func() { a.Send(b.Addr(), []byte("x")) })
 	k.RunAll()
 	if at != logical.Time(5*logical.Microsecond) {
@@ -61,7 +58,7 @@ func TestPayloadIsCopied(t *testing.T) {
 	b := h.MustBind(2)
 	buf := []byte("aaaa")
 	var got Datagram
-	k.Spawn("rx", func(p *des.Process) { got = b.Recv(p) })
+	b.OnReceive(func(dg Datagram) { got = dg })
 	k.At(0, func() {
 		a.Send(b.Addr(), buf)
 		copy(buf, "bbbb") // mutate after send
@@ -148,8 +145,55 @@ func TestOnReceiveCallback(t *testing.T) {
 	if string(got) != "cb" {
 		t.Errorf("callback got %q", got)
 	}
-	if b.Pending() != 0 {
-		t.Error("mailbox should be bypassed")
+	if n.Delivered() != 1 || n.Dropped() != 0 {
+		t.Errorf("delivered=%d dropped=%d, want 1/0", n.Delivered(), n.Dropped())
+	}
+}
+
+// A datagram for a bound endpoint with no receive callback is dropped.
+func TestNoReceiverDrops(t *testing.T) {
+	k, n := newNet(1)
+	h := n.AddHost("p", nil)
+	a := h.MustBind(1)
+	b := h.MustBind(2)
+	k.At(0, func() { a.Send(b.Addr(), []byte("x")) })
+	k.RunAll()
+	if n.Delivered() != 0 || n.Dropped() != 1 {
+		t.Errorf("delivered=%d dropped=%d, want 0/1", n.Delivered(), n.Dropped())
+	}
+}
+
+// Closing an endpoint withdraws its topic interests: a later SendTopic
+// neither fans out to it nor counts a drop for it.
+func TestCloseLeavesTopics(t *testing.T) {
+	k, n := newNet(1)
+	h1 := n.AddHost("p1", nil)
+	h2 := n.AddHost("p2", nil)
+	src := h1.MustBind(1)
+	member := h2.MustBind(2)
+	member.OnReceive(func(Datagram) {})
+	n.JoinTopic(testGroup, 7, member)
+	member.Close()
+	if got := n.TopicMembers(testGroup, 7); got != 0 {
+		t.Errorf("members after Close = %d, want 0", got)
+	}
+	k.At(0, func() { src.SendTopic(testGroup, 7, []byte("x")) })
+	k.RunAll()
+	if _, fanout := n.ControlPlane(); fanout != 0 || n.Dropped() != 0 {
+		t.Errorf("after Close: fanout=%d dropped=%d, want 0/0", fanout, n.Dropped())
+	}
+}
+
+// TestBindAllocs pins a Bind + Close cycle at one allocation: the
+// endpoint itself.
+func TestBindAllocs(t *testing.T) {
+	_, n := newNet(1)
+	h := n.AddHost("p", nil)
+	allocs := testing.AllocsPerRun(1000, func() {
+		h.MustBind(7).Close()
+	})
+	if allocs > 1 {
+		t.Errorf("Bind+Close allocates %.2f times, want <= 1", allocs)
 	}
 }
 
@@ -249,22 +293,6 @@ func TestPerByteSerializationCost(t *testing.T) {
 	m := &JitterLatency{Base: 0, PerByte: 8} // 8ns/byte ≈ 1 Gbit/s
 	if got := m.Latency(1000); got != 8000 {
 		t.Errorf("latency = %v, want 8000ns", got)
-	}
-}
-
-func TestSetLinkOverridesDefault(t *testing.T) {
-	k, n := newNet(1)
-	h1 := n.AddHost("p1", nil)
-	h2 := n.AddHost("p2", nil)
-	n.SetLink(h1.ID(), h2.ID(), FixedLatency(logical.Duration(3*logical.Millisecond)))
-	a := h1.MustBind(1)
-	b := h2.MustBind(2)
-	var at logical.Time
-	b.OnReceive(func(Datagram) { at = k.Now() })
-	k.At(0, func() { a.Send(b.Addr(), []byte("x")) })
-	k.RunAll()
-	if at != logical.Time(3*logical.Millisecond) {
-		t.Errorf("delivery at %v, want 3ms", at)
 	}
 }
 

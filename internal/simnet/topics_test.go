@@ -25,8 +25,8 @@ func TestTopicFanoutJoinOrderExcludesSender(t *testing.T) {
 	for i := range eps {
 		eps[i] = n.AddHost("h", nil).MustBind(100)
 	}
-	// eps[3] joins the group but NOT the topic: it must not receive.
-	n.JoinGroup(testGroup, eps[3])
+	// eps[3] joins another topic of the group: it must not receive.
+	n.JoinTopic(testGroup, 43, eps[3])
 	n.JoinTopic(testGroup, 42, eps[2])
 	n.JoinTopic(testGroup, 42, eps[0])
 	n.JoinTopic(testGroup, 42, eps[1])
@@ -107,17 +107,17 @@ func TestCrashPurgesTopicMembership(t *testing.T) {
 	}
 }
 
-// Regression test for the multicast fan-out copy path: every receiver
-// must own an independent buffer — mutating one receiver's payload (or
-// the sender's buffer, after Send returns) must not alias any other.
+// Regression test for the fan-out copy path: every receiver must own an
+// independent buffer — mutating one receiver's payload (or the sender's
+// buffer, after SendTopic returns) must not alias any other.
 func TestMulticastReceiversNeverAliasBuffers(t *testing.T) {
 	k, n := newNet(1)
 	src := n.AddHost("src", nil).MustBind(1)
 	r1 := n.AddHost("r1", nil).MustBind(1)
 	r2 := n.AddHost("r2", nil).MustBind(1)
 	group := Addr{Host: MulticastBase + 2, Port: 1}
-	n.JoinGroup(group, r1)
-	n.JoinGroup(group, r2)
+	n.JoinTopic(group, 1, r1)
+	n.JoinTopic(group, 1, r2)
 
 	var bufs [][]byte
 	for _, ep := range []*Endpoint{r1, r2} {
@@ -125,7 +125,7 @@ func TestMulticastReceiversNeverAliasBuffers(t *testing.T) {
 	}
 	sent := []byte("payload")
 	k.At(0, func() {
-		src.Send(group, sent)
+		src.SendTopic(group, 1, sent)
 		copy(sent, "XXXXXXX") // sender reuses its buffer immediately
 	})
 	k.RunAll()
@@ -145,7 +145,7 @@ func TestMulticastReceiversNeverAliasBuffers(t *testing.T) {
 	}
 }
 
-// Same ownership guarantee on the topic path.
+// Same ownership guarantee, mutating the second receiver's copy.
 func TestTopicReceiversNeverAliasBuffers(t *testing.T) {
 	k, n := newNet(1)
 	src := n.AddHost("src", nil).MustBind(1)
@@ -185,11 +185,11 @@ func TestControlPlaneCounters(t *testing.T) {
 	n.JoinTopic(testGroup, 1, b)
 	n.JoinTopic(testGroup, 1, c)
 	group := Addr{Host: MulticastBase + 3, Port: 1}
-	n.JoinGroup(group, b)
+	n.JoinTopic(group, 1, b)
 
 	k.At(0, func() {
 		a.SendTopic(testGroup, 1, []byte("x")) // fan-out 2
-		a.Send(group, []byte("y"))             // fan-out 1
+		a.SendTopic(group, 1, []byte("y"))     // fan-out 1
 		a.Send(b.Addr(), []byte("z"))          // unicast: not control plane
 	})
 	k.RunAll()

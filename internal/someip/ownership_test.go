@@ -61,43 +61,30 @@ func TestConnReceiveAliasesDatagram(t *testing.T) {
 	}
 }
 
-// Multicast and topic fan-out give every member its own datagram, so a
-// handler that scribbles over its payload leaves the other receivers'
-// bytes alone.
+// Topic fan-out gives every member its own datagram, so a handler that
+// scribbles over its payload leaves the other receivers' bytes alone.
 func TestFanoutReceiversOwnTheirPayload(t *testing.T) {
 	group := simnet.Addr{Host: simnet.MulticastBase + 7, Port: 30490}
 	const topic = 42
-	for _, mode := range []string{"multicast", "topic"} {
-		k, a, b := connPair(t, false)
-		net := b.Endpoint().Host().Net()
-		c := NewConn(net.AddHost("c", nil).MustBind(3000), false)
-		for _, r := range []*Conn{b, c} {
-			if mode == "multicast" {
-				net.JoinGroup(group, r.Endpoint())
-			} else {
-				net.JoinTopic(group, topic, r.Endpoint())
-			}
+	k, a, b := connPair(t, false)
+	net := b.Endpoint().Host().Net()
+	c := NewConn(net.AddHost("c", nil).MustBind(3000), false)
+	for _, r := range []*Conn{b, c} {
+		net.JoinTopic(group, topic, r.Endpoint())
+	}
+	var seen [][]byte
+	scribble := func(_ Addr, m *Message) {
+		seen = append(seen, append([]byte(nil), m.Payload...))
+		for i := range m.Payload {
+			m.Payload[i] = 0
 		}
-		var seen [][]byte
-		scribble := func(_ Addr, m *Message) {
-			seen = append(seen, append([]byte(nil), m.Payload...))
-			for i := range m.Payload {
-				m.Payload[i] = 0
-			}
-		}
-		b.OnMessage(scribble)
-		c.OnMessage(scribble)
-		m := &Message{Service: 1, Method: EventID(1), Type: TypeNotification, Payload: []byte("event")}
-		k.At(0, func() {
-			if mode == "multicast" {
-				a.Send(group, m)
-			} else {
-				a.Endpoint().SendTopic(group, topic, m.Marshal())
-			}
-		})
-		k.RunAll()
-		if len(seen) != 2 || !bytes.Equal(seen[0], m.Payload) || !bytes.Equal(seen[1], m.Payload) {
-			t.Errorf("%s: receivers saw %q, want %q twice", mode, seen, m.Payload)
-		}
+	}
+	b.OnMessage(scribble)
+	c.OnMessage(scribble)
+	m := &Message{Service: 1, Method: EventID(1), Type: TypeNotification, Payload: []byte("event")}
+	k.At(0, func() { a.Endpoint().SendTopic(group, topic, m.Marshal()) })
+	k.RunAll()
+	if len(seen) != 2 || !bytes.Equal(seen[0], m.Payload) || !bytes.Equal(seen[1], m.Payload) {
+		t.Errorf("receivers saw %q, want %q twice", seen, m.Payload)
 	}
 }
