@@ -268,47 +268,15 @@ func (q *emitHeap) removeAt(i int) {
 
 // Tracer receives logical trace events from a kernel (see
 // Kernel.Trace). The canonical implementation is the trace package's
-// Recorder; the indirection keeps des free of higher-layer imports.
-// Implementations must not call back into the kernel.
+// Recorder, which sequences each event once and hands the finished
+// record to its tap (a monitor engine); the indirection keeps des free
+// of higher-layer imports. Implementations must not call back into the
+// kernel.
 type Tracer interface {
 	// TraceEvent records one logical event: the kernel's current time,
 	// the emitting component's label, the event kind and the payload
 	// (which implementations digest, not retain).
 	TraceEvent(at logical.Time, component, kind string, payload []byte)
-}
-
-// teeTracer fans one kernel's trace stream out to several sinks.
-type teeTracer struct {
-	sinks []Tracer
-}
-
-// TraceEvent forwards the event to every sink in installation order.
-func (t *teeTracer) TraceEvent(at logical.Time, component, kind string, payload []byte) {
-	for _, s := range t.sinks {
-		s.TraceEvent(at, component, kind, payload)
-	}
-}
-
-// TeeTracer composes several trace sinks into one Tracer so recording
-// and online monitoring coexist on the kernel's single tracer hook: a
-// trace recorder and a runtime-verification engine installed together
-// observe the identical event stream. Nil entries are dropped; with no
-// remaining sinks it returns nil (tracing disabled), and a single sink
-// is returned unwrapped, preserving Kernel.Trace's nil-check fast path.
-func TeeTracer(sinks ...Tracer) Tracer {
-	kept := make([]Tracer, 0, len(sinks))
-	for _, s := range sinks {
-		if s != nil {
-			kept = append(kept, s)
-		}
-	}
-	switch len(kept) {
-	case 0:
-		return nil
-	case 1:
-		return kept[0]
-	}
-	return &teeTracer{sinks: kept}
 }
 
 // Kernel is the simulation engine. Create one with NewKernel, spawn

@@ -149,13 +149,19 @@ func (r *MeshResult) Table() *metrics.Table {
 // RunScenario compiles and executes one declarative scenario spec
 // (using the spec's own Seed and Partitions) and collects the
 // canonical result. Every scenario-family experiment — E10, E11's
-// mesh, E12 and JSON spec runs — funnels through it.
+// mesh, E12 and JSON spec runs — funnels through it. A run whose
+// trace rings overflowed fails with World.TraceOverflow's error, so no
+// gate ever compares an incomplete trace.
 func RunScenario(spec scenario.Spec) (*MeshResult, error) {
 	w, err := scenario.Build(spec)
 	if err != nil {
 		return nil, err
 	}
 	w.Run()
+	tr := w.Trace()
+	if tr.Truncated != 0 {
+		return nil, w.TraceOverflow()
+	}
 	ctrlSends, ctrlFanout := w.ControlPlane()
 	verdicts := w.Verdicts()
 	var checks, violations uint64
@@ -168,7 +174,7 @@ func RunScenario(spec scenario.Spec) (*MeshResult, error) {
 		Config:        w.Spec,
 		Partitions:    w.Partitions(),
 		Rows:          w.Stats,
-		Trace:         w.Trace(),
+		Trace:         tr,
 		CoordRounds:   w.CoordRounds(),
 		CoordGrants:   w.CoordGrants(),
 		CoordParkedNs: w.CoordParkedNs(),

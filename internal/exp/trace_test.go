@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/scenario"
@@ -40,6 +41,53 @@ func TestTraceModeIndependenceProperty(t *testing.T) {
 	}
 	if _, err := CheckDeterminism([]scenario.Spec{ring, rr, rr8}, []int{2, 4}, []int{1, 2, 8}, check); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// traceCapacityPartition's estimate must hold every shape's whole
+// stream: the mesh preset, the ring and full topologies (the full
+// shape's clients call every peer, so an estimate from Degree alone
+// would overflow at 16 platforms) and the E11 crash plan (a reborn
+// client records past its platform's rounds), each at 1, 2 and 4
+// partitions, run with no record evicted. RunScenario fails on a
+// truncated trace; the explicit check keeps the pin if that changes.
+func TestTraceCapacityHoldsEveryPreset(t *testing.T) {
+	specs := map[string]scenario.Spec{
+		"mesh":  DefaultMeshConfig(8),
+		"ring":  scenario.TopologyPreset(scenario.Ring, 8),
+		"full":  scenario.TopologyPreset(scenario.Full, 16),
+		"crash": DefaultFaultMeshConfig(8),
+	}
+	for _, name := range []string{"mesh", "ring", "full", "crash"} {
+		for _, parts := range []int{1, 2, 4} {
+			spec := specs[name]
+			spec.Seed = 5
+			spec.Partitions = parts
+			res, err := RunScenario(spec)
+			if err != nil {
+				t.Fatalf("%s at %d partitions: %v", name, parts, err)
+			}
+			if res.Trace.Truncated != 0 || res.Trace.Len() == 0 {
+				t.Fatalf("%s at %d partitions: %d records, %d truncated", name, parts, res.Trace.Len(), res.Trace.Truncated)
+			}
+		}
+	}
+}
+
+// A run whose trace rings overflow must fail rather than hand a gate
+// an incomplete trace, and the error names the partition and its ring
+// capacity.
+func TestRunScenarioRejectsTruncatedTrace(t *testing.T) {
+	restore := scenario.ShrinkTraceRingsForTesting(16)
+	defer restore()
+	spec := quickTraceConfig()
+	spec.Partitions = 2
+	res, err := RunScenario(spec)
+	if err == nil {
+		t.Fatalf("truncated run succeeded with %d records, %d truncated", res.Trace.Len(), res.Trace.Truncated)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "partition 0 of 2") || !strings.Contains(msg, "capacity estimate of 16 records") {
+		t.Fatalf("overflow error %q does not name the partition and its capacity", msg)
 	}
 }
 

@@ -8,26 +8,29 @@ import (
 )
 
 // Engine feeds a trace stream to a set of monitors online. It
-// satisfies des.Tracer and trace.Tap structurally (without importing
-// either consumer), so it attaches to a simulated kernel via
-// des.TeeTracer alongside a trace.Recorder, or to a live
-// RecordingEndpoint stream via Recorder.SetTap — the identical engine
-// in both worlds, which is what makes the layer observability rather
-// than a test harness.
+// satisfies trace.Tap structurally: a simulated world installs a
+// trace.Recorder as each kernel's tracer and the engine as that
+// recorder's tap (Recorder.SetTap), and a live RecordingEndpoint stream
+// attaches the same way — the identical engine in both worlds, which
+// is what makes the layer observability rather than a test harness.
+// Through the tap the engine observes the records the recorder
+// sequenced and stored, so it checks exactly the recorded stream.
 //
-// The hot path mirrors the recorder's: one mutex, a per-component
-// sequence map, and a scratch record reused across events — zero
-// allocations once every component has been seen
-// (TestMonitorZeroAllocs). Monitors run under the engine lock and must
-// not call back into the engine or the kernel.
+// Observe is the tap hook. TraceEvent is the standalone des.Tracer
+// hook for an engine with no recorder in front: only there does the
+// engine digest payloads and keep its own per-component sequence
+// numbers, stamping a reused scratch record. Neither path allocates
+// once every component has been seen (TestMonitorZeroAllocs). Monitors
+// run under the engine lock and must not call back into the engine,
+// the recorder or the kernel.
 //
 // An Engine (like its monitors) is single-use: under a federation each
 // partition kernel gets its own engine, and MergeVerdicts folds the
 // per-engine verdicts into the mode-independent whole.
 type Engine struct {
 	mu       sync.Mutex
-	seqs     map[string]uint64
-	scratch  trace.Record
+	seqs     map[string]uint64 // TraceEvent's sequence numbers
+	scratch  trace.Record      // TraceEvent's record
 	monitors []Monitor
 	reps     []*Reporter
 	done     bool
@@ -38,7 +41,6 @@ type Engine struct {
 // another engine.
 func NewEngine(monitors ...Monitor) *Engine {
 	e := &Engine{
-		seqs:     make(map[string]uint64),
 		monitors: monitors,
 		reps:     make([]*Reporter, len(monitors)),
 	}
@@ -48,17 +50,20 @@ func NewEngine(monitors ...Monitor) *Engine {
 	return e
 }
 
-// TraceEvent is the des.Tracer / trace.Tap hook: it stamps the event
-// with the component's next sequence number (mirroring the recorder's
-// assignment, so anchors in verdicts name the same records a recorded
-// trace holds) and feeds it to every monitor. Events arriving after
-// Finish are ignored.
+// TraceEvent is the standalone des.Tracer hook: it stamps the event
+// with the component's next sequence number (the recorder's
+// assignment, so anchors in verdicts name the records a recorded trace
+// of the same stream holds) and feeds it to every monitor. Events
+// arriving after Finish are ignored.
 func (e *Engine) TraceEvent(at logical.Time, component, kind string, payload []byte) {
 	d := trace.Digest(payload)
 	e.mu.Lock()
 	if e.done {
 		e.mu.Unlock()
 		return
+	}
+	if e.seqs == nil {
+		e.seqs = make(map[string]uint64)
 	}
 	seq := e.seqs[component] + 1
 	e.seqs[component] = seq
@@ -69,8 +74,10 @@ func (e *Engine) TraceEvent(at logical.Time, component, kind string, payload []b
 	e.mu.Unlock()
 }
 
-// Observe feeds an already-sequenced record (e.g. from a decoded trace
-// during replay) to every monitor, bypassing sequence assignment.
+// Observe is the trace.Tap hook: it feeds an already-sequenced record —
+// one a recorder just appended, or one of a decoded trace during
+// replay — to every monitor. Records arriving after Finish are
+// ignored.
 func (e *Engine) Observe(r *trace.Record) {
 	e.mu.Lock()
 	if e.done {

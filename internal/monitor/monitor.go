@@ -7,13 +7,14 @@
 //
 // The layer has three parts:
 //
-//   - An Engine (engine.go) that taps the des.Tracer hook. It
-//     satisfies both des.Tracer and trace.Tap structurally, so it
-//     composes with the existing trace.Recorder through des.TeeTracer
-//     (simulated runs) or Recorder.SetTap (live RecordingEndpoint
-//     runs) — recording and monitoring observe the identical stream.
-//     The hot path performs zero allocations after the first sight of
-//     each component (TestMonitorZeroAllocs), matching the recorder.
+//   - An Engine (engine.go) that taps the trace recorder. It
+//     satisfies trace.Tap structurally, so Recorder.SetTap attaches it
+//     behind the recorder on every simulated kernel and on a live
+//     RecordingEndpoint stream alike: the recorder sequences and
+//     digests each event once and the engine observes exactly the
+//     records it stored. The hot path performs zero allocations after
+//     the first sight of each component (TestMonitorZeroAllocs),
+//     matching the recorder.
 //
 //   - Property combinators (combinators.go): Never and
 //     MatchedWithin(open, close, d) — every open-kind event must be

@@ -63,13 +63,17 @@ type World struct {
 	// Stats accumulates the canonical per-platform report rows.
 	Stats []PlatformStats
 
+	// ifaces are the platforms' compute service interfaces, built once
+	// per world and shared by the skeleton and every proxy edge.
+	ifaces []*ara.ServiceInterface
+
 	fed     *des.Federation
 	cluster *simnet.Cluster
 	// recorders hold one trace recorder per partition kernel.
 	recorders []*trace.Recorder
 	// engines hold one monitor engine per kernel when the spec's
-	// monitors block is set, teed onto the same tracer hook as the
-	// recorder (see buildSubstrate).
+	// monitors block is set, each the tap of its kernel's recorder
+	// (see buildSubstrate).
 	engines []*monitor.Engine
 	// monitorsDone marks that the engines have been finished (flushed);
 	// Verdicts sets it so repeated calls stay idempotent.
@@ -104,6 +108,10 @@ func Build(spec Spec) (*World, error) {
 	n := norm.Platforms
 	w.Stats = make([]PlatformStats, n)
 	w.Runtimes = make([]*ara.Runtime, n)
+	w.ifaces = make([]*ara.ServiceInterface, n)
+	for i := range w.ifaces {
+		w.ifaces[i] = Iface(i)
+	}
 
 	// Pass 1: servers. Every platform offers its compute service and
 	// binds the local-noise sink. Scheduling order within each kernel is
@@ -157,7 +165,7 @@ func Build(spec Spec) (*World, error) {
 		// crash/restart/bind records form one component stream — the
 		// rebound-within monitor pairs restart with the re-offer's bind.
 		lk := w.Runtimes[cp.Platform].Kernel()
-		lifeLabel := HostName(cp.Platform) + ".life"
+		lifeLabel := host.Name() + ".life"
 		lk.At(cp.At, func() { lk.Trace(lifeLabel, trace.KindCrash, nil) })
 		if cp.RestartAt > cp.At {
 			host.Restart(cp.RestartAt, func() {
@@ -190,6 +198,9 @@ func Build(spec Spec) (*World, error) {
 // the federation's total ring memory does not grow with the partition
 // count.
 func (w *World) traceCapacityPartition(part, partitions int) int {
+	if traceCapacityForTesting > 0 {
+		return traceCapacityForTesting
+	}
 	spec := w.Spec
 	rounds := spec.Rounds
 	if spec.Crash != nil && spec.Crash.RebornRounds > rounds {
@@ -210,6 +221,20 @@ func (w *World) traceCapacityPartition(part, partitions int) int {
 	return 2*rounds*(2*out+in) + noisy*(spec.NoiseEvents+1) + 256
 }
 
+// traceCapacityForTesting, when positive, replaces every partition's
+// trace ring capacity estimate. Installed only by
+// ShrinkTraceRingsForTesting.
+var traceCapacityForTesting int
+
+// ShrinkTraceRingsForTesting makes every subsequently built world size
+// each partition's trace ring to capacity records (at least 16), so a
+// test can make a run overflow its rings, and returns a restore func.
+// Not safe for concurrent worlds: it is process-global.
+func ShrinkTraceRingsForTesting(capacity int) (restore func()) {
+	traceCapacityForTesting = capacity
+	return func() { traceCapacityForTesting = 0 }
+}
+
 // buildSubstrate creates the federation, its cluster, the per-kernel
 // trace recorders and the platform hosts.
 func (w *World) buildSubstrate() error {
@@ -219,24 +244,19 @@ func (w *World) buildSubstrate() error {
 		SwitchDelay:    spec.SwitchDelay,
 		Faults:         spec.Faults,
 	}
-	// newEngine builds one monitor engine per kernel when the spec has
-	// a monitors block; the engine tees onto the recorder's tracer hook
-	// so recording and online verification observe the identical
-	// stream. Each engine gets freshly built (stateful) monitors. The
-	// return type is the interface so "no monitors" is an untyped nil
-	// that TeeTracer drops.
-	newEngine := func() des.Tracer {
-		if spec.Monitors == nil {
-			return nil
-		}
-		eng := monitor.NewEngine(spec.Monitors.Build()...)
-		w.engines = append(w.engines, eng)
-		return eng
-	}
+	// Each kernel traces into its own recorder. With a monitors block,
+	// a monitor engine with freshly built (stateful) monitors is the
+	// recorder's tap, so online verification observes exactly the
+	// records the recorder sequenced and stored.
 	w.fed = des.NewFederation(spec.Seed, spec.Partitions)
 	for i := 0; i < w.fed.Partitions(); i++ {
 		rec := trace.NewRecorder(w.traceCapacityPartition(i, spec.Partitions))
-		w.fed.Kernel(i).SetTracer(des.TeeTracer(rec, newEngine()))
+		if spec.Monitors != nil {
+			eng := monitor.NewEngine(spec.Monitors.Build()...)
+			w.engines = append(w.engines, eng)
+			rec.SetTap(eng)
+		}
+		w.fed.Kernel(i).SetTracer(rec)
 		w.recorders = append(w.recorders, rec)
 	}
 	// Cross-partition traffic in a compiled world flows only along call
@@ -272,15 +292,17 @@ func (w *World) buildSubstrate() error {
 	return nil
 }
 
+// computeMethods is the method table every platform's compute
+// service shares; it is never modified.
+var computeMethods = []ara.MethodSpec{{ID: 1, Name: "compute"}}
+
 // Iface returns platform i's compute service interface.
 func Iface(i int) *ara.ServiceInterface {
 	return &ara.ServiceInterface{
-		Name:  fmt.Sprintf("Mesh%02d", i),
-		ID:    ServiceBase + someip.ServiceID(i),
-		Major: 1,
-		Methods: []ara.MethodSpec{
-			{ID: 1, Name: "compute"},
-		},
+		Name:    fmt.Sprintf("Mesh%02d", i),
+		ID:      ServiceBase + someip.ServiceID(i),
+		Major:   1,
+		Methods: computeMethods,
 	}
 }
 
@@ -303,13 +325,13 @@ func (w *World) buildServer(i int, name string) (*ara.Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	sk, err := rt.NewSkeleton(Iface(i), 1)
+	sk, err := rt.NewSkeleton(w.ifaces[i], 1)
 	if err != nil {
 		return nil, err
 	}
 	k := rt.Kernel()
-	serveLabel := HostName(i) + ".server"
-	lifeLabel := HostName(i) + ".life"
+	serveLabel := host.Name() + ".server"
+	lifeLabel := host.Name() + ".life"
 	if err := sk.Handle("compute", func(c *ara.Ctx, args []byte) ([]byte, error) {
 		if corruptCheck != nil && corruptCheck(args) {
 			// The integrity check failed without a structural refusal:
@@ -361,7 +383,7 @@ func (w *World) buildServer(i int, name string) (*ara.Runtime, error) {
 	// Local noise sink: dense intra-platform load, hashed into the
 	// report so all modes must schedule it identically.
 	sink := host.MustBind(NoisePort)
-	noiseLabel := HostName(i) + ".noise"
+	noiseLabel := host.Name() + ".noise"
 	if rows[i].NoiseHash == 0 {
 		rows[i].NoiseHash = fnvOffset
 	}
@@ -396,7 +418,7 @@ func (w *World) spawnClient(rt *ara.Runtime, i, rounds int, marker uint64) {
 	targets := w.Edges[i]
 	proxies := make([]*ara.Proxy, 0, len(targets))
 	for _, j := range targets {
-		proxies = append(proxies, rt.StaticProxy(Iface(j), 1,
+		proxies = append(proxies, rt.StaticProxy(w.ifaces[j], 1,
 			simnet.Addr{Host: w.Hosts[j].ID(), Port: Port}))
 	}
 
@@ -416,7 +438,7 @@ func (w *World) spawnClient(rt *ara.Runtime, i, rounds int, marker uint64) {
 		rows[i].RespHash = fnvOffset
 	}
 	k := rt.Kernel()
-	callLabel := HostName(i) + ".client"
+	callLabel := host.Name() + ".client"
 	rt.Spawn("client", func(c *ara.Ctx) {
 		c.Exec(phase)
 		var req [12]byte
@@ -522,6 +544,22 @@ func (w *World) Verdicts() []monitor.Verdict {
 // this. Call it after Run.
 func (w *World) Trace() *trace.Trace {
 	return trace.Merge(w.recorders...)
+}
+
+// TraceOverflow returns an error naming the first partition whose trace
+// ring evicted records, with the ring's capacity estimate, or nil when
+// every ring held its partition's whole stream. A truncated trace is
+// mode-dependent, so no gate may compare one. Call it after Run; it
+// merges each partition's ring on its own, so check the merged trace's
+// Truncated first and call it only to explain a nonzero count.
+func (w *World) TraceOverflow() error {
+	for i, rec := range w.recorders {
+		if n := rec.Trace().Truncated; n != 0 {
+			return fmt.Errorf("scenario: partition %d of %d evicted %d trace records: its ring capacity estimate of %d records is too small",
+				i, len(w.recorders), n, w.traceCapacityPartition(i, len(w.recorders)))
+		}
+	}
+	return nil
 }
 
 // Partitions returns the number of partition kernels executing the

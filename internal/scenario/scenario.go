@@ -272,6 +272,11 @@ func TopologyPreset(shape Shape, n int) Spec {
 	return s
 }
 
+// maxCallEdges bounds a spec's call graph: every client→server edge
+// gets a proxy and a line of Describe. It admits a full topology of
+// 1024 platforms and a degree-3 ring at the platform cap.
+const maxCallEdges = 1 << 20
+
 // ParseSpec decodes a JSON scenario description. Unknown fields are
 // rejected so that a typo in a spec file fails loudly instead of
 // silently running the default value.
@@ -318,6 +323,18 @@ func (s Spec) normalized() (Spec, error) {
 	}
 	if s.Degree > s.Platforms-1 {
 		s.Degree = s.Platforms - 1
+	}
+	// The call graph is built, and described, edge by edge: bound it so
+	// a spec file cannot make Describe or Build exhaust memory.
+	edges := 2 * s.Platforms // star and tree: at most two per platform
+	switch s.Topology {
+	case Full:
+		edges = s.Platforms * (s.Platforms - 1)
+	case Ring, RandomRegular:
+		edges = s.Platforms * s.Degree
+	}
+	if edges > maxCallEdges {
+		return s, fmt.Errorf("scenario: %s topology of %d platforms has %d call edges, more than %d", s.Topology, s.Platforms, edges, maxCallEdges)
 	}
 	if s.Partitions < 1 {
 		s.Partitions = 1

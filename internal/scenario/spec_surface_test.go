@@ -50,6 +50,8 @@ func TestSpecRejectionMatrix(t *testing.T) {
 		{"zero platforms", func(s *Spec) { s.Platforms = 0 }, "at least 2 platforms"},
 		{"negative platforms", func(s *Spec) { s.Platforms = -4 }, "at least 2 platforms"},
 		{"negative link latency", func(s *Spec) { s.LinkLatency = -1 }, "positive link latency"},
+		{"full call graph past the edge bound", func(s *Spec) { s.Platforms, s.Topology = 1025, Full }, "call edges"},
+		{"ring call graph past the edge bound", func(s *Spec) { s.Platforms, s.Degree = 60000, 20 }, "call edges"},
 		{"negative rounds", func(s *Spec) { s.Rounds = -1 }, "negative rounds"},
 		{"negative noise events", func(s *Spec) { s.NoiseEvents = -1 }, "negative noise events"},
 		{"negative gap", func(s *Spec) { s.Gap = -1 }, "negative gapNs"},

@@ -1,0 +1,107 @@
+package scenario
+
+import (
+	"bytes"
+	"cmp"
+	"slices"
+	"testing"
+
+	"repro/internal/des"
+	"repro/internal/logical"
+	"repro/internal/monitor"
+	"repro/internal/trace"
+)
+
+// traceCall is one Kernel.Trace call as the kernel hands it to its
+// tracer.
+type traceCall struct {
+	at              logical.Time
+	component, kind string
+	digest          uint64
+}
+
+// callLog sits between a kernel and its recorder and logs every trace
+// call in append order.
+type callLog struct {
+	next  des.Tracer
+	calls []traceCall
+}
+
+func (l *callLog) TraceEvent(at logical.Time, component, kind string, payload []byte) {
+	l.calls = append(l.calls, traceCall{at, component, kind, trace.Digest(payload)})
+	l.next.TraceEvent(at, component, kind, payload)
+}
+
+// tapLog sits between a recorder and its monitor engine and logs every
+// record the engine observes.
+type tapLog struct {
+	next trace.Tap
+	recs []trace.Record
+}
+
+func (l *tapLog) Observe(r *trace.Record) {
+	l.recs = append(l.recs, *r)
+	l.next.Observe(r)
+}
+
+// In a monitored world the engine observes exactly the recorded
+// stream: on every partition, the records the engine sees are the
+// kernel's trace calls in append order, each sequenced once per
+// component, and their union in canonical order is the world's merged
+// trace, byte for byte.
+func TestTapSeesRecordedStream(t *testing.T) {
+	spec := MeshPreset(6)
+	spec.Rounds = 4
+	spec.NoiseEvents = 20
+	spec.Seed = 3
+	spec.Partitions = 2
+	spec.Monitors = DefaultMonitors(spec)
+	w, err := Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := make([]*callLog, w.Partitions())
+	taps := make([]*tapLog, w.Partitions())
+	for i, rec := range w.recorders {
+		calls[i] = &callLog{next: rec}
+		w.fed.Kernel(i).SetTracer(calls[i])
+		taps[i] = &tapLog{next: w.engines[i]}
+		rec.SetTap(taps[i])
+	}
+	w.Run()
+
+	var union []trace.Record
+	for i := range taps {
+		got, want := taps[i].recs, calls[i].calls
+		if len(got) != len(want) || len(got) == 0 {
+			t.Fatalf("partition %d: engine observed %d records of %d traced", i, len(got), len(want))
+		}
+		seqs := map[string]uint64{}
+		for j, r := range got {
+			c := want[j]
+			seqs[c.component]++
+			if r.Time != c.at || r.Component != c.component || r.Kind != c.kind ||
+				r.Digest != c.digest || r.Seq != seqs[c.component] {
+				t.Fatalf("partition %d record %d: engine observed %s, recorder appended t=%d %s#%d %s digest=%016x",
+					i, j, r.String(), int64(c.at), c.component, seqs[c.component], c.kind, c.digest)
+			}
+		}
+		union = append(union, got...)
+	}
+	slices.SortStableFunc(union, func(a, b trace.Record) int {
+		if a.Time != b.Time {
+			return cmp.Compare(a.Time, b.Time)
+		}
+		if a.Component != b.Component {
+			return cmp.Compare(a.Component, b.Component)
+		}
+		return cmp.Compare(a.Seq, b.Seq)
+	})
+	observed := &trace.Trace{Records: union}
+	if !bytes.Equal(observed.Encode(), w.Trace().Encode()) {
+		t.Fatalf("observed stream differs from the merged trace: %s", trace.FirstDivergence(observed, w.Trace()))
+	}
+	if monitor.TotalViolations(w.Verdicts()) != 0 {
+		t.Fatalf("healthy world tripped a monitor:\n%s", monitor.Report(w.Verdicts()))
+	}
+}

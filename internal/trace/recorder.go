@@ -26,18 +26,27 @@ func Digest(payload []byte) uint64 {
 	return h
 }
 
-// Recorder captures logical events into a pooled ring buffer. It
+// Recorder captures logical events into a pointer-free ring buffer. It
 // implements des.Tracer, so a kernel forwards its Trace calls here;
 // the endpoint wrappers call it directly with wall-derived times.
 //
-// The ring mirrors the kernel's Post free-list discipline:
-// record slots are allocated once at construction and recycled in
-// place — appending a record on the hot path performs zero
-// allocations (asserted by TestTraceRecordZeroAllocs). When the ring
-// is full the oldest record is evicted (its slot is the free-list
-// entry handed to the newcomer) and Dropped counts the loss; size the
-// capacity so complete runs never evict, because mode-independence of
-// the merged trace only holds for complete traces.
+// A Recorder is the one place an event is sequenced: it digests the
+// payload, assigns the component's next sequence number, stores the
+// record and hands the finished record to its Tap (SetTap), so a
+// monitor engine observes exactly the recorded stream.
+//
+// Ring slots are 32 bytes and hold no pointers — time, sequence
+// number, digest and the interned ids of the component and kind — so
+// the collector never scans the ring. Component and kind names live in
+// per-recorder tables and are resolved only by Merge; the source and
+// bytes of a stored input live in a side table keyed by slot, which
+// eviction clears. The ring is allocated once at construction and
+// recycled in place: appending a record on the hot path performs zero
+// allocations once its component has been seen (asserted by
+// TestTraceRecordZeroAllocs). When the ring is full the oldest record
+// is evicted and the merged trace's Truncated counts the loss; size
+// the capacity so complete runs never evict, because mode-independence
+// of the merged trace only holds for complete traces.
 //
 // A Recorder is safe for concurrent use: live recording writes from
 // both a socket-reader goroutine (inputs) and the kernel goroutine
@@ -46,24 +55,53 @@ func Digest(payload []byte) uint64 {
 type Recorder struct {
 	id      uint64 // creation order: the lock order of Merge
 	mu      sync.Mutex
-	ring    []Record
+	ring    []slot
 	head    int // index of the oldest record
 	count   int
 	dropped uint64
-	seqs    map[string]uint64
+	// comps and kinds are the name tables slot ids index; compIDs
+	// interns component names and seqs holds each component's last
+	// sequence number.
+	comps   []string
+	compIDs map[string]uint32
+	seqs    []uint64
+	kinds   []string
+	inputs  map[int]storedInput // by ring index, for slots with kind&storedBit
 	tap     Tap
+	scratch Record // the record handed to tap
 }
 
-// Tap receives a copy of every event appended to a Recorder (see
-// SetTap). The monitor engine implements it, which is how online
-// runtime verification attaches to a live RecordingEndpoint stream:
-// the endpoints keep writing to the concrete Recorder, and the tap
-// observes the same stream without a second instrumentation seam.
+// slot is one ring entry. It holds no pointer, so a ring of any size
+// adds nothing to the collector's mark work.
+type slot struct {
+	time   logical.Time
+	seq    uint64
+	digest uint64
+	comp   uint32 // index into Recorder.comps
+	kind   uint32 // index into Recorder.kinds, with storedBit for inputs
+}
+
+// storedBit marks a slot whose record keeps its input in
+// Recorder.inputs.
+const storedBit = 1 << 31
+
+// storedInput is the side-table entry of a captured input.
+type storedInput struct {
+	src  string
+	data []byte
+}
+
+// Tap observes every record appended to a Recorder (see SetTap). The
+// monitor engine implements it: a simulated world installs the
+// recorder as the kernel tracer and the engine as its tap, and a live
+// RecordingEndpoint stream attaches the same way, so online
+// verification sees exactly the recorded stream without a second
+// instrumentation seam.
 type Tap interface {
-	// TraceEvent mirrors the des.Tracer hook: one appended record's
-	// time, component, kind and payload (the full input bytes for
-	// stored-input records, so digests agree with the ring's).
-	TraceEvent(at logical.Time, component, kind string, payload []byte)
+	// Observe receives one appended record, sequenced and digested,
+	// with the stored input's Src and Data for input records. The
+	// record is valid only during the call.
+	Observe(r *Record)
 }
 
 // SetTap installs a sink that observes every subsequently appended
@@ -86,26 +124,52 @@ func NewRecorder(capacity int) *Recorder {
 		capacity = 16
 	}
 	return &Recorder{
-		id:   recorderIDs.Add(1),
-		ring: make([]Record, capacity),
-		seqs: make(map[string]uint64),
+		id:      recorderIDs.Add(1),
+		ring:    make([]slot, capacity),
+		compIDs: make(map[string]uint32),
 	}
 }
 
-// slot returns the ring slot for the next record, evicting the
-// oldest when full. Called with mu held.
-func (r *Recorder) slot() *Record {
+// kindID returns kind's index in the kind table, adding it on first
+// sight. Kinds are a handful of constants, so a scan beats a map.
+// Called with mu held.
+func (r *Recorder) kindID(kind string) uint32 {
+	for i, k := range r.kinds {
+		if k == kind {
+			return uint32(i)
+		}
+	}
+	r.kinds = append(r.kinds, kind)
+	return uint32(len(r.kinds) - 1)
+}
+
+// append sequences one event of component into the next ring slot,
+// evicting the oldest record when the ring is full, and returns the
+// slot's index. Called with mu held.
+func (r *Recorder) append(at logical.Time, component, kind string, digest uint64) int {
+	c, ok := r.compIDs[component]
+	if !ok {
+		c = uint32(len(r.comps))
+		r.compIDs[component] = c
+		r.comps = append(r.comps, component)
+		r.seqs = append(r.seqs, 0)
+	}
+	r.seqs[c]++
 	var i int
 	if r.count < len(r.ring) {
 		i = (r.head + r.count) % len(r.ring)
 		r.count++
 	} else {
-		// Recycle the oldest slot — the free-list hand-off.
+		// Recycle the oldest slot, releasing its stored input.
 		i = r.head
 		r.head = (r.head + 1) % len(r.ring)
 		r.dropped++
+		if r.ring[i].kind&storedBit != 0 {
+			delete(r.inputs, i)
+		}
 	}
-	return &r.ring[i]
+	r.ring[i] = slot{time: at, seq: r.seqs[c], digest: digest, comp: c, kind: r.kindID(kind)}
+	return i
 }
 
 // TraceEvent appends a digest-only record for an event of the given
@@ -116,11 +180,10 @@ func (r *Recorder) slot() *Record {
 func (r *Recorder) TraceEvent(at logical.Time, component, kind string, payload []byte) {
 	d := Digest(payload)
 	r.mu.Lock()
-	seq := r.seqs[component] + 1
-	r.seqs[component] = seq
-	*r.slot() = Record{Time: at, Seq: seq, Component: component, Kind: kind, Digest: d}
+	i := r.append(at, component, kind, d)
 	if r.tap != nil {
-		r.tap.TraceEvent(at, component, kind, payload)
+		r.scratch = Record{Time: at, Seq: r.ring[i].seq, Component: component, Kind: kind, Digest: d}
+		r.tap.Observe(&r.scratch)
 	}
 	r.mu.Unlock()
 }
@@ -140,16 +203,32 @@ func (r *Recorder) RecordInput(at logical.Time, component, kind, src string, dat
 func (r *Recorder) recordInputOwned(at logical.Time, component, kind, src string, data []byte) {
 	d := Digest(data)
 	r.mu.Lock()
-	seq := r.seqs[component] + 1
-	r.seqs[component] = seq
-	*r.slot() = Record{
-		Time: at, Seq: seq, Component: component, Kind: kind,
-		Digest: d, Src: src, Data: data,
+	i := r.append(at, component, kind, d)
+	r.ring[i].kind |= storedBit
+	if r.inputs == nil {
+		r.inputs = make(map[int]storedInput)
 	}
+	r.inputs[i] = storedInput{src: src, data: data}
 	if r.tap != nil {
-		r.tap.TraceEvent(at, component, kind, data)
+		r.scratch = Record{
+			Time: at, Seq: r.ring[i].seq, Component: component, Kind: kind,
+			Digest: d, Src: src, Data: data,
+		}
+		r.tap.Observe(&r.scratch)
 	}
 	r.mu.Unlock()
+}
+
+// resolve writes ring slot i into rec, names and stored input
+// included. Called with mu held.
+func (r *Recorder) resolve(rec *Record, i int) {
+	s := &r.ring[i]
+	rec.Time, rec.Seq, rec.Digest = s.time, s.seq, s.digest
+	rec.Component, rec.Kind = r.comps[s.comp], r.kinds[s.kind&^storedBit]
+	if s.kind&storedBit != 0 {
+		in := r.inputs[i]
+		rec.Src, rec.Data = in.src, in.data
+	}
 }
 
 // Len returns the number of records currently buffered.
@@ -157,13 +236,6 @@ func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.count
-}
-
-// Dropped returns the number of records evicted by ring overflow.
-func (r *Recorder) Dropped() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
 }
 
 // lockAll locks every distinct recorder in creation order — one global

@@ -10,11 +10,13 @@
 //     partition kernel under a des.Federation) through the kernel's
 //     Tracer hook and captures logical events — (logical time,
 //     per-component sequence number, component label, event kind,
-//     payload digest) — into a pooled ring buffer. The canonical
-//     merged trace of a run is byte-identical across GOMAXPROCS
-//     values and partition counts: records carry no kernel-global
-//     state, and Merge orders them by (time, component, sequence), a
-//     total order every execution mode agrees on.
+//     payload digest) — into a preallocated, pointer-free ring. It is
+//     the one place an event is digested and sequenced; a Tap (the
+//     monitor engine) observes each record as it is stored. The
+//     canonical merged trace of a run is byte-identical across
+//     GOMAXPROCS values and partition counts: records carry no
+//     kernel-global state, and Merge orders them by (time, component,
+//     sequence), a total order every execution mode agrees on.
 //
 //   - Divergence diagnosis. FirstDivergence(a, b) names the first
 //     event at which two traces disagree — time, component, kind,
@@ -149,35 +151,70 @@ type Trace struct {
 	Truncated uint64
 }
 
-// compareCanonical orders two records by the canonical (time,
-// component, seq) key — the one comparator every merge path uses.
-func compareCanonical(a, b *Record) int {
-	if a.Time != b.Time {
-		return cmp.Compare(a.Time, b.Time)
-	}
-	if c := strings.Compare(a.Component, b.Component); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Seq, b.Seq)
+// mergeStream is one recorder's records during a Merge: ring indices
+// in canonical order, and the name prefix of each of the recorder's
+// components.
+type mergeStream struct {
+	r      *Recorder
+	idx    []int
+	prefix []uint64 // by component id
 }
 
-// sortStream puts one recorder's stream into canonical order. A
-// kernel-driven stream is already time-ordered (kernel time never goes
-// backwards), so only its equal-time runs need sorting by (component,
-// seq); a stream whose times decrease — live recording, where two
-// goroutines stamp wall-clock times — falls back to a full sort.
-func sortStream(recs []*Record, timeOrdered bool) {
+// namePrefix returns the first 8 bytes of a component name as a
+// big-endian integer, zero-padded. Names whose prefixes differ order as
+// their prefixes do, so Merge orders components by integers and falls
+// back to the names only on a shared prefix.
+func namePrefix(name string) uint64 {
+	var p uint64
+	for i := 0; i < 8; i++ {
+		p <<= 8
+		if i < len(name) {
+			p |= uint64(name[i])
+		}
+	}
+	return p
+}
+
+// compareSlots orders slot a of stream s and slot b of stream u by the
+// canonical (time, component, seq) key.
+func compareSlots(s *mergeStream, a *slot, u *mergeStream, b *slot) int {
+	if a.time != b.time {
+		return cmp.Compare(a.time, b.time)
+	}
+	if pa, pb := s.prefix[a.comp], u.prefix[b.comp]; pa != pb {
+		return cmp.Compare(pa, pb)
+	}
+	if s.r != u.r || a.comp != b.comp {
+		if c := strings.Compare(s.r.comps[a.comp], u.r.comps[b.comp]); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// compare orders ring slots a and b of the stream canonically.
+func (s *mergeStream) compare(a, b int) int {
+	return compareSlots(s, &s.r.ring[a], s, &s.r.ring[b])
+}
+
+// sort puts the stream into canonical order. A kernel-driven stream is
+// already time-ordered (kernel time never goes backwards), so only its
+// equal-time runs need sorting by (component, seq); a stream whose
+// times decrease — live recording, where two goroutines stamp
+// wall-clock times — falls back to a full sort.
+func (s *mergeStream) sort(timeOrdered bool) {
 	if !timeOrdered {
-		slices.SortFunc(recs, compareCanonical)
+		slices.SortFunc(s.idx, s.compare)
 		return
 	}
-	for i := 0; i < len(recs); {
+	ring := s.r.ring
+	for i := 0; i < len(s.idx); {
 		j := i + 1
-		for j < len(recs) && recs[j].Time == recs[i].Time {
+		for j < len(s.idx) && ring[s.idx[j]].time == ring[s.idx[i]].time {
 			j++
 		}
 		if j-i > 1 {
-			slices.SortFunc(recs[i:j], compareCanonical)
+			slices.SortFunc(s.idx[i:j], s.compare)
 		}
 		i = j
 	}
@@ -190,44 +227,62 @@ func sortStream(recs []*Record, timeOrdered bool) {
 // same scenario run on a single kernel.
 //
 // Each ring is read in place under its recorder's lock (held for the
-// whole merge), put into canonical order as a list of record pointers
-// (see sortStream), and the k sorted streams are merged head by head
-// straight into one exact-size record slice: one copy, no re-sort of
-// the union. Equal keys — a contract violation: one component on two
-// recorders — resolve to the earlier argument, so the output stays
-// deterministic.
+// whole merge), put into canonical order as a list of slot indices (see
+// mergeStream.sort), and the k sorted streams are merged head by head
+// straight into one exact-size record slice, names resolved as each
+// record is written: one copy, no re-sort of the union. Components
+// compare by an integer name prefix computed once per component
+// (namePrefix), and by name only when two prefixes agree. Equal keys —
+// a contract violation: one component on two recorders — resolve to
+// the earlier argument, so the output stays deterministic.
 func Merge(recorders ...*Recorder) *Trace {
 	defer lockAll(recorders)()
 	t := &Trace{}
-	streams := make([][]*Record, len(recorders))
-	total := 0
-	for i, r := range recorders {
-		recs := make([]*Record, r.count)
-		timeOrdered := true
-		for j := range recs {
-			recs[j] = &r.ring[(r.head+j)%len(r.ring)]
-			if j > 0 && recs[j].Time < recs[j-1].Time {
-				timeOrdered = false
-			}
-		}
-		sortStream(recs, timeOrdered)
-		streams[i] = recs
-		total += len(recs)
+	total, ncomps := 0, 0
+	for _, r := range recorders {
+		total += r.count
+		ncomps += len(r.comps)
 		t.Truncated += r.dropped
 	}
 	if total == 0 {
 		return t // Records stays nil: the empty trace's encoding
 	}
-	t.Records = make([]Record, total)
-	for n := range t.Records {
-		best := -1
-		for i, s := range streams {
-			if len(s) > 0 && (best < 0 || compareCanonical(s[0], streams[best][0]) < 0) {
-				best = i
+	prefixes := make([]uint64, ncomps)
+	idx := make([]int, total)
+	streams := make([]mergeStream, len(recorders))
+	for i, r := range recorders {
+		s := &streams[i]
+		s.r = r
+		s.prefix, prefixes = prefixes[:len(r.comps)], prefixes[len(r.comps):]
+		for c, name := range r.comps {
+			s.prefix[c] = namePrefix(name)
+		}
+		s.idx, idx = idx[:r.count], idx[r.count:]
+		timeOrdered := true
+		for j := range s.idx {
+			s.idx[j] = (r.head + j) % len(r.ring)
+			if j > 0 && r.ring[s.idx[j]].time < r.ring[s.idx[j-1]].time {
+				timeOrdered = false
 			}
 		}
-		t.Records[n] = *streams[best][0]
-		streams[best] = streams[best][1:]
+		s.sort(timeOrdered)
+	}
+	t.Records = make([]Record, total)
+	for n := range t.Records {
+		var best *mergeStream
+		var head *slot
+		for i := range streams {
+			s := &streams[i]
+			if len(s.idx) == 0 {
+				continue
+			}
+			h := &s.r.ring[s.idx[0]]
+			if best == nil || compareSlots(s, h, best, head) < 0 {
+				best, head = s, h
+			}
+		}
+		best.r.resolve(&t.Records[n], best.idx[0])
+		best.idx = best.idx[1:]
 	}
 	return t
 }
