@@ -5,14 +5,13 @@ import (
 
 	"repro/internal/ara"
 	"repro/internal/des"
-	"repro/internal/logical"
 	"repro/internal/simnet"
 )
 
 // TestTransientPathZeroAlloc pins the zero-allocation claims of the
 // closure-free hot paths: once pools are warm, a schedule+fire round
-// trip on simnet datagram delivery, a mailbox timed put and a future
-// resolution with registered callbacks must not allocate at all. These
+// trip on simnet datagram delivery and a future resolution with
+// registered callbacks must not allocate at all. These
 // are exact pins, not budgets — a single stray closure or interface box
 // on any of these paths fails the gate.
 func TestTransientPathZeroAlloc(t *testing.T) {
@@ -44,20 +43,6 @@ func TestTransientPathZeroAlloc(t *testing.T) {
 		}
 		if received != runs+1 {
 			t.Fatalf("delivered %d of %d", received, runs+1)
-		}
-	})
-
-	t.Run("MailboxTimedPut", func(t *testing.T) {
-		k := des.NewKernel(1)
-		m := des.NewMailbox[int](k, "gate")
-		if avg := testing.AllocsPerRun(runs, func() {
-			m.PutAfter(logical.Microsecond, 7)
-			k.RunAll()
-			if _, ok := m.TryRecv(); !ok {
-				t.Fatal("timed put not delivered")
-			}
-		}); avg != 0 {
-			t.Errorf("mailbox timed put schedule+fire allocates %.1f per op, want 0", avg)
 		}
 	})
 

@@ -17,6 +17,8 @@ package dear_test
 //     lists.
 //   - TestDocsCommandPathsExist keeps the command paths the docs tell a
 //     reader to run at directories that exist.
+//   - TestDocsNameLiveIdentifiers keeps every pkg.Name the docs quote
+//     from a package under internal/ at a declaration that exists.
 
 import (
 	"go/ast"
@@ -370,6 +372,123 @@ func TestFacadeExportsHaveCallers(t *testing.T) {
 		for _, m := range docRef.FindAllStringSubmatch(string(body), -1) {
 			if _, ok := signature[m[1]]; !ok {
 				t.Errorf("%s names dear.%s, which dear.go does not export", doc, m[1])
+			}
+		}
+	}
+}
+
+// identifierDocs are the files whose quoted identifiers must resolve.
+var identifierDocs = []string{"README.md", "DESIGN.md", "ARCHITECTURE.md"}
+
+var (
+	codeSpan = regexp.MustCompile("(?s)```.*?```|`[^`\n]+`")
+	// qualifiedName matches pkg.Name and pkg.Type.Name, Name exported,
+	// not preceded by another selector or identifier. (A lower-case
+	// pkg.name is a perfbench row such as trace.record_ns.)
+	qualifiedName = regexp.MustCompile(`(?:^|[^\w.])([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Za-z_]\w*))?`)
+)
+
+// TestDocsNameLiveIdentifiers fails for any exported pkg.Name or
+// pkg.Type.Name quoted in code spans or blocks of README, DESIGN or ARCHITECTURE
+// whose pkg is a package under internal/ and which names no
+// declaration there: a function, type, variable or constant, or a
+// type's method or field. Test files count, so a doc may name a test.
+// A deleted or renamed identifier cannot stay in the prose.
+func TestDocsNameLiveIdentifiers(t *testing.T) {
+	dirs, err := filepath.Glob("internal/*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decls := map[string]map[string]bool{} // package -> Name and Type.Name
+	for _, dir := range dirs {
+		fset := token.NewFileSet()
+		pkgs, err := parser.ParseDir(fset, dir, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := map[string]bool{}
+		for _, pkg := range pkgs {
+			for _, file := range pkg.Files {
+				collectDeclNames(file, names)
+			}
+		}
+		decls[filepath.Base(dir)] = names
+	}
+	for _, doc := range identifierDocs {
+		body, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range codeSpan.FindAllString(string(body), -1) {
+			for _, m := range qualifiedName.FindAllStringSubmatch(span, -1) {
+				names, ok := decls[m[1]]
+				if !ok {
+					continue
+				}
+				name := m[2]
+				if m[3] != "" && names[m[2]+"."+m[3]] {
+					name = m[2] + "." + m[3]
+				}
+				if !names[name] {
+					t.Errorf("%s quotes %s.%s, which internal/%s does not declare", doc, m[1], name, m[1])
+				}
+			}
+		}
+	}
+}
+
+// collectDeclNames adds the file's top-level names, and its types'
+// methods and fields as Type.Name, to names.
+func collectDeclNames(file *ast.File, names map[string]bool) {
+	for _, decl := range file.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil || len(d.Recv.List) == 0 {
+				names[d.Name.Name] = true
+				continue
+			}
+			typ := d.Recv.List[0].Type
+			for {
+				switch x := typ.(type) {
+				case *ast.StarExpr:
+					typ = x.X
+					continue
+				case *ast.IndexExpr:
+					typ = x.X
+					continue
+				case *ast.IndexListExpr:
+					typ = x.X
+					continue
+				case *ast.Ident:
+					names[x.Name+"."+d.Name.Name] = true
+				}
+				break
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					names[s.Name.Name] = true
+					var fields *ast.FieldList
+					switch x := s.Type.(type) {
+					case *ast.StructType:
+						fields = x.Fields
+					case *ast.InterfaceType:
+						fields = x.Methods
+					}
+					if fields == nil {
+						continue
+					}
+					for _, f := range fields.List {
+						for _, n := range f.Names {
+							names[s.Name.Name+"."+n.Name] = true
+						}
+					}
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						names[n.Name] = true
+					}
+				}
 			}
 		}
 	}

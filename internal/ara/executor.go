@@ -37,8 +37,8 @@ func (c *Ctx) Runtime() *Runtime { return c.rt }
 // executor thread is reused by later tasks once the handler returns.
 func (c *Ctx) Process() *des.Process { return c.p }
 
-// task is one unit of work for the executor: a Submit function, or a
-// served message (which carries its runtime).
+// task is one unit of work for the executor: a function, or a served
+// message (which carries its runtime).
 type task struct {
 	fn func(*Ctx)
 	s  *serve
@@ -98,18 +98,20 @@ const (
 // sequence numbers — equals that of a dispatcher process that spawns a
 // fresh thread per task.
 type Executor struct {
-	k     *des.Kernel
-	rng   *des.Rand
-	cfg   ExecConfig
-	queue *des.Mailbox[task]
+	k   *des.Kernel
+	rng *des.Rand
+	cfg ExecConfig
+	// queue[head:] are the tasks waiting for a thread, in FIFO order.
+	// Dequeuing advances head instead of reslicing, and an emptied queue
+	// rewinds, so the backing array is reused once warm.
+	queue []task
+	head  int
 	mutex *Mutex
 	state dispatchState
 	// busy counts tasks dispatched and not yet finished (≤ Workers).
 	busy int
 	// idle holds the parked workers waiting for a task.
-	idle     []*worker
-	inFlight int
-	executed uint64
+	idle []*worker
 }
 
 // worker is one pooled simulated worker thread.
@@ -137,27 +139,13 @@ func NewExecutor(k *des.Kernel, rng *des.Rand, cfg ExecConfig) *Executor {
 		k:     k,
 		rng:   rng,
 		cfg:   cfg,
-		queue: des.NewMailbox[task](k, "executor"),
 		mutex: NewMutex(),
 	}
 }
 
-// Executed reports the number of completed tasks.
-func (e *Executor) Executed() uint64 { return e.executed }
-
-// InFlight reports tasks submitted but not yet completed.
-func (e *Executor) InFlight() int { return e.inFlight }
-
-// Submit schedules fn to run on a worker thread after the dispatch jitter.
-// The ctx passed to fn carries a nil runtime (runtimes submit their
-// handlers with themselves attached).
-func (e *Executor) Submit(fn func(*Ctx)) {
-	e.submit(task{fn: fn})
-}
-
+// submit queues t to run on a worker thread after the dispatch jitter.
 func (e *Executor) submit(t task) {
-	e.inFlight++
-	e.queue.Put(t)
+	e.queue = append(e.queue, t)
 	if e.state == waitTask {
 		e.state = scheduled
 		e.k.Post(e.k.Now(), dispatchFn, e)
@@ -170,7 +158,7 @@ func (e *Executor) submit(t task) {
 func dispatchFn(a any) {
 	e := a.(*Executor)
 	for {
-		if e.queue.Len() == 0 {
+		if e.head == len(e.queue) {
 			e.state = waitTask
 			return
 		}
@@ -178,7 +166,11 @@ func dispatchFn(a any) {
 			e.state = waitWorker
 			return
 		}
-		t, _ := e.queue.TryRecv()
+		t := e.queue[e.head]
+		e.queue[e.head] = task{}
+		if e.head++; e.head == len(e.queue) {
+			e.queue, e.head = e.queue[:0], 0
+		}
 		e.busy++
 		at := e.k.Now().Add(e.cfg.DispatchJitter(e.rng))
 		if n := len(e.idle); n > 0 {
@@ -232,8 +224,6 @@ func (e *Executor) runTask(c *Ctx, t task) {
 		t.fn(c)
 	}
 	c.rt, c.msg = nil, nil
-	e.executed++
-	e.inFlight--
 }
 
 // Mutex is a mutual-exclusion lock for simulated processes with FIFO
@@ -271,6 +261,3 @@ func (m *Mutex) Unlock() {
 		w.Unpark()
 	}
 }
-
-// Locked reports whether the mutex is currently held.
-func (m *Mutex) Locked() bool { return m.locked }

@@ -27,7 +27,7 @@ func pinRun(workers int, serialized bool) (lines []string, events uint64, peak i
 	submit = func(depth int) {
 		id := next
 		next++
-		e.Submit(func(c *Ctx) {
+		e.submit(task{fn: func(c *Ctx) {
 			inside++
 			if inside > peak {
 				peak = inside
@@ -42,7 +42,7 @@ func pinRun(workers int, serialized bool) (lines []string, events uint64, peak i
 			}
 			inside--
 			lines = append(lines, fmt.Sprintf("%d %d-%d @%d/%d", id, start, c.Now(), startEv, k.EventsFired()))
-		})
+		}})
 	}
 	burst := func(n int) func() {
 		return func() {
@@ -115,10 +115,10 @@ func TestExecutorSteadyStateBudget(t *testing.T) {
 	sum := 0
 	round := func() {
 		for i := 0; i < n; i++ {
-			e.Submit(func(c *Ctx) {
+			e.submit(task{fn: func(c *Ctx) {
 				sum += i
 				c.Exec(10 * logical.Microsecond)
-			})
+			}})
 		}
 		k.RunAll()
 	}
@@ -174,14 +174,14 @@ func TestExecutorShutdownReleasesWorkers(t *testing.T) {
 	}
 	// One task holds the mutex inside a long Exec; a second waits for it.
 	for i := 0; i < 2; i++ {
-		e.Submit(func(c *Ctx) { c.Exec(logical.Second) })
+		e.submit(task{fn: func(c *Ctx) { c.Exec(logical.Second) }})
 	}
 	f.k.Run(f.k.Now().Add(10 * logical.Millisecond))
-	if !e.mutex.Locked() || e.InFlight() != 2 {
-		t.Fatalf("locked=%v in flight=%d, want a task inside Exec and one waiting", e.mutex.Locked(), e.InFlight())
+	if !e.mutex.locked || len(e.mutex.waiters) != 1 {
+		t.Fatalf("locked=%v waiters=%d, want a task inside Exec and one waiting", e.mutex.locked, len(e.mutex.waiters))
 	}
 	f.k.Shutdown()
-	if e.mutex.Locked() {
+	if e.mutex.locked {
 		t.Error("task killed mid-Exec left the mutex locked")
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -202,14 +202,14 @@ func TestExecutorIgnoresStaleUnpark(t *testing.T) {
 	e := NewExecutor(k, k.Rand("exec"), ExecConfig{Workers: 1, DispatchJitter: jitter})
 	var first *des.Process
 	var starts []logical.Time
-	e.Submit(func(c *Ctx) {
+	e.submit(task{fn: func(c *Ctx) {
 		first = c.Process()
 		starts = append(starts, c.Now())
 		c.Exec(5)
-	})
+	}})
 	k.At(20, func() { first.Unpark() }) // idle: no task
 	k.At(30, func() {
-		e.Submit(func(c *Ctx) { starts = append(starts, c.Now()) })
+		e.submit(task{fn: func(c *Ctx) { starts = append(starts, c.Now()) }})
 	})
 	k.At(35, func() { first.Unpark() }) // handed a task due at 40
 	k.RunAll()

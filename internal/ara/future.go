@@ -56,9 +56,6 @@ func NewFuture(k *des.Kernel) *Future {
 	return f
 }
 
-// Done reports whether the future has resolved.
-func (f *Future) Done() bool { return f.done }
-
 // Result returns the resolved result (including the response tag, which
 // Get drops). ok is false while the future is unresolved.
 func (f *Future) Result() (r Result, ok bool) { return f.result, f.done }

@@ -84,16 +84,6 @@ func (si *ServiceInterface) Field(name string) (FieldSpec, bool) {
 	return FieldSpec{}, false
 }
 
-// EventByID looks up an event spec by its wire identifier.
-func (si *ServiceInterface) EventByID(id someip.MethodID) (EventSpec, bool) {
-	for _, e := range si.Events {
-		if e.ID == id {
-			return e, true
-		}
-	}
-	return EventSpec{}, false
-}
-
 // Validate checks internal consistency of the interface description.
 func (si *ServiceInterface) Validate() error {
 	if si.ID == 0 || si.ID == someip.SDService {

@@ -33,24 +33,6 @@ func (rt *Runtime) FindService(si *ServiceInterface, instance someip.InstanceID,
 	})
 }
 
-// WatchService maintains availability callbacks for a service instance
-// across loss and re-discovery: up runs (as a kernel event) with a
-// freshly bound proxy on every offer that establishes or changes the
-// remote endpoint — including after the provider crashes, restarts and
-// re-offers — and down (may be nil) runs when the cached offer expires
-// (TTL) or is withdrawn. This is the fault-tolerant counterpart of
-// FindService: callers replace their proxy in up instead of holding one
-// forever. Panics on runtimes without an SD agent (UDP runtimes).
-func (rt *Runtime) WatchService(si *ServiceInterface, instance someip.InstanceID, up func(*Proxy), down func()) {
-	if rt.sd == nil {
-		panic("ara: runtime " + rt.name + " has no service discovery; use StaticProxy")
-	}
-	key := someip.ServiceKey{Service: si.ID, Instance: instance}
-	rt.sd.Monitor(key, func(svc someip.RemoteService) {
-		up(&Proxy{rt: rt, iface: si, key: key, remote: svc})
-	}, down)
-}
-
 // StaticProxy returns a proxy bound to a statically configured remote
 // endpoint, bypassing service discovery — the deployment-time static
 // configuration path of real AP stacks, and the only discovery mode on
@@ -82,12 +64,6 @@ func (rt *Runtime) FindServiceSync(p *des.Process, si *ServiceInterface, instanc
 	}
 	return proxy, nil
 }
-
-// Interface returns the service interface description.
-func (px *Proxy) Interface() *ServiceInterface { return px.iface }
-
-// Runtime returns the owning runtime.
-func (px *Proxy) Runtime() *Runtime { return px.rt }
 
 // Call invokes a method by name, non-blocking, returning a future.
 func (px *Proxy) Call(method string, args []byte) *Future {
@@ -157,27 +133,4 @@ func (px *Proxy) SubscribeID(id someip.MethodID, eventgroup uint16, handler func
 	px.rt.eventSubs[k] = append(px.rt.eventSubs[k], handler)
 	px.rt.sd.Subscribe(px.key, eventgroup, px.rt.simAddr(), ack)
 	return nil
-}
-
-// Unsubscribe removes all handlers for the event and withdraws the SD
-// subscription.
-func (px *Proxy) Unsubscribe(event string) error {
-	spec, ok := px.iface.Event(event)
-	if !ok {
-		return fmt.Errorf("ara: %s has no event %q", px.iface.Name, event)
-	}
-	delete(px.rt.eventSubs, eventKey{px.key.Service, spec.ID})
-	if px.rt.sd != nil {
-		px.rt.sd.Unsubscribe(px.key, spec.Eventgroup, px.rt.simAddr())
-	}
-	return nil
-}
-
-// Field returns client-side access to a field.
-func (px *Proxy) Field(name string) (*FieldClient, error) {
-	spec, ok := px.iface.Field(name)
-	if !ok {
-		return nil, fmt.Errorf("ara: %s has no field %q", px.iface.Name, name)
-	}
-	return &FieldClient{px: px, spec: spec}, nil
 }

@@ -70,7 +70,6 @@ type Runtime struct {
 	eventSubs map[eventKey][]func(*Ctx, []byte)
 
 	hook BindingHook
-	rng  *des.Rand
 
 	// out is the scratch every outgoing request, reply and notification
 	// is built in: the binding hook and the endpoint read a Message only
@@ -159,19 +158,17 @@ func newRuntime(k *des.Kernel, clock *des.LocalClock, cfg Config, conn someip.En
 	if cfg.WrapEndpoint != nil {
 		conn = cfg.WrapEndpoint(conn)
 	}
-	rng := k.Rand("ara." + cfg.Name)
 	return &Runtime{
 		k:         k,
 		clock:     clock,
 		name:      cfg.Name,
 		cfg:       cfg,
 		conn:      conn,
-		exec:      NewExecutor(k, rng.Stream("exec"), cfg.Exec),
+		exec:      NewExecutor(k, k.Rand("ara."+cfg.Name).Stream("exec"), cfg.Exec),
 		clientID:  clientID,
 		pending:   map[someip.SessionID]*Future{},
 		skeletons: map[someip.ServiceID]*Skeleton{},
 		eventSubs: map[eventKey][]func(*Ctx, []byte){},
-		rng:       rng,
 	}
 }
 
@@ -194,25 +191,6 @@ func (rt *Runtime) Addr() someip.Addr { return rt.conn.LocalAddr() }
 // simAddr returns the endpoint address in simulated form. Valid only on
 // runtimes created with NewRuntime (rt.sd != nil implies this).
 func (rt *Runtime) simAddr() simnet.Addr { return rt.conn.LocalAddr().(simnet.Addr) }
-
-// Conn returns the runtime's transport endpoint.
-func (rt *Runtime) Conn() someip.Endpoint { return rt.conn }
-
-// SD returns the runtime's service-discovery agent (nil on runtimes
-// without an SD substrate, such as UDP runtimes).
-func (rt *Runtime) SD() *someip.Agent { return rt.sd }
-
-// Executor returns the runtime's worker pool.
-func (rt *Runtime) Executor() *Executor { return rt.exec }
-
-// Rand returns the runtime's random stream.
-func (rt *Runtime) Rand() *des.Rand { return rt.rng }
-
-// ConnStats returns the binding's (sent, received, decode error) message
-// counters.
-func (rt *Runtime) ConnStats() (sent, received, decodeErrors uint64) {
-	return rt.conn.Stats()
-}
 
 // Close releases the runtime's endpoint. Pending requests never resolve;
 // call it only when tearing the process down (primarily for UDP
@@ -410,33 +388,23 @@ func (rt *Runtime) Spawn(name string, body func(*Ctx)) *des.Process {
 	})
 }
 
-// PeriodicHandle stops a periodic callback.
-type PeriodicHandle struct{ stopped *bool }
-
-// Stop cancels the periodic callback after the current activation.
-func (h *PeriodicHandle) Stop() { *h.stopped = true }
-
 // Every installs a periodic callback driven by the platform's local
 // clock, mirroring the APD demonstrator's cyclic OS triggers: the first
 // activation happens at local time now+offset, then every period of
 // local time. If an activation overruns, missed grid slots are skipped
 // (timer semantics).
-func (rt *Runtime) Every(offset, period logical.Duration, fn func(*Ctx)) *PeriodicHandle {
+func (rt *Runtime) Every(offset, period logical.Duration, fn func(*Ctx)) {
 	if period <= 0 {
 		panic("ara: Every needs a positive period")
 	}
-	stopped := false
 	clk := rt.Clock()
 	rt.k.Spawn(rt.name+".periodic", func(p *des.Process) {
 		start := clk.Now().Add(offset)
-		for n := int64(0); !stopped; {
+		for n := int64(0); ; {
 			next := start.Add(logical.Duration(n) * period)
 			// Map the local-time deadline to global simulated time under
 			// the clock's current affine segment.
 			p.WaitUntil(clk.GlobalAt(next))
-			if stopped {
-				return
-			}
 			fn(&Ctx{p: p, rt: rt})
 			// Skip any grid slots the activation overran.
 			n++
@@ -445,5 +413,4 @@ func (rt *Runtime) Every(offset, period logical.Duration, fn func(*Ctx)) *Period
 			}
 		}
 	})
-	return &PeriodicHandle{stopped: &stopped}
 }

@@ -12,7 +12,7 @@ import (
 // Fire&forget requests get no reply, not even an error: SOME/IP says so,
 // and after the client's 16-bit session counter wraps a stray error
 // could resolve an unrelated pending call with the same session. A
-// plain request to the same unoffered service still gets its error.
+// plain request to an unoffered service still gets its error.
 func TestFireAndForgetGetsNoErrorReply(t *testing.T) {
 	k := des.NewKernel(1)
 	n := simnet.NewNetwork(k, simnet.Config{})
@@ -37,17 +37,20 @@ func TestFireAndForgetGetsNoErrorReply(t *testing.T) {
 		px.CallID(0x7777, []byte("unknown method"), true)
 	})
 	k.Run(logical.Time(10 * logical.Millisecond))
-	if sent, received, _ := server.ConnStats(); received != 2 || sent != 0 {
+	if sent, received, _ := server.conn.Stats(); received != 2 || sent != 0 {
 		t.Fatalf("server received %d fire&forget requests and sent %d datagrams back, want 2 and 0", received, sent)
 	}
-	if _, received, _ := client.ConnStats(); received != 0 {
+	if _, received, _ := client.conn.Stats(); received != 0 {
 		t.Errorf("client received %d replies to fire&forget requests", received)
 	}
 
-	sk.StopOffer()
+	other := &ServiceInterface{Name: "Other", ID: calcIface.ID + 1, Major: 1, Methods: calcIface.Methods}
+	if _, err := server.NewSkeleton(other, 1); err != nil { // never offered
+		t.Fatal(err)
+	}
 	var callErr error
 	client.Spawn("main", func(c *Ctx) {
-		_, callErr = px.Call("add", u32(1)).Get(c.Process())
+		_, callErr = client.StaticProxy(other, 1, server.Addr()).Call("add", u32(1)).Get(c.Process())
 	})
 	k.Run(logical.Time(20 * logical.Millisecond))
 	if re, ok := callErr.(*RemoteError); !ok || re.Code != someip.EUnknownService {
@@ -56,8 +59,8 @@ func TestFireAndForgetGetsNoErrorReply(t *testing.T) {
 }
 
 // A worker thread hands one Ctx to every task it runs; each task still
-// sees its own message, for the whole of its run, and a Submit task
-// after them sees none.
+// sees its own message, for the whole of its run, and a plain function
+// task after them sees none.
 func TestWorkerCtxPerTask(t *testing.T) {
 	f := newFixture(t, 1, serialExec())
 	type seen struct {
@@ -108,10 +111,10 @@ func TestWorkerCtxPerTask(t *testing.T) {
 	}
 	var msg *someip.Message
 	ran := false
-	f.server.Executor().Submit(func(c *Ctx) { msg, ran = c.Message(), true })
+	f.server.exec.submit(task{fn: func(c *Ctx) { msg, ran = c.Message(), true }})
 	f.k.Run(f.k.Now().Add(logical.Second))
 	if !ran || msg != nil {
-		t.Errorf("Submit task after served requests: ran=%v, Message() = %v, want nil", ran, msg)
+		t.Errorf("function task after served requests: ran=%v, Message() = %v, want nil", ran, msg)
 	}
 }
 

@@ -28,7 +28,6 @@ type Skeleton struct {
 	iface    *ServiceInterface
 	key      someip.ServiceKey
 	handlers map[someip.MethodID]method
-	fields   map[string]*FieldServer
 	offered  bool
 }
 
@@ -46,20 +45,13 @@ func (rt *Runtime) NewSkeleton(si *ServiceInterface, instance someip.InstanceID)
 		iface:    si,
 		key:      someip.ServiceKey{Service: si.ID, Instance: instance},
 		handlers: map[someip.MethodID]method{},
-		fields:   map[string]*FieldServer{},
 	}
 	rt.skeletons[si.ID] = sk
-	for _, fs := range si.Fields {
-		sk.fields[fs.Name] = newFieldServer(sk, fs)
-	}
 	return sk, nil
 }
 
 // Interface returns the service interface description.
 func (sk *Skeleton) Interface() *ServiceInterface { return sk.iface }
-
-// Key returns the offered service key.
-func (sk *Skeleton) Key() someip.ServiceKey { return sk.key }
 
 // Handle installs the implementation of a method by name.
 func (sk *Skeleton) Handle(method string, h Handler) error {
@@ -89,8 +81,8 @@ type method struct {
 	async AsyncHandler
 }
 
-// HandleID installs a synchronous handler by wire ID (used by generated
-// field accessors and transactors).
+// HandleID installs a synchronous handler by wire ID (used by the DEAR
+// transactors).
 func (sk *Skeleton) HandleID(id someip.MethodID, h Handler) {
 	sk.handlers[id] = method{sync: h}
 }
@@ -109,14 +101,6 @@ func (sk *Skeleton) Offer() {
 	sk.offered = true
 	if sk.rt.sd != nil {
 		sk.rt.sd.Offer(sk.key, sk.iface.Major, sk.iface.Minor, sk.rt.simAddr())
-	}
-}
-
-// StopOffer withdraws the service.
-func (sk *Skeleton) StopOffer() {
-	sk.offered = false
-	if sk.rt.sd != nil {
-		sk.rt.sd.StopOffer(sk.key)
 	}
 }
 
@@ -149,13 +133,4 @@ func (sk *Skeleton) NotifyID(id someip.MethodID, eventgroup uint16, payload []by
 		}
 		sk.rt.send(sub, &sk.rt.out)
 	}
-}
-
-// Field returns the server-side accessor for a field.
-func (sk *Skeleton) Field(name string) (*FieldServer, error) {
-	f, ok := sk.fields[name]
-	if !ok {
-		return nil, fmt.Errorf("ara: %s has no field %q", sk.iface.Name, name)
-	}
-	return f, nil
 }

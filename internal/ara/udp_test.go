@@ -162,7 +162,7 @@ func TestUDPRuntimeTaggedMethodRoundTrip(t *testing.T) {
 		t.Errorf("response tag = %v, want %v", out.tag, want)
 	}
 
-	sentC, recvC, _ := client.ConnStats()
+	sentC, recvC, _ := client.conn.Stats()
 	if sentC < 1 || recvC < 1 {
 		t.Errorf("client stats sent=%d recv=%d", sentC, recvC)
 	}
@@ -193,7 +193,7 @@ func TestUDPRuntimeUnknownServiceError(t *testing.T) {
 
 func TestUDPRuntimeHasNoSD(t *testing.T) {
 	_, client, _ := udpPair(t)
-	if client.SD() != nil {
+	if client.sd != nil {
 		t.Fatal("UDP runtime should have no SD agent")
 	}
 	px := client.StaticProxy(udpEchoIface, 1, client.Addr())

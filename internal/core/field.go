@@ -100,8 +100,8 @@ type ServerFieldTransactor struct {
 }
 
 // NewServerFieldTransactor builds the composite server-side transactor.
-// It replaces the skeleton's default field handlers, moving the field's
-// state into the server reactor.
+// It installs the field's get and set handlers on the skeleton, keeping
+// the field's state in the server reactor.
 func NewServerFieldTransactor(env *reactor.Environment, swc *SWC, sk *ara.Skeleton, field string, cfg TransactorConfig) (*ServerFieldTransactor, error) {
 	get, set, notify, err := fieldSpecs(sk.Interface(), field)
 	if err != nil {

@@ -93,35 +93,34 @@ func TestFederationDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// Two partitions exchanging through mailboxes and processes — the baton
-// machinery must work unchanged inside federation windows.
+// Two partitions exchanging through processes blocked on park queues —
+// the baton machinery must work unchanged inside federation windows.
 func TestFederationProcessesAndMailboxes(t *testing.T) {
 	f := NewFederation(7, 2)
 	la := 50 * logical.Microsecond
 	ab := f.Channel(0, 1, la)
 	ba := f.Channel(1, 0, la)
 	ka, kb := f.Kernel(0), f.Kernel(1)
-	mbA := NewMailbox[int](ka, "a")
-	mbB := NewMailbox[int](kb, "b")
+	mbA, mbB := &parkQueue{}, &parkQueue{}
 
 	const rounds = 25
 	var gotA, gotB []int
 	ka.Spawn("ping", func(p *Process) {
-		ab.Send(p.Now().Add(la), Call, func() { mbB.Put(0) })
+		ab.Send(p.Now().Add(la), Call, func() { mbB.put(0) })
 		for {
-			v := mbA.Recv(p)
+			v := mbA.recv(p)
 			gotA = append(gotA, v)
 			if v >= rounds {
 				return
 			}
-			ab.Send(p.Now().Add(la), Call, func() { mbB.Put(v + 1) })
+			ab.Send(p.Now().Add(la), Call, func() { mbB.put(v + 1) })
 		}
 	})
 	kb.Spawn("pong", func(p *Process) {
 		for {
-			v := mbB.Recv(p)
+			v := mbB.recv(p)
 			gotB = append(gotB, v)
-			ba.Send(p.Now().Add(la), Call, func() { mbA.Put(v + 1) })
+			ba.Send(p.Now().Add(la), Call, func() { mbA.put(v + 1) })
 			if v+1 >= rounds {
 				return
 			}

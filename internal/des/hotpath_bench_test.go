@@ -1,10 +1,6 @@
 package des
 
-import (
-	"testing"
-
-	"repro/internal/logical"
-)
+import "testing"
 
 // Kernel hot-path microbenchmarks that no perfbench probe times. Each
 // isolates one closure-free path; the repo-root alloc gates pin the 0
@@ -37,23 +33,4 @@ func BenchmarkKernelFire(b *testing.B) {
 	b.ResetTimer()
 	k.Post(0, benchChainFn, c)
 	k.RunAll()
-}
-
-// BenchmarkMailboxTimedPut measures a timed put delivered and drained:
-// the value rides a pooled carrier in a pooled event (see putArg), and
-// the mailbox ring reuses its backing array. 0 allocs/op in steady
-// state.
-func BenchmarkMailboxTimedPut(b *testing.B) {
-	k := NewKernel(1)
-	m := NewMailbox[int](k, "bench")
-	m.PutAfter(logical.Microsecond, 0)
-	k.RunAll()
-	m.TryRecv()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.PutAfter(logical.Microsecond, i)
-		k.RunAll()
-		m.TryRecv()
-	}
 }

@@ -4,7 +4,7 @@
 // (time, sequence number). Simulated threads of control are Processes:
 // coroutines that run strictly one at a time, switching back to the
 // kernel whenever they block on a simulated operation (Sleep, WaitUntil,
-// mailbox receive, ...). Because exactly one entity runs at any instant and
+// Park, ...). Because exactly one entity runs at any instant and
 // all ties are broken by the deterministic sequence counter, a simulation
 // is a pure function of its seed and inputs — the Go runtime scheduler has
 // no influence on results.
@@ -372,8 +372,8 @@ func (k *Kernel) AfterDaemon(d logical.Duration, fn func()) *Event {
 // in exchange the kernel recycles its Event after firing. Because fn is
 // typically a package-level function and arg a pooled carrier or an
 // already-live pointer, the schedule+fire round trip allocates nothing —
-// the scheduling form of every hot path: datagram delivery, mailbox
-// timed puts, future resolution, process wakeups and federation batch
+// the scheduling form of every hot path: datagram delivery, executor
+// dispatch, future resolution, process wakeups and federation batch
 // injection. A plain closure posts as Post(t, Call, fn).
 func (k *Kernel) Post(t logical.Time, fn func(arg any), arg any) {
 	k.post(nil, t, fn, arg, false, true, false)

@@ -119,8 +119,8 @@ func (k *Kernel) Spawn(name string, body func(p *Process)) *Process {
 // The mark is inherited by scheduling: the process's sleep/wake events,
 // anything it schedules while holding the baton, and local datagram
 // deliveries it triggers all become local automatically. A resume
-// scheduled by a non-local event (a mailbox put from ordinary traffic,
-// say) is not local — so only processes whose wakes all originate from
+// scheduled by a non-local event (an Unpark from ordinary traffic, say)
+// is not local — so only processes whose wakes all originate from
 // their own timeline keep the full benefit.
 func (k *Kernel) SpawnLocal(name string, body func(p *Process)) *Process {
 	return k.spawnAt(k.now, name, body, true)

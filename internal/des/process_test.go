@@ -249,93 +249,6 @@ func TestProcessYield(t *testing.T) {
 	}
 }
 
-func TestMailboxPutRecv(t *testing.T) {
-	k := NewKernel(1)
-	mb := NewMailbox[int](k, "mb")
-	var got []int
-	k.Spawn("rx", func(p *Process) {
-		for i := 0; i < 3; i++ {
-			got = append(got, mb.Recv(p))
-		}
-	})
-	k.At(5, func() { mb.Put(1) })
-	k.At(10, func() { mb.Put(2); mb.Put(3) })
-	k.RunAll()
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Errorf("got = %v", got)
-	}
-}
-
-func TestMailboxRecvBeforePut(t *testing.T) {
-	k := NewKernel(1)
-	mb := NewMailbox[string](k, "mb")
-	var at logical.Time
-	k.Spawn("rx", func(p *Process) {
-		mb.Recv(p)
-		at = p.Now()
-	})
-	mb.PutAt(99, "hello")
-	k.RunAll()
-	if at != 99 {
-		t.Errorf("received at %v, want 99", at)
-	}
-}
-
-func TestMailboxTryRecv(t *testing.T) {
-	k := NewKernel(1)
-	mb := NewMailbox[int](k, "mb")
-	if _, ok := mb.TryRecv(); ok {
-		t.Error("TryRecv on empty should fail")
-	}
-	mb.Put(7)
-	v, ok := mb.TryRecv()
-	if !ok || v != 7 {
-		t.Errorf("TryRecv = %v, %v", v, ok)
-	}
-}
-
-func TestMailboxRecvTimeout(t *testing.T) {
-	k := NewKernel(1)
-	mb := NewMailbox[int](k, "mb")
-	var ok1, ok2 bool
-	var at logical.Time
-	k.Spawn("rx", func(p *Process) {
-		_, ok1 = mb.RecvTimeout(p, 20)
-		at = p.Now()
-		var v int
-		v, ok2 = mb.RecvTimeout(p, 100)
-		if v != 5 {
-			t.Errorf("v = %d, want 5", v)
-		}
-	})
-	mb.PutAt(60, 5)
-	k.RunAll()
-	if ok1 {
-		t.Error("first RecvTimeout should time out")
-	}
-	if at != 20 {
-		t.Errorf("timeout at %v, want 20", at)
-	}
-	if !ok2 {
-		t.Error("second RecvTimeout should succeed")
-	}
-}
-
-func TestMailboxPutAfter(t *testing.T) {
-	k := NewKernel(1)
-	mb := NewMailbox[int](k, "mb")
-	k.At(10, func() { mb.PutAfter(15, 1) })
-	var at logical.Time
-	k.Spawn("rx", func(p *Process) {
-		mb.Recv(p)
-		at = p.Now()
-	})
-	k.RunAll()
-	if at != 25 {
-		t.Errorf("received at %v, want 25", at)
-	}
-}
-
 // A SpawnLocal start event carries the local mark from the moment it is
 // queued, so it never counts toward the partition's earliest-output
 // bound; a plain Spawn start event does.

@@ -11,7 +11,7 @@ import (
 // events fire when the wall clock reaches their timestamp, and external
 // stimuli (socket receptions, signals) enter the event queue through
 // Inject. This is the execution mode behind ara.NewUDPRuntime — the
-// same processes, mailboxes, executors and futures that run
+// same processes, executors and futures that run
 // deterministically under Kernel.Run are driven here by real time, with
 // kernel time tracking elapsed wall-clock nanoseconds since Run
 // started.

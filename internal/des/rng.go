@@ -46,7 +46,11 @@ func NewRand(seed uint64) *Rand {
 // (parent state at creation, label) pair always yields the same child.
 // Deriving streams does not advance the parent.
 func (r *Rand) Stream(label string) *Rand {
-	// FNV-1a over the label, mixed with the parent's state words.
+	// An FNV-1a-style hash over the label, mixed with the parent's
+	// state words. The offset 1469598103934665603 is not FNV-1a's
+	// 14695981039346656037 (one digit short). Every RNG stream, and so
+	// every golden and schedule pin, depends on it: do not replace it
+	// with the standard constant or a shared FNV helper.
 	h := uint64(1469598103934665603)
 	for i := 0; i < len(label); i++ {
 		h ^= uint64(label[i])

@@ -21,7 +21,7 @@ type pinRig struct {
 	budget  int
 	out     *Channel // link to the peer partition; nil on a single kernel
 	peer    *pinRig  // the rig on out's target kernel
-	mb      *Mailbox[int]
+	mb      *parkQueue
 	handles []*Event
 	waiters []*Process // loop in WaitUntilInterruptible
 	parked  []*Process // loop in Park
@@ -29,7 +29,7 @@ type pinRig struct {
 
 func newPinRig(k *Kernel, label string, budget int) *pinRig {
 	r := &pinRig{k: k, rng: k.Rand(label), sum: fnv.New64a(), budget: budget}
-	r.mb = NewMailbox[int](k, label)
+	r.mb = &parkQueue{}
 	for i := 0; i < 2; i++ {
 		r.waiters = append(r.waiters, k.Spawn("waiter", func(p *Process) {
 			for j := 0; j < 6; j++ {
@@ -51,7 +51,7 @@ func newPinRig(k *Kernel, label string, budget int) *pinRig {
 	}
 	k.Spawn("receiver", func(p *Process) {
 		for {
-			if r.mb.Recv(p)%3 == 0 {
+			if r.mb.recv(p)%3 == 0 {
 				r.mark("recv-act")
 				r.spread()
 			} else {
@@ -77,6 +77,49 @@ func (r *pinRig) mark(label string) {
 	binary.LittleEndian.PutUint64(r.buf[8:], r.k.EventsFired())
 	r.sum.Write(r.buf[:])
 	r.sum.Write([]byte(label))
+}
+
+// parkQueue is a FIFO of ints that one process blocks on, built from
+// Park and Unpark alone: put enqueues and unparks the waiting receiver,
+// recv parks until a value is queued. A timed put is one Post event
+// (putAt), so the queue adds no kernel event of its own.
+type parkQueue struct {
+	items  []int
+	waiter *Process
+}
+
+func (q *parkQueue) put(v int) {
+	q.items = append(q.items, v)
+	if w := q.waiter; w != nil {
+		q.waiter = nil
+		w.Unpark()
+	}
+}
+
+func (q *parkQueue) recv(p *Process) int {
+	for len(q.items) == 0 {
+		q.waiter = p
+		p.Park()
+	}
+	v := q.items[0]
+	q.items = q.items[1:]
+	return v
+}
+
+// queuedPut is the argument of a timed put's event.
+type queuedPut struct {
+	q *parkQueue
+	v int
+}
+
+func queuedPutFn(a any) {
+	qp := a.(*queuedPut)
+	qp.q.put(qp.v)
+}
+
+// putAt enqueues v at time t.
+func (q *parkQueue) putAt(k *Kernel, t logical.Time, v int) {
+	k.Post(t, queuedPutFn, &queuedPut{q, v})
 }
 
 // pinPostFn and pinRecvFn are the (fn, arg) bodies of Post and
@@ -166,9 +209,9 @@ func (r *pinRig) act() {
 	case 10:
 		r.parked[r.rng.Intn(len(r.parked))].UnparkAt(k.Now().Add(d))
 	case 11:
-		r.mb.PutAt(k.Now().Add(d), int(d))
+		r.mb.putAt(k, k.Now().Add(d), int(d))
 	case 12:
-		r.mb.PutAfter(d, r.rng.Intn(9))
+		r.mb.putAt(k, k.Now().Add(d), r.rng.Intn(9))
 	case 13:
 		r.act()
 		r.act()

@@ -19,7 +19,7 @@ func TestBuildAllocsPerPlatform(t *testing.T) {
 	})
 	per := allocs / n
 	t.Logf("%.1f allocations per platform", per)
-	const bound = 70.0
+	const bound = 65.0
 	if per > bound {
 		t.Fatalf("Build allocates %.1f objects per platform, bound %.1f", per, bound)
 	}

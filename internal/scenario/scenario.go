@@ -277,6 +277,13 @@ func TopologyPreset(shape Shape, n int) Spec {
 // 1024 platforms and a degree-3 ring at the platform cap.
 const maxCallEdges = 1 << 20
 
+// maxTraceRecords bounds the trace ring slots Build preallocates for a
+// spec: the per-partition estimates of traceCapacityPartition, summed
+// over partitions, are 2·rounds·3·edges call records plus
+// platforms·(noise+1) noise records. 1<<24 slots of 32 bytes are
+// 512 MiB.
+const maxTraceRecords = 1 << 24
+
 // ParseSpec decodes a JSON scenario description. Unknown fields are
 // rejected so that a typo in a spec file fails loudly instead of
 // silently running the default value.
@@ -397,6 +404,22 @@ func (s Spec) normalized() (Spec, error) {
 			cp.RestartAt, cp.RebornRounds = 0, 0
 			s.Crash = &cp
 		}
+	}
+	// Build preallocates every partition's trace ring: bound the summed
+	// estimate so a spec file cannot make Build exhaust memory. Each
+	// product is checked against the budget before it is formed, so
+	// none overflows.
+	rounds := s.Rounds
+	if s.Crash != nil && s.Crash.RebornRounds > rounds {
+		rounds = s.Crash.RebornRounds
+	}
+	budget := maxTraceRecords
+	if rounds > budget/(6*edges) {
+		return s, fmt.Errorf("scenario: %d rounds over %d call edges need more than %d trace records", rounds, edges, maxTraceRecords)
+	}
+	budget -= 6 * rounds * edges
+	if s.NoiseEvents >= budget/s.Platforms {
+		return s, fmt.Errorf("scenario: %d noise events on %d platforms need more than %d trace records", s.NoiseEvents, s.Platforms, maxTraceRecords)
 	}
 	if m := s.Monitors; m != nil {
 		if m.RespondedWithin < 0 {

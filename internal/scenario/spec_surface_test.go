@@ -1,6 +1,9 @@
 package scenario
 
 import (
+	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -166,6 +169,81 @@ func TestNormalizedFillsDefaults(t *testing.T) {
 	}
 	if n.Partitions != 1 {
 		t.Errorf("zero partitions normalized to %d, want 1", n.Partitions)
+	}
+}
+
+// TestNormalizedBoundsTraceRings pins the bound on the trace ring memory
+// Build preallocates: a spec whose summed ring estimate exceeds
+// maxTraceRecords is rejected before any world is built, near MaxInt
+// too, while every preset and every spec file under examples/scenarios
+// still normalizes. The bound's formula must match the estimate Build
+// sizes the rings with.
+func TestNormalizedBoundsTraceRings(t *testing.T) {
+	huge := MeshPreset(2)
+	huge.Rounds = 1e9
+	reborn := validSpec()
+	reborn.Crash.RebornRounds = math.MaxInt
+	noisy := MeshPreset(2)
+	noisy.NoiseEvents = math.MaxInt
+	maxRounds := MeshPreset(1024)
+	maxRounds.Rounds = math.MaxInt
+	for name, spec := range map[string]Spec{"rounds 1e9": huge, "reborn MaxInt": reborn, "noise MaxInt": noisy, "rounds MaxInt": maxRounds} {
+		if _, err := spec.Normalized(); err == nil {
+			// Building it would try to allocate the rings.
+			t.Errorf("%s: normalized, want the trace ring bound to reject it", name)
+			continue
+		}
+		if w, err := Build(spec); err == nil || w != nil {
+			t.Errorf("%s: Build returned a world (err %v)", name, err)
+		}
+	}
+
+	specs := map[string]Spec{
+		"mesh-2": MeshPreset(2), "mesh-16": MeshPreset(16), "city-5000": CityPreset(5000),
+		"surface": validSpec(), "full-256": TopologyPreset(Full, 256),
+	}
+	for _, shape := range Shapes {
+		specs["topo-"+string(shape)] = TopologyPreset(shape, 64)
+	}
+	files, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no spec files under examples/scenarios: %v", err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := ParseSpec(data)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		specs[filepath.Base(f)] = spec
+	}
+	for name, spec := range specs {
+		if _, err := spec.Normalized(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+
+	spec := validSpec()
+	spec.Partitions = 2
+	w, err := Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := 0
+	for _, e := range w.Edges {
+		edges += len(e)
+	}
+	rounds := max(spec.Rounds, spec.Crash.RebornRounds)
+	want := 2*rounds*3*edges + spec.Platforms*(spec.NoiseEvents+1)
+	got := 0
+	for p := 0; p < spec.Partitions; p++ {
+		got += w.traceCapacityPartition(p, spec.Partitions) - 256
+	}
+	if got != want {
+		t.Errorf("summed ring estimate %d, bound formula %d", got, want)
 	}
 }
 

@@ -421,7 +421,7 @@ func crashFn(a any) { a.(*Host).crashNow() }
 // empty port space; rebuild (may be nil) then runs in the same kernel
 // event to reconstruct the application stack — typically by creating a
 // fresh ara runtime and re-running its offer phase, which re-announces
-// services through SOME/IP SD so that remote proxies re-bind.
+// services through SOME/IP SD.
 func (h *Host) Restart(at logical.Time, rebuild func()) {
 	h.net.k.Post(at, des.Call, func() {
 		h.down = false

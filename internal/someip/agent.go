@@ -37,8 +37,8 @@ type RemoteService struct {
 // square of the platform count.
 var SDGroup = simnet.Addr{Host: simnet.MulticastBase + 1, Port: SDPort}
 
-// consumerTopic is the simnet topic carrying offers/stop-offers for a
-// service key; consumers (Find/Monitor/Interest) subscribe to it.
+// consumerTopic is the simnet topic carrying offers for a service key;
+// consumers (Find/Interest) subscribe to it.
 func consumerTopic(k ServiceKey) uint64 {
 	return uint64(uint16(k.Service))<<16 | uint64(uint16(k.Instance))
 }
@@ -74,15 +74,7 @@ type Agent struct {
 	// interests tracks the service keys whose consumer topic this agent
 	// has joined (Interest); offers for other keys never reach it.
 	interests map[ServiceKey]bool
-	// monitors are persistent availability watchers (Monitor): unlike
-	// watch entries they survive firing and also observe service loss.
-	monitors map[ServiceKey][]monitor
-	pending  map[subKey][]func(ok bool)
-	active   map[subKey]bool // client-side subscriptions to keep renewed
-
-	// onSubscribe notifies the skeleton layer of a new/renewed remote
-	// subscriber for (service, eventgroup).
-	onSubscribe func(key ServiceKey, eventgroup uint16, subscriber simnet.Addr)
+	pending   map[subKey][]func(ok bool)
 }
 
 type localOffer struct {
@@ -90,7 +82,6 @@ type localOffer struct {
 	major    uint8
 	minor    uint32
 	endpoint simnet.Addr
-	stopped  bool
 	subs     map[uint16][]*subscriber // eventgroup -> subscribers
 }
 
@@ -104,12 +95,6 @@ type remoteEntry struct {
 	expiry *des.Event
 }
 
-// monitor is one persistent availability watcher.
-type monitor struct {
-	up   func(RemoteService)
-	down func()
-}
-
 type subKey struct {
 	key        ServiceKey
 	eventgroup uint16
@@ -118,7 +103,7 @@ type subKey struct {
 // NewAgent creates an SD agent for an application on the given host. It
 // binds an SD endpoint; SD topic subscriptions are registered lazily as
 // the agent offers services (provider topics) or declares interest in
-// them (consumer topics, implicit in Find/Monitor).
+// them (consumer topics, implicit in Find).
 func NewAgent(host *simnet.Host, cfg AgentConfig) (*Agent, error) {
 	if cfg.CyclicOfferPeriod <= 0 {
 		cfg.CyclicOfferPeriod = logical.Second
@@ -139,21 +124,19 @@ func NewAgent(host *simnet.Host, cfg AgentConfig) (*Agent, error) {
 		remote:    map[ServiceKey]*remoteEntry{},
 		watch:     map[ServiceKey][]func(RemoteService){},
 		interests: map[ServiceKey]bool{},
-		monitors:  map[ServiceKey][]monitor{},
 		pending:   map[subKey][]func(ok bool){},
-		active:    map[subKey]bool{},
 	}
 	a.conn.OnMessage(a.handle)
 	return a, nil
 }
 
-// Interest declares this agent's interest in a service key: offers and
-// stop-offers for it are delivered to the agent from now on (joining
-// the key's consumer topic, idempotently). Find and Monitor declare
-// interest implicitly; call Interest directly to passively cache offers
-// for later Lookup without issuing a find. Join order — fixed by
-// program structure — is the deterministic fan-out order, identical in
-// single-kernel and federated execution.
+// Interest declares this agent's interest in a service key: offers for
+// it are delivered to the agent from now on (joining the key's consumer
+// topic, idempotently). Find declares interest implicitly; call
+// Interest directly to cache offers passively, so that a later Find is
+// answered from the cache without issuing a find. Join order — fixed
+// by program structure — is the deterministic fan-out order, identical
+// in single-kernel and federated execution.
 func (a *Agent) Interest(key ServiceKey) {
 	if a.interests[key] {
 		return
@@ -170,14 +153,6 @@ func (a *Agent) ttlSeconds() uint32 {
 		s++
 	}
 	return s
-}
-
-// Addr returns the agent's SD endpoint address.
-func (a *Agent) Addr() simnet.Addr { return a.conn.Addr() }
-
-// OnSubscribe installs the server-side subscription callback.
-func (a *Agent) OnSubscribe(fn func(key ServiceKey, eventgroup uint16, subscriber simnet.Addr)) {
-	a.onSubscribe = fn
 }
 
 func (a *Agent) nextSession() SessionID {
@@ -208,9 +183,9 @@ func (a *Agent) sendTopic(topic uint64, entries []Entry) {
 }
 
 // Offer announces a local service instance and keeps re-announcing it
-// cyclically until StopOffer. The agent joins the key's provider topic
-// (so finds reach it) and announces on the consumer topic (so only
-// interested agents receive the offer).
+// cyclically for the agent's lifetime. The agent joins the key's
+// provider topic (so finds reach it) and announces on the consumer
+// topic (so only interested agents receive the offer).
 func (a *Agent) Offer(key ServiceKey, major uint8, minor uint32, endpoint simnet.Addr) {
 	off := &localOffer{
 		key: key, major: major, minor: minor, endpoint: endpoint,
@@ -244,26 +219,9 @@ func (a *Agent) announceTopic(off *localOffer) {
 
 func (a *Agent) scheduleCyclic(off *localOffer) {
 	a.k.AfterDaemon(a.cfg.CyclicOfferPeriod, func() {
-		if off.stopped {
-			return
-		}
 		a.announceTopic(off)
 		a.scheduleCyclic(off)
 	})
-}
-
-// StopOffer withdraws a local service: it leaves the provider topic and
-// multicasts a TTL-0 offer on the consumer topic.
-func (a *Agent) StopOffer(key ServiceKey) {
-	off, ok := a.offers[key]
-	if !ok {
-		return
-	}
-	off.stopped = true
-	delete(a.offers, key)
-	net := a.conn.Endpoint().Host().Net()
-	net.LeaveTopic(a.group, providerTopic(key), a.conn.Endpoint())
-	a.sendTopic(consumerTopic(key), []Entry{a.offerEntry(off, 0)})
 }
 
 // Find starts discovery for a service instance, declaring interest in
@@ -285,59 +243,10 @@ func (a *Agent) Find(key ServiceKey, cb func(RemoteService)) {
 	}})
 }
 
-// Monitor registers a persistent availability watcher for a service
-// instance: up fires (as a kernel event) on every discovery and
-// re-discovery whose endpoint differs from the previously known one —
-// including the initial one if the service is already cached — and down
-// fires when the cached offer expires (TTL) or is withdrawn
-// (stop-offer). A crashed provider sends no stop-offer, so its loss is
-// observed through TTL expiry; when it restarts and re-offers, up fires
-// again and the client can re-bind deterministically. Monitor declares
-// interest in the key (see Interest) and sends a find on its provider
-// topic so an already-running provider answers immediately.
-func (a *Agent) Monitor(key ServiceKey, up func(RemoteService), down func()) {
-	a.Interest(key)
-	a.monitors[key] = append(a.monitors[key], monitor{up: up, down: down})
-	if r, ok := a.remote[key]; ok {
-		svc := r.svc
-		if up != nil {
-			a.k.After(0, func() { up(svc) })
-		}
-		return
-	}
-	a.sendTopic(providerTopic(key), []Entry{{
-		Type: FindService, Service: key.Service, Instance: key.Instance,
-		Major: 0xff, Minor: 0xffffffff, TTL: a.ttlSeconds(),
-	}})
-}
-
-// lost drops the cached remote entry and notifies monitors. reason is
-// either an expiry or an explicit stop-offer.
-func (a *Agent) lost(key ServiceKey) {
-	if _, ok := a.remote[key]; !ok {
-		return
-	}
-	delete(a.remote, key)
-	for _, m := range a.monitors[key] {
-		if m.down != nil {
-			m.down()
-		}
-	}
-}
-
-// Lookup returns the cached remote service, if discovered.
-func (a *Agent) Lookup(key ServiceKey) (RemoteService, bool) {
-	r, ok := a.remote[key]
-	if !ok {
-		return RemoteService{}, false
-	}
-	return r.svc, true
-}
-
 // Subscribe requests an eventgroup subscription from the (already
 // discovered) remote service, delivering notifications to notifyEndpoint.
 // ack fires with the subscription result. The subscription is renewed
-// cyclically until Unsubscribe.
+// cyclically while the service stays discovered.
 func (a *Agent) Subscribe(key ServiceKey, eventgroup uint16, notifyEndpoint simnet.Addr, ack func(ok bool)) {
 	r, ok := a.remote[key]
 	if !ok {
@@ -350,32 +259,17 @@ func (a *Agent) Subscribe(key ServiceKey, eventgroup uint16, notifyEndpoint simn
 	if ack != nil {
 		a.pending[sk] = append(a.pending[sk], ack)
 	}
-	a.active[sk] = true
 	a.send(r.svc.SDAddr, []Entry{{
 		Type: SubscribeEventgroup, Service: key.Service, Instance: key.Instance,
 		Major: r.svc.Major, TTL: a.ttlSeconds(), Eventgroup: eventgroup,
 		Options: []Option{{Type: IPv4EndpointOption, Addr: notifyEndpoint, Proto: UDPProto}},
 	}})
-	// Renew at 2/3 of the TTL while the subscription stays active.
+	// Renew at 2/3 of the TTL while the service stays discovered.
 	a.k.AfterDaemon(a.cfg.TTL*2/3, func() {
-		if _, still := a.remote[key]; still && a.active[sk] {
+		if _, still := a.remote[key]; still {
 			a.Subscribe(key, eventgroup, notifyEndpoint, nil)
 		}
 	})
-}
-
-// Unsubscribe withdraws an eventgroup subscription.
-func (a *Agent) Unsubscribe(key ServiceKey, eventgroup uint16, notifyEndpoint simnet.Addr) {
-	delete(a.active, subKey{key, eventgroup})
-	r, ok := a.remote[key]
-	if !ok {
-		return
-	}
-	a.send(r.svc.SDAddr, []Entry{{
-		Type: SubscribeEventgroup, Service: key.Service, Instance: key.Instance,
-		Major: r.svc.Major, TTL: 0, Eventgroup: eventgroup,
-		Options: []Option{{Type: IPv4EndpointOption, Addr: notifyEndpoint, Proto: UDPProto}},
-	}})
 }
 
 // Subscribers returns the current subscriber endpoints for a local
@@ -425,12 +319,12 @@ func (a *Agent) handleFind(src Addr, e Entry) {
 
 func (a *Agent) handleOffer(src Addr, e Entry) {
 	key := ServiceKey{e.Service, e.Instance}
-	if e.TTL == 0 {
+	if e.TTL == 0 { // stop-offer
 		if r, ok := a.remote[key]; ok {
 			if r.expiry != nil {
 				r.expiry.Cancel()
 			}
-			a.lost(key)
+			delete(a.remote, key)
 		}
 		return
 	}
@@ -441,27 +335,17 @@ func (a *Agent) handleOffer(src Addr, e Entry) {
 		Key: key, Major: e.Major, Minor: e.Minor,
 		Endpoint: e.Options[0].Addr, SDAddr: src,
 	}
-	r, existed := a.remote[key]
-	if existed && r.expiry != nil {
+	if r, ok := a.remote[key]; ok && r.expiry != nil {
 		r.expiry.Cancel()
 	}
 	entry := &remoteEntry{svc: svc}
 	ttl := logical.Duration(e.TTL) * logical.Second
-	entry.expiry = a.k.AfterDaemon(ttl, func() { a.lost(key) })
+	entry.expiry = a.k.AfterDaemon(ttl, func() { delete(a.remote, key) })
 	a.remote[key] = entry
 	if ws := a.watch[key]; len(ws) > 0 {
 		delete(a.watch, key)
 		for _, w := range ws {
 			w(svc)
-		}
-	}
-	// Monitors see transitions only: a fresh discovery, or a re-offer
-	// from a different endpoint (restart); cyclic refreshes are silent.
-	if !existed || r.svc.Endpoint != svc.Endpoint || r.svc.SDAddr != svc.SDAddr {
-		for _, m := range a.monitors[key] {
-			if m.up != nil {
-				m.up(svc)
-			}
 		}
 	}
 }
@@ -515,9 +399,6 @@ func (a *Agent) handleSubscribe(src Addr, e Entry) {
 		Type: SubscribeEventgroupAck, Service: e.Service, Instance: e.Instance,
 		Major: e.Major, TTL: e.TTL, Eventgroup: e.Eventgroup,
 	}})
-	if a.onSubscribe != nil {
-		a.onSubscribe(key, e.Eventgroup, subAddr)
-	}
 }
 
 func (a *Agent) expireSub(off *localOffer, eventgroup uint16, addr simnet.Addr, ttl logical.Duration) *des.Event {

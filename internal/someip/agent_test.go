@@ -34,6 +34,28 @@ func newSDFixture(t *testing.T) *sdFixture {
 
 var testKey = ServiceKey{Service: 0x1234, Instance: 1}
 
+// findProbe is the outcome of one Find issued by findAt.
+type findProbe struct {
+	cached bool
+	svc    RemoteService
+}
+
+// findAt issues a Find for key on a at time t and reports, once the
+// kernel has run past t, whether the agent answered it from its cache:
+// a cached entry's callback fires at t itself (a zero-delay event),
+// while a miss waits at least one network hop for an offer, or forever.
+func findAt(k *des.Kernel, a *Agent, key ServiceKey, t logical.Time) *findProbe {
+	pr := &findProbe{}
+	k.At(t, func() {
+		a.Find(key, func(svc RemoteService) {
+			if k.Now() == t {
+				pr.cached, pr.svc = true, svc
+			}
+		})
+	})
+	return pr
+}
+
 func TestFindBeforeOffer(t *testing.T) {
 	f := newSDFixture(t)
 	appEp := f.h1.MustBind(40000)
@@ -97,14 +119,15 @@ func TestLookup(t *testing.T) {
 	// Passive caching requires declared interest: without a Find, the
 	// consumer must opt in to the key's offer stream explicitly.
 	f.a2.Interest(testKey)
-	if _, ok := f.a2.Lookup(testKey); ok {
-		t.Error("lookup before offer should miss")
+	f.k.At(logical.Time(logical.Millisecond), func() { f.a1.Offer(testKey, 1, 0, appEp.Addr()) })
+	before := findAt(f.k, f.a2, testKey, 0)
+	after := findAt(f.k, f.a2, testKey, logical.Time(10*logical.Millisecond))
+	f.k.Run(logical.Time(20 * logical.Millisecond))
+	if before.cached {
+		t.Error("find before the offer answered from the cache")
 	}
-	f.k.At(0, func() { f.a1.Offer(testKey, 1, 0, appEp.Addr()) })
-	f.k.Run(logical.Time(10 * logical.Millisecond))
-	svc, ok := f.a2.Lookup(testKey)
-	if !ok || svc.Endpoint != appEp.Addr() {
-		t.Errorf("lookup = %+v, %v", svc, ok)
+	if !after.cached || after.svc.Endpoint != appEp.Addr() {
+		t.Errorf("find after the offer: cached %v, %+v", after.cached, after.svc)
 	}
 }
 
@@ -113,13 +136,18 @@ func TestStopOfferRemovesRemote(t *testing.T) {
 	appEp := f.h1.MustBind(40000)
 	f.a2.Interest(testKey)
 	f.k.At(0, func() { f.a1.Offer(testKey, 1, 0, appEp.Addr()) })
-	f.k.Run(logical.Time(10 * logical.Millisecond))
-	if _, ok := f.a2.Lookup(testKey); !ok {
+	found := findAt(f.k, f.a2, testKey, logical.Time(5*logical.Millisecond))
+	// A stop-offer is an offer entry with TTL 0; the consumer must drop
+	// its entry on receipt, not at TTL expiry.
+	f.k.At(logical.Time(10*logical.Millisecond), func() {
+		f.a1.sendTopic(consumerTopic(testKey), []Entry{f.a1.offerEntry(f.a1.offers[testKey], 0)})
+	})
+	gone := findAt(f.k, f.a2, testKey, logical.Time(20*logical.Millisecond))
+	f.k.Run(logical.Time(30 * logical.Millisecond))
+	if !found.cached {
 		t.Fatal("not discovered")
 	}
-	f.k.At(f.k.Now(), func() { f.a1.StopOffer(testKey) })
-	f.k.Run(logical.Time(20 * logical.Millisecond))
-	if _, ok := f.a2.Lookup(testKey); ok {
+	if gone.cached {
 		t.Error("stop-offer did not remove remote entry")
 	}
 }
@@ -135,14 +163,14 @@ func TestOfferExpiresWithoutRenewal(t *testing.T) {
 	appEp := h1.MustBind(40000)
 	a2.Interest(testKey)
 	k.At(0, func() { a1.Offer(testKey, 1, 0, appEp.Addr()) })
-	k.Run(logical.Time(10 * logical.Millisecond))
-	if _, ok := a2.Lookup(testKey); !ok {
+	found := findAt(k, a2, testKey, logical.Time(10*logical.Millisecond))
+	// Past the TTL; the probe's own event lets the daemon expiry fire.
+	expired := findAt(k, a2, testKey, logical.Time(3*logical.Second))
+	k.Run(logical.Time(4 * logical.Second))
+	if !found.cached {
 		t.Fatal("not discovered")
 	}
-	// Advance past the TTL; run a dummy event so daemon expiry fires.
-	k.At(logical.Time(3*logical.Second), func() {})
-	k.Run(logical.Time(3 * logical.Second))
-	if _, ok := a2.Lookup(testKey); ok {
+	if expired.cached {
 		t.Error("offer did not expire")
 	}
 }
@@ -153,16 +181,10 @@ func TestCyclicOfferKeepsAlive(t *testing.T) {
 	f.a2.Interest(testKey)
 	f.k.At(0, func() { f.a1.Offer(testKey, 1, 0, appEp.Addr()) })
 	// Probe at 5s: default TTL 3s, cyclic 1s — must still be known.
-	probed := false
-	f.k.At(logical.Time(5*logical.Second), func() {
-		if _, ok := f.a2.Lookup(testKey); !ok {
-			t.Error("offer expired despite cyclic renewal")
-		}
-		probed = true
-	})
+	probe := findAt(f.k, f.a2, testKey, logical.Time(5*logical.Second))
 	f.k.Run(logical.Time(6 * logical.Second))
-	if !probed {
-		t.Fatal("probe event did not run")
+	if !probe.cached {
+		t.Error("offer expired despite cyclic renewal")
 	}
 }
 
@@ -171,13 +193,6 @@ func TestSubscribeAndNotifySubscribers(t *testing.T) {
 	appEp := f.h1.MustBind(40000)
 	notifyEp := f.h2.MustBind(41000)
 	const eg = 0x10
-
-	var gotSub []simnet.Addr
-	f.a1.OnSubscribe(func(key ServiceKey, eventgroup uint16, sub simnet.Addr) {
-		if key == testKey && eventgroup == eg {
-			gotSub = append(gotSub, sub)
-		}
-	})
 
 	var acked *bool
 	f.k.At(0, func() { f.a1.Offer(testKey, 1, 0, appEp.Addr()) })
@@ -190,9 +205,6 @@ func TestSubscribeAndNotifySubscribers(t *testing.T) {
 
 	if acked == nil || !*acked {
 		t.Fatal("subscription not acked")
-	}
-	if len(gotSub) == 0 || gotSub[0] != notifyEp.Addr() {
-		t.Fatalf("server saw subscribers %v", gotSub)
 	}
 	subs := f.a1.Subscribers(testKey, eg)
 	if len(subs) != 1 || subs[0] != notifyEp.Addr() {
@@ -220,18 +232,29 @@ func TestSubscribeNackedWhenOfferWithdrawn(t *testing.T) {
 	f := newSDFixture(t)
 	appEp := f.h1.MustBind(40000)
 	notifyEp := f.h2.MustBind(41000)
+	f.a2.Interest(testKey)
 	f.k.At(0, func() { f.a1.Offer(testKey, 1, 0, appEp.Addr()) })
-	f.k.Run(logical.Time(10 * logical.Millisecond))
-	// Withdraw on the server but subscribe using a2's still-fresh cache
-	// before the stop-offer propagates.
+	// The provider crashes and comes back with a fresh agent on the same
+	// SD port that has not offered yet; a2 subscribes using its
+	// still-fresh cache entry, which points at that port.
+	f.h1.Crash(logical.Time(10 * logical.Millisecond))
+	f.h1.Restart(logical.Time(20*logical.Millisecond), func() {
+		a1, err := NewAgent(f.h1, AgentConfig{})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if a1.conn.LocalAddr() != f.a1.conn.LocalAddr() {
+			t.Errorf("restarted agent bound %v, want the old SD address %v", a1.conn.LocalAddr(), f.a1.conn.LocalAddr())
+		}
+	})
 	var acked *bool
-	f.k.At(f.k.Now(), func() {
-		f.a1.StopOffer(testKey)
+	f.k.At(logical.Time(30*logical.Millisecond), func() {
 		f.a2.Subscribe(testKey, 1, notifyEp.Addr(), func(ok bool) { acked = &ok })
 	})
 	f.k.Run(logical.Time(200 * logical.Millisecond))
 	if acked == nil || *acked {
-		t.Error("subscription should be nacked after stop-offer")
+		t.Error("subscription should be nacked by an agent that does not offer the service")
 	}
 }
 
@@ -250,7 +273,14 @@ func TestUnsubscribeRemovesSubscriber(t *testing.T) {
 	if len(f.a1.Subscribers(testKey, eg)) != 1 {
 		t.Fatal("not subscribed")
 	}
-	f.k.At(f.k.Now(), func() { f.a2.Unsubscribe(testKey, eg, notifyEp.Addr()) })
+	// An unsubscribe is a subscribe entry with TTL 0.
+	f.k.At(f.k.Now(), func() {
+		f.a2.send(f.a1.conn.LocalAddr(), []Entry{{
+			Type: SubscribeEventgroup, Service: testKey.Service, Instance: testKey.Instance,
+			Major: 1, TTL: 0, Eventgroup: eg,
+			Options: []Option{{Type: IPv4EndpointOption, Addr: notifyEp.Addr(), Proto: UDPProto}},
+		}})
+	})
 	f.k.Run(logical.Time(100 * logical.Millisecond))
 	if len(f.a1.Subscribers(testKey, eg)) != 0 {
 		t.Error("unsubscribe did not remove subscriber")
@@ -293,13 +323,13 @@ func TestTwoServicesIndependent(t *testing.T) {
 		f.a1.Offer(testKey, 1, 0, ep1.Addr())
 		f.a1.Offer(key2, 1, 0, ep2.Addr())
 	})
-	f.k.Run(logical.Time(10 * logical.Millisecond))
-	s1, ok1 := f.a2.Lookup(testKey)
-	s2, ok2 := f.a2.Lookup(key2)
-	if !ok1 || !ok2 {
+	p1 := findAt(f.k, f.a2, testKey, logical.Time(10*logical.Millisecond))
+	p2 := findAt(f.k, f.a2, key2, logical.Time(10*logical.Millisecond))
+	f.k.Run(logical.Time(20 * logical.Millisecond))
+	if !p1.cached || !p2.cached {
 		t.Fatal("not both discovered")
 	}
-	if s1.Endpoint == s2.Endpoint {
+	if p1.svc.Endpoint == p2.svc.Endpoint {
 		t.Error("endpoints must differ")
 	}
 }

@@ -49,9 +49,6 @@ func NewConn(ep *simnet.Endpoint, tagged bool) *Conn {
 	return c
 }
 
-// Addr returns the bound address in its substrate-specific form.
-func (c *Conn) Addr() simnet.Addr { return c.ep.Addr() }
-
 // LocalAddr returns the bound address.
 func (c *Conn) LocalAddr() Addr { return c.ep.Addr() }
 

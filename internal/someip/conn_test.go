@@ -37,7 +37,7 @@ func TestConnRoundTrip(t *testing.T) {
 	var got *Message
 	b.OnMessage(func(src Addr, m *Message) { got = keep(m) })
 	m := &Message{Service: 1, Method: 2, Type: TypeRequest, Payload: []byte("hi")}
-	k.At(0, func() { a.Send(b.Addr(), m) })
+	k.At(0, func() { a.Send(b.Endpoint().Addr(), m) })
 	k.RunAll()
 	if got == nil || !bytes.Equal(got.Payload, []byte("hi")) {
 		t.Fatalf("got %v", got)
@@ -55,7 +55,7 @@ func TestConnTaggedCarriesTag(t *testing.T) {
 	b.OnMessage(func(src Addr, m *Message) { got = keep(m) })
 	tag := logical.Tag{Time: 7, Microstep: 1}
 	k.At(0, func() {
-		a.Send(b.Addr(), &Message{Service: 1, Method: 2, Type: TypeNotification, Tag: &tag})
+		a.Send(b.Endpoint().Addr(), &Message{Service: 1, Method: 2, Type: TypeNotification, Tag: &tag})
 	})
 	k.RunAll()
 	if got == nil || got.Tag == nil || *got.Tag != tag {
@@ -69,7 +69,7 @@ func TestConnUntaggedStripsTag(t *testing.T) {
 	b.OnMessage(func(src Addr, m *Message) { got = keep(m) })
 	tag := logical.Tag{Time: 7}
 	k.At(0, func() {
-		a.Send(b.Addr(), &Message{Service: 1, Method: 2, Type: TypeNotification, Payload: []byte("z"), Tag: &tag})
+		a.Send(b.Endpoint().Addr(), &Message{Service: 1, Method: 2, Type: TypeNotification, Payload: []byte("z"), Tag: &tag})
 	})
 	k.RunAll()
 	if got == nil {
@@ -92,7 +92,7 @@ func TestConnDecodeErrorSurfaces(t *testing.T) {
 	conn := NewConn(h2.MustBind(2), false)
 	var gotErr error
 	conn.OnError(func(src Addr, err error) { gotErr = err })
-	k.At(0, func() { raw.Send(conn.Addr(), []byte{1, 2, 3}) })
+	k.At(0, func() { raw.Send(conn.Endpoint().Addr(), []byte{1, 2, 3}) })
 	k.RunAll()
 	if gotErr == nil {
 		t.Error("decode error not surfaced")

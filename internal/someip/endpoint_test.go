@@ -43,7 +43,7 @@ func buildSimPair(t *testing.T, tagged bool) endpointFixture {
 	a := NewConn(ha.MustBind(1000), tagged)
 	b := NewConn(n.AddHost("b", nil).MustBind(2000), tagged)
 	rawEP := ha.MustBind(1001)
-	raw := func(wire []byte) { rawEP.Send(b.Addr(), wire) }
+	raw := func(wire []byte) { rawEP.Send(b.Endpoint().Addr(), wire) }
 	return endpointFixture{a: a, b: b, pump: func() { k.RunAll() }, raw: raw}
 }
 

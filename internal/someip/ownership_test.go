@@ -51,7 +51,7 @@ func TestConnReceiveAliasesDatagram(t *testing.T) {
 			aliased = &m.Payload[0] == &wire[HeaderSize]
 			sawTag = m.Tag != nil && *m.Tag == tag
 		})
-		b.receive(simnet.Datagram{Src: a.Addr(), Dst: b.Addr(), Payload: wire})
+		b.receive(simnet.Datagram{Src: a.Endpoint().Addr(), Dst: b.Endpoint().Addr(), Payload: wire})
 		if !aliased {
 			t.Errorf("tagged=%v: payload does not alias the datagram", tagged)
 		}

@@ -12,7 +12,7 @@ import (
 // and a cyclic period *longer* than the TTL, so a silent provider's
 // offer expires between announcements — the window the TTL machinery
 // exists for. sd_test.go covers the codec; these tests cover the cache
-// lifecycle: expiry, stop-offer and re-offer after a crash/restart.
+// lifecycle: expiry, refresh and re-offer after a crash/restart.
 func newLifecycleFixture(t *testing.T) *sdFixture {
 	t.Helper()
 	k := des.NewKernel(1)
@@ -40,18 +40,13 @@ func TestOfferTTLExpiry(t *testing.T) {
 	f.a2.Interest(testKey)
 	f.k.At(0, func() { f.a1.Offer(testKey, 1, 0, appEp.Addr()) })
 
-	var cachedAt500ms, cachedAt1500ms bool
-	f.k.At(logical.Time(500*logical.Millisecond), func() {
-		_, cachedAt500ms = f.a2.Lookup(testKey)
-	})
-	f.k.At(logical.Time(1500*logical.Millisecond), func() {
-		_, cachedAt1500ms = f.a2.Lookup(testKey)
-	})
+	at500ms := findAt(f.k, f.a2, testKey, logical.Time(500*logical.Millisecond))
+	at1500ms := findAt(f.k, f.a2, testKey, logical.Time(1500*logical.Millisecond))
 	f.k.Run(logical.Time(2 * logical.Second))
-	if !cachedAt500ms {
+	if !at500ms.cached {
 		t.Fatal("offer not cached inside its TTL")
 	}
-	if cachedAt1500ms {
+	if at1500ms.cached {
 		t.Fatal("offer still cached after TTL expiry without refresh")
 	}
 }
@@ -68,37 +63,27 @@ func TestOfferTTLRefreshedByCyclicOffer(t *testing.T) {
 	appEp := f.h1.MustBind(40000)
 	f.a2.Interest(testKey)
 	f.k.At(0, func() { a1.Offer(testKey, 1, 0, appEp.Addr()) })
-	stillCached := true
+	var probes []*findProbe
 	for ms := 500; ms <= 3500; ms += 500 {
-		at := logical.Time(ms) * logical.Time(logical.Millisecond)
-		f.k.At(at, func() {
-			if _, ok := f.a2.Lookup(testKey); !ok {
-				stillCached = false
-			}
-		})
+		probes = append(probes, findAt(f.k, f.a2, testKey, logical.Time(ms)*logical.Time(logical.Millisecond)))
 	}
 	f.k.Run(logical.Time(4 * logical.Second))
-	if !stillCached {
-		t.Fatal("cache expired despite cyclic refreshes inside the TTL")
+	for i, pr := range probes {
+		if !pr.cached {
+			t.Fatalf("cache expired at %dms despite cyclic refreshes inside the TTL", 500*(i+1))
+		}
 	}
 }
 
-// Monitor must report the full lifecycle under a provider crash: up on
-// discovery, down on TTL expiry (a crashed host sends no stop-offer),
-// up again when the restarted provider re-offers from a fresh endpoint.
-func TestMonitorObservesCrashAndReoffer(t *testing.T) {
+// Under a provider crash the consumer's cache follows the provider's
+// lifecycle: the entry expires by TTL (a crashed host sends no
+// stop-offer), and the restarted provider's offer from a fresh endpoint
+// replaces it.
+func TestCacheFollowsCrashAndReoffer(t *testing.T) {
 	f := newLifecycleFixture(t)
 	appEp := f.h1.MustBind(40000)
+	f.a2.Interest(testKey)
 	f.k.At(0, func() { f.a1.Offer(testKey, 1, 0, appEp.Addr()) })
-
-	var ups []simnet.Addr
-	downs := 0
-	f.k.At(logical.Time(10*logical.Millisecond), func() {
-		f.a2.Monitor(testKey,
-			func(svc RemoteService) { ups = append(ups, svc.Endpoint.(simnet.Addr)) },
-			func() { downs++ })
-	})
-
 	// The provider platform dies silently at 500ms...
 	f.h1.Crash(logical.Time(500 * logical.Millisecond))
 	// ...and comes back at 3s with a rebuilt SD stack and a new offer.
@@ -111,59 +96,17 @@ func TestMonitorObservesCrashAndReoffer(t *testing.T) {
 		appEp2 := f.h1.MustBind(40001)
 		a1b.Offer(testKey, 1, 0, appEp2.Addr())
 	})
-
+	before := findAt(f.k, f.a2, testKey, logical.Time(100*logical.Millisecond))
+	outage := findAt(f.k, f.a2, testKey, logical.Time(2*logical.Second))
+	after := findAt(f.k, f.a2, testKey, logical.Time(3500*logical.Millisecond))
 	f.k.Run(logical.Time(4 * logical.Second))
-	if len(ups) != 2 {
-		t.Fatalf("ups = %v, want discovery + post-restart re-discovery", ups)
+	if !before.cached || before.svc.Endpoint.(simnet.Addr).Port != 40000 {
+		t.Fatalf("before the crash: cached %v, %+v", before.cached, before.svc)
 	}
-	if downs != 1 {
-		t.Fatalf("downs = %d, want exactly the TTL expiry", downs)
+	if outage.cached {
+		t.Fatal("crashed provider still cached after its TTL")
 	}
-	if ups[0] == ups[1] {
-		t.Fatalf("re-discovery must carry the restarted endpoint, got %v twice", ups[0])
-	}
-	if svc, ok := f.a2.Lookup(testKey); !ok || svc.Endpoint.(simnet.Addr).Port != 40001 {
-		t.Fatalf("cache after restart = %+v, %v", svc, ok)
-	}
-}
-
-// A graceful StopOffer must notify monitors immediately (TTL-0 offer),
-// not after the TTL.
-func TestMonitorObservesStopOffer(t *testing.T) {
-	f := newLifecycleFixture(t)
-	appEp := f.h1.MustBind(40000)
-	f.k.At(0, func() { f.a1.Offer(testKey, 1, 0, appEp.Addr()) })
-	downs := 0
-	var downAt logical.Time
-	f.k.At(logical.Time(10*logical.Millisecond), func() {
-		f.a2.Monitor(testKey, nil, func() { downs++; downAt = f.k.Now() })
-	})
-	f.k.At(logical.Time(100*logical.Millisecond), func() { f.a1.StopOffer(testKey) })
-	f.k.Run(logical.Time(2 * logical.Second))
-	if downs != 1 {
-		t.Fatalf("downs = %d, want 1", downs)
-	}
-	if downAt > logical.Time(200*logical.Millisecond) {
-		t.Fatalf("down at %v: stop-offer must act immediately, not via TTL", downAt)
-	}
-}
-
-// Monitor on an already-cached service fires up immediately; cyclic
-// refreshes from the unchanged endpoint stay silent.
-func TestMonitorImmediateUpAndSilentRefresh(t *testing.T) {
-	f := newLifecycleFixture(t)
-	a1, err := NewAgent(f.h1, AgentConfig{CyclicOfferPeriod: 300 * logical.Millisecond, TTL: logical.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appEp := f.h1.MustBind(40000)
-	f.k.At(0, func() { a1.Offer(testKey, 1, 0, appEp.Addr()) })
-	ups := 0
-	f.k.At(logical.Time(50*logical.Millisecond), func() {
-		f.a2.Monitor(testKey, func(RemoteService) { ups++ }, nil)
-	})
-	f.k.Run(logical.Time(2 * logical.Second))
-	if ups != 1 {
-		t.Fatalf("ups = %d: want one immediate up, no re-fires on cyclic refresh", ups)
+	if !after.cached || after.svc.Endpoint.(simnet.Addr).Port != 40001 {
+		t.Fatalf("after the restart: cached %v, %+v", after.cached, after.svc)
 	}
 }
