@@ -97,7 +97,7 @@ func Connect[T any](up, down *Port[T]) { reactor.Connect(up, down) }
 type SWC = core.SWC
 
 // TransactorConfig carries per-transactor timing parameters (deadline D,
-// latency bound L, clock error bound E, untagged-message policy).
+// latency bound L, clock error bound E).
 type TransactorConfig = core.TransactorConfig
 
 // LinkConfig carries the timing assumptions of a DEAR deployment.

@@ -13,7 +13,8 @@ package dear_test
 //   - TestFacadeExportsHaveCallers keeps dear.go at what its callers
 //     use, and the docs at what dear.go exports.
 //   - TestLibraryExportsHaveCallers (reach_test.go) keeps the code under
-//     internal/ that no program reaches at what testdata/unreachable.txt
+//     internal/ that no program reaches, and the exported struct fields
+//     there that no program writes, at what testdata/unreachable.txt
 //     lists.
 //   - TestDocsCommandPathsExist keeps the command paths the docs tell a
 //     reader to run at directories that exist.

@@ -179,7 +179,7 @@ func NewBaseline(seed uint64, cfg BaselineConfig) (*Baseline, error) {
 	preRT.FindService(VideoFeedIface, PipelineInstance, func(px *ara.Proxy) {
 		err := px.Subscribe("frame", func(c *ara.Ctx, payload []byte) {
 			preBuf.put(payload)
-		}, nil)
+		})
 		if err != nil {
 			panic(err)
 		}
@@ -221,12 +221,12 @@ func NewBaseline(seed uint64, cfg BaselineConfig) (*Baseline, error) {
 	cvRT.FindService(PreOutIface, PipelineInstance, func(px *ara.Proxy) {
 		if err := px.Subscribe("frame", func(c *ara.Ctx, payload []byte) {
 			cvFrameBuf.put(payload)
-		}, nil); err != nil {
+		}); err != nil {
 			panic(err)
 		}
 		if err := px.Subscribe("lane", func(c *ara.Ctx, payload []byte) {
 			cvLaneBuf.put(payload)
-		}, nil); err != nil {
+		}); err != nil {
 			panic(err)
 		}
 	})
@@ -272,7 +272,7 @@ func NewBaseline(seed uint64, cfg BaselineConfig) (*Baseline, error) {
 	ebaRT.FindService(CVOutIface, PipelineInstance, func(px *ara.Proxy) {
 		if err := px.Subscribe("vehicles", func(c *ara.Ctx, payload []byte) {
 			ebaBuf.put(payload)
-		}, nil); err != nil {
+		}); err != nil {
 			panic(err)
 		}
 	})

@@ -201,7 +201,7 @@ func NewDeterministic(seed uint64, cfg DeterministicConfig) (*Deterministic, err
 		// The raw camera endpoint feeds the physical action.
 		ep := p2.MustBind(VideoPort)
 		ep.OnReceive(func(dg simnet.Datagram) {
-			frames.ScheduleAsync(dg.Payload, 0)
+			frames.ScheduleAsync(dg.Payload)
 		})
 		sk.Offer()
 		// Track deadline violations of the sensor's forwarding chain.

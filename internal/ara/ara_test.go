@@ -20,7 +20,7 @@ var calcIface = &ServiceInterface{
 		{ID: 0x0001, Name: "set_value"},
 		{ID: 0x0002, Name: "add"},
 		{ID: 0x0003, Name: "get_value"},
-		{ID: 0x0004, Name: "log", FireAndForget: true},
+		{ID: 0x0004, Name: "log"},
 	},
 	Events: []EventSpec{
 		{ID: someip.EventID(1), Name: "tick", Eventgroup: 1},
@@ -147,7 +147,7 @@ func TestUnknownMethodReturnsError(t *testing.T) {
 			err = ferr
 			return
 		}
-		_, err = px.CallID(0x7777, nil, false).Get(c.Process())
+		_, err = px.CallID(0x7777, nil).Get(c.Process())
 	})
 	f.k.Run(logical.Time(10 * logical.Second))
 	re, ok := err.(*RemoteError)
@@ -204,29 +204,27 @@ func TestHandlerErrorMapsToReturnCode(t *testing.T) {
 	}
 }
 
+// A REQUEST_NO_RETURN from a SOME/IP peer runs its handler once and
+// gets no response.
 func TestFireAndForget(t *testing.T) {
 	f := newFixture(t, 1, serialExec())
-	logged := 0
+	var logged []string
 	if err := f.skeleton.Handle("log", func(c *Ctx, args []byte) ([]byte, error) {
-		logged++
-		return nil, nil
+		logged = append(logged, string(args))
+		return []byte("dropped"), nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	f.client.Spawn("main", func(c *Ctx) {
-		px, err := f.client.FindServiceSync(c.Process(), calcIface, 1, logical.Duration(logical.Second))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		fut := px.Call("log", []byte("hi"))
-		if !fut.done {
-			t.Error("fire&forget future should resolve immediately")
-		}
+	peer := someip.NewConn(f.h2.MustBind(40000), false)
+	f.k.At(logical.Time(logical.Millisecond), func() {
+		sendNoReturn(t, peer, f.server.Addr(), calcIface.ID, 0x0004, []byte("hi"))
 	})
 	f.k.Run(logical.Time(10 * logical.Second))
-	if logged != 1 {
-		t.Errorf("logged = %d, want 1", logged)
+	if len(logged) != 1 || logged[0] != "hi" {
+		t.Errorf("logged %q, want [hi]", logged)
+	}
+	if _, received, _ := peer.Stats(); received != 0 {
+		t.Errorf("peer received %d replies to a fire&forget request", received)
 	}
 }
 
@@ -240,7 +238,7 @@ func TestEventSubscribeNotify(t *testing.T) {
 			return
 		}
 		acked := false
-		if err := px.Subscribe("tick", func(c *Ctx, payload []byte) {
+		if err := px.SubscribeID(someip.EventID(1), 1, func(c *Ctx, payload []byte) {
 			got = append(got, decodeU32(payload))
 		}, func(ok bool) { acked = ok }); err != nil {
 			t.Error(err)

@@ -249,7 +249,7 @@ func TestCommunicatingDeterministicClientsStillNondeterministic(t *testing.T) {
 		consumer.FindService(iface, 1, func(px *Proxy) {
 			if err := px.Subscribe("data", func(c *Ctx, payload []byte) {
 				slot = payload
-			}, nil); err != nil {
+			}); err != nil {
 				t.Error(err)
 			}
 		})

@@ -19,9 +19,10 @@ type Ctx struct {
 }
 
 // Message returns the SOME/IP message that triggered this handler, or nil
-// for tasks not associated with a message. The DEAR transactors use it to
-// retrieve the tag that the modified binding extracted from the wire.
-// Like the Ctx, it is valid only while the handler runs.
+// in a Runtime.Spawn or Runtime.Every body, which no message triggers.
+// The DEAR transactors use it to retrieve the tag that the modified
+// binding extracted from the wire. Like the Ctx, it is valid only while
+// the handler runs.
 func (c *Ctx) Message() *someip.Message { return c.msg }
 
 // Now returns the current simulated (global) time.
@@ -36,15 +37,6 @@ func (c *Ctx) Runtime() *Runtime { return c.rt }
 // Process returns the simulated worker thread running the handler. An
 // executor thread is reused by later tasks once the handler returns.
 func (c *Ctx) Process() *des.Process { return c.p }
-
-// task is one unit of work for the executor: a function, or a served
-// message (which carries its runtime).
-type task struct {
-	fn func(*Ctx)
-	s  *serve
-}
-
-func (t task) empty() bool { return t.fn == nil && t.s == nil }
 
 // ExecConfig configures the executor of a runtime.
 type ExecConfig struct {
@@ -82,10 +74,11 @@ const (
 	scheduled
 )
 
-// Executor dispatches tasks onto a pool of simulated worker threads, in
-// FIFO order, each after a DispatchJitter draw. Concurrent invocations
-// run on different threads — per the AP communication-management
-// default, "the runtime maps each invocation to a different thread".
+// Executor dispatches tasks, the served messages of its runtime, onto a
+// pool of simulated worker threads, in FIFO order, each after a
+// DispatchJitter draw. Concurrent invocations run on different threads
+// — per the AP communication-management default, "the runtime maps each
+// invocation to a different thread".
 //
 // Dispatch runs in kernel context, as transient events scheduled exactly
 // where a dispatcher process would have been started or woken: by a
@@ -104,7 +97,7 @@ type Executor struct {
 	// queue[head:] are the tasks waiting for a thread, in FIFO order.
 	// Dequeuing advances head instead of reslicing, and an emptied queue
 	// rewinds, so the backing array is reused once warm.
-	queue []task
+	queue []*serve
 	head  int
 	mutex *Mutex
 	state dispatchState
@@ -118,9 +111,9 @@ type Executor struct {
 type worker struct {
 	e *Executor
 	p *des.Process
-	// next is the task handed over by dispatch (zero while idle), and
+	// next is the task handed over by dispatch (nil while idle), and
 	// at the time it may start.
-	next task
+	next *serve
 	at   logical.Time
 	// ctx is handed to every task the thread runs.
 	ctx Ctx
@@ -144,7 +137,7 @@ func NewExecutor(k *des.Kernel, rng *des.Rand, cfg ExecConfig) *Executor {
 }
 
 // submit queues t to run on a worker thread after the dispatch jitter.
-func (e *Executor) submit(t task) {
+func (e *Executor) submit(t *serve) {
 	e.queue = append(e.queue, t)
 	if e.state == waitTask {
 		e.state = scheduled
@@ -167,7 +160,7 @@ func dispatchFn(a any) {
 			return
 		}
 		t := e.queue[e.head]
-		e.queue[e.head] = task{}
+		e.queue[e.head] = nil
 		if e.head++; e.head == len(e.queue) {
 			e.queue, e.head = e.queue[:0], 0
 		}
@@ -193,7 +186,7 @@ func (w *worker) run(p *des.Process) {
 	w.ctx.p = p
 	for {
 		t := w.next
-		w.next = task{}
+		w.next = nil
 		e.runTask(&w.ctx, t)
 		e.busy--
 		if e.state == waitWorker {
@@ -205,7 +198,7 @@ func (w *worker) run(p *des.Process) {
 		// FindServiceSync callback after its timeout, say) may arrive
 		// first; it finds no task, or a start time still ahead, and the
 		// worker parks again until its own UnparkAt.
-		for w.next.empty() || p.Now() < w.at {
+		for w.next == nil || p.Now() < w.at {
 			p.Park()
 		}
 	}
@@ -213,16 +206,12 @@ func (w *worker) run(p *des.Process) {
 
 // runTask runs one task with the worker's Ctx c. The deferred Unlock
 // also runs when a kernel shutdown kills the task mid-Exec.
-func (e *Executor) runTask(c *Ctx, t task) {
+func (e *Executor) runTask(c *Ctx, t *serve) {
 	if e.cfg.Serialized {
 		e.mutex.Lock(c.p)
 		defer e.mutex.Unlock()
 	}
-	if t.s != nil {
-		t.s.run(c)
-	} else {
-		t.fn(c)
-	}
+	t.run(c)
 	c.rt, c.msg = nil, nil
 }
 

@@ -27,7 +27,7 @@ func pinRun(workers int, serialized bool) (lines []string, events uint64, peak i
 	submit = func(depth int) {
 		id := next
 		next++
-		e.submit(task{fn: func(c *Ctx) {
+		e.submit(&serve{event: func(c *Ctx, _ []byte) {
 			inside++
 			if inside > peak {
 				peak = inside
@@ -106,19 +106,23 @@ func TestExecutorSchedulePinned(t *testing.T) {
 
 // TestExecutorSteadyStateBudget gates the pooled executor's steady state:
 // once warm, tasks through a serialized two-thread executor spawn no
-// process and no goroutine, and allocate no more per task than the task
-// closure its submitter builds (each worker thread reuses one Ctx).
+// process and no goroutine, and allocate nothing: the tasks are built
+// outside the measured rounds, and each worker thread reuses one Ctx.
 func TestExecutorSteadyStateBudget(t *testing.T) {
 	const n = 200
 	k := des.NewKernel(1)
 	e := NewExecutor(k, k.Rand("exec"), ExecConfig{Workers: 2, Serialized: true})
 	sum := 0
+	tasks := make([]*serve, n)
+	for i := range tasks {
+		tasks[i] = &serve{event: func(c *Ctx, _ []byte) {
+			sum += i
+			c.Exec(10 * logical.Microsecond)
+		}}
+	}
 	round := func() {
-		for i := 0; i < n; i++ {
-			e.submit(task{fn: func(c *Ctx) {
-				sum += i
-				c.Exec(10 * logical.Microsecond)
-			}})
+		for _, s := range tasks {
+			e.submit(s)
 		}
 		k.RunAll()
 	}
@@ -133,8 +137,8 @@ func TestExecutorSteadyStateBudget(t *testing.T) {
 		t.Errorf("steady state grew the pool: workers %d -> %d, goroutines %d -> %d",
 			workers, len(e.idle), goroutines, runtime.NumGoroutine())
 	}
-	if perTask > 1 {
-		t.Errorf("%.3f allocs/task, budget 1 (task closure)", perTask)
+	if perTask > 0 {
+		t.Errorf("%.3f allocs/task, budget 0", perTask)
 	}
 	k.Shutdown()
 }
@@ -174,7 +178,7 @@ func TestExecutorShutdownReleasesWorkers(t *testing.T) {
 	}
 	// One task holds the mutex inside a long Exec; a second waits for it.
 	for i := 0; i < 2; i++ {
-		e.submit(task{fn: func(c *Ctx) { c.Exec(logical.Second) }})
+		e.submit(&serve{event: func(c *Ctx, _ []byte) { c.Exec(logical.Second) }})
 	}
 	f.k.Run(f.k.Now().Add(10 * logical.Millisecond))
 	if !e.mutex.locked || len(e.mutex.waiters) != 1 {
@@ -202,14 +206,14 @@ func TestExecutorIgnoresStaleUnpark(t *testing.T) {
 	e := NewExecutor(k, k.Rand("exec"), ExecConfig{Workers: 1, DispatchJitter: jitter})
 	var first *des.Process
 	var starts []logical.Time
-	e.submit(task{fn: func(c *Ctx) {
+	e.submit(&serve{event: func(c *Ctx, _ []byte) {
 		first = c.Process()
 		starts = append(starts, c.Now())
 		c.Exec(5)
 	}})
 	k.At(20, func() { first.Unpark() }) // idle: no task
 	k.At(30, func() {
-		e.submit(task{fn: func(c *Ctx) { starts = append(starts, c.Now()) }})
+		e.submit(&serve{event: func(c *Ctx, _ []byte) { starts = append(starts, c.Now()) }})
 	})
 	k.At(35, func() { first.Unpark() }) // handed a task due at 40
 	k.RunAll()

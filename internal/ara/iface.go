@@ -21,8 +21,6 @@ import (
 type MethodSpec struct {
 	ID   someip.MethodID
 	Name string
-	// FireAndForget marks methods without a response message.
-	FireAndForget bool
 }
 
 // EventSpec describes one event of a service interface.
@@ -48,7 +46,6 @@ type ServiceInterface struct {
 	Name    string
 	ID      someip.ServiceID
 	Major   uint8
-	Minor   uint32
 	Methods []MethodSpec
 	Events  []EventSpec
 	Fields  []FieldSpec

@@ -41,7 +41,7 @@ func (rt *Runtime) FindService(si *ServiceInterface, instance someip.InstanceID,
 func (rt *Runtime) StaticProxy(si *ServiceInterface, instance someip.InstanceID, endpoint someip.Addr) *Proxy {
 	key := someip.ServiceKey{Service: si.ID, Instance: instance}
 	return &Proxy{rt: rt, iface: si, key: key, remote: someip.RemoteService{
-		Key: key, Major: si.Major, Minor: si.Minor, Endpoint: endpoint,
+		Key: key, Major: si.Major, Endpoint: endpoint,
 	}}
 }
 
@@ -71,16 +71,11 @@ func (px *Proxy) Call(method string, args []byte) *Future {
 	if !ok {
 		return ResolvedFuture(px.rt.k, Result{Err: fmt.Errorf("ara: %s has no method %q", px.iface.Name, method)})
 	}
-	return px.CallID(spec.ID, args, spec.FireAndForget)
+	return px.CallID(spec.ID, args)
 }
 
-// CallID invokes a method by wire ID. When fireAndForget is true the
-// returned future resolves immediately with an empty result.
-func (px *Proxy) CallID(method someip.MethodID, args []byte, fireAndForget bool) *Future {
-	typ := someip.TypeRequest
-	if fireAndForget {
-		typ = someip.TypeRequestNoReturn
-	}
+// CallID invokes a method by wire ID.
+func (px *Proxy) CallID(method someip.MethodID, args []byte) *Future {
 	session := px.rt.nextSession()
 	px.rt.out = someip.Message{
 		Service:          px.key.Service,
@@ -88,17 +83,11 @@ func (px *Proxy) CallID(method someip.MethodID, args []byte, fireAndForget bool)
 		Client:           px.rt.clientID,
 		Session:          session,
 		InterfaceVersion: px.iface.Major,
-		Type:             typ,
+		Type:             someip.TypeRequest,
 		Code:             someip.EOK,
 		Payload:          args,
 	}
 	m := &px.rt.out
-	if fireAndForget {
-		if err := px.rt.send(px.remote.Endpoint, m); err != nil {
-			return ResolvedFuture(px.rt.k, Result{Err: fmt.Errorf("%w: %v", ErrServiceNotAvailable, err)})
-		}
-		return ResolvedFuture(px.rt.k, Result{})
-	}
 	fut := NewFuture(px.rt.k)
 	px.rt.pending[session] = fut
 	if err := px.rt.send(px.remote.Endpoint, m); err != nil {
@@ -111,17 +100,17 @@ func (px *Proxy) CallID(method someip.MethodID, args []byte, fireAndForget bool)
 }
 
 // Subscribe registers a handler for an event by name. The handler runs on
-// the runtime's worker pool for every received notification. ack, if not
-// nil, reports the SD subscription outcome.
-func (px *Proxy) Subscribe(event string, handler func(*Ctx, []byte), ack func(ok bool)) error {
+// the runtime's worker pool for every received notification.
+func (px *Proxy) Subscribe(event string, handler func(*Ctx, []byte)) error {
 	spec, ok := px.iface.Event(event)
 	if !ok {
 		return fmt.Errorf("ara: %s has no event %q", px.iface.Name, event)
 	}
-	return px.SubscribeID(spec.ID, spec.Eventgroup, handler, ack)
+	return px.SubscribeID(spec.ID, spec.Eventgroup, handler, nil)
 }
 
 // SubscribeID registers a handler for an event by wire ID and eventgroup.
+// ack, if not nil, reports the SD subscription outcome.
 func (px *Proxy) SubscribeID(id someip.MethodID, eventgroup uint16, handler func(*Ctx, []byte), ack func(ok bool)) error {
 	if !id.IsEvent() {
 		return fmt.Errorf("ara: id %#x is not an event", uint16(id))

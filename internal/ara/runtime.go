@@ -33,8 +33,6 @@ type Config struct {
 	Port uint16
 	// Exec configures the worker-thread pool.
 	Exec ExecConfig
-	// SD configures service discovery timing.
-	SD someip.AgentConfig
 	// Tagged selects the modified (tag-aware) SOME/IP binding.
 	Tagged bool
 	// WrapEndpoint, when set, wraps the runtime's transport endpoint at
@@ -94,7 +92,7 @@ func NewRuntime(host *simnet.Host, cfg Config) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	sd, err := someip.NewAgent(host, cfg.SD)
+	sd, err := someip.NewAgent(host)
 	if err != nil {
 		return nil, err
 	}
@@ -321,7 +319,7 @@ func (rt *Runtime) handleRequest(src someip.Addr, m *someip.Message) {
 		if h, ok := sk.handlers[m.Method]; ok {
 			s := rt.newServe(src, m)
 			s.method = h
-			rt.exec.submit(task{s: s})
+			rt.exec.submit(s)
 			return
 		}
 		code = someip.EUnknownMethod
@@ -377,7 +375,7 @@ func (rt *Runtime) handleNotification(m *someip.Message) {
 	for _, h := range rt.eventSubs[eventKey{m.Service, m.Method}] {
 		s := rt.newServe(nil, m)
 		s.event = h
-		rt.exec.submit(task{s: s})
+		rt.exec.submit(s)
 	}
 }
 

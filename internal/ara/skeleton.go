@@ -100,7 +100,7 @@ func (sk *Skeleton) HandleIDAsync(id someip.MethodID, h AsyncHandler) {
 func (sk *Skeleton) Offer() {
 	sk.offered = true
 	if sk.rt.sd != nil {
-		sk.rt.sd.Offer(sk.key, sk.iface.Major, sk.iface.Minor, sk.rt.simAddr())
+		sk.rt.sd.Offer(sk.key, sk.iface.Major, sk.rt.simAddr())
 	}
 }
 

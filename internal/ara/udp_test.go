@@ -24,7 +24,6 @@ var udpEchoIface = &ServiceInterface{
 	Major: 1,
 	Methods: []MethodSpec{
 		{ID: 1, Name: "echo"},
-		{ID: 2, Name: "fire", FireAndForget: true},
 	},
 }
 

@@ -46,21 +46,6 @@ func (lc LinkConfig) SafeToProcessOffset() logical.Duration {
 	return lc.Latency + lc.ClockError
 }
 
-// UntaggedPolicy selects how transactors treat messages that arrive
-// without a tag (from unmodified, non-DEAR peers).
-type UntaggedPolicy int
-
-const (
-	// UntaggedFail rejects untagged messages and counts an error — the
-	// default, because composing untagged components silently would
-	// reintroduce nondeterminism.
-	UntaggedFail UntaggedPolicy = iota
-	// UntaggedPhysicalTime stamps untagged messages with the physical
-	// time of reception, treating them like sporadic sensor inputs. This
-	// provides backward compatibility with standard AP components.
-	UntaggedPhysicalTime
-)
-
 // TimestampBypass pairs outgoing tags with the next message(s) that the
 // standard ara::com API sends for a given (service, method): the service
 // proxy and skeleton interfaces have no parameter for tags, so the
@@ -109,12 +94,9 @@ type Binding struct {
 	recvTags uint64
 }
 
-// NewBinding creates a binding hook around the bypass.
-func NewBinding(bypass *TimestampBypass) *Binding {
-	if bypass == nil {
-		bypass = NewTimestampBypass()
-	}
-	return &Binding{bypass: bypass}
+// NewBinding creates a binding hook around a fresh, empty bypass.
+func NewBinding() *Binding {
+	return &Binding{bypass: NewTimestampBypass()}
 }
 
 // Bypass returns the timestamp bypass used by this binding.
@@ -154,7 +136,7 @@ func (b *Binding) Stats() (tagged, untagged, received, recvTags uint64) {
 // Config.Tagged == true, and returns it. This is the entry point for
 // turning a standard SWC runtime into a DEAR-enabled one.
 func AttachBinding(rt *ara.Runtime) *Binding {
-	b := NewBinding(nil)
+	b := NewBinding()
 	rt.SetBindingHook(b)
 	return b
 }

@@ -409,61 +409,6 @@ func TestUntaggedFailPolicy(t *testing.T) {
 	}
 }
 
-func TestUntaggedPhysicalTimePolicy(t *testing.T) {
-	// With the compatibility policy, the untagged call is stamped with
-	// physical reception time and served normally.
-	f := newDearFixture(t, 1, nil)
-	cfg := tcfg()
-	cfg.Untagged = UntaggedPhysicalTime
-	var smt *ServerMethodTransactor
-	f.server.Start(logical.Duration(2*logical.Second), func(env *reactor.Environment) error {
-		sk, err := f.server.Runtime().NewSkeleton(echoIface, 1)
-		if err != nil {
-			return err
-		}
-		smt, err = NewServerMethodTransactor(env, f.server, sk, "echo", cfg)
-		if err != nil {
-			return err
-		}
-		logic := env.NewReactor("logic")
-		in := reactor.NewInputPort[[]byte](logic, "in")
-		out := reactor.NewOutputPort[[]byte](logic, "out")
-		reactor.Connect(smt.Request, in)
-		reactor.Connect(out, smt.Response)
-		logic.AddReaction("serve").Triggers(in).Effects(out).Do(func(c *reactor.Ctx) {
-			v, _ := in.Get(c)
-			out.Set(c, append([]byte("ok:"), v...))
-		})
-		sk.Offer()
-		return nil
-	})
-
-	plain, err := ara.NewRuntime(f.h2, ara.Config{Name: "legacy"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var payload []byte
-	var callErr error
-	plain.Spawn("main", func(c *ara.Ctx) {
-		px, ferr := plain.FindServiceSync(c.Process(), echoIface, 1, logical.Duration(logical.Second))
-		if ferr != nil {
-			callErr = ferr
-			return
-		}
-		payload, callErr = px.Call("echo", []byte("x")).Get(c.Process())
-	})
-	f.k.Run(logical.Time(2 * logical.Second))
-	if callErr != nil {
-		t.Fatal(callErr)
-	}
-	if string(payload) != "ok:x" {
-		t.Errorf("payload = %q", payload)
-	}
-	if smt.Stats().UntaggedAccepted != 1 {
-		t.Errorf("UntaggedAccepted = %d", smt.Stats().UntaggedAccepted)
-	}
-}
-
 func TestSafeToProcessViolationDetected(t *testing.T) {
 	// The actual network latency exceeds the assumed bound L: the
 	// receiver must detect and count the violated assumption.
@@ -664,7 +609,7 @@ func TestBypassStageClearPeek(t *testing.T) {
 }
 
 func TestBindingStatsCountTagged(t *testing.T) {
-	b := NewBinding(nil)
+	b := NewBinding()
 	m := &someip.Message{Service: 1, Method: 2, Type: someip.TypeRequest}
 	b.Outgoing(m) // nothing staged
 	if m.Tag != nil {

@@ -132,7 +132,6 @@ func sumStats(all ...TransactorStats) TransactorStats {
 		out.DeadlineViolations += s.DeadlineViolations
 		out.SafeToProcessViolations += s.SafeToProcessViolations
 		out.UntaggedDropped += s.UntaggedDropped
-		out.UntaggedAccepted += s.UntaggedAccepted
 		out.RemoteErrors += s.RemoteErrors
 	}
 	return out

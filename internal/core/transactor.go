@@ -17,8 +17,6 @@ type TransactorConfig struct {
 	Deadline logical.Duration
 	// Link carries L and E for the receive direction.
 	Link LinkConfig
-	// Untagged selects the policy for messages without tags.
-	Untagged UntaggedPolicy
 }
 
 // TransactorStats counts observable conditions at one transactor. In the
@@ -33,12 +31,10 @@ type TransactorStats struct {
 	// SafeToProcessViolations counts received messages whose tag + L + E
 	// was already in the logical past (a violated latency/clock bound).
 	SafeToProcessViolations uint64
-	// UntaggedDropped counts untagged messages rejected under
-	// UntaggedFail.
+	// UntaggedDropped counts messages rejected for arriving without a
+	// tag (from unmodified, non-DEAR peers): composing them silently
+	// would reintroduce nondeterminism.
 	UntaggedDropped uint64
-	// UntaggedAccepted counts untagged messages stamped with physical
-	// time under UntaggedPhysicalTime.
-	UntaggedAccepted uint64
 	// RemoteErrors counts failed method invocations (error responses).
 	RemoteErrors uint64
 }
@@ -48,15 +44,11 @@ func (s TransactorStats) Errors() uint64 {
 	return s.DeadlineViolations + s.SafeToProcessViolations + s.UntaggedDropped + s.RemoteErrors
 }
 
-// resolveTag applies the untagged policy to an incoming message tag.
-// physical is the local physical reception time used as fallback.
-func resolveTag(cfg *TransactorConfig, stats *TransactorStats, tag *logical.Tag, physical logical.Time) (logical.Tag, bool) {
+// resolveTag returns an incoming message's tag, or counts the message
+// in UntaggedDropped and reports false when it carries none.
+func resolveTag(stats *TransactorStats, tag *logical.Tag) (logical.Tag, bool) {
 	if tag != nil {
 		return *tag, true
-	}
-	if cfg.Untagged == UntaggedPhysicalTime {
-		stats.UntaggedAccepted++
-		return logical.Tag{Time: physical}, true
 	}
 	stats.UntaggedDropped++
 	return logical.Tag{}, false
@@ -75,7 +67,6 @@ type ClientMethodTransactor struct {
 	swc    *SWC
 	iface  *ara.ServiceInterface
 	method ara.MethodSpec
-	cfg    TransactorConfig
 	stats  TransactorStats
 
 	proxy *ara.Proxy
@@ -94,7 +85,7 @@ func NewClientMethodTransactor(env *reactor.Environment, swc *SWC, iface *ara.Se
 }
 
 func newClientMethodTransactor(env *reactor.Environment, swc *SWC, iface *ara.ServiceInterface, instance someip.InstanceID, spec ara.MethodSpec, cfg TransactorConfig) *ClientMethodTransactor {
-	t := &ClientMethodTransactor{swc: swc, iface: iface, method: spec, cfg: cfg}
+	t := &ClientMethodTransactor{swc: swc, iface: iface, method: spec}
 	// The up (request) and down (response) paths live in separate
 	// reactors: they share no state, and a single reactor would order
 	// them by priority, falsely closing a causality cycle for
@@ -124,12 +115,8 @@ func newClientMethodTransactor(env *reactor.Environment, swc *SWC, iface *ara.Se
 		wireTag := c.Tag().Delay(cfg.Deadline)
 		bp := t.swc.binding.Bypass()
 		bp.Stage(iface.ID, spec.ID, wireTag)
-		fut := t.proxy.CallID(spec.ID, payload, spec.FireAndForget)
+		fut := t.proxy.CallID(spec.ID, payload)
 		bp.Clear(iface.ID, spec.ID)
-		if spec.FireAndForget {
-			t.stats.Forwarded++
-			return
-		}
 		// (19,20) the response interrupt: retrieve ts+Ds and schedule an
 		// action at ts+Ds+L+E.
 		fut.Then(func(res ara.Result) {
@@ -137,7 +124,7 @@ func newClientMethodTransactor(env *reactor.Environment, swc *SWC, iface *ara.Se
 				t.stats.RemoteErrors++
 				return
 			}
-			tag, ok := resolveTag(&t.cfg, &t.stats, res.Tag, t.swc.runtime.Clock().Now())
+			tag, ok := resolveTag(&t.stats, res.Tag)
 			if !ok {
 				return
 			}
@@ -189,7 +176,6 @@ type ServerMethodTransactor struct {
 	swc    *SWC
 	iface  *ara.ServiceInterface
 	method ara.MethodSpec
-	cfg    TransactorConfig
 	stats  TransactorStats
 
 	req     *reactor.Action[[]byte]
@@ -209,7 +195,7 @@ func NewServerMethodTransactor(env *reactor.Environment, swc *SWC, sk *ara.Skele
 
 func newServerMethodTransactor(env *reactor.Environment, swc *SWC, sk *ara.Skeleton, spec ara.MethodSpec, cfg TransactorConfig) *ServerMethodTransactor {
 	iface := sk.Interface()
-	t := &ServerMethodTransactor{swc: swc, iface: iface, method: spec, cfg: cfg}
+	t := &ServerMethodTransactor{swc: swc, iface: iface, method: spec}
 	// Up (invocation in) and down (response out) paths in separate
 	// reactors — see newClientMethodTransactor.
 	r := env.NewReactor(fmt.Sprintf("smt.%s.%s.up", iface.Name, spec.Name))
@@ -224,7 +210,7 @@ func newServerMethodTransactor(env *reactor.Environment, swc *SWC, sk *ara.Skele
 	// tc+Dc+L+E.
 	sk.HandleIDAsync(spec.ID, func(c *ara.Ctx, args []byte) *ara.Future {
 		wireTag := c.Message().Tag
-		tag, ok := resolveTag(&t.cfg, &t.stats, wireTag, t.swc.runtime.Clock().Now())
+		tag, ok := resolveTag(&t.stats, wireTag)
 		if !ok {
 			return ara.ResolvedFuture(k, ara.Result{Err: &ara.RemoteError{Code: someip.EMissingTag}})
 		}
@@ -290,7 +276,6 @@ type ClientEventTransactor struct {
 	swc   *SWC
 	iface *ara.ServiceInterface
 	event ara.EventSpec
-	cfg   TransactorConfig
 	stats TransactorStats
 
 	act        *reactor.Action[[]byte]
@@ -308,14 +293,14 @@ func NewClientEventTransactor(env *reactor.Environment, swc *SWC, iface *ara.Ser
 }
 
 func newClientEventTransactor(env *reactor.Environment, swc *SWC, iface *ara.ServiceInterface, instance someip.InstanceID, spec ara.EventSpec, cfg TransactorConfig) *ClientEventTransactor {
-	t := &ClientEventTransactor{swc: swc, iface: iface, event: spec, cfg: cfg}
+	t := &ClientEventTransactor{swc: swc, iface: iface, event: spec}
 	r := env.NewReactor(fmt.Sprintf("cet.%s.%s", iface.Name, spec.Name))
 	t.Out = reactor.NewOutputPort[[]byte](r, "out")
 	t.act = reactor.NewPhysicalAction[[]byte](r, "notif", 0)
 
 	swc.runtime.FindService(iface, instance, func(px *ara.Proxy) {
 		err := px.SubscribeID(spec.ID, spec.Eventgroup, func(c *ara.Ctx, payload []byte) {
-			tag, ok := resolveTag(&t.cfg, &t.stats, c.Message().Tag, t.swc.runtime.Clock().Now())
+			tag, ok := resolveTag(&t.stats, c.Message().Tag)
 			if !ok {
 				return
 			}
@@ -356,7 +341,6 @@ type ServerEventTransactor struct {
 	swc   *SWC
 	sk    *ara.Skeleton
 	event ara.EventSpec
-	cfg   TransactorConfig
 	stats TransactorStats
 }
 
@@ -373,7 +357,7 @@ func NewServerEventTransactor(env *reactor.Environment, swc *SWC, sk *ara.Skelet
 
 func newServerEventTransactor(env *reactor.Environment, swc *SWC, sk *ara.Skeleton, spec ara.EventSpec, cfg TransactorConfig) *ServerEventTransactor {
 	iface := sk.Interface()
-	t := &ServerEventTransactor{swc: swc, sk: sk, event: spec, cfg: cfg}
+	t := &ServerEventTransactor{swc: swc, sk: sk, event: spec}
 	r := env.NewReactor(fmt.Sprintf("set.%s.%s", iface.Name, spec.Name))
 	t.In = reactor.NewInputPort[[]byte](r, "in")
 

@@ -8,13 +8,12 @@ import (
 	"repro/internal/reactor"
 )
 
-// ffIface adds a fire-and-forget method for transactor tests.
-var ffIface = &ara.ServiceInterface{
+// slowIface is a one-method service for the server-deadline test.
+var slowIface = &ara.ServiceInterface{
 	Name:  "Logger",
 	ID:    0x2202,
 	Major: 1,
 	Methods: []ara.MethodSpec{
-		{ID: 0x0001, Name: "log", FireAndForget: true},
 		{ID: 0x0002, Name: "slow"},
 	},
 }
@@ -96,7 +95,7 @@ func TestServerMethodTransactorDeadlineReturnsTimeout(t *testing.T) {
 		Link:     LinkConfig{Latency: 5 * ms},
 	}
 	f.server.Start(logical.Duration(2*logical.Second), func(env *reactor.Environment) error {
-		sk, err := f.server.Runtime().NewSkeleton(ffIface, 1)
+		sk, err := f.server.Runtime().NewSkeleton(slowIface, 1)
 		if err != nil {
 			return err
 		}
@@ -121,7 +120,7 @@ func TestServerMethodTransactorDeadlineReturnsTimeout(t *testing.T) {
 	// Plain DEAR client through a method transactor.
 	done := false
 	f.client.Start(logical.Duration(2*logical.Second), func(env *reactor.Environment) error {
-		cmt, err := NewClientMethodTransactor(env, f.client, ffIface, 1, "slow", tcfg())
+		cmt, err := NewClientMethodTransactor(env, f.client, slowIface, 1, "slow", tcfg())
 		if err != nil {
 			return err
 		}
@@ -143,57 +142,6 @@ func TestServerMethodTransactorDeadlineReturnsTimeout(t *testing.T) {
 	// remote error and forwards nothing.
 	if done {
 		t.Error("client received a payload despite server deadline violation")
-	}
-}
-
-func TestFireAndForgetThroughClientMethodTransactor(t *testing.T) {
-	f := newDearFixture(t, 1, nil)
-	received := 0
-	f.server.Start(logical.Duration(2*logical.Second), func(env *reactor.Environment) error {
-		sk, err := f.server.Runtime().NewSkeleton(ffIface, 1)
-		if err != nil {
-			return err
-		}
-		// Fire-and-forget handled directly at the skeleton (no response
-		// port needed).
-		sk.HandleIDAsync(0x0001, func(c *ara.Ctx, args []byte) *ara.Future {
-			received++
-			return ara.ResolvedFuture(f.k, ara.Result{})
-		})
-		sk.Offer()
-		return nil
-	})
-
-	var cmt *ClientMethodTransactor
-	f.client.Start(logical.Duration(2*logical.Second), func(env *reactor.Environment) error {
-		var err error
-		cmt, err = NewClientMethodTransactor(env, f.client, ffIface, 1, "log", tcfg())
-		if err != nil {
-			return err
-		}
-		logic := env.NewReactor("logic")
-		req := reactor.NewOutputPort[[]byte](logic, "req")
-		reactor.Connect(req, cmt.Request)
-		timer := reactor.NewTimer(logic, "kick", 300*ms, 50*ms)
-		n := 0
-		logic.AddReaction("send").Triggers(timer).Effects(req).Do(func(c *reactor.Ctx) {
-			n++
-			if n <= 3 {
-				req.Set(c, []byte{byte(n)})
-			}
-		})
-		return nil
-	})
-
-	f.k.Run(logical.Time(2 * logical.Second))
-	if received != 3 {
-		t.Errorf("server received %d fire-and-forget calls, want 3", received)
-	}
-	if cmt.Stats().Forwarded != 3 {
-		t.Errorf("forwarded = %d", cmt.Stats().Forwarded)
-	}
-	if cmt.Stats().Errors() != 0 {
-		t.Errorf("errors: %+v", cmt.Stats())
 	}
 }
 
@@ -232,7 +180,6 @@ func TestTransactorStatsErrorsSum(t *testing.T) {
 		SafeToProcessViolations: 2,
 		UntaggedDropped:         3,
 		RemoteErrors:            4,
-		UntaggedAccepted:        99, // not an error
 		Forwarded:               99, // not an error
 	}
 	if s.Errors() != 10 {

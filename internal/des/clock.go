@@ -6,7 +6,7 @@ import (
 
 // LocalClock models the local oscillator of a simulated platform: it runs
 // at a slightly different rate than global simulated time (drift, in parts
-// per billion) and starts with an offset. An optional synchronization
+// per billion) and starts in step with it. An optional synchronization
 // service (the AP time-sync substitute) periodically corrects the clock so
 // that its error against global time stays within a configured bound —
 // the "bounded clock synchronization error E" that PTIDES-style
@@ -29,8 +29,6 @@ type LocalClock struct {
 
 // ClockConfig configures a LocalClock.
 type ClockConfig struct {
-	// Offset is the initial local-minus-global offset.
-	Offset logical.Duration
 	// DriftPPB is the oscillator rate error in parts per billion.
 	// Typical crystal oscillators are within ±50_000 ppb (50 ppm).
 	DriftPPB int64
@@ -48,7 +46,7 @@ func (k *Kernel) NewLocalClock(cfg ClockConfig, rng *Rand) *LocalClock {
 	c := &LocalClock{
 		k:          k,
 		refGlobal:  k.now,
-		refLocal:   k.now.Add(cfg.Offset),
+		refLocal:   k.now,
 		driftPPB:   cfg.DriftPPB,
 		syncBound:  cfg.SyncBound,
 		syncPeriod: cfg.SyncPeriod,

@@ -18,15 +18,23 @@ func TestLocalClockNoDriftTracksGlobal(t *testing.T) {
 	k.RunAll()
 }
 
+// A resync leaves the clock offset by its residual error; without
+// drift the offset then holds until the next resync.
 func TestLocalClockOffset(t *testing.T) {
 	k := NewKernel(1)
-	c := k.NewLocalClock(ClockConfig{Offset: 100}, nil)
-	if c.Now() != 100 {
-		t.Errorf("clock = %v, want 100", c.Now())
-	}
-	k.At(50, func() {
-		if c.Now() != 150 {
-			t.Errorf("clock = %v, want 150", c.Now())
+	bound := logical.Duration(logical.Millisecond)
+	c := k.NewLocalClock(ClockConfig{SyncBound: bound, SyncPeriod: logical.Second}, k.Rand("sync"))
+	var offset logical.Duration
+	k.At(logical.Time(logical.Second), func() { offset = c.Error() })
+	k.At(logical.Time(1500*logical.Millisecond), func() {
+		if offset == 0 || offset < -bound || offset > bound {
+			t.Errorf("offset after the resync = %v, want nonzero within ±%v", offset, bound)
+		}
+		if c.Error() != offset {
+			t.Errorf("offset drifted from %v to %v without drift", offset, c.Error())
+		}
+		if want := k.Now().Add(offset); c.Now() != want {
+			t.Errorf("clock = %v, want %v", c.Now(), want)
 		}
 	})
 	k.RunAll()
@@ -59,7 +67,7 @@ func TestLocalClockNegativeDrift(t *testing.T) {
 
 func TestLocalClockGlobalAtInvertsLocalAt(t *testing.T) {
 	k := NewKernel(1)
-	c := k.NewLocalClock(ClockConfig{Offset: 12345, DriftPPB: 30_000}, nil)
+	c := k.NewLocalClock(ClockConfig{DriftPPB: 30_000}, nil)
 	for _, g := range []logical.Time{0, 1000, 999_999_999, 7_000_000_001} {
 		l := c.LocalAt(g)
 		back := c.GlobalAt(l)
@@ -74,7 +82,6 @@ func TestLocalClockSyncBoundsError(t *testing.T) {
 	k := NewKernel(99)
 	bound := logical.Duration(100 * logical.Microsecond)
 	c := k.NewLocalClock(ClockConfig{
-		Offset:     logical.Duration(50 * logical.Millisecond), // large initial error
 		DriftPPB:   40_000,
 		SyncBound:  bound,
 		SyncPeriod: logical.Duration(100 * logical.Millisecond),

@@ -37,10 +37,6 @@ import (
 type MonitorConfig struct {
 	// Platforms is the mesh size; DefaultMonitorPlatforms when 0.
 	Platforms int
-	// Rounds overrides the preset call-round count when > 0.
-	Rounds int
-	// Partitions selects the execution mode (≤ 1 = single kernel).
-	Partitions int
 	// Seed drives every random stream of the world.
 	Seed uint64
 }
@@ -62,11 +58,7 @@ func MonitoredSpec(cfg MonitorConfig) scenario.Spec {
 	}
 	spec := scenario.MeshPreset(n)
 	spec.Name = "monitored"
-	if cfg.Rounds > 0 {
-		spec.Rounds = cfg.Rounds
-	}
 	spec.Seed = cfg.Seed
-	spec.Partitions = cfg.Partitions
 	spec.CallTimeout = 6 * logical.Millisecond
 	spec.Crash = &scenario.CrashPlan{
 		Platform:     1,

@@ -44,11 +44,13 @@ func TestMonitorVerdictDeterminism(t *testing.T) {
 	if testing.Short() {
 		specs, parts = 2, []int{1, 2}
 	}
-	cfg := MonitorConfig{Seed: 1}
+	gate := MonitorGateSpecs(MonitorConfig{Seed: 1}, specs)
 	if testing.Short() {
-		cfg.Rounds = 6
+		for i := range gate {
+			gate[i].Rounds = 6
+		}
 	}
-	refs, err := CheckDeterminism(MonitorGateSpecs(cfg, specs), parts, nil, RequireMonitorChecks)
+	refs, err := CheckDeterminism(gate, parts, nil, RequireMonitorChecks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +71,8 @@ func TestMonitorVerdictsAcrossProcs(t *testing.T) {
 	if testing.Short() {
 		procs = []int{1, 8}
 	}
-	spec := MonitoredSpec(MonitorConfig{Seed: 3, Rounds: 6})
+	spec := MonitoredSpec(MonitorConfig{Seed: 3})
+	spec.Rounds = 6
 	if _, err := CheckDeterminism([]scenario.Spec{spec}, []int{2, 4}, procs, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +126,9 @@ func TestBrokenSpecTripsRespondedWithin(t *testing.T) {
 func TestCorruptionMonitorTrips(t *testing.T) {
 	restore := scenario.EnableCorruptionForTesting()
 	defer restore()
-	res, err := RunScenario(MonitoredSpec(MonitorConfig{Seed: 1, Rounds: 2}))
+	spec := MonitoredSpec(MonitorConfig{Seed: 1})
+	spec.Rounds = 2
+	res, err := RunScenario(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +184,9 @@ func TestViolationDumpReplayRoundTrip(t *testing.T) {
 // Dumping a clean run must refuse loudly rather than write an empty
 // artifact.
 func TestDumpViolationPrefixRefusesCleanRun(t *testing.T) {
-	res, err := RunScenario(MonitoredSpec(MonitorConfig{Seed: 1, Rounds: 2}))
+	spec := MonitoredSpec(MonitorConfig{Seed: 1})
+	spec.Rounds = 2
+	res, err := RunScenario(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,25 +16,27 @@ type Options struct {
 	Seed uint64
 	// Iterations is the number of generated specs to check.
 	Iterations int
-	// PartitionCounts are the federated partition counts each spec is
-	// checked at; nil selects {2, 3}.
-	PartitionCounts []int
-	// Procs are the GOMAXPROCS values each federated run is repeated
-	// under; nil selects {1, 0} (serialized, then ambient) so both the
-	// single-threaded and the parallel coordinator paths face every
-	// spec. 0 means "leave GOMAXPROCS untouched".
-	Procs []int
 	// OutDir, when non-empty, receives the shrunk repro spec (JSON) and
 	// its divergence report; the directory is created if missing.
 	// examples/regressions/ is the ready-to-commit location.
 	OutDir string
-	// ShrinkBudget caps candidate evaluations during shrinking;
-	// 0 selects 64.
-	ShrinkBudget int
 	// Log, when non-nil, receives one progress line per checked spec
 	// batch and the shrink trajectory of a failure.
 	Log func(format string, args ...any)
 }
+
+// Each spec is checked single-kernel against these federated partition
+// counts, and each federated run is repeated under these GOMAXPROCS
+// values: 1 (serialized), then 0 (ambient, left untouched), so both the
+// single-threaded and the parallel coordinator paths face every spec.
+// Neither slice is ever modified.
+var (
+	partitionCounts = []int{2, 3}
+	gomaxprocs      = []int{1, 0}
+)
+
+// shrinkBudget caps candidate evaluations while shrinking a failure.
+const shrinkBudget = 64
 
 func (o *Options) logf(format string, args ...any) {
 	if o.Log != nil {
@@ -73,24 +75,15 @@ func (f *Failure) Error() string {
 }
 
 // Run executes a seeded campaign: Iterations generated specs, each
-// checked single-kernel vs federated across PartitionCounts × Procs.
+// checked single-kernel vs federated across partitionCounts × gomaxprocs.
 // The first violation is shrunk to a minimal repro, emitted under
 // OutDir (when set) and returned; a clean campaign returns (nil, nil).
 // The error return is reserved for infrastructure failures (a
 // generated spec failing to build is a generator bug, not a finding).
 func Run(o Options) (*Failure, error) {
-	if len(o.PartitionCounts) == 0 {
-		o.PartitionCounts = []int{2, 3}
-	}
-	if len(o.Procs) == 0 {
-		o.Procs = []int{1, 0}
-	}
-	if o.ShrinkBudget <= 0 {
-		o.ShrinkBudget = 64
-	}
 	for i := uint64(0); i < uint64(o.Iterations); i++ {
 		spec := Gen(o.Seed, i)
-		_, div, err := exp.CompareSpecModes(spec, o.PartitionCounts, o.Procs)
+		_, div, err := exp.CompareSpecModes(spec, partitionCounts, gomaxprocs)
 		if err != nil {
 			return nil, fmt.Errorf("fuzzer: generated spec %d failed to run: %w", i, err)
 		}
@@ -119,7 +112,7 @@ func minimize(o Options, index uint64, spec scenario.Spec, div *exp.ModeDivergen
 		_, d, err := exp.CompareSpecModes(cand, []int{cand.Partitions}, procs)
 		return d != nil, err
 	}
-	minimal := Shrink(spec, reproduces, o.ShrinkBudget)
+	minimal := Shrink(spec, reproduces, shrinkBudget)
 	_, minDiv, err := exp.CompareSpecModes(minimal, []int{minimal.Partitions}, procs)
 	if err != nil {
 		return nil, err

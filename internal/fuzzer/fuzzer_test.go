@@ -21,12 +21,10 @@ func TestFuzzDeterminism(t *testing.T) {
 		iters = 8
 	}
 	fail, err := Run(Options{
-		Seed:            1,
-		Iterations:      iters,
-		PartitionCounts: []int{2, 3},
-		Procs:           []int{1, 0},
-		OutDir:          t.TempDir(),
-		Log:             t.Logf,
+		Seed:       1,
+		Iterations: iters,
+		OutDir:     t.TempDir(),
+		Log:        t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,11 +47,10 @@ func TestFuzzFindsInjectedNondeterminism(t *testing.T) {
 
 	dir := t.TempDir()
 	fail, err := Run(Options{
-		Seed:            7,
-		Iterations:      50, // the CI budget; chaos should fall on the first spec
-		PartitionCounts: []int{2, 3},
-		OutDir:          dir,
-		Log:             t.Logf,
+		Seed:       7,
+		Iterations: 50, // the CI budget; chaos should fall on the first spec
+		OutDir:     dir,
+		Log:        t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

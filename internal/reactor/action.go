@@ -93,18 +93,15 @@ func (a *Action[T]) Schedule(c *Ctx, v T, extra logical.Duration) {
 }
 
 // ScheduleAsync schedules the (physical) action from any goroutine or
-// external context. The event is tagged max(physicalNow+minDelay+extra,
+// external context. The event is tagged max(physicalNow+minDelay,
 // currentTag.Next()); the scheduler is woken if it is waiting.
-func (a *Action[T]) ScheduleAsync(v T, extra logical.Duration) logical.Tag {
+func (a *Action[T]) ScheduleAsync(v T) logical.Tag {
 	if !a.physical {
 		panic(fmt.Sprintf("reactor: logical action %s must be scheduled from a reaction", a.Name()))
 	}
-	if extra < 0 {
-		panic("reactor: negative schedule delay")
-	}
 	e := a.owner.env
 	e.mu.Lock()
-	base := logical.Tag{Time: e.clock.Now().Add(a.minDelay + extra)}
+	base := logical.Tag{Time: e.clock.Now().Add(a.minDelay)}
 	floor := e.currentTag.Next()
 	if base.Before(floor) {
 		base = floor

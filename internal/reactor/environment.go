@@ -395,13 +395,11 @@ func (e *Environment) assignLevels() error {
 		idx[rx] = i
 	}
 
-	// Zero-delay port reachability.
-	zeroAdj := map[*portBase][]*portBase{}
+	// Port reachability along connections.
+	portAdj := map[*portBase][]*portBase{}
 	for _, c := range e.connections {
-		if c.delay() == 0 {
-			up := c.(interface{ upstreamBase() *portBase }).upstreamBase()
-			zeroAdj[up] = append(zeroAdj[up], c.downstreamBase())
-		}
+		up := c.upstreamBase()
+		portAdj[up] = append(portAdj[up], c.downstreamBase())
 	}
 	reach := map[*portBase][]*portBase{}
 	var dfs func(p *portBase, seen map[*portBase]bool, out *[]*portBase)
@@ -411,7 +409,7 @@ func (e *Environment) assignLevels() error {
 		}
 		seen[p] = true
 		*out = append(*out, p)
-		for _, q := range zeroAdj[p] {
+		for _, q := range portAdj[p] {
 			dfs(q, seen, out)
 		}
 	}
@@ -439,7 +437,7 @@ func (e *Environment) assignLevels() error {
 		}
 	}
 	// 2. Dataflow edges: writer of port → consumers of every port
-	// reachable over zero-delay connections.
+	// reachable over connections.
 	for _, p := range e.ports {
 		if len(p.writers) == 0 {
 			continue

@@ -24,18 +24,16 @@ type portBase struct {
 	presentAt logical.Tag
 }
 
-// connection is a typed edge between two ports (possibly delayed).
+// connection is a typed edge between two ports.
 type connection interface {
-	// propagate transfers the upstream value downstream at the current
-	// tag (zero delay) or schedules it (positive delay).
+	// propagate transfers the upstream value downstream at the current tag.
 	propagate(e *Environment)
 	downstreamBase() *portBase
-	delay() logical.Duration
+	upstreamBase() *portBase
 }
 
 // Port is a typed reactor port. Values set on an output port propagate
-// instantaneously (same tag) along zero-delay connections, or with a tag
-// offset along delayed connections.
+// instantaneously (same tag) along its connections.
 type Port[T any] struct {
 	portBase
 	value T
@@ -87,8 +85,8 @@ func (p *Port[T]) IsPresent(c *Ctx) bool {
 }
 
 // Set writes the port at the current tag and triggers downstream
-// reactions (same tag for zero-delay connections). The calling reaction
-// must have declared the port as an effect.
+// reactions at the same tag. The calling reaction must have declared the
+// port as an effect.
 func (p *Port[T]) Set(c *Ctx, v T) {
 	if !c.reaction.declaredEffects[Effect(p)] {
 		panic(fmt.Sprintf("reactor: %s sets undeclared port %s", c.reaction, p.Name()))
@@ -113,47 +111,28 @@ func (p *Port[T]) setNow(e *Environment, v T) {
 // typedConnection links an upstream port to a downstream port.
 type typedConnection[T any] struct {
 	up, down *Port[T]
-	d        logical.Duration
 }
 
 func (c *typedConnection[T]) downstreamBase() *portBase { return &c.down.portBase }
 func (c *typedConnection[T]) upstreamBase() *portBase   { return &c.up.portBase }
-func (c *typedConnection[T]) delay() logical.Duration   { return c.d }
 
 func (c *typedConnection[T]) propagate(e *Environment) {
-	if c.d == 0 {
-		c.down.setNow(e, c.up.value)
-		return
-	}
-	v := c.up.value
-	e.scheduleEvent(e.currentTag.Delay(c.d), func(env *Environment) {
-		c.down.setNow(env, v)
-	})
+	c.down.setNow(e, c.up.value)
 }
 
 // Connect wires an upstream port to a downstream port with zero logical
 // delay: values appear downstream at the same tag.
 func Connect[T any](up, down *Port[T]) {
-	ConnectDelayed(up, down, 0)
-}
-
-// ConnectDelayed wires ports with a logical delay: a value set at tag g
-// appears downstream at g + delay (after semantics). Delayed connections
-// break precedence cycles.
-func ConnectDelayed[T any](up, down *Port[T], delay logical.Duration) {
 	env := up.owner.env
 	env.mustBeAssembling("Connect")
 	if down.owner.env != env {
 		panic("reactor: cannot connect ports of different environments")
 	}
-	if delay < 0 {
-		panic("reactor: negative connection delay")
-	}
 	if down.upstream {
 		panic(fmt.Sprintf("reactor: port %s already has an upstream connection", down.Name()))
 	}
 	down.upstream = true
-	conn := &typedConnection[T]{up: up, down: down, d: delay}
+	conn := &typedConnection[T]{up: up, down: down}
 	up.conns = append(up.conns, conn)
 	env.connections = append(env.connections, conn)
 }

@@ -10,16 +10,56 @@ import (
 )
 
 // randomProgram assembles a pseudo-random reactor pipeline from a spec:
-// a chain of nStages reactors connected by ports (some delayed), each
-// stage with a per-stage work duration, driven by a timer. It returns
-// the collected trace.
+// a chain of nStages reactors, each stage with a per-stage work
+// duration, driven by a timer. A link between stages is a port
+// connection, or a logical action where the link has a delay. It
+// returns the collected trace.
 type programSpec struct {
 	Stages   uint8
-	Delays   [6]uint16 // connection delays in µs (0 = zero-delay)
+	Delays   [6]uint16 // link delays in µs (0 = port connection)
 	Period   uint16    // timer period in ms
 	WorkUS   [6]uint16 // per-stage DoWork in µs
 	Horizon  uint8     // timeout in timer periods
 	KernSeed uint64
+}
+
+// stageLink carries one stage's value into the next: through a
+// connected port pair, or through act, a logical action of the link's
+// delay on the next stage.
+type stageLink struct {
+	out, in *Port[int]
+	act     *Action[int]
+}
+
+func (l *stageLink) effect() Effect {
+	if l.act != nil {
+		return l.act
+	}
+	return l.out
+}
+
+func (l *stageLink) trigger() Trigger {
+	if l.act != nil {
+		return l.act
+	}
+	return l.in
+}
+
+func (l *stageLink) set(c *Ctx, v int) {
+	if l.act != nil {
+		l.act.Schedule(c, v, 0)
+		return
+	}
+	l.out.Set(c, v)
+}
+
+func (l *stageLink) get(c *Ctx) int {
+	if l.act != nil {
+		v, _ := l.act.Get(c)
+		return v
+	}
+	v, _ := l.in.Get(c)
+	return v
 }
 
 func runRandomProgram(spec programSpec) ([]string, error) {
@@ -42,30 +82,36 @@ func runRandomProgram(spec programSpec) ([]string, error) {
 			inPorts[i] = NewInputPort[int](reactors[i], "in")
 			outPorts[i] = NewOutputPort[int](reactors[i], "out")
 		}
-		for i := 0; i+1 < stages; i++ {
-			d := logical.Duration(spec.Delays[i%len(spec.Delays)]%500) * logical.Microsecond
-			ConnectDelayed(outPorts[i], inPorts[i+1], d)
+		// links[i] feeds stage i+1.
+		links := make([]*stageLink, stages-1)
+		for i := range links {
+			links[i] = &stageLink{out: outPorts[i], in: inPorts[i+1]}
+			if d := logical.Duration(spec.Delays[i%len(spec.Delays)]%500) * logical.Microsecond; d > 0 {
+				links[i].act = NewLogicalAction[int](reactors[i+1], "in", d)
+			} else {
+				Connect(outPorts[i], inPorts[i+1])
+			}
 		}
 		timer := NewTimer(reactors[0], "t", 0, period)
 		n := 0
-		reactors[0].AddReaction("emit").Triggers(timer).Effects(outPorts[0]).Do(func(c *Ctx) {
+		reactors[0].AddReaction("emit").Triggers(timer).Effects(links[0].effect()).Do(func(c *Ctx) {
 			n++
-			outPorts[0].Set(c, n)
+			links[0].set(c, n)
 		})
 		for i := 1; i < stages; i++ {
 			i := i
 			work := logical.Duration(spec.WorkUS[i%len(spec.WorkUS)]%800) * logical.Microsecond
-			rx := reactors[i].AddReaction("fwd").Triggers(inPorts[i])
+			rx := reactors[i].AddReaction("fwd").Triggers(links[i-1].trigger())
 			if i+1 < stages {
-				rx.Effects(outPorts[i])
+				rx.Effects(links[i].effect())
 			}
 			rx.Do(func(c *Ctx) {
-				v, _ := inPorts[i].Get(c)
+				v := links[i-1].get(c)
 				if work > 0 {
 					c.DoWork(work)
 				}
 				if i+1 < stages {
-					outPorts[i].Set(c, v+1)
+					links[i].set(c, v+1)
 				}
 			})
 		}
@@ -128,8 +174,7 @@ func TestRandomProgramsTagsMonotone(t *testing.T) {
 				outs[i] = NewOutputPort[int](rs[i], "out")
 			}
 			for i := 0; i+1 < stages; i++ {
-				d := logical.Duration(spec.Delays[i%len(spec.Delays)]%300) * logical.Microsecond
-				ConnectDelayed(outs[i], ins[i+1], d)
+				Connect(outs[i], ins[i+1])
 			}
 			timer := NewTimer(rs[0], "t", 0, period)
 			rs[0].AddReaction("emit").Triggers(timer).Effects(outs[0]).Do(func(c *Ctx) {
@@ -189,7 +234,7 @@ func TestPhysicalActionTagsMonotoneProperty(t *testing.T) {
 			<-ready
 			for i, g := range gaps {
 				p.Sleep(logical.Duration(int(g%2000)) * logical.Microsecond)
-				act.ScheduleAsync(i, 0)
+				act.ScheduleAsync(i)
 			}
 		})
 		k.RunAll()

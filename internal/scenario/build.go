@@ -287,7 +287,7 @@ func (w *World) buildSubstrate() error {
 	}
 	w.cluster = cluster
 	for i := 0; i < spec.Platforms; i++ {
-		w.Hosts = append(w.Hosts, cluster.AddHost(i%spec.Partitions, HostName(i), nil))
+		w.Hosts = append(w.Hosts, cluster.AddHost(i%spec.Partitions, HostName(i)))
 	}
 	return nil
 }

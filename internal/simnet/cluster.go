@@ -123,13 +123,13 @@ func (c *Cluster) Federation() *des.Federation { return c.fed }
 // Partition returns partition i's Network (for direct kernel access).
 func (c *Cluster) Partition(i int) *Network { return c.parts[i] }
 
-// AddHost attaches a platform to the given partition. Host IDs are
-// allocated by the cluster so that addresses are unique network-wide.
-// The clock (may be nil) must belong to the partition's kernel.
-func (c *Cluster) AddHost(part int, name string, clock *des.LocalClock) *Host {
+// AddHost attaches a platform, without a local clock, to the given
+// partition. Host IDs are allocated by the cluster so that addresses
+// are unique network-wide.
+func (c *Cluster) AddHost(part int, name string) *Host {
 	c.nextID++
 	c.owner = append(c.owner, part)
-	return c.parts[part].addHostID(c.nextID, name, clock)
+	return c.parts[part].addHostID(c.nextID, name, nil)
 }
 
 // PartitionOf returns the partition owning the host ID.

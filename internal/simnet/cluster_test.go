@@ -44,7 +44,7 @@ func runStarCfg(t *testing.T, cfg Config, partitions, hosts, msgs int) []string 
 			t.Fatal(err)
 		}
 		for i := 0; i < hosts; i++ {
-			hs = append(hs, c.AddHost(i%partitions, fmt.Sprintf("h%d", i), nil))
+			hs = append(hs, c.AddHost(i%partitions, fmt.Sprintf("h%d", i)))
 		}
 		for i := 0; i < partitions; i++ {
 			nets = append(nets, c.Partition(i))
@@ -196,7 +196,7 @@ func TestClusterCountsUnknownHostDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h0 := c.AddHost(0, "a", nil)
+	h0 := c.AddHost(0, "a")
 	ep := h0.MustBind(1)
 	fed.Kernel(0).At(0, func() {
 		ep.Send(Addr{Host: 999, Port: 1}, []byte{1})
@@ -216,8 +216,8 @@ func TestClusterCrossPartitionDeliveredCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h0 := c.AddHost(0, "a", nil)
-	h1 := c.AddHost(1, "b", nil)
+	h0 := c.AddHost(0, "a")
+	h1 := c.AddHost(1, "b")
 	got := 0
 	sink := h1.MustBind(7)
 	sink.OnReceive(func(dg Datagram) { got++ })

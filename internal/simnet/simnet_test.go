@@ -360,10 +360,10 @@ func TestEndpointsSorted(t *testing.T) {
 
 func TestHostClockAttachment(t *testing.T) {
 	k, _ := newNet(1)
-	clk := k.NewLocalClock(des.ClockConfig{Offset: 7}, nil)
+	clk := k.NewLocalClock(des.ClockConfig{}, nil)
 	n := NewNetwork(k, Config{})
 	h := n.AddHost("p", clk)
-	if h.Clock().Now() != 7 {
-		t.Errorf("clock = %v", h.Clock().Now())
+	if h.Clock() != clk {
+		t.Errorf("host clock = %p, want the attached %p", h.Clock(), clk)
 	}
 }

@@ -49,14 +49,12 @@ func providerTopic(k ServiceKey) uint64 {
 	return 1<<32 | consumerTopic(k)
 }
 
-// AgentConfig tunes SD timing.
-type AgentConfig struct {
-	// CyclicOfferPeriod between repeated offers (default 1s).
-	CyclicOfferPeriod logical.Duration
-	// TTL announced in offers and subscriptions (default 3s; SD wire
-	// granularity is seconds, rounded up).
-	TTL logical.Duration
-}
+// SD timing: the period between repeated offers, and the TTL announced
+// in offers, finds and subscriptions (in SD wire seconds).
+const (
+	cyclicOfferPeriod = logical.Second
+	ttlSeconds        = 3
+)
 
 // Agent implements the SOME/IP service-discovery state machine for one
 // application process: offering local services, discovering remote ones,
@@ -66,7 +64,6 @@ type Agent struct {
 	conn    *Conn
 	group   simnet.Addr
 	session SessionID
-	cfg     AgentConfig
 
 	offers map[ServiceKey]*localOffer
 	remote map[ServiceKey]*remoteEntry
@@ -80,7 +77,6 @@ type Agent struct {
 type localOffer struct {
 	key      ServiceKey
 	major    uint8
-	minor    uint32
 	endpoint simnet.Addr
 	subs     map[uint16][]*subscriber // eventgroup -> subscribers
 }
@@ -104,13 +100,7 @@ type subKey struct {
 // binds an SD endpoint; SD topic subscriptions are registered lazily as
 // the agent offers services (provider topics) or declares interest in
 // them (consumer topics, implicit in Find).
-func NewAgent(host *simnet.Host, cfg AgentConfig) (*Agent, error) {
-	if cfg.CyclicOfferPeriod <= 0 {
-		cfg.CyclicOfferPeriod = logical.Second
-	}
-	if cfg.TTL <= 0 {
-		cfg.TTL = 3 * logical.Second
-	}
+func NewAgent(host *simnet.Host) (*Agent, error) {
 	ep, err := host.Bind(0)
 	if err != nil {
 		return nil, err
@@ -119,7 +109,6 @@ func NewAgent(host *simnet.Host, cfg AgentConfig) (*Agent, error) {
 		k:         host.Net().Kernel(),
 		conn:      NewConn(ep, false),
 		group:     SDGroup,
-		cfg:       cfg,
 		offers:    map[ServiceKey]*localOffer{},
 		remote:    map[ServiceKey]*remoteEntry{},
 		watch:     map[ServiceKey][]func(RemoteService){},
@@ -144,15 +133,6 @@ func (a *Agent) Interest(key ServiceKey) {
 	a.interests[key] = true
 	net := a.conn.Endpoint().Host().Net()
 	net.JoinTopic(a.group, consumerTopic(key), a.conn.Endpoint())
-}
-
-// ttlSeconds converts the configured TTL to SD wire seconds (min 1).
-func (a *Agent) ttlSeconds() uint32 {
-	s := uint32(a.cfg.TTL / logical.Second)
-	if logical.Duration(s)*logical.Second < a.cfg.TTL || s == 0 {
-		s++
-	}
-	return s
 }
 
 func (a *Agent) nextSession() SessionID {
@@ -185,10 +165,11 @@ func (a *Agent) sendTopic(topic uint64, entries []Entry) {
 // Offer announces a local service instance and keeps re-announcing it
 // cyclically for the agent's lifetime. The agent joins the key's
 // provider topic (so finds reach it) and announces on the consumer
-// topic (so only interested agents receive the offer).
-func (a *Agent) Offer(key ServiceKey, major uint8, minor uint32, endpoint simnet.Addr) {
+// topic (so only interested agents receive the offer). Offers carry
+// minor version 0.
+func (a *Agent) Offer(key ServiceKey, major uint8, endpoint simnet.Addr) {
 	off := &localOffer{
-		key: key, major: major, minor: minor, endpoint: endpoint,
+		key: key, major: major, endpoint: endpoint,
 		subs: map[uint16][]*subscriber{},
 	}
 	a.offers[key] = off
@@ -198,27 +179,27 @@ func (a *Agent) Offer(key ServiceKey, major uint8, minor uint32, endpoint simnet
 	a.scheduleCyclic(off)
 }
 
-func (a *Agent) offerEntry(off *localOffer, ttl uint32) Entry {
+func (a *Agent) offerEntry(off *localOffer) Entry {
 	return Entry{
 		Type: OfferService, Service: off.key.Service, Instance: off.key.Instance,
-		Major: off.major, Minor: off.minor, TTL: ttl,
+		Major: off.major, TTL: ttlSeconds,
 		Options: []Option{{Type: IPv4EndpointOption, Addr: off.endpoint, Proto: UDPProto}},
 	}
 }
 
 // announce unicasts the current offer to one requester (find replies).
 func (a *Agent) announce(off *localOffer, dst Addr) {
-	a.send(dst, []Entry{a.offerEntry(off, a.ttlSeconds())})
+	a.send(dst, []Entry{a.offerEntry(off)})
 }
 
 // announceTopic multicasts the current offer on the key's consumer
 // topic, reaching exactly the agents that declared interest.
 func (a *Agent) announceTopic(off *localOffer) {
-	a.sendTopic(consumerTopic(off.key), []Entry{a.offerEntry(off, a.ttlSeconds())})
+	a.sendTopic(consumerTopic(off.key), []Entry{a.offerEntry(off)})
 }
 
 func (a *Agent) scheduleCyclic(off *localOffer) {
-	a.k.AfterDaemon(a.cfg.CyclicOfferPeriod, func() {
+	a.k.AfterDaemon(cyclicOfferPeriod, func() {
 		a.announceTopic(off)
 		a.scheduleCyclic(off)
 	})
@@ -239,7 +220,7 @@ func (a *Agent) Find(key ServiceKey, cb func(RemoteService)) {
 	a.watch[key] = append(a.watch[key], cb)
 	a.sendTopic(providerTopic(key), []Entry{{
 		Type: FindService, Service: key.Service, Instance: key.Instance,
-		Major: 0xff, Minor: 0xffffffff, TTL: a.ttlSeconds(),
+		Major: 0xff, Minor: 0xffffffff, TTL: ttlSeconds,
 	}})
 }
 
@@ -261,11 +242,11 @@ func (a *Agent) Subscribe(key ServiceKey, eventgroup uint16, notifyEndpoint simn
 	}
 	a.send(r.svc.SDAddr, []Entry{{
 		Type: SubscribeEventgroup, Service: key.Service, Instance: key.Instance,
-		Major: r.svc.Major, TTL: a.ttlSeconds(), Eventgroup: eventgroup,
+		Major: r.svc.Major, TTL: ttlSeconds, Eventgroup: eventgroup,
 		Options: []Option{{Type: IPv4EndpointOption, Addr: notifyEndpoint, Proto: UDPProto}},
 	}})
 	// Renew at 2/3 of the TTL while the service stays discovered.
-	a.k.AfterDaemon(a.cfg.TTL*2/3, func() {
+	a.k.AfterDaemon(ttlSeconds*logical.Second*2/3, func() {
 		if _, still := a.remote[key]; still {
 			a.Subscribe(key, eventgroup, notifyEndpoint, nil)
 		}

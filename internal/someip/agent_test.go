@@ -21,11 +21,11 @@ func newSDFixture(t *testing.T) *sdFixture {
 	n := simnet.NewNetwork(k, simnet.Config{})
 	h1 := n.AddHost("p1", nil)
 	h2 := n.AddHost("p2", nil)
-	a1, err := NewAgent(h1, AgentConfig{})
+	a1, err := NewAgent(h1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := NewAgent(h2, AgentConfig{})
+	a2, err := NewAgent(h2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestFindBeforeOffer(t *testing.T) {
 		f.a2.Find(testKey, func(svc RemoteService) { found = &svc })
 	})
 	f.k.At(logical.Time(10*logical.Millisecond), func() {
-		f.a1.Offer(testKey, 1, 0, appEp.Addr())
+		f.a1.Offer(testKey, 1, appEp.Addr())
 	})
 	f.k.Run(logical.Time(logical.Second))
 	if found == nil {
@@ -82,7 +82,7 @@ func TestFindBeforeOffer(t *testing.T) {
 func TestFindAfterOfferUsesUnicastReply(t *testing.T) {
 	f := newSDFixture(t)
 	appEp := f.h1.MustBind(40000)
-	f.k.At(0, func() { f.a1.Offer(testKey, 1, 0, appEp.Addr()) })
+	f.k.At(0, func() { f.a1.Offer(testKey, 1, appEp.Addr()) })
 
 	var found *RemoteService
 	// Find starts long after the initial offer multicast; discovery must
@@ -100,7 +100,7 @@ func TestFindAfterOfferUsesUnicastReply(t *testing.T) {
 func TestFindCachedFiresImmediately(t *testing.T) {
 	f := newSDFixture(t)
 	appEp := f.h1.MustBind(40000)
-	f.k.At(0, func() { f.a1.Offer(testKey, 1, 0, appEp.Addr()) })
+	f.k.At(0, func() { f.a1.Offer(testKey, 1, appEp.Addr()) })
 	f.k.Run(logical.Time(10 * logical.Millisecond))
 
 	calls := 0
@@ -119,7 +119,7 @@ func TestLookup(t *testing.T) {
 	// Passive caching requires declared interest: without a Find, the
 	// consumer must opt in to the key's offer stream explicitly.
 	f.a2.Interest(testKey)
-	f.k.At(logical.Time(logical.Millisecond), func() { f.a1.Offer(testKey, 1, 0, appEp.Addr()) })
+	f.k.At(logical.Time(logical.Millisecond), func() { f.a1.Offer(testKey, 1, appEp.Addr()) })
 	before := findAt(f.k, f.a2, testKey, 0)
 	after := findAt(f.k, f.a2, testKey, logical.Time(10*logical.Millisecond))
 	f.k.Run(logical.Time(20 * logical.Millisecond))
@@ -135,12 +135,14 @@ func TestStopOfferRemovesRemote(t *testing.T) {
 	f := newSDFixture(t)
 	appEp := f.h1.MustBind(40000)
 	f.a2.Interest(testKey)
-	f.k.At(0, func() { f.a1.Offer(testKey, 1, 0, appEp.Addr()) })
+	f.k.At(0, func() { f.a1.Offer(testKey, 1, appEp.Addr()) })
 	found := findAt(f.k, f.a2, testKey, logical.Time(5*logical.Millisecond))
 	// A stop-offer is an offer entry with TTL 0; the consumer must drop
 	// its entry on receipt, not at TTL expiry.
 	f.k.At(logical.Time(10*logical.Millisecond), func() {
-		f.a1.sendTopic(consumerTopic(testKey), []Entry{f.a1.offerEntry(f.a1.offers[testKey], 0)})
+		stop := f.a1.offerEntry(f.a1.offers[testKey])
+		stop.TTL = 0
+		f.a1.sendTopic(consumerTopic(testKey), []Entry{stop})
 	})
 	gone := findAt(f.k, f.a2, testKey, logical.Time(20*logical.Millisecond))
 	f.k.Run(logical.Time(30 * logical.Millisecond))
@@ -152,26 +154,32 @@ func TestStopOfferRemovesRemote(t *testing.T) {
 	}
 }
 
+// Without renewal an offer lives exactly its announced TTL from its
+// arrival: the 3 wire seconds convert to the expiry instant to the
+// nanosecond.
 func TestOfferExpiresWithoutRenewal(t *testing.T) {
-	k := des.NewKernel(1)
-	n := simnet.NewNetwork(k, simnet.Config{})
-	h1 := n.AddHost("p1", nil)
-	h2 := n.AddHost("p2", nil)
-	// Long cyclic period so the offer is never renewed within TTL.
-	a1, _ := NewAgent(h1, AgentConfig{CyclicOfferPeriod: 100 * logical.Second, TTL: logical.Second})
-	a2, _ := NewAgent(h2, AgentConfig{})
-	appEp := h1.MustBind(40000)
-	a2.Interest(testKey)
-	k.At(0, func() { a1.Offer(testKey, 1, 0, appEp.Addr()) })
-	found := findAt(k, a2, testKey, logical.Time(10*logical.Millisecond))
-	// Past the TTL; the probe's own event lets the daemon expiry fire.
-	expired := findAt(k, a2, testKey, logical.Time(3*logical.Second))
-	k.Run(logical.Time(4 * logical.Second))
-	if !found.cached {
+	f := newSDFixture(t)
+	appEp := f.h1.MustBind(40000)
+	ttl := logical.Duration(ttlSeconds) * logical.Second
+	var before, at *findProbe
+	// The find is issued before the offer, so its callback fires when
+	// the offer arrives; the provider falls silent before renewing.
+	f.a2.Find(testKey, func(RemoteService) {
+		arrival := f.k.Now()
+		before = findAt(f.k, f.a2, testKey, arrival.Add(ttl-1))
+		at = findAt(f.k, f.a2, testKey, arrival.Add(ttl))
+	})
+	f.k.At(0, func() { f.a1.Offer(testKey, 1, appEp.Addr()) })
+	f.h1.Crash(logical.Time(500 * logical.Millisecond))
+	f.k.Run(logical.Time(4 * logical.Second))
+	if before == nil {
 		t.Fatal("not discovered")
 	}
-	if expired.cached {
-		t.Error("offer did not expire")
+	if !before.cached {
+		t.Error("offer expired before its TTL")
+	}
+	if at.cached {
+		t.Error("offer did not expire at its TTL")
 	}
 }
 
@@ -179,7 +187,7 @@ func TestCyclicOfferKeepsAlive(t *testing.T) {
 	f := newSDFixture(t)
 	appEp := f.h1.MustBind(40000)
 	f.a2.Interest(testKey)
-	f.k.At(0, func() { f.a1.Offer(testKey, 1, 0, appEp.Addr()) })
+	f.k.At(0, func() { f.a1.Offer(testKey, 1, appEp.Addr()) })
 	// Probe at 5s: default TTL 3s, cyclic 1s — must still be known.
 	probe := findAt(f.k, f.a2, testKey, logical.Time(5*logical.Second))
 	f.k.Run(logical.Time(6 * logical.Second))
@@ -195,7 +203,7 @@ func TestSubscribeAndNotifySubscribers(t *testing.T) {
 	const eg = 0x10
 
 	var acked *bool
-	f.k.At(0, func() { f.a1.Offer(testKey, 1, 0, appEp.Addr()) })
+	f.k.At(0, func() { f.a1.Offer(testKey, 1, appEp.Addr()) })
 	f.k.At(logical.Time(5*logical.Millisecond), func() {
 		f.a2.Find(testKey, func(RemoteService) {
 			f.a2.Subscribe(testKey, eg, notifyEp.Addr(), func(ok bool) { acked = &ok })
@@ -233,13 +241,13 @@ func TestSubscribeNackedWhenOfferWithdrawn(t *testing.T) {
 	appEp := f.h1.MustBind(40000)
 	notifyEp := f.h2.MustBind(41000)
 	f.a2.Interest(testKey)
-	f.k.At(0, func() { f.a1.Offer(testKey, 1, 0, appEp.Addr()) })
+	f.k.At(0, func() { f.a1.Offer(testKey, 1, appEp.Addr()) })
 	// The provider crashes and comes back with a fresh agent on the same
 	// SD port that has not offered yet; a2 subscribes using its
 	// still-fresh cache entry, which points at that port.
 	f.h1.Crash(logical.Time(10 * logical.Millisecond))
 	f.h1.Restart(logical.Time(20*logical.Millisecond), func() {
-		a1, err := NewAgent(f.h1, AgentConfig{})
+		a1, err := NewAgent(f.h1)
 		if err != nil {
 			t.Error(err)
 			return
@@ -263,7 +271,7 @@ func TestUnsubscribeRemovesSubscriber(t *testing.T) {
 	appEp := f.h1.MustBind(40000)
 	notifyEp := f.h2.MustBind(41000)
 	const eg = 0x10
-	f.k.At(0, func() { f.a1.Offer(testKey, 1, 0, appEp.Addr()) })
+	f.k.At(0, func() { f.a1.Offer(testKey, 1, appEp.Addr()) })
 	f.k.At(logical.Time(5*logical.Millisecond), func() {
 		f.a2.Find(testKey, func(RemoteService) {
 			f.a2.Subscribe(testKey, eg, notifyEp.Addr(), nil)
@@ -292,7 +300,7 @@ func TestSubscriptionRenewalKeepsSubscriberAlive(t *testing.T) {
 	appEp := f.h1.MustBind(40000)
 	notifyEp := f.h2.MustBind(41000)
 	const eg = 0x10
-	f.k.At(0, func() { f.a1.Offer(testKey, 1, 0, appEp.Addr()) })
+	f.k.At(0, func() { f.a1.Offer(testKey, 1, appEp.Addr()) })
 	f.k.At(logical.Time(5*logical.Millisecond), func() {
 		f.a2.Find(testKey, func(RemoteService) {
 			f.a2.Subscribe(testKey, eg, notifyEp.Addr(), nil)
@@ -320,8 +328,8 @@ func TestTwoServicesIndependent(t *testing.T) {
 	f.a2.Interest(testKey)
 	f.a2.Interest(key2)
 	f.k.At(0, func() {
-		f.a1.Offer(testKey, 1, 0, ep1.Addr())
-		f.a1.Offer(key2, 1, 0, ep2.Addr())
+		f.a1.Offer(testKey, 1, ep1.Addr())
+		f.a1.Offer(key2, 1, ep2.Addr())
 	})
 	p1 := findAt(f.k, f.a2, testKey, logical.Time(10*logical.Millisecond))
 	p2 := findAt(f.k, f.a2, key2, logical.Time(10*logical.Millisecond))

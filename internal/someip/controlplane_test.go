@@ -19,14 +19,14 @@ func sdRing(t *testing.T, n int) uint64 {
 	agents := make([]*Agent, n)
 	for i := 0; i < n; i++ {
 		h := net.AddHost("plat", nil)
-		a, err := NewAgent(h, AgentConfig{})
+		a, err := NewAgent(h)
 		if err != nil {
 			t.Fatal(err)
 		}
 		agents[i] = a
 		ep := h.MustBind(40000)
 		key := ServiceKey{Service: ServiceID(0x1000 + i), Instance: 1}
-		k.At(0, func() { a.Offer(key, 1, 0, ep.Addr()) })
+		k.At(0, func() { a.Offer(key, 1, ep.Addr()) })
 	}
 	found := 0
 	for i := 0; i < n; i++ {

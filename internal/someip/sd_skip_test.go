@@ -20,7 +20,7 @@ func sdSkipWorld(t *testing.T, key ServiceKey, early bool) (sessions []SessionID
 	k := des.NewKernel(1)
 	net := simnet.NewNetwork(k, simnet.Config{})
 	ph := net.AddHost("provider", nil)
-	a, err := NewAgent(ph, AgentConfig{})
+	a, err := NewAgent(ph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func sdSkipWorld(t *testing.T, key ServiceKey, early bool) (sessions []SessionID
 	listen("late", logical.Time(3500*logical.Millisecond), func(m *Message) {
 		sessions = append(sessions, m.Session)
 	})
-	k.At(0, func() { a.Offer(key, 1, 0, app.Addr()) })
+	k.At(0, func() { a.Offer(key, 1, app.Addr()) })
 	// Cyclic offers are daemon events; a plain event keeps the run going.
 	end := logical.Time(5500 * logical.Millisecond)
 	k.At(end, func() {})
@@ -77,12 +77,12 @@ func TestSDSkipsEmptyTopics(t *testing.T) {
 	k := des.NewKernel(1)
 	net := simnet.NewNetwork(k, simnet.Config{})
 	h := net.AddHost("p", nil)
-	a, err := NewAgent(h, AgentConfig{})
+	a, err := NewAgent(h)
 	if err != nil {
 		t.Fatal(err)
 	}
 	off := &localOffer{key: key, major: 1, endpoint: h.MustBind(40000).Addr()}
-	entries := []Entry{a.offerEntry(off, a.ttlSeconds())}
+	entries := []Entry{a.offerEntry(off)}
 	for _, self := range []bool{false, true} {
 		if self {
 			a.Interest(key) // the sender joins its own consumer topic

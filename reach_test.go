@@ -11,20 +11,24 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 )
 
 // unreachableList names the declarations under internal/ that no
-// program reaches, one "<dir> <name>" per line (methods as Type.Method).
+// program reaches, one "<dir> <name>" per line (methods as Type.Method),
+// and the struct fields that no program writes (as Type.Field).
 const unreachableList = "testdata/unreachable.txt"
 
 // TestLibraryExportsHaveCallers fails unless the declarations under
-// internal/ that no program reaches are exactly those listed in
-// testdata/unreachable.txt: a new unreachable declaration fails it, and
-// so does a listed one that became reachable or was deleted. Tests are
-// not programs, so code only a test calls is unreachable.
+// internal/ that no program reaches, and the exported fields of reached
+// struct types that no program writes, are exactly those listed in
+// testdata/unreachable.txt: a new finding fails it, and so does a
+// listed one that became reachable or was deleted. Tests are not
+// programs, so code only a test calls is unreachable, and a field only
+// a test sets is an option every program leaves at its zero value.
 func TestLibraryExportsHaveCallers(t *testing.T) {
 	got, err := unreachableDecls(".", nil)
 	if err != nil {
@@ -47,7 +51,7 @@ func TestLibraryExportsHaveCallers(t *testing.T) {
 	}
 	for _, d := range got {
 		if !listed[d] {
-			t.Errorf("%s is reached by no program and not listed in %s: delete it (or list it)", d, unreachableList)
+			t.Errorf("%s is reached (a field: written) by no program and not listed in %s: delete it (or list it)", d, unreachableList)
 		}
 		delete(listed, d)
 	}
@@ -63,19 +67,33 @@ func TestLibraryExportsHaveCallers(t *testing.T) {
 
 // TestReachabilityCatchesPlantedExport plants an exported function that
 // nothing calls but whose name is used all over the tree (a match by
-// name alone would keep it); the walk must report it.
+// name alone would keep it), and a config type whose field an init
+// reads but nothing writes; the walk must report both.
 func TestReachabilityCatchesPlantedExport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the module")
 	}
 	got, err := unreachableDecls(".", map[string]map[string]string{
-		"internal/metrics": {"planted.go": "package metrics\n\n// Send is planted dead code.\nfunc Send() int { return 1 }\n"},
+		"internal/metrics": {"planted.go": `package metrics
+
+// Send is planted dead code.
+func Send() int { return 1 }
+
+// PlantedConfig is a planted config type; no program sets Knob.
+type PlantedConfig struct{ Knob int }
+
+var plantedConfig PlantedConfig
+
+func init() { _ = plantedConfig.Knob }
+`},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if i := sort.SearchStrings(got, "internal/metrics Send"); i == len(got) || got[i] != "internal/metrics Send" {
-		t.Errorf("planted internal/metrics.Send not reported; the walk found %d unreachable declarations", len(got))
+	for _, want := range []string{"internal/metrics Send", "internal/metrics PlantedConfig.Knob"} {
+		if i := sort.SearchStrings(got, want); i == len(got) || got[i] != want {
+			t.Errorf("planted %s not reported; the walk found %d unreachable declarations and unwritten fields", want, len(got))
+		}
 	}
 }
 
@@ -97,11 +115,16 @@ type reachPkg struct {
 // rooted at root (perfbench included) and walks references from the
 // programs: main and init of every main package, and every exported
 // name of the facade. It returns the top-level declarations under
-// internal/ that the walk never reaches, sorted. A method is reached
-// when something names it, or when its receiver type is reached and
-// its name is a method of an interface declared in the module or one
-// of methodExempt. overlay adds files (directory -> file name ->
-// source) to the tree, for tests of the walk itself.
+// internal/ that the walk never reaches, and the exported fields of
+// reached struct types there that no reached code writes, sorted. A
+// method is reached when something names it, or when its receiver type
+// is reached and its name is a method of an interface declared in the
+// module or one of methodExempt. A field is written by a keyed element
+// of a struct literal, by any unkeyed one, or by an assignment, ++/--
+// or & through it, also through an index (r.Counts[v]++); a field with
+// a json tag is decoded from outside the program and needs no writer.
+// overlay adds files (directory -> file name -> source) to the tree,
+// for tests of the walk itself.
 func unreachableDecls(root string, overlay map[string]map[string]string) ([]string, error) {
 	modPath := "repro"
 	fset := token.NewFileSet()
@@ -139,7 +162,11 @@ func unreachableDecls(root string, overlay map[string]map[string]string) ([]stri
 			}
 			p.files = append(p.files, f)
 		}
-		p.info = &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+		p.info = &types.Info{
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		}
 		conf := types.Config{Importer: imp}
 		p.types, err = conf.Check(ip, fset, p.files, p.info)
 		if err != nil {
@@ -290,13 +317,28 @@ func unreachableDecls(root string, overlay map[string]map[string]string) ([]stri
 			reach(obj)
 		}
 	}
+	written := map[*types.Var]bool{}
 	for len(queue) > 0 {
 		d := decls[queue[0]]
 		queue = queue[1:]
+		info := d.pkg.info
 		ast.Inspect(d.node, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if obj := d.pkg.info.Uses[id]; obj != nil {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if obj := info.Uses[n]; obj != nil {
 					reach(obj)
+				}
+			case *ast.CompositeLit:
+				markLiteralWrites(info, n, written)
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					markWriteThrough(info, lhs, written)
+				}
+			case *ast.IncDecStmt:
+				markWriteThrough(info, n.X, written)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					markWriteThrough(info, n.X, written)
 				}
 			}
 			return true
@@ -305,12 +347,72 @@ func unreachableDecls(root string, overlay map[string]map[string]string) ([]stri
 
 	var out []string
 	for obj, d := range decls {
-		if !reached[obj] && strings.HasPrefix(d.pkg.dir, "internal/") {
+		if !strings.HasPrefix(d.pkg.dir, "internal/") {
+			continue
+		}
+		if !reached[obj] {
 			out = append(out, d.pkg.dir+" "+d.name)
+			continue
+		}
+		tn, ok := obj.(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			if _, decoded := reflect.StructTag(st.Tag(i)).Lookup("json"); f.Exported() && !decoded && !written[f] {
+				out = append(out, d.pkg.dir+" "+d.name+"."+f.Name())
+			}
 		}
 	}
 	sort.Strings(out)
 	return out, nil
+}
+
+// markLiteralWrites records the fields a struct literal writes: the
+// keyed ones, or every field when the literal is unkeyed.
+func markLiteralWrites(info *types.Info, lit *ast.CompositeLit, written map[*types.Var]bool) {
+	t := info.TypeOf(lit)
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	st, ok := t.Underlying().(*types.Struct)
+	if !ok {
+		return
+	}
+	for i, el := range lit.Elts {
+		if kv, ok := el.(*ast.KeyValueExpr); ok {
+			if f, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+				written[f.Origin()] = true
+			}
+		} else {
+			written[st.Field(i).Origin()] = true
+		}
+	}
+}
+
+// markWriteThrough records the field that x, the target of a write,
+// names, also through index expressions: in r.Counts[v]++ it is Counts.
+func markWriteThrough(info *types.Info, x ast.Expr, written map[*types.Var]bool) {
+	for {
+		switch e := x.(type) {
+		case *ast.IndexExpr:
+			x = e.X
+		case *ast.ParenExpr:
+			x = e.X
+		case *ast.SelectorExpr:
+			if f, ok := info.Uses[e.Sel].(*types.Var); ok && f.IsField() {
+				written[f.Origin()] = true
+			}
+			return
+		default:
+			return
+		}
+	}
 }
 
 // receiverName returns the named type behind t (through a pointer), or
