@@ -65,38 +65,79 @@ func TestLocalClockNegativeDrift(t *testing.T) {
 	k.RunAll()
 }
 
+// The inversion must hold on every affine segment, including one that
+// starts at a resync, where the local anchor is offset from the global
+// one by the residual error.
 func TestLocalClockGlobalAtInvertsLocalAt(t *testing.T) {
 	k := NewKernel(1)
-	c := k.NewLocalClock(ClockConfig{DriftPPB: 30_000}, nil)
-	for _, g := range []logical.Time{0, 1000, 999_999_999, 7_000_000_001} {
-		l := c.LocalAt(g)
-		back := c.GlobalAt(l)
-		diff := int64(back - g)
-		if diff < -2 || diff > 2 {
-			t.Errorf("round trip %v -> %v -> %v (diff %d)", g, l, back, diff)
+	c := k.NewLocalClock(ClockConfig{
+		DriftPPB:   30_000,
+		SyncBound:  logical.Duration(logical.Millisecond),
+		SyncPeriod: logical.Second,
+	}, k.Rand("sync"))
+	check := func(segment logical.Time) {
+		for _, d := range []logical.Time{0, 1000, 999_999_999, 7_000_000_001} {
+			g := segment + d
+			l := c.LocalAt(g)
+			back := c.GlobalAt(l)
+			diff := int64(back - g)
+			if diff < -2 || diff > 2 {
+				t.Errorf("round trip %v -> %v -> %v (diff %d)", g, l, back, diff)
+			}
 		}
 	}
+	check(0)
+	// Sync events are daemons; a plain event keeps the run going past
+	// the first resync.
+	k.At(logical.Time(1500*logical.Millisecond), func() {})
+	k.RunAll()
+	if c.Syncs() != 1 {
+		t.Fatalf("syncs = %d, want 1", c.Syncs())
+	}
+	if c.refLocal == c.refGlobal {
+		t.Fatalf("resync left no residual offset (anchor %v)", c.refGlobal)
+	}
+	check(c.refGlobal)
 }
 
+// Resyncs must hold the error within E plus the drift one period
+// accrues. The drift is fast enough that an unsynced clock leaves that
+// bound well before the run ends, so a resync that failed to reset the
+// local anchor would show.
 func TestLocalClockSyncBoundsError(t *testing.T) {
 	k := NewKernel(99)
+	const driftPPB = 500_000
 	bound := logical.Duration(100 * logical.Microsecond)
+	period := logical.Duration(100 * logical.Millisecond)
 	c := k.NewLocalClock(ClockConfig{
-		DriftPPB:   40_000,
+		DriftPPB:   driftPPB,
 		SyncBound:  bound,
-		SyncPeriod: logical.Duration(100 * logical.Millisecond),
+		SyncPeriod: period,
 	}, k.Rand("sync"))
+	unsynced := k.NewLocalClock(ClockConfig{DriftPPB: driftPPB}, nil)
 	// After the first sync the error must stay within bound + drift accrual.
-	maxAllowed := bound + logical.Duration(40_000*100_000_000/1_000_000_000) // E + drift*period
+	maxAllowed := bound + logical.Duration(mulDivRound(int64(period), driftPPB, 1_000_000_000))
+	abs := func(d logical.Duration) logical.Duration {
+		if d < 0 {
+			return -d
+		}
+		return d
+	}
 	var worst logical.Duration
 	for ms := 150; ms <= 2000; ms += 50 {
 		k.At(logical.Time(ms)*logical.Time(logical.Millisecond), func() {
-			err := c.Error()
-			if err < 0 {
-				err = -err
-			}
-			if err > worst {
+			if err := abs(c.Error()); err > worst {
 				worst = err
+			}
+		})
+	}
+	// Just after each resync the error is the residual alone: the drift
+	// over 1µs at this rate rounds to nothing.
+	for n := 1; n <= 20; n++ {
+		at := logical.Time(n)*logical.Time(period) + logical.Time(logical.Microsecond)
+		k.At(at, func() {
+			if err := abs(c.Error()); err > bound {
+				t.Errorf("error %v just after resync %d exceeds E = %v", err, n, bound)
 			}
 		})
 	}
@@ -106,6 +147,9 @@ func TestLocalClockSyncBoundsError(t *testing.T) {
 	}
 	if c.Syncs() == 0 {
 		t.Error("no syncs happened")
+	}
+	if e := unsynced.Error(); e <= maxAllowed {
+		t.Errorf("unsynced error %v at %v is within %v; the drift does not test resync", e, k.Now(), maxAllowed)
 	}
 }
 

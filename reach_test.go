@@ -79,20 +79,39 @@ func TestReachabilityCatchesPlantedExport(t *testing.T) {
 // Send is planted dead code.
 func Send() int { return 1 }
 
-// PlantedConfig is a planted config type; no program sets Knob.
-type PlantedConfig struct{ Knob int }
+// PlantedConfig is a planted config type; no program sets Knob, and
+// Limits is written only through its own field.
+type PlantedConfig struct {
+	Knob   int
+	Limits PlantedLimits
+}
+
+// PlantedLimits is written through PlantedConfig.Limits.
+type PlantedLimits struct{ Depth int }
 
 var plantedConfig PlantedConfig
 
-func init() { _ = plantedConfig.Knob }
+func init() {
+	_ = plantedConfig.Knob
+	plantedConfig.Limits.Depth++
+}
 `},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	has := func(s string) bool {
+		i := sort.SearchStrings(got, s)
+		return i < len(got) && got[i] == s
+	}
 	for _, want := range []string{"internal/metrics Send", "internal/metrics PlantedConfig.Knob"} {
-		if i := sort.SearchStrings(got, want); i == len(got) || got[i] != want {
+		if !has(want) {
 			t.Errorf("planted %s not reported; the walk found %d unreachable declarations and unwritten fields", want, len(got))
+		}
+	}
+	for _, written := range []string{"internal/metrics PlantedConfig.Limits", "internal/metrics PlantedLimits.Depth"} {
+		if has(written) {
+			t.Errorf("planted %s reported, but init writes it", written)
 		}
 	}
 }
@@ -121,7 +140,8 @@ type reachPkg struct {
 // is reached and its name is a method of an interface declared in the
 // module or one of methodExempt. A field is written by a keyed element
 // of a struct literal, by any unkeyed one, or by an assignment, ++/--
-// or & through it, also through an index (r.Counts[v]++); a field with
+// or & through it, also through an index (r.Counts[v]++) or an
+// enclosing non-pointer field (a.B.C = x writes B and C); a field with
 // a json tag is decoded from outside the program and needs no writer.
 // overlay adds files (directory -> file name -> source) to the tree,
 // for tests of the walk itself.
@@ -395,8 +415,10 @@ func markLiteralWrites(info *types.Info, lit *ast.CompositeLit, written map[*typ
 	}
 }
 
-// markWriteThrough records the field that x, the target of a write,
-// names, also through index expressions: in r.Counts[v]++ it is Counts.
+// markWriteThrough records the fields that x, the target of a write,
+// goes through, also through index expressions: r.Counts[v]++ writes
+// Counts, and a.B.C = x writes both C and B. A write through a pointer
+// field only reads that field, so the walk stops there.
 func markWriteThrough(info *types.Info, x ast.Expr, written map[*types.Var]bool) {
 	for {
 		switch e := x.(type) {
@@ -405,10 +427,15 @@ func markWriteThrough(info *types.Info, x ast.Expr, written map[*types.Var]bool)
 		case *ast.ParenExpr:
 			x = e.X
 		case *ast.SelectorExpr:
-			if f, ok := info.Uses[e.Sel].(*types.Var); ok && f.IsField() {
-				written[f.Origin()] = true
+			f, ok := info.Uses[e.Sel].(*types.Var)
+			if !ok || !f.IsField() {
+				return
 			}
-			return
+			written[f.Origin()] = true
+			if _, ptr := info.TypeOf(e.X).Underlying().(*types.Pointer); ptr {
+				return
+			}
+			x = e.X
 		default:
 			return
 		}
