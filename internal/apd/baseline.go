@@ -1,12 +1,9 @@
 package apd
 
 import (
-	"fmt"
-
 	"repro/internal/ara"
 	"repro/internal/des"
 	"repro/internal/logical"
-	"repro/internal/scenario"
 	"repro/internal/simnet"
 )
 
@@ -31,8 +28,8 @@ type BaselineConfig struct {
 	// SettleTime before the camera starts (service discovery warm-up).
 	SettleTime logical.Duration
 	// Faults installs a deterministic fault schedule on the network
-	// (experiment E11); nil leaves the network fault-free, preserving the
-	// Figure 5 goldens byte-for-byte.
+	// (experiment E11); nil leaves the network fault-free, as in Figure 5.
+	// TestRunsMatchPinnedDigests pins runs with and without a plan.
 	Faults *simnet.FaultPlan
 	// SplitPlatforms deploys Computer Vision and EBA on a third platform
 	// (mirroring DeterministicConfig.SplitPlatforms), so the Pre→CV event
@@ -97,7 +94,6 @@ type Baseline struct {
 	// brake decision for the frames that made it through.
 	Latencies []logical.Duration
 
-	cfg     BaselineConfig
 	horizon logical.Time
 }
 
@@ -105,26 +101,19 @@ type Baseline struct {
 // platform 1, the remaining four SWCs on platform 2, connected through a
 // switch (Figure 4).
 func NewBaseline(seed uint64, cfg BaselineConfig) (*Baseline, error) {
-	// The substrate — kernel, jitter-latency switch, platforms with
-	// drawn oscillator drifts — is declared, not hand-assembled; the
-	// scenario compiler preserves the historical instance-stream draw
-	// order (drift1, drift2, [phases], drift3) byte-for-byte.
-	drawnClock := scenario.ClockSpec{DrawDrift: true, DriftSigmaPPB: cfg.DriftSigmaPPB}
-	w := scenario.BuildPipeline(seed, scenario.PipelineSpec{
-		InstanceStream: "apd.instance",
-		Link:           pipelineLink(),
-		SwitchDelay:    20 * logical.Microsecond,
-		Faults:         cfg.Faults,
-		Platforms: []scenario.PlatformSpec{
-			{Name: "platform1", Clock: drawnClock},
-			{Name: "platform2", Clock: drawnClock},
-		},
-	})
-	k, n := w.Kernel, w.Net
-	instRand := w.InstanceRand
-	p2 := w.Hosts[1]
+	// Instance-stream draws run drift1, drift2, the three activation
+	// phases, then drift3 only when splitting; TestRunsMatchPinnedDigests
+	// pins that order byte-for-byte.
+	k := des.NewKernel(seed)
+	instRand := k.Rand("apd.instance")
+	drifting := func() *des.LocalClock {
+		return k.NewLocalClock(des.ClockConfig{DriftPPB: int64(instRand.Norm(0, cfg.DriftSigmaPPB))}, nil)
+	}
+	n := newNetwork(k, cfg.Faults)
+	p1 := n.AddHost("platform1", drifting())
+	p2 := n.AddHost("platform2", drifting())
 
-	b := &Baseline{Kernel: k, Net: n, cfg: cfg}
+	b := &Baseline{Kernel: k, Net: n}
 	b.horizon = logical.Time(cfg.SettleTime) +
 		logical.Time(int64(cfg.Frames+20)*int64(cfg.Period)*1001/1000)
 
@@ -138,13 +127,11 @@ func NewBaseline(seed uint64, cfg BaselineConfig) (*Baseline, error) {
 	phasePre, phaseCV, phaseEBA := phase(), phase(), phase()
 
 	// The optional third platform hosts CV and EBA. Its drift is drawn
-	// only when splitting, after the phase draws, so the stock two-
-	// platform instances — and with them the Figure 5 goldens — consume
-	// exactly the same random stream as before this option existed
-	// (AddPlatform draws from the instance stream at call time).
+	// only when splitting, and after the phase draws, so splitting
+	// changes no draw of the two-platform deployment.
 	p3 := p2
 	if cfg.SplitPlatforms {
-		p3 = w.AddPlatform(scenario.PlatformSpec{Name: "platform3", Clock: drawnClock})
+		p3 = n.AddHost("platform3", drifting())
 	}
 
 	// --- Video Adapter (platform 2): receives raw camera frames and
@@ -298,50 +285,53 @@ func NewBaseline(seed uint64, cfg BaselineConfig) (*Baseline, error) {
 
 	// --- Video Provider (platform 1): the camera, sending one frame
 	// roughly every 50ms over a proprietary (raw datagram) protocol.
-	w.SpawnFrameSource(cameraSource(p2, cfg.Frames, cfg.Period, cfg.CameraJitterSigma, cfg.SettleTime),
-		cameraFrames(&b.Counters.FramesSent))
+	spawnCamera(k, p1, p2, cfg.Frames, cfg.Period, cfg.CameraJitterSigma, cfg.SettleTime, &b.Counters.FramesSent)
 
 	return b, nil
 }
 
-// pipelineLink is the shared network model of both brake-assistant
-// variants: Ethernet-scale base latency, ~1 Gbit/s serialization,
-// submillisecond jitter.
-func pipelineLink() scenario.JitterLink {
-	return scenario.JitterLink{
-		Base:    100 * logical.Microsecond,
-		PerByte: 8,
-		Sigma:   60 * logical.Microsecond,
-		Stream:  "apd.net",
-	}
+// newNetwork is the shared network of both brake-assistant variants:
+// Ethernet-scale base latency, ~1 Gbit/s serialization and
+// submillisecond jitter, behind a 20µs store-and-forward switch.
+func newNetwork(k *des.Kernel, faults *simnet.FaultPlan) *simnet.Network {
+	return simnet.NewNetwork(k, simnet.Config{
+		DefaultLatency: &simnet.JitterLatency{
+			Base:    100 * logical.Microsecond,
+			PerByte: 8,
+			Sigma:   60 * logical.Microsecond,
+			Rng:     k.Rand("apd.net"),
+		},
+		SwitchDelay: 20 * logical.Microsecond,
+		Faults:      faults,
+	})
 }
 
-// cameraSource is the shared camera declaration of both variants: the
-// Video Provider on platform 1 feeding the Video Adapter on platform 2.
-func cameraSource(p2 *simnet.Host, frames int, period, jitterSigma, settle logical.Duration) scenario.FrameSource {
-	return scenario.FrameSource{
-		Platform:    0,
-		Dst:         simnet.Addr{Host: p2.ID(), Port: VideoPort},
-		Count:       frames,
-		Period:      period,
-		JitterSigma: jitterSigma,
-		Settle:      settle,
-		Stream:      "apd.camera",
-		Name:        "video-provider",
-	}
-}
-
-// cameraFrames is the shared camera payload of both variants: each call
-// renders the next frame into one reused wire buffer (the network copies
-// a datagram on send) and counts it in *sent.
-func cameraFrames(sent *uint64) func(now logical.Time) []byte {
-	scene := &Scene{}
-	var wire []byte
-	return func(now logical.Time) []byte {
-		wire = scene.generateWire(wire, now)
-		*sent++
-		return wire
-	}
+// spawnCamera installs the shared camera of both variants: the Video
+// Provider on src sends frames to the Video Adapter's port on dst over
+// a proprietary (raw datagram) protocol, paced by src's local clock
+// with Gaussian capture jitter, starting after settle. Each frame is
+// rendered into one reused wire buffer (the network copies a datagram
+// on send) and counted in *sent.
+func spawnCamera(k *des.Kernel, src, dst *simnet.Host, frames int, period, jitter, settle logical.Duration, sent *uint64) {
+	out := src.MustBind(0)
+	rng := k.Rand("apd.camera")
+	clock := src.Clock()
+	to := simnet.Addr{Host: dst.ID(), Port: VideoPort}
+	k.SpawnAt(logical.Time(settle), "video-provider", func(p *des.Process) {
+		scene := &Scene{}
+		var wire []byte
+		start := clock.Now()
+		for i := 0; i < frames; i++ {
+			next := start.Add(logical.Duration(i)*period +
+				logical.Duration(rng.Norm(0, float64(jitter))))
+			if g := clock.GlobalAt(next); g > p.Now() {
+				p.WaitUntil(g)
+			}
+			wire = scene.generateWire(wire, p.Now())
+			*sent++
+			out.Send(to, wire)
+		}
+	})
 }
 
 func gaussExec(r *des.Rand, mean, sigma logical.Duration) logical.Duration {
@@ -370,9 +360,4 @@ func (b *Baseline) Run() *ErrorCounters {
 	b.Kernel.Run(b.horizon)
 	b.Kernel.Shutdown()
 	return &b.Counters
-}
-
-// Describe summarizes the configuration.
-func (b *Baseline) Describe() string {
-	return fmt.Sprintf("baseline APD brake assistant: %d frames @ %s", b.cfg.Frames, b.cfg.Period)
 }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/des"
 	"repro/internal/logical"
 	"repro/internal/reactor"
-	"repro/internal/scenario"
 	"repro/internal/simnet"
 )
 
@@ -54,9 +53,10 @@ type DeterministicConfig struct {
 	SyncBound logical.Duration
 
 	// Faults installs a deterministic fault schedule on the network
-	// (experiment E11); nil leaves the network fault-free, preserving the
-	// E4 goldens byte-for-byte. Combine with SplitPlatforms to put faults
-	// on the inter-SWC path (platform 2 ↔ platform 3).
+	// (experiment E11); nil leaves the network fault-free, as in E4.
+	// TestRunsMatchPinnedDigests pins runs with and without a plan.
+	// Combine with SplitPlatforms to put faults on the inter-SWC path
+	// (platform 2 ↔ platform 3).
 	Faults *simnet.FaultPlan
 }
 
@@ -122,48 +122,39 @@ type Deterministic struct {
 	// relative to each frame's arrival tag (for replay comparison).
 	TagTrace []logical.Tag
 
-	cfg      DeterministicConfig
-	horizon  logical.Time
-	swcs     []*core.SWC
-	watchers []setStats
+	horizon logical.Time
+	// stats are the transactors' statistics, folded into Counters when
+	// the run ends.
+	stats []func() core.TransactorStats
 }
 
 // NewDeterministic builds the DEAR deployment: the camera remains on
 // platform 1; Video Adapter, Preprocessing, Computer Vision and EBA are
 // reactor-based SWCs on platform 2 communicating via tagged messages.
 func NewDeterministic(seed uint64, cfg DeterministicConfig) (*Deterministic, error) {
-	// Same declarative substrate as the baseline (identical link model
-	// and switch delay, so the two variants are compared under the same
-	// physical conditions); the DEAR deployment draws no per-instance
-	// randomness — drifts are fixed, clocks resynchronize periodically.
-	platforms := []scenario.PlatformSpec{{Name: "platform1"}}
-	if cfg.SplitPlatforms {
-		platforms = append(platforms,
-			scenario.PlatformSpec{Name: "platform2", Clock: scenario.ClockSpec{
-				DriftPPB: cfg.DriftPPB, SyncBound: cfg.SyncBound,
-				SyncPeriod: 500 * logical.Millisecond, SyncStream: "sync.p2",
-			}},
-			scenario.PlatformSpec{Name: "platform3", Clock: scenario.ClockSpec{
-				DriftPPB: -cfg.DriftPPB, SyncBound: cfg.SyncBound,
-				SyncPeriod: 500 * logical.Millisecond, SyncStream: "sync.p3",
-			}})
-	} else {
-		platforms = append(platforms, scenario.PlatformSpec{Name: "platform2"})
+	// Same network as the baseline, so the two variants are compared
+	// under the same physical conditions; the DEAR deployment draws no
+	// per-instance randomness. When splitting, platforms 2 and 3 get
+	// fixed opposite drifts and resynchronize every 500ms. Each synced
+	// clock schedules its sync daemon when created, so p2's comes first.
+	k := des.NewKernel(seed)
+	n := newNetwork(k, cfg.Faults)
+	clock := func(drift int64, syncStream string) *des.LocalClock {
+		if !cfg.SplitPlatforms {
+			return k.NewLocalClock(des.ClockConfig{}, nil)
+		}
+		return k.NewLocalClock(des.ClockConfig{
+			DriftPPB: drift, SyncBound: cfg.SyncBound, SyncPeriod: 500 * logical.Millisecond,
+		}, k.Rand(syncStream))
 	}
-	w := scenario.BuildPipeline(seed, scenario.PipelineSpec{
-		Link:        pipelineLink(),
-		SwitchDelay: 20 * logical.Microsecond,
-		Faults:      cfg.Faults,
-		Platforms:   platforms,
-	})
-	k, n := w.Kernel, w.Net
-	p2 := w.Hosts[1]
+	p1 := n.AddHost("platform1", k.NewLocalClock(des.ClockConfig{}, nil))
+	p2 := n.AddHost("platform2", clock(cfg.DriftPPB, "sync.p2"))
 	p3 := p2
 	if cfg.SplitPlatforms {
-		p3 = w.Hosts[2]
+		p3 = n.AddHost("platform3", clock(-cfg.DriftPPB, "sync.p3"))
 	}
 
-	d := &Deterministic{Kernel: k, Net: n, cfg: cfg}
+	d := &Deterministic{Kernel: k, Net: n}
 	d.horizon = logical.Time(cfg.SettleTime) +
 		logical.Time(int64(cfg.Frames+20)*int64(cfg.Period))
 	envTimeout := logical.Duration(d.horizon) + logical.Duration(logical.Second)
@@ -180,7 +171,6 @@ func NewDeterministic(seed uint64, cfg DeterministicConfig) (*Deterministic, err
 	if err != nil {
 		return nil, err
 	}
-	d.swcs = append(d.swcs, va)
 	va.Start(envTimeout, func(env *reactor.Environment) error {
 		sk, err := va.Runtime().NewSkeleton(VideoFeedIface, PipelineInstance)
 		if err != nil {
@@ -205,7 +195,7 @@ func NewDeterministic(seed uint64, cfg DeterministicConfig) (*Deterministic, err
 		})
 		sk.Offer()
 		// Track deadline violations of the sensor's forwarding chain.
-		d.watch(setStats{set: set})
+		d.stats = append(d.stats, set.Stats)
 		return nil
 	})
 
@@ -214,7 +204,6 @@ func NewDeterministic(seed uint64, cfg DeterministicConfig) (*Deterministic, err
 	if err != nil {
 		return nil, err
 	}
-	d.swcs = append(d.swcs, pre)
 	preRand := k.Rand("apd.pre")
 	pre.Start(envTimeout, func(env *reactor.Environment) error {
 		cet, err := core.NewClientEventTransactor(env, pre, VideoFeedIface, PipelineInstance, "frame", tc(cfg.PreDeadline))
@@ -254,7 +243,7 @@ func NewDeterministic(seed uint64, cfg DeterministicConfig) (*Deterministic, err
 			frameOut.Set(c, payload)
 		})
 		sk.Offer()
-		d.watch(setStats{set: setLane}, setStats{set: setFrame}, setStats{cet: cet})
+		d.stats = append(d.stats, setLane.Stats, setFrame.Stats, cet.Stats)
 		return nil
 	})
 
@@ -263,7 +252,6 @@ func NewDeterministic(seed uint64, cfg DeterministicConfig) (*Deterministic, err
 	if err != nil {
 		return nil, err
 	}
-	d.swcs = append(d.swcs, cv)
 	cvRand := k.Rand("apd.cv")
 	cv.Start(envTimeout, func(env *reactor.Environment) error {
 		cetFrame, err := core.NewClientEventTransactor(env, cv, PreOutIface, PipelineInstance, "frame", tc(cfg.CVDeadline))
@@ -316,7 +304,7 @@ func NewDeterministic(seed uint64, cfg DeterministicConfig) (*Deterministic, err
 			out.Set(c, MarshalVehicles(DetectVehicles(frame, lane)))
 		})
 		sk.Offer()
-		d.watch(setStats{set: set}, setStats{cet: cetFrame}, setStats{cet: cetLane})
+		d.stats = append(d.stats, set.Stats, cetFrame.Stats, cetLane.Stats)
 		return nil
 	})
 
@@ -325,7 +313,6 @@ func NewDeterministic(seed uint64, cfg DeterministicConfig) (*Deterministic, err
 	if err != nil {
 		return nil, err
 	}
-	d.swcs = append(d.swcs, eba)
 	eba.Start(envTimeout, func(env *reactor.Environment) error {
 		cet, err := core.NewClientEventTransactor(env, eba, CVOutIface, PipelineInstance, "vehicles", tc(cfg.EBADeadline))
 		if err != nil {
@@ -353,27 +340,15 @@ func NewDeterministic(seed uint64, cfg DeterministicConfig) (*Deterministic, err
 			d.Latencies = append(d.Latencies, logical.Duration(c.PhysicalTime()-vehicles.Capture))
 			d.TagTrace = append(d.TagTrace, c.Tag())
 		})
-		d.watch(setStats{cet: cet})
+		d.stats = append(d.stats, cet.Stats)
 		return nil
 	})
 
 	// --- Video Provider (platform 1), identical camera model to the
 	// baseline.
-	w.SpawnFrameSource(cameraSource(p2, cfg.Frames, cfg.Period, cfg.CameraJitterSigma, cfg.SettleTime),
-		cameraFrames(&d.Counters.FramesSent))
+	spawnCamera(k, p1, p2, cfg.Frames, cfg.Period, cfg.CameraJitterSigma, cfg.SettleTime, &d.Counters.FramesSent)
 
 	return d, nil
-}
-
-// setStats lets the harness collect transactor statistics at the end of
-// a run without holding references in experiment code.
-type setStats struct {
-	set *core.ServerEventTransactor
-	cet *core.ClientEventTransactor
-}
-
-func (d *Deterministic) watch(ss ...setStats) {
-	d.watchers = append(d.watchers, ss...)
 }
 
 // Run executes the experiment and folds transactor statistics into the
@@ -381,14 +356,8 @@ func (d *Deterministic) watch(ss ...setStats) {
 func (d *Deterministic) Run() *ErrorCounters {
 	d.Kernel.Run(d.horizon)
 	defer d.Kernel.Shutdown()
-	for _, w := range d.watchers {
-		var s core.TransactorStats
-		switch {
-		case w.set != nil:
-			s = w.set.Stats()
-		case w.cet != nil:
-			s = w.cet.Stats()
-		}
+	for _, stats := range d.stats {
+		s := stats()
 		d.Counters.DeadlineViolations += s.DeadlineViolations
 		d.Counters.SafeToProcessViolations += s.SafeToProcessViolations
 	}

@@ -64,10 +64,8 @@ type ClientMethodTransactor struct {
 	// Response is the transactor's output: the method result.
 	Response *reactor.Port[[]byte]
 
-	swc    *SWC
-	iface  *ara.ServiceInterface
-	method ara.MethodSpec
-	stats  TransactorStats
+	swc   *SWC
+	stats TransactorStats
 
 	proxy *ara.Proxy
 	resp  *reactor.Action[[]byte]
@@ -85,7 +83,7 @@ func NewClientMethodTransactor(env *reactor.Environment, swc *SWC, iface *ara.Se
 }
 
 func newClientMethodTransactor(env *reactor.Environment, swc *SWC, iface *ara.ServiceInterface, instance someip.InstanceID, spec ara.MethodSpec, cfg TransactorConfig) *ClientMethodTransactor {
-	t := &ClientMethodTransactor{swc: swc, iface: iface, method: spec}
+	t := &ClientMethodTransactor{swc: swc}
 	// The up (request) and down (response) paths live in separate
 	// reactors: they share no state, and a single reactor would order
 	// them by priority, falsely closing a causality cycle for
@@ -173,10 +171,7 @@ type ServerMethodTransactor struct {
 	// Response is the transactor's input from the server logic.
 	Response *reactor.Port[[]byte]
 
-	swc    *SWC
-	iface  *ara.ServiceInterface
-	method ara.MethodSpec
-	stats  TransactorStats
+	stats TransactorStats
 
 	req     *reactor.Action[[]byte]
 	pending []serverPending
@@ -195,7 +190,7 @@ func NewServerMethodTransactor(env *reactor.Environment, swc *SWC, sk *ara.Skele
 
 func newServerMethodTransactor(env *reactor.Environment, swc *SWC, sk *ara.Skeleton, spec ara.MethodSpec, cfg TransactorConfig) *ServerMethodTransactor {
 	iface := sk.Interface()
-	t := &ServerMethodTransactor{swc: swc, iface: iface, method: spec}
+	t := &ServerMethodTransactor{}
 	// Up (invocation in) and down (response out) paths in separate
 	// reactors — see newClientMethodTransactor.
 	r := env.NewReactor(fmt.Sprintf("smt.%s.%s.up", iface.Name, spec.Name))
@@ -273,9 +268,6 @@ type ClientEventTransactor struct {
 	// Out is the transactor's output port carrying notification payloads.
 	Out *reactor.Port[[]byte]
 
-	swc   *SWC
-	iface *ara.ServiceInterface
-	event ara.EventSpec
 	stats TransactorStats
 
 	act        *reactor.Action[[]byte]
@@ -293,7 +285,7 @@ func NewClientEventTransactor(env *reactor.Environment, swc *SWC, iface *ara.Ser
 }
 
 func newClientEventTransactor(env *reactor.Environment, swc *SWC, iface *ara.ServiceInterface, instance someip.InstanceID, spec ara.EventSpec, cfg TransactorConfig) *ClientEventTransactor {
-	t := &ClientEventTransactor{swc: swc, iface: iface, event: spec}
+	t := &ClientEventTransactor{}
 	r := env.NewReactor(fmt.Sprintf("cet.%s.%s", iface.Name, spec.Name))
 	t.Out = reactor.NewOutputPort[[]byte](r, "out")
 	t.act = reactor.NewPhysicalAction[[]byte](r, "notif", 0)
@@ -339,8 +331,6 @@ type ServerEventTransactor struct {
 	In *reactor.Port[[]byte]
 
 	swc   *SWC
-	sk    *ara.Skeleton
-	event ara.EventSpec
 	stats TransactorStats
 }
 
@@ -357,7 +347,7 @@ func NewServerEventTransactor(env *reactor.Environment, swc *SWC, sk *ara.Skelet
 
 func newServerEventTransactor(env *reactor.Environment, swc *SWC, sk *ara.Skeleton, spec ara.EventSpec, cfg TransactorConfig) *ServerEventTransactor {
 	iface := sk.Interface()
-	t := &ServerEventTransactor{swc: swc, sk: sk, event: spec}
+	t := &ServerEventTransactor{swc: swc}
 	r := env.NewReactor(fmt.Sprintf("set.%s.%s", iface.Name, spec.Name))
 	t.In = reactor.NewInputPort[[]byte](r, "in")
 

@@ -7,16 +7,11 @@
 // measurement code, and a deployment that was never compiled into the
 // binary can run from a JSON file (cmd/experiments -scenario).
 //
-// Two compiler entry points exist:
-//
-//   - Build compiles the client/server compute-mesh family (E10, E11,
-//     E12, JSON scenarios): every platform offers a "compute" service
-//     and runs one client whose call targets come from the topology
-//     generator.
-//   - BuildPipeline (pipeline.go) compiles the brake-assistant
-//     substrate family (E3–E5, E11 pipeline): kernel, jitter-latency
-//     network, drifting platform clocks and the camera frame source
-//     shared by the stock and DEAR variants in internal/apd.
+// Build compiles the client/server compute-mesh family (E10, E11,
+// E12, E14, JSON scenarios): every platform offers a "compute" service
+// and runs one client whose call targets come from the topology
+// generator. The brake-assistant case study (internal/apd) builds its
+// own substrate and does not go through this package.
 //
 // Determinism contract: for a fixed Spec, the world's behaviour is a
 // pure function of Spec.Seed, identical for every Partitions value and

@@ -206,9 +206,10 @@ func (a *Agent) scheduleCyclic(off *localOffer) {
 }
 
 // Find starts discovery for a service instance, declaring interest in
-// it (see Interest). The callback fires (as a kernel event) when the
-// service is known — immediately if already cached. It fires again on
-// re-discovery after expiry. The find itself travels on the key's
+// it (see Interest). The callback fires once (as a kernel event) when
+// the service is known — immediately if already cached. It does not
+// fire again on re-discovery after expiry; a caller that wants the
+// re-offer calls Find again. The find itself travels on the key's
 // provider topic, reaching only agents that offer the service.
 func (a *Agent) Find(key ServiceKey, cb func(RemoteService)) {
 	a.Interest(key)

@@ -62,12 +62,15 @@ func TestOfferTTLRefreshedByCyclicOffer(t *testing.T) {
 // Under a provider crash the consumer's cache follows the provider's
 // lifecycle: the entry expires by TTL (a crashed host sends no
 // stop-offer), and the restarted provider's offer from a fresh endpoint
-// replaces it.
+// replaces it. A Find made before the crash fires once: neither the
+// expiry nor the re-offer calls it again.
 func TestCacheFollowsCrashAndReoffer(t *testing.T) {
 	f := newSDFixture(t)
 	appEp := f.h1.MustBind(40000)
 	f.a2.Interest(testKey)
 	f.k.At(0, func() { f.a1.Offer(testKey, 1, appEp.Addr()) })
+	findCalls := 0
+	f.k.At(0, func() { f.a2.Find(testKey, func(RemoteService) { findCalls++ }) })
 	// The provider platform dies silently at 500ms...
 	f.h1.Crash(logical.Time(500 * logical.Millisecond))
 	// ...and comes back at 4s with a rebuilt SD stack and a new offer.
@@ -92,5 +95,8 @@ func TestCacheFollowsCrashAndReoffer(t *testing.T) {
 	}
 	if !after.cached || after.svc.Endpoint.(simnet.Addr).Port != 40001 {
 		t.Fatalf("after the restart: cached %v, %+v", after.cached, after.svc)
+	}
+	if findCalls != 1 {
+		t.Fatalf("Find made before the crash fired %d times, want 1", findCalls)
 	}
 }
