@@ -1,6 +1,8 @@
 package des
 
 import (
+	"math/bits"
+
 	"repro/internal/logical"
 )
 
@@ -106,8 +108,10 @@ func (c *LocalClock) Error() logical.Duration {
 func (c *LocalClock) Syncs() int { return c.syncs }
 
 // mulDivRound computes a*b/c with int64 operands, rounding toward zero,
-// using 128-bit intermediate math to avoid overflow for the magnitudes
-// used here (times up to ~292 years in ns, ppb up to 1e9).
+// using a 128-bit intermediate product so that the magnitudes used here
+// (times up to ~292 years in ns, ppb up to 1e9) cannot overflow. A
+// quotient beyond 64 bits keeps its low 64 bits: dividing hi%c first
+// is what keeps bits.Div64 from panicking on hi >= c.
 func mulDivRound(a, b, c int64) int64 {
 	if c == 0 {
 		panic("des: division by zero")
@@ -126,47 +130,11 @@ func mulDivRound(a, b, c int64) int64 {
 		uc = -uc
 		neg = !neg
 	}
-	hi, lo := mul64(uint64(ua), uint64(ub))
-	q := div128(hi, lo, uint64(uc))
+	d := uint64(uc)
+	hi, lo := bits.Mul64(uint64(ua), uint64(ub))
+	q, _ := bits.Div64(hi%d, lo, d)
 	if neg {
 		return -int64(q)
 	}
 	return int64(q)
-}
-
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	al, ah := a&mask, a>>32
-	bl, bh := b&mask, b>>32
-	t := ah*bl + (al*bl)>>32
-	w := al*bh + (t & mask)
-	hi = ah*bh + (t >> 32) + (w >> 32)
-	lo = a * b
-	return
-}
-
-func div128(hi, lo, d uint64) uint64 {
-	// Simple long division; hi < d is guaranteed for our magnitudes
-	// (quotient fits in 64 bits).
-	if hi == 0 {
-		return lo / d
-	}
-	var q, r uint64
-	for i := 127; i >= 0; i-- {
-		r <<= 1
-		var bit uint64
-		if i >= 64 {
-			bit = (hi >> uint(i-64)) & 1
-		} else {
-			bit = (lo >> uint(i)) & 1
-		}
-		r |= bit
-		if r >= d {
-			r -= d
-			if i < 64 {
-				q |= 1 << uint(i)
-			}
-		}
-	}
-	return q
 }

@@ -1,6 +1,8 @@
 package des
 
 import (
+	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 
@@ -153,22 +155,6 @@ func TestLocalClockSyncBoundsError(t *testing.T) {
 	}
 }
 
-func TestMulDivRound(t *testing.T) {
-	cases := []struct{ a, b, c, want int64 }{
-		{10, 3, 2, 15},
-		{1_000_000_000, 50_000, 1_000_000_000, 50_000},
-		{-10, 3, 2, -15},
-		{10, -3, 2, -15},
-		{1 << 40, 1 << 20, 1 << 10, 1 << 50},
-		{0, 999, 7, 0},
-	}
-	for _, c := range cases {
-		if got := mulDivRound(c.a, c.b, c.c); got != c.want {
-			t.Errorf("mulDivRound(%d,%d,%d) = %d, want %d", c.a, c.b, c.c, got, c.want)
-		}
-	}
-}
-
 // Property: mulDivRound(a, b, b) == a for nonzero b.
 func TestMulDivRoundIdentity(t *testing.T) {
 	f := func(a int32, b int32) bool {
@@ -194,4 +180,139 @@ func TestMulDivRoundSmall(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Error(err)
 	}
+}
+
+// refMulDivRound is mulDivRound as it was before math/bits: the same
+// sign rule over a hand-written 64×64→128 multiply and a bit-by-bit
+// long division. It is the differential reference for the fast path.
+func refMulDivRound(a, b, c int64) int64 {
+	neg := false
+	ua, ub, uc := a, b, c
+	if ua < 0 {
+		ua = -ua
+		neg = !neg
+	}
+	if ub < 0 {
+		ub = -ub
+		neg = !neg
+	}
+	if uc < 0 {
+		uc = -uc
+		neg = !neg
+	}
+	hi, lo := mul64(uint64(ua), uint64(ub))
+	q := div128(hi, lo, uint64(uc))
+	if neg {
+		return -int64(q)
+	}
+	return int64(q)
+}
+
+func mul64(a, b uint64) (hi, lo uint64) {
+	const mask = 1<<32 - 1
+	al, ah := a&mask, a>>32
+	bl, bh := b&mask, b>>32
+	t := ah*bl + (al*bl)>>32
+	w := al*bh + (t & mask)
+	hi = ah*bh + (t >> 32) + (w >> 32)
+	lo = a * b
+	return
+}
+
+// div128 returns the low 64 bits of (hi:lo)/d. The remainder stays
+// below d <= 2^63, so shifting it never overflows.
+func div128(hi, lo, d uint64) uint64 {
+	if hi == 0 {
+		return lo / d
+	}
+	var q, r uint64
+	for i := 127; i >= 0; i-- {
+		r <<= 1
+		var bit uint64
+		if i >= 64 {
+			bit = (hi >> uint(i-64)) & 1
+		} else {
+			bit = (lo >> uint(i)) & 1
+		}
+		r |= bit
+		if r >= d {
+			r -= d
+			if i < 64 {
+				q |= 1 << uint(i)
+			}
+		}
+	}
+	return q
+}
+
+// bigMulDivRound is the exact a*b/c, truncated toward zero, reduced to
+// its low 64 bits in two's complement (big.Int's And works on the
+// two's-complement form of a negative value).
+func bigMulDivRound(a, b, c int64) int64 {
+	q := new(big.Int).Mul(big.NewInt(a), big.NewInt(b))
+	q.Quo(q, big.NewInt(c))
+	return int64(q.And(q, new(big.Int).SetUint64(math.MaxUint64)).Uint64())
+}
+
+// mulDivRoundCases are checked against mulDivRound and both references,
+// and seed FuzzMulDivRound. The cases after the first six reach the
+// 128-bit path the int16/int32 properties above never do: quotients of
+// 64 bits and more (hi >= c), MinInt64 as each operand, c = ±1, and the
+// largest products (|a|·|b| = 2^126).
+var mulDivRoundCases = []struct{ a, b, c, want int64 }{
+	{10, 3, 2, 15},
+	{1_000_000_000, 50_000, 1_000_000_000, 50_000},
+	{-10, 3, 2, -15},
+	{10, -3, 2, -15},
+	{1 << 40, 1 << 20, 1 << 10, 1 << 50},
+	{0, 999, 7, 0},
+	{math.MaxInt64, math.MaxInt64, 1, 1},             // 2^126 - 2^64 + 1
+	{math.MaxInt64, math.MaxInt64, 2, math.MinInt64}, // 2^125 - 2^63
+	{math.MaxInt64, math.MaxInt64, math.MaxInt64, math.MaxInt64},
+	{math.MinInt64, math.MinInt64, 1, 0},                  // 2^126
+	{math.MinInt64, math.MinInt64, 3, 0x5555555555555555}, // (2^126 - 1)/3
+	{math.MinInt64, math.MinInt64, math.MinInt64, math.MinInt64},
+	{math.MinInt64, 1, 1, math.MinInt64},
+	{math.MinInt64, -1, 1, math.MinInt64}, // 2^63 wraps
+	{1, math.MinInt64, -1, math.MinInt64},
+	{math.MaxInt64, 1, math.MinInt64, 0},
+	{math.MaxInt64, math.MinInt64, math.MaxInt64, math.MinInt64},
+	{123456789, 987654321, 1, 121932631112635269},
+	{7, 9, -1, -63},
+	{-7, -9, -1, -63},
+	{1 << 62, 1_000_000_000, 1_000_000_000 + 50_000, 4611455445655105148},
+}
+
+func TestMulDivRound(t *testing.T) {
+	for _, c := range mulDivRoundCases {
+		if got := mulDivRound(c.a, c.b, c.c); got != c.want {
+			t.Errorf("mulDivRound(%d,%d,%d) = %d, want %d", c.a, c.b, c.c, got, c.want)
+		}
+		if ref := refMulDivRound(c.a, c.b, c.c); ref != c.want {
+			t.Errorf("long division(%d,%d,%d) = %d, want %d", c.a, c.b, c.c, ref, c.want)
+		}
+		if ref := bigMulDivRound(c.a, c.b, c.c); ref != c.want {
+			t.Errorf("math/big(%d,%d,%d) = %d, want %d", c.a, c.b, c.c, ref, c.want)
+		}
+	}
+}
+
+// FuzzMulDivRound checks mulDivRound against the long-division
+// reference and math/big over the full int64 range.
+func FuzzMulDivRound(f *testing.F) {
+	for _, c := range mulDivRoundCases {
+		f.Add(c.a, c.b, c.c)
+	}
+	f.Fuzz(func(t *testing.T, a, b, c int64) {
+		if c == 0 {
+			return
+		}
+		got := mulDivRound(a, b, c)
+		if ref := refMulDivRound(a, b, c); got != ref {
+			t.Fatalf("mulDivRound(%d,%d,%d) = %d, long division says %d", a, b, c, got, ref)
+		}
+		if ref := bigMulDivRound(a, b, c); got != ref {
+			t.Fatalf("mulDivRound(%d,%d,%d) = %d, math/big says %d", a, b, c, got, ref)
+		}
+	})
 }

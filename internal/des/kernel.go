@@ -50,11 +50,10 @@ type Event struct {
 	// phases. Events become local by being scheduled from a local event
 	// or from a process started with SpawnLocal.
 	local bool
-	index int // heap index, -1 once popped
-	// emitIndex is the event's position in the kernel's emit shadow heap
-	// (see Kernel.emit), -1 when absent. Only maintained on federated
-	// kernels; single-kernel mode never populates the shadow heap.
-	emitIndex int
+	// pos holds the event's position in the kernel's main queue
+	// (pos[queueSlot], -1 once popped) and in its emit shadow heap
+	// (pos[emitSlot], -1 when absent; see Kernel.emit).
+	pos [2]int
 }
 
 // Canceled reports whether Cancel was called on the event.
@@ -70,23 +69,23 @@ func (e *Event) Cancel() {
 		return
 	}
 	e.canceled = true
-	if e.index < 0 {
+	if e.pos[queueSlot] < 0 {
 		return
 	}
 	k := e.k
 	if !e.daemon {
 		k.pending--
 	}
-	k.queue.removeAt(e.index)
-	if e.emitIndex >= 0 {
-		k.emit.removeAt(e.emitIndex)
+	k.queue.removeAt(e.pos[queueSlot])
+	if e.pos[emitSlot] >= 0 {
+		k.emit.removeAt(e.pos[emitSlot])
 	}
 }
 
 // Time returns the simulated time at which the event fires.
 func (e *Event) Time() logical.Time { return e.at }
 
-// eventQueue is the kernel's priority queue: a 4-ary min-heap over
+// eventQueue is the kernel's priority queue type: a 4-ary min-heap over
 // *Event specialized to the (at, seq) key, replacing container/heap to
 // eliminate the per-push/pop interface dispatch (Less/Swap/Len calls
 // through an interface, plus the any-boxing of Push/Pop operands) on
@@ -97,9 +96,20 @@ func (e *Event) Time() logical.Time { return e.at }
 // swap. The 4-ary layout halves tree depth, trading one extra child
 // comparison per level for better cache locality on sift-down.
 //
-// Event.index is maintained on every move so Cancel can find a queued
-// event (index >= 0) and tell it from a popped one (index == -1).
-type eventQueue []*Event
+// A kernel keeps two: its main queue and the emit shadow heap (see
+// Kernel.emit). An event can sit in both, so each heap maintains its
+// own entry of Event.pos, named by slot: the position (>= 0) lets
+// Cancel find a queued event, and -1 tells it from a removed one.
+type eventQueue struct {
+	h    []*Event
+	slot int // queueSlot or emitSlot
+}
+
+// The Event.pos entries of the two heaps.
+const (
+	queueSlot = iota
+	emitSlot
+)
 
 // before reports the strict (at, seq) order. Keys are never equal:
 // seq is unique per kernel.
@@ -112,7 +122,8 @@ func (a *Event) before(b *Event) bool {
 
 // push inserts e, restoring the heap by sifting up.
 func (q *eventQueue) push(e *Event) {
-	h := append(*q, e)
+	h := append(q.h, e)
+	s := q.slot
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) >> 2
@@ -121,17 +132,17 @@ func (q *eventQueue) push(e *Event) {
 			break
 		}
 		h[i] = p
-		p.index = i
+		p.pos[s] = i
 		i = parent
 	}
 	h[i] = e
-	e.index = i
-	*q = h
+	e.pos[s] = i
+	q.h = h
 }
 
 // pop removes and returns the minimum event.
 func (q *eventQueue) pop() *Event {
-	min := (*q)[0]
+	min := q.h[0]
 	q.removeAt(0)
 	return min
 }
@@ -139,13 +150,14 @@ func (q *eventQueue) pop() *Event {
 // removeAt deletes the event at heap position i (pop, Cancel): the tail
 // element takes its place and is sifted in either direction as needed.
 func (q *eventQueue) removeAt(i int) {
-	h := *q
-	h[i].index = -1
+	h := q.h
+	s := q.slot
+	h[i].pos[s] = -1
 	n := len(h) - 1
 	e := h[n]
 	h[n] = nil
 	h = h[:n]
-	*q = h
+	q.h = h
 	if i == n {
 		return
 	}
@@ -158,7 +170,7 @@ func (q *eventQueue) removeAt(i int) {
 			break
 		}
 		h[j] = p
-		p.index = j
+		p.pos[s] = j
 		j = parent
 	}
 	if j == i {
@@ -179,91 +191,12 @@ func (q *eventQueue) removeAt(i int) {
 				break
 			}
 			h[j] = bestEv
-			bestEv.index = j
+			bestEv.pos[s] = j
 			j = best
 		}
 	}
 	h[j] = e
-	e.index = j
-}
-
-// emitHeap is the kernel's shadow priority queue over emit-capable
-// events: the same 4-ary (at, seq) min-heap as eventQueue, but holding
-// only live non-local events and maintaining Event.emitIndex instead of
-// Event.index. Federated kernels keep it in lock-step with the main
-// queue so NextEmitTime — the coordinator's earliest-output-time bound,
-// consulted on every park — is O(1) at the head instead of a full
-// O(queued) scan. Cancel removes an event from both heaps.
-type emitHeap []*Event
-
-// push inserts e, restoring the heap by sifting up.
-func (q *emitHeap) push(e *Event) {
-	h := append(*q, e)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) >> 2
-		p := h[parent]
-		if !e.before(p) {
-			break
-		}
-		h[i] = p
-		p.emitIndex = i
-		i = parent
-	}
-	h[i] = e
-	e.emitIndex = i
-	*q = h
-}
-
-// removeAt deletes the event at heap position i (the main queue popped
-// it, or it was canceled): the tail element takes its place and is sifted in either direction as needed.
-func (q *emitHeap) removeAt(i int) {
-	h := *q
-	h[i].emitIndex = -1
-	n := len(h) - 1
-	e := h[n]
-	h[n] = nil
-	h = h[:n]
-	*q = h
-	if i == n {
-		return
-	}
-	// Sift e up from i, then down if it did not move.
-	j := i
-	for j > 0 {
-		parent := (j - 1) >> 2
-		p := h[parent]
-		if !e.before(p) {
-			break
-		}
-		h[j] = p
-		p.emitIndex = j
-		j = parent
-	}
-	if j == i {
-		for {
-			c := j<<2 + 1
-			if c >= n {
-				break
-			}
-			best := c
-			bestEv := h[c]
-			for m := c + 1; m < c+4 && m < n; m++ {
-				if h[m].before(bestEv) {
-					best = m
-					bestEv = h[m]
-				}
-			}
-			if !bestEv.before(e) {
-				break
-			}
-			h[j] = bestEv
-			bestEv.emitIndex = j
-			j = best
-		}
-	}
-	h[j] = e
-	e.emitIndex = j
+	e.pos[s] = j
 }
 
 // Tracer receives logical trace events from a kernel (see
@@ -288,7 +221,6 @@ type Kernel struct {
 	pending  int // non-daemon events still queued
 	procs    []*Process
 	running  bool
-	stopped  bool
 	fired    uint64
 	rootRand *Rand
 	// free recycles transient Events: scheduling is the hot path shared by
@@ -304,8 +236,12 @@ type Kernel struct {
 	// the kernels of two or more partitions). A single kernel leaves it
 	// off, keeping enqueue/dequeue free of shadow maintenance.
 	emitTracked bool
-	// emit shadows the queue's live non-local events (see emitHeap).
-	emit emitHeap
+	// emit is the shadow priority queue over emit-capable events: it
+	// holds only the queue's live non-local events, so NextEmitTime — the
+	// coordinator's earliest-output-time bound, consulted on every park —
+	// is O(1) at its head instead of a full O(queued) scan. Cancel
+	// removes an event from both heaps.
+	emit eventQueue
 	// tracer, when set, receives Trace calls (nil = tracing disabled;
 	// the hot-path cost is one nil check).
 	tracer Tracer
@@ -314,7 +250,7 @@ type Kernel struct {
 // NewKernel returns a kernel whose clock starts at time zero and whose
 // random streams all derive from seed.
 func NewKernel(seed uint64) *Kernel {
-	return &Kernel{rootRand: NewRand(seed)}
+	return &Kernel{rootRand: NewRand(seed), emit: eventQueue{slot: emitSlot}}
 }
 
 // Now returns the current simulated time.
@@ -399,7 +335,7 @@ func (k *Kernel) post(e *Event, t logical.Time, fn func(any), arg any, daemon, t
 		t = k.now
 	}
 	k.seq++
-	if e == nil || e.k != nil && e.index >= 0 {
+	if e == nil || e.k != nil && e.pos[queueSlot] >= 0 {
 		if n := len(k.free); transient && n > 0 {
 			e = k.free[n-1]
 			k.free[n-1] = nil
@@ -420,7 +356,7 @@ func (k *Kernel) post(e *Event, t logical.Time, fn func(any), arg any, daemon, t
 // the emit shadow heap when the event could emit cross-partition.
 func (k *Kernel) enqueue(e *Event) {
 	k.queue.push(e)
-	e.emitIndex = -1
+	e.pos[emitSlot] = -1
 	if k.emitTracked && !e.local {
 		k.emit.push(e)
 	}
@@ -430,8 +366,8 @@ func (k *Kernel) enqueue(e *Event) {
 // emit shadow entry if it still has one.
 func (k *Kernel) dequeue() *Event {
 	e := k.queue.pop()
-	if e.emitIndex >= 0 {
-		k.emit.removeAt(e.emitIndex)
+	if e.pos[emitSlot] >= 0 {
+		k.emit.removeAt(e.pos[emitSlot])
 	}
 	return e
 }
@@ -476,12 +412,9 @@ func (k *Kernel) fire() {
 	}
 }
 
-// Stop makes Run return after the currently firing event completes.
-func (k *Kernel) Stop() { k.stopped = true }
-
 // Run executes queued events in (time, sequence) order until only daemon
-// events remain, Stop is called, or the next event lies strictly beyond
-// the until horizon. It returns the simulated time at which it stopped.
+// events remain or the next event lies strictly beyond the until
+// horizon. It returns the simulated time at which it stopped.
 // Run must not be called reentrantly and the kernel must not be shared
 // across goroutines other than through Process operations.
 func (k *Kernel) Run(until logical.Time) logical.Time {
@@ -489,12 +422,11 @@ func (k *Kernel) Run(until logical.Time) logical.Time {
 		panic("des: Kernel.Run called reentrantly")
 	}
 	k.running = true
-	k.stopped = false
 	defer func() { k.running = false }()
-	for len(k.queue) > 0 && k.pending > 0 && !k.stopped && k.queue[0].at <= until {
+	for len(k.queue.h) > 0 && k.pending > 0 && k.queue.h[0].at <= until {
 		k.fire()
 	}
-	if !k.stopped && k.now < until && until < logical.Forever {
+	if k.now < until && until < logical.Forever {
 		// The simulation went quiescent before the horizon; advance the
 		// clock so that successive Run calls observe monotonic time.
 		k.now = until
@@ -502,7 +434,7 @@ func (k *Kernel) Run(until logical.Time) logical.Time {
 	return k.now
 }
 
-// RunAll executes events until the queue is empty or Stop is called.
+// RunAll executes events until only daemon events remain.
 func (k *Kernel) RunAll() logical.Time { return k.Run(logical.Forever) }
 
 // NextEventTime returns the firing time of the earliest queued event;
@@ -511,10 +443,10 @@ func (k *Kernel) RunAll() logical.Time { return k.Run(logical.Forever) }
 // bound, so keeping it tight — never a stale canceled timestamp —
 // directly widens the windows granted to downstream partitions.
 func (k *Kernel) NextEventTime() (logical.Time, bool) {
-	if len(k.queue) == 0 {
+	if len(k.queue.h) == 0 {
 		return 0, false
 	}
-	return k.queue[0].at, true
+	return k.queue.h[0].at, true
 }
 
 // NextEmitTime returns the earliest queued event that could emit onto a
@@ -528,26 +460,24 @@ func (k *Kernel) NextEventTime() (logical.Time, bool) {
 // turns the shadow heap on there, and on any other kernel it stays
 // empty.
 func (k *Kernel) NextEmitTime() (logical.Time, bool) {
-	if len(k.emit) == 0 {
+	if len(k.emit.h) == 0 {
 		return 0, false
 	}
-	return k.emit[0].at, true
+	return k.emit.h[0].at, true
 }
 
 // RunLive executes every queued event — daemon events included — whose
 // time is at or before until, then advances the clock to until. Unlike
 // Run it does not stop at quiescence: it is the step function for
 // real-time drivers (see RealTime), which interleave RunLive with
-// waiting on the physical clock and injecting external events. Stop is
-// honored.
+// waiting on the physical clock and injecting external events.
 func (k *Kernel) RunLive(until logical.Time) logical.Time {
 	if k.running {
 		panic("des: Kernel.RunLive called reentrantly")
 	}
 	k.running = true
-	k.stopped = false
 	defer func() { k.running = false }()
-	for len(k.queue) > 0 && !k.stopped && k.queue[0].at <= until {
+	for len(k.queue.h) > 0 && k.queue.h[0].at <= until {
 		k.fire()
 	}
 	if k.now < until {
@@ -583,5 +513,5 @@ func (k *Kernel) Pending() int { return k.pending }
 
 // String summarizes the kernel state for diagnostics.
 func (k *Kernel) String() string {
-	return fmt.Sprintf("kernel(now=%s queued=%d fired=%d)", k.now, len(k.queue), k.fired)
+	return fmt.Sprintf("kernel(now=%s queued=%d fired=%d)", k.now, len(k.queue.h), k.fired)
 }

@@ -79,9 +79,9 @@ func TestCancelRemovesEvent(t *testing.T) {
 	daemon := k.AfterDaemon(25, fn)
 	check := func(step string, queued, emit, pending int, next, nextEmit logical.Time) {
 		t.Helper()
-		if len(k.queue) != queued || len(k.emit) != emit || k.Pending() != pending {
+		if len(k.queue.h) != queued || len(k.emit.h) != emit || k.Pending() != pending {
 			t.Fatalf("%s: queue %d, emit %d, pending %d; want %d, %d, %d",
-				step, len(k.queue), len(k.emit), k.Pending(), queued, emit, pending)
+				step, len(k.queue.h), len(k.emit.h), k.Pending(), queued, emit, pending)
 		}
 		if at, ok := k.NextEventTime(); !ok || at != next {
 			t.Fatalf("%s: NextEventTime = (%v, %v), want (%v, true)", step, at, ok, next)
@@ -90,14 +90,14 @@ func TestCancelRemovesEvent(t *testing.T) {
 			t.Fatalf("%s: NextEmitTime = (%v, %v), want (%v, true)", step, at, ok, nextEmit)
 		}
 		// Neither query may have dropped anything.
-		if len(k.queue) != queued || len(k.emit) != emit {
+		if len(k.queue.h) != queued || len(k.emit.h) != emit {
 			t.Fatalf("%s: a next-time query changed the queues", step)
 		}
 	}
 	check("scheduled", 5, 4, 4, 10, 10)
 	e10.Cancel()
-	if e10.index != -1 || e10.emitIndex != -1 {
-		t.Fatalf("canceled event still indexed: index %d, emitIndex %d", e10.index, e10.emitIndex)
+	if e10.pos != [2]int{-1, -1} {
+		t.Fatalf("canceled event still indexed: pos %v", e10.pos)
 	}
 	check("head canceled", 4, 3, 3, 12, 20)
 	e10.Cancel()
@@ -109,9 +109,9 @@ func TestCancelRemovesEvent(t *testing.T) {
 	daemon.Cancel()
 	check("daemon canceled", 1, 1, 1, 20, 20)
 	f.RunAll()
-	if fired != 1 || k.Pending() != 0 || len(k.queue) != 0 || len(k.emit) != 0 {
+	if fired != 1 || k.Pending() != 0 || len(k.queue.h) != 0 || len(k.emit.h) != 0 {
 		t.Fatalf("after run: fired %d, pending %d, queue %d, emit %d; want 1, 0, 0, 0",
-			fired, k.Pending(), len(k.queue), len(k.emit))
+			fired, k.Pending(), len(k.queue.h), len(k.emit.h))
 	}
 	if e20.Canceled() {
 		t.Fatal("live event reports canceled")
@@ -144,8 +144,8 @@ func TestCancelKeepsHeapOrder(t *testing.T) {
 			live++
 		}
 	}
-	if len(k.queue) != live || len(k.emit) != live || k.Pending() != live {
-		t.Fatalf("queue %d, emit %d, pending %d; want %d each", len(k.queue), len(k.emit), k.Pending(), live)
+	if len(k.queue.h) != live || len(k.emit.h) != live || k.Pending() != live {
+		t.Fatalf("queue %d, emit %d, pending %d; want %d each", len(k.queue.h), len(k.emit.h), k.Pending(), live)
 	}
 	f.RunAll()
 	if len(got) != live {
@@ -184,17 +184,6 @@ func TestKernelQuiescentAdvancesToHorizon(t *testing.T) {
 	k.Run(500)
 	if k.Now() != 500 {
 		t.Errorf("now = %v, want 500", k.Now())
-	}
-}
-
-func TestKernelStop(t *testing.T) {
-	k := NewKernel(1)
-	count := 0
-	k.At(10, func() { count++; k.Stop() })
-	k.At(20, func() { count++ })
-	k.RunAll()
-	if count != 1 {
-		t.Errorf("count = %d, want 1 (stopped)", count)
 	}
 }
 

@@ -11,7 +11,6 @@ type procState int
 
 const (
 	procNew procState = iota
-	procRunnable
 	procRunning
 	procSleeping // blocked with a scheduled wake event
 	procBlocked  // parked, waiting for an explicit Unpark

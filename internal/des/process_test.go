@@ -309,8 +309,8 @@ func TestInterruptibleWaitAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(100, cycle); got != 0 {
 		t.Errorf("interrupt + wait allocates %v times per cycle, want 0", got)
 	}
-	if len(k.queue) != 1 || k.Pending() != 1 {
-		t.Errorf("after the cycles: %d queued, %d pending; want the one wake event", len(k.queue), k.Pending())
+	if len(k.queue.h) != 1 || k.Pending() != 1 {
+		t.Errorf("after the cycles: %d queued, %d pending; want the one wake event", len(k.queue.h), k.Pending())
 	}
 }
 

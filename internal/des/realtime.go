@@ -120,14 +120,6 @@ func (d *RealTime) Run() {
 			d.k.At(now, fn)
 		}
 		d.k.RunLive(now)
-		if d.k.stopped {
-			// An event called Kernel.Stop: honor it across driver
-			// iterations (RunLive would clear the flag on re-entry).
-			d.mu.Lock()
-			d.stopped = true
-			d.mu.Unlock()
-			return
-		}
 
 		// Sleep until the next queued event is due, or until an external
 		// wake (Inject/Stop). With an empty queue only a wake resumes us.

@@ -93,32 +93,6 @@ func TestRealTimeFiresDaemonEvents(t *testing.T) {
 	}
 }
 
-func TestRealTimeHonorsKernelStop(t *testing.T) {
-	k := NewKernel(1)
-	d := NewRealTime(k)
-	fired := 0
-	k.After(1*logical.Millisecond, func() {
-		fired++
-		k.Stop()
-	})
-	// Would fire long before any plausible test timeout if Stop were
-	// ignored across driver iterations.
-	k.After(5*logical.Millisecond, func() { fired++ })
-	done := make(chan struct{})
-	go func() {
-		d.Run()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Kernel.Stop did not stop the real-time driver")
-	}
-	if fired != 1 {
-		t.Errorf("fired = %d events, want 1 (events after Stop must not fire)", fired)
-	}
-}
-
 func TestRealTimeElapsedTracksWallClock(t *testing.T) {
 	k := NewKernel(1)
 	d := NewRealTime(k)

@@ -70,12 +70,13 @@ func (r *FaultPipelineResult) Table() *metrics.Table {
 // light background loss throughout. Host selectors are wildcards, so
 // the identical plan applies to both deployments (camera link in the
 // baseline; camera plus inter-SWC links in the split DEAR deployment).
+// The windows are placed from the baseline's camera period and settle
+// time, which the DEAR configs share (TestPipelineConfigsShareTiming).
 func DefaultPipelineFaultPlan(frames int) *simnet.FaultPlan {
-	period := 50 * logical.Millisecond
-	start := logical.Time(300 * logical.Millisecond) // settle time
-	span := logical.Duration(frames) * period
+	cfg := apd.DefaultBaselineConfig(frames)
+	span := logical.Duration(frames) * cfg.Period
 	at := func(frac float64) logical.Time {
-		return start + logical.Time(float64(span)*frac)
+		return logical.Time(cfg.SettleTime) + logical.Time(float64(span)*frac)
 	}
 	return &simnet.FaultPlan{
 		Seed:     0xE11,

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/apd"
 	"repro/internal/logical"
 	"repro/internal/scenario"
 )
@@ -123,6 +124,24 @@ func TestFaultPipelineBaselineSilentDearObservable(t *testing.T) {
 		}
 		if res.Dear.FramesProcessed == 0 {
 			t.Fatalf("seed %d: DEAR made no progress under faults", seed)
+		}
+	}
+}
+
+// DefaultPipelineFaultPlan places its windows from the baseline's
+// period and settle time, yet one plan serves both variants
+// (RunFaultPipeline). Both DEAR configs must share that timing, or the
+// windows would land elsewhere in the DEAR runs.
+func TestPipelineConfigsShareTiming(t *testing.T) {
+	const frames = 400
+	base := apd.DefaultBaselineConfig(frames)
+	for name, cfg := range map[string]apd.DeterministicConfig{
+		"default": apd.DefaultDeterministicConfig(frames),
+		"split":   apd.SplitDeterministicConfig(frames),
+	} {
+		if cfg.Period != base.Period || cfg.SettleTime != base.SettleTime {
+			t.Errorf("%s DEAR config: period %v, settle %v; baseline has %v, %v",
+				name, cfg.Period, cfg.SettleTime, base.Period, base.SettleTime)
 		}
 	}
 }

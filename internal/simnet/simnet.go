@@ -11,7 +11,6 @@ package simnet
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/des"
 	"repro/internal/logical"
@@ -443,16 +442,6 @@ func (h *Host) crashNow() {
 		ep.teardown()
 	}
 	h.ports = map[uint16]*Endpoint{}
-}
-
-// Endpoints returns the endpoints bound on this host in port order.
-func (h *Host) Endpoints() []*Endpoint {
-	eps := make([]*Endpoint, 0, len(h.ports))
-	for _, ep := range h.ports {
-		eps = append(eps, ep)
-	}
-	sort.Slice(eps, func(i, j int) bool { return eps[i].addr.Port < eps[j].addr.Port })
-	return eps
 }
 
 // Endpoint is a bound (host, port) able to send datagrams and, once a

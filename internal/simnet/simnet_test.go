@@ -346,18 +346,6 @@ func TestDropRate(t *testing.T) {
 	}
 }
 
-func TestEndpointsSorted(t *testing.T) {
-	_, n := newNet(1)
-	h := n.AddHost("p", nil)
-	h.MustBind(30)
-	h.MustBind(10)
-	h.MustBind(20)
-	eps := h.Endpoints()
-	if len(eps) != 3 || eps[0].Addr().Port != 10 || eps[1].Addr().Port != 20 || eps[2].Addr().Port != 30 {
-		t.Errorf("endpoints out of order: %v %v %v", eps[0].Addr(), eps[1].Addr(), eps[2].Addr())
-	}
-}
-
 func TestHostClockAttachment(t *testing.T) {
 	k, _ := newNet(1)
 	clk := k.NewLocalClock(des.ClockConfig{}, nil)
