@@ -66,8 +66,8 @@ func dumpTrace(path string) {
 	if tr.Truncated > 0 {
 		fmt.Printf("# trace truncated: %d records evicted\n", tr.Truncated)
 	}
-	for i := range tr.Records {
-		r := &tr.Records[i]
+	for i := 0; i < tr.Len(); i++ {
+		r := tr.At(i)
 		fmt.Printf("--- record %d: %s\n", i, r.String())
 		if r.Data == nil {
 			continue

@@ -79,24 +79,38 @@ func TestReplayDetectsPerturbedInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip one payload byte of the first stored input (the last byte
-	// of a tagged request's payload region sits before the trailer).
-	perturbed := &trace.Trace{Records: append([]trace.Record(nil), rec.Records...)}
+	// Re-record the stored inputs — all a replay reads — with one
+	// payload byte of the first flipped (the last byte of a tagged
+	// request's payload region sits before the trailer).
+	// The same inputs re-recorded unchanged must replay identically, so
+	// the divergence below comes from the flipped byte alone.
+	clean, inputs := trace.NewRecorder(rec.Len()), trace.NewRecorder(rec.Len())
 	found := false
-	for i := range perturbed.Records {
-		if perturbed.Records[i].Data != nil {
-			data := append([]byte(nil), perturbed.Records[i].Data...)
-			data[16] ^= 0xff // first payload byte, after the 16-byte header
-			perturbed.Records[i].Data = data
-			perturbed.Records[i].Digest = trace.Digest(data)
-			found = true
-			break
+	for i := 0; i < rec.Len(); i++ {
+		r := rec.At(i)
+		if r.Data == nil {
+			continue
 		}
+		clean.RecordInput(r.Time, r.Component, r.Kind, r.Src, r.Data)
+		data := r.Data
+		if !found {
+			data = append([]byte(nil), data...)
+			data[16] ^= 0xff // first payload byte, after the 16-byte header
+			found = true
+		}
+		inputs.RecordInput(r.Time, r.Component, r.Kind, r.Src, data)
 	}
 	if !found {
 		t.Fatal("no stored input to perturb")
 	}
-	replayed, err := ReplaySimulated(perturbed)
+	cleanReplay, err := ReplaySimulated(clean.Trace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := trace.FirstDivergence(rec.WithoutTimes(), cleanReplay.WithoutTimes()); d != nil {
+		t.Fatalf("re-recorded inputs replayed differently: %s", d)
+	}
+	replayed, err := ReplaySimulated(inputs.Trace())
 	if err != nil {
 		t.Fatal(err)
 	}

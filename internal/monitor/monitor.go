@@ -259,16 +259,17 @@ func TotalViolations(verdicts []Verdict) uint64 {
 
 // ViolationPrefix cuts a canonical trace at a violation's anchoring
 // record (inclusive): every record canonically at or before (Time,
-// Component, Seq) survives. The prefix is the replayable artifact a
-// violated recording run dumps — Evaluate over it reproduces the
+// Component, Seq) survives. The prefix shares t's records and tables
+// (trace.Trace.Prefix), so it copies nothing. It is the replayable
+// artifact a violated recording run dumps — Evaluate over it reproduces the
 // violation (see the containment contract in DESIGN.md: truncation may
 // additionally flush other components' in-flight obligations, so
 // replay asserts the dumped violation is *contained* in the replayed
 // verdicts, not that it is the unique first).
 func ViolationPrefix(t *trace.Trace, v *Violation) *trace.Trace {
-	out := &trace.Trace{Truncated: t.Truncated}
-	for i := range t.Records {
-		r := &t.Records[i]
+	n := 0
+	for ; n < t.Len(); n++ {
+		r := t.At(n)
 		if r.Time > v.Time {
 			break
 		}
@@ -280,9 +281,8 @@ func ViolationPrefix(t *trace.Trace, v *Violation) *trace.Trace {
 				break
 			}
 		}
-		out.Records = append(out.Records, *r)
 	}
-	return out
+	return t.Prefix(n)
 }
 
 // Evaluate runs fresh monitors over a canonical trace post-hoc and
@@ -293,8 +293,10 @@ func ViolationPrefix(t *trace.Trace, v *Violation) *trace.Trace {
 // produces exactly the online verdicts.
 func Evaluate(t *trace.Trace, monitors ...Monitor) []Verdict {
 	e := NewEngine(monitors...)
-	for i := range t.Records {
-		e.Observe(&t.Records[i])
+	var r trace.Record
+	for i := 0; i < t.Len(); i++ {
+		r = t.At(i)
+		e.Observe(&r)
 	}
 	e.Finish()
 	return e.Verdicts()

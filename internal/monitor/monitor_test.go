@@ -130,6 +130,17 @@ func standardLib() []Monitor {
 	}
 }
 
+// recordedTrace records recs, a stream in canonical order, through a
+// recorder and returns its trace: the records' times, components,
+// kinds and sequence numbers, with the digest of an empty payload.
+func recordedTrace(recs []trace.Record) *trace.Trace {
+	r := trace.NewRecorder(len(recs))
+	for i := range recs {
+		r.TraceEvent(recs[i].Time, recs[i].Component, recs[i].Kind, nil)
+	}
+	return r.Trace()
+}
+
 // syntheticStream builds a multi-component stream with violations of
 // every standard monitor, in canonical order.
 func syntheticStream() []trace.Record {
@@ -198,7 +209,7 @@ func TestMergeVerdictsMatchesSingleEngine(t *testing.T) {
 // verdict hash must not depend on the order violations were reported.
 func TestFirstViolationAndHashOrderIndependence(t *testing.T) {
 	recs := syntheticStream()
-	ref := Evaluate(&trace.Trace{Records: recs}, standardLib()...)
+	ref := Evaluate(recordedTrace(recs), standardLib()...)
 	first := FirstViolation(ref)
 	if first == nil || first.Time != 5 || first.Component != "b" {
 		t.Fatalf("first violation = %+v, want the t=5 late request", first)
@@ -251,12 +262,12 @@ func TestSampleCapKeepsSmallest(t *testing.T) {
 // it, but the dumped violation itself must be present).
 func TestViolationPrefixRoundTrip(t *testing.T) {
 	recs := syntheticStream()
-	tr := &trace.Trace{Records: recs}
+	tr := recordedTrace(recs)
 	ref := Evaluate(tr, standardLib()...)
 	first := FirstViolation(ref)
 
 	prefix := ViolationPrefix(tr, first)
-	last := prefix.Records[len(prefix.Records)-1]
+	last := prefix.At(prefix.Len() - 1)
 	if last.Time != first.Time || last.Component != first.Component || last.Seq != first.Seq {
 		t.Fatalf("prefix does not end at the violation anchor: %+v vs %+v", last, first)
 	}
@@ -317,7 +328,9 @@ func TestEngineSeqsMatchRecorder(t *testing.T) {
 	}
 	e.Finish()
 	v := e.Verdicts()[0].Samples[0]
-	for _, recd := range r.Trace().Records {
+	tr := r.Trace()
+	for i := 0; i < tr.Len(); i++ {
+		recd := tr.At(i)
 		if recd.Component == v.Component && recd.Seq == v.Seq {
 			if recd.Kind != trace.KindCorrupt {
 				t.Fatalf("anchor (%s#%d) names a %s record", v.Component, v.Seq, recd.Kind)

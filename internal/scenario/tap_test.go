@@ -1,8 +1,8 @@
 package scenario
 
 import (
-	"bytes"
 	"cmp"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -97,9 +97,15 @@ func TestTapSeesRecordedStream(t *testing.T) {
 		}
 		return cmp.Compare(a.Seq, b.Seq)
 	})
-	observed := &trace.Trace{Records: union}
-	if !bytes.Equal(observed.Encode(), w.Trace().Encode()) {
-		t.Fatalf("observed stream differs from the merged trace: %s", trace.FirstDivergence(observed, w.Trace()))
+	merged := w.Trace()
+	if merged.Len() != len(union) {
+		t.Fatalf("merged trace holds %d records, the engines observed %d", merged.Len(), len(union))
+	}
+	for j := range union {
+		if r := merged.At(j); !reflect.DeepEqual(r, union[j]) {
+			t.Fatalf("observed stream differs from the merged trace at record %d: observed %s, merged %s",
+				j, union[j].String(), r.String())
+		}
 	}
 	if monitor.TotalViolations(w.Verdicts()) != 0 {
 		t.Fatalf("healthy world tripped a monitor:\n%s", monitor.Report(w.Verdicts()))

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -33,6 +34,17 @@ func TestTraceRecordZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("TraceEvent allocates %.1f objects/op after wrap, want 0", allocs)
 	}
+	// Reading a merged record back, stored input included, shares the
+	// trace's strings and bytes.
+	r.RecordInput(3, "plat00.client", KindRecv, "peer", payload)
+	tr := r.Trace()
+	var rec Record
+	allocs = testing.AllocsPerRun(1000, func() {
+		rec = tr.At(tr.Len() - 1)
+	})
+	if allocs != 0 || rec.Src != "peer" {
+		t.Fatalf("Trace.At allocates %.1f objects/op (record %s), want 0", allocs, &rec)
+	}
 }
 
 // mergeFixture builds k time-ordered recorders sharing n records
@@ -64,9 +76,9 @@ func bytesPerRun(runs int, f func()) uint64 {
 }
 
 // Merge's allocation budget: a constant number of allocations however
-// many records it merges — one pointer list per stream, one exact-size
-// output slice, no growth and no per-record work on the heap — and at
-// most n·(sizeof(Record)+8) bytes plus page rounding of those k+1
+// many records it merges — one index list for the streams, one
+// exact-size slot slice, no growth and no per-record work on the heap —
+// and at most n·(sizeof(slot)+8) bytes plus page rounding of those two
 // large slices and a small constant. The collector is off while it
 // measures: a GC cycle makes runtime allocations of its own, and a
 // larger merge triggers more cycles.
@@ -78,7 +90,7 @@ func TestMergeAllocBudget(t *testing.T) {
 		recs := mergeFixture(k, n)
 		merge := func() { Merge(recs...) }
 		counts = append(counts, testing.AllocsPerRun(10, merge))
-		budget := uint64(n)*(uint64(unsafe.Sizeof(Record{}))+8) + (k+1)*8192 + 1024
+		budget := uint64(n)*(uint64(unsafe.Sizeof(slot{}))+8) + (k+1)*8192 + 1024
 		got := bytesPerRun(10, merge)
 		t.Logf("n=%d: %.0f allocs/op, %d B/op (budget %d)", n, counts[len(counts)-1], got, budget)
 		if got > budget {
@@ -90,5 +102,19 @@ func TestMergeAllocBudget(t *testing.T) {
 	}
 	if counts[1] > k+6 {
 		t.Errorf("Merge of %d recorders makes %.0f allocations, budget %d", k, counts[1], k+6)
+	}
+}
+
+// Decode sizes its slot slice from the header's record count, so a
+// count the body cannot hold must be rejected before anything is
+// allocated from it: 0xFFFFFFFF records ahead of 40 bytes fail with
+// ErrBadTrace in a few KiB.
+func TestDecodeHostileCountBounded(t *testing.T) {
+	data := hostileCount()
+	if _, err := Decode(data); !errors.Is(err, ErrBadTrace) {
+		t.Fatalf("Decode of a 0xFFFFFFFF-record header: error %v, want ErrBadTrace", err)
+	}
+	if got := bytesPerRun(10, func() { Decode(data) }); got > 4096 {
+		t.Fatalf("rejecting a 0xFFFFFFFF-record header allocates %d B, budget 4096", got)
 	}
 }

@@ -43,13 +43,13 @@ func putString(buf []byte, s string) []byte {
 
 // Encode renders the trace in the deterministic binary format.
 func (t *Trace) Encode() []byte {
-	buf := make([]byte, 0, 64+len(t.Records)*48)
+	buf := make([]byte, 0, 64+len(t.slots)*48)
 	buf = append(buf, traceMagic...)
 	buf = append(buf, traceVersion)
 	buf = binary.BigEndian.AppendUint64(buf, t.Truncated)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(t.Records)))
-	for i := range t.Records {
-		r := &t.Records[i]
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(t.slots)))
+	for i := range t.slots {
+		r := t.At(i)
 		buf = binary.BigEndian.AppendUint64(buf, uint64(r.Time))
 		buf = binary.BigEndian.AppendUint64(buf, r.Seq)
 		buf = binary.BigEndian.AppendUint64(buf, r.Digest)
@@ -66,6 +66,10 @@ func (t *Trace) Encode() []byte {
 	}
 	return buf
 }
+
+// minRecordSize is the smallest encoded record: three u64s, three
+// empty strings and the stored-input flag.
+const minRecordSize = 3*8 + 3*2 + 1
 
 type decoder struct {
 	buf []byte
@@ -122,12 +126,35 @@ func (d *decoder) u64() uint64 {
 	return binary.BigEndian.Uint64(b)
 }
 
-func (d *decoder) str() string { return string(d.take(int(d.u16()))) }
+func (d *decoder) str() []byte { return d.take(int(d.u16())) }
+
+// names is a name table under construction: each distinct name is
+// stored once, as one string.
+type names struct {
+	list []string
+	ids  map[string]uint32
+}
+
+// id returns the id of name b, adding it on first sight.
+func (n *names) id(b []byte) uint32 {
+	if id, ok := n.ids[string(b)]; ok {
+		return id
+	}
+	if n.ids == nil {
+		n.ids = make(map[string]uint32)
+	}
+	s := string(b)
+	n.ids[s] = uint32(len(n.list))
+	n.list = append(n.list, s)
+	return uint32(len(n.list) - 1)
+}
 
 // Decode parses a binary trace produced by Encode. Malformed input —
-// truncated, trailing bytes, a bad magic, version or stored-input flag —
-// returns an error wrapping ErrBadTrace; an accepted input re-encodes
-// to exactly its own bytes.
+// truncated, trailing bytes, a bad magic, version or stored-input flag,
+// or a record count the remaining bytes cannot hold — returns an error
+// wrapping ErrBadTrace; an accepted input re-encodes to exactly its own
+// bytes. Names are interned: one string per distinct component or
+// kind, not per record.
 func Decode(data []byte) (*Trace, error) {
 	d := &decoder{buf: data}
 	if string(d.take(len(traceMagic))) != traceMagic {
@@ -138,24 +165,34 @@ func Decode(data []byte) (*Trace, error) {
 	}
 	t := &Trace{Truncated: d.u64()}
 	count := int(d.u32())
+	// Every record takes at least minRecordSize bytes, so a count the
+	// rest cannot hold is malformed before anything is sized from it.
+	if rest := len(data) - d.off; count > rest/minRecordSize {
+		return nil, fmt.Errorf("%w: %d records in %d bytes", ErrBadTrace, count, rest)
+	}
+	t.slots = make([]slot, count)
+	var comps, kinds names
 	for i := 0; i < count && d.err == nil; i++ {
-		var r Record
-		r.Time = logical.Time(d.u64())
-		r.Seq = d.u64()
-		r.Digest = d.u64()
-		r.Component = d.str()
-		r.Kind = d.str()
-		r.Src = d.str()
+		s := &t.slots[i]
+		s.time = logical.Time(d.u64())
+		s.seq = d.u64()
+		s.digest = d.u64()
+		s.comp = comps.id(d.str())
+		s.kind = kinds.id(d.str())
+		src := d.str()
+		var stored []byte
 		switch d.u8() {
 		case 0:
 		case 1:
 			// Clone keeps an empty stored input non-nil, so it
 			// re-encodes as one.
-			r.Data = bytes.Clone(d.take(int(d.u32())))
+			stored = bytes.Clone(d.take(int(d.u32())))
 		default:
 			d.fail()
 		}
-		t.Records = append(t.Records, r)
+		if len(src) > 0 || stored != nil {
+			t.setInput(i, storedInput{src: string(src), data: stored})
+		}
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -163,6 +200,7 @@ func Decode(data []byte) (*Trace, error) {
 	if d.off != len(data) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadTrace, len(data)-d.off)
 	}
+	t.comps, t.kinds = comps.list, kinds.list
 	return t, nil
 }
 

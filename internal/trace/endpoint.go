@@ -115,9 +115,9 @@ type Replayer struct {
 // input records into k and capture outputs into out.
 func NewReplayer(k *des.Kernel, recorded *Trace, out *Recorder) *Replayer {
 	r := &Replayer{k: k, out: out}
-	for i := range recorded.Records {
-		if recorded.Records[i].Data != nil {
-			r.inputs = append(r.inputs, recorded.Records[i])
+	for i := 0; i < recorded.Len(); i++ {
+		if rec := recorded.At(i); rec.Data != nil {
+			r.inputs = append(r.inputs, rec)
 		}
 	}
 	return r

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 )
@@ -11,8 +12,10 @@ import (
 // panic; a rejection wraps ErrBadTrace, and an accepted trace
 // re-encodes to exactly the input. The seed corpus in
 // testdata/fuzz/FuzzTraceDecode holds a merged two-recorder trace with
-// a stored-input record, a trace with no records and a truncated trace.
+// a stored-input record, a trace with no records and a truncated trace;
+// hostileCount adds a header whose record count the body cannot hold.
 func FuzzTraceDecode(f *testing.F) {
+	f.Add(hostileCount())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Decode(data)
 		if err != nil {
@@ -32,12 +35,14 @@ func FuzzTraceDecode(f *testing.F) {
 // input decodes as a stored input (non-nil Data), so it re-encodes to
 // the same bytes.
 func TestDecodeIsCanonical(t *testing.T) {
-	empty := (&Trace{Records: []Record{{Time: 1, Seq: 1, Component: "c", Kind: KindRecv, Data: []byte{}}}}).Encode()
+	r := NewRecorder(16)
+	r.recordInputOwned(1, "c", KindRecv, "", []byte{})
+	empty := r.Trace().Encode()
 	tr, err := Decode(empty)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Records[0].Data == nil || !bytes.Equal(tr.Encode(), empty) {
+	if tr.At(0).Data == nil || !bytes.Equal(tr.Encode(), empty) {
 		t.Fatal("an empty stored input does not round-trip")
 	}
 	bad := bytes.Clone(empty)
@@ -45,4 +50,13 @@ func TestDecodeIsCanonical(t *testing.T) {
 	if _, err := Decode(bad); !errors.Is(err, ErrBadTrace) {
 		t.Fatalf("stored-input flag 2: Decode error %v, want ErrBadTrace", err)
 	}
+}
+
+// hostileCount is a trace header claiming 0xFFFFFFFF records ahead of
+// a 40-byte body.
+func hostileCount() []byte {
+	b := append([]byte(traceMagic), traceVersion)
+	b = binary.BigEndian.AppendUint64(b, 0)
+	b = binary.BigEndian.AppendUint32(b, 0xFFFFFFFF)
+	return append(b, make([]byte, 40)...)
 }

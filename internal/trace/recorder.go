@@ -38,15 +38,15 @@ func Digest(payload []byte) uint64 {
 // Ring slots are 32 bytes and hold no pointers — time, sequence
 // number, digest and the interned ids of the component and kind — so
 // the collector never scans the ring. Component and kind names live in
-// per-recorder tables and are resolved only by Merge; the source and
-// bytes of a stored input live in a side table keyed by slot, which
-// eviction clears. The ring is allocated once at construction and
-// recycled in place: appending a record on the hot path performs zero
-// allocations once its component has been seen (asserted by
-// TestTraceRecordZeroAllocs). When the ring is full the oldest record
-// is evicted and the merged trace's Truncated counts the loss; size
-// the capacity so complete runs never evict, because mode-independence
-// of the merged trace only holds for complete traces.
+// per-recorder tables, the source and bytes of a stored input in a side
+// table keyed by slot, which eviction clears; Merge copies the slots
+// into the Trace and resolves no name. The ring is allocated once at
+// construction and recycled in place: appending a record on the hot
+// path performs zero allocations once its component has been seen
+// (asserted by TestTraceRecordZeroAllocs). When the ring is full the
+// oldest record is evicted and the merged trace's Truncated counts the
+// loss; size the capacity so complete runs never evict, because
+// mode-independence of the merged trace only holds for complete traces.
 //
 // A Recorder is safe for concurrent use: live recording writes from
 // both a socket-reader goroutine (inputs) and the kernel goroutine
@@ -71,18 +71,18 @@ type Recorder struct {
 	scratch Record // the record handed to tap
 }
 
-// slot is one ring entry. It holds no pointer, so a ring of any size
-// adds nothing to the collector's mark work.
+// slot is one record of a ring or a Trace. It holds no pointer, so a
+// ring or trace of any size adds nothing to the collector's mark work.
 type slot struct {
 	time   logical.Time
 	seq    uint64
 	digest uint64
-	comp   uint32 // index into Recorder.comps
-	kind   uint32 // index into Recorder.kinds, with storedBit for inputs
+	comp   uint32 // index into the owner's component table
+	kind   uint32 // index into the owner's kind table, with storedBit for inputs
 }
 
-// storedBit marks a slot whose record keeps its input in
-// Recorder.inputs.
+// storedBit marks a slot whose record keeps its input (source and
+// bytes) in its owner's side table.
 const storedBit = 1 << 31
 
 // storedInput is the side-table entry of a captured input.
@@ -219,18 +219,6 @@ func (r *Recorder) recordInputOwned(at logical.Time, component, kind, src string
 	r.mu.Unlock()
 }
 
-// resolve writes ring slot i into rec, names and stored input
-// included. Called with mu held.
-func (r *Recorder) resolve(rec *Record, i int) {
-	s := &r.ring[i]
-	rec.Time, rec.Seq, rec.Digest = s.time, s.seq, s.digest
-	rec.Component, rec.Kind = r.comps[s.comp], r.kinds[s.kind&^storedBit]
-	if s.kind&storedBit != 0 {
-		in := r.inputs[i]
-		rec.Src, rec.Data = in.src, in.data
-	}
-}
-
 // Len returns the number of records currently buffered.
 func (r *Recorder) Len() int {
 	r.mu.Lock()
@@ -240,8 +228,8 @@ func (r *Recorder) Len() int {
 
 // lockAll locks every distinct recorder in creation order — one global
 // order, so concurrent merges over overlapping recorder sets cannot
-// deadlock — and returns the matching unlock.
-func lockAll(recorders []*Recorder) (unlock func()) {
+// deadlock — and returns them for unlockAll.
+func lockAll(recorders []*Recorder) []*Recorder {
 	distinct := make([]*Recorder, 0, len(recorders))
 	for _, r := range recorders {
 		if !slices.Contains(distinct, r) {
@@ -252,10 +240,13 @@ func lockAll(recorders []*Recorder) (unlock func()) {
 	for _, r := range distinct {
 		r.mu.Lock()
 	}
-	return func() {
-		for _, r := range distinct {
-			r.mu.Unlock()
-		}
+	return distinct
+}
+
+// unlockAll unlocks the recorders lockAll locked.
+func unlockAll(locked []*Recorder) {
+	for _, r := range locked {
+		r.mu.Unlock()
 	}
 }
 

@@ -12,11 +12,10 @@ import (
 	"repro/internal/logical"
 )
 
-// The ring is the recorder's whole footprint: a slot that held a
-// pointer would make the collector scan every record of every ring. A
-// reflect walk over the slot type must find no pointer-bearing field,
-// and a slot must fit in 32 bytes.
-func TestRingSlotIsPointerFree(t *testing.T) {
+// checkPointerFree fails t for every pointer-bearing field of typ, found
+// by a reflect walk.
+func checkPointerFree(t *testing.T, path string, typ reflect.Type) {
+	t.Helper()
 	var walk func(path string, typ reflect.Type)
 	walk = func(path string, typ reflect.Type) {
 		switch typ.Kind() {
@@ -31,10 +30,18 @@ func TestRingSlotIsPointerFree(t *testing.T) {
 			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
 			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
 		default:
-			t.Errorf("ring slot field %s has pointer-bearing kind %s", path, typ.Kind())
+			t.Errorf("field %s has pointer-bearing kind %s", path, typ.Kind())
 		}
 	}
-	walk("slot", reflect.TypeOf(slot{}))
+	walk(path, typ)
+}
+
+// The ring is the recorder's whole footprint: a slot that held a
+// pointer would make the collector scan every record of every ring. A
+// reflect walk over the slot type must find no pointer-bearing field,
+// and a slot must fit in 32 bytes.
+func TestRingSlotIsPointerFree(t *testing.T) {
+	checkPointerFree(t, "slot", reflect.TypeOf(slot{}))
 	if size := unsafe.Sizeof(slot{}); size > 32 {
 		t.Errorf("ring slot is %d bytes, want at most 32", size)
 	}
@@ -77,8 +84,8 @@ func TestRingWrapReleasesEvictedInputs(t *testing.T) {
 		t.Fatalf("trace holds %d records, %d truncated; want 16 and 25", tr.Len(), tr.Truncated)
 	}
 	var inputs int
-	for i := range tr.Records {
-		rec := &tr.Records[i]
+	for i := 0; i < tr.Len(); i++ {
+		rec := tr.record(i)
 		if rec.Kind != KindRecv {
 			if rec.Src != "" || rec.Data != nil {
 				t.Fatalf("digest-only record carries an input: %s", rec)
@@ -105,4 +112,15 @@ func TestRingWrapReleasesEvictedInputs(t *testing.T) {
 	if got := hex.EncodeToString(sum[:]); got != ringWrapEncoding {
 		t.Fatalf("encoding changed: sha256 %s, want %s", got, ringWrapEncoding)
 	}
+}
+
+// A merged trace is the largest heap object of a traced run, so it
+// keeps its records in the ring's slots: the element type of the
+// trace's record slice must hold no pointer either.
+func TestTraceRecordsArePointerFree(t *testing.T) {
+	f, ok := reflect.TypeOf(Trace{}).FieldByName("slots")
+	if !ok || f.Type.Kind() != reflect.Slice {
+		t.Fatal("Trace has no slots slice")
+	}
+	checkPointerFree(t, "Trace.slots[]", f.Type.Elem())
 }

@@ -16,7 +16,11 @@
 //     canonical merged trace of a run is byte-identical across
 //     GOMAXPROCS values and partition counts: records carry no
 //     kernel-global state, and Merge orders them by (time, component,
-//     sequence), a total order every execution mode agrees on.
+//     sequence), a total order every execution mode agrees on. The
+//     merged Trace keeps the ring's 32-byte slots, with trace-wide name
+//     tables beside them: Len and At read it, At resolving one Record
+//     without allocating, and it is immutable once built, because
+//     Prefix, Filter and WithoutTimes share its tables.
 //
 //   - Divergence diagnosis. FirstDivergence(a, b) names the first
 //     event at which two traces disagree — time, component, kind,
@@ -131,10 +135,12 @@ func (r *Record) String() string {
 }
 
 // equal reports full record equality, stored input bytes included.
+// Whether an input is stored (non-nil Data) counts on its own, because
+// the encoding writes a stored empty input differently from none.
 func (r *Record) equal(o *Record) bool {
 	return r.Time == o.Time && r.Seq == o.Seq && r.Component == o.Component &&
 		r.Kind == o.Kind && r.Digest == o.Digest && r.Src == o.Src &&
-		bytes.Equal(r.Data, o.Data)
+		(r.Data == nil) == (o.Data == nil) && bytes.Equal(r.Data, o.Data)
 }
 
 // Trace is a canonical logical event trace: records sorted by (time,
@@ -142,22 +148,34 @@ func (r *Record) equal(o *Record) bool {
 // every execution mode agrees on, so two behaviourally identical runs
 // produce byte-identical encoded traces regardless of partition count
 // or GOMAXPROCS.
+//
+// A trace keeps its records in the recorder ring's pointer-free 32-byte
+// slots, so the collector never scans them. The slots' ids index
+// trace-wide name tables (components, and kinds with each name once),
+// and stored inputs sit in a side table keyed by record index. Len and
+// At read the records; At resolves one without allocating. A Trace is
+// immutable once built: Prefix, Filter and WithoutTimes share its
+// tables.
 type Trace struct {
-	// Records are the events in canonical order.
-	Records []Record
 	// Truncated counts records evicted from ring buffers before the
 	// merge (0 = complete). A truncated trace is still canonical but
 	// mode-independence only holds for complete traces.
 	Truncated uint64
+	slots     []slot              // the records in canonical order
+	comps     []string            // component names by slot.comp
+	kinds     []string            // kind names by slot.kind&^storedBit, each once
+	inputs    map[int]storedInput // by record index, for slots with storedBit
 }
 
 // mergeStream is one recorder's records during a Merge: ring indices
-// in canonical order, and the name prefix of each of the recorder's
-// components.
+// in canonical order, the name prefix of each of the recorder's
+// components, and how its ids map into the trace's tables.
 type mergeStream struct {
 	r      *Recorder
 	idx    []int
 	prefix []uint64 // by component id
+	base   uint32   // the id of the recorder's first component in the trace
+	kinds  []int    // the trace's kind id by the recorder's kind id
 }
 
 // namePrefix returns the first 8 bytes of a component name as a
@@ -229,33 +247,43 @@ func (s *mergeStream) sort(timeOrdered bool) {
 // Each ring is read in place under its recorder's lock (held for the
 // whole merge), put into canonical order as a list of slot indices (see
 // mergeStream.sort), and the k sorted streams are merged head by head
-// straight into one exact-size record slice, names resolved as each
-// record is written: one copy, no re-sort of the union. Components
-// compare by an integer name prefix computed once per component
-// (namePrefix), and by name only when two prefixes agree. Equal keys —
-// a contract violation: one component on two recorders — resolve to
-// the earlier argument, so the output stays deterministic.
+// straight into one exact-size slot slice: each winning slot is copied
+// with its ids remapped into the trace's tables (the recorders'
+// component tables concatenated, their kinds deduplicated), so no name
+// is resolved and no record is re-sorted. Components compare by an
+// integer name prefix computed once per component (namePrefix), and by
+// name only when two prefixes agree. Equal keys — a contract violation:
+// one component on two recorders — resolve to the earlier argument, so
+// the output stays deterministic.
 func Merge(recorders ...*Recorder) *Trace {
-	defer lockAll(recorders)()
+	defer unlockAll(lockAll(recorders))
 	t := &Trace{}
-	total, ncomps := 0, 0
+	total, ncomps, nkinds := 0, 0, 0
 	for _, r := range recorders {
 		total += r.count
 		ncomps += len(r.comps)
+		nkinds += len(r.kinds)
 		t.Truncated += r.dropped
 	}
 	if total == 0 {
-		return t // Records stays nil: the empty trace's encoding
+		return t
 	}
 	prefixes := make([]uint64, ncomps)
-	idx := make([]int, total)
+	idx := make([]int, total+nkinds) // the streams' index lists and kind maps
 	streams := make([]mergeStream, len(recorders))
+	t.comps = make([]string, 0, ncomps)
 	for i, r := range recorders {
 		s := &streams[i]
 		s.r = r
 		s.prefix, prefixes = prefixes[:len(r.comps)], prefixes[len(r.comps):]
 		for c, name := range r.comps {
 			s.prefix[c] = namePrefix(name)
+		}
+		s.base = uint32(len(t.comps))
+		t.comps = append(t.comps, r.comps...)
+		s.kinds, idx = idx[:len(r.kinds)], idx[len(r.kinds):]
+		for k, name := range r.kinds {
+			s.kinds[k] = int(t.kindID(name))
 		}
 		s.idx, idx = idx[:r.count], idx[r.count:]
 		timeOrdered := true
@@ -267,8 +295,8 @@ func Merge(recorders ...*Recorder) *Trace {
 		}
 		s.sort(timeOrdered)
 	}
-	t.Records = make([]Record, total)
-	for n := range t.Records {
+	t.slots = make([]slot, total)
+	for n := range t.slots {
 		var best *mergeStream
 		var head *slot
 		for i := range streams {
@@ -281,22 +309,81 @@ func Merge(recorders ...*Recorder) *Trace {
 				best, head = s, h
 			}
 		}
-		best.r.resolve(&t.Records[n], best.idx[0])
+		out := &t.slots[n]
+		*out = *head
+		out.comp += best.base
+		out.kind = uint32(best.kinds[head.kind&^storedBit]) | head.kind&storedBit
+		if head.kind&storedBit != 0 {
+			t.setInput(n, best.r.inputs[best.idx[0]])
+		}
 		best.idx = best.idx[1:]
 	}
 	return t
 }
 
+// kindID returns kind's index in the trace's kind table, adding it on
+// first sight. A trace has a handful of kinds, so a scan beats a map.
+func (t *Trace) kindID(kind string) uint32 {
+	if i := slices.Index(t.kinds, kind); i >= 0 {
+		return uint32(i)
+	}
+	t.kinds = append(t.kinds, kind)
+	return uint32(len(t.kinds) - 1)
+}
+
+// setInput stores record i's input in the side table and marks its
+// slot.
+func (t *Trace) setInput(i int, in storedInput) {
+	t.slots[i].kind |= storedBit
+	if t.inputs == nil {
+		t.inputs = make(map[int]storedInput)
+	}
+	t.inputs[i] = in
+}
+
 // Len returns the number of records.
-func (t *Trace) Len() int { return len(t.Records) }
+func (t *Trace) Len() int { return len(t.slots) }
+
+// At returns record i in canonical order. The record shares the
+// trace's names and stored bytes, so At allocates nothing; the caller
+// must not modify its Data.
+func (t *Trace) At(i int) Record {
+	s := &t.slots[i]
+	r := Record{
+		Time: s.time, Seq: s.seq, Digest: s.digest,
+		Component: t.comps[s.comp], Kind: t.kinds[s.kind&^storedBit],
+	}
+	if s.kind&storedBit != 0 {
+		in := t.inputs[i]
+		r.Src, r.Data = in.src, in.data
+	}
+	return r
+}
+
+// Prefix returns the trace's first n records as a trace that shares
+// t's slots and tables: nothing is copied.
+func (t *Trace) Prefix(n int) *Trace {
+	out := *t
+	out.slots = t.slots[:n:n]
+	return &out
+}
 
 // Filter returns a new trace holding only records of the given kind,
-// preserving canonical order.
+// preserving canonical order. It shares t's name tables.
 func (t *Trace) Filter(kind string) *Trace {
-	out := &Trace{Truncated: t.Truncated}
-	for i := range t.Records {
-		if t.Records[i].Kind == kind {
-			out.Records = append(out.Records, t.Records[i])
+	out := &Trace{Truncated: t.Truncated, comps: t.comps, kinds: t.kinds}
+	k := slices.Index(t.kinds, kind)
+	if k < 0 {
+		return out
+	}
+	for i := range t.slots {
+		s := &t.slots[i]
+		if s.kind&^storedBit != uint32(k) {
+			continue
+		}
+		out.slots = append(out.slots, *s)
+		if s.kind&storedBit != 0 {
+			out.setInput(len(out.slots)-1, t.inputs[i])
 		}
 	}
 	return out
@@ -307,14 +394,12 @@ func (t *Trace) Filter(kind string) *Trace {
 // it: a replayed run reproduces the recorded event *contents and
 // order*, while event times shift from wall-derived to simulated.
 func (t *Trace) WithoutTimes() *Trace {
-	out := &Trace{
-		Records:   append([]Record(nil), t.Records...),
-		Truncated: t.Truncated,
+	out := *t
+	out.slots = slices.Clone(t.slots)
+	for i := range out.slots {
+		out.slots[i].time = 0
 	}
-	for i := range out.Records {
-		out.Records[i].Time = 0
-	}
-	return out
+	return &out
 }
 
 // Divergence names the first event at which two traces disagree. A
@@ -376,24 +461,28 @@ func (d *Divergence) String() string {
 
 // FirstDivergence compares two canonical traces record by record and
 // returns the first disagreement, or nil when the traces are
-// identical (same records, stored input bytes included). Two runs of
-// the same scenario with the same seed must never diverge; a
-// perturbed seed yields a concrete (time, component, kind) triple.
+// identical (same records, stored input bytes included) — exactly
+// when their encodings agree but for the Truncated count. Two runs of the same scenario with
+// the same seed must never diverge; a perturbed seed yields a concrete
+// (time, component, kind) triple.
 func FirstDivergence(a, b *Trace) *Divergence {
-	n := len(a.Records)
-	if len(b.Records) < n {
-		n = len(b.Records)
-	}
+	n := min(a.Len(), b.Len())
 	for i := 0; i < n; i++ {
-		if !a.Records[i].equal(&b.Records[i]) {
-			return &Divergence{Index: i, A: &a.Records[i], B: &b.Records[i]}
+		if ra, rb := a.At(i), b.At(i); !ra.equal(&rb) {
+			return &Divergence{Index: i, A: a.record(i), B: b.record(i)}
 		}
 	}
-	if len(a.Records) > n {
-		return &Divergence{Index: n, A: &a.Records[n]}
+	if a.Len() > n {
+		return &Divergence{Index: n, A: a.record(n)}
 	}
-	if len(b.Records) > n {
-		return &Divergence{Index: n, B: &b.Records[n]}
+	if b.Len() > n {
+		return &Divergence{Index: n, B: b.record(n)}
 	}
 	return nil
+}
+
+// record returns a copy of record i on the heap.
+func (t *Trace) record(i int) *Record {
+	r := t.At(i)
+	return &r
 }

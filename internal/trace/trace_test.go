@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -59,22 +60,22 @@ func TestMergeCanonicalOrder(t *testing.T) {
 	// records in seq order.
 	want := []string{"a", "b", "a", "a"}
 	for i, w := range want {
-		if one.Records[i].Component != w {
-			t.Fatalf("record %d component = %s, want %s", i, one.Records[i].Component, w)
+		if c := one.At(i).Component; c != w {
+			t.Fatalf("record %d component = %s, want %s", i, c, w)
 		}
 	}
-	if one.Records[2].Seq >= one.Records[3].Seq {
+	if one.At(2).Seq >= one.At(3).Seq {
 		t.Fatal("same-component same-time records out of seq order")
 	}
 
-	// An empty recorder contributes nothing, and merging nothing keeps
-	// Records nil.
+	// An empty recorder contributes nothing, and merging nothing
+	// allocates no slots.
 	if d := FirstDivergence(one, Merge(NewRecorder(16), p0, NewRecorder(16), p1)); d != nil {
 		t.Fatalf("empty recorders changed the merge: %s", d)
 	}
 	for _, empty := range []*Trace{Merge(), Merge(NewRecorder(16))} {
-		if empty.Records != nil {
-			t.Fatal("empty merge allocated Records")
+		if empty.slots != nil {
+			t.Fatal("empty merge allocated slots")
 		}
 	}
 }
@@ -103,7 +104,7 @@ func TestMergeConcurrentWriters(t *testing.T) {
 			for j := 0; j < 200; j++ {
 				tr := Merge(order...)
 				for k := 1; k < tr.Len(); k++ {
-					if compareCanonical(&tr.Records[k-1], &tr.Records[k]) > 0 {
+					if a, b := tr.At(k-1), tr.At(k); compareCanonical(&a, &b) > 0 {
 						t.Errorf("merge of %d recorders out of order at %d", len(order), k)
 						return
 					}
@@ -192,17 +193,38 @@ func genRecorders(rng *rand.Rand, disorder bool, dup string) []genStream {
 	return streams
 }
 
+// fromRecords builds a trace holding recs in the given order, with one
+// table entry per distinct name: a construction independent of Merge.
+func fromRecords(recs []Record, truncated uint64) *Trace {
+	t := &Trace{Truncated: truncated}
+	ids := map[string]uint32{}
+	for i, r := range recs {
+		c, ok := ids[r.Component]
+		if !ok {
+			c = uint32(len(t.comps))
+			ids[r.Component] = c
+			t.comps = append(t.comps, r.Component)
+		}
+		t.slots = append(t.slots, slot{time: r.Time, seq: r.Seq, digest: r.Digest, comp: c, kind: t.kindID(r.Kind)})
+		if r.Src != "" || r.Data != nil {
+			t.setInput(i, storedInput{src: r.Src, data: r.Data})
+		}
+	}
+	return t
+}
+
 // referenceMerge is the specification Merge must meet: the union of
 // every stream in argument order, stably sorted by (time, component,
-// seq) in one pass.
-func referenceMerge(streams []genStream) *Trace {
-	t := &Trace{}
+// seq) in one pass. It returns the records and the evicted count.
+func referenceMerge(streams []genStream) ([]Record, uint64) {
+	var recs []Record
+	var truncated uint64
 	for _, s := range streams {
-		t.Records = append(t.Records, s.want...)
-		t.Truncated += s.dropped
+		recs = append(recs, s.want...)
+		truncated += s.dropped
 	}
-	sort.SliceStable(t.Records, func(i, j int) bool {
-		a, b := t.Records[i], t.Records[j]
+	sort.SliceStable(recs, func(i, j int) bool {
+		a, b := recs[i], recs[j]
 		if a.Time != b.Time {
 			return a.Time < b.Time
 		}
@@ -211,14 +233,48 @@ func referenceMerge(streams []genStream) *Trace {
 		}
 		return a.Seq < b.Seq
 	})
-	return t
+	return recs, truncated
+}
+
+// sameTrace fails t unless got and want hold the same records, byte for
+// byte, and the same Truncated count.
+func sameTrace(t *testing.T, label string, got, want *Trace) {
+	t.Helper()
+	if d := FirstDivergence(want, got); d != nil {
+		t.Fatalf("%s: diverged from the reference: %s", label, d)
+	}
+	if !bytes.Equal(got.Encode(), want.Encode()) {
+		t.Fatalf("%s: encodings differ", label)
+	}
+}
+
+// recordBytes is the trace's encoding with the Truncated count zeroed:
+// the bytes of its records, which FirstDivergence compares.
+func recordBytes(t *Trace) []byte {
+	c := *t
+	c.Truncated = 0
+	return c.Encode()
+}
+
+// checkDivergenceMatchesEncoding fails unless FirstDivergence(a, b) is
+// nil exactly when a and b encode their records identically.
+func checkDivergenceMatchesEncoding(t *testing.T, label string, a, b *Trace) {
+	t.Helper()
+	d := FirstDivergence(a, b)
+	if eq := bytes.Equal(recordBytes(a), recordBytes(b)); eq != (d == nil) {
+		t.Fatalf("%s: FirstDivergence = %v but encodings equal = %v", label, d, eq)
+	}
 }
 
 // Property: over seeded random recorder sets, Merge equals a full
 // canonical sort of the union — record for record and byte for byte —
 // across tie-heavy, wrapped, empty and time-disordered streams, and
-// stays deterministic when a key is duplicated across streams.
+// stays deterministic when a key is duplicated across streams. Its
+// Prefix, Filter and WithoutTimes equal the same cuts of the sorted
+// records, and FirstDivergence against other traces is nil exactly
+// when the record encodings are equal.
 func TestMergeMatchesReferenceSort(t *testing.T) {
+	var prev *Trace
 	for seed := int64(1); seed <= 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		dup := ""
@@ -230,19 +286,48 @@ func TestMergeMatchesReferenceSort(t *testing.T) {
 		for i, s := range streams {
 			recs[i] = s.rec
 		}
-		got, want := Merge(recs...), referenceMerge(streams)
-		if d := FirstDivergence(want, got); d != nil {
-			t.Fatalf("seed %d: Merge diverged from the reference sort: %s", seed, d)
-		}
-		if !bytes.Equal(got.Encode(), want.Encode()) {
-			t.Fatalf("seed %d: encodings differ", seed)
-		}
+		all, truncated := referenceMerge(streams)
+		got, want := Merge(recs...), fromRecords(all, truncated)
+		label := fmt.Sprintf("seed %d", seed)
+		sameTrace(t, label+": Merge", got, want)
 		if got.Truncated != want.Truncated {
-			t.Fatalf("seed %d: Truncated = %d, want %d", seed, got.Truncated, want.Truncated)
+			t.Fatalf("%s: Truncated = %d, want %d", label, got.Truncated, want.Truncated)
 		}
 		if !bytes.Equal(Merge(recs...).Encode(), got.Encode()) {
-			t.Fatalf("seed %d: repeated Merge differs", seed)
+			t.Fatalf("%s: repeated Merge differs", label)
 		}
+		// Prefix, Filter and WithoutTimes of the merged trace equal the
+		// same cut of the reference records.
+		half := len(all) / 2
+		sameTrace(t, label+": Prefix", got.Prefix(half), fromRecords(all[:half], truncated))
+		for _, kind := range []string{KindRecv, KindCall, "absent"} {
+			var kept []Record
+			for _, r := range all {
+				if r.Kind == kind {
+					kept = append(kept, r)
+				}
+			}
+			sameTrace(t, label+": Filter("+kind+")", got.Filter(kind), fromRecords(kept, truncated))
+		}
+		untimed := slices.Clone(all)
+		for i := range untimed {
+			untimed[i].Time = 0
+		}
+		sameTrace(t, label+": WithoutTimes", got.WithoutTimes(), fromRecords(untimed, truncated))
+		for _, o := range []struct {
+			label string
+			tr    *Trace
+		}{
+			{"previous seed", prev},
+			{"without times", got.WithoutTimes()},
+			{"inputs only", got.Filter(KindRecv)},
+			{"prefix", got.Prefix(got.Len() / 2)},
+		} {
+			if o.tr != nil {
+				checkDivergenceMatchesEncoding(t, label+": "+o.label, got, o.tr)
+			}
+		}
+		prev = got
 	}
 }
 
@@ -267,7 +352,7 @@ func TestFirstDivergence(t *testing.T) {
 	}
 
 	// Prefix case: the longer trace's extra record is the divergence.
-	short := &Trace{Records: a.Records[:1]}
+	short := a.Prefix(1)
 	d = FirstDivergence(short, a)
 	if d == nil || d.Index != 1 || d.A != nil || d.B == nil {
 		t.Fatalf("prefix divergence wrong: %v", d)
@@ -275,15 +360,29 @@ func TestFirstDivergence(t *testing.T) {
 	if d.Component() != "x" || d.Kind() != KindCall {
 		t.Fatalf("prefix divergence triple wrong: %s", d)
 	}
+
+	// A stored empty input and a digest-only record that agree on
+	// everything else encode differently, so they diverge.
+	stored, digestOnly := NewRecorder(16), NewRecorder(16)
+	stored.recordInputOwned(1, "x", KindRecv, "", []byte{})
+	digestOnly.TraceEvent(1, "x", KindRecv, nil)
+	e, f := stored.Trace(), digestOnly.Trace()
+	if bytes.Equal(e.Encode(), f.Encode()) {
+		t.Fatal("a stored empty input encodes like a digest-only record")
+	}
+	if d := FirstDivergence(e, f); d == nil || d.Index != 0 {
+		t.Fatalf("stored empty input vs digest-only record: divergence %v, want one at record 0", d)
+	}
 }
 
 // The binary encoding must round-trip every field, stored input bytes
-// included.
+// included, and the source of an input captured without bytes.
 func TestEncodeRoundTrips(t *testing.T) {
 	rec := NewRecorder(16)
 	rec.TraceEvent(5, "plat00.client", KindCall, []byte("payload"))
 	rec.RecordInput(7, "server", KindRecv, "127.0.0.1:9", []byte{1, 2, 3})
 	rec.TraceEvent(7, "server", KindSend, nil)
+	rec.RecordInput(8, "server", KindRecv, "127.0.0.1:10", nil)
 	tr := rec.Trace()
 	tr.Truncated = 3 // exercise the field
 
@@ -293,6 +392,9 @@ func TestEncodeRoundTrips(t *testing.T) {
 	}
 	if d := FirstDivergence(tr, bin); d != nil || bin.Truncated != 3 {
 		t.Fatalf("binary round trip changed the trace: %v (truncated=%d)", d, bin.Truncated)
+	}
+	if r := bin.At(3); r.Src != "127.0.0.1:10" || r.Data != nil {
+		t.Fatalf("input without bytes decoded as %s", &r)
 	}
 
 	// Corruption fails loudly.
@@ -340,8 +442,8 @@ func TestRecorderRingOverflow(t *testing.T) {
 		t.Fatalf("trace.Truncated = %d", tr.Truncated)
 	}
 	// The survivors are the newest records, seqs intact.
-	if tr.Records[0].Seq != 25 || tr.Records[0].Time != 24 {
-		t.Fatalf("oldest survivor = %s, want seq 25 at t=24", tr.Records[0].String())
+	if r := tr.At(0); r.Seq != 25 || r.Time != 24 {
+		t.Fatalf("oldest survivor = %s, want seq 25 at t=24", r.String())
 	}
 }
 
@@ -359,10 +461,11 @@ func TestKernelTraceHook(t *testing.T) {
 	if tr.Len() != 2 {
 		t.Fatalf("recorded %d events, want 2", tr.Len())
 	}
-	if tr.Records[0].Time != 10 || tr.Records[1].Time != 20 {
-		t.Fatalf("kernel times not stamped: %s / %s", tr.Records[0].String(), tr.Records[1].String())
+	r0, r1 := tr.At(0), tr.At(1)
+	if r0.Time != 10 || r1.Time != 20 {
+		t.Fatalf("kernel times not stamped: %s / %s", r0.String(), r1.String())
 	}
-	if tr.Records[0].Seq != 1 || tr.Records[1].Seq != 2 {
+	if r0.Seq != 1 || r1.Seq != 2 {
 		t.Fatal("per-component sequence not monotone")
 	}
 }
@@ -374,13 +477,13 @@ func TestWithoutTimes(t *testing.T) {
 	rec.TraceEvent(9, "a", KindCall, []byte{2})
 	tr := rec.Trace()
 	stripped := tr.WithoutTimes()
-	if stripped.Records[0].Time != 0 || stripped.Records[1].Time != 0 {
+	if stripped.At(0).Time != 0 || stripped.At(1).Time != 0 {
 		t.Fatal("times survive WithoutTimes")
 	}
-	if tr.Records[0].Time != 5 {
+	if tr.At(0).Time != 5 {
 		t.Fatal("WithoutTimes mutated the original")
 	}
-	if stripped.Records[0].Digest != tr.Records[0].Digest {
+	if stripped.At(0).Digest != tr.At(0).Digest {
 		t.Fatal("WithoutTimes changed record content")
 	}
 }
@@ -468,15 +571,15 @@ func TestRecordingEndpointTransparent(t *testing.T) {
 	if tr.Len() != 2 {
 		t.Fatalf("recorded %d events, want 2", tr.Len())
 	}
-	in, out := &tr.Records[0], &tr.Records[1]
+	in, out := tr.At(0), tr.At(1)
 	if in.Kind != KindRecv || in.Data == nil || in.Src != "peer" {
-		t.Fatalf("input record wrong: %s", in)
+		t.Fatalf("input record wrong: %s", &in)
 	}
 	if m, err := someip.UnmarshalTagged(in.Data); err != nil || m.Tag == nil || m.Tag.Time != 42 {
 		t.Fatalf("stored input does not round-trip the tag: %v %v", m, err)
 	}
 	if out.Kind != KindSend || out.Data != nil {
-		t.Fatalf("output record wrong: %s", out)
+		t.Fatalf("output record wrong: %s", &out)
 	}
 	if out.Digest != Digest(resp.Marshal()) {
 		t.Fatal("output digest does not cover the marshaled message")
