@@ -549,12 +549,10 @@ func (w *World) Trace() *trace.Trace {
 // TraceOverflow returns an error naming the first partition whose trace
 // ring evicted records, with the ring's capacity estimate, or nil when
 // every ring held its partition's whole stream. A truncated trace is
-// mode-dependent, so no gate may compare one. Call it after Run; it
-// merges each partition's ring on its own, so check the merged trace's
-// Truncated first and call it only to explain a nonzero count.
+// mode-dependent, so no gate may compare one. Call it after Run.
 func (w *World) TraceOverflow() error {
 	for i, rec := range w.recorders {
-		if n := rec.Trace().Truncated; n != 0 {
+		if n := rec.Dropped(); n != 0 {
 			return fmt.Errorf("scenario: partition %d of %d evicted %d trace records: its ring capacity estimate of %d records is too small",
 				i, len(w.recorders), n, w.traceCapacityPartition(i, len(w.recorders)))
 		}

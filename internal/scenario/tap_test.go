@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/des"
@@ -109,5 +110,28 @@ func TestTapSeesRecordedStream(t *testing.T) {
 	}
 	if monitor.TotalViolations(w.Verdicts()) != 0 {
 		t.Fatalf("healthy world tripped a monitor:\n%s", monitor.Report(w.Verdicts()))
+	}
+}
+
+// TraceOverflow reads each partition's eviction count: nil on a world
+// whose rings evicted nothing, and the overflowing partition named when
+// one ring wraps.
+func TestTraceOverflowNamesPartition(t *testing.T) {
+	spec := MeshPreset(4)
+	spec.Partitions = 2
+	w, err := Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.TraceOverflow(); err != nil {
+		t.Fatalf("untouched world reports an overflow: %v", err)
+	}
+	capacity := w.traceCapacityPartition(1, 2)
+	for i := 0; i <= capacity; i++ {
+		w.recorders[1].TraceEvent(logical.Time(i), "overflow", trace.KindCall, nil)
+	}
+	err = w.TraceOverflow()
+	if err == nil || !strings.Contains(err.Error(), "partition 1 of 2 evicted 1 trace records") {
+		t.Fatalf("overflowing partition 1 by one record: error %v, want it named", err)
 	}
 }

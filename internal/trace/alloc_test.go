@@ -1,12 +1,12 @@
 package trace
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
 	"testing"
-	"unsafe"
 
 	"repro/internal/logical"
 )
@@ -76,10 +76,11 @@ func bytesPerRun(runs int, f func()) uint64 {
 }
 
 // Merge's allocation budget: a constant number of allocations however
-// many records it merges — one index list for the streams, one
-// exact-size slot slice, no growth and no per-record work on the heap —
-// and at most n·(sizeof(slot)+8) bytes plus page rounding of those two
-// large slices and a small constant. The collector is off while it
+// many records it merges — the 4-byte order index, in which the largest
+// stream sorts in place, one 4-byte scratch index list for the other
+// streams, no slot copied, no growth and no per-record work on the heap
+// — and at most n·8 bytes plus page rounding of those two large slices
+// and a small constant. The collector is off while it
 // measures: a GC cycle makes runtime allocations of its own, and a
 // larger merge triggers more cycles.
 func TestMergeAllocBudget(t *testing.T) {
@@ -90,7 +91,7 @@ func TestMergeAllocBudget(t *testing.T) {
 		recs := mergeFixture(k, n)
 		merge := func() { Merge(recs...) }
 		counts = append(counts, testing.AllocsPerRun(10, merge))
-		budget := uint64(n)*(uint64(unsafe.Sizeof(slot{}))+8) + (k+1)*8192 + 1024
+		budget := uint64(n)*8 + (k+1)*8192 + 1024
 		got := bytesPerRun(10, merge)
 		t.Logf("n=%d: %.0f allocs/op, %d B/op (budget %d)", n, counts[len(counts)-1], got, budget)
 		if got > budget {
@@ -102,6 +103,60 @@ func TestMergeAllocBudget(t *testing.T) {
 	}
 	if counts[1] > k+6 {
 		t.Errorf("Merge of %d recorders makes %.0f allocations, budget %d", k, counts[1], k+6)
+	}
+}
+
+// A Trace shares its recorders' rings, so recording after a merge must
+// leave the merged trace as it was: each recorder copies its ring and
+// input table once, on its first record after the merge, and appends
+// allocate nothing again after that copy.
+func TestTraceSurvivesLaterRecording(t *testing.T) {
+	a, b := NewRecorder(16), NewRecorder(16)
+	for i := 0; i < 6; i++ {
+		a.TraceEvent(logical.Time(i), "a", KindCall, []byte{byte(i)})
+		b.TraceEvent(logical.Time(i), "b", KindServe, []byte{byte(i)})
+	}
+	b.RecordInput(6, "b", KindRecv, "peer", []byte{1, 2, 3})
+	first := Merge(a, b)
+	kept := first.Encode()
+	if first.Len() != 13 || first.At(12).Data == nil {
+		t.Fatalf("first merge holds %d records, last %s; want 13 ending in the input", first.Len(), first.record(12))
+	}
+
+	// Wrap both rings: every record of the first merge, the stored input
+	// included, is evicted.
+	for i := 0; i < 20; i++ {
+		a.TraceEvent(logical.Time(100+i), "a", KindCall, []byte{byte(i), 1})
+		b.TraceEvent(logical.Time(100+i), "b", KindSend, []byte{byte(i), 2})
+	}
+	if len(b.inputs) != 0 {
+		t.Fatalf("b's input table holds %d inputs after the wrap, want 0", len(b.inputs))
+	}
+	second := Merge(a, b)
+	if !bytes.Equal(first.Encode(), kept) {
+		t.Fatal("recording after a merge changed the merged trace's encoding")
+	}
+	if r := first.At(12); !bytes.Equal(r.Data, []byte{1, 2, 3}) || r.Src != "peer" {
+		t.Fatalf("the first trace lost its stored input: %s", &r)
+	}
+	if second.Len() != 32 || second.Truncated != 10+11 {
+		t.Fatalf("second merge holds %d records, %d truncated; want 32 and 21", second.Len(), second.Truncated)
+	}
+	for i := 0; i < second.Len(); i++ {
+		if r := second.At(i); r.Time < 104 || r.Data != nil {
+			t.Fatalf("second merge record %d is not a new digest-only record: %s", i, &r)
+		}
+	}
+
+	// One copy per recorder on its first record after the merge, then
+	// none.
+	for _, r := range []*Recorder{a, b} {
+		r.TraceEvent(200, "x", KindCall, nil)
+		if allocs := testing.AllocsPerRun(100, func() {
+			r.TraceEvent(201, "x", KindCall, nil)
+		}); allocs != 0 {
+			t.Fatalf("TraceEvent allocates %.1f objects/op after the post-merge copy, want 0", allocs)
+		}
 	}
 }
 

@@ -43,12 +43,12 @@ func putString(buf []byte, s string) []byte {
 
 // Encode renders the trace in the deterministic binary format.
 func (t *Trace) Encode() []byte {
-	buf := make([]byte, 0, 64+len(t.slots)*48)
+	buf := make([]byte, 0, 64+t.Len()*48)
 	buf = append(buf, traceMagic...)
 	buf = append(buf, traceVersion)
 	buf = binary.BigEndian.AppendUint64(buf, t.Truncated)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(t.slots)))
-	for i := range t.slots {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(t.Len()))
+	for i := range t.order {
 		r := t.At(i)
 		buf = binary.BigEndian.AppendUint64(buf, uint64(r.Time))
 		buf = binary.BigEndian.AppendUint64(buf, r.Seq)
@@ -153,8 +153,9 @@ func (n *names) id(b []byte) uint32 {
 // truncated, trailing bytes, a bad magic, version or stored-input flag,
 // or a record count the remaining bytes cannot hold — returns an error
 // wrapping ErrBadTrace; an accepted input re-encodes to exactly its own
-// bytes. Names are interned: one string per distinct component or
-// kind, not per record.
+// bytes. The trace reads one ring of the decoded slots in identity
+// order. Names are interned: one string per distinct component or kind,
+// not per record.
 func Decode(data []byte) (*Trace, error) {
 	d := &decoder{buf: data}
 	if string(d.take(len(traceMagic))) != traceMagic {
@@ -170,16 +171,18 @@ func Decode(data []byte) (*Trace, error) {
 	if rest := len(data) - d.off; count > rest/minRecordSize {
 		return nil, fmt.Errorf("%w: %d records in %d bytes", ErrBadTrace, count, rest)
 	}
-	t.slots = make([]slot, count)
+	src := source{ring: make([]slot, count)}
+	t.order = make([]uint32, count)
 	var comps, kinds names
 	for i := 0; i < count && d.err == nil; i++ {
-		s := &t.slots[i]
+		t.order[i] = uint32(i)
+		s := &src.ring[i]
 		s.time = logical.Time(d.u64())
 		s.seq = d.u64()
 		s.digest = d.u64()
 		s.comp = comps.id(d.str())
 		s.kind = kinds.id(d.str())
-		src := d.str()
+		from := d.str()
 		var stored []byte
 		switch d.u8() {
 		case 0:
@@ -190,8 +193,12 @@ func Decode(data []byte) (*Trace, error) {
 		default:
 			d.fail()
 		}
-		if len(src) > 0 || stored != nil {
-			t.setInput(i, storedInput{src: string(src), data: stored})
+		if len(from) > 0 || stored != nil {
+			s.kind |= storedBit
+			if src.inputs == nil {
+				src.inputs = make(map[int]storedInput)
+			}
+			src.inputs[i] = storedInput{src: string(from), data: stored}
 		}
 	}
 	if d.err != nil {
@@ -200,7 +207,8 @@ func Decode(data []byte) (*Trace, error) {
 	if d.off != len(data) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadTrace, len(data)-d.off)
 	}
-	t.comps, t.kinds = comps.list, kinds.list
+	src.comps, src.kinds = comps.list, kinds.list
+	t.srcs = []source{src}
 	return t, nil
 }
 

@@ -36,7 +36,7 @@ func FuzzTraceDecode(f *testing.F) {
 // the same bytes.
 func TestDecodeIsCanonical(t *testing.T) {
 	r := NewRecorder(16)
-	r.recordInputOwned(1, "c", KindRecv, "", []byte{})
+	r.RecordInput(1, "c", KindRecv, "", []byte{})
 	empty := r.Trace().Encode()
 	tr, err := Decode(empty)
 	if err != nil {

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"bytes"
 	"cmp"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -39,13 +41,18 @@ func Digest(payload []byte) uint64 {
 // number, digest and the interned ids of the component and kind — so
 // the collector never scans the ring. Component and kind names live in
 // per-recorder tables, the source and bytes of a stored input in a side
-// table keyed by slot, which eviction clears; Merge copies the slots
-// into the Trace and resolves no name. The ring is allocated once at
-// construction and recycled in place: appending a record on the hot
-// path performs zero allocations once its component has been seen
-// (asserted by TestTraceRecordZeroAllocs). When the ring is full the
-// oldest record is evicted and the merged trace's Truncated counts the
-// loss; size the capacity so complete runs never evict, because
+// table keyed by slot, which eviction clears. Merge copies none of it:
+// the Trace shares the ring, the name tables and the side table and
+// keeps them alive, and Merge marks the ring shared, so the recorder
+// copies the ring and the side table before its first record after a
+// merge (copy-on-write) and every merged Trace stays immutable while
+// recording goes on. The ring is allocated once at construction and
+// recycled in place: appending a record on the hot path performs zero
+// allocations once its component has been seen and the ring is not
+// shared (asserted by TestTraceRecordZeroAllocs and
+// TestTraceSurvivesLaterRecording). When the ring is full the oldest
+// record is evicted and the merged trace's Truncated counts the loss;
+// size the capacity so complete runs never evict, because
 // mode-independence of the merged trace only holds for complete traces.
 //
 // A Recorder is safe for concurrent use: live recording writes from
@@ -67,12 +74,15 @@ type Recorder struct {
 	seqs    []uint64
 	kinds   []string
 	inputs  map[int]storedInput // by ring index, for slots with kind&storedBit
+	// shared is set by Merge: a Trace reads ring and inputs, so the
+	// next append copies them first.
+	shared  bool
 	tap     Tap
 	scratch Record // the record handed to tap
 }
 
-// slot is one record of a ring or a Trace. It holds no pointer, so a
-// ring or trace of any size adds nothing to the collector's mark work.
+// slot is one record of a ring. It holds no pointer, so a ring of any
+// size adds nothing to the collector's mark work.
 type slot struct {
 	time   logical.Time
 	seq    uint64
@@ -147,6 +157,9 @@ func (r *Recorder) kindID(kind string) uint32 {
 // evicting the oldest record when the ring is full, and returns the
 // slot's index. Called with mu held.
 func (r *Recorder) append(at logical.Time, component, kind string, digest uint64) int {
+	if r.shared {
+		r.unshare()
+	}
 	c, ok := r.compIDs[component]
 	if !ok {
 		c = uint32(len(r.comps))
@@ -172,6 +185,16 @@ func (r *Recorder) append(at logical.Time, component, kind string, digest uint64
 	return i
 }
 
+// unshare gives the recorder its own copy of the ring and the input
+// side table, which merged traces read, before it writes again. The
+// name tables are only ever appended to, so traces and recorder share
+// them for good. Called with mu held.
+func (r *Recorder) unshare() {
+	r.ring = slices.Clone(r.ring)
+	r.inputs = maps.Clone(r.inputs)
+	r.shared = false
+}
+
 // TraceEvent appends a digest-only record for an event of the given
 // component at logical time at. It is the des.Tracer hook: kernels
 // forward Kernel.Trace calls here with their current time. The
@@ -190,10 +213,11 @@ func (r *Recorder) TraceEvent(at logical.Time, component, kind string, payload [
 
 // RecordInput appends a stored-payload record for a captured input:
 // data holds the full marshaled message (copied) so a Replayer can
-// re-inject it, and src names the sender. Inputs are the only records
-// that keep their bytes — everything else is digested.
+// re-inject it, and src names the sender. An empty input stays a stored
+// one (non-nil Data); nil data records the source alone. Inputs are the
+// only records that keep their bytes — everything else is digested.
 func (r *Recorder) RecordInput(at logical.Time, component, kind, src string, data []byte) {
-	r.recordInputOwned(at, component, kind, src, append([]byte(nil), data...))
+	r.recordInputOwned(at, component, kind, src, bytes.Clone(data))
 }
 
 // recordInputOwned is RecordInput without the defensive copy: the
@@ -226,6 +250,13 @@ func (r *Recorder) Len() int {
 	return r.count
 }
 
+// Dropped returns the number of records the full ring has evicted.
+func (r *Recorder) Dropped() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.dropped
+}
+
 // lockAll locks every distinct recorder in creation order — one global
 // order, so concurrent merges over overlapping recorder sets cannot
 // deadlock — and returns them for unlockAll.
@@ -250,6 +281,6 @@ func unlockAll(locked []*Recorder) {
 	}
 }
 
-// Trace copies the recorder into a canonical trace (see Merge for
-// combining several partition recorders).
+// Trace returns the recorder's canonical trace, sharing its ring (see
+// Merge, which also combines several partition recorders).
 func (r *Recorder) Trace() *Trace { return Merge(r) }

@@ -114,13 +114,22 @@ func TestRingWrapReleasesEvictedInputs(t *testing.T) {
 	}
 }
 
-// A merged trace is the largest heap object of a traced run, so it
-// keeps its records in the ring's slots: the element type of the
-// trace's record slice must hold no pointer either.
+// A merged trace reads its records in place from the rings it shares
+// and adds one order index, the only per-record allocation of a merge:
+// the element types of both the order index and a source ring must
+// hold no pointer either.
 func TestTraceRecordsArePointerFree(t *testing.T) {
-	f, ok := reflect.TypeOf(Trace{}).FieldByName("slots")
-	if !ok || f.Type.Kind() != reflect.Slice {
-		t.Fatal("Trace has no slots slice")
+	for _, c := range []struct {
+		typ   reflect.Type
+		field string
+	}{
+		{reflect.TypeOf(Trace{}), "order"},
+		{reflect.TypeOf(source{}), "ring"},
+	} {
+		f, ok := c.typ.FieldByName(c.field)
+		if !ok || f.Type.Kind() != reflect.Slice {
+			t.Fatalf("%s has no %s slice", c.typ.Name(), c.field)
+		}
+		checkPointerFree(t, c.typ.Name()+"."+c.field+"[]", f.Type.Elem())
 	}
-	checkPointerFree(t, "Trace.slots[]", f.Type.Elem())
 }

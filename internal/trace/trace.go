@@ -17,10 +17,13 @@
 //     GOMAXPROCS values and partition counts: records carry no
 //     kernel-global state, and Merge orders them by (time, component,
 //     sequence), a total order every execution mode agrees on. The
-//     merged Trace keeps the ring's 32-byte slots, with trace-wide name
-//     tables beside them: Len and At read it, At resolving one Record
-//     without allocating, and it is immutable once built, because
-//     Prefix, Filter and WithoutTimes share its tables.
+//     merged Trace copies no record: it shares its recorders' rings of
+//     32-byte slots, with their name and stored-input tables, keeps them
+//     alive, and adds a 4-byte order index per record. A recorder copies
+//     its ring before its first record after a merge, so a Trace is
+//     immutable once built: Len and At read it, At resolving one Record
+//     without allocating, and Prefix, Filter and WithoutTimes read the
+//     same rings.
 //
 //   - Divergence diagnosis. FirstDivergence(a, b) names the first
 //     event at which two traces disagree — time, component, kind,
@@ -149,33 +152,47 @@ func (r *Record) equal(o *Record) bool {
 // produce byte-identical encoded traces regardless of partition count
 // or GOMAXPROCS.
 //
-// A trace keeps its records in the recorder ring's pointer-free 32-byte
-// slots, so the collector never scans them. The slots' ids index
-// trace-wide name tables (components, and kinds with each name once),
-// and stored inputs sit in a side table keyed by record index. Len and
-// At read the records; At resolves one without allocating. A Trace is
-// immutable once built: Prefix, Filter and WithoutTimes share its
-// tables.
+// A trace copies no record. It shares its recorders' rings — the
+// pointer-free 32-byte slots, the per-recorder name tables and the
+// stored-input side tables — and keeps them alive, and holds one 4-byte
+// order index: entry i is the global position (ring offset plus ring
+// index) of canonical record i in the concatenated rings. A recorder
+// copies its ring before it records again after a merge, so a Trace is
+// immutable once built: Len and At read it, At resolving one record
+// without allocating, and Prefix, Filter and WithoutTimes return traces
+// over the same rings (a cut order index, a filtered order index, and a
+// flag At applies).
 type Trace struct {
 	// Truncated counts records evicted from ring buffers before the
 	// merge (0 = complete). A truncated trace is still canonical but
 	// mode-independence only holds for complete traces.
 	Truncated uint64
-	slots     []slot              // the records in canonical order
-	comps     []string            // component names by slot.comp
-	kinds     []string            // kind names by slot.kind&^storedBit, each once
-	inputs    map[int]storedInput // by record index, for slots with storedBit
+	srcs      []source // the rings the records live in, by global position
+	order     []uint32 // the global position of each record, in canonical order
+	untimed   bool     // At reports every time as 0 (WithoutTimes)
 }
 
+// source is one ring a Trace reads: a recorder's slots, name tables and
+// stored inputs as they were at the merge, or a decoded trace's.
+type source struct {
+	start  int // the global position of ring[0]
+	ring   []slot
+	comps  []string            // component names by slot.comp
+	kinds  []string            // kind names by slot.kind&^storedBit
+	inputs map[int]storedInput // by ring index, for slots with storedBit
+}
+
+// maxPositions bounds the total ring capacity one Trace can address:
+// its order index holds 4-byte global positions.
+const maxPositions = 1 << 32
+
 // mergeStream is one recorder's records during a Merge: ring indices
-// in canonical order, the name prefix of each of the recorder's
-// components, and how its ids map into the trace's tables.
+// in canonical order and the name prefix of each of the recorder's
+// components.
 type mergeStream struct {
-	r      *Recorder
-	idx    []int
+	src    *source
+	idx    []uint32
 	prefix []uint64 // by component id
-	base   uint32   // the id of the recorder's first component in the trace
-	kinds  []int    // the trace's kind id by the recorder's kind id
 }
 
 // namePrefix returns the first 8 bytes of a component name as a
@@ -202,8 +219,8 @@ func compareSlots(s *mergeStream, a *slot, u *mergeStream, b *slot) int {
 	if pa, pb := s.prefix[a.comp], u.prefix[b.comp]; pa != pb {
 		return cmp.Compare(pa, pb)
 	}
-	if s.r != u.r || a.comp != b.comp {
-		if c := strings.Compare(s.r.comps[a.comp], u.r.comps[b.comp]); c != 0 {
+	if s != u || a.comp != b.comp {
+		if c := strings.Compare(s.src.comps[a.comp], u.src.comps[b.comp]); c != 0 {
 			return c
 		}
 	}
@@ -211,8 +228,8 @@ func compareSlots(s *mergeStream, a *slot, u *mergeStream, b *slot) int {
 }
 
 // compare orders ring slots a and b of the stream canonically.
-func (s *mergeStream) compare(a, b int) int {
-	return compareSlots(s, &s.r.ring[a], s, &s.r.ring[b])
+func (s *mergeStream) compare(a, b uint32) int {
+	return compareSlots(s, &s.src.ring[a], s, &s.src.ring[b])
 }
 
 // sort puts the stream into canonical order. A kernel-driven stream is
@@ -225,7 +242,7 @@ func (s *mergeStream) sort(timeOrdered bool) {
 		slices.SortFunc(s.idx, s.compare)
 		return
 	}
-	ring := s.r.ring
+	ring := s.src.ring
 	for i := 0; i < len(s.idx); {
 		j := i + 1
 		for j < len(s.idx) && ring[s.idx[j]].time == ring[s.idx[i]].time {
@@ -244,59 +261,88 @@ func (s *mergeStream) sort(timeOrdered bool) {
 // local state, the merged trace is byte-identical to the trace of the
 // same scenario run on a single kernel.
 //
-// Each ring is read in place under its recorder's lock (held for the
-// whole merge), put into canonical order as a list of slot indices (see
-// mergeStream.sort), and the k sorted streams are merged head by head
-// straight into one exact-size slot slice: each winning slot is copied
-// with its ids remapped into the trace's tables (the recorders'
-// component tables concatenated, their kinds deduplicated), so no name
-// is resolved and no record is re-sorted. Components compare by an
-// integer name prefix computed once per component (namePrefix), and by
-// name only when two prefixes agree. Equal keys — a contract violation:
-// one component on two recorders — resolve to the earlier argument, so
-// the output stays deterministic.
+// Merge copies no record: each ring is read in place under its
+// recorder's lock (held for the whole merge) and marked shared, so the
+// recorder copies it before its next record and the trace keeps the
+// slots it read. Each ring is put into canonical order as a list of
+// ring indices (see mergeStream.sort), and the k sorted streams are
+// merged head by head into the trace's order index, 4 bytes per record;
+// the largest stream's index list sorts in place in the order index, so
+// a single stream's list is the order itself. Components compare
+// by an integer name prefix computed once per component (namePrefix),
+// and by name only when two prefixes agree. Equal keys — a contract
+// violation: one component on two recorders — resolve to the earlier
+// argument, so the output stays deterministic.
+//
+// The order index addresses the merged rings' slots with 4-byte
+// positions, so Merge panics when their total capacity exceeds 2^32
+// slots.
 func Merge(recorders ...*Recorder) *Trace {
 	defer unlockAll(lockAll(recorders))
 	t := &Trace{}
-	total, ncomps, nkinds := 0, 0, 0
-	for _, r := range recorders {
-		total += r.count
-		ncomps += len(r.comps)
-		nkinds += len(r.kinds)
+	total, ncomps, nsrcs, positions, tail := 0, 0, 0, 0, 0
+	for i, r := range recorders {
 		t.Truncated += r.dropped
+		if r.count > 0 {
+			total += r.count
+			ncomps += len(r.comps)
+			nsrcs++
+			positions += len(r.ring)
+			if r.count > recorders[tail].count {
+				tail = i
+			}
+		}
 	}
 	if total == 0 {
 		return t
 	}
+	if uint64(positions) > maxPositions {
+		panic(fmt.Sprintf("trace: Merge over rings of %d slots in total: the order index addresses at most 2^32", positions))
+	}
+	// The largest stream sorts its index list in place at the tail of the
+	// order index, the others theirs in one scratch list. The merge
+	// writes order[n] after n records have left the streams, which is
+	// never past the tail stream's unread head, so a lone stream's list
+	// is the order itself.
+	t.order = make([]uint32, total)
+	scratch := make([]uint32, total-recorders[tail].count)
 	prefixes := make([]uint64, ncomps)
-	idx := make([]int, total+nkinds) // the streams' index lists and kind maps
-	streams := make([]mergeStream, len(recorders))
-	t.comps = make([]string, 0, ncomps)
-	for i, r := range recorders {
+	streams := make([]mergeStream, nsrcs)
+	t.srcs = make([]source, nsrcs)
+	start, i := 0, 0
+	for ri, r := range recorders {
+		if r.count == 0 {
+			continue
+		}
+		r.shared = true
+		src := &t.srcs[i]
+		*src = source{start: start, ring: r.ring, comps: r.comps, kinds: r.kinds, inputs: r.inputs}
+		start += len(r.ring)
 		s := &streams[i]
-		s.r = r
+		i++
+		s.src = src
 		s.prefix, prefixes = prefixes[:len(r.comps)], prefixes[len(r.comps):]
 		for c, name := range r.comps {
 			s.prefix[c] = namePrefix(name)
 		}
-		s.base = uint32(len(t.comps))
-		t.comps = append(t.comps, r.comps...)
-		s.kinds, idx = idx[:len(r.kinds)], idx[len(r.kinds):]
-		for k, name := range r.kinds {
-			s.kinds[k] = int(t.kindID(name))
+		if ri == tail {
+			s.idx = t.order[total-r.count:]
+		} else {
+			s.idx, scratch = scratch[:r.count], scratch[r.count:]
 		}
-		s.idx, idx = idx[:r.count], idx[r.count:]
 		timeOrdered := true
 		for j := range s.idx {
-			s.idx[j] = (r.head + j) % len(r.ring)
+			s.idx[j] = uint32((r.head + j) % len(r.ring))
 			if j > 0 && r.ring[s.idx[j]].time < r.ring[s.idx[j-1]].time {
 				timeOrdered = false
 			}
 		}
 		s.sort(timeOrdered)
 	}
-	t.slots = make([]slot, total)
-	for n := range t.slots {
+	if len(streams) == 1 {
+		return t // one ring at global position 0: its indices are the positions
+	}
+	for n := range t.order {
 		var best *mergeStream
 		var head *slot
 		for i := range streams {
@@ -304,101 +350,86 @@ func Merge(recorders ...*Recorder) *Trace {
 			if len(s.idx) == 0 {
 				continue
 			}
-			h := &s.r.ring[s.idx[0]]
+			h := &s.src.ring[s.idx[0]]
 			if best == nil || compareSlots(s, h, best, head) < 0 {
 				best, head = s, h
 			}
 		}
-		out := &t.slots[n]
-		*out = *head
-		out.comp += best.base
-		out.kind = uint32(best.kinds[head.kind&^storedBit]) | head.kind&storedBit
-		if head.kind&storedBit != 0 {
-			t.setInput(n, best.r.inputs[best.idx[0]])
-		}
+		t.order[n] = uint32(best.src.start) + best.idx[0]
 		best.idx = best.idx[1:]
 	}
 	return t
 }
 
-// kindID returns kind's index in the trace's kind table, adding it on
-// first sight. A trace has a handful of kinds, so a scan beats a map.
-func (t *Trace) kindID(kind string) uint32 {
-	if i := slices.Index(t.kinds, kind); i >= 0 {
-		return uint32(i)
+// locate returns the index of the source holding global position pos
+// and the ring index of pos in it. A trace has one source per merged
+// recorder, a handful, so it scans their starts from the last.
+func (t *Trace) locate(pos uint32) (k, j int) {
+	k = len(t.srcs) - 1
+	for t.srcs[k].start > int(pos) {
+		k--
 	}
-	t.kinds = append(t.kinds, kind)
-	return uint32(len(t.kinds) - 1)
-}
-
-// setInput stores record i's input in the side table and marks its
-// slot.
-func (t *Trace) setInput(i int, in storedInput) {
-	t.slots[i].kind |= storedBit
-	if t.inputs == nil {
-		t.inputs = make(map[int]storedInput)
-	}
-	t.inputs[i] = in
+	return k, int(pos) - t.srcs[k].start
 }
 
 // Len returns the number of records.
-func (t *Trace) Len() int { return len(t.slots) }
+func (t *Trace) Len() int { return len(t.order) }
 
 // At returns record i in canonical order. The record shares the
 // trace's names and stored bytes, so At allocates nothing; the caller
 // must not modify its Data.
 func (t *Trace) At(i int) Record {
-	s := &t.slots[i]
+	k, j := t.locate(t.order[i])
+	src := &t.srcs[k]
+	s := &src.ring[j]
 	r := Record{
 		Time: s.time, Seq: s.seq, Digest: s.digest,
-		Component: t.comps[s.comp], Kind: t.kinds[s.kind&^storedBit],
+		Component: src.comps[s.comp], Kind: src.kinds[s.kind&^storedBit],
+	}
+	if t.untimed {
+		r.Time = 0
 	}
 	if s.kind&storedBit != 0 {
-		in := t.inputs[i]
+		in := src.inputs[j]
 		r.Src, r.Data = in.src, in.data
 	}
 	return r
 }
 
-// Prefix returns the trace's first n records as a trace that shares
-// t's slots and tables: nothing is copied.
+// Prefix returns the trace's first n records as a trace over the same
+// rings: it cuts the order index and copies nothing.
 func (t *Trace) Prefix(n int) *Trace {
 	out := *t
-	out.slots = t.slots[:n:n]
+	out.order = t.order[:n:n]
 	return &out
 }
 
 // Filter returns a new trace holding only records of the given kind,
-// preserving canonical order. It shares t's name tables.
+// preserving canonical order: a filtered order index over t's rings.
 func (t *Trace) Filter(kind string) *Trace {
-	out := &Trace{Truncated: t.Truncated, comps: t.comps, kinds: t.kinds}
-	k := slices.Index(t.kinds, kind)
-	if k < 0 {
-		return out
+	kinds := make([]int, len(t.srcs)) // each source's id of kind, or -1
+	for i := range t.srcs {
+		kinds[i] = slices.Index(t.srcs[i].kinds, kind)
 	}
-	for i := range t.slots {
-		s := &t.slots[i]
-		if s.kind&^storedBit != uint32(k) {
-			continue
-		}
-		out.slots = append(out.slots, *s)
-		if s.kind&storedBit != 0 {
-			out.setInput(len(out.slots)-1, t.inputs[i])
+	out := *t
+	out.order = nil
+	for _, pos := range t.order {
+		k, j := t.locate(pos)
+		if int(t.srcs[k].ring[j].kind&^storedBit) == kinds[k] {
+			out.order = append(out.order, pos)
 		}
 	}
-	return out
+	return &out
 }
 
-// WithoutTimes returns a copy of the trace with every record's time
-// zeroed (canonical record order preserved). Replay comparisons use
-// it: a replayed run reproduces the recorded event *contents and
-// order*, while event times shift from wall-derived to simulated.
+// WithoutTimes returns the trace with every record's time reported as
+// zero (canonical record order preserved); it shares t's rings and
+// order index. Replay comparisons use it: a replayed run reproduces the
+// recorded event *contents and order*, while event times shift from
+// wall-derived to simulated.
 func (t *Trace) WithoutTimes() *Trace {
 	out := *t
-	out.slots = slices.Clone(t.slots)
-	for i := range out.slots {
-		out.slots[i].time = 0
-	}
+	out.untimed = true
 	return &out
 }
 

@@ -69,13 +69,13 @@ func TestMergeCanonicalOrder(t *testing.T) {
 	}
 
 	// An empty recorder contributes nothing, and merging nothing
-	// allocates no slots.
+	// allocates no order index and references no ring.
 	if d := FirstDivergence(one, Merge(NewRecorder(16), p0, NewRecorder(16), p1)); d != nil {
 		t.Fatalf("empty recorders changed the merge: %s", d)
 	}
 	for _, empty := range []*Trace{Merge(), Merge(NewRecorder(16))} {
-		if empty.slots != nil {
-			t.Fatal("empty merge allocated slots")
+		if empty.order != nil || empty.srcs != nil {
+			t.Fatal("empty merge allocated an order index or kept a ring")
 		}
 	}
 }
@@ -193,23 +193,28 @@ func genRecorders(rng *rand.Rand, disorder bool, dup string) []genStream {
 	return streams
 }
 
-// fromRecords builds a trace holding recs in the given order, with one
-// table entry per distinct name: a construction independent of Merge.
+// fromRecords builds a trace holding recs in the given order — one
+// ring in identity order, with one table entry per distinct name: a
+// construction independent of Merge.
 func fromRecords(recs []Record, truncated uint64) *Trace {
+	var src source
+	var comps, kinds names
 	t := &Trace{Truncated: truncated}
-	ids := map[string]uint32{}
 	for i, r := range recs {
-		c, ok := ids[r.Component]
-		if !ok {
-			c = uint32(len(t.comps))
-			ids[r.Component] = c
-			t.comps = append(t.comps, r.Component)
-		}
-		t.slots = append(t.slots, slot{time: r.Time, seq: r.Seq, digest: r.Digest, comp: c, kind: t.kindID(r.Kind)})
+		s := slot{time: r.Time, seq: r.Seq, digest: r.Digest,
+			comp: comps.id([]byte(r.Component)), kind: kinds.id([]byte(r.Kind))}
 		if r.Src != "" || r.Data != nil {
-			t.setInput(i, storedInput{src: r.Src, data: r.Data})
+			s.kind |= storedBit
+			if src.inputs == nil {
+				src.inputs = map[int]storedInput{}
+			}
+			src.inputs[i] = storedInput{src: r.Src, data: r.Data}
 		}
+		src.ring = append(src.ring, s)
+		t.order = append(t.order, uint32(i))
 	}
+	src.comps, src.kinds = comps.list, kinds.list
+	t.srcs = []source{src}
 	return t
 }
 
@@ -408,6 +413,38 @@ func TestEncodeRoundTrips(t *testing.T) {
 	raw[0] = 'X'
 	if _, err := Decode(raw); err == nil {
 		t.Fatal("bad magic decoded without error")
+	}
+}
+
+// A captured zero-length input is a stored input, not "no bytes": it
+// reads back with non-nil empty Data, encodes with hasData 1, survives
+// Decode, and a Replayer counts it and refuses to start on it instead of
+// skipping it.
+func TestRecordInputKeepsEmptyInput(t *testing.T) {
+	r := NewRecorder(16)
+	r.RecordInput(1, "c", KindRecv, "peer", []byte{})
+	tr := r.Trace()
+	if rec := tr.At(0); rec.Data == nil || len(rec.Data) != 0 || rec.Src != "peer" {
+		t.Fatalf("empty input reads back as %s (Data nil: %v)", &rec, rec.Data == nil)
+	}
+	enc := tr.Encode()
+	// The record ends in hasData and the u32 length of its bytes.
+	if tail := enc[len(enc)-5:]; !bytes.Equal(tail, []byte{1, 0, 0, 0, 0}) {
+		t.Fatalf("empty input encodes its stored flag and length as %v, want [1 0 0 0 0]", tail)
+	}
+	dec, err := Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := dec.At(0); rec.Data == nil || !bytes.Equal(dec.Encode(), enc) {
+		t.Fatalf("empty input does not round-trip through Decode: %s", &rec)
+	}
+	rp := NewReplayer(des.NewKernel(1), tr, NewRecorder(16))
+	if rp.Inputs() != 1 {
+		t.Fatalf("replayer sees %d inputs, want the empty one", rp.Inputs())
+	}
+	if err := rp.Start(); err == nil || !strings.Contains(err.Error(), "replay input #0 (c)") {
+		t.Fatalf("Start on an empty input: error %v, want one naming input #0 of c", err)
 	}
 }
 
