@@ -18,6 +18,8 @@ package dear_test
 //     lists.
 //   - TestDocsCommandPathsExist keeps the command paths the docs tell a
 //     reader to run at directories that exist.
+//   - TestCIRunPatternsNameTests keeps every test name CI selects with
+//     go test -run or -fuzz at a test that exists.
 //   - TestDocsNameLiveIdentifiers keeps every pkg.Name the docs quote
 //     from a package under internal/ at a declaration that exists.
 
@@ -28,6 +30,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -235,6 +238,104 @@ func TestDocsCommandPathsExist(t *testing.T) {
 			}
 		}
 	}
+}
+
+// ciTestFlag matches a -run or -fuzz argument of a go test command:
+// quoted, or up to the next space.
+var ciTestFlag = regexp.MustCompile(`\s-(?:run|fuzz)(?:=|\s+)('[^']*'|"[^"]*"|[^\s'"]+)`)
+
+// TestCIRunPatternsNameTests fails for any alternative of a -run or
+// -fuzz pattern in the CI workflow's go test commands that matches no
+// Test or Fuzz function in the module: go test passes without running
+// anything when a selected test was deleted or renamed, so a gate would
+// go quiet. An alternative that matches the empty name (-run=^$, "run
+// nothing") selects no test on purpose and is skipped. Only the
+// top-level part of a pattern is checked; subtest parts after a slash
+// are not.
+func TestCIRunPatternsNameTests(t *testing.T) {
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil &&
+				(strings.HasPrefix(fn.Name.Name, "Test") || strings.HasPrefix(fn.Name.Name, "Fuzz")) {
+				names = append(names, fn.Name.Name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, line := range strings.Split(string(ci), "\n") {
+		if !strings.Contains(line, "go test") {
+			continue
+		}
+		for _, m := range ciTestFlag.FindAllStringSubmatch(line, -1) {
+			pattern := strings.Trim(m[1], `'"`)
+			top, _, _ := strings.Cut(pattern, "/")
+			for _, alt := range splitAlternatives(top) {
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("ci.yml: %q in %q does not compile: %v", alt, pattern, err)
+					continue
+				}
+				if re.MatchString("") {
+					continue
+				}
+				checked++
+				if !slices.ContainsFunc(names, re.MatchString) {
+					t.Errorf("ci.yml selects %q (in %q), which matches no Test or Fuzz function", alt, pattern)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no -run or -fuzz pattern in ci.yml")
+	}
+}
+
+// splitAlternatives splits a regexp at its top-level | operators, the
+// ones outside parentheses and brackets.
+func splitAlternatives(pattern string) []string {
+	var alts []string
+	depth, start := 0, 0
+	for i := 0; i < len(pattern); i++ {
+		switch pattern[i] {
+		case '\\':
+			i++
+		case '(', '[':
+			depth++
+		case ')', ']':
+			depth--
+		case '|':
+			if depth == 0 {
+				alts = append(alts, pattern[start:i])
+				start = i + 1
+			}
+		}
+	}
+	return append(alts, pattern[start:])
 }
 
 // Ensure the experiment index and the architecture document stay in

@@ -23,9 +23,9 @@ import (
 // lookahead paths, Floyd–Warshall), so the widest provably-safe window
 // for a partition is a single O(partitions) minimum:
 //
-//	grant(i) = min over j of bound(j) + reach(j, i)
+//	grant(i) = min over j of next(j) + reach(j, i)
 //
-// where bound(j) is a lower bound on the base time of partition j's
+// where next(j) is a lower bound on the base time of partition j's
 // future sends (its earliest queued event) and reach(j, i) is the
 // cheapest lookahead walk j→i (≥ 1 channel). Each kernel executes its
 // granted window on its own goroutine; when it parks, the coordinator
@@ -117,10 +117,7 @@ type fedMsg struct {
 // NewFederation creates a federation of the given number of partition
 // kernels. Every kernel derives from the same seed so that labeled
 // random streams are identical across partition assignments (and match a
-// single kernel created with the same seed). A lone partition never
-// reaches the coordinator (Run hands it straight to Kernel.Run), so its
-// kernel skips the emit shadow heap and keeps a plain kernel's
-// per-event cost.
+// single kernel created with the same seed).
 func NewFederation(seed uint64, partitions int) *Federation {
 	if partitions <= 0 {
 		panic("des: federation needs at least one partition")
@@ -132,7 +129,6 @@ func NewFederation(seed uint64, partitions int) *Federation {
 	}
 	for i := range f.kernels {
 		f.kernels[i] = NewKernel(seed)
-		f.kernels[i].emitTracked = partitions > 1
 	}
 	return f
 }
@@ -209,11 +205,6 @@ func (c *Channel) Sent() uint64 { return c.sent }
 // delivery carriers for the pattern).
 func (c *Channel) Send(at logical.Time, fn func(arg any), arg any) {
 	sender := c.fed.kernels[c.from]
-	if sender.firingLocal {
-		panic(fmt.Sprintf(
-			"des: federation channel %d->%d: send from a local-marked event (SpawnLocal promises never to emit; see Event.local)",
-			c.from, c.to))
-	}
 	if at < sender.now.Add(c.lookahead) {
 		panic(fmt.Sprintf(
 			"des: federation channel %d->%d: send at %v violates lookahead %v (sender now %v)",
@@ -288,20 +279,15 @@ type coordinator struct {
 	// nothing can ever be injected into it — it free-runs to the horizon
 	// in a single grant.
 	isolated []bool
-	// bound[i] is a lower bound on the base time of partition i's future
-	// sends: its earliest queued event that could emit (Kernel.
-	// NextEmitTime — local-marked events are provably send-free and are
-	// skipped) while parked, frozen at its dispatch value while running.
-	// Freezing is safe: nothing is injected mid-window (messages staged
-	// for a running partition wait for its park, and the grant that
-	// opened the window guaranteed they land beyond it), and local
-	// events cannot schedule emitting events (the mark is closed under
-	// scheduling), so no emitting event can appear below the frozen
-	// value mid-window.
-	bound []logical.Time
-	// next[i] is partition i's earliest queued event of any kind — the
-	// dispatch criterion (a window is only granted if it contains work)
-	// and the fallback horizon cap. next[i] ≤ bound[i] always.
+	// next[i] is partition i's earliest queued event while parked,
+	// frozen at its dispatch value while running. It is the lower bound
+	// on the base time of i's future sends, the dispatch criterion (a
+	// window is only granted if it contains work) and the fallback
+	// horizon cap. Freezing is safe: nothing is injected mid-window
+	// (messages staged for a running partition wait for its park, and
+	// the grant that opened the window guaranteed they land beyond it),
+	// and every event the window schedules lies at or after the event
+	// that scheduled it, so no send can be based below the frozen value.
 	next []logical.Time
 	// floor[i] is the earliest timestamp among messages staged for
 	// partition i (Forever when none). A staged message is in flight but
@@ -312,8 +298,8 @@ type coordinator struct {
 	// requester's own window: the requester emits, parks, its bound
 	// jumps forward, a wide grant is computed, and the response comes
 	// back below the window end. The floor re-materializes the staged
-	// message as a bound: grants treat it as a non-local event the
-	// receiver is about to acquire.
+	// message as a bound: grants treat it as an event the receiver is
+	// about to acquire.
 	floor []logical.Time
 	// minSpan is the grant-hysteresis threshold: while other partitions
 	// are still running, a parked partition is only redispatched if its
@@ -374,7 +360,6 @@ func (f *Federation) Run(until logical.Time) logical.Time {
 		until:    until,
 		reach:    f.lookaheadMatrix(),
 		isolated: make([]bool, n),
-		bound:    make([]logical.Time, n),
 		next:     make([]logical.Time, n),
 		floor:    make([]logical.Time, n),
 		runningP: make([]bool, n),
@@ -464,37 +449,30 @@ func (f *Federation) Run(until logical.Time) logical.Time {
 	return f.finish(until)
 }
 
-// refresh recomputes partition i's earliest-event and earliest-output
-// bounds from its queue (Forever when empty). Must only be called while
-// i is parked.
+// refresh recomputes partition i's earliest-event bound from its queue
+// (Forever when empty). Must only be called while i is parked.
 func (co *coordinator) refresh(i int) {
-	k := co.f.kernels[i]
-	if t, ok := k.NextEventTime(); ok {
+	if t, ok := co.f.kernels[i].NextEventTime(); ok {
 		co.next[i] = t
 	} else {
 		co.next[i] = logical.Forever
-	}
-	if t, ok := k.NextEmitTime(); ok {
-		co.bound[i] = t
-	} else {
-		co.bound[i] = logical.Forever
 	}
 }
 
 // grant computes the widest provably-safe horizon for partition i: the
 // earliest timestamp any message could still arrive with, over every
 // lookahead walk from every partition (including i itself, through
-// cycles). Running partitions contribute their dispatch-time bound —
+// cycles). Running partitions contribute their dispatch-time next —
 // anything they send inside their current window carries at least that
 // base plus the walk's lookahead. A partition's effective base is the
-// minimum of its queue bound and its staged floor: a message staged
-// for it is an emitting event it is about to acquire, so downstream
+// minimum of its next event and its staged floor: a message staged
+// for it is an event it is about to acquire, so downstream
 // walks must assume emissions from that timestamp onward. Messages
 // staged for i itself cap the grant directly — they will be injected
 // at i's next park and the window must not overrun them.
 func (co *coordinator) grant(i int) logical.Time {
 	g := co.floor[i]
-	for j, b := range co.bound {
+	for j, b := range co.next {
 		d := co.reach[j][i]
 		if f := co.floor[j]; f < b {
 			b = f
@@ -603,7 +581,7 @@ func (co *coordinator) park(i int) {
 	// creation order (messages from still-running senders stay invisible
 	// in their queues until those senders park). Every staged message
 	// for i becomes a real queued event here, so the floor lifts and
-	// refresh re-materializes the constraint through bound[i] instead.
+	// refresh re-materializes the constraint through next[i] instead.
 	for _, c := range co.f.inbound[i] {
 		if len(c.staged) > 0 {
 			co.inject(c, &c.staged)

@@ -215,11 +215,6 @@ func TestFederationSinglePartition(t *testing.T) {
 	k := f.Kernel(0)
 	fired := 0
 	k.After(logical.Second, func() { fired++ })
-	// A lone partition never reaches the coordinator, so its kernel
-	// keeps no emit shadow heap: NextEmitTime reports nothing queued.
-	if at, ok := k.NextEmitTime(); ok {
-		t.Fatalf("single-partition kernel tracks emits: NextEmitTime = %v", at)
-	}
 	end := f.RunAll()
 	if fired != 1 || end != logical.Time(logical.Second) {
 		t.Fatalf("fired=%d end=%v", fired, end)

@@ -40,46 +40,32 @@ type Event struct {
 	// its free list after firing. Cancel can never reach a transient
 	// event, which is what makes recycling safe.
 	transient bool
-	// local marks events that are guaranteed never to emit onto a
-	// federation channel, directly or transitively: while a local event
-	// fires, Channel.Send panics and every event it schedules inherits
-	// the mark, so the guarantee is closed under scheduling and enforced
-	// at run time. The federation coordinator skips local events when
-	// computing a partition's earliest-output-time bound (NextEmitTime),
-	// which is what lets partitions free-run through dense local-only
-	// phases. Events become local by being scheduled from a local event
-	// or from a process started with SpawnLocal.
-	local bool
-	// pos holds the event's position in the kernel's main queue
-	// (pos[queueSlot], -1 once popped) and in its emit shadow heap
-	// (pos[emitSlot], -1 when absent; see Kernel.emit).
-	pos [2]int
+	// pos is the event's position in the kernel's queue: it lets Cancel
+	// find a queued event, and -1 tells a removed one.
+	pos int
 }
 
 // Canceled reports whether Cancel was called on the event.
 func (e *Event) Canceled() bool { return e.canceled }
 
 // Cancel prevents the event from firing by taking it out of the
-// kernel's queue (and its emit shadow heap) at once, so the queue only
-// ever holds live events and caller-owned storage such as a process's
-// wake event is free for reuse as soon as it is canceled. Canceling an
-// already-fired or already-canceled event is a no-op.
+// kernel's queue at once, so the queue only ever holds live events and
+// caller-owned storage such as a process's wake event is free for reuse
+// as soon as it is canceled. Canceling an already-fired or
+// already-canceled event is a no-op.
 func (e *Event) Cancel() {
 	if e.canceled {
 		return
 	}
 	e.canceled = true
-	if e.pos[queueSlot] < 0 {
+	if e.pos < 0 {
 		return
 	}
 	k := e.k
 	if !e.daemon {
 		k.pending--
 	}
-	k.queue.removeAt(e.pos[queueSlot])
-	if e.pos[emitSlot] >= 0 {
-		k.emit.removeAt(e.pos[emitSlot])
-	}
+	k.queue.removeAt(e.pos)
 }
 
 // Time returns the simulated time at which the event fires.
@@ -94,22 +80,11 @@ func (e *Event) Time() logical.Time { return e.at }
 // kernel — so every correct heap pops events in exactly the same
 // sequence, which is what keeps every golden byte-identical across the
 // swap. The 4-ary layout halves tree depth, trading one extra child
-// comparison per level for better cache locality on sift-down.
-//
-// A kernel keeps two: its main queue and the emit shadow heap (see
-// Kernel.emit). An event can sit in both, so each heap maintains its
-// own entry of Event.pos, named by slot: the position (>= 0) lets
-// Cancel find a queued event, and -1 tells it from a removed one.
+// comparison per level for better cache locality on sift-down. Each
+// event keeps its heap position in Event.pos.
 type eventQueue struct {
-	h    []*Event
-	slot int // queueSlot or emitSlot
+	h []*Event
 }
-
-// The Event.pos entries of the two heaps.
-const (
-	queueSlot = iota
-	emitSlot
-)
 
 // before reports the strict (at, seq) order. Keys are never equal:
 // seq is unique per kernel.
@@ -123,7 +98,6 @@ func (a *Event) before(b *Event) bool {
 // push inserts e, restoring the heap by sifting up.
 func (q *eventQueue) push(e *Event) {
 	h := append(q.h, e)
-	s := q.slot
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) >> 2
@@ -132,11 +106,11 @@ func (q *eventQueue) push(e *Event) {
 			break
 		}
 		h[i] = p
-		p.pos[s] = i
+		p.pos = i
 		i = parent
 	}
 	h[i] = e
-	e.pos[s] = i
+	e.pos = i
 	q.h = h
 }
 
@@ -151,8 +125,7 @@ func (q *eventQueue) pop() *Event {
 // element takes its place and is sifted in either direction as needed.
 func (q *eventQueue) removeAt(i int) {
 	h := q.h
-	s := q.slot
-	h[i].pos[s] = -1
+	h[i].pos = -1
 	n := len(h) - 1
 	e := h[n]
 	h[n] = nil
@@ -170,7 +143,7 @@ func (q *eventQueue) removeAt(i int) {
 			break
 		}
 		h[j] = p
-		p.pos[s] = j
+		p.pos = j
 		j = parent
 	}
 	if j == i {
@@ -191,12 +164,12 @@ func (q *eventQueue) removeAt(i int) {
 				break
 			}
 			h[j] = bestEv
-			bestEv.pos[s] = j
+			bestEv.pos = j
 			j = best
 		}
 	}
 	h[j] = e
-	e.pos[s] = j
+	e.pos = j
 }
 
 // Tracer receives logical trace events from a kernel (see
@@ -229,19 +202,6 @@ type Kernel struct {
 	// idle holds the carriers of finished processes, each waiting to run
 	// the next process to start (see Process.start).
 	idle []*carrier
-	// firingLocal is set while a local-marked event fires: newly scheduled
-	// events inherit the mark and Channel.Send panics (see Event.local).
-	firingLocal bool
-	// emitTracked enables the emit shadow heap (set by NewFederation on
-	// the kernels of two or more partitions). A single kernel leaves it
-	// off, keeping enqueue/dequeue free of shadow maintenance.
-	emitTracked bool
-	// emit is the shadow priority queue over emit-capable events: it
-	// holds only the queue's live non-local events, so NextEmitTime — the
-	// coordinator's earliest-output-time bound, consulted on every park —
-	// is O(1) at its head instead of a full O(queued) scan. Cancel
-	// removes an event from both heaps.
-	emit eventQueue
 	// tracer, when set, receives Trace calls (nil = tracing disabled;
 	// the hot-path cost is one nil check).
 	tracer Tracer
@@ -250,7 +210,7 @@ type Kernel struct {
 // NewKernel returns a kernel whose clock starts at time zero and whose
 // random streams all derive from seed.
 func NewKernel(seed uint64) *Kernel {
-	return &Kernel{rootRand: NewRand(seed), emit: eventQueue{slot: emitSlot}}
+	return &Kernel{rootRand: NewRand(seed)}
 }
 
 // Now returns the current simulated time.
@@ -286,7 +246,7 @@ func (k *Kernel) Trace(component, kind string, payload []byte) {
 // present) fires the event at the current time but never before events
 // already queued for that time. The returned Event may be canceled.
 func (k *Kernel) At(t logical.Time, fn func()) *Event {
-	return k.post(nil, t, Call, fn, false, false, false)
+	return k.post(nil, t, Call, fn, false, false)
 }
 
 // After schedules fn to run d from now.
@@ -300,7 +260,7 @@ func (k *Kernel) After(d logical.Duration, fn func()) *Event {
 // (clock sync, SD re-offers, TTL expiry) use daemon events so that
 // RunAll terminates.
 func (k *Kernel) AfterDaemon(d logical.Duration, fn func()) *Event {
-	return k.post(nil, k.now.Add(d), Call, fn, true, false, false)
+	return k.post(nil, k.now.Add(d), Call, fn, true, false)
 }
 
 // Post schedules fn(arg) at simulated time t (the current time if t lies
@@ -312,7 +272,7 @@ func (k *Kernel) AfterDaemon(d logical.Duration, fn func()) *Event {
 // dispatch, future resolution, process wakeups and federation batch
 // injection. A plain closure posts as Post(t, Call, fn).
 func (k *Kernel) Post(t logical.Time, fn func(arg any), arg any) {
-	k.post(nil, t, fn, arg, false, true, false)
+	k.post(nil, t, fn, arg, false, true)
 }
 
 // Call is the (fn, arg) body of a plain closure: Post(t, Call, fn) runs
@@ -325,17 +285,15 @@ func Call(a any) { a.(func())() }
 // caller-owned storage (process wake events): it is reused in place
 // unless its previous incarnation is still queued, in which case a fresh
 // Event is allocated; either way the returned handle is the one to
-// cancel. Cancel dequeues at once, so a canceled wake event is reused. Transient events come from the
-// free list and return to it after firing. local forces the
-// never-emits mark (SpawnLocal); events scheduled while a local event
-// fires inherit it regardless. The mark is set before enqueue, which
-// decides emit shadow heap membership.
-func (k *Kernel) post(e *Event, t logical.Time, fn func(any), arg any, daemon, transient, local bool) *Event {
+// cancel. Cancel dequeues at once, so a canceled wake event is reused.
+// Transient events come from the free list and return to it after
+// firing.
+func (k *Kernel) post(e *Event, t logical.Time, fn func(any), arg any, daemon, transient bool) *Event {
 	if t < k.now {
 		t = k.now
 	}
 	k.seq++
-	if e == nil || e.k != nil && e.pos[queueSlot] >= 0 {
+	if e == nil || e.k != nil && e.pos >= 0 {
 		if n := len(k.free); transient && n > 0 {
 			e = k.free[n-1]
 			k.free[n-1] = nil
@@ -344,30 +302,10 @@ func (k *Kernel) post(e *Event, t logical.Time, fn func(any), arg any, daemon, t
 			e = new(Event)
 		}
 	}
-	*e = Event{k: k, at: t, seq: k.seq, fn: fn, arg: arg, daemon: daemon, transient: transient, local: local || k.firingLocal}
-	k.enqueue(e)
+	*e = Event{k: k, at: t, seq: k.seq, fn: fn, arg: arg, daemon: daemon, transient: transient}
+	k.queue.push(e)
 	if !daemon {
 		k.pending++
-	}
-	return e
-}
-
-// enqueue inserts e into the main queue and, on federated kernels, into
-// the emit shadow heap when the event could emit cross-partition.
-func (k *Kernel) enqueue(e *Event) {
-	k.queue.push(e)
-	e.pos[emitSlot] = -1
-	if k.emitTracked && !e.local {
-		k.emit.push(e)
-	}
-}
-
-// dequeue removes the minimum event from the main queue and drops its
-// emit shadow entry if it still has one.
-func (k *Kernel) dequeue() *Event {
-	e := k.queue.pop()
-	if e.pos[emitSlot] >= 0 {
-		k.emit.removeAt(e.pos[emitSlot])
 	}
 	return e
 }
@@ -394,7 +332,7 @@ func (k *Kernel) ReserveEvents(n int) {
 // canceled) long after firing, and reusing them would let a stale
 // Cancel hit an unrelated future event.
 func (k *Kernel) fire() {
-	e := k.dequeue()
+	e := k.queue.pop()
 	if !e.daemon {
 		k.pending--
 	}
@@ -402,9 +340,7 @@ func (k *Kernel) fire() {
 		k.now = e.at
 	}
 	k.fired++
-	k.firingLocal = e.local
 	e.fn(e.arg)
-	k.firingLocal = false
 	if e.transient {
 		e.fn = nil
 		e.arg = nil
@@ -447,23 +383,6 @@ func (k *Kernel) NextEventTime() (logical.Time, bool) {
 		return 0, false
 	}
 	return k.queue.h[0].at, true
-}
-
-// NextEmitTime returns the earliest queued event that could emit onto a
-// federation channel — i.e. the earliest live event without the local
-// mark (see Event.local). The federation coordinator uses it as the
-// partition's earliest-output-time bound: events below the result are
-// provably incapable of sending cross-partition, so downstream grants
-// may reach past them. The answer is the head of the emit shadow heap,
-// O(1). Precondition: the kernel
-// belongs to a Federation of two or more partitions — NewFederation
-// turns the shadow heap on there, and on any other kernel it stays
-// empty.
-func (k *Kernel) NextEmitTime() (logical.Time, bool) {
-	if len(k.emit.h) == 0 {
-		return 0, false
-	}
-	return k.emit.h[0].at, true
 }
 
 // RunLive executes every queued event — daemon events included — whose

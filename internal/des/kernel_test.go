@@ -61,60 +61,62 @@ func TestKernelCancel(t *testing.T) {
 	}
 }
 
-// TestCancelRemovesEvent pins that Cancel takes an event out of both the
-// main queue and the emit shadow heap at once, on a kernel of a
-// 2-partition federation (where the shadow heap is kept): the next-time
-// queries name the next live event without discarding anything, and
-// Pending stays exact.
+// TestCancelRemovesEvent pins that Cancel takes an event out of the
+// kernel's queue at once: its position reads -1, NextEventTime names
+// the next live event without discarding anything, and Pending stays
+// exact.
 func TestCancelRemovesEvent(t *testing.T) {
-	f := NewFederation(1, 2)
-	defer f.Shutdown()
-	k := f.Kernel(0)
+	k := NewKernel(1)
 	fired := 0
 	fn := func() { fired++ }
 	e10 := k.At(10, fn)
-	local := k.post(nil, 12, Call, fn, false, false, true) // never emits
+	e12 := k.At(12, fn)
 	e20 := k.At(20, fn)
 	e30 := k.At(30, fn)
 	daemon := k.AfterDaemon(25, fn)
-	check := func(step string, queued, emit, pending int, next, nextEmit logical.Time) {
+	check := func(step string, queued, pending int, next logical.Time) {
 		t.Helper()
-		if len(k.queue.h) != queued || len(k.emit.h) != emit || k.Pending() != pending {
-			t.Fatalf("%s: queue %d, emit %d, pending %d; want %d, %d, %d",
-				step, len(k.queue.h), len(k.emit.h), k.Pending(), queued, emit, pending)
+		if len(k.queue.h) != queued || k.Pending() != pending {
+			t.Fatalf("%s: queue %d, pending %d; want %d, %d",
+				step, len(k.queue.h), k.Pending(), queued, pending)
 		}
 		if at, ok := k.NextEventTime(); !ok || at != next {
 			t.Fatalf("%s: NextEventTime = (%v, %v), want (%v, true)", step, at, ok, next)
 		}
-		if at, ok := k.NextEmitTime(); !ok || at != nextEmit {
-			t.Fatalf("%s: NextEmitTime = (%v, %v), want (%v, true)", step, at, ok, nextEmit)
-		}
-		// Neither query may have dropped anything.
-		if len(k.queue.h) != queued || len(k.emit.h) != emit {
-			t.Fatalf("%s: a next-time query changed the queues", step)
+		// The query may not have dropped anything.
+		if len(k.queue.h) != queued {
+			t.Fatalf("%s: NextEventTime changed the queue", step)
 		}
 	}
-	check("scheduled", 5, 4, 4, 10, 10)
-	e10.Cancel()
-	if e10.pos != [2]int{-1, -1} {
-		t.Fatalf("canceled event still indexed: pos %v", e10.pos)
+	canceled := func(step string, e *Event) {
+		t.Helper()
+		if e.pos != -1 || !e.Canceled() {
+			t.Fatalf("%s: canceled event still indexed: pos %d, canceled %v", step, e.pos, e.Canceled())
+		}
 	}
-	check("head canceled", 4, 3, 3, 12, 20)
+	check("scheduled", 5, 4, 10)
 	e10.Cancel()
-	check("second cancel", 4, 3, 3, 12, 20)
-	local.Cancel()
-	check("local canceled", 3, 3, 2, 20, 20)
+	canceled("head canceled", e10)
+	check("head canceled", 4, 3, 12)
+	e10.Cancel()
+	canceled("second cancel", e10)
+	check("second cancel", 4, 3, 12)
+	e12.Cancel()
+	canceled("new head canceled", e12)
+	check("new head canceled", 3, 2, 20)
 	e30.Cancel() // not at the head
-	check("tail canceled", 2, 2, 1, 20, 20)
+	canceled("tail canceled", e30)
+	check("tail canceled", 2, 1, 20)
 	daemon.Cancel()
-	check("daemon canceled", 1, 1, 1, 20, 20)
-	f.RunAll()
-	if fired != 1 || k.Pending() != 0 || len(k.queue.h) != 0 || len(k.emit.h) != 0 {
-		t.Fatalf("after run: fired %d, pending %d, queue %d, emit %d; want 1, 0, 0, 0",
-			fired, k.Pending(), len(k.queue.h), len(k.emit.h))
+	canceled("daemon canceled", daemon)
+	check("daemon canceled", 1, 1, 20)
+	k.RunAll()
+	if fired != 1 || k.Pending() != 0 || len(k.queue.h) != 0 {
+		t.Fatalf("after run: fired %d, pending %d, queue %d; want 1, 0, 0",
+			fired, k.Pending(), len(k.queue.h))
 	}
-	if e20.Canceled() {
-		t.Fatal("live event reports canceled")
+	if e20.Canceled() || e20.pos != -1 {
+		t.Fatalf("fired event: canceled %v, pos %d; want false, -1", e20.Canceled(), e20.pos)
 	}
 }
 
@@ -122,9 +124,7 @@ func TestCancelRemovesEvent(t *testing.T) {
 // events from arbitrary heap positions and checks that the survivors
 // fire in (time, sequence) order and nothing canceled fires.
 func TestCancelKeepsHeapOrder(t *testing.T) {
-	f := NewFederation(1, 2)
-	defer f.Shutdown()
-	k := f.Kernel(0)
+	k := NewKernel(1)
 	rng := NewRand(9)
 	type ev struct {
 		at  logical.Time
@@ -144,10 +144,10 @@ func TestCancelKeepsHeapOrder(t *testing.T) {
 			live++
 		}
 	}
-	if len(k.queue.h) != live || len(k.emit.h) != live || k.Pending() != live {
-		t.Fatalf("queue %d, emit %d, pending %d; want %d each", len(k.queue.h), len(k.emit.h), k.Pending(), live)
+	if len(k.queue.h) != live || k.Pending() != live {
+		t.Fatalf("queue %d, pending %d; want %d each", len(k.queue.h), k.Pending(), live)
 	}
-	f.RunAll()
+	k.RunAll()
 	if len(got) != live {
 		t.Fatalf("%d events fired, want %d", len(got), live)
 	}

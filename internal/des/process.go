@@ -106,34 +106,11 @@ func (k *Kernel) Spawn(name string, body func(p *Process)) *Process {
 	return k.SpawnAt(k.now, name, body)
 }
 
-// SpawnLocal creates a process like Spawn, with the additional
-// declaration that the process — and everything it transitively
-// schedules — never emits onto a federation channel. The declaration is
-// enforced: Channel.Send panics if called while any of the process's
-// events fire. In exchange, the federation coordinator excludes the
-// process's events from the partition's earliest-output-time bound, so
-// dense local-only activity (load generators, intra-platform traffic)
-// stops throttling downstream partitions' grant windows.
-//
-// The mark is inherited by scheduling: the process's sleep/wake events,
-// anything it schedules while holding the baton, and local datagram
-// deliveries it triggers all become local automatically. A resume
-// scheduled by a non-local event (an Unpark from ordinary traffic, say)
-// is not local — so only processes whose wakes all originate from
-// their own timeline keep the full benefit.
-func (k *Kernel) SpawnLocal(name string, body func(p *Process)) *Process {
-	return k.spawnAt(k.now, name, body, true)
-}
-
 // SpawnAt creates a process whose body starts at simulated time t.
 func (k *Kernel) SpawnAt(t logical.Time, name string, body func(p *Process)) *Process {
-	return k.spawnAt(t, name, body, false)
-}
-
-func (k *Kernel) spawnAt(t logical.Time, name string, body func(p *Process), local bool) *Process {
 	p := &Process{k: k, name: name, state: procNew, body: body}
 	k.procs = append(k.procs, p)
-	k.post(nil, t, wakeFn, p, false, true, local)
+	k.post(nil, t, wakeFn, p, false, true)
 	return p
 }
 
@@ -240,7 +217,7 @@ func (p *Process) Sleep(d logical.Duration) {
 // Interrupt: only its own scheduled wake event (or kernel shutdown) can
 // resume a plain wait.
 func (p *Process) WaitUntil(t logical.Time) {
-	p.wake = p.k.post(&p.wakeEv, t, wakeFn, p, false, false, false)
+	p.wake = p.k.post(&p.wakeEv, t, wakeFn, p, false, false)
 	p.block(procSleeping)
 	p.wake = nil
 }
@@ -249,7 +226,7 @@ func (p *Process) WaitUntil(t logical.Time) {
 // process calls Interrupt, whichever comes first. It reports whether the
 // wait was interrupted.
 func (p *Process) WaitUntilInterruptible(t logical.Time) (interrupted bool) {
-	p.wake = p.k.post(&p.wakeEv, t, wakeFn, p, false, false, false)
+	p.wake = p.k.post(&p.wakeEv, t, wakeFn, p, false, false)
 	p.interruptible = true
 	sig := p.block(procSleeping)
 	p.interruptible = false

@@ -249,22 +249,6 @@ func TestProcessYield(t *testing.T) {
 	}
 }
 
-// A SpawnLocal start event carries the local mark from the moment it is
-// queued, so it never counts toward the partition's earliest-output
-// bound; a plain Spawn start event does.
-func TestSpawnLocalStartIsNotEmitCapable(t *testing.T) {
-	k := NewFederation(1, 2).Kernel(0)
-	k.SpawnLocal("local", func(p *Process) {})
-	if at, ok := k.NextEmitTime(); ok {
-		t.Fatalf("SpawnLocal start counts toward NextEmitTime: (%v, true)", at)
-	}
-	k.SpawnAt(5, "plain", func(p *Process) {})
-	if at, ok := k.NextEmitTime(); !ok || at != 5 {
-		t.Fatalf("NextEmitTime = (%v, %v), want (5, true)", at, ok)
-	}
-	k.RunAll()
-}
-
 // TestSpawnAllocs pins the allocations of a short process life on a warm
 // kernel: Spawn of a body that sleeps once, then RunAll. The one is the
 // Process: the body runs on the carrier the previous life left on the

@@ -74,27 +74,14 @@ func (r *Rand) Uint64() uint64 {
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
-func (r *Rand) Intn(n int) int {
-	if n <= 0 {
-		panic("des: Intn with non-positive n")
-	}
-	// Lemire's nearly-divisionless bounded sampling.
-	un := uint64(n)
-	hi, lo := bits.Mul64(r.Uint64(), un)
-	if lo < un {
-		thresh := -un % un
-		for lo < thresh {
-			hi, lo = bits.Mul64(r.Uint64(), un)
-		}
-	}
-	return int(hi)
-}
+func (r *Rand) Intn(n int) int { return int(r.Int63n(int64(n))) }
 
 // Int63n returns a uniform int64 in [0, n). It panics if n <= 0.
 func (r *Rand) Int63n(n int64) int64 {
 	if n <= 0 {
 		panic("des: Int63n with non-positive n")
 	}
+	// Lemire's nearly-divisionless bounded sampling.
 	un := uint64(n)
 	hi, lo := bits.Mul64(r.Uint64(), un)
 	if lo < un {
@@ -107,9 +94,7 @@ func (r *Rand) Int63n(n int64) int64 {
 }
 
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
-func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
-}
+func (r *Rand) Float64() float64 { return UnitFloat64(r.Uint64()) }
 
 // Bool returns an unbiased random boolean.
 func (r *Rand) Bool() bool { return r.Uint64()&1 == 1 }

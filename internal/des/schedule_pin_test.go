@@ -145,8 +145,8 @@ func (r *pinRig) procBody(p *Process) {
 	r.spread()
 }
 
-// localBody is the body of SpawnLocal processes. It never schedules
-// beyond its own sleep, so nothing it reaches calls Channel.Send.
+// localBody is a process body that schedules nothing beyond its own
+// sleep.
 func (r *pinRig) localBody(p *Process) {
 	r.mark("local")
 	p.Sleep(r.delay())
@@ -203,7 +203,7 @@ func (r *pinRig) act() {
 	case 7:
 		k.SpawnAt(k.Now().Add(d), "late", r.procBody)
 	case 8:
-		k.SpawnLocal("local", r.localBody)
+		k.Spawn("local", r.localBody)
 	case 9:
 		r.waiters[r.rng.Intn(len(r.waiters))].Interrupt()
 	case 10:

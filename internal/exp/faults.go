@@ -29,7 +29,7 @@ import (
 //     observable errors (missing inputs, deadline and safe-to-process
 //     violations).
 //
-//  2. Faulted federated mesh (RunFaultMesh / FaultMeshConfig): the E10
+//  2. Faulted federated mesh (RunMesh / DefaultFaultMeshConfig): the E10
 //     scenario under nonzero drop rates, a partition window and a
 //     crash/restart, with per-call timeouts making every loss
 //     observable. The determinism gate is unchanged: byte-identical
@@ -134,7 +134,7 @@ func DefaultFaultMeshConfig(n int) MeshConfig {
 	cfg.CallTimeout = 5 * logical.Millisecond
 	half := make([]uint16, 0, n/2)
 	for i := 0; i < n/2; i++ {
-		half = append(half, MeshHostID(i))
+		half = append(half, scenario.HostID(i))
 	}
 	ms := func(v int64) logical.Time { return logical.Time(v) * logical.Time(logical.Millisecond) }
 	cfg.Faults = &simnet.FaultPlan{
@@ -150,20 +150,13 @@ func DefaultFaultMeshConfig(n int) MeshConfig {
 			From: ms(70), To: ms(80), GroupA: half,
 		}},
 	}
-	cfg.Crash = &CrashPlan{
+	cfg.Crash = &scenario.CrashPlan{
 		Platform:     1,
 		At:           ms(30),
 		RestartAt:    ms(60),
 		RebornRounds: 10,
 	}
 	return cfg
-}
-
-// RunFaultMesh executes the E11 mesh scenario once; it is RunMesh under
-// DefaultFaultMeshConfig-style configuration and shares its determinism
-// contract.
-func RunFaultMesh(seed uint64, cfg MeshConfig, partitions int) (*MeshResult, error) {
-	return RunMesh(seed, cfg, partitions)
 }
 
 // FaultsResult bundles the two E11 sub-experiments.
@@ -194,7 +187,7 @@ func RunFaults(seed uint64, frames int, meshCfg MeshConfig, partitions int) (*Fa
 	if pipe.Dear.FramesProcessed == 0 {
 		return nil, fmt.Errorf("exp: DEAR pipeline made no progress under faults")
 	}
-	mesh, err := RunFaultMesh(seed, meshCfg, partitions)
+	mesh, err := RunMesh(seed, meshCfg, partitions)
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@ func quickFaultMeshConfig(n int) MeshConfig {
 	// schedule so the outage, the restart and the partition window all
 	// overlap live traffic.
 	ms := func(v int64) logical.Time { return logical.Time(v) * logical.Time(logical.Millisecond) }
-	cfg.Crash = &CrashPlan{Platform: 1, At: ms(12), RestartAt: ms(22), RebornRounds: 4}
+	cfg.Crash = &scenario.CrashPlan{Platform: 1, At: ms(12), RestartAt: ms(22), RebornRounds: 4}
 	cfg.Faults.Partitions[0].From = ms(30)
 	cfg.Faults.Partitions[0].To = ms(38)
 	return cfg
@@ -60,7 +60,7 @@ func TestFaultMeshCrashRecovery(t *testing.T) {
 	// Isolate the crash: no drops or windows, so every error in the
 	// report is attributable to the outage.
 	cfg.Faults = nil
-	res, err := RunFaultMesh(3, cfg, 2)
+	res, err := RunMesh(3, cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestFaultMeshCrashRecovery(t *testing.T) {
 	crash := *cfg.Crash
 	crash.RestartAt = 0
 	noRestart.Crash = &crash
-	down, err := RunFaultMesh(3, noRestart, 2)
+	down, err := RunMesh(3, noRestart, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,17 +34,8 @@ import (
 // client calls.
 type MeshConfig = scenario.Spec
 
-// CrashPlan schedules a platform crash and restart inside a mesh run;
-// see scenario.CrashPlan.
-type CrashPlan = scenario.CrashPlan
-
 // DefaultMeshConfig returns the E10 scenario for n platforms.
 func DefaultMeshConfig(n int) MeshConfig { return scenario.MeshPreset(n) }
-
-// MeshHostID returns the simnet host ID platform i receives during
-// world construction, in every execution mode. Fault plans that target
-// specific mesh links are built from it.
-func MeshHostID(i int) uint16 { return scenario.HostID(i) }
 
 // MeshPlatformRow is the per-platform slice of the E10/E11/E12 report.
 type MeshPlatformRow = scenario.PlatformStats

@@ -139,12 +139,11 @@ func Build(spec Spec) (*World, error) {
 			src := host.MustBind(NoisePort + 1)
 			sinkAddr := simnet.Addr{Host: host.ID(), Port: NoisePort}
 			k := w.Runtimes[i].Kernel()
-			// SpawnLocal declares (and the kernel enforces) that the noise
-			// chain never emits cross-partition, so the federation excludes
-			// its dense event timeline from earliest-output-time bounds —
-			// without it, 20µs noise ticks pin every partition's bound to
-			// its window end and force lookahead-cadence grants.
-			k.SpawnLocal(fmt.Sprintf("noise%02d", i), func(p *des.Process) {
+			// The noise chain's events are ordinary queued events, so
+			// dense ticks hold its partition's earliest-event bound close
+			// to its clock and downstream grants advance at about the
+			// channel lookahead.
+			k.Spawn(fmt.Sprintf("noise%02d", i), func(p *des.Process) {
 				var buf [4]byte
 				for m := 0; m < norm.NoiseEvents; m++ {
 					binary.BigEndian.PutUint32(buf[:], uint32(m))
