@@ -25,7 +25,7 @@
 //	r := env.NewReactor("hello")
 //	tick := dear.NewTimer(r, "tick", 0, dear.Duration(100*dear.Millisecond))
 //	r.AddReaction("greet").Triggers(tick).Do(func(c *dear.ReactionCtx) {
-//	    fmt.Println("logical time:", c.LogicalTime())
+//	    fmt.Println("logical time:", c.Tag().Time)
 //	})
 //	env.Run()
 //

@@ -130,13 +130,6 @@ func (s *Scene) render(pix []byte) {
 	}
 }
 
-// Truth exposes the scripted vehicle distance for a sequence number
-// (used by tests to validate the vision stage).
-func (s *Scene) Truth(seq uint32) (distance float64, present bool) {
-	gt := s.vehicleAt(seq)
-	return gt.distance, gt.present
-}
-
 // Preprocess computes the travel-lane bounding box from the frame by
 // locating the lane markings in the lower image half.
 func Preprocess(f *Frame) *LaneInfo {

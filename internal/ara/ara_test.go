@@ -237,15 +237,16 @@ func TestEventSubscribeNotify(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		acked := false
 		if err := px.SubscribeID(someip.EventID(1), 1, func(c *Ctx, payload []byte) {
 			got = append(got, decodeU32(payload))
-		}, func(ok bool) { acked = ok }); err != nil {
+		}); err != nil {
 			t.Error(err)
 			return
 		}
-		// Wait for the ack, then trigger three notifications.
-		for !acked {
+		// Wait until the provider lists the subscriber, then trigger
+		// three notifications.
+		key := someip.ServiceKey{Service: calcIface.ID, Instance: 1}
+		for len(f.server.sd.Subscribers(key, 1)) == 0 {
 			c.Exec(logical.Duration(10 * logical.Millisecond))
 		}
 		for i := uint32(1); i <= 3; i++ {

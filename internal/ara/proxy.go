@@ -106,12 +106,11 @@ func (px *Proxy) Subscribe(event string, handler func(*Ctx, []byte)) error {
 	if !ok {
 		return fmt.Errorf("ara: %s has no event %q", px.iface.Name, event)
 	}
-	return px.SubscribeID(spec.ID, spec.Eventgroup, handler, nil)
+	return px.SubscribeID(spec.ID, spec.Eventgroup, handler)
 }
 
 // SubscribeID registers a handler for an event by wire ID and eventgroup.
-// ack, if not nil, reports the SD subscription outcome.
-func (px *Proxy) SubscribeID(id someip.MethodID, eventgroup uint16, handler func(*Ctx, []byte), ack func(ok bool)) error {
+func (px *Proxy) SubscribeID(id someip.MethodID, eventgroup uint16, handler func(*Ctx, []byte)) error {
 	if !id.IsEvent() {
 		return fmt.Errorf("ara: id %#x is not an event", uint16(id))
 	}
@@ -120,6 +119,6 @@ func (px *Proxy) SubscribeID(id someip.MethodID, eventgroup uint16, handler func
 	}
 	k := eventKey{px.key.Service, id}
 	px.rt.eventSubs[k] = append(px.rt.eventSubs[k], handler)
-	px.rt.sd.Subscribe(px.key, eventgroup, px.rt.simAddr(), ack)
+	px.rt.sd.Subscribe(px.key, eventgroup, px.rt.simAddr())
 	return nil
 }

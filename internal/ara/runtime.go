@@ -55,7 +55,6 @@ type Runtime struct {
 	k     *des.Kernel
 	clock *des.LocalClock
 	name  string
-	cfg   Config
 
 	conn     someip.Endpoint
 	sd       *someip.Agent // nil without an SD substrate (UDP runtimes)
@@ -160,7 +159,6 @@ func newRuntime(k *des.Kernel, clock *des.LocalClock, cfg Config, conn someip.En
 		k:         k,
 		clock:     clock,
 		name:      cfg.Name,
-		cfg:       cfg,
 		conn:      conn,
 		exec:      NewExecutor(k, k.Rand("ara."+cfg.Name).Stream("exec"), cfg.Exec),
 		clientID:  clientID,

@@ -196,7 +196,7 @@ func TestUDPRuntimeHasNoSD(t *testing.T) {
 		t.Fatal("UDP runtime should have no SD agent")
 	}
 	px := client.StaticProxy(udpEchoIface, 1, client.Addr())
-	if err := px.SubscribeID(someip.EventID(1), 1, func(*Ctx, []byte) {}, nil); err == nil {
+	if err := px.SubscribeID(someip.EventID(1), 1, func(*Ctx, []byte) {}); err == nil {
 		t.Error("SubscribeID should fail without an SD substrate")
 	}
 	defer func() {

@@ -67,6 +67,12 @@ func tcfg() TransactorConfig {
 	}
 }
 
+// statErrors sums a transactor's error counters; Forwarded is not an
+// error.
+func statErrors(s TransactorStats) uint64 {
+	return s.DeadlineViolations + s.SafeToProcessViolations + s.UntaggedDropped + s.RemoteErrors
+}
+
 func TestMethodRoundTripThroughTransactors(t *testing.T) {
 	f := newDearFixture(t, 1, nil)
 	var smt *ServerMethodTransactor
@@ -141,7 +147,7 @@ func TestMethodRoundTripThroughTransactors(t *testing.T) {
 	if smt.Stats().Forwarded != 1 || cmt.Stats().Forwarded == 0 {
 		t.Errorf("forward counters: smt=%d cmt=%d", smt.Stats().Forwarded, cmt.Stats().Forwarded)
 	}
-	if smt.Stats().Errors() != 0 || cmt.Stats().Errors() != 0 {
+	if statErrors(smt.Stats()) != 0 || statErrors(cmt.Stats()) != 0 {
 		t.Errorf("unexpected errors: smt=%+v cmt=%+v", smt.Stats(), cmt.Stats())
 	}
 	if f.client.Err() != nil || f.server.Err() != nil {
@@ -210,8 +216,8 @@ func TestFigure3Sequence(t *testing.T) {
 		t.Errorf("sequence = %v, want %v", seq, want)
 	}
 	// The bindings must have carried tags on both wire crossings.
-	cTagged, cUntagged, _, cRecvTags := f.client.Binding().Stats()
-	sTagged, _, _, sRecvTags := f.server.Binding().Stats()
+	cTagged, cUntagged, _, cRecvTags := f.client.binding.Stats()
+	sTagged, _, _, sRecvTags := f.server.binding.Stats()
 	if cTagged == 0 || sTagged == 0 {
 		t.Errorf("tagged sends: client=%d server=%d", cTagged, sTagged)
 	}
@@ -586,7 +592,7 @@ func TestFieldTransactorRoundTrip(t *testing.T) {
 	if len(gotValue) != 1 || gotValue[0] != 42 {
 		t.Errorf("get value = %v, want [42]", gotValue)
 	}
-	if sft.Stats().Errors() != 0 || cft.Stats().Errors() != 0 {
+	if statErrors(sft.Stats()) != 0 || statErrors(cft.Stats()) != 0 {
 		t.Errorf("errors: server %+v client %+v", sft.Stats(), cft.Stats())
 	}
 }

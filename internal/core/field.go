@@ -69,11 +69,6 @@ func NewClientFieldTransactor(env *reactor.Environment, swc *SWC, iface *ara.Ser
 	return t, nil
 }
 
-// Ready reports whether all three underlying transactors are bound.
-func (t *ClientFieldTransactor) Ready() bool {
-	return t.get.Ready() && t.set.Ready() && t.notify.Ready()
-}
-
 // Stats aggregates the error counters of the three transactors.
 func (t *ClientFieldTransactor) Stats() TransactorStats {
 	return sumStats(t.get.Stats(), t.set.Stats(), t.notify.Stats())

@@ -18,12 +18,9 @@ import (
 type SWC struct {
 	runtime *ara.Runtime
 	binding *Binding
-	env     *reactor.Environment
-	proc    *des.Process
 
 	name    string
 	started bool
-	done    bool
 	runErr  error
 }
 
@@ -43,13 +40,8 @@ func NewSWC(host *simnet.Host, cfg ara.Config) (*SWC, error) {
 // Runtime returns the component's ara::com runtime.
 func (s *SWC) Runtime() *ara.Runtime { return s.runtime }
 
-// Binding returns the component's DEAR binding.
-func (s *SWC) Binding() *Binding { return s.binding }
-
-// Done reports whether the reactor program has terminated.
-func (s *SWC) Done() bool { return s.done }
-
-// Err returns the error from the reactor run, if any (valid once Done).
+// Err returns the error from the reactor run, if any (valid once the
+// program has terminated).
 func (s *SWC) Err() error { return s.runErr }
 
 // Start spawns the component's reactor program as a platform process.
@@ -66,26 +58,16 @@ func (s *SWC) Start(timeout logical.Duration, build func(env *reactor.Environmen
 	}
 	s.started = true
 	k := s.runtime.Kernel()
-	s.proc = k.Spawn(s.name+".reactor", func(p *des.Process) {
+	k.Spawn(s.name+".reactor", func(p *des.Process) {
 		env := reactor.NewEnvironment(reactor.Options{
 			Clock:     reactor.NewSimClock(p, s.runtime.Host().Clock()),
 			Timeout:   timeout,
 			KeepAlive: true,
 		})
-		s.env = env
 		if err := build(env); err != nil {
 			s.runErr = fmt.Errorf("core: building %s: %w", s.name, err)
-			s.done = true
 			return
 		}
 		s.runErr = env.Run()
-		s.done = true
 	})
-}
-
-// Stop requests the reactor program to shut down.
-func (s *SWC) Stop() {
-	if s.env != nil {
-		s.env.RequestStop()
-	}
 }

@@ -39,11 +39,6 @@ type TransactorStats struct {
 	RemoteErrors uint64
 }
 
-// Errors returns the total number of error conditions observed.
-func (s TransactorStats) Errors() uint64 {
-	return s.DeadlineViolations + s.SafeToProcessViolations + s.UntaggedDropped + s.RemoteErrors
-}
-
 // resolveTag returns an incoming message's tag, or counts the message
 // in UntaggedDropped and reports false when it carries none.
 func resolveTag(stats *TransactorStats, tag *logical.Tag) (logical.Tag, bool) {
@@ -140,9 +135,6 @@ func newClientMethodTransactor(env *reactor.Environment, swc *SWC, iface *ara.Se
 	})
 	return t
 }
-
-// Ready reports whether service discovery has bound the proxy.
-func (t *ClientMethodTransactor) Ready() bool { return t.proxy != nil }
 
 // Stats returns the transactor's error counters.
 func (t *ClientMethodTransactor) Stats() TransactorStats { return t.stats }
@@ -258,9 +250,6 @@ func (t *ServerMethodTransactor) resolveNext(r ara.Result) {
 // Stats returns the transactor's error counters.
 func (t *ServerMethodTransactor) Stats() TransactorStats { return t.stats }
 
-// Outstanding returns the number of unanswered invocations.
-func (t *ServerMethodTransactor) Outstanding() int { return len(t.pending) }
-
 // ClientEventTransactor interacts with an AP event in the client role:
 // each received notification becomes an event on Out once safe to
 // process.
@@ -270,8 +259,7 @@ type ClientEventTransactor struct {
 
 	stats TransactorStats
 
-	act        *reactor.Action[[]byte]
-	subscribed bool
+	act *reactor.Action[[]byte]
 }
 
 // NewClientEventTransactor creates the transactor and starts discovery +
@@ -300,10 +288,6 @@ func newClientEventTransactor(env *reactor.Environment, swc *SWC, iface *ara.Ser
 			if _, accepted := t.act.ScheduleAt(payload, safe); !accepted {
 				t.stats.SafeToProcessViolations++
 			}
-		}, func(ok bool) {
-			if ok {
-				t.subscribed = true
-			}
 		})
 		if err != nil {
 			t.stats.RemoteErrors++
@@ -317,9 +301,6 @@ func newClientEventTransactor(env *reactor.Environment, swc *SWC, iface *ara.Ser
 	})
 	return t
 }
-
-// Ready reports whether the subscription is acknowledged.
-func (t *ClientEventTransactor) Ready() bool { return t.subscribed }
 
 // Stats returns the transactor's error counters.
 func (t *ClientEventTransactor) Stats() TransactorStats { return t.stats }

@@ -169,21 +169,8 @@ func TestRequestBeforeDiscoveryCountsRemoteError(t *testing.T) {
 	if cmt.Stats().RemoteErrors != 1 {
 		t.Errorf("remote errors = %d, want 1 (unbound proxy)", cmt.Stats().RemoteErrors)
 	}
-	if cmt.Ready() {
+	if cmt.proxy != nil {
 		t.Error("proxy should never have bound")
-	}
-}
-
-func TestTransactorStatsErrorsSum(t *testing.T) {
-	s := TransactorStats{
-		DeadlineViolations:      1,
-		SafeToProcessViolations: 2,
-		UntaggedDropped:         3,
-		RemoteErrors:            4,
-		Forwarded:               99, // not an error
-	}
-	if s.Errors() != 10 {
-		t.Errorf("Errors() = %d, want 10", s.Errors())
 	}
 }
 
@@ -215,7 +202,7 @@ func TestUnmatchedResponseCountsRemoteError(t *testing.T) {
 	if smt.Stats().RemoteErrors != 1 {
 		t.Errorf("remote errors = %d, want 1 (unmatched response)", smt.Stats().RemoteErrors)
 	}
-	if smt.Outstanding() != 0 {
-		t.Errorf("outstanding = %d", smt.Outstanding())
+	if len(smt.pending) != 0 {
+		t.Errorf("outstanding = %d", len(smt.pending))
 	}
 }

@@ -26,7 +26,6 @@ type LocalClock struct {
 	syncBound  logical.Duration // E: |local-global| stays within this after sync
 	syncPeriod logical.Duration
 	rng        *Rand
-	syncs      int
 }
 
 // ClockConfig configures a LocalClock.
@@ -73,7 +72,6 @@ func (c *LocalClock) scheduleSync() {
 		}
 		c.refGlobal = c.k.now
 		c.refLocal = c.k.now.Add(residual)
-		c.syncs++
 		c.scheduleSync()
 	})
 }
@@ -103,9 +101,6 @@ func (c *LocalClock) GlobalAt(local logical.Time) logical.Time {
 func (c *LocalClock) Error() logical.Duration {
 	return logical.Duration(c.Now() - c.k.now)
 }
-
-// Syncs reports the number of resynchronizations performed so far.
-func (c *LocalClock) Syncs() int { return c.syncs }
 
 // mulDivRound computes a*b/c with int64 operands, rounding toward zero,
 // using a 128-bit intermediate product so that the magnitudes used here

@@ -132,8 +132,8 @@ func TestShutdownLeavesNoGoroutine(t *testing.T) {
 func TestEventTimeAccessor(t *testing.T) {
 	k := NewKernel(1)
 	ev := k.At(42, func() {})
-	if ev.Time() != 42 {
-		t.Errorf("Time = %v", ev.Time())
+	if ev.at != 42 {
+		t.Errorf("Time = %v", ev.at)
 	}
 }
 
@@ -146,7 +146,7 @@ func TestKernelStringer(t *testing.T) {
 	if p.String() != "process(named)" {
 		t.Errorf("process string = %q", p.String())
 	}
-	if p.Name() != "named" || p.Kernel() != k {
+	if p.Name() != "named" || p.k != k {
 		t.Error("accessors wrong")
 	}
 }

@@ -102,7 +102,6 @@ type Channel struct {
 	// target kernel was still running, held until the target parks. Its
 	// backing array is recycled across drains too.
 	staged []fedMsg
-	sent   uint64
 }
 
 // fedMsg is one queued cross-partition message: delivery time plus the
@@ -191,9 +190,6 @@ func (f *Federation) Channel(from, to int, lookahead logical.Duration) *Channel 
 	return c
 }
 
-// Sent returns the number of messages that crossed the channel.
-func (c *Channel) Sent() uint64 { return c.sent }
-
 // Send enqueues a message for delivery at time `at` on the target
 // kernel, which then calls fn(arg) as an event. It must be called from
 // the sending kernel's execution context (inside a firing event or
@@ -211,7 +207,6 @@ func (c *Channel) Send(at logical.Time, fn func(arg any), arg any) {
 			c.from, c.to, at, c.lookahead, sender.now))
 	}
 	c.queue = append(c.queue, fedMsg{at: at, fn: fn, arg: arg})
-	c.sent++
 }
 
 // lookaheadMatrix builds reach: reach[j][i] is the cheapest lookahead

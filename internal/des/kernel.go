@@ -45,9 +45,6 @@ type Event struct {
 	pos int
 }
 
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
-
 // Cancel prevents the event from firing by taking it out of the
 // kernel's queue at once, so the queue only ever holds live events and
 // caller-owned storage such as a process's wake event is free for reuse
@@ -67,9 +64,6 @@ func (e *Event) Cancel() {
 	}
 	k.queue.removeAt(e.pos)
 }
-
-// Time returns the simulated time at which the event fires.
-func (e *Event) Time() logical.Time { return e.at }
 
 // eventQueue is the kernel's priority queue type: a 4-ary min-heap over
 // *Event specialized to the (at, seq) key, replacing container/heap to

@@ -56,8 +56,8 @@ func TestKernelCancel(t *testing.T) {
 	if fired {
 		t.Error("canceled event fired")
 	}
-	if !e.Canceled() {
-		t.Error("Canceled() should be true")
+	if !e.canceled {
+		t.Error("canceled should be set")
 	}
 }
 
@@ -90,8 +90,8 @@ func TestCancelRemovesEvent(t *testing.T) {
 	}
 	canceled := func(step string, e *Event) {
 		t.Helper()
-		if e.pos != -1 || !e.Canceled() {
-			t.Fatalf("%s: canceled event still indexed: pos %d, canceled %v", step, e.pos, e.Canceled())
+		if e.pos != -1 || !e.canceled {
+			t.Fatalf("%s: canceled event still indexed: pos %d, canceled %v", step, e.pos, e.canceled)
 		}
 	}
 	check("scheduled", 5, 4, 10)
@@ -115,8 +115,8 @@ func TestCancelRemovesEvent(t *testing.T) {
 		t.Fatalf("after run: fired %d, pending %d, queue %d; want 1, 0, 0",
 			fired, k.Pending(), len(k.queue.h))
 	}
-	if e20.Canceled() || e20.pos != -1 {
-		t.Fatalf("fired event: canceled %v, pos %d; want false, -1", e20.Canceled(), e20.pos)
+	if e20.canceled || e20.pos != -1 {
+		t.Fatalf("fired event: canceled %v, pos %d; want false, -1", e20.canceled, e20.pos)
 	}
 }
 
@@ -133,12 +133,12 @@ func TestCancelKeepsHeapOrder(t *testing.T) {
 	var got []ev
 	var handles []*Event
 	for i := 0; i < 400; i++ {
-		at, seq := logical.Time(rng.Intn(50)), i
+		at, seq := logical.Time(rng.Int63n(50)), i
 		handles = append(handles, k.At(at, func() { got = append(got, ev{at, seq}) }))
 	}
 	live := 0
 	for _, h := range handles {
-		if rng.Intn(2) == 0 {
+		if rng.Int63n(2) == 0 {
 			h.Cancel()
 		} else {
 			live++
@@ -152,7 +152,7 @@ func TestCancelKeepsHeapOrder(t *testing.T) {
 		t.Fatalf("%d events fired, want %d", len(got), live)
 	}
 	for i, g := range got {
-		if handles[g.seq].Canceled() {
+		if handles[g.seq].canceled {
 			t.Fatalf("canceled event %d fired", g.seq)
 		}
 		if i > 0 {

@@ -199,14 +199,8 @@ func (p *Process) kill() {
 // Name returns the process name given at spawn time.
 func (p *Process) Name() string { return p.name }
 
-// Kernel returns the kernel this process runs on.
-func (p *Process) Kernel() *Kernel { return p.k }
-
 // Now returns the current simulated time.
 func (p *Process) Now() logical.Time { return p.k.now }
-
-// Done reports whether the process body has returned.
-func (p *Process) Done() bool { return p.state == procDone }
 
 // Sleep blocks the process for d of simulated time.
 func (p *Process) Sleep(d logical.Duration) {

@@ -84,7 +84,7 @@ func TestProcessParkUnpark(t *testing.T) {
 	if got != 42 {
 		t.Errorf("woke at %v, want 42", got)
 	}
-	if !p.Done() {
+	if p.state != procDone {
 		t.Error("process should be done")
 	}
 }
@@ -126,8 +126,8 @@ func TestProcessUnparkAt(t *testing.T) {
 	k.At(10, func() { p.UnparkAt(20) })
 	k.At(60, func() { p.UnparkAt(70) })
 	k.RunAll()
-	if got != 50 || !p.Done() || k.EventsFired() != 6 {
-		t.Errorf("sleeper woke at %v (done=%v, %d events), want 50 (done, 6 events)", got, p.Done(), k.EventsFired())
+	if got != 50 || p.state != procDone || k.EventsFired() != 6 {
+		t.Errorf("sleeper woke at %v (done=%v, %d events), want 50 (done, 6 events)", got, p.state == procDone, k.EventsFired())
 	}
 }
 
@@ -220,7 +220,7 @@ func TestShutdownUnblocksSleepers(t *testing.T) {
 				panic(r)
 			}
 		}()
-		p.Sleep(logical.Duration(logical.Hour))
+		p.Sleep(3600 * logical.Second)
 	})
 	k.Run(10)
 	k.Shutdown()
@@ -315,8 +315,8 @@ func TestProcessPanicSurfacesFromRun(t *testing.T) {
 		k.RunAll()
 		t.Error("Run returned normally")
 	}()
-	if !p.Done() || len(k.idle) != 0 {
-		t.Errorf("after the panic: done=%v, %d idle carriers; want done, none", p.Done(), len(k.idle))
+	if p.state != procDone || len(k.idle) != 0 {
+		t.Errorf("after the panic: done=%v, %d idle carriers; want done, none", p.state == procDone, len(k.idle))
 	}
 	k.Shutdown()
 }
@@ -340,8 +340,8 @@ func TestProcessGoexitEndsRunCaller(t *testing.T) {
 	if returned {
 		t.Error("Run returned after the body's Goexit")
 	}
-	if !p.Done() || len(k.idle) != 0 {
-		t.Errorf("after the Goexit: done=%v, %d idle carriers; want done, none", p.Done(), len(k.idle))
+	if p.state != procDone || len(k.idle) != 0 {
+		t.Errorf("after the Goexit: done=%v, %d idle carriers; want done, none", p.state == procDone, len(k.idle))
 	}
 	k.Shutdown()
 }

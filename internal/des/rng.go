@@ -73,9 +73,6 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
-// Intn returns a uniform int in [0, n). It panics if n <= 0.
-func (r *Rand) Intn(n int) int { return int(r.Int63n(int64(n))) }
-
 // Int63n returns a uniform int64 in [0, n). It panics if n <= 0.
 func (r *Rand) Int63n(n int64) int64 {
 	if n <= 0 {
@@ -95,9 +92,6 @@ func (r *Rand) Int63n(n int64) int64 {
 
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
 func (r *Rand) Float64() float64 { return UnitFloat64(r.Uint64()) }
-
-// Bool returns an unbiased random boolean.
-func (r *Rand) Bool() bool { return r.Uint64()&1 == 1 }
 
 // Range returns a uniform int64 in [lo, hi]. It panics if lo > hi.
 func (r *Rand) Range(lo, hi int64) int64 {

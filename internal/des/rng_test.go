@@ -61,23 +61,13 @@ func TestRandZeroSeedWorks(t *testing.T) {
 	}
 }
 
-func TestIntnBounds(t *testing.T) {
-	r := NewRand(5)
-	for i := 0; i < 10000; i++ {
-		v := r.Intn(7)
-		if v < 0 || v >= 7 {
-			t.Fatalf("Intn(7) = %d", v)
-		}
-	}
-}
-
 func TestIntnPanicsOnNonPositive(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("Intn(0) should panic")
+			t.Error("Int63n(0) should panic")
 		}
 	}()
-	NewRand(1).Intn(0)
+	NewRand(1).Int63n(0)
 }
 
 func TestRangeInclusive(t *testing.T) {
@@ -159,32 +149,6 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-func TestBoolBalance(t *testing.T) {
-	r := NewRand(13)
-	trues := 0
-	for i := 0; i < 10000; i++ {
-		if r.Bool() {
-			trues++
-		}
-	}
-	if trues < 4700 || trues > 5300 {
-		t.Errorf("Bool imbalance: %d/10000", trues)
-	}
-}
-
-// Property: Intn is always within bounds for arbitrary positive n.
-func TestIntnBoundsProperty(t *testing.T) {
-	r := NewRand(14)
-	f := func(n uint16) bool {
-		m := int(n%1000) + 1
-		v := r.Intn(m)
-		return v >= 0 && v < m
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: Int63n within bounds.
 func TestInt63nBoundsProperty(t *testing.T) {
 	r := NewRand(15)
@@ -204,7 +168,7 @@ func TestIntnUniformity(t *testing.T) {
 	counts := make([]int, buckets)
 	n := 100000
 	for i := 0; i < n; i++ {
-		counts[r.Intn(buckets)]++
+		counts[r.Int63n(buckets)]++
 	}
 	expect := float64(n) / buckets
 	for b, c := range counts {

@@ -69,7 +69,7 @@ func newPinRig(k *Kernel, label string, budget int) *pinRig {
 }
 
 func (r *pinRig) delay() logical.Duration {
-	return logical.Duration(r.rng.Intn(50)) * logical.Microsecond
+	return logical.Duration(r.rng.Int63n(50)) * logical.Microsecond
 }
 
 func (r *pinRig) mark(label string) {
@@ -157,7 +157,7 @@ func (r *pinRig) localBody(p *Process) {
 // that the workload grows until the budget runs out.
 func (r *pinRig) spread() {
 	r.act()
-	if r.rng.Intn(2) == 0 {
+	if r.rng.Int63n(2) == 0 {
 		r.act()
 	}
 }
@@ -171,7 +171,7 @@ func (r *pinRig) act() {
 	r.budget--
 	k := r.k
 	d := r.delay()
-	switch r.rng.Intn(14) {
+	switch r.rng.Int63n(14) {
 	case 0:
 		r.handles = append(r.handles, k.At(k.Now().Add(d), func() {
 			r.mark("at")
@@ -185,7 +185,7 @@ func (r *pinRig) act() {
 		}))
 	case 2:
 		if len(r.handles) > 0 {
-			r.handles[r.rng.Intn(len(r.handles))].Cancel()
+			r.handles[r.rng.Int63n(int64(len(r.handles)))].Cancel()
 			r.mark("cancel")
 		}
 	case 3:
@@ -205,13 +205,13 @@ func (r *pinRig) act() {
 	case 8:
 		k.Spawn("local", r.localBody)
 	case 9:
-		r.waiters[r.rng.Intn(len(r.waiters))].Interrupt()
+		r.waiters[r.rng.Int63n(int64(len(r.waiters)))].Interrupt()
 	case 10:
-		r.parked[r.rng.Intn(len(r.parked))].UnparkAt(k.Now().Add(d))
+		r.parked[r.rng.Int63n(int64(len(r.parked)))].UnparkAt(k.Now().Add(d))
 	case 11:
 		r.mb.putAt(k, k.Now().Add(d), int(d))
 	case 12:
-		r.mb.putAt(k, k.Now().Add(d), r.rng.Intn(9))
+		r.mb.putAt(k, k.Now().Add(d), int(r.rng.Int63n(9)))
 	case 13:
 		r.act()
 		r.act()

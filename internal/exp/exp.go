@@ -73,17 +73,6 @@ func (r *Figure1Result) Probability(v int) float64 {
 	return float64(r.Counts[v]) / float64(r.Trials)
 }
 
-// DistinctOutcomes counts how many different values were observed.
-func (r *Figure1Result) DistinctOutcomes() int {
-	n := 0
-	for _, c := range r.Counts {
-		if c > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Table renders the distribution like the bar chart in Figure 1.
 func (r *Figure1Result) Table() *metrics.Table {
 	t := metrics.NewTable("printed value", "count", "probability")
@@ -217,15 +206,6 @@ type InstanceResult struct {
 type Figure5Result struct {
 	Frames    int
 	Instances []InstanceResult
-}
-
-// Prevalences returns the sorted error rates.
-func (r *Figure5Result) Prevalences() []float64 {
-	out := make([]float64, len(r.Instances))
-	for i, inst := range r.Instances {
-		out[i] = inst.Counters.Prevalence()
-	}
-	return out
 }
 
 // Stats returns (min, mean, max) prevalence.

@@ -128,7 +128,7 @@ func RunFaultPipeline(seed uint64, frames int) (*FaultPipelineResult, error) {
 // from the second, and a crash of platform 1 followed by a restart with
 // re-offer and a reborn client. Calls carry timeouts so every loss is
 // observable in the canonical report.
-func DefaultFaultMeshConfig(n int) MeshConfig {
+func DefaultFaultMeshConfig(n int) scenario.Spec {
 	cfg := DefaultMeshConfig(n)
 	cfg.Rounds = 30
 	cfg.CallTimeout = 5 * logical.Millisecond
@@ -170,7 +170,7 @@ type FaultsResult struct {
 // not hold: the baseline must exhibit silent corruption, the DEAR
 // pipeline must exhibit none while still reporting observable errors
 // and making progress through the fault schedule.
-func RunFaults(seed uint64, frames int, meshCfg MeshConfig, partitions int) (*FaultsResult, error) {
+func RunFaults(seed uint64, frames int, meshCfg scenario.Spec, partitions int) (*FaultsResult, error) {
 	pipe, err := RunFaultPipeline(seed, frames)
 	if err != nil {
 		return nil, err
@@ -199,7 +199,7 @@ func RunFaults(seed uint64, frames int, meshCfg MeshConfig, partitions int) (*Fa
 // jitter verdict is a counter-based draw salted with the world seed —
 // so each seed is a different fault pattern. Gate it with
 // RequireFaultErrors.
-func FaultGateSpecs(base MeshConfig, seedBase uint64, seeds int) []scenario.Spec {
+func FaultGateSpecs(base scenario.Spec, seedBase uint64, seeds int) []scenario.Spec {
 	specs := make([]scenario.Spec, seeds)
 	for i := range specs {
 		specs[i] = base

@@ -12,7 +12,7 @@ import (
 // quickFaultMeshConfig shrinks the E11 mesh for test time while keeping
 // every fault class active: drops, loss window, jitter, partition
 // window, crash and restart.
-func quickFaultMeshConfig(n int) MeshConfig {
+func quickFaultMeshConfig(n int) scenario.Spec {
 	cfg := DefaultFaultMeshConfig(n)
 	cfg.Rounds = 12
 	cfg.NoiseEvents = 60

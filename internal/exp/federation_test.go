@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"repro/internal/logical"
+	"repro/internal/scenario"
 )
 
 // federationScalingConfig is the E10 scaling workload: a 16-platform
 // mesh with dense 20µs local noise and 2ms cross links. The scaling
 // benchmark and both budget gates run exactly this configuration.
-func federationScalingConfig() MeshConfig {
+func federationScalingConfig() scenario.Spec {
 	cfg := DefaultMeshConfig(16)
 	cfg.Rounds = 10
 	cfg.NoiseEvents = 3000

@@ -28,17 +28,9 @@ import (
 // internal/scenario: E10 is the Ring preset of the declarative Spec,
 // and this file is measurement code plus the E10 gate list.
 
-// MeshConfig parameterizes the E10 scenario — it *is* the declarative
-// scenario spec (E10 is the scenario engine's Ring preset). Degree
-// plays the old Neighbors role: the number of ring successors each
-// client calls.
-type MeshConfig = scenario.Spec
-
-// DefaultMeshConfig returns the E10 scenario for n platforms.
-func DefaultMeshConfig(n int) MeshConfig { return scenario.MeshPreset(n) }
-
-// MeshPlatformRow is the per-platform slice of the E10/E11/E12 report.
-type MeshPlatformRow = scenario.PlatformStats
+// DefaultMeshConfig returns the E10 scenario for n platforms: the
+// scenario engine's Ring preset.
+func DefaultMeshConfig(n int) scenario.Spec { return scenario.MeshPreset(n) }
 
 // MeshResult is the outcome of one scenario run (E10, E11 mesh, E12,
 // or a JSON spec run).
@@ -46,11 +38,11 @@ type MeshResult struct {
 	// Seed is the world seed the run used.
 	Seed uint64
 	// Config is the normalized spec the world was compiled from.
-	Config MeshConfig
+	Config scenario.Spec
 	// Partitions is the executed partition count (mode, not behaviour).
 	Partitions int
 	// Rows are the canonical per-platform stats.
-	Rows []MeshPlatformRow
+	Rows []scenario.PlatformStats
 	// Trace is the canonical logical event trace of the run —
 	// mode-independent like the report, and the substrate the
 	// determinism gates use to name the first divergent event when
@@ -181,12 +173,12 @@ func RunScenario(spec scenario.Spec) (*MeshResult, error) {
 	}, nil
 }
 
-// RunMesh executes E10 (and, with MeshConfig.Faults/Crash set, the E11
+// RunMesh executes E10 (and, with the spec's Faults/Crash set, the E11
 // fault scenario) once, sharding the platforms round-robin over
 // partitions federated kernels (≤ 1 means one, the single-kernel run).
 // For a fixed (seed, cfg) the Report is identical for every partition
 // count.
-func RunMesh(seed uint64, cfg MeshConfig, partitions int) (*MeshResult, error) {
+func RunMesh(seed uint64, cfg scenario.Spec, partitions int) (*MeshResult, error) {
 	cfg.Seed = seed
 	cfg.Partitions = partitions
 	return RunScenario(cfg)
@@ -197,7 +189,7 @@ func RunMesh(seed uint64, cfg MeshConfig, partitions int) (*MeshResult, error) {
 // latency, no dispatch jitter, unseeded noise timing), so a seed list
 // would re-run one behaviour; the degree — each client's neighbour
 // count — changes every call pattern.
-func MeshGateSpecs(base MeshConfig) []scenario.Spec {
+func MeshGateSpecs(base scenario.Spec) []scenario.Spec {
 	var specs []scenario.Spec
 	for d := base.Degree; d >= 1; d-- {
 		s := base

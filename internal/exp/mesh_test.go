@@ -7,7 +7,7 @@ import (
 	"repro/internal/scenario"
 )
 
-func quickMeshConfig(n int) MeshConfig {
+func quickMeshConfig(n int) scenario.Spec {
 	cfg := DefaultMeshConfig(n)
 	cfg.Rounds = 5
 	cfg.NoiseEvents = 60
@@ -86,10 +86,10 @@ func TestMeshScenarioGenerator(t *testing.T) {
 }
 
 func TestMeshValidation(t *testing.T) {
-	if _, err := RunMesh(1, MeshConfig{Platforms: 1, LinkLatency: 1}, 1); err == nil {
+	if _, err := RunMesh(1, scenario.Spec{Platforms: 1, LinkLatency: 1}, 1); err == nil {
 		t.Error("1-platform mesh must be rejected")
 	}
-	if _, err := RunMesh(1, MeshConfig{Platforms: 4}, 2); err == nil {
+	if _, err := RunMesh(1, scenario.Spec{Platforms: 4}, 2); err == nil {
 		t.Error("zero link latency must be rejected (no lookahead)")
 	}
 }

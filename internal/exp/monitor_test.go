@@ -1,13 +1,16 @@
 package exp
 
 import (
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/logical"
 	"repro/internal/monitor"
 	"repro/internal/scenario"
+	"repro/internal/trace"
 )
 
 // A healthy E16 run must be clean AND non-vacuous: zero violations,
@@ -195,7 +198,31 @@ func TestDumpViolationPrefixRefusesCleanRun(t *testing.T) {
 	}
 }
 
-// The same engine watches live runs: MonitorLoopback taps a monitor
+// monitorLoopback is RecordLoopback with an online monitor engine
+// tapped onto the live record stream (Recorder.SetTap): the engine
+// observes every endpoint event of the physical UDP run as it is
+// appended — the same engine, unchanged, that watches simulated
+// kernels — and its finished verdicts ride back with the trace. The
+// service-turnaround monitor is the live-mode twin of
+// responded-within: every captured request (KindRecv) must be answered
+// by a response (KindSend) within the deadline, with deadlines in
+// wall-derived logical time.
+func monitorLoopback(n int, timeout time.Duration, turnaround logical.Duration) ([]monitor.Verdict, *trace.Trace, *LoopbackResult, error) {
+	eng := monitor.NewEngine(
+		monitor.NoSilentCorruption(),
+		monitor.MatchedWithin(
+			fmt.Sprintf("served-within(%dns)", int64(turnaround)),
+			trace.KindRecv, []string{trace.KindSend}, turnaround),
+	)
+	rec, live, err := recordLoopback(n, timeout, eng)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	eng.Finish()
+	return eng.Verdicts(), rec, live, nil
+}
+
+// The same engine watches live runs: monitorLoopback taps a monitor
 // onto the recorder of a real-UDP E9/E13 loopback and its verdicts
 // must come back clean with every round trip checked. Wall-clock
 // dependent, so skipped in -short.
@@ -204,7 +231,7 @@ func TestMonitorLoopbackLive(t *testing.T) {
 		t.Skip("live UDP run in -short mode")
 	}
 	const n = 8
-	verdicts, rec, live, err := MonitorLoopback(n, 0, 10*logical.Second)
+	verdicts, rec, live, err := monitorLoopback(n, 0, 10*logical.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +243,7 @@ func TestMonitorLoopbackLive(t *testing.T) {
 	}
 	served := false
 	for _, v := range verdicts {
-		if !v.OK() {
+		if v.Violations != 0 {
 			t.Errorf("live monitor %s tripped:\n%s", v.Monitor, monitor.Report(verdicts))
 		}
 		if strings.HasPrefix(v.Monitor, "served-within") {

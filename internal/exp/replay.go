@@ -8,7 +8,6 @@ import (
 	"repro/internal/des"
 	"repro/internal/logical"
 	"repro/internal/metrics"
-	"repro/internal/monitor"
 	"repro/internal/someip"
 	"repro/internal/trace"
 )
@@ -77,33 +76,9 @@ func RecordLoopback(n int, timeout time.Duration) (*trace.Trace, *LoopbackResult
 	return recordLoopback(n, timeout, nil)
 }
 
-// MonitorLoopback is RecordLoopback with an online monitor engine
-// tapped onto the live record stream (Recorder.SetTap): the engine
-// observes every endpoint event of the physical UDP run as it is
-// appended — the same engine, unchanged, that watches simulated
-// kernels — and its finished verdicts ride back with the trace. The
-// service-turnaround monitor is the live-mode twin of
-// responded-within: every captured request (KindRecv) must be answered
-// by a response (KindSend) within the deadline, with deadlines in
-// wall-derived logical time.
-func MonitorLoopback(n int, timeout time.Duration, turnaround logical.Duration) ([]monitor.Verdict, *trace.Trace, *LoopbackResult, error) {
-	eng := monitor.NewEngine(
-		monitor.NoSilentCorruption(),
-		monitor.MatchedWithin(
-			fmt.Sprintf("served-within(%dns)", int64(turnaround)),
-			trace.KindRecv, []string{trace.KindSend}, turnaround),
-	)
-	rec, live, err := recordLoopback(n, timeout, eng)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	eng.Finish()
-	return eng.Verdicts(), rec, live, nil
-}
-
-// recordLoopback is the shared body of RecordLoopback and
-// MonitorLoopback: tap, when non-nil, observes every appended record
-// of the live run in append order.
+// recordLoopback is RecordLoopback with a tap: tap, when non-nil,
+// observes every appended record of the live run in append order
+// (TestMonitorLoopbackLive taps a monitor engine onto it).
 func recordLoopback(n int, timeout time.Duration, tap trace.Tap) (*trace.Trace, *LoopbackResult, error) {
 	var rec *trace.Recorder
 	res, err := runLoopback(n, timeout, "replay recording", func(drv *des.RealTime) ara.Config {

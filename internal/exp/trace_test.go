@@ -11,7 +11,7 @@ import (
 
 // quickTraceConfig shrinks the mesh for trace tests while keeping a
 // multi-platform workload with cross-platform calls.
-func quickTraceConfig() MeshConfig {
+func quickTraceConfig() scenario.Spec {
 	cfg := DefaultMeshConfig(6)
 	cfg.Rounds = 4
 	cfg.NoiseEvents = 40

@@ -1,9 +1,15 @@
 package fuzzer
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/exp"
+	"repro/internal/scenario"
 )
 
 // regressionsDir is the committed home of fuzzer-found minimal repro
@@ -40,4 +46,50 @@ func TestRegressionSpecs(t *testing.T) {
 			t.Errorf("%s: determinism regression reproduced:\n%s", ns.Path, div)
 		}
 	}
+}
+
+// NamedSpec is a spec loaded from a directory of JSON scenario files.
+type NamedSpec struct {
+	// Path is the file the spec was parsed from.
+	Path string
+	// Spec is the parsed (unnormalized) spec.
+	Spec scenario.Spec
+}
+
+// LoadDir parses every *.json file under dir as a scenario spec,
+// sorted by file name. Non-JSON files (the directory README, emitted
+// *.report.txt divergence reports) are ignored; a JSON file that fails
+// to parse or validate is an error — a committed repro must stay
+// runnable. A missing or empty directory yields an empty slice: the
+// regressions directory starts empty and fills as the fuzzer finds
+// (and a human commits) real divergences.
+func LoadDir(dir string) ([]NamedSpec, error) {
+	entries, err := os.ReadDir(dir)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("fuzzer: reading spec dir: %w", err)
+	}
+	var specs []NamedSpec
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
+			continue
+		}
+		path := filepath.Join(dir, e.Name())
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		spec, err := scenario.ParseSpec(data)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		if _, err := spec.Normalized(); err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		specs = append(specs, NamedSpec{Path: path, Spec: spec})
+	}
+	sort.Slice(specs, func(i, j int) bool { return specs[i].Path < specs[j].Path })
+	return specs, nil
 }

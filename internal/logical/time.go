@@ -27,8 +27,6 @@ const (
 	Microsecond          = 1000 * Nanosecond
 	Millisecond          = 1000 * Microsecond
 	Second               = 1000 * Millisecond
-	Minute               = 60 * Second
-	Hour                 = 60 * Minute
 )
 
 // Forever is the largest representable time point. It is used as the
@@ -49,12 +47,6 @@ func (t Time) Add(d Duration) Time {
 
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
-
-// Before reports whether t precedes u.
-func (t Time) Before(u Time) bool { return t < u }
-
-// After reports whether t follows u.
-func (t Time) After(u Time) bool { return t > u }
 
 // String renders the time as seconds with nanosecond precision, e.g.
 // "1.050000000s". Forever renders as "forever".
@@ -79,9 +71,6 @@ type Tag struct {
 	Microstep Microstep
 }
 
-// NeverTag sorts after every reachable tag.
-var NeverTag = Tag{Time: Forever, Microstep: math.MaxUint32}
-
 // Compare returns -1, 0 or +1 as t sorts before, equal to, or after u.
 func (t Tag) Compare(u Tag) int {
 	switch {
@@ -100,9 +89,6 @@ func (t Tag) Compare(u Tag) int {
 
 // Before reports whether t sorts strictly before u.
 func (t Tag) Before(u Tag) bool { return t.Compare(u) < 0 }
-
-// After reports whether t sorts strictly after u.
-func (t Tag) After(u Tag) bool { return t.Compare(u) > 0 }
 
 // Equal reports whether the tags are identical.
 func (t Tag) Equal(u Tag) bool { return t == u }
@@ -127,22 +113,6 @@ func (t Tag) Delay(d Duration) Tag {
 
 // Next returns the tag immediately following t in superdense time.
 func (t Tag) Next() Tag { return t.Delay(0) }
-
-// Max returns the later of t and u.
-func (t Tag) Max(u Tag) Tag {
-	if t.Before(u) {
-		return u
-	}
-	return t
-}
-
-// Min returns the earlier of t and u.
-func (t Tag) Min(u Tag) Tag {
-	if u.Before(t) {
-		return u
-	}
-	return t
-}
 
 // String renders the tag as "(time, microstep)".
 func (t Tag) String() string {

@@ -122,9 +122,6 @@ type Verdict struct {
 	Samples []Violation `json:"samples,omitempty"`
 }
 
-// OK reports whether the monitor saw no violation.
-func (v *Verdict) OK() bool { return v.Violations == 0 }
-
 // Reporter accumulates one monitor's verdict. Monitors call Check for
 // every examined obligation and Violate for every breach; the engine
 // owns one Reporter per monitor.
@@ -246,15 +243,6 @@ func FirstViolation(verdicts []Verdict) *Violation {
 	}
 	out := *first
 	return &out
-}
-
-// TotalViolations sums the violation counts across verdicts.
-func TotalViolations(verdicts []Verdict) uint64 {
-	var n uint64
-	for i := range verdicts {
-		n += verdicts[i].Violations
-	}
-	return n
 }
 
 // ViolationPrefix cuts a canonical trace at a violation's anchoring

@@ -56,7 +56,7 @@ func TestRespondedWithin(t *testing.T) {
 		rec(0, "c", trace.KindReq),
 		rec(100, "c", trace.KindCall),
 	})
-	if !vs[0].OK() || vs[0].Checked != 1 {
+	if vs[0].Violations != 0 || vs[0].Checked != 1 {
 		t.Fatalf("in-time call flagged: %+v", vs[0])
 	}
 
@@ -108,7 +108,7 @@ func TestReboundWithin(t *testing.T) {
 		rec(200, "p.life", trace.KindRestart),
 		rec(200, "p.life", trace.KindBind),
 	})
-	if !vs[0].OK() || vs[0].Checked != 1 {
+	if vs[0].Violations != 0 || vs[0].Checked != 1 {
 		t.Fatalf("healthy lifecycle flagged: %+v", vs[0])
 	}
 
@@ -199,9 +199,13 @@ func TestMergeVerdictsMatchesSingleEngine(t *testing.T) {
 		t.Fatalf("merged verdicts diverge from single engine:\n--- single ---\n%s--- merged ---\n%s",
 			Report(ref), Report(merged))
 	}
-	if TotalViolations(ref) != 4 {
+	var violations uint64
+	for _, v := range ref {
+		violations += v.Violations
+	}
+	if violations != 4 {
 		t.Fatalf("synthetic stream should trip 4 violations, got %d:\n%s",
-			TotalViolations(ref), Report(ref))
+			violations, Report(ref))
 	}
 }
 

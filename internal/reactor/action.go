@@ -56,15 +56,12 @@ func (a *Action[T]) attach(rx *Reaction) { a.reactions = append(a.reactions, rx)
 // declareWriter implements Effect.
 func (a *Action[T]) declareWriter(rx *Reaction) {}
 
-// declareReader implements Source.
-func (a *Action[T]) declareReader(rx *Reaction) {}
-
 // Name returns "reactor.action".
 func (a *Action[T]) Name() string { return a.owner.name + "." + a.name }
 
 // Get returns the action's value and presence at the current tag.
 func (a *Action[T]) Get(c *Ctx) (T, bool) {
-	if !c.reaction.declaredReads[Source(a)] && !c.reaction.declaredReads[Trigger(a)] {
+	if !c.reaction.declaredTriggers[Trigger(a)] {
 		panic(fmt.Sprintf("reactor: %s reads undeclared action %s", c.reaction, a.Name()))
 	}
 	var zero T

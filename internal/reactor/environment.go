@@ -40,8 +40,9 @@ type Environment struct {
 	clock Clock
 	state envState
 
-	// mu guards what ScheduleAsync, ScheduleAt and RequestStop reach from
-	// other goroutines: the queue, seq, currentTag and the stop state.
+	// mu guards what ScheduleAsync and ScheduleAt reach from other
+	// goroutines: the queue, seq and currentTag. The scheduler keeps the
+	// stop state under it too.
 	mu            sync.Mutex
 	seq           uint64
 	queue         eventHeap
@@ -98,15 +99,6 @@ func (e *Environment) Stats() (tags, reactions, events uint64) {
 func (e *Environment) SetTraceHook(fn func(TraceEvent)) {
 	e.mustBeAssembling("SetTraceHook")
 	e.traceHook = fn
-}
-
-// RequestStop asks the scheduler to stop at the next microstep after the
-// tag currently being processed. Safe to call from outside reactions.
-func (e *Environment) RequestStop() {
-	e.mu.Lock()
-	e.requestStopLocked(e.currentTag.Next())
-	e.mu.Unlock()
-	e.clock.Interrupt()
 }
 
 func (e *Environment) requestStopAt(tag logical.Tag) {
@@ -369,7 +361,6 @@ func (e *Environment) processTag(tag logical.Tag) {
 func (e *Environment) invoke(rx *Reaction, tag logical.Tag) {
 	c := &e.ctx
 	c.reaction, c.tag = rx, tag
-	rx.invocations++
 	e.reactionsExecuted++
 	if rx.deadline > 0 && e.clock.Now() > tag.Time.Add(rx.deadline) {
 		if rx.deadlineHandler != nil {
@@ -436,14 +427,14 @@ func (e *Environment) assignLevels() error {
 			addEdge(r.reactions[i], r.reactions[i+1])
 		}
 	}
-	// 2. Dataflow edges: writer of port → consumers of every port
-	// reachable over connections.
+	// 2. Dataflow edges: writer of port → reactions triggered by every
+	// port reachable over connections.
 	for _, p := range e.ports {
 		if len(p.writers) == 0 {
 			continue
 		}
 		for _, q := range reachable(p) {
-			for _, consumer := range consumersOf(q) {
+			for _, consumer := range q.reactions {
 				for _, w := range p.writers {
 					if w != consumer {
 						addEdge(w, consumer)
@@ -493,14 +484,6 @@ func (e *Environment) assignLevels() error {
 	slices.SortStableFunc(all, func(a, b *Reaction) int { return a.level - b.level })
 	e.order = all
 	return nil
-}
-
-// consumersOf returns reactions triggered by or reading the port.
-func consumersOf(p *portBase) []*Reaction {
-	out := make([]*Reaction, 0, len(p.reactions)+len(p.readers))
-	out = append(out, p.reactions...)
-	out = append(out, p.readers...)
-	return out
 }
 
 // TraceEvent describes one reaction execution for trace hooks.

@@ -13,8 +13,6 @@ type portBase struct {
 
 	// reactions triggered when the port becomes present.
 	reactions []*Reaction
-	// readers are reactions that declared this port as a source (reads).
-	readers []*Reaction
 	// writers are reactions that declared this port as an effect.
 	writers []*Reaction
 	// upstream reports whether an inbound connection exists (at most one).
@@ -59,16 +57,13 @@ func (p *Port[T]) attach(rx *Reaction) { p.reactions = append(p.reactions, rx) }
 // declareWriter implements Effect.
 func (p *Port[T]) declareWriter(rx *Reaction) { p.writers = append(p.writers, rx) }
 
-// declareReader implements Source.
-func (p *Port[T]) declareReader(rx *Reaction) { p.readers = append(p.readers, rx) }
-
 // Name returns "reactor.port".
 func (p *Port[T]) Name() string { return p.owner.name + "." + p.name }
 
 // Get returns the port's value and presence at the current tag. The
-// calling reaction must have declared the port as a trigger or source.
+// calling reaction must have declared the port as a trigger.
 func (p *Port[T]) Get(c *Ctx) (T, bool) {
-	if !c.reaction.declaredReads[Source(p)] && !c.reaction.declaredReads[Trigger(p)] {
+	if !c.reaction.declaredTriggers[Trigger(p)] {
 		panic(fmt.Sprintf("reactor: %s reads undeclared port %s", c.reaction, p.Name()))
 	}
 	var zero T
@@ -76,12 +71,6 @@ func (p *Port[T]) Get(c *Ctx) (T, bool) {
 		return zero, false
 	}
 	return p.value, true
-}
-
-// IsPresent reports presence at the current tag.
-func (p *Port[T]) IsPresent(c *Ctx) bool {
-	_, ok := p.Get(c)
-	return ok
 }
 
 // Set writes the port at the current tag and triggers downstream

@@ -22,9 +22,8 @@ import (
 // Reactor is a named collection of reactions, ports, actions and timers.
 // Reactors are created on an Environment before it runs.
 type Reactor struct {
-	env   *Environment
-	name  string
-	index int // creation order, used for deterministic tie-breaking
+	env  *Environment
+	name string
 
 	reactions []*Reaction
 	startup   *lifecycleTrigger
@@ -34,8 +33,7 @@ type Reactor struct {
 // NewReactor creates a top-level reactor.
 func (e *Environment) NewReactor(name string) *Reactor {
 	e.mustBeAssembling("NewReactor")
-	r := &Reactor{env: e, name: name, index: len(e.reactors),
-		startup: &lifecycleTrigger{}, shutdown: &lifecycleTrigger{}}
+	r := &Reactor{env: e, name: name, startup: &lifecycleTrigger{}, shutdown: &lifecycleTrigger{}}
 	e.reactors = append(e.reactors, r)
 	return r
 }
@@ -63,12 +61,6 @@ type Effect interface {
 	declareWriter(rx *Reaction)
 }
 
-// Source is anything a reaction may read without being triggered by it
-// (a "use" dependency).
-type Source interface {
-	declareReader(rx *Reaction)
-}
-
 // lifecycleTrigger is a reactor's startup or shutdown trigger.
 type lifecycleTrigger struct{ reactions []*Reaction }
 
@@ -79,7 +71,6 @@ func (s *lifecycleTrigger) attach(rx *Reaction) { s.reactions = append(s.reactio
 // when triggered at the same tag.
 type Reaction struct {
 	reactor *Reactor
-	index   int // priority within the reactor
 	name    string
 	body    func(*Ctx)
 
@@ -91,23 +82,21 @@ type Reaction struct {
 	// triggered marks the reaction for the tag being processed.
 	triggered bool
 
-	declaredEffects map[Effect]bool
-	declaredReads   map[any]bool
-
-	invocations uint64
+	declaredEffects  map[Effect]bool
+	declaredTriggers map[Trigger]bool
 }
 
-// AddReaction declares a new reaction. Triggers, sources, effects, an
-// optional deadline and the body are attached with the builder methods;
-// the reaction is finalized by Do.
+// AddReaction declares a new reaction. Triggers, effects, an optional
+// deadline and the body are attached with the builder methods; the
+// reaction is finalized by Do. A reaction's priority within its reactor
+// is its declaration order.
 func (r *Reactor) AddReaction(name string) *Reaction {
 	r.env.mustBeAssembling("AddReaction")
 	rx := &Reaction{
-		reactor:         r,
-		index:           len(r.reactions),
-		name:            name,
-		declaredEffects: map[Effect]bool{},
-		declaredReads:   map[any]bool{},
+		reactor:          r,
+		name:             name,
+		declaredEffects:  map[Effect]bool{},
+		declaredTriggers: map[Trigger]bool{},
 	}
 	r.reactions = append(r.reactions, rx)
 	return rx
@@ -117,18 +106,8 @@ func (r *Reactor) AddReaction(name string) *Reaction {
 func (rx *Reaction) Triggers(ts ...Trigger) *Reaction {
 	rx.reactor.env.mustBeAssembling("Triggers")
 	for _, t := range ts {
-		rx.declaredReads[t] = true
+		rx.declaredTriggers[t] = true
 		t.attach(rx)
-	}
-	return rx
-}
-
-// Reads declares sources the reaction reads without being triggered.
-func (rx *Reaction) Reads(ss ...Source) *Reaction {
-	rx.reactor.env.mustBeAssembling("Reads")
-	for _, s := range ss {
-		rx.declaredReads[s] = true
-		s.declareReader(rx)
 	}
 	return rx
 }
@@ -169,13 +148,6 @@ func (rx *Reaction) Do(body func(*Ctx)) *Reaction {
 // Name returns "reactor.reaction".
 func (rx *Reaction) Name() string { return rx.reactor.name + "." + rx.name }
 
-// Level returns the reaction's level in the acyclic precedence graph
-// (valid after the environment started running).
-func (rx *Reaction) Level() int { return rx.level }
-
-// Invocations returns how many times the body (or deadline handler) ran.
-func (rx *Reaction) Invocations() uint64 { return rx.invocations }
-
 func (rx *Reaction) String() string { return rx.Name() }
 
 // Ctx is passed to reaction bodies and deadline handlers. The environment
@@ -189,9 +161,6 @@ type Ctx struct {
 
 // Tag returns the current logical tag.
 func (c *Ctx) Tag() logical.Tag { return c.tag }
-
-// LogicalTime returns the current logical time point.
-func (c *Ctx) LogicalTime() logical.Time { return c.tag.Time }
 
 // PhysicalTime returns the current physical time from the environment's
 // clock.

@@ -166,8 +166,9 @@ func TestPortAbsentAtLaterTag(t *testing.T) {
 			out.Set(c, 7) // only on the first tick
 		}
 	})
-	r.AddReaction("check").Triggers(timer).Reads(in).Do(func(c *Ctx) {
-		presences = append(presences, in.IsPresent(c))
+	r.AddReaction("check").Triggers(timer, in).Do(func(c *Ctx) {
+		_, ok := in.Get(c)
+		presences = append(presences, ok)
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -291,8 +292,8 @@ func TestLevelsRespectDataflow(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !(ra.Level() < rb.Level() && rb.Level() < rc.Level()) {
-		t.Errorf("levels: a=%d b=%d c=%d", ra.Level(), rb.Level(), rc.Level())
+	if !(ra.level < rb.level && rb.level < rc.level) {
+		t.Errorf("levels: a=%d b=%d c=%d", ra.level, rb.level, rc.level)
 	}
 }
 
@@ -391,12 +392,13 @@ func TestStatsCounting(t *testing.T) {
 	env := fastEnv(func(o *Options) { o.Timeout = logical.Duration(10 * ms) })
 	r := env.NewReactor("r")
 	timer := NewTimer(r, "t", 0, logical.Duration(5*ms))
-	rx := r.AddReaction("tick").Triggers(timer).Do(func(c *Ctx) {})
+	invocations := 0
+	r.AddReaction("tick").Triggers(timer).Do(func(c *Ctx) { invocations++ })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if rx.Invocations() != 3 { // 0, 5, 10
-		t.Errorf("invocations = %d, want 3", rx.Invocations())
+	if invocations != 3 { // 0, 5, 10
+		t.Errorf("invocations = %d, want 3", invocations)
 	}
 	tags, reactions, events := env.Stats()
 	if tags == 0 || reactions != 3 || events == 0 {
@@ -620,9 +622,9 @@ func TestDeadlineViolationHandler(t *testing.T) {
 
 func TestFastModeIgnoresPhysicalTime(t *testing.T) {
 	// A long logical horizon completes immediately in fast mode.
-	env := fastEnv(func(o *Options) { o.Timeout = logical.Duration(logical.Hour) })
+	env := fastEnv(func(o *Options) { o.Timeout = 3600 * logical.Second })
 	r := env.NewReactor("r")
-	timer := NewTimer(r, "t", 0, logical.Duration(logical.Minute))
+	timer := NewTimer(r, "t", 0, 60*logical.Second)
 	count := 0
 	r.AddReaction("tick").Triggers(timer).Do(func(c *Ctx) { count++ })
 	if err := env.Run(); err != nil {
@@ -661,38 +663,37 @@ func TestRealClockSmoke(t *testing.T) {
 
 // A physical action fed by ScheduleAsync from a goroutine other than the
 // scheduler's, under a RealClock, is delivered value for value in tag
-// order; RequestStop from that goroutine then ends the run. Under -race
-// this pins the lock on the queue and the stop state.
+// order; the receiving reaction stops the run after the last value, and
+// the timeout bounds the run if an event is lost. Under -race this pins
+// the lock on the queue.
 func TestScheduleAsyncFromForeignGoroutine(t *testing.T) {
 	const n = 200
-	env := NewEnvironment(Options{KeepAlive: true})
+	env := NewEnvironment(Options{KeepAlive: true, Timeout: logical.Duration(10 * logical.Second)})
 	r := env.NewReactor("r")
 	act := NewPhysicalAction[int](r, "a", 0)
 	var got []int
 	var tags []logical.Tag
-	all := make(chan struct{})
 	r.AddReaction("recv").Triggers(act).Do(func(c *Ctx) {
 		v, _ := act.Get(c)
 		got = append(got, v)
 		tags = append(tags, c.Tag())
 		if len(got) == n {
-			close(all)
+			c.RequestStop()
 		}
 	})
+	sent := make(chan struct{})
 	go func() {
+		defer close(sent)
 		for i := 0; i < n; i++ {
 			act.ScheduleAsync(i)
 			if i%20 == 0 {
 				time.Sleep(100 * time.Microsecond)
 			}
 		}
-		select {
-		case <-all:
-		case <-time.After(10 * time.Second): // a lost event fails below
-		}
-		env.RequestStop()
 	}()
-	if err := env.Run(); err != nil {
+	err := env.Run()
+	<-sent
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != n {
@@ -719,7 +720,7 @@ func TestSimClockWithLocalClock(t *testing.T) {
 		env := NewEnvironment(Options{Clock: NewSimClock(p, local), Timeout: logical.Duration(10 * ms)})
 		r := env.NewReactor("r")
 		r.AddReaction("s").Triggers(r.Startup()).Do(func(c *Ctx) {
-			startTag = c.LogicalTime()
+			startTag = c.Tag().Time
 		})
 		if err := env.Run(); err != nil {
 			t.Error(err)

@@ -504,17 +504,6 @@ func (w *World) Run() {
 	w.fed.Shutdown()
 }
 
-// Describe renders the world's canonical, mode-independent description
-// (see the package-level Describe).
-func (w *World) Describe() string {
-	d, err := Describe(w.Spec)
-	if err != nil {
-		// The spec was normalized at Build time; it cannot fail here.
-		panic(err)
-	}
-	return d
-}
-
 // Verdicts finishes the per-kernel monitor engines (flushing pending
 // obligations — idempotent, so repeated calls return the same result)
 // and merges their verdicts into the mode-independent whole. It

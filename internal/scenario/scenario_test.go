@@ -70,7 +70,11 @@ func TestWorldDescribeMatchesSpecDescribe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := w.Describe(); got != want {
+	got, err := Describe(w.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
 		t.Errorf("world describe diverged from spec describe:\n%s\nvs\n%s", got, want)
 	}
 }

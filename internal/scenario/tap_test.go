@@ -108,8 +108,10 @@ func TestTapSeesRecordedStream(t *testing.T) {
 				j, union[j].String(), r.String())
 		}
 	}
-	if monitor.TotalViolations(w.Verdicts()) != 0 {
-		t.Fatalf("healthy world tripped a monitor:\n%s", monitor.Report(w.Verdicts()))
+	for _, v := range w.Verdicts() {
+		if v.Violations != 0 {
+			t.Fatalf("healthy world tripped %s:\n%s", v.Monitor, monitor.Report(w.Verdicts()))
+		}
 	}
 }
 

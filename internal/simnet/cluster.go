@@ -32,7 +32,6 @@ import (
 //     therefore spans one partition; federated scenarios use static peer
 //     configuration, ara.Runtime.StaticProxy).
 type Cluster struct {
-	fed         *des.Federation
 	parts       []*Network
 	owner       []int // host id -> partition; IDs are dense from 1, owner[0] unused
 	chans       [][]*des.Channel
@@ -91,7 +90,6 @@ func NewCluster(fed *des.Federation, cfg Config, route func(from, to int) bool) 
 	}
 	p := fed.Partitions()
 	c := &Cluster{
-		fed:         fed,
 		parts:       make([]*Network, p),
 		owner:       []int{-1},
 		chans:       make([][]*des.Channel, p),
@@ -116,12 +114,6 @@ func NewCluster(fed *des.Federation, cfg Config, route func(from, to int) bool) 
 	}
 	return c, nil
 }
-
-// Federation returns the underlying federation.
-func (c *Cluster) Federation() *des.Federation { return c.fed }
-
-// Partition returns partition i's Network (for direct kernel access).
-func (c *Cluster) Partition(i int) *Network { return c.parts[i] }
 
 // AddHost attaches a platform, without a local clock, to the given
 // partition. Host IDs are allocated by the cluster so that addresses

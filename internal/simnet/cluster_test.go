@@ -47,7 +47,7 @@ func runStarCfg(t *testing.T, cfg Config, partitions, hosts, msgs int) []string 
 			hs = append(hs, c.AddHost(i%partitions, fmt.Sprintf("h%d", i)))
 		}
 		for i := 0; i < partitions; i++ {
-			nets = append(nets, c.Partition(i))
+			nets = append(nets, c.parts[i])
 		}
 	}
 

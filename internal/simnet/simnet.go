@@ -258,9 +258,6 @@ func NewNetwork(k *des.Kernel, cfg Config) *Network {
 	return n
 }
 
-// Faults returns the installed fault plan (nil on a fault-free network).
-func (n *Network) Faults() *FaultPlan { return n.faults }
-
 // faultVerdict consumes the directed-link packet counter src→dst and
 // computes the packet's fate under the installed plan. Must be called
 // exactly once per inter-host packet (unicast and Cluster.route share
@@ -315,12 +312,6 @@ func (n *Network) LeaveTopic(group Addr, topic uint64, e *Endpoint) {
 			return
 		}
 	}
-}
-
-// TopicMembers returns the number of endpoints currently subscribed to
-// the topic under group.
-func (n *Network) TopicMembers(group Addr, topic uint64) int {
-	return len(n.topics[topicKey{group, topic}])
 }
 
 // ControlPlane returns the control-plane load so far: sends is the

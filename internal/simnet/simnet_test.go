@@ -174,7 +174,7 @@ func TestCloseLeavesTopics(t *testing.T) {
 	member.OnReceive(func(Datagram) {})
 	n.JoinTopic(testGroup, 7, member)
 	member.Close()
-	if got := n.TopicMembers(testGroup, 7); got != 0 {
+	if got := len(n.topics[topicKey{testGroup, 7}]); got != 0 {
 		t.Errorf("members after Close = %d, want 0", got)
 	}
 	k.At(0, func() { src.SendTopic(testGroup, 7, []byte("x")) })

@@ -43,8 +43,8 @@ func TestTopicFanoutJoinOrderExcludesSender(t *testing.T) {
 	if len(order) != 2 || order[0] != 2 || order[1] != 1 {
 		t.Errorf("delivery order = %v, want [2 1]", order)
 	}
-	if n.TopicMembers(testGroup, 42) != 3 {
-		t.Errorf("members = %d, want 3", n.TopicMembers(testGroup, 42))
+	if len(n.topics[topicKey{testGroup, 42}]) != 3 {
+		t.Errorf("members = %d, want 3", len(n.topics[topicKey{testGroup, 42}]))
 	}
 }
 
@@ -81,8 +81,8 @@ func TestLeaveTopicStopsDelivery(t *testing.T) {
 	if len(order) != 0 {
 		t.Errorf("delivered after leave: %v", order)
 	}
-	if n.TopicMembers(testGroup, 5) != 0 {
-		t.Errorf("members = %d after leave", n.TopicMembers(testGroup, 5))
+	if len(n.topics[topicKey{testGroup, 5}]) != 0 {
+		t.Errorf("members = %d after leave", len(n.topics[topicKey{testGroup, 5}]))
 	}
 }
 
@@ -102,8 +102,8 @@ func TestCrashPurgesTopicMembership(t *testing.T) {
 	if len(order) != 0 {
 		t.Errorf("crashed host received topic traffic: %v", order)
 	}
-	if n.TopicMembers(testGroup, 9) != 0 {
-		t.Errorf("members = %d after crash", n.TopicMembers(testGroup, 9))
+	if len(n.topics[topicKey{testGroup, 9}]) != 0 {
+		t.Errorf("members = %d after crash", len(n.topics[topicKey{testGroup, 9}]))
 	}
 }
 

@@ -71,7 +71,6 @@ type Agent struct {
 	// interests tracks the service keys whose consumer topic this agent
 	// has joined (Interest); offers for other keys never reach it.
 	interests map[ServiceKey]bool
-	pending   map[subKey][]func(ok bool)
 }
 
 type localOffer struct {
@@ -91,11 +90,6 @@ type remoteEntry struct {
 	expiry *des.Event
 }
 
-type subKey struct {
-	key        ServiceKey
-	eventgroup uint16
-}
-
 // NewAgent creates an SD agent for an application on the given host. It
 // binds an SD endpoint; SD topic subscriptions are registered lazily as
 // the agent offers services (provider topics) or declares interest in
@@ -113,7 +107,6 @@ func NewAgent(host *simnet.Host) (*Agent, error) {
 		remote:    map[ServiceKey]*remoteEntry{},
 		watch:     map[ServiceKey][]func(RemoteService){},
 		interests: map[ServiceKey]bool{},
-		pending:   map[subKey][]func(ok bool){},
 	}
 	a.conn.OnMessage(a.handle)
 	return a, nil
@@ -226,20 +219,15 @@ func (a *Agent) Find(key ServiceKey, cb func(RemoteService)) {
 }
 
 // Subscribe requests an eventgroup subscription from the (already
-// discovered) remote service, delivering notifications to notifyEndpoint.
-// ack fires with the subscription result. The subscription is renewed
-// cyclically while the service stays discovered.
-func (a *Agent) Subscribe(key ServiceKey, eventgroup uint16, notifyEndpoint simnet.Addr, ack func(ok bool)) {
+// discovered) remote service, delivering notifications to notifyEndpoint;
+// it does nothing for a service not discovered. The provider's ack or
+// NACK is not awaited: an agent ignores the acks it receives. The
+// subscription is renewed cyclically while the service stays
+// discovered.
+func (a *Agent) Subscribe(key ServiceKey, eventgroup uint16, notifyEndpoint simnet.Addr) {
 	r, ok := a.remote[key]
 	if !ok {
-		if ack != nil {
-			a.k.After(0, func() { ack(false) })
-		}
 		return
-	}
-	sk := subKey{key, eventgroup}
-	if ack != nil {
-		a.pending[sk] = append(a.pending[sk], ack)
 	}
 	a.send(r.svc.SDAddr, []Entry{{
 		Type: SubscribeEventgroup, Service: key.Service, Instance: key.Instance,
@@ -249,7 +237,7 @@ func (a *Agent) Subscribe(key ServiceKey, eventgroup uint16, notifyEndpoint simn
 	// Renew at 2/3 of the TTL while the service stays discovered.
 	a.k.AfterDaemon(ttlSeconds*logical.Second*2/3, func() {
 		if _, still := a.remote[key]; still {
-			a.Subscribe(key, eventgroup, notifyEndpoint, nil)
+			a.Subscribe(key, eventgroup, notifyEndpoint)
 		}
 	})
 }
@@ -285,8 +273,6 @@ func (a *Agent) handle(src Addr, m *Message) {
 			a.handleOffer(src, e)
 		case SubscribeEventgroup:
 			a.handleSubscribe(src, e)
-		case SubscribeEventgroupAck:
-			a.handleSubscribeAck(e)
 		}
 	}
 }
@@ -393,17 +379,4 @@ func (a *Agent) expireSub(off *localOffer, eventgroup uint16, addr simnet.Addr, 
 			}
 		}
 	})
-}
-
-func (a *Agent) handleSubscribeAck(e Entry) {
-	sk := subKey{ServiceKey{e.Service, e.Instance}, e.Eventgroup}
-	cbs := a.pending[sk]
-	if len(cbs) == 0 {
-		return
-	}
-	delete(a.pending, sk)
-	ok := e.TTL > 0
-	for _, cb := range cbs {
-		cb(ok)
-	}
 }

@@ -202,49 +202,57 @@ func TestSubscribeAndNotifySubscribers(t *testing.T) {
 	notifyEp := f.h2.MustBind(41000)
 	const eg = 0x10
 
-	var acked *bool
 	f.k.At(0, func() { f.a1.Offer(testKey, 1, appEp.Addr()) })
 	f.k.At(logical.Time(5*logical.Millisecond), func() {
 		f.a2.Find(testKey, func(RemoteService) {
-			f.a2.Subscribe(testKey, eg, notifyEp.Addr(), func(ok bool) { acked = &ok })
+			f.a2.Subscribe(testKey, eg, notifyEp.Addr())
 		})
 	})
 	f.k.Run(logical.Time(100 * logical.Millisecond))
 
-	if acked == nil || !*acked {
-		t.Fatal("subscription not acked")
-	}
 	subs := f.a1.Subscribers(testKey, eg)
 	if len(subs) != 1 || subs[0] != notifyEp.Addr() {
 		t.Errorf("Subscribers = %v", subs)
 	}
 }
 
-func TestSubscribeUnknownServiceNacked(t *testing.T) {
-	f := newSDFixture(t)
-	notifyEp := f.h2.MustBind(41000)
-	var acked *bool
-	f.k.At(0, func() {
-		f.a2.Subscribe(testKey, 1, notifyEp.Addr(), func(ok bool) { acked = &ok })
-	})
-	f.k.Run(logical.Time(100 * logical.Millisecond))
-	if acked == nil {
-		t.Fatal("no ack callback")
-	}
-	if *acked {
-		t.Error("subscribe to unknown service must fail")
-	}
-}
-
+// TestSubscribeNackedWhenOfferWithdrawn subscribes from a raw SD
+// connection and decodes the provider's replies: the offering agent
+// acks with a positive TTL, and after a crash a fresh agent on the same
+// SD port, which has not offered the service, NACKs with TTL 0.
 func TestSubscribeNackedWhenOfferWithdrawn(t *testing.T) {
 	f := newSDFixture(t)
 	appEp := f.h1.MustBind(40000)
-	notifyEp := f.h2.MustBind(41000)
-	f.a2.Interest(testKey)
+	sdAddr := f.a1.conn.LocalAddr()
+	rawEp := f.h2.MustBind(41000)
+	raw := NewConn(rawEp, false)
+	var replies []Entry
+	raw.OnMessage(func(src Addr, m *Message) {
+		if src != sdAddr || !m.IsSD() {
+			t.Errorf("unexpected message from %v", src)
+			return
+		}
+		entries, err := UnmarshalSD(m.Payload)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		replies = append(replies, entries...)
+	})
+	subscribe := func() {
+		err := raw.Send(sdAddr, NewSDMessage(1, []Entry{{
+			Type: SubscribeEventgroup, Service: testKey.Service, Instance: testKey.Instance,
+			Major: 1, TTL: ttlSeconds, Eventgroup: 1,
+			Options: []Option{{Type: IPv4EndpointOption, Addr: rawEp.Addr(), Proto: UDPProto}},
+		}}))
+		if err != nil {
+			t.Error(err)
+		}
+	}
 	f.k.At(0, func() { f.a1.Offer(testKey, 1, appEp.Addr()) })
+	f.k.At(logical.Time(5*logical.Millisecond), subscribe)
 	// The provider crashes and comes back with a fresh agent on the same
-	// SD port that has not offered yet; a2 subscribes using its
-	// still-fresh cache entry, which points at that port.
+	// SD port that has not offered yet.
 	f.h1.Crash(logical.Time(10 * logical.Millisecond))
 	f.h1.Restart(logical.Time(20*logical.Millisecond), func() {
 		a1, err := NewAgent(f.h1)
@@ -256,13 +264,21 @@ func TestSubscribeNackedWhenOfferWithdrawn(t *testing.T) {
 			t.Errorf("restarted agent bound %v, want the old SD address %v", a1.conn.LocalAddr(), f.a1.conn.LocalAddr())
 		}
 	})
-	var acked *bool
-	f.k.At(logical.Time(30*logical.Millisecond), func() {
-		f.a2.Subscribe(testKey, 1, notifyEp.Addr(), func(ok bool) { acked = &ok })
-	})
+	f.k.At(logical.Time(30*logical.Millisecond), subscribe)
 	f.k.Run(logical.Time(200 * logical.Millisecond))
-	if acked == nil || *acked {
-		t.Error("subscription should be nacked by an agent that does not offer the service")
+	if len(replies) != 2 {
+		t.Fatalf("got %d replies, want an ack and a NACK: %+v", len(replies), replies)
+	}
+	for i, e := range replies {
+		if e.Type != SubscribeEventgroupAck || e.Service != testKey.Service || e.Instance != testKey.Instance || e.Eventgroup != 1 {
+			t.Errorf("reply %d = %+v, want a SubscribeEventgroupAck for %v eventgroup 1", i, e, testKey)
+		}
+	}
+	if replies[0].TTL == 0 {
+		t.Error("the offering agent NACKed the subscription")
+	}
+	if replies[1].TTL != 0 {
+		t.Errorf("an agent that does not offer the service acked with TTL %d; want a NACK (TTL 0)", replies[1].TTL)
 	}
 }
 
@@ -274,7 +290,7 @@ func TestUnsubscribeRemovesSubscriber(t *testing.T) {
 	f.k.At(0, func() { f.a1.Offer(testKey, 1, appEp.Addr()) })
 	f.k.At(logical.Time(5*logical.Millisecond), func() {
 		f.a2.Find(testKey, func(RemoteService) {
-			f.a2.Subscribe(testKey, eg, notifyEp.Addr(), nil)
+			f.a2.Subscribe(testKey, eg, notifyEp.Addr())
 		})
 	})
 	f.k.Run(logical.Time(50 * logical.Millisecond))
@@ -303,7 +319,7 @@ func TestSubscriptionRenewalKeepsSubscriberAlive(t *testing.T) {
 	f.k.At(0, func() { f.a1.Offer(testKey, 1, appEp.Addr()) })
 	f.k.At(logical.Time(5*logical.Millisecond), func() {
 		f.a2.Find(testKey, func(RemoteService) {
-			f.a2.Subscribe(testKey, eg, notifyEp.Addr(), nil)
+			f.a2.Subscribe(testKey, eg, notifyEp.Addr())
 		})
 	})
 	// Probe well past the 3s TTL.

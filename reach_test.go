@@ -9,6 +9,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -28,7 +29,9 @@ const unreachableList = "testdata/unreachable.txt"
 // testdata/unreachable.txt: a new finding fails it, and so does a
 // listed one that became reachable or was deleted. Tests are not
 // programs, so code only a test calls is unreachable, and a field only
-// a test sets is an option every program leaves at its zero value.
+// a test sets is an option every program leaves at its zero value. A
+// listed entry must also give the reason it stays (see
+// readUnreachableList).
 func TestLibraryExportsHaveCallers(t *testing.T) {
 	got, err := unreachableDecls(".", nil)
 	if err != nil {
@@ -39,15 +42,12 @@ func TestLibraryExportsHaveCallers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	listed := map[string]bool{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		if line := strings.TrimSpace(sc.Text()); line != "" && !strings.HasPrefix(line, "#") {
-			listed[line] = true
-		}
-	}
-	if err := sc.Err(); err != nil {
+	listed, unreasoned, err := readUnreachableList(f)
+	if err != nil {
 		t.Fatal(err)
+	}
+	for _, d := range unreasoned {
+		t.Errorf("%s is listed in %s in a block with no # line giving the reason it stays", d, unreachableList)
 	}
 	for _, d := range got {
 		if !listed[d] {
@@ -62,6 +62,56 @@ func TestLibraryExportsHaveCallers(t *testing.T) {
 	sort.Strings(stale)
 	for _, d := range stale {
 		t.Errorf("%s is listed in %s but is reachable or no longer declared", d, unreachableList)
+	}
+}
+
+// readUnreachableList parses the list: one entry per non-blank line
+// that is not a # comment. An entry's block is the run of lines since
+// the last blank line; unreasoned names, in file order, the entries
+// whose block has no # line before them, so every kept declaration
+// carries the reason it stays.
+func readUnreachableList(r io.Reader) (listed map[string]bool, unreasoned []string, err error) {
+	listed = map[string]bool{}
+	reason := false
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		switch line := strings.TrimSpace(sc.Text()); {
+		case line == "":
+			reason = false
+		case strings.HasPrefix(line, "#"):
+			reason = true
+		default:
+			listed[line] = true
+			if !reason {
+				unreasoned = append(unreasoned, line)
+			}
+		}
+	}
+	return listed, unreasoned, sc.Err()
+}
+
+// TestUnreachableListNeedsReasons plants entries in blocks without a
+// reason: one after a blank line that ends a reasoned block, one in a
+// block whose # line comes after it.
+func TestUnreachableListNeedsReasons(t *testing.T) {
+	listed, unreasoned, err := readUnreachableList(strings.NewReader(`# header
+
+# kept for a reason
+internal/a Kept
+internal/a Kept.Method
+
+internal/b Bare
+internal/c Late
+# too late
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(listed) != 4 {
+		t.Errorf("parsed %d entries, want 4: %v", len(listed), listed)
+	}
+	if want := []string{"internal/b Bare", "internal/c Late"}; !reflect.DeepEqual(unreasoned, want) {
+		t.Errorf("unreasoned = %v, want %v", unreasoned, want)
 	}
 }
 
