@@ -285,7 +285,7 @@ func NewBaseline(seed uint64, cfg BaselineConfig) (*Baseline, error) {
 
 	// --- Video Provider (platform 1): the camera, sending one frame
 	// roughly every 50ms over a proprietary (raw datagram) protocol.
-	spawnCamera(k, p1, p2, cfg.Frames, cfg.Period, cfg.CameraJitterSigma, cfg.SettleTime, &b.Counters.FramesSent)
+	startCamera(k, p1, p2, cfg.Frames, cfg.Period, cfg.CameraJitterSigma, cfg.SettleTime, &b.Counters.FramesSent)
 
 	return b, nil
 }
@@ -306,32 +306,73 @@ func newNetwork(k *des.Kernel, faults *simnet.FaultPlan) *simnet.Network {
 	})
 }
 
-// spawnCamera installs the shared camera of both variants: the Video
+// startCamera installs the shared camera of both variants: the Video
 // Provider on src sends frames to the Video Adapter's port on dst over
 // a proprietary (raw datagram) protocol, paced by src's local clock
-// with Gaussian capture jitter, starting after settle. Each frame is
-// rendered into one reused wire buffer (the network copies a datagram
-// on send) and counted in *sent.
-func spawnCamera(k *des.Kernel, src, dst *simnet.Host, frames int, period, jitter, settle logical.Duration, sent *uint64) {
-	out := src.MustBind(0)
-	rng := k.Rand("apd.camera")
-	clock := src.Clock()
-	to := simnet.Addr{Host: dst.ID(), Port: VideoPort}
-	k.SpawnAt(logical.Time(settle), "video-provider", func(p *des.Process) {
-		scene := &Scene{}
-		var wire []byte
-		start := clock.Now()
-		for i := 0; i < frames; i++ {
-			next := start.Add(logical.Duration(i)*period +
-				logical.Duration(rng.Norm(0, float64(jitter))))
-			if g := clock.GlobalAt(next); g > p.Now() {
-				p.WaitUntil(g)
-			}
-			wire = scene.generateWire(wire, p.Now())
-			*sent++
-			out.Send(to, wire)
-		}
+// with Gaussian capture jitter, starting after settle. The camera is a
+// chain of transient events, not a process: its first event reads the
+// start time, and each frame whose capture time lies ahead posts the
+// next step at that time. Each frame is rendered into one reused wire
+// buffer (the network copies a datagram on send) and counted in *sent.
+func startCamera(k *des.Kernel, src, dst *simnet.Host, frames int, period, jitter, settle logical.Duration, sent *uint64) {
+	k.Post(logical.Time(settle), cameraStart, &camera{
+		k: k, out: src.MustBind(0), rng: k.Rand("apd.camera"), clock: src.Clock(),
+		to:     simnet.Addr{Host: dst.ID(), Port: VideoPort},
+		frames: frames, period: period, jitter: jitter, sent: sent,
 	})
+}
+
+// camera is the Video Provider's state between its events.
+type camera struct {
+	k              *des.Kernel
+	out            *simnet.Endpoint
+	rng            *des.Rand
+	clock          *des.LocalClock
+	to             simnet.Addr
+	scene          Scene
+	wire           []byte
+	start          logical.Time // local clock reading at the first event
+	i, frames      int          // next frame to send, of frames
+	period, jitter logical.Duration
+	sent           *uint64
+}
+
+// cameraStart is the camera's first event.
+func cameraStart(a any) {
+	c := a.(*camera)
+	c.start = c.clock.Now()
+	c.advance()
+}
+
+// cameraFrame fires at a frame's capture time: it sends the frame,
+// then goes on to the next.
+func cameraFrame(a any) {
+	c := a.(*camera)
+	c.send()
+	c.advance()
+}
+
+// advance draws each next frame's capture jitter and sends the frames
+// already due at once, until one lies ahead: that one gets an event at
+// its capture time. After the last frame it posts nothing.
+func (c *camera) advance() {
+	for c.i < c.frames {
+		next := c.start.Add(logical.Duration(c.i)*c.period +
+			logical.Duration(c.rng.Norm(0, float64(c.jitter))))
+		if g := c.clock.GlobalAt(next); g > c.k.Now() {
+			c.k.Post(g, cameraFrame, c)
+			return
+		}
+		c.send()
+	}
+}
+
+// send renders frame i at the current time and sends it.
+func (c *camera) send() {
+	c.wire = c.scene.generateWire(c.wire, c.k.Now())
+	*c.sent++
+	c.out.Send(c.to, c.wire)
+	c.i++
 }
 
 func gaussExec(r *des.Rand, mean, sigma logical.Duration) logical.Duration {

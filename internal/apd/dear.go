@@ -346,7 +346,7 @@ func NewDeterministic(seed uint64, cfg DeterministicConfig) (*Deterministic, err
 
 	// --- Video Provider (platform 1), identical camera model to the
 	// baseline.
-	spawnCamera(k, p1, p2, cfg.Frames, cfg.Period, cfg.CameraJitterSigma, cfg.SettleTime, &d.Counters.FramesSent)
+	startCamera(k, p1, p2, cfg.Frames, cfg.Period, cfg.CameraJitterSigma, cfg.SettleTime, &d.Counters.FramesSent)
 
 	return d, nil
 }

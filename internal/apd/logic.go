@@ -30,10 +30,15 @@ type Scene struct {
 	seq uint32
 }
 
-// laneCenterAt returns the lane center column for a given row (rows near
-// the bottom are near the car). The lane sways slowly with seq.
-func (s *Scene) laneCenterAt(seq uint32, row int) int {
-	sway := 6 * math.Sin(float64(seq)/180)
+// laneSway is the row-independent part of the lane center: the whole
+// lane's sideways offset in frame seq. The lane sways slowly with seq.
+func laneSway(seq uint32) float64 {
+	return 6 * math.Sin(float64(seq)/180)
+}
+
+// laneCenter returns the lane center column for a given row of frame
+// seq, whose sway is given (rows near the bottom are near the car).
+func laneCenter(sway float64, seq uint32, row int) int {
 	curve := 4 * math.Sin(float64(seq)/540+float64(row)/24)
 	return FrameW/2 + int(sway+curve*float64(FrameH-row)/float64(FrameH))
 }
@@ -67,7 +72,7 @@ func (s *Scene) vehicleAt(seq uint32) groundTruth {
 	return groundTruth{
 		present:  true,
 		distance: distance,
-		col:      s.laneCenterAt(seq, row),
+		col:      laneCenter(laneSway(seq), seq, row),
 		row:      row,
 		width:    width,
 	}
@@ -94,20 +99,31 @@ func (s *Scene) generateWire(buf []byte, capture logical.Time) []byte {
 	return buf
 }
 
+// roadRow is one frame row of bare road, copied into every row before
+// its lane markings are drawn.
+var roadRow = func() (r [FrameW]byte) {
+	for i := range r {
+		r[i] = roadGray
+	}
+	return r
+}()
+
 // render draws the frame numbered s.seq into pix, overwriting every
 // pixel, and advances the sequence.
 func (s *Scene) render(pix []byte) {
 	seq := s.seq
 	s.seq++
+	sway := laneSway(seq)
 	for row := 0; row < FrameH; row++ {
-		center := s.laneCenterAt(seq, row)
+		line := pix[row*FrameW : (row+1)*FrameW]
+		copy(line, roadRow[:])
+		center := laneCenter(sway, seq, row)
 		half := laneHalfWidthAt(row)
-		for col := 0; col < FrameW; col++ {
-			g := byte(roadGray)
-			if col == center-half || col == center+half {
-				g = laneGray
-			}
-			pix[row*FrameW+col] = g
+		if c := center - half; c >= 0 && c < FrameW {
+			line[c] = laneGray
+		}
+		if c := center + half; c >= 0 && c < FrameW {
+			line[c] = laneGray
 		}
 	}
 	gt := s.vehicleAt(seq)

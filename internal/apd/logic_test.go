@@ -36,7 +36,7 @@ func TestPreprocessFindsLane(t *testing.T) {
 			t.Fatalf("frame %d: degenerate lane [%d, %d]", f.Seq, lane.Left, lane.Right)
 		}
 		// The lane must bracket the lane center at the bottom row.
-		center := s.laneCenterAt(f.Seq, FrameH-1)
+		center := laneCenter(laneSway(f.Seq), f.Seq, FrameH-1)
 		if center < lane.Left || center > lane.Right {
 			t.Errorf("frame %d: center %d outside [%d, %d]", f.Seq, center, lane.Left, lane.Right)
 		}

@@ -28,13 +28,12 @@ import (
 // usually a pooled carrier or an already-live pointer. A plain closure
 // rides the same pair as (Call, closure).
 type Event struct {
-	k        *Kernel
-	at       logical.Time
-	seq      uint64
-	fn       func(arg any)
-	arg      any
-	daemon   bool
-	canceled bool
+	k      *Kernel
+	at     logical.Time
+	seq    uint64
+	fn     func(arg any)
+	arg    any
+	daemon bool
 	// transient marks events no caller holds a handle to (Post and
 	// process start events), so the kernel recycles the Event through
 	// its free list after firing. Cancel can never reach a transient
@@ -51,10 +50,6 @@ type Event struct {
 // as soon as it is canceled. Canceling an already-fired or
 // already-canceled event is a no-op.
 func (e *Event) Cancel() {
-	if e.canceled {
-		return
-	}
-	e.canceled = true
 	if e.pos < 0 {
 		return
 	}

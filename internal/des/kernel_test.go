@@ -56,8 +56,9 @@ func TestKernelCancel(t *testing.T) {
 	if fired {
 		t.Error("canceled event fired")
 	}
-	if !e.canceled {
-		t.Error("canceled should be set")
+	e.Cancel() // canceled twice: a no-op
+	if e.pos != -1 || k.Pending() != 0 {
+		t.Errorf("second cancel: pos %d, pending %d; want -1, 0", e.pos, k.Pending())
 	}
 }
 
@@ -90,8 +91,8 @@ func TestCancelRemovesEvent(t *testing.T) {
 	}
 	canceled := func(step string, e *Event) {
 		t.Helper()
-		if e.pos != -1 || !e.canceled {
-			t.Fatalf("%s: canceled event still indexed: pos %d, canceled %v", step, e.pos, e.canceled)
+		if e.pos != -1 {
+			t.Fatalf("%s: canceled event still indexed: pos %d", step, e.pos)
 		}
 	}
 	check("scheduled", 5, 4, 10)
@@ -115,8 +116,12 @@ func TestCancelRemovesEvent(t *testing.T) {
 		t.Fatalf("after run: fired %d, pending %d, queue %d; want 1, 0, 0",
 			fired, k.Pending(), len(k.queue.h))
 	}
-	if e20.canceled || e20.pos != -1 {
-		t.Fatalf("fired event: canceled %v, pos %d; want false, -1", e20.canceled, e20.pos)
+	if e20.pos != -1 {
+		t.Fatalf("fired event: pos %d, want -1", e20.pos)
+	}
+	e20.Cancel() // canceling a fired event is a no-op
+	if k.Pending() != 0 {
+		t.Fatalf("canceling a fired event: pending %d, want 0", k.Pending())
 	}
 }
 
@@ -137,9 +142,11 @@ func TestCancelKeepsHeapOrder(t *testing.T) {
 		handles = append(handles, k.At(at, func() { got = append(got, ev{at, seq}) }))
 	}
 	live := 0
-	for _, h := range handles {
+	canceled := make([]bool, len(handles))
+	for i, h := range handles {
 		if rng.Int63n(2) == 0 {
 			h.Cancel()
+			canceled[i] = true
 		} else {
 			live++
 		}
@@ -152,7 +159,7 @@ func TestCancelKeepsHeapOrder(t *testing.T) {
 		t.Fatalf("%d events fired, want %d", len(got), live)
 	}
 	for i, g := range got {
-		if handles[g.seq].canceled {
+		if canceled[g.seq] {
 			t.Fatalf("canceled event %d fired", g.seq)
 		}
 		if i > 0 {

@@ -143,13 +143,9 @@ func Build(spec Spec) (*World, error) {
 			// dense ticks hold its partition's earliest-event bound close
 			// to its clock and downstream grants advance at about the
 			// channel lookahead.
-			k.Spawn(fmt.Sprintf("noise%02d", i), func(p *des.Process) {
-				var buf [4]byte
-				for m := 0; m < norm.NoiseEvents; m++ {
-					binary.BigEndian.PutUint32(buf[:], uint32(m))
-					src.Send(sinkAddr, buf[:])
-					p.Sleep(norm.NoiseInterval)
-				}
+			k.Post(k.Now(), noiseTick, &noise{
+				k: k, src: src, sink: sinkAddr,
+				interval: norm.NoiseInterval, n: norm.NoiseEvents,
 			})
 		}
 	}
@@ -182,6 +178,33 @@ func Build(spec Spec) (*World, error) {
 		}
 	}
 	return w, nil
+}
+
+// noise is one platform's local load generator: a chain of transient
+// events, one per NoiseInterval, the m-th sending datagram m.
+type noise struct {
+	k        *des.Kernel
+	src      *simnet.Endpoint
+	sink     simnet.Addr
+	interval logical.Duration
+	m, n     int
+	buf      [4]byte
+}
+
+// noiseTick is the noise chain's event body: it sends datagram m, then
+// posts the next tick. The tick after the last send does nothing; it
+// belongs to the generator's schedule (its start, a delivery and a tick
+// per send, and a final tick), which TestNoiseWorldMatchesPinnedDigests
+// fixes.
+func noiseTick(a any) {
+	g := a.(*noise)
+	if g.m == g.n {
+		return
+	}
+	binary.BigEndian.PutUint32(g.buf[:], uint32(g.m))
+	g.src.Send(g.sink, g.buf[:])
+	g.m++
+	g.k.Post(g.k.Now().Add(g.interval), noiseTick, g)
 }
 
 // traceCapacityPartition bounds the trace ring for the platforms pinned
