@@ -167,11 +167,20 @@ func (q *eventQueue) removeAt(i int) {
 // record to its tap (a monitor engine); the indirection keeps des free
 // of higher-layer imports. Implementations must not call back into the
 // kernel.
+//
+// Components are registered once (Component, usually while the world
+// is built) and traced by the dense id registration returns, so the
+// per-event path hashes no string. A tracer installed on a kernel has
+// one writer, that kernel's goroutine: TraceID need not lock, and
+// whoever reads the tracer's state does so after Run returns.
 type Tracer interface {
-	// TraceEvent records one logical event: the kernel's current time,
-	// the emitting component's label, the event kind and the payload
+	// Component registers a component label and returns its dense id.
+	// Each label is registered once per tracer.
+	Component(name string) uint32
+	// TraceID records one logical event: the kernel's current time,
+	// the emitting component's id, the event kind and the payload
 	// (which implementations digest, not retain).
-	TraceEvent(at logical.Time, component, kind string, payload []byte)
+	TraceID(at logical.Time, comp uint32, kind string, payload []byte)
 }
 
 // Kernel is the simulation engine. Create one with NewKernel, spawn
@@ -219,15 +228,28 @@ func (k *Kernel) Rand(label string) *Rand { return k.rootRand.Stream(label) }
 // trace package).
 func (k *Kernel) SetTracer(t Tracer) { k.tracer = t }
 
-// Trace emits one logical event to the kernel's tracer, stamped with
-// the current simulated time. With no tracer installed it is a single
-// nil check, so instrumented components may call it unconditionally.
-// Component labels must be stable across execution modes (and each
-// component must live on exactly one kernel of a federation) for the
-// merged trace to be mode-independent.
-func (k *Kernel) Trace(component, kind string, payload []byte) {
+// Component registers a component label with the kernel's tracer and
+// returns the id Trace takes (zero with no tracer installed). Install
+// the tracer first, and register each label once: a component that
+// outlives one incarnation keeps its id, so its records continue one
+// stream.
+func (k *Kernel) Component(name string) uint32 {
+	if k.tracer == nil {
+		return 0
+	}
+	return k.tracer.Component(name)
+}
+
+// Trace emits one logical event of the registered component comp to
+// the kernel's tracer, stamped with the current simulated time. With
+// no tracer installed it is a single nil check, so instrumented
+// components may call it unconditionally. Component labels must be
+// stable across execution modes (and each component must live on
+// exactly one kernel of a federation) for the merged trace to be
+// mode-independent.
+func (k *Kernel) Trace(comp uint32, kind string, payload []byte) {
 	if k.tracer != nil {
-		k.tracer.TraceEvent(k.now, component, kind, payload)
+		k.tracer.TraceID(k.now, comp, kind, payload)
 	}
 }
 

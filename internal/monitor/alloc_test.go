@@ -63,6 +63,44 @@ func TestMonitorZeroAllocs(t *testing.T) {
 			t.Fatalf("healthy hot-path stream tripped %s:\n%s", v.Monitor, Report(e.Verdicts()))
 		}
 	}
+
+	// The tap hook: records a recorder sequenced, with their component
+	// ids beside them, through the same library.
+	e = NewEngine(
+		NoSilentCorruption(),
+		RespondedWithin(logical.Duration(time10ms)),
+		ReboundWithin(logical.Duration(time10ms)),
+	)
+	var r trace.Record
+	seqs := make([]uint64, len(hotComponents))
+	observe := func(comp uint32, kind string) {
+		seqs[comp]++
+		r.Time++
+		r.Seq, r.Component, r.Kind = seqs[comp], hotComponents[comp], kind
+		e.Observe(comp, &r)
+	}
+	cycle := func(comp uint32) {
+		observe(comp, trace.KindReq)
+		observe(comp, trace.KindCall)
+		observe(comp, trace.KindServe)
+	}
+	for c := range hotComponents {
+		cycle(uint32(c)) // prime each component's obligation queue
+	}
+	i = 0
+	allocs = testing.AllocsPerRun(1000, func() {
+		cycle(uint32(i % len(hotComponents)))
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("Observe allocates %.1f allocs per 3 records, want 0", allocs)
+	}
+	e.Finish()
+	for _, v := range e.Verdicts() {
+		if v.Violations != 0 {
+			t.Fatalf("healthy tapped stream tripped %s:\n%s", v.Monitor, Report(e.Verdicts()))
+		}
+	}
 }
 
 // BenchmarkMonitor measures the per-event cost of the full standard

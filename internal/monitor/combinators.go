@@ -28,7 +28,7 @@ type neverMon struct {
 func (m *neverMon) Name() string { return m.name }
 
 // Observe checks the predicate against one record.
-func (m *neverMon) Observe(r *trace.Record, rep *Reporter) {
+func (m *neverMon) Observe(_ uint32, r *trace.Record, rep *Reporter) {
 	rep.Check()
 	if m.p(r) {
 		rep.Violate(Violation{
@@ -65,7 +65,7 @@ type matchedWithin struct {
 	openKind   string
 	closeKinds []string
 	d          logical.Duration
-	pend       map[string]*obQueue
+	pend       []obQueue // by component id
 	lateDetail string
 	openDetail string
 }
@@ -89,7 +89,6 @@ func MatchedWithin(name, openKind string, closeKinds []string, d logical.Duratio
 		openKind:   openKind,
 		closeKinds: append([]string(nil), closeKinds...),
 		d:          d,
-		pend:       make(map[string]*obQueue),
 		lateDetail: fmt.Sprintf("no %s within %dns of %s", closes, int64(d), openKind),
 		openDetail: fmt.Sprintf("%s unresolved at end of run", openKind),
 	}
@@ -121,9 +120,10 @@ func (m *matchedWithin) violateAt(open *trace.Record, detail string, rep *Report
 // Observe advances the component's obligation queue: expired heads are
 // flagged, an open record enqueues, a close record discharges the
 // (unexpired) head.
-func (m *matchedWithin) Observe(r *trace.Record, rep *Reporter) {
-	q := m.pend[r.Component]
-	if q != nil {
+func (m *matchedWithin) Observe(comp uint32, r *trace.Record, rep *Reporter) {
+	var q *obQueue
+	if int(comp) < len(m.pend) {
+		q = &m.pend[comp]
 		for q.head < len(q.opens) {
 			o := &q.opens[q.head]
 			if r.Time <= o.Time.Add(m.d) {
@@ -141,8 +141,8 @@ func (m *matchedWithin) Observe(r *trace.Record, rep *Reporter) {
 	case r.Kind == m.openKind:
 		rep.Check()
 		if q == nil {
-			q = &obQueue{}
-			m.pend[r.Component] = q
+			m.pend = append(m.pend, make([]obQueue, int(comp)+1-len(m.pend))...)
+			q = &m.pend[comp]
 		}
 		q.opens = append(q.opens, *r)
 	case m.isClose(r.Kind):
@@ -156,10 +156,11 @@ func (m *matchedWithin) Observe(r *trace.Record, rep *Reporter) {
 	}
 }
 
-// Flush flags every obligation still open, in whatever order the map
-// yields — Reporter accumulation is insertion-order-independent.
+// Flush flags every obligation still open, component by component in
+// id order — Reporter accumulation is insertion-order-independent.
 func (m *matchedWithin) Flush(rep *Reporter) {
-	for _, q := range m.pend {
+	for c := range m.pend {
+		q := &m.pend[c]
 		for i := q.head; i < len(q.opens); i++ {
 			m.violateAt(&q.opens[i], m.openDetail, rep)
 		}

@@ -12,9 +12,10 @@
 //     behind the recorder on every simulated kernel and on a live
 //     RecordingEndpoint stream alike: the recorder sequences and
 //     digests each event once and the engine observes exactly the
-//     records it stored. The hot path performs zero allocations after
-//     the first sight of each component (TestMonitorZeroAllocs),
-//     matching the recorder.
+//     records it stored, each with its dense component id. The hot
+//     path takes no lock and performs zero allocations after the
+//     first sight of each component (TestMonitorZeroAllocs), matching
+//     the recorder.
 //
 //   - Property combinators (combinators.go): Never and
 //     MatchedWithin(open, close, d) — every open-kind event must be
@@ -163,8 +164,11 @@ func (rp *Reporter) Violate(viol Violation) {
 type Monitor interface {
 	// Name identifies the monitor; verdicts merge by name.
 	Name() string
-	// Observe feeds one record in the component's stream order.
-	Observe(r *trace.Record, rep *Reporter)
+	// Observe feeds one record in the component's stream order. comp
+	// is the record's dense component id in the feeding engine's
+	// numbering, so per-component state can live in a slice indexed
+	// by it.
+	Observe(comp uint32, r *trace.Record, rep *Reporter)
 	// Flush flags every obligation still pending at end of stream
 	// ("unresolved at end of run" — see the package comment for why
 	// this is unconditional).
@@ -284,7 +288,7 @@ func Evaluate(t *trace.Trace, monitors ...Monitor) []Verdict {
 	var r trace.Record
 	for i := 0; i < t.Len(); i++ {
 		r = t.At(i)
-		e.Observe(&r)
+		e.Observe(e.intern(r.Component), &r)
 	}
 	e.Finish()
 	return e.Verdicts()

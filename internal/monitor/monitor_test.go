@@ -172,7 +172,7 @@ func TestMergeVerdictsMatchesSingleEngine(t *testing.T) {
 
 	whole := NewEngine(standardLib()...)
 	for i := range recs {
-		whole.Observe(&recs[i])
+		whole.Observe(whole.intern(recs[i].Component), &recs[i])
 	}
 	whole.Finish()
 	ref := whole.Verdicts()
@@ -186,7 +186,8 @@ func TestMergeVerdictsMatchesSingleEngine(t *testing.T) {
 	}
 	part := map[string]int{"a": 0, "b": 1, "s": 2, "p.life": 1}
 	for i := range recs {
-		engines[part[recs[i].Component]].Observe(&recs[i])
+		e := engines[part[recs[i].Component]]
+		e.Observe(e.intern(recs[i].Component), &recs[i])
 	}
 	groups := make([][]Verdict, len(engines))
 	for i, e := range engines {

@@ -41,8 +41,9 @@ type Environment struct {
 	state envState
 
 	// mu guards what ScheduleAsync and ScheduleAt reach from other
-	// goroutines: the queue, seq and currentTag. The scheduler keeps the
-	// stop state under it too.
+	// goroutines: the queue, seq and currentTag. The stop state
+	// (stopTag, stopRequested) is the scheduler goroutine's alone and
+	// needs no lock.
 	mu            sync.Mutex
 	seq           uint64
 	queue         eventHeap
@@ -101,13 +102,9 @@ func (e *Environment) SetTraceHook(fn func(TraceEvent)) {
 	e.traceHook = fn
 }
 
+// requestStopAt moves the stop tag to tag unless an earlier stop is
+// already requested. Only the scheduler goroutine calls it.
 func (e *Environment) requestStopAt(tag logical.Tag) {
-	e.mu.Lock()
-	e.requestStopLocked(tag)
-	e.mu.Unlock()
-}
-
-func (e *Environment) requestStopLocked(tag logical.Tag) {
 	if e.stopRequested && e.stopTag.Before(tag) {
 		return
 	}
@@ -227,7 +224,7 @@ func (e *Environment) Run() error {
 	e.startTime = e.clock.Now()
 	e.currentTag = logical.Tag{Time: e.startTime}
 	if e.opts.Timeout > 0 {
-		e.requestStopLocked(logical.Tag{Time: e.startTime.Add(e.opts.Timeout)})
+		e.requestStopAt(logical.Tag{Time: e.startTime.Add(e.opts.Timeout)})
 	}
 	// Startup triggers and initial timer events share the start tag.
 	e.scheduleEventLocked(e.currentTag, func(env *Environment) {
@@ -268,7 +265,7 @@ func (e *Environment) loop() {
 			}
 			// Starvation: stop at the next microstep (or the configured
 			// stop tag if that is earlier).
-			e.requestStopLocked(e.currentTag.Next())
+			e.requestStopAt(e.currentTag.Next())
 			e.mu.Unlock()
 			break
 		}

@@ -7,7 +7,7 @@ import "testing"
 // collector runs once more during Build when the build's garbage
 // outgrows the heap the ring used to pad). A 500-platform city world,
 // built but not run, must stay within the measured allocations per
-// platform plus slack.
+// platform.
 func TestBuildAllocsPerPlatform(t *testing.T) {
 	const n = 500
 	spec := CityPreset(n)
@@ -19,7 +19,9 @@ func TestBuildAllocsPerPlatform(t *testing.T) {
 	})
 	per := allocs / n
 	t.Logf("%.1f allocations per platform", per)
-	const bound = 65.0
+	// 56.7 measured, 59.2 under the race detector, which allocates a
+	// few objects of its own.
+	const bound = 60.0
 	if per > bound {
 		t.Fatalf("Build allocates %.1f objects per platform, bound %.1f", per, bound)
 	}

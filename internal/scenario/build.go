@@ -71,6 +71,9 @@ type World struct {
 	cluster *simnet.Cluster
 	// recorders hold one trace recorder per partition kernel.
 	recorders []*trace.Recorder
+	// comps hold each platform's trace component ids, in platform
+	// order (see buildSubstrate).
+	comps []platformComps
 	// engines hold one monitor engine per kernel when the spec's
 	// monitors block is set, each the tap of its kernel's recorder
 	// (see buildSubstrate).
@@ -113,10 +116,10 @@ func Build(spec Spec) (*World, error) {
 		w.ifaces[i] = Iface(i)
 	}
 
-	// Pass 1: servers. Every platform offers its compute service and
-	// binds the local-noise sink. Scheduling order within each kernel is
-	// part of the determinism contract, so construction order is fixed:
-	// all servers before all clients.
+	// Pass 1: servers. Every platform offers its compute service and,
+	// in a world with noise, binds the local-noise sink. Scheduling
+	// order within each kernel is part of the determinism contract, so
+	// construction order is fixed: all servers before all clients.
 	for i := 0; i < n; i++ {
 		rt, err := w.buildServer(i, fmt.Sprintf("mesh%02d", i))
 		if err != nil {
@@ -160,15 +163,16 @@ func Build(spec Spec) (*World, error) {
 		// crash/restart/bind records form one component stream — the
 		// rebound-within monitor pairs restart with the re-offer's bind.
 		lk := w.Runtimes[cp.Platform].Kernel()
-		lifeLabel := host.Name() + ".life"
-		lk.At(cp.At, func() { lk.Trace(lifeLabel, trace.KindCrash, nil) })
+		life := w.comps[cp.Platform].life
+		lk.At(cp.At, func() { lk.Trace(life, trace.KindCrash, nil) })
 		if cp.RestartAt > cp.At {
 			host.Restart(cp.RestartAt, func() {
-				lk.Trace(lifeLabel, trace.KindRestart, nil)
+				lk.Trace(life, trace.KindRestart, nil)
 				// Rebuild the platform's stack from scratch, as a rebooted
-				// AP node would: fresh runtime (distinct name — stream
-				// labels must not collide with the dead incarnation),
-				// skeleton re-offered, reborn client.
+				// AP node would: fresh runtime (distinct name — RNG
+				// stream labels must not collide with the dead
+				// incarnation), skeleton re-offered, reborn client. The
+				// platform's trace components are the same ones.
 				rt, err := w.buildServer(cp.Platform, fmt.Sprintf("mesh%02dr", cp.Platform))
 				if err != nil {
 					panic(err)
@@ -178,6 +182,15 @@ func Build(spec Spec) (*World, error) {
 		}
 	}
 	return w, nil
+}
+
+// platformComps are one platform's trace component ids, registered
+// once on its partition kernel when the world is built. Every
+// incarnation of the platform traces under them, so a reborn platform's
+// records continue its streams with the next sequence numbers.
+type platformComps struct {
+	server, life, client uint32
+	noise                uint32 // registered only when the spec has noise
 }
 
 // noise is one platform's local load generator: a chain of transient
@@ -258,7 +271,8 @@ func ShrinkTraceRingsForTesting(capacity int) (restore func()) {
 }
 
 // buildSubstrate creates the federation, its cluster, the per-kernel
-// trace recorders and the platform hosts.
+// trace recorders and the platform hosts, and registers each
+// platform's trace components on its partition kernel.
 func (w *World) buildSubstrate() error {
 	spec := w.Spec
 	netCfg := simnet.Config{
@@ -308,8 +322,18 @@ func (w *World) buildSubstrate() error {
 		return err
 	}
 	w.cluster = cluster
+	w.comps = make([]platformComps, spec.Platforms)
 	for i := 0; i < spec.Platforms; i++ {
-		w.Hosts = append(w.Hosts, cluster.AddHost(i%spec.Partitions, HostName(i)))
+		part := i % spec.Partitions
+		host := cluster.AddHost(part, HostName(i))
+		w.Hosts = append(w.Hosts, host)
+		k, c := w.fed.Kernel(part), &w.comps[i]
+		c.server = k.Component(host.Name() + ".server")
+		c.life = k.Component(host.Name() + ".life")
+		c.client = k.Component(host.Name() + ".client")
+		if spec.NoiseEvents > 0 {
+			c.noise = k.Component(host.Name() + ".noise")
+		}
 	}
 	return nil
 }
@@ -328,12 +352,12 @@ func Iface(i int) *ara.ServiceInterface {
 	}
 }
 
-// buildServer creates platform i's runtime, compute skeleton and
-// local-noise sink. It is used for initial construction and again by
-// the crash plan's restart path (with a distinct runtime name, so RNG
-// stream labels never collide between the two incarnations). Served
-// counts and the noise hash continue across a restart: the stats carry
-// the platform's whole history.
+// buildServer creates platform i's runtime, compute skeleton and, when
+// the spec has noise, local-noise sink. It is used for initial
+// construction and again by the crash plan's restart path (with a
+// distinct runtime name, so RNG stream labels never collide between
+// the two incarnations). Served counts and the noise hash continue
+// across a restart: the stats carry the platform's whole history.
 func (w *World) buildServer(i int, name string) (*ara.Runtime, error) {
 	host := w.Hosts[i]
 	rows := w.Stats
@@ -352,8 +376,7 @@ func (w *World) buildServer(i int, name string) (*ara.Runtime, error) {
 		return nil, err
 	}
 	k := rt.Kernel()
-	serveLabel := host.Name() + ".server"
-	lifeLabel := host.Name() + ".life"
+	comps := w.comps[i]
 	if err := sk.Handle("compute", func(c *ara.Ctx, args []byte) ([]byte, error) {
 		if corruptCheck != nil && corruptCheck(args) {
 			// The integrity check failed without a structural refusal:
@@ -361,7 +384,7 @@ func (w *World) buildServer(i int, name string) (*ara.Runtime, error) {
 			// monitor watches for. Only the test hook ever sets the
 			// check — the DEAR model refuses corrupt inputs structurally,
 			// so production handlers never reach this line.
-			k.Trace(serveLabel, trace.KindCorrupt, args)
+			k.Trace(comps.server, trace.KindCorrupt, args)
 		}
 		rows[i].Served++
 		h := fnvOffset
@@ -383,7 +406,7 @@ func (w *World) buildServer(i int, name string) (*ara.Runtime, error) {
 		// The trace point sits at computation completion: time and
 		// result are mode-independent, and the per-component sequence
 		// follows the platform's deterministic serve order.
-		k.Trace(serveLabel, trace.KindServe, out[:])
+		k.Trace(comps.server, trace.KindServe, out[:])
 		return out[:], nil
 	}); err != nil {
 		return nil, err
@@ -395,20 +418,23 @@ func (w *World) buildServer(i int, name string) (*ara.Runtime, error) {
 			// lifecycle component. The initial bind has no preceding
 			// restart, so the monitor ignores it; the restart path's bind
 			// (below, k.Now() > 0) is the one that discharges.
-			k.Trace(lifeLabel, trace.KindBind, nil)
+			k.Trace(comps.life, trace.KindBind, nil)
 		})
 	} else {
 		sk.Offer()
-		k.Trace(lifeLabel, trace.KindBind, nil)
+		k.Trace(comps.life, trace.KindBind, nil)
 	}
 
 	// Local noise sink: dense intra-platform load, hashed into the
-	// report so all modes must schedule it identically.
-	sink := host.MustBind(NoisePort)
-	noiseLabel := host.Name() + ".noise"
+	// report so all modes must schedule it identically. A world without
+	// noise binds none, and its hash stays at the FNV offset.
 	if rows[i].NoiseHash == 0 {
 		rows[i].NoiseHash = fnvOffset
 	}
+	if spec.NoiseEvents == 0 {
+		return rt, nil
+	}
+	sink := host.MustBind(NoisePort)
 	sink.OnReceive(func(dg simnet.Datagram) {
 		h := rows[i].NoiseHash
 		h = fnvMix(h, uint64(dg.SentAt))
@@ -418,7 +444,7 @@ func (w *World) buildServer(i int, name string) (*ara.Runtime, error) {
 		// Noise deliveries are traced so the trace covers the local load
 		// the report hashes. Its timing is a fixed NoiseInterval period,
 		// not a seeded draw: noise does not vary with the seed.
-		k.Trace(noiseLabel, trace.KindNoise, dg.Payload)
+		k.Trace(comps.noise, trace.KindNoise, dg.Payload)
 	})
 	return rt, nil
 }
@@ -460,7 +486,7 @@ func (w *World) spawnClient(rt *ara.Runtime, i, rounds int, marker uint64) {
 		rows[i].RespHash = fnvOffset
 	}
 	k := rt.Kernel()
-	callLabel := host.Name() + ".client"
+	client := w.comps[i].client
 	rt.Spawn("client", func(c *ara.Ctx) {
 		c.Exec(phase)
 		var req [12]byte
@@ -479,7 +505,7 @@ func (w *World) spawnClient(rt *ara.Runtime, i, rounds int, marker uint64) {
 				// The request-issue record opens the responded-within
 				// obligation its later call/call-err record discharges —
 				// same component, so the pairing is mode-independent.
-				k.Trace(callLabel, trace.KindReq, req[:])
+				k.Trace(client, trace.KindReq, req[:])
 				t0 := c.Now()
 				fut := px.Call("compute", req[:])
 				var resp []byte
@@ -499,11 +525,11 @@ func (w *World) spawnClient(rt *ara.Runtime, i, rounds int, marker uint64) {
 					h = fnvMix(h, uint64(targets[t]))
 					h = fnvMix(h, uint64(round))
 					rows[i].RespHash = h
-					k.Trace(callLabel, trace.KindCallErr, req[:])
+					k.Trace(client, trace.KindCallErr, req[:])
 					continue
 				}
 				rtt := int64(c.Now() - t0)
-				k.Trace(callLabel, trace.KindCall, resp)
+				k.Trace(client, trace.KindCall, resp)
 				rows[i].Calls++
 				h := rows[i].RespHash
 				h = fnvMix(h, marker)

@@ -58,11 +58,13 @@ type firedStamp struct {
 	sum  hash.Hash
 }
 
-func (s *firedStamp) TraceEvent(at logical.Time, component, kind string, payload []byte) {
+func (s *firedStamp) Component(name string) uint32 { return s.next.Component(name) }
+
+func (s *firedStamp) TraceID(at logical.Time, comp uint32, kind string, payload []byte) {
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], s.k.EventsFired())
 	s.sum.Write(b[:])
-	s.next.TraceEvent(at, component, kind, payload)
+	s.next.TraceID(at, comp, kind, payload)
 }
 
 // noisePinRun runs the noisy world and digests its canonical outputs

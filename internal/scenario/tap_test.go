@@ -16,9 +16,10 @@ import (
 // traceCall is one Kernel.Trace call as the kernel hands it to its
 // tracer.
 type traceCall struct {
-	at              logical.Time
-	component, kind string
-	digest          uint64
+	at     logical.Time
+	comp   uint32
+	kind   string
+	digest uint64
 }
 
 // callLog sits between a kernel and its recorder and logs every trace
@@ -28,21 +29,25 @@ type callLog struct {
 	calls []traceCall
 }
 
-func (l *callLog) TraceEvent(at logical.Time, component, kind string, payload []byte) {
-	l.calls = append(l.calls, traceCall{at, component, kind, trace.Digest(payload)})
-	l.next.TraceEvent(at, component, kind, payload)
+func (l *callLog) Component(name string) uint32 { return l.next.Component(name) }
+
+func (l *callLog) TraceID(at logical.Time, comp uint32, kind string, payload []byte) {
+	l.calls = append(l.calls, traceCall{at, comp, kind, trace.Digest(payload)})
+	l.next.TraceID(at, comp, kind, payload)
 }
 
 // tapLog sits between a recorder and its monitor engine and logs every
-// record the engine observes.
+// record the engine observes, with the component id beside it.
 type tapLog struct {
-	next trace.Tap
-	recs []trace.Record
+	next  trace.Tap
+	comps []uint32
+	recs  []trace.Record
 }
 
-func (l *tapLog) Observe(r *trace.Record) {
+func (l *tapLog) Observe(comp uint32, r *trace.Record) {
+	l.comps = append(l.comps, comp)
 	l.recs = append(l.recs, *r)
-	l.next.Observe(r)
+	l.next.Observe(comp, r)
 }
 
 // In a monitored world the engine observes exactly the recorded
@@ -77,14 +82,18 @@ func TestTapSeesRecordedStream(t *testing.T) {
 		if len(got) != len(want) || len(got) == 0 {
 			t.Fatalf("partition %d: engine observed %d records of %d traced", i, len(got), len(want))
 		}
-		seqs := map[string]uint64{}
+		seqs := map[uint32]uint64{}
+		names := map[uint32]string{}
 		for j, r := range got {
 			c := want[j]
-			seqs[c.component]++
-			if r.Time != c.at || r.Component != c.component || r.Kind != c.kind ||
-				r.Digest != c.digest || r.Seq != seqs[c.component] {
-				t.Fatalf("partition %d record %d: engine observed %s, recorder appended t=%d %s#%d %s digest=%016x",
-					i, j, r.String(), int64(c.at), c.component, seqs[c.component], c.kind, c.digest)
+			seqs[c.comp]++
+			if names[c.comp] == "" {
+				names[c.comp] = r.Component
+			}
+			if r.Time != c.at || taps[i].comps[j] != c.comp || r.Component != names[c.comp] ||
+				r.Kind != c.kind || r.Digest != c.digest || r.Seq != seqs[c.comp] {
+				t.Fatalf("partition %d record %d: engine observed %s (component %d), recorder appended t=%d component %d (%s)#%d %s digest=%016x",
+					i, j, r.String(), taps[i].comps[j], int64(c.at), c.comp, names[c.comp], seqs[c.comp], c.kind, c.digest)
 			}
 		}
 		union = append(union, got...)

@@ -11,6 +11,7 @@ package simnet
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/des"
 	"repro/internal/logical"
@@ -131,8 +132,10 @@ func (j *JitterLatency) MinLatency() logical.Duration {
 
 // Network is a collection of hosts joined by a switch fabric.
 type Network struct {
-	k       *des.Kernel
-	hosts   map[uint16]*Host
+	k *des.Kernel
+	// hosts holds the network's hosts by host ID, nil for IDs it does
+	// not own (a Cluster's other partitions, and the unused ID 0).
+	hosts   []*Host
 	nextKey uint16
 	// model is the latency of every inter-host packet.
 	model LatencyModel
@@ -242,7 +245,6 @@ func NewNetwork(k *des.Kernel, cfg Config) *Network {
 	}
 	n := &Network{
 		k:           k,
-		hosts:       map[uint16]*Host{},
 		model:       model,
 		switchDelay: cfg.SwitchDelay,
 		faultSeed:   k.Rand("simnet.fault").Uint64(),
@@ -339,10 +341,12 @@ const loopbackLatency = 5 * logical.Microsecond
 
 // Host is a simulated platform attached to the network.
 type Host struct {
-	net   *Network
-	id    uint16
-	name  string
-	ports map[uint16]*Endpoint
+	net  *Network
+	id   uint16
+	name string
+	// ports holds the bound endpoints in bind order. A host binds a
+	// handful, so a linear search beats a map.
+	ports []*Endpoint
 	clock *des.LocalClock
 	// down marks a crashed host: no endpoint is bound, sends from stale
 	// endpoints are suppressed, deliveries drop.
@@ -360,18 +364,29 @@ func (n *Network) AddHost(name string, clock *des.LocalClock) *Host {
 // A federated Cluster allocates IDs globally so that addresses stay
 // unique across partitions.
 func (n *Network) addHostID(id uint16, name string, clock *des.LocalClock) *Host {
-	if _, dup := n.hosts[id]; dup {
+	if n.host(id) != nil {
 		panic(fmt.Sprintf("simnet: duplicate host id %d (%s)", id, name))
 	}
 	h := &Host{
 		net:   n,
 		id:    id,
 		name:  name,
-		ports: map[uint16]*Endpoint{},
 		clock: clock,
 	}
-	n.hosts[h.id] = h
+	if int(id) >= len(n.hosts) {
+		n.hosts = append(n.hosts, make([]*Host, int(id)+1-len(n.hosts))...)
+	}
+	n.hosts[id] = h
 	return h
+}
+
+// host returns the network's host with the given ID, or nil when the
+// network owns none.
+func (n *Network) host(id uint16) *Host {
+	if int(id) < len(n.hosts) {
+		return n.hosts[id]
+	}
+	return nil
 }
 
 // ID returns the host's network identifier.
@@ -427,12 +442,11 @@ func (h *Host) crashNow() {
 		return
 	}
 	h.down = true
-	for _, ep := range h.ports {
-		// Map iteration order is irrelevant: closing endpoints and
-		// removing topic memberships commute.
+	for i, ep := range h.ports {
 		ep.teardown()
+		h.ports[i] = nil
 	}
-	h.ports = map[uint16]*Endpoint{}
+	h.ports = h.ports[:0]
 }
 
 // Endpoint is a bound (host, port) able to send datagrams and, once a
@@ -448,29 +462,37 @@ type Endpoint struct {
 // Bind allocates an endpoint on the given port. Port 0 picks a free
 // ephemeral port (≥ 49152). Binding an in-use port, or any port on a
 // crashed host, is an error. Port selection is deterministic: it
-// depends only on the host's current port map, never on randomness.
+// depends only on the host's currently bound ports, never on
+// randomness.
 func (h *Host) Bind(port uint16) (*Endpoint, error) {
 	if h.down {
 		return nil, fmt.Errorf("simnet: host %s is down", h.name)
 	}
 	if port == 0 {
 		port = 49152
-		for {
-			if _, used := h.ports[port]; !used {
-				break
-			}
+		for h.port(port) != nil {
 			if port == 65535 {
 				return nil, fmt.Errorf("simnet: host %s out of ephemeral ports", h.name)
 			}
 			port++
 		}
 	}
-	if _, used := h.ports[port]; used {
+	if h.port(port) != nil {
 		return nil, fmt.Errorf("simnet: port %d already bound on host %s", port, h.name)
 	}
 	ep := &Endpoint{host: h, addr: Addr{Host: h.id, Port: port}}
-	h.ports[port] = ep
+	h.ports = append(h.ports, ep)
 	return ep, nil
+}
+
+// port returns the endpoint bound to port, or nil.
+func (h *Host) port(port uint16) *Endpoint {
+	for _, ep := range h.ports {
+		if ep.addr.Port == port {
+			return ep
+		}
+	}
+	return nil
 }
 
 // MustBind is Bind that panics on error, for wiring code in tests and
@@ -495,8 +517,9 @@ func (e *Endpoint) Host() *Host { return e.host }
 // the successor endpoint.
 func (e *Endpoint) Close() {
 	e.teardown()
-	if e.host.ports[e.addr.Port] == e {
-		delete(e.host.ports, e.addr.Port)
+	h := e.host
+	if i := slices.Index(h.ports, e); i >= 0 {
+		h.ports = slices.Delete(h.ports, i, i+1)
 	}
 }
 
@@ -596,7 +619,7 @@ func (n *Network) route(e *Endpoint, dg Datagram, faulted bool) {
 	if dst.Host == e.addr.Host {
 		lat = loopbackLatency
 	} else {
-		if _, local := n.hosts[dst.Host]; !local && n.router != nil {
+		if n.host(dst.Host) == nil && n.router != nil {
 			if n.router(e, dg) {
 				return
 			}
@@ -616,13 +639,13 @@ func (n *Network) route(e *Endpoint, dg Datagram, faulted bool) {
 }
 
 func (n *Network) deliver(dg Datagram) {
-	h, ok := n.hosts[dg.Dst.Host]
-	if !ok {
+	h := n.host(dg.Dst.Host)
+	if h == nil {
 		n.dropped++
 		return
 	}
-	ep, ok := h.ports[dg.Dst.Port]
-	if !ok || ep.closed || ep.onRecv == nil {
+	ep := h.port(dg.Dst.Port)
+	if ep == nil || ep.closed || ep.onRecv == nil {
 		n.dropped++
 		return
 	}

@@ -34,9 +34,18 @@ func TestTraceRecordZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("TraceEvent allocates %.1f objects/op after wrap, want 0", allocs)
 	}
+	// The kernel's path, by registered id, allocates nothing from its
+	// first record on.
+	c := r.Component("plat01.server")
+	allocs = testing.AllocsPerRun(1000, func() {
+		r.TraceID(3, c, KindServe, payload)
+	})
+	if allocs != 0 {
+		t.Fatalf("TraceID allocates %.1f objects/op, want 0", allocs)
+	}
 	// Reading a merged record back, stored input included, shares the
 	// trace's strings and bytes.
-	r.RecordInput(3, "plat00.client", KindRecv, "peer", payload)
+	r.RecordInput(4, "plat00.client", KindRecv, "peer", payload)
 	tr := r.Trace()
 	var rec Record
 	allocs = testing.AllocsPerRun(1000, func() {

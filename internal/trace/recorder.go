@@ -32,6 +32,13 @@ func Digest(payload []byte) uint64 {
 // implements des.Tracer, so a kernel forwards its Trace calls here;
 // the endpoint wrappers call it directly with wall-derived times.
 //
+// A component enters a recorder's name table once. A world registers
+// each of its components at build (Component) and its kernel traces by
+// the returned dense id (TraceID), so the per-event path indexes slices
+// and hashes no string. The string methods (TraceEvent, RecordInput)
+// find or add the component by name in a map built on their first
+// call; only they use it.
+//
 // A Recorder is the one place an event is sequenced: it digests the
 // payload, assigns the component's next sequence number, stores the
 // record and hands the finished record to its Tap (SetTap), so a
@@ -55,20 +62,24 @@ func Digest(payload []byte) uint64 {
 // size the capacity so complete runs never evict, because
 // mode-independence of the merged trace only holds for complete traces.
 //
-// A Recorder is safe for concurrent use: live recording writes from
-// both a socket-reader goroutine (inputs) and the kernel goroutine
-// (outputs). Under deterministic simulation only the owning kernel's
-// goroutine writes, and the uncontended mutex stays cheap.
+// The id path takes no lock. A recorder installed as a kernel's tracer
+// has one writer, that kernel's goroutine, and Merge, Len and Dropped
+// run after the kernel's Run returns. The string methods lock mu:
+// live recording writes from both a socket-reader goroutine (inputs)
+// and the kernel goroutine (outputs), and they may run concurrently
+// with merges. One recorder is fed by one of the two kinds of writer,
+// never both at once.
 type Recorder struct {
-	id      uint64 // creation order: the lock order of Merge
-	mu      sync.Mutex
+	id      uint64     // creation order: the lock order of Merge
+	mu      sync.Mutex // held by the string methods, SetTap and Merge
 	ring    []slot
 	head    int // index of the oldest record
 	count   int
 	dropped uint64
-	// comps and kinds are the name tables slot ids index; compIDs
-	// interns component names and seqs holds each component's last
-	// sequence number.
+	// comps and kinds are the name tables slot ids index and seqs
+	// holds each component's last sequence number, all by component
+	// id. compIDs maps names to ids for the string methods; they build
+	// it on first use.
 	comps   []string
 	compIDs map[string]uint32
 	seqs    []uint64
@@ -109,14 +120,16 @@ type storedInput struct {
 // instrumentation seam.
 type Tap interface {
 	// Observe receives one appended record, sequenced and digested,
-	// with the stored input's Src and Data for input records. The
-	// record is valid only during the call.
-	Observe(r *Record)
+	// with the stored input's Src and Data for input records, and
+	// beside it the record's component id in the recorder's name
+	// table. The record is valid only during the call.
+	Observe(comp uint32, r *Record)
 }
 
 // SetTap installs a sink that observes every subsequently appended
-// record, in exact append order (the tap runs under the recorder's
-// lock — it must not call back into the recorder). A nil tap detaches.
+// record, in exact append order. The tap runs on the recording
+// goroutine, under the recorder's lock on the string path; it must not
+// call back into the recorder. A nil tap detaches.
 func (r *Recorder) SetTap(t Tap) {
 	r.mu.Lock()
 	r.tap = t
@@ -134,15 +147,50 @@ func NewRecorder(capacity int) *Recorder {
 		capacity = 16
 	}
 	return &Recorder{
-		id:      recorderIDs.Add(1),
-		ring:    make([]slot, capacity),
-		compIDs: make(map[string]uint32),
+		id:   recorderIDs.Add(1),
+		ring: make([]slot, capacity),
 	}
+}
+
+// Component registers a component name and returns its dense id, the
+// des.Tracer registration hook. It appends to the name table without
+// consulting the string methods' map, so register each name once, and
+// before any string-path record of it.
+func (r *Recorder) Component(name string) uint32 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.addComp(name)
+}
+
+// addComp appends name to the component table.
+func (r *Recorder) addComp(name string) uint32 {
+	c := uint32(len(r.comps))
+	r.comps = append(r.comps, name)
+	r.seqs = append(r.seqs, 0)
+	if r.compIDs != nil {
+		r.compIDs[name] = c
+	}
+	return c
+}
+
+// compID returns the id of the named component, adding it on first
+// sight. The string methods' name map is built here on their first
+// call. Called with mu held.
+func (r *Recorder) compID(name string) uint32 {
+	if r.compIDs == nil {
+		r.compIDs = make(map[string]uint32, len(r.comps))
+		for i, n := range r.comps {
+			r.compIDs[n] = uint32(i)
+		}
+	}
+	if c, ok := r.compIDs[name]; ok {
+		return c
+	}
+	return r.addComp(name)
 }
 
 // kindID returns kind's index in the kind table, adding it on first
 // sight. Kinds are a handful of constants, so a scan beats a map.
-// Called with mu held.
 func (r *Recorder) kindID(kind string) uint32 {
 	for i, k := range r.kinds {
 		if k == kind {
@@ -153,19 +201,12 @@ func (r *Recorder) kindID(kind string) uint32 {
 	return uint32(len(r.kinds) - 1)
 }
 
-// append sequences one event of component into the next ring slot,
+// append sequences one event of component c into the next ring slot,
 // evicting the oldest record when the ring is full, and returns the
-// slot's index. Called with mu held.
-func (r *Recorder) append(at logical.Time, component, kind string, digest uint64) int {
+// slot's index.
+func (r *Recorder) append(at logical.Time, c uint32, kind string, digest uint64) int {
 	if r.shared {
 		r.unshare()
-	}
-	c, ok := r.compIDs[component]
-	if !ok {
-		c = uint32(len(r.comps))
-		r.compIDs[component] = c
-		r.comps = append(r.comps, component)
-		r.seqs = append(r.seqs, 0)
 	}
 	r.seqs[c]++
 	var i int
@@ -188,25 +229,39 @@ func (r *Recorder) append(at logical.Time, component, kind string, digest uint64
 // unshare gives the recorder its own copy of the ring and the input
 // side table, which merged traces read, before it writes again. The
 // name tables are only ever appended to, so traces and recorder share
-// them for good. Called with mu held.
+// them for good.
 func (r *Recorder) unshare() {
 	r.ring = slices.Clone(r.ring)
 	r.inputs = maps.Clone(r.inputs)
 	r.shared = false
 }
 
-// TraceEvent appends a digest-only record for an event of the given
-// component at logical time at. It is the des.Tracer hook: kernels
-// forward Kernel.Trace calls here with their current time. The
+// TraceID appends a digest-only record for an event of the registered
+// component comp at logical time at. It is the des.Tracer hook:
+// kernels forward Kernel.Trace calls here with their current time. It
+// takes no lock (see Recorder for its one-writer contract). The
 // payload is digested, never retained, and the call performs no
-// allocations once the component has been seen.
+// allocations.
+func (r *Recorder) TraceID(at logical.Time, comp uint32, kind string, payload []byte) {
+	d := Digest(payload)
+	i := r.append(at, comp, kind, d)
+	if r.tap != nil {
+		r.scratch = Record{Time: at, Seq: r.ring[i].seq, Component: r.comps[comp], Kind: kind, Digest: d}
+		r.tap.Observe(comp, &r.scratch)
+	}
+}
+
+// TraceEvent is TraceID by component name, under the recorder's lock,
+// for writers that register nothing: the recording endpoints and
+// replay. It performs no allocations once the component has been seen.
 func (r *Recorder) TraceEvent(at logical.Time, component, kind string, payload []byte) {
 	d := Digest(payload)
 	r.mu.Lock()
-	i := r.append(at, component, kind, d)
+	c := r.compID(component)
+	i := r.append(at, c, kind, d)
 	if r.tap != nil {
 		r.scratch = Record{Time: at, Seq: r.ring[i].seq, Component: component, Kind: kind, Digest: d}
-		r.tap.Observe(&r.scratch)
+		r.tap.Observe(c, &r.scratch)
 	}
 	r.mu.Unlock()
 }
@@ -227,7 +282,8 @@ func (r *Recorder) RecordInput(at logical.Time, component, kind, src string, dat
 func (r *Recorder) recordInputOwned(at logical.Time, component, kind, src string, data []byte) {
 	d := Digest(data)
 	r.mu.Lock()
-	i := r.append(at, component, kind, d)
+	c := r.compID(component)
+	i := r.append(at, c, kind, d)
 	r.ring[i].kind |= storedBit
 	if r.inputs == nil {
 		r.inputs = make(map[int]storedInput)
@@ -238,7 +294,7 @@ func (r *Recorder) recordInputOwned(at logical.Time, component, kind, src string
 			Time: at, Seq: r.ring[i].seq, Component: component, Kind: kind,
 			Digest: d, Src: src, Data: data,
 		}
-		r.tap.Observe(&r.scratch)
+		r.tap.Observe(c, &r.scratch)
 	}
 	r.mu.Unlock()
 }

@@ -262,7 +262,9 @@ func (s *mergeStream) sort(timeOrdered bool) {
 // same scenario run on a single kernel.
 //
 // Merge copies no record: each ring is read in place under its
-// recorder's lock (held for the whole merge) and marked shared, so the
+// recorder's lock (held for the whole merge, against string-path
+// writers; a kernel's id-path writer has returned from Run before a
+// merge) and marked shared, so the
 // recorder copies it before its next record and the trace keeps the
 // slots it read. Each ring is put into canonical order as a list of
 // ring indices (see mergeStream.sort), and the k sorted streams are

@@ -484,15 +484,17 @@ func TestRecorderRingOverflow(t *testing.T) {
 	}
 }
 
-// The kernel hook: Trace forwards to the installed tracer with the
-// kernel's current time; without a tracer it is a no-op.
+// The kernel hook: Trace forwards a registered component's events to
+// the installed tracer with the kernel's current time; without a
+// tracer it is a no-op.
 func TestKernelTraceHook(t *testing.T) {
 	k := des.NewKernel(1)
-	k.Trace("c", KindCall, nil) // no tracer: must not panic
+	k.Trace(k.Component("c"), KindCall, nil) // no tracer: must not panic
 	rec := NewRecorder(16)
 	k.SetTracer(rec)
-	k.At(10, func() { k.Trace("c", KindCall, []byte{1}) })
-	k.At(20, func() { k.Trace("c", KindServe, []byte{2}) })
+	c := k.Component("c")
+	k.At(10, func() { k.Trace(c, KindCall, []byte{1}) })
+	k.At(20, func() { k.Trace(c, KindServe, []byte{2}) })
 	k.RunAll()
 	tr := rec.Trace()
 	if tr.Len() != 2 {
