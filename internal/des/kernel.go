@@ -203,6 +203,12 @@ type Kernel struct {
 	// tracer, when set, receives Trace calls (nil = tracing disabled;
 	// the hot-path cost is one nil check).
 	tracer Tracer
+	// _ pads the kernel to whole cache lines (TestPartitionStateFillsCacheLines).
+	// A federation's kernels run on their own goroutines and are
+	// allocated beside each other and beside the partitions' networks;
+	// sharing a line with one of those would bounce it between cores on
+	// every event.
+	_ [32]byte
 }
 
 // NewKernel returns a kernel whose clock starts at time zero and whose

@@ -177,6 +177,10 @@ type Network struct {
 	// returns here — on this network's kernel goroutine — when it fires,
 	// so the per-datagram hot path allocates only the payload copy.
 	argFree []*deliverArg
+	// _ pads the network to whole cache lines, like des.Kernel: a
+	// Cluster's partition networks are written on every delivery by
+	// different goroutines and must not share a line.
+	_ [32]byte
 }
 
 // deliverArg carries one in-flight datagram: the delivering network and

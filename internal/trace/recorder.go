@@ -90,6 +90,10 @@ type Recorder struct {
 	shared  bool
 	tap     Tap
 	scratch Record // the record handed to tap
+	// _ pads the recorder to whole cache lines, like des.Kernel: a
+	// federated world's recorders are allocated side by side and each
+	// is written on every event by its own kernel's goroutine.
+	_ [48]byte
 }
 
 // slot is one record of a ring. It holds no pointer, so a ring of any
