@@ -216,6 +216,8 @@ func TestFireAndForget(t *testing.T) {
 		t.Fatal(err)
 	}
 	peer := someip.NewConn(f.h2.MustBind(40000), false)
+	replies := 0
+	peer.OnMessage(func(someip.Addr, *someip.Message) { replies++ })
 	f.k.At(logical.Time(logical.Millisecond), func() {
 		sendNoReturn(t, peer, f.server.Addr(), calcIface.ID, 0x0004, []byte("hi"))
 	})
@@ -223,8 +225,8 @@ func TestFireAndForget(t *testing.T) {
 	if len(logged) != 1 || logged[0] != "hi" {
 		t.Errorf("logged %q, want [hi]", logged)
 	}
-	if _, received, _ := peer.Stats(); received != 0 {
-		t.Errorf("peer received %d replies to a fire&forget request", received)
+	if replies != 0 {
+		t.Errorf("peer received %d replies to a fire&forget request", replies)
 	}
 }
 

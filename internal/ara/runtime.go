@@ -38,7 +38,8 @@ type Config struct {
 	// WrapEndpoint, when set, wraps the runtime's transport endpoint at
 	// construction time — the seam trace recording installs itself at
 	// (e.g. trace.NewRecordingEndpoint). The wrapper sees every message
-	// the binding sends and receives, on any substrate.
+	// the binding sends and receives, on any substrate, and always on
+	// the runtime's kernel goroutine.
 	WrapEndpoint func(someip.Endpoint) someip.Endpoint
 }
 
@@ -106,9 +107,10 @@ func NewRuntime(host *simnet.Host, cfg Config) (*Runtime, error) {
 // NewUDPRuntime creates a runtime whose endpoint is a real UDP socket
 // (addr uses net.ListenUDP semantics, e.g. "127.0.0.1:0"). The runtime's
 // kernel is driven by the real-time driver: socket receptions are
-// injected as kernel events, so handlers, futures and the executor run
-// on the driver's goroutine exactly as they do under simulation —
-// except that time is now physical.
+// injected as kernel events before any handler sees them, so handlers,
+// Config.WrapEndpoint wrappers, futures and the executor run on the
+// driver's goroutine exactly as they do under simulation — except that
+// time is now physical.
 //
 // UDP runtimes have no service-discovery agent; peers are configured
 // statically with StaticProxy. Close the runtime when done.
@@ -123,15 +125,25 @@ func NewUDPRuntime(drv *des.RealTime, addr string, cfg Config) (*Runtime, error)
 	k := drv.Kernel()
 	// The physical clock: kernel time already tracks the wall clock under
 	// the real-time driver, so the local clock is the identity mapping.
-	rt := newRuntime(k, k.NewLocalClock(des.ClockConfig{}, nil), cfg, conn, someip.ClientID(conn.Addr().Port))
-	rt.conn.OnMessage(func(src someip.Addr, m *someip.Message) {
-		// Handlers must run on the kernel goroutine; the socket reader
-		// hands the message over through the driver's injection queue.
-		// UDPConn's messages are freshly decoded, so m may outlive the
-		// callback.
-		drv.Inject(func() { rt.handle(src, m) })
-	})
+	rt := newRuntime(k, k.NewLocalClock(des.ClockConfig{}, nil), cfg, kernelUDPConn{conn, drv}, someip.ClientID(conn.Addr().Port))
+	rt.conn.OnMessage(rt.handle)
 	return rt, nil
+}
+
+// kernelUDPConn is a UDPConn that delivers on the kernel goroutine: the
+// socket reader hands each message over through the driver's injection
+// queue. UDPConn's messages are freshly decoded, so m may outlive the
+// reader's callback.
+type kernelUDPConn struct {
+	*someip.UDPConn
+	drv *des.RealTime
+}
+
+// OnMessage installs fn to run as an injected kernel event per message.
+func (c kernelUDPConn) OnMessage(fn func(src someip.Addr, m *someip.Message)) {
+	c.UDPConn.OnMessage(func(src someip.Addr, m *someip.Message) {
+		c.drv.Inject(func() { fn(src, m) })
+	})
 }
 
 // NewEndpointRuntime creates a runtime over an arbitrary pre-built
@@ -167,9 +179,6 @@ func newRuntime(k *des.Kernel, clock *des.LocalClock, cfg Config, conn someip.En
 		eventSubs: map[eventKey][]func(*Ctx, []byte){},
 	}
 }
-
-// Name returns the runtime's process name.
-func (rt *Runtime) Name() string { return rt.name }
 
 // Host returns the simulated platform the runtime executes on, or nil
 // for runtimes bound to real sockets.

@@ -45,8 +45,9 @@ func (h *stampHook) Incoming(src someip.Addr, m *someip.Message) {}
 // udpPair builds a tagged server/client runtime pair on loopback, each
 // on its own kernel and driver (one OS process boundary per runtime, as
 // in a real deployment). Kernel-touching setup (skeletons, spawns) must
-// happen before calling start, which launches both drivers.
-func udpPair(t *testing.T) (server, client *Runtime, start func()) {
+// happen before calling start, which launches both drivers. When
+// clientMsgs is non-nil it wraps the client's endpoint.
+func udpPair(t *testing.T, clientMsgs *msgCounter) (server, client *Runtime, start func()) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("real sockets skipped with -short")
@@ -57,7 +58,11 @@ func udpPair(t *testing.T) (server, client *Runtime, start func()) {
 	if err != nil {
 		t.Skipf("loopback sockets unavailable: %v", err)
 	}
-	client, err = NewUDPRuntime(drvC, "127.0.0.1:0", Config{Name: "client", Tagged: true})
+	clientCfg := Config{Name: "client", Tagged: true}
+	if clientMsgs != nil {
+		clientCfg.WrapEndpoint = clientMsgs.wrap
+	}
+	client, err = NewUDPRuntime(drvC, "127.0.0.1:0", clientCfg)
 	if err != nil {
 		server.Close()
 		t.Skipf("loopback sockets unavailable: %v", err)
@@ -84,7 +89,8 @@ func udpPair(t *testing.T) (server, client *Runtime, start func()) {
 }
 
 func TestUDPRuntimeTaggedMethodRoundTrip(t *testing.T) {
-	server, client, start := udpPair(t)
+	var clientMsgs msgCounter
+	server, client, start := udpPair(t, &clientMsgs)
 
 	// Server: echo back the payload; delay the request tag by the
 	// handler's deadline, as the DEAR server method transactor does.
@@ -161,14 +167,55 @@ func TestUDPRuntimeTaggedMethodRoundTrip(t *testing.T) {
 		t.Errorf("response tag = %v, want %v", out.tag, want)
 	}
 
-	sentC, recvC, _ := client.conn.Stats()
-	if sentC < 1 || recvC < 1 {
-		t.Errorf("client stats sent=%d recv=%d", sentC, recvC)
+	if sent, received := clientMsgs.sent.Load(), clientMsgs.received.Load(); sent < 1 || received < 1 {
+		t.Errorf("client endpoint sent %d and received %d messages", sent, received)
+	}
+}
+
+// A UDP runtime's endpoint wrapper (Config.WrapEndpoint) sees inbound
+// messages on the kernel goroutine: while the driver is not running, a
+// datagram waits in its injection queue, and it reaches the wrapper
+// once the driver runs.
+func TestUDPWrappedEndpointDeliversOnKernel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real sockets skipped with -short")
+	}
+	drv := des.NewRealTime(des.NewKernel(1))
+	var msgs msgCounter
+	rt, err := NewUDPRuntime(drv, "127.0.0.1:0", Config{Name: "server", Tagged: true, WrapEndpoint: msgs.wrap})
+	if err != nil {
+		t.Skipf("loopback sockets unavailable: %v", err)
+	}
+	t.Cleanup(func() { rt.Close() })
+	raw, err := someip.ListenUDP("127.0.0.1:0", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { raw.Close() })
+	if err := raw.Send(rt.Addr(), &someip.Message{Service: udpEchoIface.ID, Method: 1, Client: 1, Session: 1,
+		InterfaceVersion: 1, Type: someip.TypeRequestNoReturn}); err != nil {
+		t.Fatal(err)
+	}
+
+	time.Sleep(100 * time.Millisecond)
+	if n := msgs.received.Load(); n != 0 {
+		t.Fatalf("the wrapper handled %d messages before the driver ran", n)
+	}
+	go drv.Run()
+	t.Cleanup(func() {
+		drv.Stop()
+		<-drv.Done()
+		rt.Kernel().Shutdown()
+	})
+	for deadline := time.Now().Add(5 * time.Second); msgs.received.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the wrapper never saw the datagram after the driver started")
+		}
 	}
 }
 
 func TestUDPRuntimeUnknownServiceError(t *testing.T) {
-	server, client, start := udpPair(t)
+	server, client, start := udpPair(t, nil)
 	_ = server // no skeleton offered: server answers E_UNKNOWN_SERVICE
 
 	done := make(chan error, 1)
@@ -191,7 +238,7 @@ func TestUDPRuntimeUnknownServiceError(t *testing.T) {
 }
 
 func TestUDPRuntimeHasNoSD(t *testing.T) {
-	_, client, _ := udpPair(t)
+	_, client, _ := udpPair(t, nil)
 	if client.sd != nil {
 		t.Fatal("UDP runtime should have no SD agent")
 	}

@@ -83,15 +83,10 @@ func (b *TimestampBypass) Peek(service someip.ServiceID, method someip.MethodID)
 
 // Binding is the paper's "modified SOME/IP binding": an ara.BindingHook
 // that attaches staged tags to outgoing messages. Incoming tags are
-// already decoded by the tagged Conn; the hook records per-connection
-// statistics and leaves the tag on the message for the transactors.
+// already decoded by the tagged Conn; the hook leaves them on the
+// message for the transactors.
 type Binding struct {
 	bypass *TimestampBypass
-
-	tagged   uint64
-	untagged uint64
-	received uint64
-	recvTags uint64
 }
 
 // NewBinding creates a binding hook around a fresh, empty bypass.
@@ -106,31 +101,16 @@ func (b *Binding) Bypass() *TimestampBypass { return b.bypass }
 // the message's (service, method) and attaches it.
 func (b *Binding) Outgoing(m *someip.Message) {
 	if m.Tag != nil {
-		b.tagged++
 		return
 	}
 	if tag, ok := b.bypass.Peek(m.Service, m.Method); ok {
 		t := tag
 		m.Tag = &t
-		b.tagged++
-		return
-	}
-	b.untagged++
-}
-
-// Incoming implements ara.BindingHook.
-func (b *Binding) Incoming(src someip.Addr, m *someip.Message) {
-	b.received++
-	if m.Tag != nil {
-		b.recvTags++
 	}
 }
 
-// Stats returns (messages tagged on send, sent untagged, received,
-// received with tags).
-func (b *Binding) Stats() (tagged, untagged, received, recvTags uint64) {
-	return b.tagged, b.untagged, b.received, b.recvTags
-}
+// Incoming implements ara.BindingHook; the tag is already on m.
+func (b *Binding) Incoming(src someip.Addr, m *someip.Message) {}
 
 // AttachBinding installs a DEAR binding on an ara runtime created with
 // Config.Tagged == true, and returns it. This is the entry point for

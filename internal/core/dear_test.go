@@ -31,11 +31,42 @@ var echoIface = &ara.ServiceInterface{
 	},
 }
 
-// dearFixture wires two platforms with a DEAR client and server SWC.
+// dearFixture wires two platforms with a DEAR client and server SWC;
+// clientTags and serverTags count the tagged messages crossing each
+// one's endpoint.
 type dearFixture struct {
-	k              *des.Kernel
-	h1, h2         *simnet.Host
-	client, server *SWC
+	k                      *des.Kernel
+	h1, h2                 *simnet.Host
+	client, server         *SWC
+	clientTags, serverTags tagCounter
+}
+
+// tagCounter wraps a runtime's endpoint (ara.Config.WrapEndpoint) and
+// counts the messages that cross it carrying a tag, each way.
+type tagCounter struct {
+	someip.Endpoint
+	sent, received int
+}
+
+func (c *tagCounter) wrap(ep someip.Endpoint) someip.Endpoint {
+	c.Endpoint = ep
+	return c
+}
+
+func (c *tagCounter) Send(dst someip.Addr, m *someip.Message) error {
+	if m.Tag != nil {
+		c.sent++
+	}
+	return c.Endpoint.Send(dst, m)
+}
+
+func (c *tagCounter) OnMessage(fn func(src someip.Addr, m *someip.Message)) {
+	c.Endpoint.OnMessage(func(src someip.Addr, m *someip.Message) {
+		if m.Tag != nil {
+			c.received++
+		}
+		fn(src, m)
+	})
 }
 
 func newDearFixture(t *testing.T, seed uint64, latency simnet.LatencyModel) *dearFixture {
@@ -48,15 +79,15 @@ func newDearFixture(t *testing.T, seed uint64, latency simnet.LatencyModel) *dea
 	n := simnet.NewNetwork(k, cfg)
 	h1 := n.AddHost("p1", k.NewLocalClock(des.ClockConfig{}, nil))
 	h2 := n.AddHost("p2", k.NewLocalClock(des.ClockConfig{}, nil))
-	server, err := NewSWC(h1, ara.Config{Name: "server"})
-	if err != nil {
+	f := &dearFixture{k: k, h1: h1, h2: h2}
+	var err error
+	if f.server, err = NewSWC(h1, ara.Config{Name: "server", WrapEndpoint: f.serverTags.wrap}); err != nil {
 		t.Fatal(err)
 	}
-	client, err := NewSWC(h2, ara.Config{Name: "client"})
-	if err != nil {
+	if f.client, err = NewSWC(h2, ara.Config{Name: "client", WrapEndpoint: f.clientTags.wrap}); err != nil {
 		t.Fatal(err)
 	}
-	return &dearFixture{k: k, h1: h1, h2: h2, client: client, server: server}
+	return f
 }
 
 // tcfg is a standard transactor configuration: D=10ms, L=5ms, E=0.
@@ -208,7 +239,7 @@ func TestFigure3Sequence(t *testing.T) {
 		return nil
 	})
 
-	// Steps 6/17 are the wire transmissions: observe them at the binding.
+	// Steps 6/17 are the wire transmissions: observe them at the endpoints.
 	f.k.RunAll()
 
 	want := []string{"01-client-invokes", "11-server-logic-receives", "12-server-logic-responds", "22-client-receives"}
@@ -216,15 +247,12 @@ func TestFigure3Sequence(t *testing.T) {
 		t.Errorf("sequence = %v, want %v", seq, want)
 	}
 	// The bindings must have carried tags on both wire crossings.
-	cTagged, cUntagged, _, cRecvTags := f.client.binding.Stats()
-	sTagged, _, _, sRecvTags := f.server.binding.Stats()
-	if cTagged == 0 || sTagged == 0 {
-		t.Errorf("tagged sends: client=%d server=%d", cTagged, sTagged)
+	if f.clientTags.sent == 0 || f.serverTags.sent == 0 {
+		t.Errorf("tagged sends: client=%d server=%d", f.clientTags.sent, f.serverTags.sent)
 	}
-	if cRecvTags == 0 || sRecvTags == 0 {
-		t.Errorf("tagged receptions: client=%d server=%d", cRecvTags, sRecvTags)
+	if f.clientTags.received == 0 || f.serverTags.received == 0 {
+		t.Errorf("tagged receptions: client=%d server=%d", f.clientTags.received, f.serverTags.received)
 	}
-	_ = cUntagged
 }
 
 func TestEventPathThroughTransactors(t *testing.T) {
@@ -627,9 +655,12 @@ func TestBindingStatsCountTagged(t *testing.T) {
 	if m2.Tag == nil || m2.Tag.Time != 9 {
 		t.Errorf("tag = %v", m2.Tag)
 	}
-	tagged, untagged, _, _ := b.Stats()
-	if tagged != 1 || untagged != 1 {
-		t.Errorf("stats = %d tagged, %d untagged", tagged, untagged)
+	// A message that already carries a tag keeps it.
+	own := logical.Tag{Time: 4}
+	m3 := &someip.Message{Service: 1, Method: 2, Type: someip.TypeRequest, Tag: &own}
+	b.Outgoing(m3)
+	if m3.Tag != &own {
+		t.Errorf("own tag replaced by %v", m3.Tag)
 	}
 }
 

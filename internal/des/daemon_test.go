@@ -146,7 +146,7 @@ func TestKernelStringer(t *testing.T) {
 	if p.String() != "process(named)" {
 		t.Errorf("process string = %q", p.String())
 	}
-	if p.Name() != "named" || p.k != k {
+	if p.name != "named" || p.k != k {
 		t.Error("accessors wrong")
 	}
 }

@@ -196,9 +196,6 @@ func (p *Process) kill() {
 	p.dispatch(resumeSignal{killed: true})
 }
 
-// Name returns the process name given at spawn time.
-func (p *Process) Name() string { return p.name }
-
 // Now returns the current simulated time.
 func (p *Process) Now() logical.Time { return p.k.now }
 

@@ -26,9 +26,9 @@ import (
 // (TestMonitorZeroAllocs).
 //
 // An engine takes no lock. It has one feeder, whose calls are
-// serialized already: a kernel-installed recorder calls its tap from
-// the kernel's goroutine, a live recorder from under its own lock, and
-// Finish and Verdicts run after the stream ends. Monitors must not call
+// serialized already: every recorder, kernel-installed or live, calls
+// its tap from its kernel's goroutine, and Finish and Verdicts run
+// after the stream ends. Monitors must not call
 // back into the engine, the recorder or the kernel.
 //
 // An Engine (like its monitors) is single-use: under a federation each

@@ -178,9 +178,6 @@ func NewTimer(r *Reactor, name string, offset, period logical.Duration) *Timer {
 // attach implements Trigger.
 func (t *Timer) attach(rx *Reaction) { t.reactions = append(t.reactions, rx) }
 
-// Name returns "reactor.timer".
-func (t *Timer) Name() string { return t.owner.name + "." + t.name }
-
 // fire triggers the timer's reactions and schedules the next occurrence.
 func (t *Timer) fire(e *Environment) {
 	for _, rx := range t.reactions {

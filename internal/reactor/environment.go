@@ -68,10 +68,6 @@ type Environment struct {
 	ctx        Ctx
 
 	traceHook func(TraceEvent)
-
-	tagsProcessed     uint64
-	reactionsExecuted uint64
-	eventsProcessed   uint64
 }
 
 // NewEnvironment creates an empty environment.
@@ -88,11 +84,6 @@ func (e *Environment) mustBeAssembling(op string) {
 	if e.state != stateAssembling {
 		panic("reactor: " + op + " after the environment started running")
 	}
-}
-
-// Stats returns (tags processed, reactions executed, events processed).
-func (e *Environment) Stats() (tags, reactions, events uint64) {
-	return e.tagsProcessed, e.reactionsExecuted, e.eventsProcessed
 }
 
 // SetTraceHook installs a callback receiving one TraceEvent per executed
@@ -289,7 +280,6 @@ func (e *Environment) loop() {
 		fires := e.fires[:0]
 		for len(e.queue) > 0 && e.queue[0].tag.Equal(tag) {
 			fires = append(fires, e.queue.pop().fire)
-			e.eventsProcessed++
 		}
 		stopHere := e.stopRequested && e.stopTag.Equal(tag)
 		e.mu.Unlock()
@@ -332,7 +322,6 @@ func (e *Environment) fireShutdownTriggers() {
 // processTag runs the triggered reactions in precedence order, then
 // clears presence flags so the next tag starts clean.
 func (e *Environment) processTag(tag logical.Tag) {
-	e.tagsProcessed++
 	for _, rx := range e.order {
 		if !rx.triggered {
 			continue
@@ -358,7 +347,6 @@ func (e *Environment) processTag(tag logical.Tag) {
 func (e *Environment) invoke(rx *Reaction, tag logical.Tag) {
 	c := &e.ctx
 	c.reaction, c.tag = rx, tag
-	e.reactionsExecuted++
 	if rx.deadline > 0 && e.clock.Now() > tag.Time.Add(rx.deadline) {
 		if rx.deadlineHandler != nil {
 			rx.deadlineHandler(c)

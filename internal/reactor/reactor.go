@@ -38,9 +38,6 @@ func (e *Environment) NewReactor(name string) *Reactor {
 	return r
 }
 
-// Name returns the reactor's name.
-func (r *Reactor) Name() string { return r.name }
-
 // Startup returns the trigger that fires once at the start tag.
 func (r *Reactor) Startup() Trigger { return r.startup }
 

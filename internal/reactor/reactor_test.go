@@ -394,15 +394,20 @@ func TestStatsCounting(t *testing.T) {
 	timer := NewTimer(r, "t", 0, logical.Duration(5*ms))
 	invocations := 0
 	r.AddReaction("tick").Triggers(timer).Do(func(c *Ctx) { invocations++ })
+	var traced []logical.Tag
+	env.SetTraceHook(func(ev TraceEvent) {
+		if ev.Reaction == "r.tick" {
+			traced = append(traced, ev.Tag)
+		}
+	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if invocations != 3 { // 0, 5, 10
 		t.Errorf("invocations = %d, want 3", invocations)
 	}
-	tags, reactions, events := env.Stats()
-	if tags == 0 || reactions != 3 || events == 0 {
-		t.Errorf("stats = %d %d %d", tags, reactions, events)
+	if len(traced) != 3 || traced[1].Time.Sub(traced[0].Time) != 5*ms || traced[2].Time.Sub(traced[1].Time) != 5*ms {
+		t.Errorf("traced tick tags = %v, want three 5 ms apart", traced)
 	}
 }
 

@@ -22,11 +22,6 @@ type Conn struct {
 	tagged bool
 	closed bool
 	onMsg  func(src Addr, m *Message)
-	onErr  func(src Addr, err error)
-
-	sent      uint64
-	received  uint64
-	decodeErr uint64
 
 	// scratch is the reusable marshal buffer of the send path: the wire
 	// form only needs to live for the duration of Endpoint.Send (which
@@ -55,22 +50,11 @@ func (c *Conn) LocalAddr() Addr { return c.ep.Addr() }
 // Endpoint returns the underlying network endpoint.
 func (c *Conn) Endpoint() *simnet.Endpoint { return c.ep }
 
-// Tagged reports whether the binding understands tag trailers.
-func (c *Conn) Tagged() bool { return c.tagged }
-
-// Stats returns (messages sent, messages received, decode errors).
-func (c *Conn) Stats() (sent, received, decodeErrors uint64) {
-	return c.sent, c.received, c.decodeErr
-}
-
 // OnMessage installs the inbound message handler. It runs as a kernel
 // event at delivery time; src is always a simnet.Addr. The *Message and
 // its Tag are the Conn's decode scratch, valid only during the callback;
 // the payload aliases the delivered datagram, which the receiver owns.
 func (c *Conn) OnMessage(fn func(src Addr, m *Message)) { c.onMsg = fn }
-
-// OnError installs a handler for inbound decode errors (default: drop).
-func (c *Conn) OnError(fn func(src Addr, err error)) { c.onErr = fn }
 
 // Close unbinds the underlying endpoint; subsequent sends fail and
 // datagrams sent to it are dropped (UDP semantics).
@@ -95,7 +79,6 @@ func (c *Conn) Send(dst Addr, m *Message) error {
 		return fmt.Errorf("someip: Conn.Send to non-simulated address %v (%s)", dst, dst.Network())
 	}
 	m = outgoing(m, c.tagged)
-	c.sent++
 	size := m.WireSize()
 	if cap(c.scratch) < size {
 		c.scratch = make([]byte, size)
@@ -108,23 +91,16 @@ func (c *Conn) Send(dst Addr, m *Message) error {
 
 // receive decodes one delivered datagram into the Conn's scratch
 // message without copying: the payload aliases dg.Payload, which the
-// network hands to the receiver for good.
+// network hands to the receiver for good. A datagram that does not
+// decode is dropped.
 func (c *Conn) receive(dg simnet.Datagram) {
 	m := &c.msg
 	err := decodeInto(m, dg.Payload)
 	if err == nil {
 		err = incoming(m, c.tagged, &c.tag)
 	}
-	if err != nil {
-		c.decodeErr++
-		if c.onErr != nil {
-			c.onErr(dg.Src, err)
-		}
-	} else {
-		c.received++
-		if c.onMsg != nil {
-			c.onMsg(dg.Src, m)
-		}
+	if err == nil && c.onMsg != nil {
+		c.onMsg(dg.Src, m)
 	}
 	c.msg = Message{} // drop the datagram reference
 }

@@ -82,14 +82,12 @@ var endpointBuilders = []endpointBuilder{
 	{name: "udp", short: false, build: buildUDPPair},
 }
 
-// collector gathers delivered messages, and decode errors where a test
-// installs an error handler filling errs, thread-safely (UDP handlers
-// run on the reader goroutine).
+// collector gathers delivered messages thread-safely (a bare UDPConn's
+// handlers run on its reader goroutine).
 type collector struct {
 	mu   sync.Mutex
 	srcs []Addr
 	msgs []*Message
-	errs []error
 }
 
 func (c *collector) install(e Endpoint) {
@@ -151,19 +149,15 @@ func TestEndpointRoundTrip(t *testing.T) {
 		if srcs[0].String() != f.a.LocalAddr().String() {
 			t.Errorf("src %v != sender %v", srcs[0], f.a.LocalAddr())
 		}
-		sent, _, _ := f.a.Stats()
-		_, received, _ := f.b.Stats()
-		if sent != 1 || received != 1 {
-			t.Errorf("stats: sent=%d received=%d", sent, received)
+		f.pump()
+		if _, msgs := c.wait(t, f.pump, 1); len(msgs) != 1 {
+			t.Errorf("received %d messages, want 1", len(msgs))
 		}
 	})
 }
 
 func TestEndpointTaggedCarriesTag(t *testing.T) {
 	forEachEndpoint(t, true, func(t *testing.T, f endpointFixture) {
-		if !f.a.Tagged() || !f.b.Tagged() {
-			t.Fatal("endpoints should report Tagged")
-		}
 		var c collector
 		c.install(f.b)
 		tag := logical.Tag{Time: 777, Microstep: 2}
@@ -180,9 +174,6 @@ func TestEndpointTaggedCarriesTag(t *testing.T) {
 
 func TestEndpointUntaggedStripsTag(t *testing.T) {
 	forEachEndpoint(t, false, func(t *testing.T, f endpointFixture) {
-		if f.a.Tagged() {
-			t.Fatal("endpoint should report untagged")
-		}
 		var c collector
 		c.install(f.b)
 		tag := logical.Tag{Time: 5}
@@ -200,47 +191,38 @@ func TestEndpointUntaggedStripsTag(t *testing.T) {
 	})
 }
 
-// An inbound SOME/IP-TP segment is a decode error on both bindings: a
-// well-formed single final segment at offset 0 is counted, reported as
-// ErrSegmented and never delivered with its TP header as payload.
+// An inbound SOME/IP-TP segment is dropped on both bindings: a
+// well-formed single final segment at offset 0 is never delivered with
+// its TP header as payload, and the good message sent after it is the
+// only one that arrives.
 func TestEndpointRejectsTPSegments(t *testing.T) {
 	forEachEndpoint(t, true, func(t *testing.T, f endpointFixture) {
 		var c collector
 		c.install(f.b)
-		f.b.OnError(func(_ Addr, err error) {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			c.errs = append(c.errs, err)
-		})
 		tpHeader := []byte{0, 0, 0, 0} // offset 0, more-segments flag clear
 		seg := &Message{Service: 1, Method: 2, Client: 3, Session: 4, InterfaceVersion: 1,
 			Type: TypeRequest | TPFlag, Payload: append(tpHeader, "segment"...)}
+		good := &Message{Service: 1, Method: 2, Client: 3, Session: 5, InterfaceVersion: 1,
+			Type: TypeRequest, Payload: []byte("good")}
 		f.raw(seg.Marshal())
-		for deadline := time.Now().Add(5 * time.Second); ; {
-			f.pump()
-			c.mu.Lock()
-			settled := len(c.errs)+len(c.msgs) > 0
-			c.mu.Unlock()
-			if settled {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("timeout: the segment was neither delivered nor reported")
-			}
-		}
+		f.raw(good.Marshal())
+		c.wait(t, f.pump, 1)
 		f.pump()
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if len(c.errs) != 1 || !errors.Is(c.errs[0], ErrSegmented) {
-			t.Errorf("OnError calls = %v, want one ErrSegmented", c.errs)
-		}
-		if len(c.msgs) != 0 {
-			t.Errorf("segment delivered: %v", c.msgs[0])
-		}
-		if _, received, decodeErrs := f.b.Stats(); received != 0 || decodeErrs != 1 {
-			t.Errorf("stats: received=%d decodeErrors=%d, want 0 1", received, decodeErrs)
+		if _, msgs := c.wait(t, f.pump, 1); len(msgs) != 1 || string(msgs[0].Payload) != "good" {
+			t.Errorf("delivered %d messages (first %+v), want only the good one", len(msgs), msgs[0])
 		}
 	})
+}
+
+// The receive step both bindings share rejects a segment before it
+// looks for a tag trailer.
+func TestIncomingRejectsSegment(t *testing.T) {
+	m := &Message{Service: 1, Method: 2, Type: TypeRequest | TPFlag, Payload: []byte{0, 0, 0, 0}}
+	for _, tagged := range []bool{false, true} {
+		if err := incoming(m, tagged, nil); !errors.Is(err, ErrSegmented) {
+			t.Errorf("tagged=%v: incoming = %v, want ErrSegmented", tagged, err)
+		}
+	}
 }
 
 func TestEndpointSendAfterCloseFails(t *testing.T) {

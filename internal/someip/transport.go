@@ -31,9 +31,12 @@ type Addr interface {
 // the deterministic simulated network (Conn) or a real UDP socket
 // (UDPConn).
 //
-// Handler execution context differs by substrate and is part of each
-// implementation's contract: Conn runs handlers as kernel events at
-// simulated delivery time; UDPConn runs them on its reader goroutine.
+// An ara runtime sees every endpoint deliver on its kernel's goroutine:
+// Conn runs handlers as kernel events at simulated delivery time, and
+// ara.NewUDPRuntime hands each UDPConn message to its real-time driver
+// before any handler (or wrapper) runs. Inbound input a binding
+// rejects — a malformed header or tag trailer, a SOME/IP-TP segment —
+// is dropped, never delivered.
 type Endpoint interface {
 	// Send marshals and transmits the message. In an untagged binding
 	// any Tag on the message is dropped (a standard binding has no way
@@ -46,15 +49,8 @@ type Endpoint interface {
 	// or the tag past its return copies it. m.Payload is the receiver's:
 	// it may be kept and mutated, and no other receiver sees the bytes.
 	OnMessage(fn func(src Addr, m *Message))
-	// OnError installs a handler for inbound decode errors (default:
-	// drop). A SOME/IP-TP segment is one: ErrSegmented.
-	OnError(fn func(src Addr, err error))
 	// LocalAddr returns the bound address.
 	LocalAddr() Addr
-	// Tagged reports whether the binding understands DEAR tag trailers.
-	Tagged() bool
-	// Stats returns (messages sent, messages received, decode errors).
-	Stats() (sent, received, decodeErrors uint64)
 	// Close releases the underlying substrate resource. Further sends
 	// fail; inbound traffic is dropped.
 	Close() error
@@ -68,7 +64,7 @@ var (
 
 // ErrSegmented is the decode error for an inbound SOME/IP-TP segment
 // (TPFlag set). Neither binding segments or reassembles, so a segment is
-// counted and reported, never delivered with its TP header as payload.
+// dropped, never delivered with its TP header as payload.
 var ErrSegmented = errors.New("someip: SOME/IP-TP segment (unsupported)")
 
 // outgoing is the send step both bindings share: the message as it goes

@@ -16,21 +16,18 @@ import (
 // the tagged binding against real networks (see ara.NewUDPRuntime),
 // while deterministic experiments use the simulated transport.
 //
-// Handlers run on the connection's reader goroutine.
+// Handlers run on the connection's reader goroutine, so a UDPConn is
+// not an endpoint an ara runtime sees directly: ara.NewUDPRuntime wraps
+// it to hand every message to the kernel goroutine first.
 type UDPConn struct {
 	pc     *net.UDPConn
 	tagged bool
 
 	mu      sync.Mutex
 	onMsg   func(src Addr, m *Message)
-	onErr   func(src Addr, err error)
 	started bool
 	closed  atomic.Bool
 	done    chan struct{}
-
-	sent     atomic.Uint64
-	received atomic.Uint64
-	decodeEr atomic.Uint64
 }
 
 // ListenUDP binds a SOME/IP UDP endpoint. addr uses net.ListenUDP
@@ -57,14 +54,6 @@ func (c *UDPConn) Addr() *net.UDPAddr { return c.pc.LocalAddr().(*net.UDPAddr) }
 // LocalAddr returns the bound address.
 func (c *UDPConn) LocalAddr() Addr { return c.Addr() }
 
-// Tagged reports whether the binding understands tag trailers.
-func (c *UDPConn) Tagged() bool { return c.tagged }
-
-// Stats returns (sent, received, decode errors).
-func (c *UDPConn) Stats() (sent, received, decodeErrors uint64) {
-	return c.sent.Load(), c.received.Load(), c.decodeEr.Load()
-}
-
 // OnMessage installs the receive handler and starts the read loop.
 // Handlers run on the connection's reader goroutine; src is always a
 // *net.UDPAddr. Unlike Conn's, every message (tag included) is freshly
@@ -77,13 +66,6 @@ func (c *UDPConn) OnMessage(fn func(src Addr, m *Message)) {
 		c.started = true
 		go c.readLoop()
 	}
-}
-
-// OnError installs the decode-error handler.
-func (c *UDPConn) OnError(fn func(src Addr, err error)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.onErr = fn
 }
 
 // resolveUDP coerces a transport address to a *net.UDPAddr, resolving
@@ -112,7 +94,6 @@ func (c *UDPConn) Send(dst Addr, m *Message) error {
 	if _, err := c.pc.WriteToUDP(outgoing(m, c.tagged).Marshal(), udpDst); err != nil {
 		return fmt.Errorf("someip: send: %w", err)
 	}
-	c.sent.Add(1)
 	return nil
 }
 
@@ -144,16 +125,8 @@ func (c *UDPConn) readLoop() {
 			err = incoming(m, c.tagged, nil)
 		}
 		if err != nil {
-			c.decodeEr.Add(1)
-			c.mu.Lock()
-			onErr := c.onErr
-			c.mu.Unlock()
-			if onErr != nil {
-				onErr(src, err)
-			}
-			continue
+			continue // dropped
 		}
-		c.received.Add(1)
 		c.mu.Lock()
 		onMsg := c.onMsg
 		c.mu.Unlock()

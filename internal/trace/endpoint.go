@@ -18,10 +18,10 @@ import (
 // becomes a recorded artifact without touching the runtime.
 //
 // now supplies record timestamps; for live runs pass the real-time
-// driver's Elapsed, for simulated runtimes the kernel's Now. Inbound
-// records are written from the transport's handler context (the
-// socket-reader goroutine on UDP), outbound records from the sending
-// kernel goroutine — the Recorder is safe for both.
+// driver's Elapsed, for simulated runtimes the kernel's Now. Both
+// inbound and outbound records are written on the runtime's kernel
+// goroutine, where every endpoint a runtime wraps delivers, so the
+// Recorder has its one writer.
 type RecordingEndpoint struct {
 	inner     someip.Endpoint
 	rec       *Recorder
@@ -62,17 +62,8 @@ func (e *RecordingEndpoint) OnMessage(fn func(src someip.Addr, m *someip.Message
 	})
 }
 
-// OnError forwards to the wrapped endpoint.
-func (e *RecordingEndpoint) OnError(fn func(src someip.Addr, err error)) { e.inner.OnError(fn) }
-
 // LocalAddr returns the wrapped endpoint's address.
 func (e *RecordingEndpoint) LocalAddr() someip.Addr { return e.inner.LocalAddr() }
-
-// Tagged reports the wrapped endpoint's tag support.
-func (e *RecordingEndpoint) Tagged() bool { return e.inner.Tagged() }
-
-// Stats returns the wrapped endpoint's counters.
-func (e *RecordingEndpoint) Stats() (sent, received, decodeErrors uint64) { return e.inner.Stats() }
 
 // Close closes the wrapped endpoint.
 func (e *RecordingEndpoint) Close() error { return e.inner.Close() }
@@ -104,11 +95,9 @@ type Replayer struct {
 	out    *Recorder
 	buf    []byte
 
-	handler  func(src someip.Addr, m *someip.Message)
-	closed   bool
-	started  bool
-	sent     uint64
-	received uint64
+	handler func(src someip.Addr, m *someip.Message)
+	closed  bool
+	started bool
 }
 
 // NewReplayer creates a replayer that will inject recorded's stored
@@ -159,7 +148,6 @@ func (r *Replayer) Start() error {
 			// Re-record the injected input so the replayed trace is
 			// comparable to the recorded one record-for-record.
 			r.out.RecordInput(r.k.Now(), component, kind, string(src), data)
-			r.received++
 			if r.handler != nil && !r.closed {
 				r.handler(src, m)
 			}
@@ -184,7 +172,6 @@ func (r *Replayer) Send(dst someip.Addr, m *someip.Message) error {
 	m.MarshalTo(b)
 	component := componentOf(r.inputs)
 	r.out.TraceEvent(r.k.Now(), component, KindSend, b)
-	r.sent++
 	return nil
 }
 
@@ -200,21 +187,8 @@ func componentOf(inputs []Record) string {
 // OnMessage installs the handler injected inputs are delivered to.
 func (r *Replayer) OnMessage(fn func(src someip.Addr, m *someip.Message)) { r.handler = fn }
 
-// OnError is accepted for interface compatibility; a replayer decodes
-// inputs in Start and never produces inbound decode errors.
-func (r *Replayer) OnError(fn func(src someip.Addr, err error)) {}
-
 // LocalAddr returns the synthetic replay address.
 func (r *Replayer) LocalAddr() someip.Addr { return replayAddr("replay") }
-
-// Tagged reports tag support: replay always runs the modified
-// (tag-aware) binding, since the point is replaying tagged inputs.
-func (r *Replayer) Tagged() bool { return true }
-
-// Stats returns (outputs captured, inputs injected so far, 0).
-func (r *Replayer) Stats() (sent, received, decodeErrors uint64) {
-	return r.sent, r.received, 0
-}
 
 // Close stops delivery of further injections and rejects sends.
 func (r *Replayer) Close() error {

@@ -2,11 +2,8 @@ package trace
 
 import (
 	"bytes"
-	"cmp"
 	"maps"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/logical"
 )
@@ -30,7 +27,8 @@ func Digest(payload []byte) uint64 {
 
 // Recorder captures logical events into a pointer-free ring buffer. It
 // implements des.Tracer, so a kernel forwards its Trace calls here;
-// the endpoint wrappers call it directly with wall-derived times.
+// the endpoint wrappers call it directly, with wall-derived times on a
+// live run.
 //
 // A component enters a recorder's name table once. A world registers
 // each of its components at build (Component) and its kernel traces by
@@ -62,16 +60,13 @@ func Digest(payload []byte) uint64 {
 // size the capacity so complete runs never evict, because
 // mode-independence of the merged trace only holds for complete traces.
 //
-// The id path takes no lock. A recorder installed as a kernel's tracer
-// has one writer, that kernel's goroutine, and Merge, Len and Dropped
-// run after the kernel's Run returns. The string methods lock mu:
-// live recording writes from both a socket-reader goroutine (inputs)
-// and the kernel goroutine (outputs), and they may run concurrently
-// with merges. One recorder is fed by one of the two kinds of writer,
-// never both at once.
+// A Recorder takes no lock. It has one writer, a kernel's goroutine:
+// a recorder installed as the kernel's tracer is written by its Trace
+// calls, and a recording endpoint by the runtime above it, whose
+// endpoints all deliver on the kernel's goroutine (ara.NewUDPRuntime
+// hands each UDP message over to it first). Merge, Len and Dropped run
+// after the kernel's Run returns.
 type Recorder struct {
-	id      uint64     // creation order: the lock order of Merge
-	mu      sync.Mutex // held by the string methods, SetTap and Merge
 	ring    []slot
 	head    int // index of the oldest record
 	count   int
@@ -93,7 +88,7 @@ type Recorder struct {
 	// _ pads the recorder to whole cache lines, like des.Kernel: a
 	// federated world's recorders are allocated side by side and each
 	// is written on every event by its own kernel's goroutine.
-	_ [48]byte
+	_ [64]byte
 }
 
 // slot is one record of a ring. It holds no pointer, so a ring of any
@@ -121,7 +116,8 @@ type storedInput struct {
 // recorder as the kernel tracer and the engine as its tap, and a live
 // RecordingEndpoint stream attaches the same way, so online
 // verification sees exactly the recorded stream without a second
-// instrumentation seam.
+// instrumentation seam. Either way the tap runs on the kernel
+// goroutine that writes the recorder.
 type Tap interface {
 	// Observe receives one appended record, sequenced and digested,
 	// with the stored input's Src and Data for input records, and
@@ -131,17 +127,10 @@ type Tap interface {
 }
 
 // SetTap installs a sink that observes every subsequently appended
-// record, in exact append order. The tap runs on the recording
-// goroutine, under the recorder's lock on the string path; it must not
-// call back into the recorder. A nil tap detaches.
-func (r *Recorder) SetTap(t Tap) {
-	r.mu.Lock()
-	r.tap = t
-	r.mu.Unlock()
-}
-
-// recorderIDs numbers recorders in creation order.
-var recorderIDs atomic.Uint64
+// record, in exact append order. The tap runs on the recorder's one
+// writer goroutine; it must not call back into the recorder. A nil tap
+// detaches.
+func (r *Recorder) SetTap(t Tap) { r.tap = t }
 
 // NewRecorder creates a recorder whose ring holds up to capacity
 // records (minimum 16). The full ring is allocated up front so the
@@ -150,10 +139,7 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity < 16 {
 		capacity = 16
 	}
-	return &Recorder{
-		id:   recorderIDs.Add(1),
-		ring: make([]slot, capacity),
-	}
+	return &Recorder{ring: make([]slot, capacity)}
 }
 
 // Component registers a component name and returns its dense id, the
@@ -161,13 +147,6 @@ func NewRecorder(capacity int) *Recorder {
 // consulting the string methods' map, so register each name once, and
 // before any string-path record of it.
 func (r *Recorder) Component(name string) uint32 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.addComp(name)
-}
-
-// addComp appends name to the component table.
-func (r *Recorder) addComp(name string) uint32 {
 	c := uint32(len(r.comps))
 	r.comps = append(r.comps, name)
 	r.seqs = append(r.seqs, 0)
@@ -179,7 +158,7 @@ func (r *Recorder) addComp(name string) uint32 {
 
 // compID returns the id of the named component, adding it on first
 // sight. The string methods' name map is built here on their first
-// call. Called with mu held.
+// call.
 func (r *Recorder) compID(name string) uint32 {
 	if r.compIDs == nil {
 		r.compIDs = make(map[string]uint32, len(r.comps))
@@ -190,7 +169,7 @@ func (r *Recorder) compID(name string) uint32 {
 	if c, ok := r.compIDs[name]; ok {
 		return c
 	}
-	return r.addComp(name)
+	return r.Component(name)
 }
 
 // kindID returns kind's index in the kind table, adding it on first
@@ -255,19 +234,11 @@ func (r *Recorder) TraceID(at logical.Time, comp uint32, kind string, payload []
 	}
 }
 
-// TraceEvent is TraceID by component name, under the recorder's lock,
-// for writers that register nothing: the recording endpoints and
-// replay. It performs no allocations once the component has been seen.
+// TraceEvent is TraceID by component name, for writers that register
+// nothing: the recording endpoints and replay. It performs no
+// allocations once the component has been seen.
 func (r *Recorder) TraceEvent(at logical.Time, component, kind string, payload []byte) {
-	d := Digest(payload)
-	r.mu.Lock()
-	c := r.compID(component)
-	i := r.append(at, c, kind, d)
-	if r.tap != nil {
-		r.scratch = Record{Time: at, Seq: r.ring[i].seq, Component: component, Kind: kind, Digest: d}
-		r.tap.Observe(c, &r.scratch)
-	}
-	r.mu.Unlock()
+	r.TraceID(at, r.compID(component), kind, payload)
 }
 
 // RecordInput appends a stored-payload record for a captured input:
@@ -285,7 +256,6 @@ func (r *Recorder) RecordInput(at logical.Time, component, kind, src string, dat
 // buffers to avoid copying every captured input twice.
 func (r *Recorder) recordInputOwned(at logical.Time, component, kind, src string, data []byte) {
 	d := Digest(data)
-	r.mu.Lock()
 	c := r.compID(component)
 	i := r.append(at, c, kind, d)
 	r.ring[i].kind |= storedBit
@@ -300,46 +270,13 @@ func (r *Recorder) recordInputOwned(at logical.Time, component, kind, src string
 		}
 		r.tap.Observe(c, &r.scratch)
 	}
-	r.mu.Unlock()
 }
 
 // Len returns the number of records currently buffered.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.count
-}
+func (r *Recorder) Len() int { return r.count }
 
 // Dropped returns the number of records the full ring has evicted.
-func (r *Recorder) Dropped() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
-// lockAll locks every distinct recorder in creation order — one global
-// order, so concurrent merges over overlapping recorder sets cannot
-// deadlock — and returns them for unlockAll.
-func lockAll(recorders []*Recorder) []*Recorder {
-	distinct := make([]*Recorder, 0, len(recorders))
-	for _, r := range recorders {
-		if !slices.Contains(distinct, r) {
-			distinct = append(distinct, r)
-		}
-	}
-	slices.SortFunc(distinct, func(a, b *Recorder) int { return cmp.Compare(a.id, b.id) })
-	for _, r := range distinct {
-		r.mu.Lock()
-	}
-	return distinct
-}
-
-// unlockAll unlocks the recorders lockAll locked.
-func unlockAll(locked []*Recorder) {
-	for _, r := range locked {
-		r.mu.Unlock()
-	}
-}
+func (r *Recorder) Dropped() uint64 { return r.dropped }
 
 // Trace returns the recorder's canonical trace, sharing its ring (see
 // Merge, which also combines several partition recorders).

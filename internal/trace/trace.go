@@ -235,8 +235,8 @@ func (s *mergeStream) compare(a, b uint32) int {
 // sort puts the stream into canonical order. A kernel-driven stream is
 // already time-ordered (kernel time never goes backwards), so only its
 // equal-time runs need sorting by (component, seq); a stream whose
-// times decrease — live recording, where two goroutines stamp
-// wall-clock times — falls back to a full sort.
+// times decrease — a writer that stamps its own times out of order —
+// falls back to a full sort.
 func (s *mergeStream) sort(timeOrdered bool) {
 	if !timeOrdered {
 		slices.SortFunc(s.idx, s.compare)
@@ -261,12 +261,10 @@ func (s *mergeStream) sort(timeOrdered bool) {
 // local state, the merged trace is byte-identical to the trace of the
 // same scenario run on a single kernel.
 //
-// Merge copies no record: each ring is read in place under its
-// recorder's lock (held for the whole merge, against string-path
-// writers; a kernel's id-path writer has returned from Run before a
-// merge) and marked shared, so the
-// recorder copies it before its next record and the trace keeps the
-// slots it read. Each ring is put into canonical order as a list of
+// Merge copies no record: each ring is read in place, after its
+// recorder's one writer has returned from the kernel's Run, and marked
+// shared, so the recorder copies it before its next record and the
+// trace keeps the slots it read. Each ring is put into canonical order as a list of
 // ring indices (see mergeStream.sort), and the k sorted streams are
 // merged head by head into the trace's order index, 4 bytes per record;
 // the largest stream's index list sorts in place in the order index, so
@@ -280,7 +278,6 @@ func (s *mergeStream) sort(timeOrdered bool) {
 // positions, so Merge panics when their total capacity exceeds 2^32
 // slots.
 func Merge(recorders ...*Recorder) *Trace {
-	defer unlockAll(lockAll(recorders))
 	t := &Trace{}
 	total, ncomps, nsrcs, positions, tail := 0, 0, 0, 0, 0
 	for i, r := range recorders {

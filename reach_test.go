@@ -117,8 +117,11 @@ internal/c Late
 
 // TestReachabilityCatchesPlantedExport plants an exported function that
 // nothing calls but whose name is used all over the tree (a match by
-// name alone would keep it), and a config type whose field an init
-// reads but nothing writes; the walk must report both.
+// name alone would keep it), a config type whose field an init reads
+// but nothing writes, and a reached type implementing a reached
+// interface of which init calls one method but not the other; the walk
+// must report the function, the field and the uncalled method, and
+// keep the called one.
 func TestReachabilityCatchesPlantedExport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the module")
@@ -141,9 +144,25 @@ type PlantedLimits struct{ Depth int }
 
 var plantedConfig PlantedConfig
 
+// PlantedProber is a planted interface: init calls Used through it,
+// and nothing calls Probe.
+type PlantedProber interface {
+	Probe() int
+	Used() int
+}
+
+// PlantedImpl implements PlantedProber.
+type PlantedImpl struct{}
+
+func (PlantedImpl) Probe() int { return 2 }
+func (PlantedImpl) Used() int  { return 3 }
+
+var plantedProber PlantedProber = PlantedImpl{}
+
 func init() {
 	_ = plantedConfig.Knob
 	plantedConfig.Limits.Depth++
+	_ = plantedProber.Used()
 }
 `},
 	})
@@ -154,7 +173,7 @@ func init() {
 		i := sort.SearchStrings(got, s)
 		return i < len(got) && got[i] == s
 	}
-	for _, want := range []string{"internal/metrics Send", "internal/metrics PlantedConfig.Knob"} {
+	for _, want := range []string{"internal/metrics Send", "internal/metrics PlantedConfig.Knob", "internal/metrics PlantedImpl.Probe"} {
 		if !has(want) {
 			t.Errorf("planted %s not reported; the walk found %d unreachable declarations and unwritten fields", want, len(got))
 		}
@@ -164,13 +183,16 @@ func init() {
 			t.Errorf("planted %s reported, but init writes it", written)
 		}
 	}
+	if has("internal/metrics PlantedImpl.Used") {
+		t.Error("planted PlantedImpl.Used reported, but init calls it through PlantedProber")
+	}
 }
 
 // methodExempt are the method names the standard library calls through
-// its own interfaces (error, fmt.Stringer, sort and heap): a live type's
-// method of one of these names is live.
-var methodExempt = map[string]bool{"Error": true, "String": true, "Len": true,
-	"Less": true, "Swap": true, "Push": true, "Pop": true}
+// its own interfaces (error, fmt.Stringer, net.Addr, sort and heap): a
+// live type's method of one of these names is live.
+var methodExempt = map[string]bool{"Error": true, "String": true, "Network": true,
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true}
 
 // reachPkg is one type-checked package of the module.
 type reachPkg struct {
@@ -186,9 +208,10 @@ type reachPkg struct {
 // name of the facade. It returns the top-level declarations under
 // internal/ that the walk never reaches, and the exported fields of
 // reached struct types there that no reached code writes, sorted. A
-// method is reached when something names it, or when its receiver type
-// is reached and its name is a method of an interface declared in the
-// module or one of methodExempt. A field is written by a keyed element
+// method is reached when something names it, when its receiver type is
+// reached and its name is one of methodExempt, or when reached code
+// calls a method of that name through an interface the reached type
+// (or a pointer to it) implements. A field is written by a keyed element
 // of a struct literal, by any unkeyed one, or by an assignment, ++/--
 // or & through it, also through an index (r.Counts[v]++) or an
 // enclosing non-pointer field (a.B.C = x writes B and C); a field with
@@ -289,7 +312,7 @@ func unreachableDecls(root string, overlay map[string]map[string]string) ([]stri
 		return nil, err
 	}
 
-	// Index the top-level declarations and the interface method names.
+	// Index the top-level declarations.
 	type decl struct {
 		pkg  *reachPkg
 		node ast.Node
@@ -297,19 +320,8 @@ func unreachableDecls(root string, overlay map[string]map[string]string) ([]stri
 	}
 	decls := map[types.Object]*decl{}
 	methods := map[*types.TypeName][]*types.Func{}
-	ifaceMethods := map[string]bool{}
 	for _, p := range pkgs {
 		for _, f := range p.files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if it, ok := n.(*ast.InterfaceType); ok {
-					for _, m := range it.Methods.List {
-						for _, name := range m.Names {
-							ifaceMethods[name.Name] = true
-						}
-					}
-				}
-				return true
-			})
 			for _, dl := range f.Decls {
 				switch d := dl.(type) {
 				case *ast.FuncDecl:
@@ -339,14 +351,36 @@ func unreachableDecls(root string, overlay map[string]map[string]string) ([]stri
 		}
 	}
 
-	// Walk references from the roots.
+	// Walk references from the roots. A reached type's methods that
+	// reached code may call through an interface are found by matching
+	// it against every interface method reached code names (called):
+	// a new type against those called so far, a newly called method
+	// against the types reached so far, so each pair meets once.
 	reached := map[types.Object]bool{}
 	var queue []types.Object
+	var reachedTypes []*types.TypeName
+	var called []*types.Func
 	var reach func(obj types.Object)
+	match := func(tn *types.TypeName, im *types.Func) {
+		iface := im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+		ptr := types.NewPointer(tn.Type())
+		if types.Implements(ptr, iface) {
+			obj, _, _ := types.LookupFieldOrMethod(ptr, true, im.Pkg(), im.Name())
+			reach(obj)
+		}
+	}
 	reach = func(obj types.Object) {
 		switch o := obj.(type) {
 		case *types.Func:
 			obj = o.Origin()
+			if recv := o.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) && !reached[obj] {
+				reached[obj] = true
+				called = append(called, o)
+				for _, tn := range reachedTypes {
+					match(tn, o)
+				}
+				return
+			}
 		case *types.Var:
 			obj = o.Origin()
 		}
@@ -357,8 +391,14 @@ func unreachableDecls(root string, overlay map[string]map[string]string) ([]stri
 		queue = append(queue, obj)
 		if tn, ok := obj.(*types.TypeName); ok {
 			for _, m := range methods[tn] {
-				if ifaceMethods[m.Name()] || methodExempt[m.Name()] {
+				if methodExempt[m.Name()] {
 					reach(m)
+				}
+			}
+			if !types.IsInterface(tn.Type()) && !tn.IsAlias() {
+				reachedTypes = append(reachedTypes, tn)
+				for _, im := range called {
+					match(tn, im)
 				}
 			}
 		} else if tn := receiverName(obj.Type()); tn != nil {
