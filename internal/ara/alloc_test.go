@@ -9,13 +9,14 @@ import (
 )
 
 // TestCallAllocs pins the heap cost of a warm Proxy.Call→Get round trip
-// with a synchronous handler over the simulated network. The budget
-// covers the caller's Future, the request and reply datagram buffers
-// (simnet copies a payload into a buffer the receiver owns), the
-// server's one serve object and the two sender addresses boxed into
-// someip.Addr on receipt; everything else — the outgoing Message,
-// the decoded Message and payload, the Ctx, the reply event, the
-// waiter slot — is reused or inline.
+// with a synchronous handler over the simulated network at exactly 5
+// allocations: the caller's Future, the request and reply datagram
+// buffers (simnet copies a payload into a buffer the receiver owns) and
+// the two sender addresses boxed into someip.Addr on receipt.
+// Everything else — the outgoing Message, the decoded Message and
+// payload, the server's serve object (taken from and returned to its
+// runtime's free list), the Ctx, the reply event, the waiter slot — is
+// reused or inline. A runtime that allocated a serve per request read 6.
 func TestCallAllocs(t *testing.T) {
 	const n = 200
 	k := des.NewKernel(1)
@@ -60,8 +61,8 @@ func TestCallAllocs(t *testing.T) {
 		t.Fatal(callErr)
 	}
 	t.Logf("%.3f allocs per round trip", perCall)
-	if perCall > 6 {
-		t.Errorf("%.3f allocs per Call→Get round trip, budget 6", perCall)
+	if perCall != 5 {
+		t.Errorf("%.3f allocs per Call→Get round trip, want 5", perCall)
 	}
 	k.Shutdown()
 }

@@ -22,7 +22,8 @@ type Ctx struct {
 // in a Runtime.Spawn or Runtime.Every body, which no message triggers.
 // The DEAR transactors use it to retrieve the tag that the modified
 // binding extracted from the wire. Like the Ctx, it is valid only while
-// the handler runs.
+// the handler runs: the runtime recycles a served message once its
+// handler has returned and its reply is sent.
 func (c *Ctx) Message() *someip.Message { return c.msg }
 
 // Now returns the current simulated (global) time.

@@ -10,7 +10,20 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/logical"
+	"repro/internal/someip"
 )
+
+// bareRuntime is a runtime on k with no endpoint whose served tasks run
+// on e: enough to build tasks through newServe and its free list.
+func bareRuntime(k *des.Kernel, e *Executor) *Runtime { return &Runtime{k: k, exec: e} }
+
+// eventTask builds a notification task running fn through rt's free
+// list; the executor returns it there once fn returns.
+func eventTask(rt *Runtime, fn func(*Ctx, []byte)) *serve {
+	s := rt.newServe(nil, &someip.Message{Type: someip.TypeNotification})
+	s.event = fn
+	return s
+}
 
 // pinRun drives one seeded kernel through an executor with the default
 // (exponential) dispatch jitter: bursts submitted from several events at
@@ -22,12 +35,13 @@ import (
 func pinRun(workers int, serialized bool) (lines []string, events uint64, peak int) {
 	k := des.NewKernel(7)
 	e := NewExecutor(k, k.Rand("exec"), ExecConfig{Workers: workers, Serialized: serialized})
+	rt := bareRuntime(k, e)
 	next, inside := 0, 0
 	var submit func(depth int)
 	submit = func(depth int) {
 		id := next
 		next++
-		e.submit(&serve{event: func(c *Ctx, _ []byte) {
+		e.submit(eventTask(rt, func(c *Ctx, _ []byte) {
 			inside++
 			if inside > peak {
 				peak = inside
@@ -42,7 +56,7 @@ func pinRun(workers int, serialized bool) (lines []string, events uint64, peak i
 			}
 			inside--
 			lines = append(lines, fmt.Sprintf("%d %d-%d @%d/%d", id, start, c.Now(), startEv, k.EventsFired()))
-		}})
+		}))
 	}
 	burst := func(n int) func() {
 		return func() {
@@ -106,27 +120,33 @@ func TestExecutorSchedulePinned(t *testing.T) {
 
 // TestExecutorSteadyStateBudget gates the pooled executor's steady state:
 // once warm, tasks through a serialized two-thread executor spawn no
-// process and no goroutine, and allocate nothing: the tasks are built
-// outside the measured rounds, and each worker thread reuses one Ctx.
+// process and no goroutine, and allocate nothing, the served task
+// included: each round builds its tasks through the runtime's free list,
+// which the finished tasks of the round before refilled, and each
+// worker thread reuses one Ctx.
 func TestExecutorSteadyStateBudget(t *testing.T) {
 	const n = 200
 	k := des.NewKernel(1)
 	e := NewExecutor(k, k.Rand("exec"), ExecConfig{Workers: 2, Serialized: true})
+	rt := bareRuntime(k, e)
 	sum := 0
-	tasks := make([]*serve, n)
-	for i := range tasks {
-		tasks[i] = &serve{event: func(c *Ctx, _ []byte) {
+	handlers := make([]func(*Ctx, []byte), n)
+	for i := range handlers {
+		handlers[i] = func(c *Ctx, _ []byte) {
 			sum += i
 			c.Exec(10 * logical.Microsecond)
-		}}
+		}
 	}
 	round := func() {
-		for _, s := range tasks {
-			e.submit(s)
+		for _, h := range handlers {
+			e.submit(eventTask(rt, h))
 		}
 		k.RunAll()
 	}
 	round() // warm-up: spawns the pool and grows the queue and free lists
+	if len(rt.free) != n {
+		t.Errorf("%d served tasks back on the free list after the warm-up, want %d", len(rt.free), n)
+	}
 	workers, goroutines := len(e.idle), runtime.NumGoroutine()
 	perTask := testing.AllocsPerRun(10, round) / n
 	t.Logf("%d workers, %.3f allocs/task", workers, perTask)
@@ -178,7 +198,7 @@ func TestExecutorShutdownReleasesWorkers(t *testing.T) {
 	}
 	// One task holds the mutex inside a long Exec; a second waits for it.
 	for i := 0; i < 2; i++ {
-		e.submit(&serve{event: func(c *Ctx, _ []byte) { c.Exec(logical.Second) }})
+		e.submit(eventTask(f.server, func(c *Ctx, _ []byte) { c.Exec(logical.Second) }))
 	}
 	f.k.Run(f.k.Now().Add(10 * logical.Millisecond))
 	if !e.mutex.locked || len(e.mutex.waiters) != 1 {
@@ -204,16 +224,17 @@ func TestExecutorIgnoresStaleUnpark(t *testing.T) {
 	k := des.NewKernel(1)
 	jitter := func(*des.Rand) logical.Duration { return 10 }
 	e := NewExecutor(k, k.Rand("exec"), ExecConfig{Workers: 1, DispatchJitter: jitter})
+	rt := bareRuntime(k, e)
 	var first *des.Process
 	var starts []logical.Time
-	e.submit(&serve{event: func(c *Ctx, _ []byte) {
+	e.submit(eventTask(rt, func(c *Ctx, _ []byte) {
 		first = c.Process()
 		starts = append(starts, c.Now())
 		c.Exec(5)
-	}})
+	}))
 	k.At(20, func() { first.Unpark() }) // idle: no task
 	k.At(30, func() {
-		e.submit(&serve{event: func(c *Ctx, _ []byte) { starts = append(starts, c.Now()) }})
+		e.submit(eventTask(rt, func(c *Ctx, _ []byte) { starts = append(starts, c.Now()) }))
 	})
 	k.At(35, func() { first.Unpark() }) // handed a task due at 40
 	k.RunAll()

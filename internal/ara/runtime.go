@@ -9,20 +9,16 @@ import (
 	"repro/internal/someip"
 )
 
-// BindingHook intercepts messages at the SOME/IP binding boundary. The
-// DEAR framework installs a hook to implement the paper's "modified
-// SOME/IP binding": Outgoing pulls a tag from the timestamp bypass and
-// attaches it to the message; Incoming extracts the tag and pushes it to
-// the bypass before the message continues up the standard stack. The
-// hook sees substrate-independent addresses, so the same hook works over
-// the simulated network and over real UDP sockets. m is valid only
-// during Outgoing or Incoming: an outgoing message is the runtime's
-// scratch, which the next request, reply or notification overwrites,
-// and an incoming one is the endpoint's (see someip.Endpoint.OnMessage).
-// A hook that keeps any field of m, or its Tag, copies it.
+// BindingHook intercepts outgoing messages at the SOME/IP binding
+// boundary. The DEAR framework installs a hook to implement the paper's
+// "modified SOME/IP binding": Outgoing pulls a tag from the timestamp
+// bypass and attaches it to the message. Inbound, the tagged binding
+// itself decodes the tag trailer onto the message, so no hook runs. m is
+// valid only during Outgoing: it is the runtime's scratch, which the
+// next request, reply or notification overwrites. A hook that keeps any
+// field of m, or its Tag, copies it.
 type BindingHook interface {
 	Outgoing(m *someip.Message)
-	Incoming(src someip.Addr, m *someip.Message)
 }
 
 // Config configures a Runtime (one per software component process).
@@ -68,6 +64,10 @@ type Runtime struct {
 	eventSubs map[eventKey][]func(*Ctx, []byte)
 
 	hook BindingHook
+
+	// free holds served requests whose handler and reply are done, for
+	// newServe to reuse. Only the kernel goroutine touches it.
+	free []*serve
 
 	// out is the scratch every outgoing request, reply and notification
 	// is built in: the binding hook and the endpoint read a Message only
@@ -229,9 +229,6 @@ func (rt *Runtime) nextSession() someip.SessionID {
 // (see someip.Endpoint.OnMessage): whatever outlives it — a served
 // request, a notification, a response tag — is copied out here.
 func (rt *Runtime) handle(src someip.Addr, m *someip.Message) {
-	if rt.hook != nil {
-		rt.hook.Incoming(src, m)
-	}
 	switch m.Type {
 	case someip.TypeRequest, someip.TypeRequestNoReturn:
 		rt.handleRequest(src, m)
@@ -245,8 +242,9 @@ func (rt *Runtime) handle(src someip.Addr, m *someip.Message) {
 // serve is one inbound message being served: the request (or
 // notification) copied out of the endpoint's scratch, its tag, the
 // handler, and the sync handler's result. It is at once the executor
-// task and the argument of the reply event, so a served request costs
-// this one heap object.
+// task and the argument of the reply event. Once its handler has
+// returned and its reply (if any) is sent, it goes back to the
+// runtime's free list, so a warm runtime serves without allocating one.
 type serve struct {
 	rt  *Runtime
 	src someip.Addr
@@ -261,9 +259,18 @@ type serve struct {
 	res Result // the sync handler's outcome, sent by replyFn
 }
 
-// newServe copies m (and its tag) into a fresh serve.
+// newServe copies m (and its tag) into a serve from the free list, or
+// a fresh one when the list is empty.
 func (rt *Runtime) newServe(src someip.Addr, m *someip.Message) *serve {
-	s := &serve{rt: rt, src: src, msg: *m}
+	var s *serve
+	if n := len(rt.free); n > 0 {
+		s = rt.free[n-1]
+		rt.free[n-1] = nil
+		rt.free = rt.free[:n-1]
+	} else {
+		s = new(serve)
+	}
+	*s = serve{rt: rt, src: src, msg: *m}
 	if m.Tag != nil {
 		s.tag = *m.Tag
 		s.msg.Tag = &s.tag
@@ -271,9 +278,20 @@ func (rt *Runtime) newServe(src someip.Addr, m *someip.Message) *serve {
 	return s
 }
 
+// release zeroes s, dropping its payload and handler, and returns it to
+// the runtime's free list. Nothing may touch s afterwards: the Ctx and
+// its Message are valid only while the handler runs, and handler args
+// alias the datagram, not s.
+func (s *serve) release() {
+	rt := s.rt
+	*s = serve{}
+	rt.free = append(rt.free, s)
+}
+
 // run executes the handler on a worker thread. A sync handler's reply is
 // one event at the current instant carrying s; an async handler's is
-// sent when its future resolves.
+// sent when its future resolves. s is released once its handler has
+// returned and its reply, if any, is sent.
 func (s *serve) run(c *Ctx) {
 	c.rt, c.msg = s.rt, &s.msg
 	args := s.msg.Payload
@@ -282,24 +300,26 @@ func (s *serve) run(c *Ctx) {
 		s.event(c, args)
 	case s.sync != nil:
 		payload, err := s.sync(c, args)
-		if s.msg.Type == someip.TypeRequestNoReturn {
+		if s.msg.Type != someip.TypeRequestNoReturn {
+			s.res = Result{Payload: payload, Err: err}
+			s.rt.k.Post(s.rt.k.Now(), replyFn, s)
 			return
 		}
-		s.res = Result{Payload: payload, Err: err}
-		s.rt.k.Post(s.rt.k.Now(), replyFn, s)
 	default:
 		fut := s.async(c, args)
-		if s.msg.Type == someip.TypeRequestNoReturn {
+		if s.msg.Type != someip.TypeRequestNoReturn {
+			fut.Then(func(r Result) {
+				s.res = r
+				replyFn(s)
+			})
 			return
 		}
-		fut.Then(func(r Result) {
-			s.res = r
-			replyFn(s)
-		})
 	}
+	// A notification or fire&forget request has no reply to wait for.
+	s.release()
 }
 
-// replyFn sends the response to a served request.
+// replyFn sends the response to a served request and releases it.
 func replyFn(a any) {
 	s := a.(*serve)
 	code := someip.EOK
@@ -313,6 +333,7 @@ func replyFn(a any) {
 		payload = nil
 	}
 	s.rt.reply(s.src, &s.msg, payload, code, s.res.Tag)
+	s.release()
 }
 
 // handleRequest dispatches a request to its handler on the executor.

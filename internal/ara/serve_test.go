@@ -1,6 +1,7 @@
 package ara
 
 import (
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -181,5 +182,83 @@ func TestFutureWakeOrder(t *testing.T) {
 	k.RunAll()
 	if len(woke) != 3 || woke[0] != "a" || woke[1] != "b" || woke[2] != "c" {
 		t.Errorf("woke %v, want [a b c]", woke)
+	}
+}
+
+// TestServeRecycled follows served requests through their runtime's
+// free list. A task goes back to the list, zeroed, once its handler has
+// returned and its reply is sent: after a sync reply, after an async
+// reply (not while its future is pending), after a fire&forget handler
+// and after an event handler. Each later request reuses the same task.
+func TestServeRecycled(t *testing.T) {
+	f := newFixture(t, 1, serialExec())
+	var pending *Future
+	f.skeleton.HandleIDAsync(0x0006, func(c *Ctx, args []byte) *Future {
+		pending = NewFuture(f.k)
+		return pending
+	})
+	peer := someip.NewConn(f.h2.MustBind(40000), false)
+	var task *serve // the server's one recycled task
+	recycled := func(step string, rt *Runtime, want *serve) *serve {
+		t.Helper()
+		if len(rt.free) != 1 {
+			t.Fatalf("%s: %d tasks on the free list, want 1", step, len(rt.free))
+		}
+		s := rt.free[0]
+		if !reflect.ValueOf(*s).IsZero() {
+			t.Errorf("%s: the recycled task is not zeroed: %+v", step, *s)
+		}
+		if want != nil && s != want {
+			t.Errorf("%s: a new task was allocated instead of reusing the free one", step)
+		}
+		return s
+	}
+	events := 0
+	f.client.Spawn("main", func(c *Ctx) {
+		px, err := f.client.FindServiceSync(c.Process(), calcIface, 1, logical.Duration(logical.Second))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := px.Call("add", u32(1)).Get(c.Process()); err != nil {
+			t.Error(err)
+			return
+		}
+		task = recycled("sync reply", f.server, nil)
+
+		fut := px.CallID(0x0006, u32(2))
+		c.Exec(logical.Duration(logical.Millisecond))
+		if pending == nil || len(f.server.free) != 0 {
+			t.Errorf("async handler ran: %v; %d tasks free while its reply is pending, want 0", pending != nil, len(f.server.free))
+			return
+		}
+		pending.Resolve(Result{Payload: u32(2)})
+		if r, err := fut.Get(c.Process()); err != nil || decodeU32(r) != 2 {
+			t.Errorf("async reply %v, %v; want 2", decodeU32(r), err)
+		}
+		recycled("async reply", f.server, task)
+
+		sendNoReturn(t, peer, f.server.Addr(), calcIface.ID, 0x0002, u32(3))
+		c.Exec(logical.Duration(logical.Millisecond))
+		if f.value != 4 {
+			t.Errorf("value %d after add 1 and fire&forget add 3, want 4", f.value)
+		}
+		recycled("fire&forget", f.server, task)
+
+		if err := px.SubscribeID(someip.EventID(1), 1, func(*Ctx, []byte) { events++ }); err != nil {
+			t.Error(err)
+			return
+		}
+		key := someip.ServiceKey{Service: calcIface.ID, Instance: 1}
+		for len(f.server.sd.Subscribers(key, 1)) == 0 {
+			c.Exec(logical.Duration(10 * logical.Millisecond))
+		}
+		f.skeleton.NotifyID(someip.EventID(1), 1, u32(5))
+		c.Exec(logical.Duration(10 * logical.Millisecond))
+		recycled("event handler", f.client, nil)
+	})
+	f.k.Run(logical.Time(10 * logical.Second))
+	if task == nil || events != 1 {
+		t.Fatalf("the sequence did not complete: %d events handled", events)
 	}
 }

@@ -40,8 +40,6 @@ func (h *stampHook) Outgoing(m *someip.Message) {
 	}
 }
 
-func (h *stampHook) Incoming(src someip.Addr, m *someip.Message) {}
-
 // udpPair builds a tagged server/client runtime pair on loopback, each
 // on its own kernel and driver (one OS process boundary per runtime, as
 // in a real deployment). Kernel-touching setup (skeletons, spawns) must

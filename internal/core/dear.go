@@ -109,9 +109,6 @@ func (b *Binding) Outgoing(m *someip.Message) {
 	}
 }
 
-// Incoming implements ara.BindingHook; the tag is already on m.
-func (b *Binding) Incoming(src someip.Addr, m *someip.Message) {}
-
 // AttachBinding installs a DEAR binding on an ara runtime created with
 // Config.Tagged == true, and returns it. This is the entry point for
 // turning a standard SWC runtime into a DEAR-enabled one.

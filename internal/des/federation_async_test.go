@@ -116,7 +116,7 @@ func (g graphSpec) run(now func(part int) logical.Time,
 			if branch == 1 && h%3 == 0 {
 				continue // sometimes a single send
 			}
-			to := outs[int(h/8)%len(outs)]
+			to := outs[(h/8)%uint64(len(outs))]
 			delay := g.la[part][to] + logical.Duration(h/64%977)*logical.Microsecond
 			at := now(part).Add(delay)
 			child := mix64(value ^ h)

@@ -94,8 +94,6 @@ func (h *loopbackHook) Outgoing(m *someip.Message) {
 	}
 }
 
-func (h *loopbackHook) Incoming(src someip.Addr, m *someip.Message) {}
-
 // RunLoopback performs n sequential tagged method round trips between
 // two ara runtimes bound to real loopback UDP sockets and reports
 // wall-clock latency statistics. timeout bounds each individual call.

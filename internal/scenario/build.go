@@ -224,22 +224,24 @@ func noiseTick(a any) {
 // to one partition (platform i lives on partition i % partitions): the
 // partition records its own clients' req and call/call-err records
 // (outbound edges, two records per call), its own servers' serve
-// records (inbound edges), its own lifecycle binds and its own noise
-// deliveries, plus slack for reborn clients and the crash plan. Complete
-// traces are a determinism requirement (eviction is mode-dependent), so
-// the estimate is computed from the actual generated edges — Degree
-// alone undercounts the Full shape, whose clients call all n-1 peers —
-// and errs high (2× over the exact record count). Sized per partition,
-// the federation's total ring memory does not grow with the partition
-// count.
+// records (inbound edges), its own initial binds and its own noise
+// deliveries. Under a crash plan, the reborn client adds at most
+// RebornRounds rounds on its own edges, and its calls at most as many
+// serves; 256 records of slack cover the crash, restart and rebind.
+// Complete traces are a determinism requirement (eviction is
+// mode-dependent), so the bound is computed from the actual generated
+// edges — Degree alone undercounts the Full shape, whose clients call
+// all n-1 peers. A fault- and crash-free world records exactly the
+// bound less the slack. Sized per partition, the federation's total
+// ring memory does not grow with the partition count.
 func (w *World) traceCapacityPartition(part, partitions int) int {
 	if traceCapacityForTesting > 0 {
 		return traceCapacityForTesting
 	}
 	spec := w.Spec
 	rounds := spec.Rounds
-	if spec.Crash != nil && spec.Crash.RebornRounds > rounds {
-		rounds = spec.Crash.RebornRounds
+	if spec.Crash != nil {
+		rounds += spec.Crash.RebornRounds
 	}
 	out, in, noisy := 0, 0, 0
 	for i, edges := range w.Edges {
@@ -253,7 +255,7 @@ func (w *World) traceCapacityPartition(part, partitions int) int {
 			}
 		}
 	}
-	return 2*rounds*(2*out+in) + noisy*(spec.NoiseEvents+1) + 256
+	return rounds*(2*out+in) + noisy*(spec.NoiseEvents+1) + 256
 }
 
 // traceCapacityForTesting, when positive, replaces every partition's

@@ -273,10 +273,10 @@ func TopologyPreset(shape Shape, n int) Spec {
 const maxCallEdges = 1 << 20
 
 // maxTraceRecords bounds the trace ring slots Build preallocates for a
-// spec: the per-partition estimates of traceCapacityPartition, summed
-// over partitions, are 2·rounds·3·edges call records plus
-// platforms·(noise+1) noise records. 1<<24 slots of 32 bytes are
-// 512 MiB.
+// spec: the per-partition bounds of traceCapacityPartition, summed over
+// partitions, are rounds·3·edges call records (rounds including a
+// crash plan's RebornRounds) plus platforms·(noise+1) bind and noise
+// records. 1<<24 slots of 32 bytes are 512 MiB.
 const maxTraceRecords = 1 << 24
 
 // ParseSpec decodes a JSON scenario description. Unknown fields are
@@ -401,18 +401,21 @@ func (s Spec) normalized() (Spec, error) {
 		}
 	}
 	// Build preallocates every partition's trace ring: bound the summed
-	// estimate so a spec file cannot make Build exhaust memory. Each
+	// ring sizes so a spec file cannot make Build exhaust memory. Each
 	// product is checked against the budget before it is formed, so
 	// none overflows.
-	rounds := s.Rounds
-	if s.Crash != nil && s.Crash.RebornRounds > rounds {
-		rounds = s.Crash.RebornRounds
-	}
 	budget := maxTraceRecords
-	if rounds > budget/(6*edges) {
+	rounds := s.Rounds
+	if s.Crash != nil {
+		if s.Crash.RebornRounds > budget-rounds {
+			return s, fmt.Errorf("scenario: %d rounds and %d reborn rounds need more than %d trace records", rounds, s.Crash.RebornRounds, maxTraceRecords)
+		}
+		rounds += s.Crash.RebornRounds
+	}
+	if rounds > budget/(3*edges) {
 		return s, fmt.Errorf("scenario: %d rounds over %d call edges need more than %d trace records", rounds, edges, maxTraceRecords)
 	}
-	budget -= 6 * rounds * edges
+	budget -= 3 * rounds * edges
 	if s.NoiseEvents >= budget/s.Platforms {
 		return s, fmt.Errorf("scenario: %d noise events on %d platforms need more than %d trace records", s.NoiseEvents, s.Platforms, maxTraceRecords)
 	}
@@ -563,6 +566,10 @@ func (r *PlatformStats) LatMeanNs() int64 {
 // byte-identical.
 func StatsReport(rows []PlatformStats) string {
 	var b strings.Builder
+	// A row is about 115 bytes (two 16-digit hashes and five counters);
+	// sizing the buffer once keeps a 5000-row report from doubling its
+	// way up.
+	b.Grow(128*len(rows) + 64)
 	totalCalls, totalServed, totalErrors := 0, 0, 0
 	for i, row := range rows {
 		fmt.Fprintf(&b, "plat%02d calls=%d served=%d errs=%d resp=%016x latMeanNs=%d latMaxNs=%d noise=%016x\n",

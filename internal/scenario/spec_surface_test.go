@@ -236,8 +236,8 @@ func TestNormalizedBoundsTraceRings(t *testing.T) {
 	for _, e := range w.Edges {
 		edges += len(e)
 	}
-	rounds := max(spec.Rounds, spec.Crash.RebornRounds)
-	want := 2*rounds*3*edges + spec.Platforms*(spec.NoiseEvents+1)
+	rounds := spec.Rounds + spec.Crash.RebornRounds
+	want := rounds*3*edges + spec.Platforms*(spec.NoiseEvents+1)
 	got := 0
 	for p := 0; p < spec.Partitions; p++ {
 		got += w.traceCapacityPartition(p, spec.Partitions) - 256

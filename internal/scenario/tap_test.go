@@ -146,3 +146,36 @@ func TestTraceOverflowNamesPartition(t *testing.T) {
 		t.Fatalf("overflowing partition 1 by one record: error %v, want it named", err)
 	}
 }
+
+// TestTraceRingsExact pins traceCapacityPartition to the records a
+// fault- and crash-free world makes: for each preset at 1, 2 and 4
+// partitions, every partition's ring, less its 256 records of slack,
+// holds exactly the records the partition recorded, so a bound that
+// errs high (the rings cost memory the GC scans) fails here as surely
+// as one that evicts.
+func TestTraceRingsExact(t *testing.T) {
+	specs := map[string]Spec{
+		"mesh":     MeshPreset(8),
+		"ring":     TopologyPreset(Ring, 8),
+		"full":     TopologyPreset(Full, 16),
+		"city-500": CityPreset(500),
+	}
+	for _, name := range []string{"mesh", "ring", "full", "city-500"} {
+		for _, parts := range []int{1, 2, 4} {
+			spec := specs[name]
+			spec.Seed = 5
+			spec.Partitions = parts
+			w, err := Build(spec)
+			if err != nil {
+				t.Fatalf("%s at %d partitions: %v", name, parts, err)
+			}
+			w.Run()
+			for p, rec := range w.recorders {
+				if got, want := rec.Len(), w.traceCapacityPartition(p, parts)-256; got != want || rec.Dropped() != 0 {
+					t.Errorf("%s at %d partitions, partition %d: %d records (%d evicted), ring bound %d",
+						name, parts, p, got, rec.Dropped(), want)
+				}
+			}
+		}
+	}
+}

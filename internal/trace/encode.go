@@ -84,13 +84,16 @@ func (d *decoder) fail() {
 	}
 }
 
-func (d *decoder) take(n int) []byte {
-	if d.err != nil || d.off+n > len(d.buf) {
+// take returns the next n bytes. n stays unsigned until it is known to
+// fit in the rest of the input, so a hostile u32 length cannot turn
+// negative where int has 32 bits.
+func (d *decoder) take(n uint64) []byte {
+	if d.err != nil || n > uint64(len(d.buf)-d.off) {
 		d.fail()
 		return nil
 	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
+	b := d.buf[d.off : d.off+int(n)]
+	d.off += int(n)
 	return b
 }
 
@@ -126,7 +129,7 @@ func (d *decoder) u64() uint64 {
 	return binary.BigEndian.Uint64(b)
 }
 
-func (d *decoder) str() []byte { return d.take(int(d.u16())) }
+func (d *decoder) str() []byte { return d.take(uint64(d.u16())) }
 
 // names is a name table under construction: each distinct name is
 // stored once, as one string.
@@ -151,26 +154,29 @@ func (n *names) id(b []byte) uint32 {
 
 // Decode parses a binary trace produced by Encode. Malformed input —
 // truncated, trailing bytes, a bad magic, version or stored-input flag,
-// or a record count the remaining bytes cannot hold — returns an error
-// wrapping ErrBadTrace; an accepted input re-encodes to exactly its own
-// bytes. The trace reads one ring of the decoded slots in identity
-// order. Names are interned: one string per distinct component or kind,
-// not per record.
+// or a record count or stored-input length the remaining bytes cannot
+// hold — returns an error wrapping ErrBadTrace; an accepted input
+// re-encodes to exactly its own bytes. The trace reads one ring of the
+// decoded slots in identity order. Names are interned: one string per
+// distinct component or kind, not per record.
 func Decode(data []byte) (*Trace, error) {
 	d := &decoder{buf: data}
-	if string(d.take(len(traceMagic))) != traceMagic {
+	if string(d.take(uint64(len(traceMagic)))) != traceMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadTrace)
 	}
 	if v := d.u8(); v != traceVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadTrace, v)
 	}
 	t := &Trace{Truncated: d.u64()}
-	count := int(d.u32())
 	// Every record takes at least minRecordSize bytes, so a count the
 	// rest cannot hold is malformed before anything is sized from it.
-	if rest := len(data) - d.off; count > rest/minRecordSize {
-		return nil, fmt.Errorf("%w: %d records in %d bytes", ErrBadTrace, count, rest)
+	// The comparison is unsigned: int(0xFFFFFFFF) is -1 on 32 bits.
+	n := d.u32()
+	rest := len(data) - d.off
+	if uint64(n) > uint64(rest/minRecordSize) {
+		return nil, fmt.Errorf("%w: %d records in %d bytes", ErrBadTrace, n, rest)
 	}
+	count := int(n)
 	src := source{ring: make([]slot, count)}
 	t.order = make([]uint32, count)
 	var comps, kinds names
@@ -189,7 +195,7 @@ func Decode(data []byte) (*Trace, error) {
 		case 1:
 			// Clone keeps an empty stored input non-nil, so it
 			// re-encodes as one.
-			stored = bytes.Clone(d.take(int(d.u32())))
+			stored = bytes.Clone(d.take(uint64(d.u32())))
 		default:
 			d.fail()
 		}

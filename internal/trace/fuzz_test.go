@@ -13,9 +13,12 @@ import (
 // re-encodes to exactly the input. The seed corpus in
 // testdata/fuzz/FuzzTraceDecode holds a merged two-recorder trace with
 // a stored-input record, a trace with no records and a truncated trace;
-// hostileCount adds a header whose record count the body cannot hold.
+// hostileCount adds a header whose record count the body cannot hold,
+// and hostileStoredLength a record whose stored input claims 0xFFFFFFFF
+// bytes.
 func FuzzTraceDecode(f *testing.F) {
 	f.Add(hostileCount())
+	f.Add(hostileStoredLength())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Decode(data)
 		if err != nil {
@@ -59,4 +62,23 @@ func hostileCount() []byte {
 	b = binary.BigEndian.AppendUint64(b, 0)
 	b = binary.BigEndian.AppendUint32(b, 0xFFFFFFFF)
 	return append(b, make([]byte, 40)...)
+}
+
+// hostileStoredLength is a one-record trace whose stored input, the
+// last field, claims 0xFFFFFFFF bytes where none follow.
+func hostileStoredLength() []byte {
+	r := NewRecorder(16)
+	r.RecordInput(1, "c", KindRecv, "", []byte{})
+	b := r.Trace().Encode()
+	binary.BigEndian.PutUint32(b[len(b)-4:], 0xFFFFFFFF)
+	return b
+}
+
+// TestDecodeHostileStoredLength rejects a stored-input length the rest
+// of the input cannot hold, on every word size: int(0xFFFFFFFF) is -1
+// where int has 32 bits, which once sliced the input out of bounds.
+func TestDecodeHostileStoredLength(t *testing.T) {
+	if _, err := Decode(hostileStoredLength()); !errors.Is(err, ErrBadTrace) {
+		t.Fatalf("Decode of a 0xFFFFFFFF-byte stored input: error %v, want ErrBadTrace", err)
+	}
 }
