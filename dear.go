@@ -33,7 +33,8 @@ const (
 // Environment owns a reactor program and its scheduler.
 type Environment = reactor.Environment
 
-// Options configures an Environment.
+// Options configures an Environment. Without a Clock it runs on logical
+// time alone, on the goroutine that calls Run.
 type Options = reactor.Options
 
 // Reactor is a named collection of reactions, ports, actions and timers.
@@ -54,7 +55,8 @@ type Action[T any] = reactor.Action[T]
 // Timer triggers reactions periodically.
 type Timer = reactor.Timer
 
-// SimClock drives an environment deterministically from a DES kernel.
+// SimClock drives an environment deterministically from a DES kernel;
+// it is the only source of physical time an environment has.
 type SimClock = reactor.SimClock
 
 // NewEnvironment creates an empty reactor environment.

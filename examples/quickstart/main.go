@@ -18,8 +18,9 @@ import (
 )
 
 func main() {
-	// Fast mode: logical time advances as fast as events allow; remove
-	// Fast to align logical with wall-clock time.
+	// With no clock the program runs on logical time alone, as fast as
+	// events allow; an SWC's reactor program (see examples/pipeline)
+	// runs on a simulated platform's clock instead.
 	env := dear.NewEnvironment(dear.Options{
 		Fast:    true,
 		Timeout: dear.Duration(1 * dear.Second),

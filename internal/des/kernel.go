@@ -18,6 +18,7 @@ package des
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/logical"
 )
@@ -186,6 +187,17 @@ type Tracer interface {
 // Kernel is the simulation engine. Create one with NewKernel, spawn
 // processes and schedule events, then call Run.
 type Kernel struct {
+	kernelState
+	// _ pads the kernel to whole cache lines on any word size
+	// (TestPartitionStateFillsCacheLines). A federation's kernels run on
+	// their own goroutines and are allocated beside each other and
+	// beside the partitions' networks; sharing a line with one of those
+	// would bounce it between cores on every event.
+	_ [64 - unsafe.Sizeof(kernelState{})%64]byte
+}
+
+// kernelState is a Kernel's fields, which Kernel pads.
+type kernelState struct {
 	now      logical.Time
 	seq      uint64
 	queue    eventQueue
@@ -203,18 +215,12 @@ type Kernel struct {
 	// tracer, when set, receives Trace calls (nil = tracing disabled;
 	// the hot-path cost is one nil check).
 	tracer Tracer
-	// _ pads the kernel to whole cache lines (TestPartitionStateFillsCacheLines).
-	// A federation's kernels run on their own goroutines and are
-	// allocated beside each other and beside the partitions' networks;
-	// sharing a line with one of those would bounce it between cores on
-	// every event.
-	_ [32]byte
 }
 
 // NewKernel returns a kernel whose clock starts at time zero and whose
 // random streams all derive from seed.
 func NewKernel(seed uint64) *Kernel {
-	return &Kernel{rootRand: NewRand(seed)}
+	return &Kernel{kernelState: kernelState{rootRand: NewRand(seed)}}
 }
 
 // Now returns the current simulated time.

@@ -33,9 +33,6 @@ const (
 // "never" sentinel by schedulers waiting for an unbounded future event.
 const Forever Time = math.MaxInt64
 
-// Std converts a logical Duration to a time.Duration.
-func (d Duration) Std() time.Duration { return time.Duration(d) }
-
 // Add returns the time point d nanoseconds after t, saturating at Forever
 // rather than wrapping on overflow.
 func (t Time) Add(d Duration) Time {

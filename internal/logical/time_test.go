@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestTimeAdd(t *testing.T) {
@@ -28,13 +27,6 @@ func TestTimeAddSaturates(t *testing.T) {
 func TestTimeSub(t *testing.T) {
 	if got := Time(150).Sub(100); got != 50 {
 		t.Errorf("Sub = %d, want 50", got)
-	}
-}
-
-func TestDurationConversion(t *testing.T) {
-	d := 3 * Millisecond
-	if d.Std() != 3*time.Millisecond {
-		t.Errorf("Std = %v, want 3ms", d.Std())
 	}
 }
 

@@ -17,12 +17,15 @@ type actionBase struct {
 
 	present   bool
 	presentAt logical.Tag
+	// asyncTag is the tag of the latest ScheduleAsync event.
+	asyncTag logical.Tag
 }
 
 // Action is a typed schedulable event source. Logical actions are
 // scheduled from reactions and produce events with a tag relative to the
-// current tag; physical actions are scheduled from asynchronous contexts
-// and are tagged with physical time.
+// current tag; physical actions are scheduled from outside the
+// reactions (ScheduleAsync, ScheduleAt) and are tagged with physical
+// time.
 type Action[T any] struct {
 	actionBase
 	value T
@@ -89,27 +92,34 @@ func (a *Action[T]) Schedule(c *Ctx, v T, extra logical.Duration) {
 	c.env.scheduleEvent(tag, func(e *Environment) { a.fire(e, v) })
 }
 
-// ScheduleAsync schedules the (physical) action from any goroutine or
-// external context. The event is tagged max(physicalNow+minDelay,
-// currentTag.Next()); the scheduler is woken if it is waiting.
+// ScheduleAsync schedules the (physical) action from outside the
+// reactions, such as a network reception's callback, in the
+// environment's own execution context. The event is tagged
+// physicalNow+minDelay, raised to the microstep after the current tag
+// and after the action's previous ScheduleAsync event, so that events
+// of one physical instant pile up in superdense time and none is lost.
+// The scheduler is woken if it is waiting.
 func (a *Action[T]) ScheduleAsync(v T) logical.Tag {
 	if !a.physical {
 		panic(fmt.Sprintf("reactor: logical action %s must be scheduled from a reaction", a.Name()))
 	}
 	e := a.owner.env
-	e.mu.Lock()
-	base := logical.Tag{Time: e.clock.Now().Add(a.minDelay)}
-	floor := e.currentTag.Next()
-	if base.Before(floor) {
-		base = floor
+	base := logical.Tag{Time: e.now().Add(a.minDelay)}
+	floor := e.currentTag
+	if floor.Before(a.asyncTag) {
+		floor = a.asyncTag
 	}
-	e.scheduleEventLocked(base, func(env *Environment) { a.fire(env, v) })
-	e.mu.Unlock()
-	e.clock.Interrupt()
+	if base.Before(floor.Next()) {
+		base = floor.Next()
+	}
+	a.asyncTag = base
+	e.scheduleEvent(base, func(env *Environment) { a.fire(env, v) })
+	e.interrupt()
 	return base
 }
 
-// ScheduleAt schedules a physical action at an explicit tag. This is the
+// ScheduleAt schedules a physical action at an explicit tag, in the
+// environment's own execution context, as ScheduleAsync. This is the
 // safe-to-process primitive used by the DEAR transactors: the tag has
 // already been advanced by D+L+E, and the runtime's physical-time barrier
 // does the rest. ok reports whether the tag was safe: a tag whose time
@@ -123,9 +133,8 @@ func (a *Action[T]) ScheduleAt(v T, tag logical.Tag) (logical.Tag, bool) {
 		panic(fmt.Sprintf("reactor: ScheduleAt requires a physical action (%s)", a.Name()))
 	}
 	e := a.owner.env
-	e.mu.Lock()
 	ok := true
-	if tag.Time < e.clock.Now() {
+	if tag.Time < e.now() {
 		// The physical-time barrier can no longer guarantee that no
 		// earlier-tagged message is in flight: the L+E bound was broken.
 		ok = false
@@ -135,9 +144,8 @@ func (a *Action[T]) ScheduleAt(v T, tag logical.Tag) (logical.Tag, bool) {
 		tag = floor
 		ok = false
 	}
-	e.scheduleEventLocked(tag, func(env *Environment) { a.fire(env, v) })
-	e.mu.Unlock()
-	e.clock.Interrupt()
+	e.scheduleEvent(tag, func(env *Environment) { a.fire(env, v) })
+	e.interrupt()
 	return tag, ok
 }
 

@@ -1,88 +1,16 @@
 package reactor
 
 import (
-	"sync"
-	"time"
-
 	"repro/internal/des"
 	"repro/internal/logical"
 )
 
-// Clock supplies physical time to an Environment. The reactor scheduler
-// uses it to align logical time with physical time (unless running in
-// fast mode), to evaluate deadlines, and to tag physical actions.
-//
-// Two implementations are provided: RealClock (wall-clock execution) and
-// SimClock (deterministic execution on a DES kernel, standing in for the
-// paper's MinnowBoard platforms).
-type Clock interface {
-	// Now returns the current physical time.
-	Now() logical.Time
-	// WaitUntil blocks until physical time t or until Interrupt is
-	// called, whichever comes first; it reports whether it was
-	// interrupted. Called only from the scheduler.
-	WaitUntil(t logical.Time) (interrupted bool)
-	// Interrupt wakes a concurrent WaitUntil. Safe to call from any
-	// context; a spurious interrupt (none waiting) is a no-op.
-	Interrupt()
-	// Sleep consumes d of physical time. Reaction bodies use this (via
-	// Ctx.DoWork) to model computation time: logical time stands still
-	// while physical time advances.
-	Sleep(d logical.Duration)
-}
-
-// RealClock drives an environment from the wall clock.
-type RealClock struct {
-	epoch time.Time
-	mu    sync.Mutex
-	wake  chan struct{}
-}
-
-// NewRealClock returns a clock whose time zero is the moment of creation.
-func NewRealClock() *RealClock {
-	return &RealClock{epoch: time.Now(), wake: make(chan struct{}, 1)}
-}
-
-// Now implements Clock.
-func (c *RealClock) Now() logical.Time {
-	return logical.Time(time.Since(c.epoch).Nanoseconds())
-}
-
-// WaitUntil implements Clock.
-func (c *RealClock) WaitUntil(t logical.Time) bool {
-	d := time.Duration(t - c.Now())
-	if d <= 0 {
-		// Consume a stale interrupt, if any, without blocking.
-		select {
-		case <-c.wake:
-		default:
-		}
-		return false
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-c.wake:
-		return true
-	case <-timer.C:
-		return false
-	}
-}
-
-// Interrupt implements Clock.
-func (c *RealClock) Interrupt() {
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
-}
-
-// Sleep implements Clock.
-func (c *RealClock) Sleep(d logical.Duration) { time.Sleep(d.Std()) }
-
-// SimClock drives an environment from a DES kernel, optionally through a
-// platform's local (drifting, resynchronized) clock. The environment's
-// scheduler must run inside the given process.
+// SimClock supplies physical time to an Environment from a DES kernel,
+// optionally through a platform's local (drifting, resynchronized)
+// clock, standing in for the paper's MinnowBoard platforms. The
+// scheduler reads it for the physical-time barrier, deadlines and
+// physical-action tags, and must run inside the clock's process. An
+// environment without a clock runs on logical time alone (see Options).
 type SimClock struct {
 	proc  *des.Process
 	local *des.LocalClock // nil = use global kernel time
@@ -94,7 +22,7 @@ func NewSimClock(p *des.Process, local *des.LocalClock) *SimClock {
 	return &SimClock{proc: p, local: local}
 }
 
-// Now implements Clock.
+// Now returns the current physical time.
 func (c *SimClock) Now() logical.Time {
 	if c.local != nil {
 		return c.local.Now()
@@ -102,10 +30,11 @@ func (c *SimClock) Now() logical.Time {
 	return c.proc.Now()
 }
 
-// WaitUntil implements Clock.
-func (c *SimClock) WaitUntil(t logical.Time) bool {
+// waitUntil blocks the scheduler's process until physical time t or
+// until a physical action interrupts it.
+func (c *SimClock) waitUntil(t logical.Time) {
 	if c.Now() >= t {
-		return false
+		return
 	}
 	g := t
 	if c.local != nil {
@@ -117,11 +46,5 @@ func (c *SimClock) WaitUntil(t logical.Time) bool {
 			g = g.Add(1)
 		}
 	}
-	return c.proc.WaitUntilInterruptible(g)
+	c.proc.WaitUntilInterruptible(g)
 }
-
-// Interrupt implements Clock.
-func (c *SimClock) Interrupt() { c.proc.Interrupt() }
-
-// Sleep implements Clock.
-func (c *SimClock) Sleep(d logical.Duration) { c.proc.Sleep(d) }

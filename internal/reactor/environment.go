@@ -4,15 +4,19 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/logical"
 )
 
 // Options configures an Environment.
 type Options struct {
-	// Clock supplies physical time (default: NewRealClock()).
-	Clock Clock
+	// Clock supplies physical time from a DES kernel. Without one the
+	// environment runs on logical time alone: physical time reads as
+	// the current tag's time, Run starts at tag (0,0), there is no
+	// physical-time barrier (Fast is implied), no deadline is missed,
+	// DoWork consumes nothing, and KeepAlive ends at starvation, since
+	// nothing can arrive from outside.
+	Clock *SimClock
 	// Fast skips the physical-time barrier: logical time advances as
 	// fast as events allow. Deadlines still compare against the clock.
 	Fast bool
@@ -34,17 +38,15 @@ const (
 // Environment owns a reactor program: the reactors, their interconnect,
 // the event queue and the scheduler. Create reactors and connections
 // while assembling, then call Run.
-// Reactions run one at a time on the scheduler's goroutine.
+//
+// An environment has one execution context: with a SimClock, its des
+// process on the kernel goroutine; without one, the goroutine that calls
+// Run. Reactions, ScheduleAsync and ScheduleAt all run there. A live
+// input from another goroutine enters through des.RealTime.Inject.
 type Environment struct {
 	opts  Options
-	clock Clock
 	state envState
 
-	// mu guards what ScheduleAsync and ScheduleAt reach from other
-	// goroutines: the queue, seq and currentTag. The stop state
-	// (stopTag, stopRequested) is the scheduler goroutine's alone and
-	// needs no lock.
-	mu            sync.Mutex
 	seq           uint64
 	queue         eventHeap
 	currentTag    logical.Tag
@@ -59,10 +61,9 @@ type Environment struct {
 	startTime     logical.Time
 	shutdownFired bool
 
-	// Scheduler-goroutine state: every reaction in precedence order (set
-	// by assignLevels), and per-tag scratch reused across tags.
+	// Every reaction in precedence order (set by assignLevels), and
+	// per-tag scratch reused across tags.
 	order      []*Reaction
-	fires      []func(*Environment)
 	setPorts   []*portBase
 	setActions []*actionBase
 	ctx        Ctx
@@ -72,10 +73,7 @@ type Environment struct {
 
 // NewEnvironment creates an empty environment.
 func NewEnvironment(opts Options) *Environment {
-	if opts.Clock == nil {
-		opts.Clock = NewRealClock()
-	}
-	e := &Environment{opts: opts, clock: opts.Clock}
+	e := &Environment{opts: opts}
 	e.ctx.env = e
 	return e
 }
@@ -93,8 +91,24 @@ func (e *Environment) SetTraceHook(fn func(TraceEvent)) {
 	e.traceHook = fn
 }
 
+// now returns physical time: the clock's, or without one the current
+// tag's time.
+func (e *Environment) now() logical.Time {
+	if e.opts.Clock == nil {
+		return e.currentTag.Time
+	}
+	return e.opts.Clock.Now()
+}
+
+// interrupt wakes the scheduler if it waits on its clock.
+func (e *Environment) interrupt() {
+	if e.opts.Clock != nil {
+		e.opts.Clock.proc.Interrupt()
+	}
+}
+
 // requestStopAt moves the stop tag to tag unless an earlier stop is
-// already requested. Only the scheduler goroutine calls it.
+// already requested.
 func (e *Environment) requestStopAt(tag logical.Tag) {
 	if e.stopRequested && e.stopTag.Before(tag) {
 		return
@@ -172,14 +186,8 @@ func (q *eventHeap) pop() schedEvent {
 	return min
 }
 
-// scheduleEvent enqueues a tagged event (thread-safe).
+// scheduleEvent enqueues a tagged event.
 func (e *Environment) scheduleEvent(tag logical.Tag, fire func(*Environment)) {
-	e.mu.Lock()
-	e.scheduleEventLocked(tag, fire)
-	e.mu.Unlock()
-}
-
-func (e *Environment) scheduleEventLocked(tag logical.Tag, fire func(*Environment)) {
 	e.seq++
 	e.queue.push(schedEvent{tag: tag, seq: e.seq, fire: fire})
 }
@@ -211,14 +219,13 @@ func (e *Environment) Run() error {
 	}
 	e.state = stateRunning
 
-	e.mu.Lock()
-	e.startTime = e.clock.Now()
+	e.startTime = e.now()
 	e.currentTag = logical.Tag{Time: e.startTime}
 	if e.opts.Timeout > 0 {
 		e.requestStopAt(logical.Tag{Time: e.startTime.Add(e.opts.Timeout)})
 	}
 	// Startup triggers and initial timer events share the start tag.
-	e.scheduleEventLocked(e.currentTag, func(env *Environment) {
+	e.scheduleEvent(e.currentTag, func(env *Environment) {
 		for _, r := range env.reactors {
 			for _, rx := range r.startup.reactions {
 				env.enqueueReaction(rx)
@@ -227,9 +234,8 @@ func (e *Environment) Run() error {
 	})
 	for _, t := range e.timers {
 		t := t
-		e.scheduleEventLocked(logical.Tag{Time: e.startTime.Add(t.offset)}, t.fire)
+		e.scheduleEvent(logical.Tag{Time: e.startTime.Add(t.offset)}, t.fire)
 	}
-	e.mu.Unlock()
 
 	e.loop()
 
@@ -238,57 +244,45 @@ func (e *Environment) Run() error {
 }
 
 func (e *Environment) loop() {
+	clock := e.opts.Clock
 	for {
-		e.mu.Lock()
 		if len(e.queue) == 0 {
-			if e.opts.KeepAlive {
+			if e.opts.KeepAlive && clock != nil {
 				// Keep waiting for physical actions until the stop tag's
 				// physical time passes (or forever without a timeout).
 				horizon := logical.Forever
 				if e.stopRequested {
 					horizon = e.stopTag.Time
 				}
-				if e.clock.Now() < horizon {
-					e.mu.Unlock()
-					e.clock.WaitUntil(horizon)
+				if clock.Now() < horizon {
+					clock.waitUntil(horizon)
 					continue
 				}
 			}
 			// Starvation: stop at the next microstep (or the configured
 			// stop tag if that is earlier).
 			e.requestStopAt(e.currentTag.Next())
-			e.mu.Unlock()
 			break
 		}
 		next := &e.queue[0]
 		if e.stopRequested && e.stopTag.Before(next.tag) {
-			e.mu.Unlock()
 			break
 		}
-		if !e.opts.Fast && e.clock.Now() < next.tag.Time {
-			t := next.tag.Time
-			e.mu.Unlock()
+		if !e.opts.Fast && clock != nil && clock.Now() < next.tag.Time {
 			// The physical-time barrier: no event is handled before
 			// physical time exceeds its tag. An interrupt means the
 			// queue may have changed — re-evaluate.
-			e.clock.WaitUntil(t)
+			clock.waitUntil(next.tag.Time)
 			continue
 		}
-		// Advance to the tag and drain all events bearing it.
+		// Advance to the tag and fire all events bearing it. A fire
+		// schedules only at later tags, so none joins this batch.
 		tag := next.tag
 		e.currentTag = tag
-		fires := e.fires[:0]
-		for len(e.queue) > 0 && e.queue[0].tag.Equal(tag) {
-			fires = append(fires, e.queue.pop().fire)
-		}
 		stopHere := e.stopRequested && e.stopTag.Equal(tag)
-		e.mu.Unlock()
-
-		for _, fire := range fires {
-			fire(e)
+		for len(e.queue) > 0 && e.queue[0].tag.Equal(tag) {
+			e.queue.pop().fire(e)
 		}
-		clear(fires)
-		e.fires = fires
 		if stopHere {
 			e.fireShutdownTriggers()
 		}
@@ -300,9 +294,7 @@ func (e *Environment) loop() {
 
 	// Natural or requested termination without having fired shutdown at
 	// an event tag: run the shutdown phase at the stop tag.
-	e.mu.Lock()
 	e.currentTag = e.stopTag
-	e.mu.Unlock()
 	e.fireShutdownTriggers()
 	e.processTag(e.stopTag)
 }
@@ -347,7 +339,7 @@ func (e *Environment) processTag(tag logical.Tag) {
 func (e *Environment) invoke(rx *Reaction, tag logical.Tag) {
 	c := &e.ctx
 	c.reaction, c.tag = rx, tag
-	if rx.deadline > 0 && e.clock.Now() > tag.Time.Add(rx.deadline) {
+	if rx.deadline > 0 && e.now() > tag.Time.Add(rx.deadline) {
 		if rx.deadlineHandler != nil {
 			rx.deadlineHandler(c)
 		}

@@ -160,8 +160,8 @@ type Ctx struct {
 func (c *Ctx) Tag() logical.Tag { return c.tag }
 
 // PhysicalTime returns the current physical time from the environment's
-// clock.
-func (c *Ctx) PhysicalTime() logical.Time { return c.env.clock.Now() }
+// clock; without a clock it is the tag's time.
+func (c *Ctx) PhysicalTime() logical.Time { return c.env.now() }
 
 // Elapsed returns logical time since the start tag.
 func (c *Ctx) Elapsed() logical.Duration {
@@ -169,8 +169,12 @@ func (c *Ctx) Elapsed() logical.Duration {
 }
 
 // DoWork consumes d of physical time (the reaction's computation),
-// leaving logical time untouched.
-func (c *Ctx) DoWork(d logical.Duration) { c.env.clock.Sleep(d) }
+// leaving logical time untouched. Without a clock it does nothing.
+func (c *Ctx) DoWork(d logical.Duration) {
+	if c.env.opts.Clock != nil {
+		c.env.opts.Clock.proc.Sleep(d)
+	}
+}
 
 // RequestStop asks the runtime to shut down at the next microstep. All
 // shutdown reactions will execute at that stop tag.

@@ -13,7 +13,7 @@ import (
 
 const ms = logical.Millisecond
 
-// fastEnv returns an environment that runs in fast mode on a real clock.
+// fastEnv returns an environment that runs in fast mode on logical time.
 func fastEnv(opts ...func(*Options)) *Environment {
 	o := Options{Fast: true}
 	for _, f := range opts {
@@ -651,29 +651,18 @@ func TestRunTwiceFails(t *testing.T) {
 	}
 }
 
-func TestRealClockSmoke(t *testing.T) {
-	// Run a tiny program against the wall clock to exercise RealClock.
-	env := NewEnvironment(Options{Timeout: logical.Duration(5 * ms)})
-	r := env.NewReactor("r")
-	timer := NewTimer(r, "t", 0, logical.Duration(ms))
-	count := 0
-	r.AddReaction("tick").Triggers(timer).Do(func(c *Ctx) { count++ })
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if count != 6 {
-		t.Errorf("count = %d, want 6", count)
-	}
-}
-
-// A physical action fed by ScheduleAsync from a goroutine other than the
-// scheduler's, under a RealClock, is delivered value for value in tag
-// order; the receiving reaction stops the run after the last value, and
-// the timeout bounds the run if an event is lost. Under -race this pins
-// the lock on the queue.
+// A physical action fed from a goroutine other than the kernel's, through
+// des.RealTime.Inject, is delivered value for value in tag order to an
+// environment running as a kernel process; the receiving reaction stops
+// the run after the last value, and the timeout bounds the run if an
+// event is lost.
 func TestScheduleAsyncFromForeignGoroutine(t *testing.T) {
 	const n = 200
-	env := NewEnvironment(Options{KeepAlive: true, Timeout: logical.Duration(10 * logical.Second)})
+	drv := des.NewRealTime(des.NewKernel(1))
+	var env *Environment
+	ran := make(chan error, 1)
+	p := drv.Kernel().Spawn("env", func(*des.Process) { ran <- env.Run() })
+	env = NewEnvironment(Options{Clock: NewSimClock(p, nil), KeepAlive: true, Timeout: logical.Duration(10 * logical.Second)})
 	r := env.NewReactor("r")
 	act := NewPhysicalAction[int](r, "a", 0)
 	var got []int
@@ -686,19 +675,21 @@ func TestScheduleAsyncFromForeignGoroutine(t *testing.T) {
 			c.RequestStop()
 		}
 	})
-	sent := make(chan struct{})
+	go drv.Run()
+	t.Cleanup(func() {
+		drv.Stop()
+		<-drv.Done()
+		drv.Kernel().Shutdown()
+	})
 	go func() {
-		defer close(sent)
 		for i := 0; i < n; i++ {
-			act.ScheduleAsync(i)
+			drv.Inject(func() { act.ScheduleAsync(i) })
 			if i%20 == 0 {
 				time.Sleep(100 * time.Microsecond)
 			}
 		}
 	}()
-	err := env.Run()
-	<-sent
-	if err != nil {
+	if err := <-ran; err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != n {
@@ -710,6 +701,37 @@ func TestScheduleAsyncFromForeignGoroutine(t *testing.T) {
 		}
 		if i > 0 && !tags[i-1].Before(tags[i]) {
 			t.Fatalf("tag order violated at %d: %v then %v", i, tags[i-1], tags[i])
+		}
+	}
+}
+
+// Without a clock an environment runs on logical time alone: every run
+// starts at tag (0,0), physical time reads as the tag's time, and so a
+// startup reaction meets even a 1-ns deadline.
+func TestFastModeRunsOnLogicalTime(t *testing.T) {
+	for run := 0; run < 2; run++ {
+		env := fastEnv()
+		r := env.NewReactor("r")
+		var start logical.Tag
+		var phys logical.Time
+		body, handler := false, false
+		r.AddReaction("s").Triggers(r.Startup()).WithDeadline(1, func(c *Ctx) {
+			handler = true
+		}).Do(func(c *Ctx) {
+			body = true
+			start, phys = c.Tag(), c.PhysicalTime()
+		})
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !body || handler {
+			t.Fatalf("run %d: body ran %v, deadline handler ran %v; want the body only", run, body, handler)
+		}
+		if start != (logical.Tag{}) {
+			t.Errorf("run %d: start tag %v, want (0,0)", run, start)
+		}
+		if phys != start.Time {
+			t.Errorf("run %d: PhysicalTime %v, want the tag's time %v", run, phys, start.Time)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package scenario
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -67,3 +70,60 @@ func TestPartitionStateFillsCacheLines(t *testing.T) {
 // heldObjects makes the objects TestPartitionStateFillsCacheLines
 // inspects escape to the heap.
 var heldObjects []any
+
+// StatsReport writes its digits with strconv instead of fmt. Its bytes
+// must be those of the fmt format it replaced, on random rows with zero
+// and extreme values, and a 5000-row report (a city's) with counters of
+// a city's magnitude must allocate only its sized buffer.
+func TestStatsReportMatchesFprintf(t *testing.T) {
+	r := des.NewRand(7)
+	pick := func(max uint64) uint64 {
+		switch r.Uint64() % 4 {
+		case 0:
+			return 0
+		case 1:
+			return max
+		}
+		return r.Uint64() & max
+	}
+	rows := make([]PlatformStats, 5000)
+	for i := range rows {
+		rows[i] = PlatformStats{
+			Calls:     int(pick(math.MaxInt)),
+			Served:    int(pick(math.MaxInt)),
+			Errors:    int(pick(math.MaxInt)),
+			RespHash:  pick(math.MaxUint64),
+			LatSumNs:  int64(pick(math.MaxInt64)),
+			LatMaxNs:  int64(pick(math.MaxInt64)),
+			NoiseHash: pick(math.MaxUint64),
+		}
+	}
+	var want strings.Builder
+	totalCalls, totalServed, totalErrors := 0, 0, 0
+	for i, row := range rows {
+		fmt.Fprintf(&want, "plat%02d calls=%d served=%d errs=%d resp=%016x latMeanNs=%d latMaxNs=%d noise=%016x\n",
+			i, row.Calls, row.Served, row.Errors, row.RespHash, row.LatMeanNs(), row.LatMaxNs, row.NoiseHash)
+		totalCalls += row.Calls
+		totalServed += row.Served
+		totalErrors += row.Errors
+	}
+	fmt.Fprintf(&want, "total calls=%d served=%d errs=%d\n", totalCalls, totalServed, totalErrors)
+	if got := StatsReport(rows); got != want.String() {
+		gl, wl := strings.Split(got, "\n"), strings.Split(want.String(), "\n")
+		for i := range min(len(gl), len(wl)) {
+			if gl[i] != wl[i] {
+				t.Fatalf("line %d:\n got %s\nwant %s", i, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("got %d lines, want %d", len(gl), len(wl))
+	}
+	for i := range rows {
+		rows[i].Calls, rows[i].Served, rows[i].Errors = int(r.Int63n(1000)), int(r.Int63n(1000)), int(r.Int63n(10))
+		rows[i].LatSumNs, rows[i].LatMaxNs = r.Int63n(1e12), r.Int63n(1e8)
+	}
+	allocs := testing.AllocsPerRun(5, func() { StatsReport(rows) })
+	t.Logf("%.0f allocations for %d rows", allocs, len(rows))
+	if allocs > 1 {
+		t.Fatalf("StatsReport allocates %.0f objects for %d rows, bound 1", allocs, len(rows))
+	}
+}

@@ -25,6 +25,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/logical"
@@ -568,16 +569,42 @@ func StatsReport(rows []PlatformStats) string {
 	var b strings.Builder
 	// A row is about 115 bytes (two 16-digit hashes and five counters);
 	// sizing the buffer once keeps a 5000-row report from doubling its
-	// way up.
+	// way up. Digits are appended into num and copied into b, so no
+	// integer is boxed as fmt would.
 	b.Grow(128*len(rows) + 64)
+	var num [20]byte
+	dec := func(label string, v int64) {
+		b.WriteString(label)
+		b.Write(strconv.AppendInt(num[:0], v, 10))
+	}
+	hex := func(label string, v uint64) {
+		b.WriteString(label)
+		d := strconv.AppendUint(num[:0], v, 16)
+		b.WriteString("0000000000000000"[len(d):])
+		b.Write(d)
+	}
 	totalCalls, totalServed, totalErrors := 0, 0, 0
 	for i, row := range rows {
-		fmt.Fprintf(&b, "plat%02d calls=%d served=%d errs=%d resp=%016x latMeanNs=%d latMaxNs=%d noise=%016x\n",
-			i, row.Calls, row.Served, row.Errors, row.RespHash, row.LatMeanNs(), row.LatMaxNs, row.NoiseHash)
+		if i < 10 {
+			dec("plat0", int64(i))
+		} else {
+			dec("plat", int64(i))
+		}
+		dec(" calls=", int64(row.Calls))
+		dec(" served=", int64(row.Served))
+		dec(" errs=", int64(row.Errors))
+		hex(" resp=", row.RespHash)
+		dec(" latMeanNs=", row.LatMeanNs())
+		dec(" latMaxNs=", row.LatMaxNs)
+		hex(" noise=", row.NoiseHash)
+		b.WriteByte('\n')
 		totalCalls += row.Calls
 		totalServed += row.Served
 		totalErrors += row.Errors
 	}
-	fmt.Fprintf(&b, "total calls=%d served=%d errs=%d\n", totalCalls, totalServed, totalErrors)
+	dec("total calls=", int64(totalCalls))
+	dec(" served=", int64(totalServed))
+	dec(" errs=", int64(totalErrors))
+	b.WriteByte('\n')
 	return b.String()
 }

@@ -12,6 +12,7 @@ package simnet
 import (
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"repro/internal/des"
 	"repro/internal/logical"
@@ -132,6 +133,15 @@ func (j *JitterLatency) MinLatency() logical.Duration {
 
 // Network is a collection of hosts joined by a switch fabric.
 type Network struct {
+	networkState
+	// _ pads the network to whole cache lines on any word size, like
+	// des.Kernel: a Cluster's partition networks are written on every
+	// delivery by different goroutines and must not share a line.
+	_ [64 - unsafe.Sizeof(networkState{})%64]byte
+}
+
+// networkState is a Network's fields, which Network pads.
+type networkState struct {
 	k *des.Kernel
 	// hosts holds the network's hosts by host ID, nil for IDs it does
 	// not own (a Cluster's other partitions, and the unused ID 0).
@@ -177,10 +187,6 @@ type Network struct {
 	// returns here — on this network's kernel goroutine — when it fires,
 	// so the per-datagram hot path allocates only the payload copy.
 	argFree []*deliverArg
-	// _ pads the network to whole cache lines, like des.Kernel: a
-	// Cluster's partition networks are written on every delivery by
-	// different goroutines and must not share a line.
-	_ [32]byte
 }
 
 // deliverArg carries one in-flight datagram: the delivering network and
@@ -247,14 +253,14 @@ func NewNetwork(k *des.Kernel, cfg Config) *Network {
 	if model == nil {
 		model = FixedLatency(50 * logical.Microsecond)
 	}
-	n := &Network{
+	n := &Network{networkState: networkState{
 		k:           k,
 		model:       model,
 		switchDelay: cfg.SwitchDelay,
 		faultSeed:   k.Rand("simnet.fault").Uint64(),
 		linkSeq:     map[[2]uint16]uint64{},
 		topics:      map[topicKey][]*Endpoint{},
-	}
+	}}
 	if plan := cfg.Faults; plan != nil {
 		if err := plan.Validate(); err != nil {
 			panic(err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"maps"
 	"slices"
+	"unsafe"
 
 	"repro/internal/logical"
 )
@@ -67,6 +68,20 @@ func Digest(payload []byte) uint64 {
 // hands each UDP message over to it first). Merge, Len and Dropped run
 // after the kernel's Run returns.
 type Recorder struct {
+	recorderState
+	// _ pads the recorder to whole cache lines on any word size, like
+	// des.Kernel: a federated world's recorders are allocated side by
+	// side and each is written on every event by its own kernel's
+	// goroutine. With 32-bit pointers the allocator prefixes an object
+	// of more than 128 bytes that holds pointers with an 8-byte header,
+	// which moves it off the line boundary, so the state must stay
+	// within 127 bytes there: the tap's scratch record lives behind a
+	// pointer.
+	_ [64 - unsafe.Sizeof(recorderState{})%64]byte
+}
+
+// recorderState is a Recorder's fields, which Recorder pads.
+type recorderState struct {
 	ring    []slot
 	head    int // index of the oldest record
 	count   int
@@ -82,13 +97,14 @@ type Recorder struct {
 	inputs  map[int]storedInput // by ring index, for slots with kind&storedBit
 	// shared is set by Merge: a Trace reads ring and inputs, so the
 	// next append copies them first.
-	shared  bool
-	tap     Tap
-	scratch Record // the record handed to tap
-	// _ pads the recorder to whole cache lines, like des.Kernel: a
-	// federated world's recorders are allocated side by side and each
-	// is written on every event by its own kernel's goroutine.
-	_ [64]byte
+	shared bool
+	tap    *tapSink
+}
+
+// tapSink is an installed Tap and the record handed to it.
+type tapSink struct {
+	tap Tap
+	rec Record
 }
 
 // slot is one record of a ring. It holds no pointer, so a ring of any
@@ -130,7 +146,12 @@ type Tap interface {
 // record, in exact append order. The tap runs on the recorder's one
 // writer goroutine; it must not call back into the recorder. A nil tap
 // detaches.
-func (r *Recorder) SetTap(t Tap) { r.tap = t }
+func (r *Recorder) SetTap(t Tap) {
+	r.tap = nil
+	if t != nil {
+		r.tap = &tapSink{tap: t}
+	}
+}
 
 // NewRecorder creates a recorder whose ring holds up to capacity
 // records (minimum 16). The full ring is allocated up front so the
@@ -139,7 +160,7 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity < 16 {
 		capacity = 16
 	}
-	return &Recorder{ring: make([]slot, capacity)}
+	return &Recorder{recorderState: recorderState{ring: make([]slot, capacity)}}
 }
 
 // Component registers a component name and returns its dense id, the
@@ -228,9 +249,9 @@ func (r *Recorder) unshare() {
 func (r *Recorder) TraceID(at logical.Time, comp uint32, kind string, payload []byte) {
 	d := Digest(payload)
 	i := r.append(at, comp, kind, d)
-	if r.tap != nil {
-		r.scratch = Record{Time: at, Seq: r.ring[i].seq, Component: r.comps[comp], Kind: kind, Digest: d}
-		r.tap.Observe(comp, &r.scratch)
+	if s := r.tap; s != nil {
+		s.rec = Record{Time: at, Seq: r.ring[i].seq, Component: r.comps[comp], Kind: kind, Digest: d}
+		s.tap.Observe(comp, &s.rec)
 	}
 }
 
@@ -263,12 +284,12 @@ func (r *Recorder) recordInputOwned(at logical.Time, component, kind, src string
 		r.inputs = make(map[int]storedInput)
 	}
 	r.inputs[i] = storedInput{src: src, data: data}
-	if r.tap != nil {
-		r.scratch = Record{
+	if s := r.tap; s != nil {
+		s.rec = Record{
 			Time: at, Seq: r.ring[i].seq, Component: component, Kind: kind,
 			Digest: d, Src: src, Data: data,
 		}
-		r.tap.Observe(c, &r.scratch)
+		s.tap.Observe(c, &s.rec)
 	}
 }
 
