@@ -47,6 +47,26 @@ func TestRingSlotIsPointerFree(t *testing.T) {
 	}
 }
 
+type nopTap struct{}
+
+func (nopTap) Observe(uint32, *Record) {}
+
+// Tap sinks installed one after another, as a monitored federated
+// world's partitions install theirs, must each fill whole cache lines
+// on a line boundary, or two kernels' goroutines write the same line on
+// every event.
+func TestTapSinkFillsCacheLines(t *testing.T) {
+	const line = 64
+	for i := 0; i < 2; i++ {
+		r := NewRecorder(16)
+		r.SetTap(nopTap{})
+		size, addr := unsafe.Sizeof(*r.tap), uintptr(unsafe.Pointer(r.tap))
+		if size%line != 0 || addr%line != 0 {
+			t.Errorf("tap sink %d: %d bytes at %#x, want a multiple of %d bytes on a line boundary", i, size, addr, line)
+		}
+	}
+}
+
 // ringWrapCalls drives a 16-slot recorder through a wrap with stored
 // inputs among the digest-only records: 41 records over three
 // components, every fourth a captured input, the last an empty one.
